@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crpq_containment::{contain_with, ContainmentConfig, Semantics};
-use crpq_core::{eval_boolean, eval_tuples, expansion_eval, parallel::eval_tuples_parallel};
+use crpq_core::{expansion_eval, Eval};
 use crpq_graph::{generators, rpq};
 use crpq_query::expansion::ExpansionLimits;
 use crpq_query::parse_crpq;
@@ -70,7 +70,7 @@ fn bench_engines(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(1));
     for sem in Semantics::ALL {
         group.bench_function(BenchmarkId::new("direct", sem.short_name()), |b| {
-            b.iter(|| eval_boolean(&q, &g, sem));
+            b.iter(|| Eval::new(&q, &g).semantics(sem).contains(&[]));
         });
         group.bench_function(BenchmarkId::new("expansion", sem.short_name()), |b| {
             b.iter(|| expansion_eval::eval_contains_complete(&q, &g, &[], sem));
@@ -87,10 +87,19 @@ fn bench_parallel_eval(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(1));
     group.bench_function("sequential", |b| {
-        b.iter(|| eval_tuples(&q, &g, Semantics::AtomInjective));
+        b.iter(|| {
+            Eval::new(&q, &g)
+                .semantics(Semantics::AtomInjective)
+                .tuples()
+        });
     });
     group.bench_function("parallel_4", |b| {
-        b.iter(|| eval_tuples_parallel(&q, &g, Semantics::AtomInjective, 4));
+        b.iter(|| {
+            Eval::new(&q, &g)
+                .semantics(Semantics::AtomInjective)
+                .threads(4)
+                .tuples()
+        });
     });
     group.finish();
 }

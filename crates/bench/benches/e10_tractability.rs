@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crpq_automata::tractability::{classify, AnalysisLimits};
 use crpq_automata::{parse_regex, Nfa};
-use crpq_core::{eval_contains, eval_contains_analyzed, Semantics};
+use crpq_core::{Eval, Semantics};
 use crpq_graph::{generators, GraphDb, NodeId};
 use crpq_query::parse_crpq;
 use crpq_util::Interner;
@@ -59,10 +59,19 @@ fn bench_fastpath(c: &mut Criterion) {
         let (mut g, s, t) = clique_with_unreachable_target(n);
         let q = parse_crpq("(x, y) <- x -[a a*]-> y", g.alphabet_mut()).unwrap();
         group.bench_with_input(BenchmarkId::new("exact", n), &n, |bench, _| {
-            bench.iter(|| eval_contains(&q, &g, &[s, t], Semantics::AtomInjective));
+            bench.iter(|| {
+                Eval::new(&q, &g)
+                    .semantics(Semantics::AtomInjective)
+                    .contains(&[s, t])
+            });
         });
         group.bench_with_input(BenchmarkId::new("analyzed", n), &n, |bench, _| {
-            bench.iter(|| eval_contains_analyzed(&q, &g, &[s, t], Semantics::AtomInjective));
+            bench.iter(|| {
+                Eval::new(&q, &g)
+                    .semantics(Semantics::AtomInjective)
+                    .analyzed()
+                    .contains(&[s, t])
+            });
         });
     }
     // The analyzed engine stays flat far beyond the exact engine's horizon.
@@ -70,7 +79,12 @@ fn bench_fastpath(c: &mut Criterion) {
         let (mut g, s, t) = clique_with_unreachable_target(n);
         let q = parse_crpq("(x, y) <- x -[a a*]-> y", g.alphabet_mut()).unwrap();
         group.bench_with_input(BenchmarkId::new("analyzed", n), &n, |bench, _| {
-            bench.iter(|| eval_contains_analyzed(&q, &g, &[s, t], Semantics::AtomInjective));
+            bench.iter(|| {
+                Eval::new(&q, &g)
+                    .semantics(Semantics::AtomInjective)
+                    .analyzed()
+                    .contains(&[s, t])
+            });
         });
     }
     group.finish();
@@ -85,10 +99,19 @@ fn bench_hard_class(c: &mut Criterion) {
         let (mut g, s, t) = clique_with_unreachable_target(n);
         let q = parse_crpq("(x, y) <- x -[(a a)*]-> y", g.alphabet_mut()).unwrap();
         group.bench_with_input(BenchmarkId::new("exact", n), &n, |bench, _| {
-            bench.iter(|| eval_contains(&q, &g, &[s, t], Semantics::AtomInjective));
+            bench.iter(|| {
+                Eval::new(&q, &g)
+                    .semantics(Semantics::AtomInjective)
+                    .contains(&[s, t])
+            });
         });
         group.bench_with_input(BenchmarkId::new("analyzed", n), &n, |bench, _| {
-            bench.iter(|| eval_contains_analyzed(&q, &g, &[s, t], Semantics::AtomInjective));
+            bench.iter(|| {
+                Eval::new(&q, &g)
+                    .semantics(Semantics::AtomInjective)
+                    .analyzed()
+                    .contains(&[s, t])
+            });
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! the reconstructed graphs `G` and `G′` under all three semantics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crpq_core::{eval_tuples, Semantics};
+use crpq_core::{Eval, Semantics};
 use crpq_util::Interner;
 use crpq_workloads::paper_examples as paper;
 use std::time::Duration;
@@ -22,7 +22,11 @@ fn bench_example21(c: &mut Criterion) {
     for (name, g) in &graphs {
         for sem in Semantics::ALL {
             group.bench_function(BenchmarkId::new(*name, sem.short_name()), |b| {
-                b.iter(|| eval_tuples(std::hint::black_box(&q), g, sem));
+                b.iter(|| {
+                    Eval::new(std::hint::black_box(&q), g)
+                        .semantics(sem)
+                        .tuples()
+                });
             });
         }
     }

@@ -2,7 +2,7 @@
 //! grows (the hierarchy `q-inj ⊆ a-inj ⊆ st` measured, not just proved).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crpq_core::{check_hierarchy, Semantics};
+use crpq_core::{check_hierarchy, Eval, Semantics};
 use crpq_graph::generators;
 use crpq_query::parse_crpq;
 use std::time::Duration;
@@ -31,7 +31,7 @@ fn bench_selectivity(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("eval_{}", sem.short_name()), edges),
                 &edges,
-                |b, _| b.iter(|| crpq_core::eval_tuples(&q, &g, sem)),
+                |b, _| b.iter(|| Eval::new(&q, &g).semantics(sem).tuples()),
             );
         }
     }
@@ -40,7 +40,7 @@ fn bench_selectivity(c: &mut Criterion) {
 
 fn bench_wikidata_log(c: &mut Criterion) {
     // The paper's §1 motivation: Wikidata-style property-path shapes.
-    use crpq_core::eval_tuples;
+
     use crpq_util::Interner;
     use crpq_workloads::wikidata;
     let mut g = wikidata::knowledge_graph(30, 11);
@@ -58,7 +58,7 @@ fn bench_wikidata_log(c: &mut Criterion) {
         for sem in Semantics::ALL {
             group.bench_function(
                 BenchmarkId::new(format!("q{i}_{shape:?}"), sem.short_name()),
-                |b| b.iter(|| eval_tuples(q, &g, sem)),
+                |b| b.iter(|| Eval::new(q, &g).semantics(sem).tuples()),
             );
         }
     }

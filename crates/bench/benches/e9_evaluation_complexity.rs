@@ -6,7 +6,7 @@
 //! * the exponential simple-path wall on diamond ladders.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crpq_core::{eval_boolean, eval_contains, Semantics};
+use crpq_core::{Eval, Semantics};
 use crpq_graph::{rpq, NodeId};
 use crpq_util::Interner;
 use crpq_workloads::scaling;
@@ -24,7 +24,7 @@ fn bench_data_complexity(c: &mut Criterion) {
         let tuple = [NodeId(0), NodeId((n - 1) as u32)];
         for sem in Semantics::ALL {
             group.bench_with_input(BenchmarkId::new(sem.short_name(), n), &n, |b, _| {
-                b.iter(|| eval_contains(&q, &g, &tuple, sem));
+                b.iter(|| Eval::new(&q, &g).semantics(sem).contains(&tuple));
             });
         }
     }
@@ -42,7 +42,7 @@ fn bench_combined_complexity(c: &mut Criterion) {
         let q = scaling::combined_complexity_query(k, &mut sigma);
         for sem in Semantics::ALL {
             group.bench_with_input(BenchmarkId::new(sem.short_name(), k), &k, |b, _| {
-                b.iter(|| eval_boolean(&q, &g, sem));
+                b.iter(|| Eval::new(&q, &g).semantics(sem).contains(&[]));
             });
         }
     }

@@ -24,9 +24,9 @@
 //! stay O(|E| + Σ_l |V_l|), not O(|labels|·|V|)), the |V| = 10⁶ and
 //! |V| = 10⁷ anonymous workloads at 4 edges/node (zero name bytes, index +
 //! names under explicit per-size budgets, sweep scratch far below one
-//! dense |V|·|Q| stamp array), plus the skewed-Zipf scheduler comparison
-//! (work-stealing vs. static partitioning, ≥ 1.5× floor on ≥ 4-CPU
-//! machines). Rows append to `BENCH_scale.json` across runs, with
+//! dense |V|·|Q| stamp array), plus the skewed-Zipf scheduler check
+//! (work stealing vs. the same request on one thread, ≥ 1.5× floor on
+//! ≥ 4-CPU machines). Rows append to `BENCH_scale.json` across runs, with
 //! re-measured `(workload, |V|, threads)` configurations replacing their
 //! prior rows instead of duplicating them:
 //!
@@ -67,7 +67,7 @@
 
 use crpq_containment::abstraction::try_contain_qinj;
 use crpq_containment::{contain, Semantics};
-use crpq_core::{check_hierarchy, eval_contains, eval_tuples};
+use crpq_core::{check_hierarchy, Eval};
 use crpq_graph::{generators, rpq};
 use crpq_reductions as red;
 use crpq_util::Interner;
@@ -169,21 +169,32 @@ fn e2_example21() {
     let (u, w) = (g.node_by_name("u").unwrap(), g.node_by_name("w").unwrap());
     println!(
         "(u,w) on G : st={} a-inj={} q-inj={}",
-        eval_contains(&q, &g, &[u, w], Semantics::Standard),
-        eval_contains(&q, &g, &[u, w], Semantics::AtomInjective),
-        eval_contains(&q, &g, &[u, w], Semantics::QueryInjective),
+        Eval::new(&q, &g).contains(&[u, w]),
+        Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, w]),
+        Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[u, w]),
     );
     let gp = paper::example21_gprime(&sigma);
     let (u, v) = (gp.node_by_name("u").unwrap(), gp.node_by_name("v").unwrap());
     println!(
         "(u,v) on G′: st={} a-inj={} q-inj={}",
-        eval_contains(&q, &gp, &[u, v], Semantics::Standard),
-        eval_contains(&q, &gp, &[u, v], Semantics::AtomInjective),
-        eval_contains(&q, &gp, &[u, v], Semantics::QueryInjective),
+        Eval::new(&q, &gp).contains(&[u, v]),
+        Eval::new(&q, &gp)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, v]),
+        Eval::new(&q, &gp)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[u, v]),
     );
     println!(
         "Q(G)_st == Q(G)_a-inj: {}\n",
-        eval_tuples(&q, &g, Semantics::Standard) == eval_tuples(&q, &g, Semantics::AtomInjective)
+        Eval::new(&q, &g).tuples()
+            == Eval::new(&q, &g)
+                .semantics(Semantics::AtomInjective)
+                .tuples()
     );
 }
 
@@ -444,7 +455,7 @@ fn e9_evaluation() {
         let tuple = [crpq_graph::NodeId(0), crpq_graph::NodeId((n - 1) as u32)];
         let mut row = format!("| {n} |");
         for sem in Semantics::ALL {
-            let (_, ms) = timed(|| eval_contains(&q, &g, &tuple, sem));
+            let (_, ms) = timed(|| Eval::new(&q, &g).semantics(sem).contains(&tuple));
             row += &format!(" {ms:.2}ms |");
         }
         println!("{row}");
@@ -467,7 +478,7 @@ fn e9_evaluation() {
 
 fn e10_tractability() {
     use crpq_automata::tractability::{classify, AnalysisLimits};
-    use crpq_core::eval_contains_analyzed;
+
     use crpq_query::parse_crpq;
 
     println!("\n## E10 — §3 trichotomy discussion ([3]): simple-path tractability\n");
@@ -499,12 +510,28 @@ fn e10_tractability() {
         let s = g.node_by_name("v0").unwrap();
         let q_easy = parse_crpq("(x, y) <- x -[a a*]-> y", g.alphabet_mut()).unwrap();
         let q_hard = parse_crpq("(x, y) <- x -[(a a)*]-> y", g.alphabet_mut()).unwrap();
-        let (_, e1) = timed(|| eval_contains(&q_easy, &g, &[s, t], Semantics::AtomInjective));
-        let (_, a1) =
-            timed(|| eval_contains_analyzed(&q_easy, &g, &[s, t], Semantics::AtomInjective));
-        let (_, e2) = timed(|| eval_contains(&q_hard, &g, &[s, t], Semantics::AtomInjective));
-        let (_, a2) =
-            timed(|| eval_contains_analyzed(&q_hard, &g, &[s, t], Semantics::AtomInjective));
+        let (_, e1) = timed(|| {
+            Eval::new(&q_easy, &g)
+                .semantics(Semantics::AtomInjective)
+                .contains(&[s, t])
+        });
+        let (_, a1) = timed(|| {
+            Eval::new(&q_easy, &g)
+                .semantics(Semantics::AtomInjective)
+                .analyzed()
+                .contains(&[s, t])
+        });
+        let (_, e2) = timed(|| {
+            Eval::new(&q_hard, &g)
+                .semantics(Semantics::AtomInjective)
+                .contains(&[s, t])
+        });
+        let (_, a2) = timed(|| {
+            Eval::new(&q_hard, &g)
+                .semantics(Semantics::AtomInjective)
+                .analyzed()
+                .contains(&[s, t])
+        });
         println!("| {n} | {e1:.2}ms | {a1:.3}ms | {e2:.2}ms | {a2:.2}ms |");
     }
 }

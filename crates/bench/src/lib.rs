@@ -4,8 +4,9 @@
 //!
 //! # `BENCH_eval.json` schema
 //!
-//! * `rows` — one entry per (workload, graph, semantics): the three-engine
-//!   wall clocks (`join_ms` / `unshared_ms` / `legacy_ms`), catalog
+//! * `rows` — one entry per (workload, graph, semantics): the two-engine
+//!   wall clocks (`join_ms` / `legacy_ms`; rows before the `Eval` request
+//!   type also carry the retired per-variant baseline's `unshared_ms`), catalog
 //!   counters, and the **memory proxies** `index_bytes` (graph adjacency
 //!   indexes: node-major flat arrays + both label-partitioned sparse CSRs)
 //!   and `rel_bytes` (all relations the instrumented catalog run

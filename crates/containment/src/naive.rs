@@ -14,7 +14,7 @@
 //! enumeration is ([`ExpansionLimits`] + finiteness), which the
 //! [`Outcome`] reports faithfully.
 
-use crpq_core::{eval, Semantics};
+use crpq_core::{Eval, Semantics};
 use crpq_graph::NodeId;
 use crpq_query::expansion::{enumerate_expansions, ExpansionLimits};
 use crpq_query::{enumerate_a_inj_expansions, Cq, Crpq};
@@ -143,7 +143,7 @@ pub fn contain_with(q1: &Crpq, q2: &Crpq, sem: Semantics, config: ContainmentCon
 fn is_counter_example(e1: &Cq, q2: &Crpq, sem: Semantics, num_symbols: usize) -> bool {
     let g = e1.to_graph_anon(num_symbols);
     let tuple: Vec<NodeId> = e1.free.iter().map(|v| NodeId(v.0)).collect();
-    !eval::eval_contains(q2, &g, &tuple, sem)
+    !Eval::new(q2, &g).semantics(sem).contains(&tuple)
 }
 
 /// Decides `(Q₁¹ ∨ … ∨ Q₁ᵏ) ⊆★ (Q₂¹ ∨ … ∨ Q₂ᵐ)` — unions of CRPQs
@@ -187,7 +187,7 @@ pub fn contain_union_with(
             let matched = u2
                 .branches
                 .iter()
-                .any(|q2| eval::eval_contains(q2, &g, &tuple, sem));
+                .any(|q2| Eval::new(q2, &g).semantics(sem).contains(&tuple));
             if matched {
                 return ControlFlow::Continue(());
             }

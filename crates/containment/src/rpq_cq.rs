@@ -24,8 +24,7 @@
 
 use crpq_automata::dfa::nfa_subset;
 use crpq_automata::Nfa;
-use crpq_core::eval;
-use crpq_core::Semantics;
+use crpq_core::Eval;
 use crpq_graph::NodeId;
 use crpq_query::{Cq, Crpq, Var};
 use crpq_util::{FxHashMap, Symbol, UnionFind};
@@ -70,7 +69,7 @@ fn collapsed_variant_contained(variant: &Crpq, q2: &Crpq) -> bool {
     let cq = variant.as_cq().expect("atomless variant is a CQ"); // invariant: the caller only passes atomless variants
     let g = cq.to_graph_anon(1);
     let tuple: Vec<NodeId> = cq.free.iter().map(|v| NodeId(v.0)).collect();
-    eval::eval_contains(q2, &g, &tuple, Semantics::Standard)
+    Eval::new(q2, &g).contains(&tuple)
 }
 
 fn single_atom_variant_contained(variant: &Crpq, q2: &Cq) -> Option<bool> {
@@ -291,6 +290,7 @@ fn pattern_nfa(
 mod tests {
     use super::*;
     use crate::naive::{contain_with, ContainmentConfig};
+    use crpq_core::Semantics;
     use crpq_query::expansion::ExpansionLimits;
     use crpq_query::parse_crpq;
     use crpq_util::Interner;

@@ -1,8 +1,14 @@
 //! Direct evaluation of CRPQs under the three semantics (§2.1).
 //!
+//! Every question is asked through one request type, [`Eval`]: build it
+//! with `Eval::new(&q, &g)`, shape it with setters (semantics, threads, a
+//! caller-owned catalog, a forced executor, the deletion-closed fast
+//! path) and end it with a terminal (`tuples`, `ask`, `limit`,
+//! `contains`, or `stream` in [`crate::stream`]).
+//!
 //! # Graphs are read through [`GraphView`]
 //!
-//! Every entry point is generic over `G: `[`GraphView`] — the read-only
+//! A request is generic over `G: `[`GraphView`] — the read-only
 //! trait from `crpq_graph` whose contract (ascending per-label iterators,
 //! node-major `(label, node)` order, post-build labels read as empty) is
 //! documented in `crpq_graph::view`. Frozen [`GraphDb`]s monomorphise to
@@ -39,7 +45,7 @@
 //!   the compiled NFA ([`crpq_automata::Nfa::canonical_key`]). The first
 //!   atom with a given key materialises its relation (a catalog **miss**);
 //!   every later occurrence — across variants, across semantics, across
-//!   repeated `eval_tuples` calls sharing the catalog — reuses it (a
+//!   repeated requests sharing the catalog — reuses it (a
 //!   **hit**). Hit/miss counters and materialisation wall clock are
 //!   exposed for tests and benchmarks.
 //! * **Execution** ([`JoinPlan`]): the per-variant join *borrows* catalog
@@ -86,15 +92,17 @@
 //!
 //! # Two engines
 //!
-//! **Join-based (default, [`eval_tuples`]).** The engine works per ε-free
-//! variant in a relation-first pipeline:
+//! **Join-based ([`Eval::tuples`], [`Eval::ask`], [`Eval::limit`] and the
+//! stream).** Every terminal that enumerates answers runs one driver,
+//! `Eval::run`, per ε-free variant in a relation-first pipeline:
 //!
 //! 1. **Relation materialisation** — every *distinct* atom's full
 //!    standard-semantics RPQ relation is computed in one multi-source
 //!    product BFS over the label-indexed CSR graph
 //!    ([`crpq_graph::rpq::rpq_relation`]), indexed both ways
-//!    (`forward(u)` / `backward(v)` rows) and cached in the
-//!    [`RelationCatalog`].
+//!    (`forward(u)` / `backward(v)` rows) and cached in the request's
+//!    [`RelationCatalog`] — the caller's, or a fresh
+//!    [`RelationCatalog::with_threads`]`(g, threads)`.
 //! 2. **Semi-join pruning** — per-variable candidate domains start at `V`
 //!    and are intersected with atom source/target sets, then shrunk to a
 //!    fixpoint: a node stays in `dom(x)` only while every atom incident to
@@ -102,7 +110,10 @@
 //! 3. **Selectivity-ordered join** — backtracking assigns the unassigned
 //!    variable with the fewest remaining candidates first (candidates =
 //!    pruned domain ∩ relation rows of already-assigned neighbours), so the
-//!    join tree stays narrow.
+//!    join tree stays narrow. With `threads > 1` and more than one
+//!    candidate for the most selective variable, the work-stealing
+//!    scheduler of [`crate::parallel`] splits the same search across
+//!    workers; otherwise it runs on the calling thread.
 //! 4. **Per-semantics verification** — the relations are *exact* for `st`,
 //!    so a join solution is a result. For `a-inj`/`q-inj` they are a sound
 //!    over-approximation (every simple path is a path): each join solution
@@ -111,14 +122,13 @@
 //!    free-variable projection is already in the result set are pruned —
 //!    only existential variables could still vary there.
 //!
-//! **Enumeration oracle ([`eval_tuples_enumerate`], legacy).** Enumerates
-//! all `|V|^arity` candidate tuples and decides membership per tuple. Kept
-//! behind [`EvalStrategy`] as the differential-testing oracle for the join
-//! engine and as the baseline of the `BENCH_eval` measurements.
+//! Boolean queries take the same path: their one possible answer is the
+//! empty projection.
 //!
-//! Membership tests ([`eval_contains`]) backtrack over variable assignments
-//! with (exact-for-standard, sound-for-injective) RPQ reachability pruning;
-//! fully assigned tuples are then verified per semantics:
+//! **Membership ([`Eval::contains`]).** Backtracks over variable
+//! assignments with (exact-for-standard, sound-for-injective) RPQ
+//! reachability pruning; fully assigned tuples are then verified per
+//! semantics:
 //!
 //! * `st` — reachability pruning is already exact, nothing to re-check;
 //! * `a-inj` — each atom re-checked with a simple-path (or simple-cycle)
@@ -127,22 +137,25 @@
 //!   one by one, accumulating the set of used nodes so paths stay internally
 //!   disjoint (backtracking across atoms).
 //!
+//! **Enumeration oracle ([`eval_tuples_enumerate`]).** Enumerates all
+//! `|V|^arity` candidate tuples and decides membership per tuple — the
+//! differential-testing ground truth for [`Eval`] and the baseline of the
+//! `BENCH_eval` measurements.
+//!
 //! # Streaming enumeration: the sink contract
 //!
-//! Both executors emit results through a [`TupleSink`] rather than a
-//! concrete set, and the sink steers the search: `insert_tuple` returns a
+//! The driver emits results through a [`TupleSink`] rather than a concrete
+//! set, and the sink steers the search: `insert_tuple` returns a
 //! [`SinkStatus`] and `should_stop` is re-checked at every search-tree
 //! node, so a sink can end the enumeration early — after the first witness
-//! ([`eval_ask`]), after `k` tuples ([`eval_limit`]), or when a streaming
-//! consumer hangs up ([`crate::stream::eval_stream`]). The contract: once a
-//! sink returns [`SinkStatus::Stop`] (or starts reporting `should_stop`),
-//! every executor — the backtracking join, the WCOJ executor
-//! ([`crate::wcoj`]) and the work-stealing scheduler ([`crate::parallel`],
-//! via a shared cancellation flag) — unwinds without inserting further
-//! tuples; a parallel worker may at most finish verifying the candidate it
-//! was already on, so overshoot is bounded by the worker count.
-//! Full-materialisation sinks never stop, which keeps [`eval_tuples`]
-//! byte-identical to the pre-streaming engine.
+//! ([`Eval::ask`]), after `k` tuples ([`Eval::limit`]), or when a streaming
+//! consumer hangs up ([`crate::stream`]). The contract: once a sink returns
+//! [`SinkStatus::Stop`] (or starts reporting `should_stop`), every executor
+//! — the backtracking join, the WCOJ executor ([`crate::wcoj`]) and the
+//! work-stealing scheduler ([`crate::parallel`], via a shared cancellation
+//! flag) — unwinds without inserting further tuples; a parallel worker may
+//! at most finish verifying the candidate it was already on, so overshoot
+//! is bounded by the worker count. The full-result set never stops.
 //!
 //! # Inline injective verification
 //!
@@ -203,280 +216,253 @@ impl std::fmt::Display for Semantics {
     }
 }
 
-/// Which full-result engine [`eval_tuples_with`] runs.
+/// Which join executor a request runs ([`Eval::strategy`]). Every strategy
+/// returns the same answers — property-tested in `tests/wcoj_equivalence.rs`
+/// — so the forced executors exist for differential tests and the
+/// `BENCH_eval` WCOJ-vs-binary comparison.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalStrategy {
-    /// Relation-first semi-join pipeline with per-variant executor
-    /// dispatch: worst-case-optimal join on cyclic variant shapes,
-    /// backtracking binary join on acyclic ones (the default engine; see
-    /// the module docs).
+    /// Per-variant structural dispatch ([`JoinPlan::is_cyclic`]): the
+    /// worst-case-optimal join on cyclic variant shapes, the backtracking
+    /// binary join on acyclic ones (see the module docs).
     #[default]
     Join,
-    /// The semi-join pipeline with the backtracking binary join forced on
-    /// every variant shape — the pre-WCOJ behaviour, kept addressable for
-    /// differential tests and the `BENCH_eval` WCOJ-vs-binary comparison.
+    /// The backtracking binary join forced on every variant shape.
     BinaryJoin,
-    /// The semi-join pipeline with the worst-case-optimal executor forced
-    /// on every variant shape (leapfrog intersection also handles acyclic
-    /// shapes, just without the dynamic variable ordering).
-    Wcoj,
-    /// Legacy `|V|^arity` tuple-space enumeration — the differential-testing
-    /// oracle and benchmark baseline.
-    Enumerate,
-}
-
-/// Internal executor selector threaded through the catalog-backed join
-/// driver (the join-shaped strategies of [`EvalStrategy`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum JoinMode {
-    /// Per-variant structural dispatch ([`JoinPlan::is_cyclic`]).
-    #[default]
-    Auto,
-    /// Force the backtracking binary join.
-    Binary,
-    /// Force the worst-case-optimal executor.
+    /// The worst-case-optimal executor forced on every variant shape
+    /// (leapfrog intersection also handles acyclic shapes, just without the
+    /// dynamic variable ordering).
     Wcoj,
 }
 
-/// Whether `tuple ∈ Q(G)_sem`.
-pub fn eval_contains<G: GraphView>(q: &Crpq, g: &G, tuple: &[NodeId], sem: Semantics) -> bool {
-    assert_eq!(
-        q.free.len(),
-        tuple.len(),
-        "tuple arity must match free tuple"
-    );
-    q.epsilon_free_union()
-        .iter()
-        .any(|variant| VariantEval::new(variant, g, sem).contains(tuple))
-}
-
-/// Like [`eval_contains`], but first classifies every atom language
-/// ([`crpq_automata::tractability`]) and routes **factor-deletion-closed**
-/// atoms through polynomial arbitrary-path reachability under
-/// atom-injective semantics.
+/// One evaluation request for `Q(G)_sem`: the crate's entry point to the
+/// join engine and to the membership engine.
 ///
-/// This is sound and complete by the loop-pruning lemma: for a
-/// deletion-closed language, a walk witness can be pruned to a simple path
-/// whose label stays in the language, so the (NP-hard in general)
-/// simple-path check degenerates to reachability — the executable content
-/// of the tractable side of the trichotomy the paper cites as [3].
-pub fn eval_contains_analyzed<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    tuple: &[NodeId],
-    sem: Semantics,
-) -> bool {
-    assert_eq!(
-        q.free.len(),
-        tuple.len(),
-        "tuple arity must match free tuple"
-    );
-    q.epsilon_free_union()
-        .iter()
-        .any(|variant| VariantEval::new_analyzed(variant, g, sem).contains(tuple))
+/// Setters shape the request; each is optional:
+///
+/// * [`semantics`](Self::semantics) — `st` (the default), `a-inj` or
+///   `q-inj`;
+/// * [`threads`](Self::threads) — join-search and materialisation threads
+///   (default 1; `0` = one per available CPU, capped at 16);
+/// * [`catalog`](Self::catalog) — a caller-owned [`RelationCatalog`], so
+///   relations materialised by one request serve the next; without it
+///   every request plans against a fresh
+///   [`RelationCatalog::with_threads`]`(g, threads)`;
+/// * [`strategy`](Self::strategy) — force a join executor;
+/// * [`analyzed`](Self::analyzed) — route factor-deletion-closed atoms
+///   through polynomial reachability under atom-injective semantics.
+///
+/// One terminal consumes the request: [`tuples`](Self::tuples),
+/// [`ask`](Self::ask), [`limit`](Self::limit),
+/// [`contains`](Self::contains), or `stream` (on `Arc`-shared graphs, see
+/// [`crate::stream`]).
+///
+/// ```
+/// use crpq_core::{Eval, RelationCatalog, Semantics};
+/// use crpq_graph::GraphBuilder;
+/// use crpq_query::parse_crpq;
+///
+/// let mut b = GraphBuilder::new();
+/// b.edge("u", "a", "v");
+/// b.edge("v", "b", "w");
+/// let mut g = b.finish();
+/// let q = parse_crpq("(x, z) <- x -[a]-> y, y -[b]-> z", g.alphabet_mut()).unwrap();
+/// let (u, w) = (g.node_by_name("u").unwrap(), g.node_by_name("w").unwrap());
+///
+/// let mut catalog = RelationCatalog::new(&g);
+/// let all = Eval::new(&q, &g)
+///     .semantics(Semantics::QueryInjective)
+///     .catalog(&mut catalog)
+///     .tuples();
+/// assert_eq!(all, vec![vec![u, w]]);
+/// // A second request on the same catalog reuses both relations.
+/// assert!(Eval::new(&q, &g).catalog(&mut catalog).threads(2).ask());
+/// assert_eq!(catalog.misses(), 2);
+/// assert!(Eval::new(&q, &g).contains(&[u, w]));
+/// ```
+pub struct Eval<'a, G: GraphView> {
+    pub(crate) q: &'a Crpq,
+    pub(crate) g: &'a G,
+    pub(crate) sem: Semantics,
+    pub(crate) threads: usize,
+    pub(crate) catalog: Option<&'a mut RelationCatalog>,
+    pub(crate) strategy: EvalStrategy,
+    pub(crate) analyze: bool,
 }
 
-/// Whether the Boolean query holds: `Q(G)_sem ≠ ∅` (for Boolean `Q` this is
-/// membership of the empty tuple).
-pub fn eval_boolean<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> bool {
-    assert!(q.is_boolean(), "eval_boolean requires a Boolean query");
-    eval_contains(q, g, &[], sem)
-}
-
-/// The full result set `Q(G)_sem`, sorted and deduplicated — join-based
-/// engine (see the module docs for the pipeline).
-pub fn eval_tuples<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> Vec<Vec<NodeId>> {
-    eval_tuples_with(q, g, sem, EvalStrategy::Join)
-}
-
-/// [`eval_tuples`] with the deletion-closed fast path of
-/// [`eval_contains_analyzed`].
-pub fn eval_tuples_analyzed<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> Vec<Vec<NodeId>> {
-    eval_tuples_join(
-        q,
-        g,
-        sem,
-        true,
-        &mut RelationCatalog::new(g),
-        JoinMode::Auto,
-    )
-}
-
-/// The full result set computed by the chosen engine. Both strategies
-/// return exactly the same set — property-tested in
-/// `tests/join_equivalence.rs` and `tests/catalog_equivalence.rs` — which
-/// is what keeps the legacy enumerator useful as an oracle.
-pub fn eval_tuples_with<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    strategy: EvalStrategy,
-) -> Vec<Vec<NodeId>> {
-    let mode = match strategy {
-        EvalStrategy::Join => JoinMode::Auto,
-        EvalStrategy::BinaryJoin => JoinMode::Binary,
-        EvalStrategy::Wcoj => JoinMode::Wcoj,
-        EvalStrategy::Enumerate => return eval_tuples_enumerate(q, g, sem),
-    };
-    eval_tuples_join(q, g, sem, false, &mut RelationCatalog::new(g), mode)
-}
-
-/// [`eval_tuples`] against a caller-owned [`RelationCatalog`], so repeated
-/// evaluations on the same graph (other queries sharing atoms, other
-/// semantics, re-runs) reuse every relation materialised so far.
-pub fn eval_tuples_with_catalog<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    catalog: &mut RelationCatalog,
-) -> Vec<Vec<NodeId>> {
-    eval_tuples_join(q, g, sem, false, catalog, JoinMode::Auto)
-}
-
-/// The catalog-backed join driver: plan every variant first (materialising
-/// each distinct atom relation once), then execute the per-variant joins
-/// against the frozen catalog — each variant through the executor `mode`
-/// selects (under [`JoinMode::Auto`], WCOJ on cyclic shapes, backtracking
-/// join on acyclic ones).
-fn eval_tuples_join<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    analyze: bool,
-    catalog: &mut RelationCatalog,
-    mode: JoinMode,
-) -> Vec<Vec<NodeId>> {
-    let mut out = FxHashSet::default();
-    eval_sink_join(q, g, sem, analyze, catalog, mode, &mut out);
-    sorted_tuples(out)
-}
-
-/// The sink-driven core of the sequential join engine: runs every ε-free
-/// variant against `out`, honouring the sink's stop signal between and
-/// inside variants. [`eval_tuples_join`] feeds it a never-stopping hash
-/// set; [`eval_ask`]/[`eval_limit`] a [`LimitSink`]; [`crate::stream`] a
-/// channel-backed sink.
-pub(crate) fn eval_sink_join<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    analyze: bool,
-    catalog: &mut RelationCatalog,
-    mode: JoinMode,
-    out: &mut dyn TupleSink,
-) -> SinkStatus {
-    let variants = q.epsilon_free_union();
-    let plans: Vec<VariantPlan> = variants
-        .iter()
-        .map(|v| plan_variant(v, g, analyze, catalog))
-        .collect();
-    let mut scratch = VerifyScratch::new();
-    for (variant, plan) in variants.iter().zip(plans) {
-        if out.should_stop() {
-            return SinkStatus::Stop;
+impl<'a, G: GraphView> Eval<'a, G> {
+    /// A request for `q` on `g` under standard semantics, on one thread,
+    /// with a fresh catalog.
+    pub fn new(q: &'a Crpq, g: &'a G) -> Self {
+        Eval {
+            q,
+            g,
+            sem: Semantics::Standard,
+            threads: 1,
+            catalog: None,
+            strategy: EvalStrategy::Join,
+            analyze: false,
         }
-        let plan = JoinPlan::build(variant, g, sem, plan, catalog);
-        let status = if plan.use_wcoj(mode) {
-            crate::wcoj::search_all(&plan, &mut scratch, out)
-        } else {
-            plan.search_all(&mut scratch, out)
+    }
+
+    /// The semantics to evaluate under.
+    pub fn semantics(mut self, sem: Semantics) -> Self {
+        self.sem = sem;
+        self
+    }
+
+    /// Threads for the join search (work stealing, see
+    /// [`crate::parallel`]) and for a fresh catalog's materialisation.
+    /// `0` = one per available CPU, capped at 16.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Plans against a caller-owned catalog, so repeated requests on the
+    /// same graph (other queries sharing atoms, other semantics, re-runs)
+    /// reuse every relation materialised so far.
+    pub fn catalog(mut self, catalog: &'a mut RelationCatalog) -> Self {
+        self.catalog = Some(catalog);
+        self
+    }
+
+    /// Forces a join executor (see [`EvalStrategy`]).
+    pub fn strategy(mut self, strategy: EvalStrategy) -> Self {
+        self.strategy = strategy;
+        self
+    }
+
+    /// First classifies every atom language
+    /// ([`crpq_automata::tractability`]) and routes **factor-deletion-closed**
+    /// atoms through polynomial arbitrary-path reachability under
+    /// atom-injective semantics.
+    ///
+    /// This is sound and complete by the loop-pruning lemma: for a
+    /// deletion-closed language, a walk witness can be pruned to a simple
+    /// path whose label stays in the language, so the (NP-hard in general)
+    /// simple-path check degenerates to reachability — the executable
+    /// content of the tractable side of the trichotomy the paper cites as
+    /// [3].
+    pub fn analyzed(mut self) -> Self {
+        self.analyze = true;
+        self
+    }
+
+    /// The full result set `Q(G)_sem`, sorted and deduplicated.
+    pub fn tuples(self) -> Vec<Vec<NodeId>> {
+        sorted_tuples(self.run(FxHashSet::default()))
+    }
+
+    /// `ASK`: whether `Q(G)_sem ≠ ∅`, stopping the join search at the
+    /// **first verified witness**. For a Boolean query this is the query's
+    /// truth value.
+    pub fn ask(self) -> bool {
+        !self.run(LimitSink::new(1)).is_empty()
+    }
+
+    /// `LIMIT k`: at most `k` distinct result tuples, stopping the search
+    /// as soon as the k-th is found. The tuples are a subset of
+    /// [`Self::tuples`], sorted among themselves; *which* subset is
+    /// unspecified — it depends on search order (and, with several
+    /// threads, on scheduling), like any engine's unordered `LIMIT`. The
+    /// count is exact even with racing workers.
+    pub fn limit(self, k: usize) -> Vec<Vec<NodeId>> {
+        if k == 0 {
+            return Vec::new();
+        }
+        sorted_tuples(self.run(LimitSink::new(k)).into_tuples())
+    }
+
+    /// Whether `tuple ∈ Q(G)_sem`, decided per ε-free variant by the
+    /// membership engine (see the module docs). Threads, catalog and
+    /// strategy do not apply: nothing is materialised.
+    ///
+    /// # Panics
+    ///
+    /// If `tuple`'s arity differs from the query's free tuple.
+    pub fn contains(self, tuple: &[NodeId]) -> bool {
+        assert_eq!(
+            self.q.free.len(),
+            tuple.len(),
+            "tuple arity must match free tuple"
+        );
+        self.q.epsilon_free_union().iter().any(|variant| {
+            VariantEval::build(variant, self.g, self.sem, self.analyze).contains(tuple)
+        })
+    }
+
+    /// The join driver behind every terminal but `contains`, at every
+    /// thread count: plan every ε-free variant against the request's
+    /// catalog (or a fresh one), materialising each distinct atom relation
+    /// once, then search each variant into `sink` through the executor the
+    /// strategy selects, honouring the sink's stop signal between and
+    /// inside variants. A variant runs the sequential search when
+    /// `threads ≤ 1` or its most selective variable has at most one
+    /// candidate; otherwise the work-stealing scheduler of
+    /// [`crate::parallel`] splits it across `threads` workers feeding the
+    /// same sink. Hands the sink back.
+    pub(crate) fn run<S: TupleSink + Send>(self, mut sink: S) -> S {
+        let Eval {
+            q,
+            g,
+            sem,
+            threads,
+            catalog,
+            strategy,
+            analyze,
+        } = self;
+        let threads = rpq::effective_threads(threads);
+        let mut fresh;
+        let catalog = match catalog {
+            Some(catalog) => catalog,
+            None => {
+                fresh = RelationCatalog::with_threads(g, threads);
+                &mut fresh
+            }
         };
-        if status == SinkStatus::Stop {
-            return SinkStatus::Stop;
+        let variants = q.epsilon_free_union();
+        let plans: Vec<VariantPlan> = variants
+            .iter()
+            .map(|v| plan_variant(v, g, analyze, catalog))
+            .collect();
+        let mut scratch = VerifyScratch::new();
+        for (variant, plan) in variants.iter().zip(plans) {
+            if sink.should_stop() {
+                break;
+            }
+            let plan = JoinPlan::build(variant, g, sem, plan, catalog);
+            let wcoj = plan.use_wcoj(strategy);
+            let split = (threads > 1)
+                .then(|| plan.split_candidates())
+                .flatten()
+                .filter(|(_, cands)| cands.len() > 1);
+            let status = match split {
+                Some((var, cands)) => {
+                    // The WCOJ elimination order depends only on (plan,
+                    // var): computed once here, not per stolen chunk.
+                    let order = wcoj.then(|| crate::wcoj::fixed_order(&plan, var));
+                    let order = order.as_deref();
+                    crate::parallel::search_work_stealing(
+                        &plan, order, var, cands, threads, &mut sink,
+                    )
+                }
+                None if wcoj => crate::wcoj::search_all(&plan, &mut scratch, &mut sink),
+                None => plan.search_all(&mut scratch, &mut sink),
+            };
+            if status == SinkStatus::Stop {
+                break;
+            }
         }
+        sink
     }
-    SinkStatus::Continue
-}
-
-/// `ASK` fast path: whether `Q(G)_sem ≠ ∅`, stopping the join search at
-/// the **first verified witness** instead of materialising the result set.
-/// Works for Boolean and non-Boolean queries alike (for the latter it asks
-/// whether any result tuple exists).
-pub fn eval_ask<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> bool {
-    eval_ask_with_catalog(q, g, sem, &mut RelationCatalog::new(g))
-}
-
-/// [`eval_ask`] against a caller-owned catalog, so a warm catalog skips
-/// relation materialisation entirely (the time-to-first-tuple measurement
-/// of `BENCH_eval`).
-pub fn eval_ask_with_catalog<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    catalog: &mut RelationCatalog,
-) -> bool {
-    let mut sink = LimitSink::new(1);
-    eval_sink_join(q, g, sem, false, catalog, JoinMode::Auto, &mut sink);
-    !sink.is_empty()
-}
-
-/// `LIMIT k` fast path: at most `k` distinct result tuples, stopping the
-/// search as soon as the k-th is found. The returned tuples are a subset
-/// of [`eval_tuples`]' result (sorted among themselves); *which* subset is
-/// unspecified — it depends on search order, like any engine's unordered
-/// `LIMIT`.
-pub fn eval_limit<G: GraphView>(q: &Crpq, g: &G, sem: Semantics, k: usize) -> Vec<Vec<NodeId>> {
-    eval_limit_with_catalog(q, g, sem, k, &mut RelationCatalog::new(g))
-}
-
-/// [`eval_limit`] under a forced [`EvalStrategy`] — the differential-test
-/// entry point. `Enumerate` truncates the materialised oracle result (its
-/// first `k` in sorted order), the join strategies stop the search early.
-pub fn eval_limit_with<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    k: usize,
-    strategy: EvalStrategy,
-) -> Vec<Vec<NodeId>> {
-    let mode = match strategy {
-        EvalStrategy::Join => JoinMode::Auto,
-        EvalStrategy::BinaryJoin => JoinMode::Binary,
-        EvalStrategy::Wcoj => JoinMode::Wcoj,
-        EvalStrategy::Enumerate => {
-            let mut all = eval_tuples_enumerate(q, g, sem);
-            all.truncate(k);
-            return all;
-        }
-    };
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut sink = LimitSink::new(k);
-    eval_sink_join(
-        q,
-        g,
-        sem,
-        false,
-        &mut RelationCatalog::new(g),
-        mode,
-        &mut sink,
-    );
-    sorted_tuples(sink.into_tuples())
-}
-
-/// [`eval_limit`] against a caller-owned catalog (see
-/// [`eval_ask_with_catalog`]).
-pub fn eval_limit_with_catalog<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    k: usize,
-    catalog: &mut RelationCatalog,
-) -> Vec<Vec<NodeId>> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut sink = LimitSink::new(k);
-    eval_sink_join(q, g, sem, false, catalog, JoinMode::Auto, &mut sink);
-    sorted_tuples(sink.into_tuples())
 }
 
 /// Sorts a deduplicated tuple set into the engines' canonical output
 /// order. The join engine accumulates into a hash set (insert and
 /// projection-prune lookups are much cheaper than a `BTreeSet` of boxed
 /// tuples) and pays for ordering once at the end.
-pub(crate) fn sorted_tuples(out: FxHashSet<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
+fn sorted_tuples(out: FxHashSet<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
     let mut tuples: Vec<Vec<NodeId>> = out.into_iter().collect();
     tuples.sort_unstable();
     tuples
@@ -493,12 +479,11 @@ pub(crate) enum SinkStatus {
     Stop,
 }
 
-/// Result-set abstraction for the join search, so the production engine
-/// can accumulate into a hash set while [`eval_tuples_join_unshared`]
-/// keeps the PR-1 `BTreeSet` accumulation it is meant to replicate — and
-/// so early-exit sinks ([`LimitSink`], the streaming sink of
-/// [`crate::stream`], the cancellation-aware worker sinks of
-/// [`crate::parallel`]) can end the enumeration from inside the search.
+/// Result-set abstraction for the join search: the full-result hash set,
+/// the early-exit [`LimitSink`], the streaming sink of [`crate::stream`]
+/// and the cancellation-aware worker sinks of [`crate::parallel`] all
+/// receive tuples through it, and the early-exit ones can end the
+/// enumeration from inside the search.
 ///
 /// Contract: after `insert_tuple` returns [`SinkStatus::Stop`],
 /// `should_stop` must keep returning `true`; executors re-check it at
@@ -516,6 +501,29 @@ pub(crate) trait TupleSink {
     fn should_stop(&self) -> bool {
         false
     }
+    /// Whether the sink never answers [`SinkStatus::Stop`] — true only for
+    /// the full-result set, whose parallel workers may then hand over their
+    /// tuples in one batch instead of one lock acquisition per tuple.
+    fn never_stops(&self) -> bool {
+        false
+    }
+}
+
+/// Lets the parallel scheduler share a caller's sink behind one mutex
+/// without taking ownership of it.
+impl<T: TupleSink + ?Sized> TupleSink for &mut T {
+    fn contains_tuple(&self, t: &[NodeId]) -> bool {
+        (**self).contains_tuple(t)
+    }
+    fn insert_tuple(&mut self, t: Vec<NodeId>) -> SinkStatus {
+        (**self).insert_tuple(t)
+    }
+    fn should_stop(&self) -> bool {
+        (**self).should_stop()
+    }
+    fn never_stops(&self) -> bool {
+        (**self).never_stops()
+    }
 }
 
 impl TupleSink for FxHashSet<Vec<NodeId>> {
@@ -526,22 +534,15 @@ impl TupleSink for FxHashSet<Vec<NodeId>> {
         self.insert(t);
         SinkStatus::Continue
     }
-}
-
-impl TupleSink for BTreeSet<Vec<NodeId>> {
-    fn contains_tuple(&self, t: &[NodeId]) -> bool {
-        self.contains(t)
-    }
-    fn insert_tuple(&mut self, t: Vec<NodeId>) -> SinkStatus {
-        self.insert(t);
-        SinkStatus::Continue
+    fn never_stops(&self) -> bool {
+        true
     }
 }
 
-/// Early-exit sink behind [`eval_ask`] and [`eval_limit`]: accumulates at
-/// most `limit` distinct tuples, then stops the search. The length never
-/// exceeds `limit` even with racing parallel workers — an insert against a
-/// full sink is refused (and answered with [`SinkStatus::Stop`]).
+/// Early-exit sink behind [`Eval::ask`] and [`Eval::limit`]: accumulates
+/// at most `limit` distinct tuples, then stops the search. The length
+/// never exceeds `limit` even with racing parallel workers — an insert
+/// against a full sink is refused (and answered with [`SinkStatus::Stop`]).
 pub(crate) struct LimitSink {
     seen: FxHashSet<Vec<NodeId>>,
     limit: usize,
@@ -586,33 +587,9 @@ impl TupleSink for LimitSink {
     }
 }
 
-/// The **pre-catalog measurement baseline**: evaluates like the original
-/// (PR 1) flat join engine — every variant rebuilds its atom relations
-/// from scratch with sequential per-source sweeps into unconditionally
-/// dense rows, no cross-variant sharing. Exists so the benchmark suite can
-/// quantify what the planner layer buys on multi-variant queries; not
-/// meant for production callers.
-pub fn eval_tuples_join_unshared<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-) -> Vec<Vec<NodeId>> {
-    // PR 1 accumulated straight into a `BTreeSet` of tuples; keep that
-    // here so the baseline's result handling costs what the old engine's
-    // did.
-    let mut out: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-    let mut scratch = VerifyScratch::new();
-    for variant in &q.epsilon_free_union() {
-        let mut catalog = RelationCatalog::pr1_baseline(g);
-        let plan = plan_variant(variant, g, false, &mut catalog);
-        JoinPlan::build(variant, g, sem, plan, &catalog).search_all(&mut scratch, &mut out);
-    }
-    out.into_iter().collect()
-}
-
-/// Legacy full-result engine: `|V|^arity` candidate tuples, one membership
-/// test each. Retained as the differential-testing oracle for the join
-/// engine and as the `BENCH_eval` baseline.
+/// The paper-faithful full-result oracle: `|V|^arity` candidate tuples,
+/// one membership test each. Retained as the differential-testing ground
+/// truth for [`Eval`] and as the `BENCH_eval` legacy baseline.
 pub fn eval_tuples_enumerate<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> Vec<Vec<NodeId>> {
     let mut out = BTreeSet::new();
     let variants = q.epsilon_free_union();
@@ -620,7 +597,7 @@ pub fn eval_tuples_enumerate<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> V
     // reachability caches amortise.
     let mut evals: Vec<VariantEval<G>> = variants
         .iter()
-        .map(|v| VariantEval::new(v, g, sem))
+        .map(|v| VariantEval::build(v, g, sem, false))
         .collect();
     let arity = q.free.len();
     let mut tuple = vec![NodeId(0); arity];
@@ -630,22 +607,6 @@ pub fn eval_tuples_enumerate<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> V
         }
     });
     out.into_iter().collect()
-}
-
-/// Alias for [`eval_tuples`] (the general entry point).
-pub fn eval<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> Vec<Vec<NodeId>> {
-    eval_tuples(q, g, sem)
-}
-
-/// Whether `tuple ∈ (Q₁ ∨ … ∨ Qₖ)(G)_sem` — union semantics is the union
-/// of branch results.
-pub fn eval_contains_union<G: GraphView>(
-    u: &crpq_query::UnionCrpq,
-    g: &G,
-    tuple: &[NodeId],
-    sem: Semantics,
-) -> bool {
-    u.branches.iter().any(|q| eval_contains(q, g, tuple, sem))
 }
 
 fn enumerate_tuples<G: GraphView, F: FnMut(&[NodeId])>(
@@ -702,20 +663,6 @@ fn compile_atoms(variant: &Crpq, analyze: bool) -> Vec<CompiledAtom> {
 // Planner layer: relation catalog + per-variant plans
 // ---------------------------------------------------------------------------
 
-/// How a [`RelationCatalog`] materialises a relation on a miss.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum MaterialiseMode {
-    /// Cost-adaptive ([`rpq::rpq_relation_auto`]): per-source sweeps with
-    /// sampled cost observation, switching to the condensation bitset
-    /// closure on dense products; per-source sweeps partition across
-    /// scoped threads when more than one is configured.
-    #[default]
-    Auto,
-    /// Faithful PR-1 reproduction (per-source BFS, unconditionally dense
-    /// rows, sequential) — the `BENCH_eval` measurement baseline.
-    Pr1Baseline,
-}
-
 /// Per-graph store of materialised atom relations, keyed by the canonical
 /// structural key of the atom's compiled NFA.
 ///
@@ -767,7 +714,6 @@ pub struct RelationCatalog {
     fingerprint_stale: bool,
     scratch: ReachScratch,
     threads: usize,
-    mode: MaterialiseMode,
     hits: usize,
     misses: usize,
     /// Entries evicted by [`Self::invalidate_label`] /
@@ -801,23 +747,11 @@ impl RelationCatalog {
             fingerprint_stale: false,
             scratch: ReachScratch::new(),
             threads: rpq::effective_threads(threads),
-            mode: MaterialiseMode::Auto,
             hits: 0,
             misses: 0,
             evictions: 0,
             materialise_ms: 0.0,
             peak_scratch_bytes: 0,
-        }
-    }
-
-    /// A catalog that materialises exactly like the pre-planner (PR 1)
-    /// engine: per-source BFS, unconditionally dense rows, sequential.
-    /// Only meant for `BENCH_eval`'s catalog-vs-per-variant comparison —
-    /// see [`eval_tuples_join_unshared`].
-    pub fn pr1_baseline<G: GraphView>(g: &G) -> Self {
-        RelationCatalog {
-            mode: MaterialiseMode::Pr1Baseline,
-            ..Self::new(g)
         }
     }
 
@@ -853,19 +787,9 @@ impl RelationCatalog {
         }
         self.misses += 1;
         let t0 = Instant::now();
-        let rel = match self.mode {
-            MaterialiseMode::Pr1Baseline => {
-                let rel = rpq::rpq_relation_pr1_dense(g, nfa, &mut self.scratch);
-                self.peak_scratch_bytes = self.peak_scratch_bytes.max(self.scratch.heap_bytes());
-                rel
-            }
-            MaterialiseMode::Auto => {
-                let (rel, stats) =
-                    rpq::rpq_relation_auto_with_stats(g, nfa, &mut self.scratch, self.threads);
-                self.peak_scratch_bytes = self.peak_scratch_bytes.max(stats.scratch_bytes);
-                rel
-            }
-        };
+        let (rel, stats) =
+            rpq::rpq_relation_auto_with_stats(g, nfa, &mut self.scratch, self.threads);
+        self.peak_scratch_bytes = self.peak_scratch_bytes.max(stats.scratch_bytes);
         // Retention policy: keep the scratch warm for the common case but
         // release what a one-off huge product forced beyond the budget
         // (worker scratches die with their threads; this is the pooled one).
@@ -1216,8 +1140,9 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
     /// connected closes a cycle, which covers both genuine cycles
     /// (triangle, 4-cycle) and parallel atoms between the same variable
     /// pair. Self-loop atoms are folded into the domains at build time and
-    /// close no cycle. This is the [`JoinMode::Auto`] dispatch predicate:
-    /// cyclic shapes run the worst-case-optimal executor ([`crate::wcoj`]).
+    /// close no cycle. This is the [`EvalStrategy::Join`] dispatch
+    /// predicate: cyclic shapes run the worst-case-optimal executor
+    /// ([`crate::wcoj`]).
     pub(crate) fn is_cyclic(&self) -> bool {
         let mut uf = crpq_util::UnionFind::new(self.q.num_vars);
         self.atoms
@@ -1226,12 +1151,13 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             .any(|a| !uf.union(a.src.index(), a.dst.index()))
     }
 
-    /// Executor dispatch for this variant under `mode` (see module docs).
-    pub(crate) fn use_wcoj(&self, mode: JoinMode) -> bool {
-        match mode {
-            JoinMode::Auto => self.is_cyclic(),
-            JoinMode::Binary => false,
-            JoinMode::Wcoj => true,
+    /// Executor dispatch for this variant under `strategy` (see module
+    /// docs).
+    pub(crate) fn use_wcoj(&self, strategy: EvalStrategy) -> bool {
+        match strategy {
+            EvalStrategy::Join => self.is_cyclic(),
+            EvalStrategy::BinaryJoin => false,
+            EvalStrategy::Wcoj => true,
         }
     }
 
@@ -1587,27 +1513,6 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             .collect();
         Some((var, cands))
     }
-
-    /// For parallel evaluation: runs the join with `var` pre-assigned to
-    /// `node`, collecting projections into `out`. Each worker thread owns
-    /// its own `scratch`.
-    pub(crate) fn search_with_fixed(
-        &self,
-        var: Var,
-        node: NodeId,
-        scratch: &mut VerifyScratch,
-        out: &mut dyn TupleSink,
-    ) -> SinkStatus {
-        if self.empty {
-            return SinkStatus::Continue;
-        }
-        let mut assignment: Vec<Option<NodeId>> = vec![None; self.q.num_vars];
-        if !self.bind_allowed(var, node, &assignment, scratch) {
-            return SinkStatus::Continue;
-        }
-        assignment[var.index()] = Some(node);
-        self.search(&mut assignment, scratch, out)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1626,17 +1531,10 @@ pub(crate) struct VariantEval<'a, G: GraphView> {
 }
 
 impl<'a, G: GraphView> VariantEval<'a, G> {
-    pub(crate) fn new(variant: &'a Crpq, g: &'a G, sem: Semantics) -> Self {
-        Self::build(variant, g, sem, false)
-    }
-
-    /// Like [`VariantEval::new`], but classifies every atom language and
-    /// marks factor-deletion-closed atoms for the reachability fast path.
-    pub(crate) fn new_analyzed(variant: &'a Crpq, g: &'a G, sem: Semantics) -> Self {
-        Self::build(variant, g, sem, true)
-    }
-
-    fn build(variant: &'a Crpq, g: &'a G, sem: Semantics, analyze: bool) -> Self {
+    /// The evaluator of one ε-free variant; under `analyze`, classifies
+    /// every atom language and marks factor-deletion-closed atoms for the
+    /// reachability fast path.
+    pub(crate) fn build(variant: &'a Crpq, g: &'a G, sem: Semantics, analyze: bool) -> Self {
         VariantEval {
             g,
             q: variant,
@@ -1975,8 +1873,8 @@ impl VerifyScratch {
     /// Plan boundary: sizes the pools for a graph with `n` nodes and
     /// invalidates the per-plan atom memo. Called by both executors'
     /// `search_all`; the subtree entry points (`search_from`,
-    /// `search_with_fixed`, `search_from_level`) deliberately don't — the
-    /// memo stays valid across subtrees of one plan.
+    /// `search_from_level`) deliberately don't — the memo stays valid
+    /// across subtrees of one plan.
     pub(crate) fn begin_plan(&mut self, n: usize) {
         self.ensure_graph(n);
         self.atom_memo.clear();
@@ -2191,16 +2089,17 @@ mod tests {
         let query = q("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut g);
         let (u, w) = (node(&g, "u"), node(&g, "w"));
         // (u, w) ∈ a-inj but ∉ q-inj:
-        assert!(eval_contains(&query, &g, &[u, w], Semantics::AtomInjective));
-        assert!(!eval_contains(
-            &query,
-            &g,
-            &[u, w],
-            Semantics::QueryInjective
-        ));
+        assert!(Eval::new(&query, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, w]));
+        assert!(!Eval::new(&query, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[u, w]));
         // st = a-inj on G:
-        let st = eval_tuples(&query, &g, Semantics::Standard);
-        let ainj = eval_tuples(&query, &g, Semantics::AtomInjective);
+        let st = Eval::new(&query, &g).tuples();
+        let ainj = Eval::new(&query, &g)
+            .semantics(Semantics::AtomInjective)
+            .tuples();
         assert_eq!(st, ainj);
     }
 
@@ -2211,13 +2110,10 @@ mod tests {
         let (u, v) = (node(&g, "u"), node(&g, "v"));
         // (u, v) ∈ st (walk u a w b t a u b v + c edge back) but ∉ a-inj
         // (every (ab)^k path u→v repeats u).
-        assert!(eval_contains(&query, &g, &[u, v], Semantics::Standard));
-        assert!(!eval_contains(
-            &query,
-            &g,
-            &[u, v],
-            Semantics::AtomInjective
-        ));
+        assert!(Eval::new(&query, &g).contains(&[u, v]));
+        assert!(!Eval::new(&query, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, v]));
     }
 
     #[test]
@@ -2229,7 +2125,7 @@ mod tests {
         for n in g.nodes() {
             for sem in Semantics::ALL {
                 assert!(
-                    eval_contains(&query, &g, &[n, n], sem),
+                    Eval::new(&query, &g).semantics(sem).contains(&[n, n]),
                     "({n:?},{n:?}) under {sem}"
                 );
             }
@@ -2242,8 +2138,10 @@ mod tests {
         // under a-inj (overlapping paths allowed).
         let mut g = graph(&[("n0", "b", "n1"), ("n1", "b", "n2")]);
         let query = q("x -[(a+b)(a+b)*]-> y, x -[(b+c)(b+c)*]-> z", &mut g);
-        assert!(eval_boolean(&query, &g, Semantics::Standard));
-        assert!(eval_boolean(&query, &g, Semantics::AtomInjective));
+        assert!(Eval::new(&query, &g).contains(&[]));
+        assert!(Eval::new(&query, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[]));
         // Under q-inj the two paths must be internally disjoint; on a single
         // b-path they can still be chosen as prefixes of different length
         // (e.g. y=n1, z=n2: paths n0→n1 and n0→n1→n2 share internal? path1
@@ -2251,7 +2149,9 @@ mod tests {
         // y=n1 (path n0-b->n1), z=n2 needs n0→n2 with internal n1 which is
         // μ(y): forbidden. Swapping roles is symmetric; y=z impossible
         // (injective). Hence q-inj fails.
-        assert!(!eval_boolean(&query, &g, Semantics::QueryInjective));
+        assert!(!Eval::new(&query, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]));
     }
 
     #[test]
@@ -2259,7 +2159,9 @@ mod tests {
         // Two node-disjoint b/c branches from the root: q-inj succeeds.
         let mut g = graph(&[("r", "b", "p1"), ("p1", "b", "p2"), ("r", "c", "q1")]);
         let query = q("x -[(a+b)(a+b)*]-> y, x -[(b+c)(b+c)*]-> z", &mut g);
-        assert!(eval_boolean(&query, &g, Semantics::QueryInjective));
+        assert!(Eval::new(&query, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]));
     }
 
     #[test]
@@ -2269,19 +2171,23 @@ mod tests {
         let mut g = graph(&[("u", "a", "v"), ("v", "a", "u")]);
         let query = q("x -[a a]-> x", &mut g);
         for sem in Semantics::ALL {
-            assert!(eval_boolean(&query, &g, sem), "2-cycle exists under {sem}");
+            assert!(
+                Eval::new(&query, &g).semantics(sem).contains(&[]),
+                "2-cycle exists under {sem}"
+            );
         }
         let mut g2 = graph(&[("u", "a", "u")]);
         let query2 = q("x -[a a]-> x", &mut g2);
+        assert!(Eval::new(&query2, &g2).contains(&[]), "loop twice");
         assert!(
-            eval_boolean(&query2, &g2, Semantics::Standard),
-            "loop twice"
-        );
-        assert!(
-            !eval_boolean(&query2, &g2, Semantics::AtomInjective),
+            !Eval::new(&query2, &g2)
+                .semantics(Semantics::AtomInjective)
+                .contains(&[]),
             "aa is not a simple cycle on a self-loop"
         );
-        assert!(!eval_boolean(&query2, &g2, Semantics::QueryInjective));
+        assert!(!Eval::new(&query2, &g2)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]));
     }
 
     #[test]
@@ -2290,21 +2196,15 @@ mod tests {
         let mut g = graph(&[("u", "a", "u"), ("u", "a", "v")]);
         let query = q("(x, y) <- x -[a]-> y", &mut g);
         let u = node(&g, "u");
-        assert!(eval_contains(&query, &g, &[u, u], Semantics::Standard));
+        assert!(Eval::new(&query, &g).contains(&[u, u]));
         // a-inj: path from u to u must be simple, i.e. empty — but `a` is not ε.
-        assert!(!eval_contains(
-            &query,
-            &g,
-            &[u, u],
-            Semantics::AtomInjective
-        ));
+        assert!(!Eval::new(&query, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, u]));
         // q-inj additionally needs μ injective: x≠y map to same node — no.
-        assert!(!eval_contains(
-            &query,
-            &g,
-            &[u, u],
-            Semantics::QueryInjective
-        ));
+        assert!(!Eval::new(&query, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[u, u]));
     }
 
     #[test]
@@ -2312,10 +2212,10 @@ mod tests {
         let mut g = example21_g();
         let query = q("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut g);
         for sem in Semantics::ALL {
-            let tuples = eval_tuples(&query, &g, sem);
+            let tuples = Eval::new(&query, &g).semantics(sem).tuples();
             for n1 in g.nodes() {
                 for n2 in g.nodes() {
-                    let member = eval_contains(&query, &g, &[n1, n2], sem);
+                    let member = Eval::new(&query, &g).semantics(sem).contains(&[n1, n2]);
                     assert_eq!(
                         tuples.contains(&vec![n1, n2]),
                         member,
@@ -2332,8 +2232,8 @@ mod tests {
             let query = q("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut g);
             for sem in Semantics::ALL {
                 assert_eq!(
-                    eval_tuples_with(&query, &g, sem, EvalStrategy::Join),
-                    eval_tuples_with(&query, &g, sem, EvalStrategy::Enumerate),
+                    Eval::new(&query, &g).semantics(sem).tuples(),
+                    eval_tuples_enumerate(&query, &g, sem),
                     "strategy mismatch under {sem}"
                 );
             }
@@ -2352,8 +2252,8 @@ mod tests {
         ]);
         let query = q("(y) <- x -[a]-> y, y -[b]-> z", &mut g);
         for sem in Semantics::ALL {
-            let join = eval_tuples_with(&query, &g, sem, EvalStrategy::Join);
-            let oracle = eval_tuples_with(&query, &g, sem, EvalStrategy::Enumerate);
+            let join = Eval::new(&query, &g).semantics(sem).tuples();
+            let oracle = eval_tuples_enumerate(&query, &g, sem);
             assert_eq!(join, oracle, "under {sem}");
             assert_eq!(join, vec![vec![node(&g, "m")]], "under {sem}");
         }
@@ -2367,8 +2267,8 @@ mod tests {
         let query = q("(x, x) <- x -[a]-> y", &mut g);
         for sem in Semantics::ALL {
             assert_eq!(
-                eval_tuples_with(&query, &g, sem, EvalStrategy::Join),
-                eval_tuples_with(&query, &g, sem, EvalStrategy::Enumerate),
+                Eval::new(&query, &g).semantics(sem).tuples(),
+                eval_tuples_enumerate(&query, &g, sem),
                 "under {sem}"
             );
         }
@@ -2378,7 +2278,9 @@ mod tests {
     fn boolean_query_with_no_atoms() {
         let mut g = graph(&[("u", "a", "v")]);
         let query = q("(x) <- true", &mut g);
-        let tuples = eval_tuples(&query, &g, Semantics::QueryInjective);
+        let tuples = Eval::new(&query, &g)
+            .semantics(Semantics::QueryInjective)
+            .tuples();
         assert_eq!(tuples.len(), g.num_nodes());
     }
 
@@ -2389,8 +2291,8 @@ mod tests {
         let mut g = b.finish();
         let query = q("x -[a]-> y", &mut g);
         for sem in Semantics::ALL {
-            assert!(!eval_boolean(&query, &g, sem));
-            assert!(eval_tuples(&query, &g, sem).is_empty());
+            assert!(!Eval::new(&query, &g).semantics(sem).contains(&[]));
+            assert!(Eval::new(&query, &g).semantics(sem).tuples().is_empty());
         }
     }
 
@@ -2402,8 +2304,8 @@ mod tests {
         let query = q("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut g);
         for sem in Semantics::ALL {
             assert_eq!(
-                eval_tuples(&query, &g, sem),
-                eval_tuples_analyzed(&query, &g, sem),
+                Eval::new(&query, &g).semantics(sem).tuples(),
+                Eval::new(&query, &g).semantics(sem).analyzed().tuples(),
                 "analyzed engine must agree under {sem}"
             );
         }
@@ -2421,20 +2323,25 @@ mod tests {
         ]);
         let query = q("(x, y) <- x -[a a*]-> y", &mut g);
         let (s, t) = (node(&g, "s"), node(&g, "t"));
-        assert!(eval_contains(&query, &g, &[s, t], Semantics::AtomInjective));
-        assert!(eval_contains_analyzed(
-            &query,
-            &g,
-            &[s, t],
-            Semantics::AtomInjective
-        ));
+        assert!(Eval::new(&query, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[s, t]));
+        assert!(Eval::new(&query, &g)
+            .semantics(Semantics::AtomInjective)
+            .analyzed()
+            .contains(&[s, t]));
         // (a a)* is NOT deletion-closed: no fast path, and the parity
         // matters — s →a→ h →a→ t is the only simple even path... of length
         // 2, which exists; extend the trap so only odd simple paths exist.
         let query2 = q("(x, y) <- x -[(a a)*]-> y", &mut g);
         assert_eq!(
-            eval_contains(&query2, &g, &[s, t], Semantics::AtomInjective),
-            eval_contains_analyzed(&query2, &g, &[s, t], Semantics::AtomInjective),
+            Eval::new(&query2, &g)
+                .semantics(Semantics::AtomInjective)
+                .contains(&[s, t]),
+            Eval::new(&query2, &g)
+                .semantics(Semantics::AtomInjective)
+                .analyzed()
+                .contains(&[s, t]),
         );
     }
 
@@ -2483,10 +2390,16 @@ mod tests {
         ] {
             let query = q(text, &mut g);
             for sem in Semantics::ALL {
-                let auto = eval_tuples_with(&query, &g, sem, EvalStrategy::Join);
-                let binary = eval_tuples_with(&query, &g, sem, EvalStrategy::BinaryJoin);
-                let wcoj = eval_tuples_with(&query, &g, sem, EvalStrategy::Wcoj);
-                let oracle = eval_tuples_with(&query, &g, sem, EvalStrategy::Enumerate);
+                let auto = Eval::new(&query, &g).semantics(sem).tuples();
+                let binary = Eval::new(&query, &g)
+                    .semantics(sem)
+                    .strategy(EvalStrategy::BinaryJoin)
+                    .tuples();
+                let wcoj = Eval::new(&query, &g)
+                    .semantics(sem)
+                    .strategy(EvalStrategy::Wcoj)
+                    .tuples();
+                let oracle = eval_tuples_enumerate(&query, &g, sem);
                 assert_eq!(auto, oracle, "{text} auto vs oracle under {sem}");
                 assert_eq!(binary, oracle, "{text} binary vs oracle under {sem}");
                 assert_eq!(wcoj, oracle, "{text} wcoj vs oracle under {sem}");
@@ -2498,9 +2411,13 @@ mod tests {
     fn hierarchy_inclusion_on_examples() {
         for mut g in [example21_g(), example21_gprime()] {
             let query = q("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut g);
-            let st = eval_tuples(&query, &g, Semantics::Standard);
-            let ai = eval_tuples(&query, &g, Semantics::AtomInjective);
-            let qi = eval_tuples(&query, &g, Semantics::QueryInjective);
+            let st = Eval::new(&query, &g).tuples();
+            let ai = Eval::new(&query, &g)
+                .semantics(Semantics::AtomInjective)
+                .tuples();
+            let qi = Eval::new(&query, &g)
+                .semantics(Semantics::QueryInjective)
+                .tuples();
             for t in &qi {
                 assert!(ai.contains(t), "q-inj ⊆ a-inj violated at {t:?}");
             }
@@ -2580,7 +2497,7 @@ mod tests {
         let (a, b) = (alphabet.get("a").unwrap(), alphabet.get("b").unwrap());
 
         let mut catalog = RelationCatalog::new(&g);
-        let before = eval_tuples_with_catalog(&query, &g, Semantics::Standard, &mut catalog);
+        let before = Eval::new(&query, &g).catalog(&mut catalog).tuples();
         assert_eq!(before.len(), 1, "u -a-> v -b-> w");
 
         // Mutate `b`: the cached `a b` relation must be evicted (its
@@ -2590,8 +2507,8 @@ mod tests {
         assert!(g.delete_edge(NodeId(1), b, w));
         assert!(g.insert_edge(w, a, u));
         assert_eq!(catalog.invalidate_label(b), 1);
-        let after = eval_tuples_with_catalog(&query, &g, Semantics::Standard, &mut catalog);
-        let fresh = eval_tuples(&query, &g, Semantics::Standard);
+        let after = Eval::new(&query, &g).catalog(&mut catalog).tuples();
+        let fresh = Eval::new(&query, &g).tuples();
         assert_eq!(after, fresh, "catalog reuse must match rebuild");
         assert!(catalog.get_or_materialize(&g, &nfa) < catalog.len());
     }

@@ -126,7 +126,7 @@ pub fn eval_contains_complete(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: Sema
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_contains, Semantics};
+    use crate::eval::{Eval, Semantics};
     use crpq_graph::GraphBuilder;
     use crpq_query::parse_crpq;
 
@@ -150,7 +150,7 @@ mod tests {
         for sem in Semantics::ALL {
             for n1 in g.nodes() {
                 for n2 in g.nodes() {
-                    let direct = eval_contains(&q, &g, &[n1, n2], sem);
+                    let direct = Eval::new(&q, &g).semantics(sem).contains(&[n1, n2]);
                     let via_exp = eval_contains_complete(&q, &g, &[n1, n2], sem);
                     assert_eq!(
                         direct, via_exp,

@@ -5,7 +5,7 @@
 //! and reports the result-set sizes — the basis of experiment E3 (hierarchy
 //! & selectivity).
 
-use crate::eval::{eval_tuples, Semantics};
+use crate::eval::{Eval, Semantics};
 use crpq_graph::{GraphDb, NodeId};
 use crpq_query::Crpq;
 
@@ -39,9 +39,11 @@ impl HierarchyReport {
 
 /// Evaluates `Q` on `G` under all three semantics and checks Remark 2.1.
 pub fn check_hierarchy(q: &Crpq, g: &GraphDb) -> HierarchyReport {
-    let st = eval_tuples(q, g, Semantics::Standard);
-    let ai = eval_tuples(q, g, Semantics::AtomInjective);
-    let qi = eval_tuples(q, g, Semantics::QueryInjective);
+    let st = Eval::new(q, g).tuples();
+    let ai = Eval::new(q, g).semantics(Semantics::AtomInjective).tuples();
+    let qi = Eval::new(q, g)
+        .semantics(Semantics::QueryInjective)
+        .tuples();
     let qinj_not_ainj = qi.iter().filter(|t| !ai.contains(t)).cloned().collect();
     let ainj_not_st = ai.iter().filter(|t| !st.contains(t)).cloned().collect();
     HierarchyReport {

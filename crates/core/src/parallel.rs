@@ -1,23 +1,23 @@
-//! Parallel evaluation helpers.
+//! Parallel join search.
 //!
 //! Two layers of the planner/executor pipeline parallelise independently:
 //!
-//! * **Materialisation** — the shared [`RelationCatalog`] is built with
-//!   `threads` workers, so each distinct atom relation's per-source BFS
-//!   sweeps are partitioned across scoped threads
+//! * **Materialisation** — a request without a caller catalog plans
+//!   against [`RelationCatalog::with_threads`], so each distinct atom
+//!   relation's per-source BFS sweeps are partitioned across scoped threads
 //!   ([`crpq_graph::rpq::rpq_relation_parallel`]); the catalog also means
 //!   a relation shared by several ε-free variants is materialised once.
 //! * **Join search** — after semi-join pruning, the candidates of the
 //!   first (most selective) join variable seed a shared chunk queue, and
 //!   workers run the immutable [`JoinPlan`] with a per-worker
-//!   verification scratch and local result set, merged at the end.
+//!   verification scratch, all feeding the request's one sink.
 //!
 //! # Work stealing
 //!
 //! A static split of the top-level candidate range starves on skewed
 //! domains: under a Zipf label distribution one candidate's subtree can
 //! hold almost all of the search space, leaving every other worker idle
-//! while one crawls it. [`eval_tuples_parallel`] therefore schedules by
+//! while one crawls it. [`search_work_stealing`] therefore schedules by
 //! **work stealing over subtree ranges**:
 //!
 //! * A [`Chunk`] is a contiguous range of one level's candidates plus the
@@ -41,36 +41,32 @@
 //! preserved: a panicking worker's [`ActiveGuard`] releases the
 //! quiescence count on unwind, so starving siblings wake and exit instead
 //! of deadlocking on the condvar, and the original payload reaches the
-//! caller. The previous static-partitioning scheduler is kept as
-//! [`eval_tuples_parallel_static`] — it is the baseline the
-//! work-stealing speedup is benchmarked against.
+//! caller.
 //!
-//! # Streaming and cancellation
+//! # One shared sink, and cancellation
 //!
-//! The early-exit entry points ([`eval_ask_parallel`],
-//! [`eval_limit_parallel`] and the parallel stream of [`crate::stream`])
-//! share one **global sink** behind a mutex; each worker wraps it in a
+//! Every terminal of [`crate::Eval`] — the full-result set, `ASK`,
+//! `LIMIT k` and the stream of [`crate::stream`] — hands the scheduler
+//! its **one sink**, shared behind a mutex; each worker wraps it in a
 //! [`WorkerSink`] that filters through a local seen-set first (so the
 //! duplicate-projection prune stays lock-free) and forwards fresh tuples
-//! under the lock. The moment the global sink answers
-//! [`SinkStatus::Stop`], the worker raises the [`StealCtx`] **cancel
-//! flag**; every other worker observes it through `should_stop` — checked
-//! at search-node entry by the sequential engines and per candidate by
-//! [`enumerate_range`] — and [`next_chunk`] drains the queue, so the run
-//! reaches quiescence promptly. Overshoot is bounded: past the flag, a
-//! worker can at most finish the candidate it was already verifying (one
-//! late insert each), and the global [`crate::eval::LimitSink`] refuses
-//! inserts beyond its limit, so the answer set never exceeds `k`. The
-//! full-materialisation path keeps its per-worker local sets merged after
-//! quiescence — no shared sink, no cancellation, byte-identical results.
+//! under the lock. The moment the sink answers [`SinkStatus::Stop`], the
+//! worker raises the [`StealCtx`] **cancel flag**; every other worker
+//! observes it through `should_stop` — checked at search-node entry by the
+//! sequential engines and per candidate by [`enumerate_range`] — and
+//! [`next_chunk`] drains the queue, so the run reaches quiescence
+//! promptly. Overshoot is bounded: past the flag, a worker can at most
+//! finish the candidate it was already verifying (one late insert each),
+//! and the global [`crate::eval::LimitSink`] refuses inserts beyond its
+//! limit, so the answer set never exceeds `k`. The full-result set never
+//! answers `Stop`, so a full-result run never cancels, and its workers
+//! batch: each keeps its finds in the local set and hands them over under
+//! one lock acquisition when it runs out of chunks.
 
-use crate::eval::{
-    eval_contains, plan_variant, sorted_tuples, JoinMode, JoinPlan, LimitSink, RelationCatalog,
-    Semantics, SinkStatus, TupleSink, VariantPlan, VerifyScratch,
-};
+use crate::eval::{JoinPlan, SinkStatus, TupleSink, VerifyScratch};
 use crate::wcoj;
-use crpq_graph::{rpq, GraphView, NodeId};
-use crpq_query::{Crpq, Var};
+use crpq_graph::{GraphView, NodeId};
+use crpq_query::Var;
 use crpq_util::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crpq_util::sync::{thread, Condvar, Mutex, MutexGuard};
 use crpq_util::FxHashSet;
@@ -83,167 +79,45 @@ use std::sync::Arc;
 /// materialisation stays negligible against the subtree work below it.
 const STEAL_DEPTH: usize = 3;
 
-/// Parallel version of [`crate::eval::eval_tuples`], scheduled by work
-/// stealing (see the module docs for the split invariant).
-///
-/// `threads = 0` means one thread per available CPU (capped at 16).
-pub fn eval_tuples_parallel<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    threads: usize,
-) -> Vec<Vec<NodeId>> {
-    eval_tuples_parallel_impl(q, g, sem, threads, true)
-}
-
-/// [`eval_tuples_parallel`] with the pre-work-stealing scheduler: the
-/// top-level candidates are claimed from a single atomic cursor and each
-/// subtree runs to completion on the worker that claimed it. Kept
-/// addressable as the baseline for the work-stealing-vs-static bench
-/// comparison; on skewed domains it degenerates to one busy worker.
-pub fn eval_tuples_parallel_static<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    threads: usize,
-) -> Vec<Vec<NodeId>> {
-    eval_tuples_parallel_impl(q, g, sem, threads, false)
-}
-
-fn eval_tuples_parallel_impl<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    threads: usize,
-    work_stealing: bool,
-) -> Vec<Vec<NodeId>> {
-    let threads = rpq::effective_threads(threads);
-    if q.free.is_empty() {
-        return if eval_contains(q, g, &[], sem) {
-            vec![Vec::new()]
-        } else {
-            Vec::new()
-        };
-    }
-
-    let variants = q.epsilon_free_union();
-    // Planning phase: one shared catalog, parallel materialisation.
-    let mut catalog = RelationCatalog::with_threads(g, threads);
-    let plans: Vec<VariantPlan> = variants
-        .iter()
-        .map(|v| plan_variant(v, g, false, &mut catalog))
-        .collect();
-    let catalog = catalog; // frozen for the execution phase
-
-    let mut out: FxHashSet<Vec<NodeId>> = FxHashSet::default();
-    let mut seq_scratch = VerifyScratch::new();
-    for (variant, vplan) in variants.iter().zip(plans) {
-        let plan = JoinPlan::build(variant, g, sem, vplan, &catalog);
-        if plan.is_empty() {
-            continue;
-        }
-        match plan.split_candidates() {
-            None => {
-                // Variable-free variant: nothing to partition.
-                plan.search_all(&mut seq_scratch, &mut out);
-            }
-            Some((_, cands)) if cands.len() <= 1 || threads <= 1 => {
-                // Too little work to fan out.
-                plan.search_all(&mut seq_scratch, &mut out);
-            }
-            Some((var, cands)) => {
-                // The WCOJ elimination order depends only on (plan, var):
-                // compute it once here, not per candidate in the workers.
-                let wcoj_order = plan
-                    .use_wcoj(JoinMode::Auto)
-                    .then(|| wcoj::fixed_order(&plan, var));
-                let locals = if work_stealing {
-                    run_work_stealing(&plan, wcoj_order.as_deref(), var, cands, threads)
-                } else {
-                    run_static(&plan, wcoj_order.as_deref(), var, cands, threads)
-                };
-                for local in locals {
-                    out.extend(local);
-                }
-            }
-        }
-    }
-    sorted_tuples(out)
-}
-
-/// The static baseline scheduler: top-level candidates off an atomic
-/// cursor, one whole subtree per claim.
-fn run_static<G: GraphView>(
-    plan: &JoinPlan<'_, G>,
-    wcoj_order: Option<&[Var]>,
-    var: Var,
-    cands: Vec<NodeId>,
-    threads: usize,
-) -> Vec<FxHashSet<Vec<NodeId>>> {
-    let next = AtomicUsize::new(0);
-    collect_worker_results(threads.min(cands.len()), || {
-        let mut local: FxHashSet<Vec<NodeId>> = FxHashSet::default();
-        let mut scratch = VerifyScratch::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&node) = cands.get(i) else { break };
-            if let Some(order) = wcoj_order {
-                wcoj::search_with_fixed(plan, order, node, &mut scratch, &mut local);
-            } else {
-                plan.search_with_fixed(var, node, &mut scratch, &mut local);
-            }
-        }
-        local
-    })
-}
-
 /// The work-stealing scheduler (see the module docs): seeds one top-level
-/// range per worker, then lets drained workers receive donated subtree
-/// ranges until global quiescence.
-fn run_work_stealing<G: GraphView>(
+/// range of `var`'s candidates per worker, then lets drained workers
+/// receive donated subtree ranges until global quiescence. Every worker
+/// feeds `out` through a [`WorkerSink`], so an early-exit sink stops the
+/// whole fleet via the [`StealCtx`] cancel flag. Returns
+/// [`SinkStatus::Stop`] iff `out` wants no further tuples.
+pub(crate) fn search_work_stealing<G: GraphView, S: TupleSink + Send>(
     plan: &JoinPlan<'_, G>,
     wcoj_order: Option<&[Var]>,
     var: Var,
     cands: Vec<NodeId>,
     threads: usize,
-) -> Vec<FxHashSet<Vec<NodeId>>> {
+    out: &mut S,
+) -> SinkStatus {
     let cands = Arc::new(cands);
     let ctx = StealCtx::new();
     seed_chunks(&ctx, plan, var, &cands, threads);
-    collect_worker_results(threads, || {
-        let mut local: FxHashSet<Vec<NodeId>> = FxHashSet::default();
-        let mut scratch = VerifyScratch::new();
-        drain_chunks(&ctx, plan, wcoj_order, &mut scratch, &mut local);
-        local
-    })
-}
-
-/// The streaming variant of [`run_work_stealing`]: every worker feeds one
-/// shared `global` sink through a [`WorkerSink`], so an early-exit sink
-/// ([`LimitSink`], the stream sink) can stop the whole fleet via the
-/// [`StealCtx`] cancel flag. Results land in `global`; per-worker local
-/// sets are only the lock-free duplicate filter.
-fn run_work_stealing_shared<G: GraphView, S: TupleSink + Send>(
-    plan: &JoinPlan<'_, G>,
-    wcoj_order: Option<&[Var]>,
-    var: Var,
-    cands: Vec<NodeId>,
-    threads: usize,
-    global: &Mutex<S>,
-) {
-    let cands = Arc::new(cands);
-    let ctx = StealCtx::new();
-    seed_chunks(&ctx, plan, var, &cands, threads);
+    let batch = out.never_stops();
+    let global = Mutex::new(out);
     collect_worker_results(threads, || {
         let mut sink = WorkerSink {
             local: FxHashSet::default(),
-            global,
+            global: &global,
             ctx: &ctx,
             post_cancel: 0,
+            batch,
         };
         let mut scratch = VerifyScratch::new();
         drain_chunks(&ctx, plan, wcoj_order, &mut scratch, &mut sink);
+        sink.flush();
     });
+    let out = global
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if out.should_stop() {
+        SinkStatus::Stop
+    } else {
+        SinkStatus::Continue
+    }
 }
 
 /// Seeds the queue with one contiguous top-level range per worker. Uneven
@@ -574,16 +448,21 @@ fn descend<G: GraphView>(
     }
 }
 
-/// One worker's view of a shared early-exit sink: duplicates are filtered
+/// One worker's view of the request's shared sink: duplicates are filtered
 /// through a lock-free local seen-set (one worker never re-offers a tuple
 /// it already forwarded), fresh tuples go to the `global` sink under its
 /// mutex, and the scheduler's cancel flag doubles as `should_stop` so the
 /// sequential engines unwind without finishing their subtree.
 ///
-/// `contains_tuple` consults only the local set — cross-worker duplicate
-/// subtrees are re-explored, exactly like the full-materialisation path's
-/// per-worker local sets; the global sink dedupes on insert, so results
-/// are unaffected.
+/// `contains_tuple` consults only the local set — a subtree whose
+/// projection another worker already found is re-explored; the global
+/// sink dedupes on insert, so results are unaffected.
+///
+/// A sink that never stops (the full-result set) gains nothing from
+/// seeing a tuple early, so its workers **batch**: fresh tuples stay in
+/// the local set and move to the global sink under one lock acquisition
+/// when the worker runs out of chunks ([`Self::flush`]), instead of one
+/// acquisition (and one clone) per tuple.
 struct WorkerSink<'a, S: TupleSink> {
     local: FxHashSet<Vec<NodeId>>,
     global: &'a Mutex<S>,
@@ -593,6 +472,21 @@ struct WorkerSink<'a, S: TupleSink> {
     /// model checker, CONCURRENCY.md I3): at most one per worker, because
     /// the resulting `Stop` unwinds the worker out of its subtree.
     post_cancel: usize,
+    /// The global sink never stops: hold tuples locally until [`Self::flush`].
+    batch: bool,
+}
+
+impl<S: TupleSink> WorkerSink<'_, S> {
+    /// Hands a batching worker's tuples to the global sink in one lock
+    /// acquisition; a no-op for forwarding workers.
+    fn flush(self) {
+        if self.batch {
+            let mut global = lock_sink(self.global);
+            for t in self.local {
+                global.insert_tuple(t);
+            }
+        }
+    }
 }
 
 impl<S: TupleSink> TupleSink for WorkerSink<'_, S> {
@@ -601,6 +495,10 @@ impl<S: TupleSink> TupleSink for WorkerSink<'_, S> {
     }
 
     fn insert_tuple(&mut self, t: Vec<NodeId>) -> SinkStatus {
+        if self.batch {
+            self.local.insert(t);
+            return SinkStatus::Continue;
+        }
         if self.ctx.cancelled() {
             return SinkStatus::Stop;
         }
@@ -651,100 +549,6 @@ fn lock_sink<S: TupleSink>(m: &Mutex<S>) -> MutexGuard<'_, S> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Parallel evaluation into an arbitrary early-exit sink: the planning
-/// phase (shared catalog, parallel materialisation) matches
-/// [`eval_tuples_parallel`], but the execution phase feeds every variant's
-/// answers into one shared `global` sink and stops — across variants and
-/// across workers — the moment the sink says so. Returns the sink for the
-/// caller to unwrap.
-pub(crate) fn eval_parallel_sink<G: GraphView, S: TupleSink + Send>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    threads: usize,
-    global: S,
-) -> S {
-    let threads = rpq::effective_threads(threads);
-    let global = Mutex::new(global);
-    if q.free.is_empty() {
-        if eval_contains(q, g, &[], sem) {
-            lock_sink(&global).insert_tuple(Vec::new());
-        }
-        return global
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-    }
-
-    let variants = q.epsilon_free_union();
-    let mut catalog = RelationCatalog::with_threads(g, threads);
-    let plans: Vec<VariantPlan> = variants
-        .iter()
-        .map(|v| plan_variant(v, g, false, &mut catalog))
-        .collect();
-    let catalog = catalog; // frozen for the execution phase
-
-    let mut seq_scratch = VerifyScratch::new();
-    for (variant, vplan) in variants.iter().zip(plans) {
-        if lock_sink(&global).should_stop() {
-            break;
-        }
-        let plan = JoinPlan::build(variant, g, sem, vplan, &catalog);
-        if plan.is_empty() {
-            continue;
-        }
-        match plan.split_candidates() {
-            None => {
-                plan.search_all(&mut seq_scratch, &mut *lock_sink(&global));
-            }
-            Some((_, cands)) if cands.len() <= 1 || threads <= 1 => {
-                plan.search_all(&mut seq_scratch, &mut *lock_sink(&global));
-            }
-            Some((var, cands)) => {
-                let wcoj_order = plan
-                    .use_wcoj(JoinMode::Auto)
-                    .then(|| wcoj::fixed_order(&plan, var));
-                run_work_stealing_shared(
-                    &plan,
-                    wcoj_order.as_deref(),
-                    var,
-                    cands,
-                    threads,
-                    &global,
-                );
-            }
-        }
-    }
-    global
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Existence-only parallel evaluation: true iff the query has at least one
-/// answer. All workers stand down at the first witness via the cancel
-/// flag — on large graphs this returns in the time the search takes to
-/// reach any single verified tuple.
-pub fn eval_ask_parallel<G: GraphView>(q: &Crpq, g: &G, sem: Semantics, threads: usize) -> bool {
-    !eval_parallel_sink(q, g, sem, threads, LimitSink::new(1)).is_empty()
-}
-
-/// Parallel `LIMIT k`: at most `k` distinct answer tuples, sorted. *Which*
-/// k answers is scheduling-dependent (whatever the workers reached first);
-/// the count contract is exact — the shared [`LimitSink`] refuses inserts
-/// beyond `k` even while late workers finish their current candidate.
-pub fn eval_limit_parallel<G: GraphView>(
-    q: &Crpq,
-    g: &G,
-    sem: Semantics,
-    k: usize,
-    threads: usize,
-) -> Vec<Vec<NodeId>> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let sink = eval_parallel_sink(q, g, sem, threads, LimitSink::new(k));
-    sorted_tuples(sink.into_tuples())
-}
-
 /// Runs `worker` on `threads` scoped threads and returns every worker's
 /// result, in spawn order.
 ///
@@ -771,7 +575,7 @@ fn collect_worker_results<R: Send>(threads: usize, worker: impl Fn() -> R + Sync
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_tuples;
+    use crate::eval::{Eval, Semantics};
     use crpq_graph::generators;
     use crpq_query::parse_crpq;
 
@@ -784,8 +588,8 @@ mod tests {
         )
         .unwrap();
         for sem in Semantics::ALL {
-            let seq = eval_tuples(&q, &g, sem);
-            let par = eval_tuples_parallel(&q, &g, sem, 4);
+            let seq = Eval::new(&q, &g).semantics(sem).tuples();
+            let par = Eval::new(&q, &g).semantics(sem).threads(4).tuples();
             assert_eq!(seq, par, "mismatch under {sem}");
         }
     }
@@ -795,8 +599,8 @@ mod tests {
         let mut g = generators::random_graph(9, 26, &["a", "b"], 3);
         let q = parse_crpq("(y) <- x -[a a*]-> y, y -[b]-> z", g.alphabet_mut()).unwrap();
         for sem in Semantics::ALL {
-            let seq = eval_tuples(&q, &g, sem);
-            let par = eval_tuples_parallel(&q, &g, sem, 3);
+            let seq = Eval::new(&q, &g).semantics(sem).tuples();
+            let par = Eval::new(&q, &g).semantics(sem).threads(3).tuples();
             assert_eq!(seq, par, "mismatch under {sem}");
         }
     }
@@ -805,7 +609,7 @@ mod tests {
     fn boolean_parallel() {
         let mut g = generators::labelled_path(4, &["a"]);
         let q = parse_crpq("x -[a a]-> y", g.alphabet_mut()).unwrap();
-        let res = eval_tuples_parallel(&q, &g, Semantics::Standard, 2);
+        let res = Eval::new(&q, &g).threads(2).tuples();
         assert_eq!(res, vec![Vec::new()]);
     }
 
@@ -856,8 +660,8 @@ mod tests {
         )
         .unwrap();
         for sem in Semantics::ALL {
-            let seq = eval_tuples(&q, &g, sem);
-            let par = eval_tuples_parallel(&q, &g, sem, 4);
+            let seq = Eval::new(&q, &g).semantics(sem).tuples();
+            let par = Eval::new(&q, &g).semantics(sem).threads(4).tuples();
             assert_eq!(seq, par, "mismatch under {sem}");
         }
     }
@@ -868,19 +672,19 @@ mod tests {
         let q = parse_crpq("(x, y) <- x -[(a+b)(a+b)*]-> y", g.alphabet_mut()).unwrap();
         for sem in Semantics::ALL {
             assert_eq!(
-                eval_tuples(&q, &g, sem),
-                eval_tuples_parallel(&q, &g, sem, 1),
+                Eval::new(&q, &g).semantics(sem).tuples(),
+                Eval::new(&q, &g).semantics(sem).threads(1).tuples(),
                 "mismatch under {sem}"
             );
         }
     }
 
     #[test]
-    fn work_stealing_matches_static_on_skewed_zipf_graph() {
+    fn work_stealing_matches_sequential_on_skewed_zipf_graph() {
         // The workload the scheduler exists for: Zipf-skewed labels give a
         // few candidates subtrees holding most of the search space. The
-        // work-stealing result must match both the static scheduler and
-        // the sequential engine under every semantics.
+        // work-stealing result must match the sequential engine under
+        // every semantics.
         let mut g = generators::zipf_label_graph(36, 150, 20, 1.2, 97);
         let q = parse_crpq(
             "(x, y) <- x -[l0 (l1+l2)*]-> y, y -[l2 (l3+l4)*]-> z",
@@ -888,11 +692,9 @@ mod tests {
         )
         .unwrap();
         for sem in Semantics::ALL {
-            let seq = eval_tuples(&q, &g, sem);
-            let ws = eval_tuples_parallel(&q, &g, sem, 4);
-            let st = eval_tuples_parallel_static(&q, &g, sem, 4);
+            let seq = Eval::new(&q, &g).semantics(sem).tuples();
+            let ws = Eval::new(&q, &g).semantics(sem).threads(4).tuples();
             assert_eq!(seq, ws, "work-stealing mismatch under {sem}");
-            assert_eq!(seq, st, "static mismatch under {sem}");
         }
     }
 
@@ -908,8 +710,8 @@ mod tests {
         )
         .unwrap();
         for sem in Semantics::ALL {
-            let seq = eval_tuples(&q, &g, sem);
-            let ws = eval_tuples_parallel(&q, &g, sem, 4);
+            let seq = Eval::new(&q, &g).semantics(sem).tuples();
+            let ws = Eval::new(&q, &g).semantics(sem).threads(4).tuples();
             assert_eq!(seq, ws, "mismatch under {sem}");
         }
     }
@@ -988,19 +790,13 @@ mod tests {
         let threads = 4;
         let mut g = generators::zipf_label_graph(64, 400, 6, 1.1, 7);
         let q = parse_crpq("(x, y) <- x -[(l0+l1)(l0+l1+l2)*]-> y", g.alphabet_mut()).unwrap();
-        let full = eval_tuples(&q, &g, Semantics::Standard).len();
+        let full = Eval::new(&q, &g).tuples().len();
         assert!(full > 100, "need a big answer set, got {full}");
-        let sink = eval_parallel_sink(
-            &q,
-            &g,
-            Semantics::Standard,
-            threads,
-            SlowStopSink {
-                first: None,
-                stopped: false,
-                after_stop: 0,
-            },
-        );
+        let sink = Eval::new(&q, &g).threads(threads).run(SlowStopSink {
+            first: None,
+            stopped: false,
+            after_stop: 0,
+        });
         assert!(sink.stopped, "the run must reach the sink at least once");
         assert!(sink.first.is_some());
         assert!(
@@ -1031,9 +827,9 @@ mod tests {
     fn sink_panic_mid_stream_propagates_original_payload() {
         let mut g = generators::zipf_label_graph(32, 160, 4, 1.1, 13);
         let q = parse_crpq("(x, y) <- x -[(l0+l1)(l0+l1)*]-> y", g.alphabet_mut()).unwrap();
-        assert!(!eval_tuples(&q, &g, Semantics::Standard).is_empty());
+        assert!(!Eval::new(&q, &g).tuples().is_empty());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eval_parallel_sink(&q, &g, Semantics::Standard, 4, PanickingSink)
+            Eval::new(&q, &g).threads(4).run(PanickingSink)
         }));
         let payload = result.expect_err("sink panic must propagate");
         let message = payload
@@ -1047,9 +843,9 @@ mod tests {
         let mut g = generators::random_graph(10, 30, &["a", "b"], 5);
         let q = parse_crpq("(x, y) <- x -[a b*]-> y, y -[b]-> z", g.alphabet_mut()).unwrap();
         for sem in Semantics::ALL {
-            let full = eval_tuples(&q, &g, sem);
+            let full = Eval::new(&q, &g).semantics(sem).tuples();
             assert_eq!(
-                eval_ask_parallel(&q, &g, sem, 4),
+                Eval::new(&q, &g).semantics(sem).threads(4).ask(),
                 !full.is_empty(),
                 "ask mismatch under {sem}"
             );
@@ -1058,8 +854,8 @@ mod tests {
         let q2 = parse_crpq("(x) <- x -[a a a a a a a a a a a a]-> x", g.alphabet_mut()).unwrap();
         for sem in Semantics::ALL {
             assert_eq!(
-                eval_ask_parallel(&q2, &g, sem, 4),
-                !eval_tuples(&q2, &g, sem).is_empty(),
+                Eval::new(&q2, &g).semantics(sem).threads(4).ask(),
+                !Eval::new(&q2, &g).semantics(sem).tuples().is_empty(),
                 "empty-ask mismatch under {sem}"
             );
         }
@@ -1070,9 +866,13 @@ mod tests {
         let mut g = generators::zipf_label_graph(40, 180, 5, 1.2, 31);
         let q = parse_crpq("(x, y) <- x -[(l0+l1)(l1+l2)*]-> y", g.alphabet_mut()).unwrap();
         for sem in Semantics::ALL {
-            let full: FxHashSet<Vec<NodeId>> = eval_tuples(&q, &g, sem).into_iter().collect();
+            let full: FxHashSet<Vec<NodeId>> = Eval::new(&q, &g)
+                .semantics(sem)
+                .tuples()
+                .into_iter()
+                .collect();
             for k in [0usize, 1, 3, full.len(), full.len() + 10] {
-                let limited = eval_limit_parallel(&q, &g, sem, k, 4);
+                let limited = Eval::new(&q, &g).semantics(sem).threads(4).limit(k);
                 assert_eq!(
                     limited.len(),
                     k.min(full.len()),
@@ -1132,7 +932,7 @@ mod model_tests {
     //! (or `cargo xtask model-check`, which wraps exactly that).
 
     use super::*;
-    use crate::eval::eval_tuples;
+    use crate::eval::{Eval, Semantics};
     use crpq_check::{explore, try_explore, Config, Failure};
     use crpq_graph::generators;
     use crpq_query::parse_crpq;
@@ -1159,10 +959,10 @@ mod model_tests {
     fn model_quiescence_terminates_with_correct_answers() {
         let mut g = generators::labelled_path(3, &["a"]);
         let q = parse_crpq("(x, y) <- x -[a a*]-> y", g.alphabet_mut()).unwrap();
-        let expected = eval_tuples(&q, &g, Semantics::Standard);
+        let expected = Eval::new(&q, &g).tuples();
         assert!(!expected.is_empty());
         let run = || {
-            let got = eval_tuples_parallel(&q, &g, Semantics::Standard, 2);
+            let got = Eval::new(&q, &g).threads(2).tuples();
             assert_eq!(got, expected);
         };
         let report = explore(&Config::exhaustive(1_000), run);
@@ -1224,6 +1024,7 @@ mod model_tests {
                             global,
                             ctx,
                             post_cancel: 0,
+                            batch: false,
                         };
                         // Each worker offers one distinct fresh tuple —
                         // the two offers race on the sink mutex.
@@ -1273,10 +1074,10 @@ mod model_tests {
     fn model_limit_sink_exact_k_under_races() {
         let mut g = generators::labelled_path(4, &["a"]);
         let q = parse_crpq("(x, y) <- x -[a a*]-> y", g.alphabet_mut()).unwrap();
-        let all = eval_tuples(&q, &g, Semantics::Standard);
+        let all = Eval::new(&q, &g).tuples();
         assert!(all.len() > 2, "need more answers than the limit");
         let run = || {
-            let got = eval_limit_parallel(&q, &g, Semantics::Standard, 2, 2);
+            let got = Eval::new(&q, &g).threads(2).limit(2);
             assert_eq!(got.len(), 2, "LIMIT k must be exact, got {got:?}");
             for t in &got {
                 assert!(all.contains(t), "emitted a non-answer: {t:?}");

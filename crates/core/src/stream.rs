@@ -1,13 +1,14 @@
 //! Pull-based answer enumeration.
 //!
-//! [`eval_stream`] returns a [`TupleStream`] — an iterator over distinct
+//! [`Eval::stream`] returns a [`TupleStream`] — an iterator over distinct
 //! answer tuples that starts yielding while the join search is still
 //! running, instead of waiting for the full materialised set. A producer
-//! thread runs the normal engine (sequential [`eval_sink_join`] or the
-//! work-stealing scheduler for [`eval_stream_parallel`]) into a
-//! channel-backed [`StreamSink`]; the bounded channel
-//! ([`STREAM_CHANNEL_CAPACITY`]) gives backpressure, so a slow consumer
-//! throttles the search rather than buffering the whole answer set.
+//! thread runs the request through the same join driver as every other
+//! terminal (sequential, or work-stealing under
+//! [`Eval::threads`]) into a channel-backed [`StreamSink`]; the bounded
+//! channel ([`STREAM_CHANNEL_CAPACITY`]) gives backpressure, so a slow
+//! consumer throttles the search rather than buffering the whole answer
+//! set.
 //!
 //! Dropping the stream early is the cancellation path: the receiver
 //! closes, the producer's next send fails, the sink flips to `closed` and
@@ -18,17 +19,13 @@
 //! the consumer at end-of-stream or on drop.
 //!
 //! Streams yield **distinct** tuples in discovery order; collecting and
-//! sorting a stream equals [`crate::eval_tuples`] under every semantics
-//! and executor (pinned by the differential tests in
+//! sorting a stream equals [`Eval::tuples`] under every semantics,
+//! executor and thread count (pinned by the contract table in
+//! `tests/join_equivalence.rs` and the differential tests in
 //! `tests/stream_equivalence.rs`).
 
-use crate::eval::{
-    eval_sink_join, eval_tuples_enumerate, EvalStrategy, JoinMode, RelationCatalog, Semantics,
-    SinkStatus, TupleSink,
-};
-use crate::parallel::eval_parallel_sink;
+use crate::eval::{Eval, SinkStatus, TupleSink};
 use crpq_graph::{GraphView, NodeId};
-use crpq_query::Crpq;
 use crpq_util::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use crpq_util::sync::thread::{self, JoinHandle};
 use crpq_util::FxHashSet;
@@ -74,8 +71,7 @@ impl TupleSink for StreamSink {
 }
 
 /// A pull-based iterator over distinct answer tuples, backed by a producer
-/// thread (see the module docs). Obtained from [`eval_stream`] /
-/// [`eval_stream_with`] / [`eval_stream_parallel`].
+/// thread (see the module docs). Obtained from [`Eval::stream`].
 pub struct TupleStream {
     rx: Option<Receiver<Vec<NodeId>>>,
     handle: Option<JoinHandle<()>>,
@@ -132,74 +128,45 @@ impl Drop for TupleStream {
     }
 }
 
-/// Streaming [`crate::eval_tuples`]: yields distinct answer tuples as the
-/// (sequential) join search finds them. The graph is shared with the
-/// producer thread via `Arc`, the query is cloned.
-pub fn eval_stream<G: GraphView + Send + Sync + 'static>(
-    q: &Crpq,
-    g: &Arc<G>,
-    sem: Semantics,
-) -> TupleStream {
-    eval_stream_with(q, g, sem, EvalStrategy::Join)
-}
-
-/// [`eval_stream`] under a forced [`EvalStrategy`] — the differential-test
-/// entry point. `Enumerate` streams the materialised oracle result (no
-/// early yield; it exists so stream-vs-oracle tests cover the same
-/// surface), the join strategies yield mid-search.
-pub fn eval_stream_with<G: GraphView + Send + Sync + 'static>(
-    q: &Crpq,
-    g: &Arc<G>,
-    sem: Semantics,
-    strategy: EvalStrategy,
-) -> TupleStream {
-    let q = q.clone();
-    let g = Arc::clone(g);
-    let mode = match strategy {
-        EvalStrategy::Join => JoinMode::Auto,
-        EvalStrategy::BinaryJoin => JoinMode::Binary,
-        EvalStrategy::Wcoj => JoinMode::Wcoj,
-        EvalStrategy::Enumerate => {
-            return TupleStream::spawn(move |tx| {
-                for t in eval_tuples_enumerate(&q, &*g, sem) {
-                    if tx.send(t).is_err() {
-                        break;
-                    }
-                }
+impl<G: GraphView + Send + Sync + 'static> Eval<'_, Arc<G>> {
+    /// Streaming [`Eval::tuples`]: yields distinct answer tuples as the
+    /// join search finds them. The graph is shared with the producer
+    /// thread via `Arc`, the query is cloned, and the search plans against
+    /// a fresh [`crate::RelationCatalog::with_threads`]`(g, threads)`.
+    /// With several threads, tuple arrival order is scheduling-dependent
+    /// (the collected set is not), and dropping the stream cancels the
+    /// whole work-stealing fleet.
+    ///
+    /// # Panics
+    ///
+    /// If the request carries a caller catalog: the producer outlives the
+    /// borrow, so a stream always owns its catalog.
+    pub fn stream(self) -> TupleStream {
+        assert!(
+            self.catalog.is_none(),
+            "a stream plans against its own catalog; drop `.catalog(..)`"
+        );
+        let q = self.q.clone();
+        let g = Arc::clone(self.g);
+        let (sem, threads, strategy, analyze) =
+            (self.sem, self.threads, self.strategy, self.analyze);
+        TupleStream::spawn(move |tx| {
+            let request = Eval {
+                q: &q,
+                g: &*g,
+                sem,
+                threads,
+                catalog: None,
+                strategy,
+                analyze,
+            };
+            request.run(StreamSink {
+                seen: FxHashSet::default(),
+                tx,
+                closed: false,
             });
-        }
-    };
-    TupleStream::spawn(move |tx| {
-        let mut catalog = RelationCatalog::new(&*g);
-        let mut sink = StreamSink {
-            seen: FxHashSet::default(),
-            tx,
-            closed: false,
-        };
-        eval_sink_join(&q, &*g, sem, false, &mut catalog, mode, &mut sink);
-    })
-}
-
-/// Streaming [`crate::eval_tuples_parallel`]: the producer runs the
-/// work-stealing scheduler, every worker feeding the one channel-backed
-/// sink; dropping the stream cancels the whole fleet. Tuple arrival order
-/// is scheduling-dependent (the collected set is not).
-pub fn eval_stream_parallel<G: GraphView + Send + Sync + 'static>(
-    q: &Crpq,
-    g: &Arc<G>,
-    sem: Semantics,
-    threads: usize,
-) -> TupleStream {
-    let q = q.clone();
-    let g = Arc::clone(g);
-    TupleStream::spawn(move |tx| {
-        let sink = StreamSink {
-            seen: FxHashSet::default(),
-            tx,
-            closed: false,
-        };
-        eval_parallel_sink(&q, &*g, sem, threads, sink);
-    })
+        })
+    }
 }
 
 #[cfg(all(test, crpq_model_check))]
@@ -226,7 +193,7 @@ mod model_tests {
         let q = parse_crpq("(x, y) <- x -[a a*]-> y", g.alphabet_mut()).unwrap();
         let g = Arc::new(g);
         let run = || {
-            let mut stream = eval_stream(&q, &g, Semantics::Standard);
+            let mut stream = Eval::new(&q, &g).stream();
             assert!(stream.next().is_some(), "path graph has answers");
             drop(stream);
         };
@@ -247,7 +214,7 @@ mod model_tests {
         let q = parse_crpq("(x, y) <- x -[a a*]-> y", g.alphabet_mut()).unwrap();
         let g = Arc::new(g);
         let run = || {
-            let mut stream = eval_stream_parallel(&q, &g, Semantics::Standard, 2);
+            let mut stream = Eval::new(&q, &g).threads(2).stream();
             assert!(stream.next().is_some(), "path graph has answers");
             drop(stream);
         };

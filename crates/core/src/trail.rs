@@ -74,8 +74,8 @@ impl std::fmt::Display for TrailSemantics {
 /// let q = parse_crpq("x -[a b c d]-> y", g.alphabet_mut()).unwrap();
 /// assert!(eval_boolean_trail(&q, &g, TrailSemantics::AtomTrail));
 /// // No *simple path* spells abcd (m repeats):
-/// use crpq_core::{eval_boolean, Semantics};
-/// assert!(!eval_boolean(&q, &g, Semantics::AtomInjective));
+/// use crpq_core::{Eval, Semantics};
+/// assert!(!Eval::new(&q, &g).semantics(Semantics::AtomInjective).contains(&[]));
 /// ```
 pub fn eval_contains_trail(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: TrailSemantics) -> bool {
     assert_eq!(
@@ -330,7 +330,7 @@ fn place_trails(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_contains, eval_tuples, Semantics};
+    use crate::eval::{Eval, Semantics};
     use crpq_graph::GraphBuilder;
     use crpq_query::parse_crpq;
 
@@ -366,7 +366,9 @@ mod tests {
             &[u, v],
             TrailSemantics::QueryTrail
         ));
-        assert!(!eval_contains(&q, &g, &[u, v], Semantics::AtomInjective));
+        assert!(!Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, v]));
     }
 
     #[test]
@@ -396,9 +398,13 @@ mod tests {
             &[u, u],
             TrailSemantics::QueryTrail
         ));
-        assert!(!eval_contains(&q, &g, &[u, u], Semantics::QueryInjective));
+        assert!(!Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[u, u]));
         // And even a-inj rejects (simple path u→u must be empty):
-        assert!(!eval_contains(&q, &g, &[u, u], Semantics::AtomInjective));
+        assert!(!Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, u]));
     }
 
     #[test]
@@ -442,9 +448,13 @@ mod tests {
         ] {
             let mut g = graph(&edges);
             let q = parse_crpq(qtext, g.alphabet_mut()).unwrap();
-            let st = eval_tuples(&q, &g, Semantics::Standard);
-            let a_inj = eval_tuples(&q, &g, Semantics::AtomInjective);
-            let q_inj = eval_tuples(&q, &g, Semantics::QueryInjective);
+            let st = Eval::new(&q, &g).tuples();
+            let a_inj = Eval::new(&q, &g)
+                .semantics(Semantics::AtomInjective)
+                .tuples();
+            let q_inj = Eval::new(&q, &g)
+                .semantics(Semantics::QueryInjective)
+                .tuples();
             let a_trail = eval_tuples_trail(&q, &g, TrailSemantics::AtomTrail);
             let q_trail = eval_tuples_trail(&q, &g, TrailSemantics::QueryTrail);
             for t in &q_trail {
@@ -483,6 +493,8 @@ mod tests {
             &[u, w],
             TrailSemantics::QueryTrail
         ));
-        assert!(!eval_contains(&q, &g, &[u, w], Semantics::QueryInjective));
+        assert!(!Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[u, w]));
     }
 }

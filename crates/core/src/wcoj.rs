@@ -98,36 +98,12 @@ pub(crate) fn search_all<G: GraphView>(
     bind_level(plan, &order, 0, &mut assignment, scratch, out)
 }
 
-/// The elimination order for [`search_with_fixed`] with `var` pinned as
-/// its head. The order depends only on `(plan, var)` — workers partitioning
-/// candidates of `var` compute it **once** and reuse it across every
-/// `search_with_fixed` call instead of rebuilding it per candidate node.
+/// The elimination order with `var` pinned as its head — the order the
+/// work-stealing driver of [`crate::parallel`] enumerates when it splits
+/// the candidates of `var`. It depends only on `(plan, var)`, so the
+/// driver computes it **once** per variant, not per stolen chunk.
 pub(crate) fn fixed_order<G: GraphView>(plan: &JoinPlan<'_, G>, var: Var) -> Vec<Var> {
     elimination_order(plan, Some(var))
-}
-
-/// Like [`search_all`] with `var` (= `order[0]`, see [`fixed_order`])
-/// pre-assigned to `node` — the work-partitioning entry point of
-/// [`crate::parallel`]. `var` is pinned as the (already bound) head of the
-/// elimination order so the remaining levels see it exactly as the
-/// sequential executor would.
-pub(crate) fn search_with_fixed<G: GraphView>(
-    plan: &JoinPlan<'_, G>,
-    order: &[Var],
-    node: NodeId,
-    scratch: &mut VerifyScratch,
-    out: &mut dyn TupleSink,
-) -> SinkStatus {
-    if plan.is_empty() {
-        return SinkStatus::Continue;
-    }
-    let var = *order.first().expect("fixed_order pins the split variable"); // invariant: guaranteed by fixed_order
-    let mut assignment: Vec<Option<NodeId>> = vec![None; plan.q.num_vars];
-    if !plan.bind_allowed(var, node, &assignment, scratch) {
-        return SinkStatus::Continue;
-    }
-    assignment[var.index()] = Some(node);
-    bind_level(plan, order, 1, &mut assignment, scratch, out)
 }
 
 /// The static variable elimination order: `first` (when given) leads,

@@ -1,6 +1,6 @@
 //! Constructive evaluation: **witness extraction and verification**.
 //!
-//! [`eval_witness`] strengthens [`eval_contains`](crate::eval_contains) from
+//! [`eval_witness`] strengthens [`Eval::contains`](crate::Eval::contains) from
 //! a boolean to a fully materialised certificate: the ε-free variant used,
 //! the node image of every variable, and one concrete node path per atom.
 //! [`verify_witness`] checks such a certificate *independently* of the
@@ -123,7 +123,7 @@ impl std::error::Error for WitnessError {}
 /// Searches for a witness of `tuple ∈ Q(G)★`.
 ///
 /// Returns `Some` exactly when
-/// [`eval_contains`](crate::eval_contains) returns `true`; the returned
+/// [`Eval::contains`](crate::Eval::contains) returns `true`; the returned
 /// witness always passes [`verify_witness`].
 pub fn eval_witness(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: Semantics) -> Option<Witness> {
     assert_eq!(
@@ -133,7 +133,7 @@ pub fn eval_witness(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: Semantics) -> 
     );
     for (variant_index, variant) in q.epsilon_free_union().iter().enumerate() {
         if let Some((assignment, atom_paths)) =
-            VariantEval::new(variant, g, sem).contains_witness(tuple)
+            VariantEval::build(variant, g, sem, false).contains_witness(tuple)
         {
             return Some(Witness {
                 variant_index,
@@ -244,7 +244,7 @@ fn is_simple(cycle: bool, path: &[NodeId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_contains;
+    use crate::eval::Eval;
     use crpq_graph::GraphBuilder;
     use crpq_query::parse_crpq;
 
@@ -276,7 +276,7 @@ mod tests {
         for sem in Semantics::ALL {
             for a in g.nodes() {
                 for b in g.nodes() {
-                    let member = eval_contains(&q, &g, &[a, b], sem);
+                    let member = Eval::new(&q, &g).semantics(sem).contains(&[a, b]);
                     let witness = eval_witness(&q, &g, &[a, b], sem);
                     assert_eq!(member, witness.is_some(), "({a:?},{b:?}) {sem}");
                     if let Some(w) = witness {

@@ -181,6 +181,14 @@ const VERSION: u8 = 2;
 const NAMES_ANONYMOUS: u8 = 0;
 const NAMES_NAMED: u8 = 1;
 
+/// Largest node count an anonymous snapshot may declare. Anonymous node
+/// ids are implicit, so the count has no bytes behind it and the
+/// remaining-bytes bound of every other header count cannot apply; this
+/// decoder limit keeps a hostile header from sizing per-node arrays at
+/// billions of entries, while staying far above the 10⁷-node scale
+/// workloads.
+pub const MAX_ANONYMOUS_NODES: usize = 1 << 27;
+
 /// The CRC-32/ISO-HDLC (IEEE 802.3, reflected 0xEDB88320) lookup table,
 /// built at compile time.
 const CRC32_TABLE: [u32; 256] = {
@@ -311,6 +319,10 @@ pub fn from_binary(mut data: Bytes) -> Result<GraphDb, FormatError> {
     // the trailing checksum (when present) against exactly those bytes.
     let payload = data.clone();
     let num_labels = checked_u32(&mut data, total, "label count")?;
+    // Every count below is bounded before anything is sized by it: a
+    // label or a named node takes at least its 4-byte length prefix, an
+    // edge exactly 12 bytes.
+    check_count(num_labels.into(), 4, &data, total, 4, "label count")?;
     let mut labels = crpq_util::Interner::new();
     let mut label_syms = Vec::with_capacity(num_labels as usize);
     for _ in 0..num_labels {
@@ -336,6 +348,17 @@ pub fn from_binary(mut data: Bytes) -> Result<GraphDb, FormatError> {
         }
     };
     let num_nodes = checked_u32(&mut data, total, "node count")? as usize;
+    if named {
+        check_count(num_nodes as u64, 4, &data, total, 4, "node count")?;
+    } else if num_nodes > MAX_ANONYMOUS_NODES {
+        return Err(err(
+            format!(
+                "anonymous node count {num_nodes} exceeds the decoder limit of \
+                 {MAX_ANONYMOUS_NODES}"
+            ),
+            total - data.remaining() - 4,
+        ));
+    }
     let mut b = if named {
         let mut b = GraphBuilder::with_alphabet(labels);
         for _ in 0..num_nodes {
@@ -356,6 +379,7 @@ pub fn from_binary(mut data: Bytes) -> Result<GraphDb, FormatError> {
         return Err(err("truncated edge count".into(), total - data.remaining()));
     }
     let num_edges = data.get_u64_le();
+    check_count(num_edges, 12, &data, total, 8, "edge count")?;
     for _ in 0..num_edges {
         let u = checked_u32(&mut data, total, "edge src")? as usize;
         let l = checked_u32(&mut data, total, "edge label")? as usize;
@@ -419,6 +443,31 @@ fn get_str(data: &mut Bytes, total: usize) -> Result<String, FormatError> {
     let off = total - data.remaining();
     String::from_utf8(data.copy_to_bytes(len).to_vec()).map_err(|_| FormatError {
         message: format!("invalid utf-8 at byte offset {off}"),
+        line: 0,
+    })
+}
+
+/// Rejects a header `count` of records of at least `min_record` bytes each
+/// that the bytes left after it cannot hold. The error names the offset of
+/// the count field, which is `field_len` bytes long and was just consumed.
+fn check_count(
+    count: u64,
+    min_record: u64,
+    data: &Bytes,
+    total: usize,
+    field_len: usize,
+    what: &str,
+) -> Result<(), FormatError> {
+    let left = data.remaining() as u64;
+    if count <= left / min_record {
+        return Ok(());
+    }
+    Err(FormatError {
+        message: format!(
+            "{what} {count} needs at least {min_record} bytes per record but only {left} \
+             bytes follow, at byte offset {}",
+            total - data.remaining() - field_len
+        ),
         line: 0,
     })
 }
@@ -691,6 +740,47 @@ w c u
         // IEEE CRC-32 check value (every implementation's smoke vector).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Decodes `bytes`, which must fail with an error naming a byte offset
+    /// (and must not abort by sizing an allocation from the header).
+    fn decode_err(bytes: &[u8]) -> String {
+        let e =
+            from_binary(Bytes::from(bytes.to_vec())).expect_err("hostile header must be rejected");
+        assert!(e.message.contains("byte offset"), "{}", e.message);
+        e.message
+    }
+
+    #[test]
+    fn absurd_label_count_is_an_error() {
+        let msg = decode_err(b"CRPQ\x01\xff\xff\xff\xff");
+        assert!(msg.contains("label count 4294967295"), "{msg}");
+        assert!(msg.ends_with("byte offset 5"), "{msg}");
+    }
+
+    #[test]
+    fn absurd_anonymous_node_count_is_an_error() {
+        let mut bytes = b"CRPQ\x02".to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // no labels
+        bytes.push(NAMES_ANONYMOUS);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // no edges
+        let msg = decode_err(&bytes);
+        assert!(msg.contains("decoder limit"), "{msg}");
+        assert!(msg.ends_with("byte offset 10"), "{msg}");
+    }
+
+    #[test]
+    fn absurd_edge_count_is_an_error() {
+        let mut bytes = b"CRPQ\x02".to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.push(NAMES_ANONYMOUS);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 12]); // one edge's worth, not 2⁶⁴
+        let msg = decode_err(&bytes);
+        assert!(msg.contains("edge count"), "{msg}");
+        assert!(msg.ends_with("byte offset 14"), "{msg}");
     }
 
     #[test]

@@ -1165,8 +1165,8 @@ impl PartialEq for Relation {
         }
         // Compare the non-empty forward rows in ascending source order —
         // O(touched), so equality checks on sparse relations over huge
-        // graphs never scan `0..n`. (Empty rows are filtered because the
-        // PR-1 baseline layout stores explicit empty dense rows.)
+        // graphs never scan `0..n`. (Empty rows are filtered because a
+        // dense row may be stored explicitly and still be empty.)
         let mut a = self.fwd.touched_rows().filter(|(_, r)| !r.is_empty());
         let mut b = other.fwd.touched_rows().filter(|(_, r)| !r.is_empty());
         loop {
@@ -2085,59 +2085,6 @@ pub fn rpq_relation_closure_blocked<G: GraphView>(
     rel
 }
 
-/// Faithful reproduction of the **pre-planner (PR 1) materialisation**:
-/// one BFS per source writing unconditionally dense `|V|`-bit rows
-/// (allocated and zeroed up front, both directions), then an `O(|V|²/64)`
-/// transpose. Kept solely as the measurement baseline for `BENCH_eval`'s
-/// catalog-vs-per-variant comparison — production callers use
-/// [`rpq_relation_closure`] / [`rpq_relation`] / [`rpq_relation_parallel`].
-pub fn rpq_relation_pr1_dense<G: GraphView>(
-    g: &G,
-    nfa: &Nfa,
-    scratch: &mut ReachScratch,
-) -> Relation {
-    let n = g.num_nodes();
-    let mut fwd = vec![BitSet::new(n); n];
-    let mut rev = vec![BitSet::new(n); n];
-    let mut len = 0;
-    let mut sources = BitSet::new(n);
-    let mut targets = BitSet::new(n);
-    for src in (0..n).map(|v| NodeId(v as u32)) {
-        let row = &mut fwd[src.index()];
-        rpq_reach_with(g, nfa, src, scratch, row);
-        len += row.len();
-    }
-    for (u, row) in fwd.iter().enumerate() {
-        for v in row.iter() {
-            rev[v].insert(u);
-            targets.insert(v);
-        }
-        if !row.is_empty() {
-            sources.insert(u);
-        }
-    }
-    let into_store = |rows: Vec<BitSet>| {
-        let mut store = RowStore::empty(n);
-        for (i, bits) in rows.into_iter().enumerate() {
-            store.push_dense(i, bits);
-        }
-        store.seal();
-        store
-    };
-    let as_node_set =
-        |bits: BitSet| NodeSet::from_sorted_ids(bits.iter().map(|v| v as u32).collect(), n);
-    Relation {
-        fwd: into_store(fwd),
-        rev: into_store(rev),
-        len,
-        sources: as_node_set(sources),
-        targets: as_node_set(targets),
-        target_touch: TouchSet::new(),
-        touched_targets: Vec::new(),
-        assembly_ops: 0,
-    }
-}
-
 /// Whether some (arbitrary) path from `src` to `dst` has its label in
 /// `L(nfa)` — standard-semantics RPQ matching.
 pub fn rpq_exists<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId, dst: NodeId) -> bool {
@@ -2926,11 +2873,6 @@ mod tests {
             let closure = rpq_relation_closure(&g, &nfa);
             let per_source = rpq_relation(&g, &nfa, &mut ReachScratch::new());
             assert_eq!(closure, per_source, "seed {seed} expr {expr}");
-            // Equality is semantic, so the all-dense PR-1 layout and the
-            // adaptive layouts compare directly.
-            let pr1 = rpq_relation_pr1_dense(&g, &nfa, &mut ReachScratch::new());
-            assert_eq!(pr1, per_source, "seed {seed} expr {expr}");
-            assert_eq!(pr1.source_set(), per_source.source_set());
             let auto = rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 1);
             assert_eq!(auto, per_source, "seed {seed} expr {expr}");
         }

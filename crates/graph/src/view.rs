@@ -168,7 +168,7 @@ impl GraphView for GraphDb {
 }
 
 /// Delegating impl so `Arc`-shared graphs (the streaming producer, tests
-/// exercising `eval_stream`) are views themselves — deref coercion does not
+/// exercising `Eval::stream`) are views themselves — deref coercion does not
 /// apply through generic bounds, so the wrapper needs its own impl.
 impl<G: GraphView + Send> GraphView for std::sync::Arc<G> {
     type Neighbors<'a>

@@ -55,7 +55,7 @@
 //! forbidden family.
 
 use crpq_automata::Regex;
-use crpq_core::{eval_boolean, Semantics};
+use crpq_core::{Eval, Semantics};
 use crpq_graph::GraphDb;
 use crpq_query::{Cq, Crpq, CrpqAtom, Var};
 use crpq_util::{Interner, Symbol};
@@ -622,8 +622,12 @@ pub fn witness_expansion_with(
 /// forbidden-pattern queries `Q⟳`/`Q→`).
 pub fn satisfies_wellformedness(red: &PcpReduction, candidate: &Cq) -> bool {
     let g: GraphDb = candidate.to_graph_anon(red.num_symbols);
-    !eval_boolean(&red.q_cycle, &g, Semantics::AtomInjective)
-        && !eval_boolean(&red.q_path, &g, Semantics::AtomInjective)
+    !Eval::new(&red.q_cycle, &g)
+        .semantics(Semantics::AtomInjective)
+        .contains(&[])
+        && !Eval::new(&red.q_path, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[])
 }
 
 /// Former name of [`satisfies_wellformedness`] (kept for compatibility).

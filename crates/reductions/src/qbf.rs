@@ -28,7 +28,7 @@
 //!   always satisfied, and y-links to *both* polarity nodes.
 
 use crpq_automata::Regex;
-use crpq_core::{eval_boolean, Semantics};
+use crpq_core::{Eval, Semantics};
 use crpq_query::{Cq, Crpq, CrpqAtom, Var};
 use crpq_util::{Interner, Symbol};
 
@@ -280,7 +280,9 @@ pub fn check_reduction_clean_quotients(inst: &QbfInstance, red: &QbfReduction) -
         let xs: Vec<bool> = (0..n).map(|i| (xmask >> i) & 1 == 1).collect();
         let quotient = clean_quotient(red, &xs);
         let g = quotient.to_graph_anon(red.num_symbols);
-        let matched = eval_boolean(&red.q2, &g, Semantics::AtomInjective);
+        let matched = Eval::new(&red.q2, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[]);
         let exists_y = (0u32..(1u32 << inst.num_existential)).any(|ymask| {
             let ys: Vec<bool> = (0..inst.num_existential)
                 .map(|i| (ymask >> i) & 1 == 1)

@@ -88,7 +88,7 @@ pub fn subgraph_iso_brute_force(pattern: &Cq, g: &GraphDb) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crpq_core::{eval_boolean, Semantics};
+    use crpq_core::{Eval, Semantics};
     use crpq_graph::GraphBuilder;
     use crpq_util::Symbol;
 
@@ -128,10 +128,14 @@ mod tests {
         assert!(subgraph_iso_brute_force(&q, &g));
         // q-inj evaluation decides it directly:
         let crpq = Crpq::from_cq(&q);
-        assert!(eval_boolean(&crpq, &g, Semantics::QueryInjective));
+        assert!(Eval::new(&crpq, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]));
         // and the a-inj reduction agrees:
         let (q_plus, g_plus) = subgraph_to_evaluation(&q, &g);
-        assert!(eval_boolean(&q_plus, &g_plus, Semantics::AtomInjective));
+        assert!(Eval::new(&q_plus, &g_plus)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[]));
     }
 
     #[test]
@@ -148,9 +152,13 @@ mod tests {
         let q = cq_triangle(e);
         assert!(!subgraph_iso_brute_force(&q, &g));
         let crpq = Crpq::from_cq(&q);
-        assert!(!eval_boolean(&crpq, &g, Semantics::QueryInjective));
+        assert!(!Eval::new(&crpq, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]));
         let (q_plus, g_plus) = subgraph_to_evaluation(&q, &g);
-        assert!(!eval_boolean(&q_plus, &g_plus, Semantics::AtomInjective));
+        assert!(!Eval::new(&q_plus, &g_plus)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[]));
     }
 
     #[test]
@@ -179,10 +187,14 @@ mod tests {
         ]);
         assert!(!subgraph_iso_brute_force(&q, &g));
         let crpq = Crpq::from_cq(&q);
-        assert!(eval_boolean(&crpq, &g, Semantics::Standard), "hom exists");
-        assert!(!eval_boolean(&crpq, &g, Semantics::QueryInjective));
+        assert!(Eval::new(&crpq, &g).contains(&[]), "hom exists");
+        assert!(!Eval::new(&crpq, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]));
         let (q_plus, g_plus) = subgraph_to_evaluation(&q, &g);
-        assert!(!eval_boolean(&q_plus, &g_plus, Semantics::AtomInjective));
+        assert!(!Eval::new(&q_plus, &g_plus)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[]));
     }
 
     #[test]
@@ -207,10 +219,14 @@ mod tests {
             }
             let q = Cq::boolean(atoms);
             let brute = subgraph_iso_brute_force(&q, &g);
-            let direct = eval_boolean(&Crpq::from_cq(&q), &g, Semantics::QueryInjective);
+            let direct = Eval::new(&Crpq::from_cq(&q), &g)
+                .semantics(Semantics::QueryInjective)
+                .contains(&[]);
             assert_eq!(brute, direct, "q-inj evaluation vs brute force");
             let (q_plus, g_plus) = subgraph_to_evaluation(&q, &g);
-            let reduced = eval_boolean(&q_plus, &g_plus, Semantics::AtomInjective);
+            let reduced = Eval::new(&q_plus, &g_plus)
+                .semantics(Semantics::AtomInjective)
+                .contains(&[]);
             assert_eq!(brute, reduced, "a-inj reduction vs brute force");
         }
     }

@@ -107,14 +107,14 @@ pub fn triangle_free_graph(n: usize) -> GraphDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crpq_core::{eval_tuples_with, EvalStrategy, Semantics};
+    use crpq_core::{eval_tuples_enumerate, Eval, EvalStrategy, Semantics};
 
     #[test]
     fn triangle_workload_has_matches_and_agrees() {
         let mut g = cyclic_graph(30, 3);
         let q = triangle_query(g.alphabet_mut());
-        let join = eval_tuples_with(&q, &g, Semantics::Standard, EvalStrategy::Join);
-        let oracle = eval_tuples_with(&q, &g, Semantics::Standard, EvalStrategy::Enumerate);
+        let join = Eval::new(&q, &g).tuples();
+        let oracle = eval_tuples_enumerate(&q, &g, Semantics::Standard);
         assert_eq!(join, oracle);
     }
 
@@ -127,13 +127,20 @@ mod tests {
                 EvalStrategy::Join,
                 EvalStrategy::BinaryJoin,
                 EvalStrategy::Wcoj,
-                EvalStrategy::Enumerate,
             ] {
                 assert!(
-                    eval_tuples_with(&q, &g, sem, strategy).is_empty(),
+                    Eval::new(&q, &g)
+                        .semantics(sem)
+                        .strategy(strategy)
+                        .tuples()
+                        .is_empty(),
                     "{sem} {strategy:?}"
                 );
             }
+            assert!(
+                eval_tuples_enumerate(&q, &g, sem).is_empty(),
+                "{sem} oracle"
+            );
         }
     }
 

@@ -90,7 +90,7 @@ pub fn intro_b_path(alphabet: &Interner, n: usize) -> GraphDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crpq_core::{eval_contains, eval_tuples, Semantics};
+    use crpq_core::{Eval, Semantics};
 
     #[test]
     fn example21_claims_hold() {
@@ -98,18 +98,26 @@ mod tests {
         let q = example21_query(&mut it);
         let g = example21_g(&it);
         let (u, w) = (g.node_by_name("u").unwrap(), g.node_by_name("w").unwrap());
-        assert!(eval_contains(&q, &g, &[u, w], Semantics::AtomInjective));
-        assert!(!eval_contains(&q, &g, &[u, w], Semantics::QueryInjective));
+        assert!(Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, w]));
+        assert!(!Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[u, w]));
         assert_eq!(
-            eval_tuples(&q, &g, Semantics::Standard),
-            eval_tuples(&q, &g, Semantics::AtomInjective),
+            Eval::new(&q, &g).tuples(),
+            Eval::new(&q, &g)
+                .semantics(Semantics::AtomInjective)
+                .tuples(),
             "Q(G)_st = Q(G)_a-inj"
         );
 
         let gp = example21_gprime(&it);
         let (u, v) = (gp.node_by_name("u").unwrap(), gp.node_by_name("v").unwrap());
-        assert!(eval_contains(&q, &gp, &[u, v], Semantics::Standard));
-        assert!(!eval_contains(&q, &gp, &[u, v], Semantics::AtomInjective));
+        assert!(Eval::new(&q, &gp).contains(&[u, v]));
+        assert!(!Eval::new(&q, &gp)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, v]));
     }
 
     #[test]
@@ -117,9 +125,15 @@ mod tests {
         let mut it = Interner::new();
         let q = example21_query(&mut it);
         let g = example21_full_separation(&it);
-        let st = eval_tuples(&q, &g, Semantics::Standard).len();
-        let ai = eval_tuples(&q, &g, Semantics::AtomInjective).len();
-        let qi = eval_tuples(&q, &g, Semantics::QueryInjective).len();
+        let st = Eval::new(&q, &g).tuples().len();
+        let ai = Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .tuples()
+            .len();
+        let qi = Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .tuples()
+            .len();
         assert!(qi < ai && ai < st, "strict hierarchy: {qi} < {ai} < {st}");
     }
 
@@ -128,8 +142,12 @@ mod tests {
         let mut it = Interner::new();
         let q = intro_query(&mut it);
         let g = intro_b_path(&it, 2);
-        assert!(crpq_core::eval_boolean(&q, &g, Semantics::Standard));
-        assert!(crpq_core::eval_boolean(&q, &g, Semantics::AtomInjective));
-        assert!(!crpq_core::eval_boolean(&q, &g, Semantics::QueryInjective));
+        assert!(Eval::new(&q, &g).contains(&[]));
+        assert!(Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[]));
+        assert!(!Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]));
     }
 }

@@ -107,7 +107,7 @@ pub fn random_graph_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crpq_core::{eval_tuples, Semantics};
+    use crpq_core::{Eval, Semantics};
 
     #[test]
     fn random_query_class_respected() {
@@ -158,9 +158,13 @@ mod tests {
                 seed,
             );
             let g = random_graph_for(&mut it, 3, 6, 14, seed);
-            let st = eval_tuples(&q, &g, Semantics::Standard);
-            let ai = eval_tuples(&q, &g, Semantics::AtomInjective);
-            let qi = eval_tuples(&q, &g, Semantics::QueryInjective);
+            let st = Eval::new(&q, &g).tuples();
+            let ai = Eval::new(&q, &g)
+                .semantics(Semantics::AtomInjective)
+                .tuples();
+            let qi = Eval::new(&q, &g)
+                .semantics(Semantics::QueryInjective)
+                .tuples();
             for t in &qi {
                 assert!(ai.contains(t), "q-inj ⊆ a-inj failed on seed {seed}");
             }

@@ -134,8 +134,8 @@ pub fn million_query(alphabet: &mut Interner) -> Crpq {
 pub const STEAL_ZIPF_EXPONENT: f64 = 1.4;
 
 /// The **work-stealing bench graph**: the label-rich family skewed to
-/// [`STEAL_ZIPF_EXPONENT`]. Benchmarked under [`steal_query`] with the
-/// work-stealing vs. static parallel schedulers in `BENCH_scale.json`'s
+/// [`STEAL_ZIPF_EXPONENT`]. Benchmarked under [`steal_query`], work
+/// stealing vs. the same request on one thread, in `BENCH_scale.json`'s
 /// `steal_rows`.
 pub fn steal_skew_graph(n: usize, seed: u64) -> GraphDb {
     generators::zipf_label_graph(n, 4 * n, LABEL_RICH_LABELS, STEAL_ZIPF_EXPONENT, seed)
@@ -166,7 +166,7 @@ pub fn diamond_ladder(n: usize) -> GraphDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crpq_core::{eval_boolean, eval_contains, Semantics};
+    use crpq_core::{eval_tuples_enumerate, Eval, Semantics};
 
     #[test]
     fn data_family_evaluates() {
@@ -175,7 +175,7 @@ mod tests {
         let g = data_complexity_graph(8, 5);
         let u = crpq_graph::NodeId(0);
         for sem in Semantics::ALL {
-            let _ = eval_contains(&q, &g, &[u, u], sem); // diagonal always true via ε
+            let _ = Eval::new(&q, &g).semantics(sem).contains(&[u, u]); // diagonal always true via ε
         }
     }
 
@@ -185,7 +185,7 @@ mod tests {
         let q = combined_complexity_query(4, &mut it);
         let g = combined_complexity_graph(1);
         for sem in Semantics::ALL {
-            let _ = eval_boolean(&q, &g, sem);
+            let _ = Eval::new(&q, &g).semantics(sem).contains(&[]);
         }
     }
 
@@ -197,9 +197,8 @@ mod tests {
         let mut g = crpq_graph::generators::zipf_label_graph(40, 160, 25, 1.0, 7);
         let q = label_rich_query(g.alphabet_mut());
         for sem in Semantics::ALL {
-            let join = crpq_core::eval_tuples_with(&q, &g, sem, crpq_core::EvalStrategy::Join);
-            let oracle =
-                crpq_core::eval_tuples_with(&q, &g, sem, crpq_core::EvalStrategy::Enumerate);
+            let join = Eval::new(&q, &g).semantics(sem).tuples();
+            let oracle = eval_tuples_enumerate(&q, &g, sem);
             assert_eq!(join, oracle, "label-rich join vs oracle under {sem}");
         }
     }
@@ -215,9 +214,8 @@ mod tests {
         assert_eq!(g.name_bytes(), 0);
         let q = million_query(g.alphabet_mut());
         for sem in Semantics::ALL {
-            let join = crpq_core::eval_tuples_with(&q, &g, sem, crpq_core::EvalStrategy::Join);
-            let oracle =
-                crpq_core::eval_tuples_with(&q, &g, sem, crpq_core::EvalStrategy::Enumerate);
+            let join = Eval::new(&q, &g).semantics(sem).tuples();
+            let oracle = eval_tuples_enumerate(&q, &g, sem);
             assert_eq!(join, oracle, "million-family join vs oracle under {sem}");
         }
     }
@@ -225,16 +223,14 @@ mod tests {
     #[test]
     fn steal_family_schedulers_agree() {
         // Scaled-down instance of the work-stealing bench family: the
-        // work-stealing and static parallel schedulers must agree with the
-        // sequential engine under all three semantics.
+        // work-stealing search must agree with the sequential engine under
+        // all three semantics.
         let mut g = crpq_graph::generators::zipf_label_graph(40, 160, 25, STEAL_ZIPF_EXPONENT, 13);
         let q = steal_query(g.alphabet_mut());
         for sem in Semantics::ALL {
-            let seq = crpq_core::eval_tuples(&q, &g, sem);
-            let ws = crpq_core::eval_tuples_parallel(&q, &g, sem, 4);
-            let st = crpq_core::eval_tuples_parallel_static(&q, &g, sem, 4);
+            let seq = Eval::new(&q, &g).semantics(sem).tuples();
+            let ws = Eval::new(&q, &g).semantics(sem).threads(4).tuples();
             assert_eq!(seq, ws, "work-stealing vs sequential under {sem}");
-            assert_eq!(seq, st, "static vs sequential under {sem}");
         }
     }
 

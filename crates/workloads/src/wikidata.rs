@@ -120,7 +120,7 @@ pub fn knowledge_graph(entities: usize, seed: u64) -> GraphDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crpq_core::{check_hierarchy, eval_tuples, Semantics};
+    use crpq_core::{check_hierarchy, Eval, Semantics};
 
     #[test]
     fn shapes_parse_and_classify() {
@@ -162,7 +162,7 @@ mod tests {
         )
         .unwrap();
         // Every entity transitively reaches the root class (class0).
-        let tuples = eval_tuples(&q, &g, Semantics::Standard);
+        let tuples = Eval::new(&q, &g).tuples();
         let root = g.node_by_name("class0").unwrap();
         let to_root = tuples.iter().filter(|t| t[1] == root).count();
         assert!(to_root > 0, "taxonomy closure reaches the root");
@@ -180,9 +180,13 @@ mod tests {
             g.alphabet_mut(),
         )
         .unwrap();
-        let st = eval_tuples(&q, &g, Semantics::Standard);
-        let ai = eval_tuples(&q, &g, Semantics::AtomInjective);
-        let qi = eval_tuples(&q, &g, Semantics::QueryInjective);
+        let st = Eval::new(&q, &g).tuples();
+        let ai = Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .tuples();
+        let qi = Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .tuples();
         assert_eq!(st, ai);
         assert_eq!(st, qi);
     }

@@ -49,6 +49,12 @@ const FACADE_EXEMPT: &[&str] = &["crates/check/", "crates/util/src/sync.rs", "cr
 /// model checker must interpose on are gated.
 const FACADE_NAMES: &[&str] = &["Mutex", "Condvar", "mpsc", "AtomicBool", "AtomicUsize"];
 
+/// Top-level directories the lint does not scan: `perfbench/` is a package
+/// of its own (its own `[workspace]`) that drives the engine from outside
+/// — it reads `/proc`, writes its result files and sizes its own threads —
+/// so the engine's façade and panic rules do not govern it.
+const OUTSIDE_WORKSPACE: &[&str] = &["perfbench"];
+
 struct Violation {
     file: String,
     line: usize,
@@ -96,7 +102,7 @@ fn lint() -> ExitCode {
 }
 
 /// Recursively collect `.rs` files as `/`-separated root-relative paths,
-/// skipping VCS and build output.
+/// skipping VCS and build output and the [`OUTSIDE_WORKSPACE`] packages.
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -106,7 +112,8 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            let outside = dir == root && OUTSIDE_WORKSPACE.contains(&name.as_ref());
+            if name == "target" || name.starts_with('.') || outside {
                 continue;
             }
             collect_rs_files(root, &path, out);

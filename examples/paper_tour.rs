@@ -25,11 +25,15 @@ fn main() {
     let g = paper::intro_b_path(&sigma, 2);
     check(
         "holds on a b-path under a-inj",
-        eval_boolean(&q, &g, Semantics::AtomInjective),
+        Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[]),
     );
     check(
         "fails on a b-path under q-inj",
-        !eval_boolean(&q, &g, Semantics::QueryInjective),
+        !Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]),
     );
 
     // ---------------------------------------------------- §2.1, Example 2.1
@@ -40,25 +44,31 @@ fn main() {
     let (u, w) = (g.node_by_name("u").unwrap(), g.node_by_name("w").unwrap());
     check(
         "(u,w) ∈ Q(G)_a-inj",
-        eval_contains(&q, &g, &[u, w], Semantics::AtomInjective),
+        Eval::new(&q, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, w]),
     );
     check(
         "(u,w) ∉ Q(G)_q-inj",
-        !eval_contains(&q, &g, &[u, w], Semantics::QueryInjective),
+        !Eval::new(&q, &g)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[u, w]),
     );
     check(
         "Q(G)_st = Q(G)_a-inj",
-        eval_tuples(&q, &g, Semantics::Standard) == eval_tuples(&q, &g, Semantics::AtomInjective),
+        Eval::new(&q, &g).tuples()
+            == Eval::new(&q, &g)
+                .semantics(Semantics::AtomInjective)
+                .tuples(),
     );
     let gp = paper::example21_gprime(&sigma);
     let (u, v) = (gp.node_by_name("u").unwrap(), gp.node_by_name("v").unwrap());
-    check(
-        "(u,v) ∈ Q(G′)_st",
-        eval_contains(&q, &gp, &[u, v], Semantics::Standard),
-    );
+    check("(u,v) ∈ Q(G′)_st", Eval::new(&q, &gp).contains(&[u, v]));
     check(
         "(u,v) ∉ Q(G′)_a-inj",
-        !eval_contains(&q, &gp, &[u, v], Semantics::AtomInjective),
+        !Eval::new(&q, &gp)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[u, v]),
     );
 
     // ------------------------------------------------------- Remark 2.1

@@ -33,7 +33,7 @@ fn main() {
     // 3. Evaluate under the three semantics of the paper (§2.1).
     // ------------------------------------------------------------------
     for sem in Semantics::ALL {
-        let tuples = eval_tuples(&q, &g, sem);
+        let tuples = Eval::new(&q, &g).semantics(sem).tuples();
         let rendered: Vec<String> = tuples
             .iter()
             .map(|t| format!("({}, {})", g.node_name(t[0]), g.node_name(t[1])))

@@ -29,9 +29,13 @@ fn main() {
     )
     .unwrap();
 
-    let st = eval_tuples(&q, &g, Semantics::Standard);
-    let ai = eval_tuples(&q, &g, Semantics::AtomInjective);
-    let qi = eval_tuples(&q, &g, Semantics::QueryInjective);
+    let st = Eval::new(&q, &g).tuples();
+    let ai = Eval::new(&q, &g)
+        .semantics(Semantics::AtomInjective)
+        .tuples();
+    let qi = Eval::new(&q, &g)
+        .semantics(Semantics::QueryInjective)
+        .tuples();
     println!("\npeople with two 2-hop introductions:");
     println!(
         "  standard        : {:>3} (chains may share everyone)",
@@ -71,7 +75,7 @@ fn main() {
     )
     .unwrap();
     for sem in Semantics::ALL {
-        let n = eval_tuples(&courier, &g, sem).len();
+        let n = Eval::new(&courier, &g).semantics(sem).tuples().len();
         println!("courier pairs under {:>6}: {}", sem.to_string(), n);
     }
 }

@@ -29,9 +29,16 @@ fn main() {
     );
     let mut totals = [0usize; 3];
     for (shape, q) in &log {
-        let st = eval_tuples(q, &g, Semantics::Standard).len();
-        let ai = eval_tuples_analyzed(q, &g, Semantics::AtomInjective).len();
-        let qi = eval_tuples(q, &g, Semantics::QueryInjective).len();
+        let st = Eval::new(q, &g).tuples().len();
+        let ai = Eval::new(q, &g)
+            .semantics(Semantics::AtomInjective)
+            .analyzed()
+            .tuples()
+            .len();
+        let qi = Eval::new(q, &g)
+            .semantics(Semantics::QueryInjective)
+            .tuples()
+            .len();
         assert!(qi <= ai && ai <= st, "Remark 2.1 hierarchy");
         totals[0] += st;
         totals[1] += ai;

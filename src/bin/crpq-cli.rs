@@ -19,10 +19,7 @@
 //! malformed graph files, unparsable queries) exits with an `error:` line
 //! and a nonzero status — never a panic backtrace.
 
-use crpq::core::{
-    eval_ask, eval_ask_parallel, eval_contains_trail, eval_limit, eval_limit_parallel,
-    eval_tuples_trail, TrailSemantics,
-};
+use crpq::core::{eval_contains_trail, eval_tuples_trail, Eval, TrailSemantics};
 use crpq::graph::format::parse_graph_auto;
 use crpq::graph::{DurableGraph, SyncPolicy};
 use crpq::prelude::*;
@@ -125,10 +122,11 @@ fn cmd_eval(args: &[String]) -> Result<(String, u8), String> {
 
     // `--threads N` routes enumeration through the work-stealing parallel
     // engine; N = 0 keeps the documented fallback (one thread per
-    // available CPU, capped at 16).
-    let threads: Option<usize> = flag(args, "threads")
+    // available CPU, capped at 16). Without it the search runs on one.
+    let threads: usize = flag(args, "threads")
         .map(|t| t.parse().map_err(|e| format!("bad --threads: {e}")))
-        .transpose()?;
+        .transpose()?
+        .unwrap_or(1);
     let ask = args.iter().any(|a| a == "--ask");
     let limit: Option<usize> = flag(args, "limit")
         .map(|k| k.parse().map_err(|e| format!("bad --limit: {e}")))
@@ -141,12 +139,11 @@ fn cmd_eval(args: &[String]) -> Result<(String, u8), String> {
     }
 
     if ask {
-        let exists = match (sem, threads) {
-            (AnySemantics::Core(s), Some(t)) => eval_ask_parallel(&q, &g, s, t),
-            (AnySemantics::Core(s), None) => eval_ask(&q, &g, s),
+        let exists = match sem {
+            AnySemantics::Core(s) => Eval::new(&q, &g).semantics(s).threads(threads).ask(),
             // Trail semantics have no early-exit engine; existence via the
             // materialised set keeps --ask total over every semantics.
-            (AnySemantics::Trail(s), _) => !eval_tuples_trail(&q, &g, s).is_empty(),
+            AnySemantics::Trail(s) => !eval_tuples_trail(&q, &g, s).is_empty(),
         };
         // grep-style exit status: 0 iff at least one answer exists.
         return Ok((exists.to_string(), u8::from(!exists)));
@@ -202,18 +199,18 @@ fn cmd_eval(args: &[String]) -> Result<(String, u8), String> {
             return Ok((out, 0));
         }
         let member = match sem {
-            AnySemantics::Core(s) => eval_contains(&q, &g, &tuple, s),
+            AnySemantics::Core(s) => Eval::new(&q, &g).semantics(s).contains(&tuple),
             AnySemantics::Trail(s) => eval_contains_trail(&q, &g, &tuple, s),
         };
         return Ok((format!("({tuple_text}) ∈ Q(G): {member}"), 0));
     }
 
-    let tuples = match (sem, threads, limit) {
-        (AnySemantics::Core(s), Some(t), Some(k)) => eval_limit_parallel(&q, &g, s, k, t),
-        (AnySemantics::Core(s), None, Some(k)) => eval_limit(&q, &g, s, k),
-        (AnySemantics::Core(s), Some(t), None) => eval_tuples_parallel(&q, &g, s, t),
-        (AnySemantics::Core(s), None, None) => eval_tuples(&q, &g, s),
-        (AnySemantics::Trail(s), _, k) => {
+    let tuples = match (sem, limit) {
+        (AnySemantics::Core(s), Some(k)) => {
+            Eval::new(&q, &g).semantics(s).threads(threads).limit(k)
+        }
+        (AnySemantics::Core(s), None) => Eval::new(&q, &g).semantics(s).threads(threads).tuples(),
+        (AnySemantics::Trail(s), k) => {
             // Trail enumeration has no early-exit engine; truncating the
             // materialised set keeps --limit total over every semantics.
             let mut tuples = eval_tuples_trail(&q, &g, s);

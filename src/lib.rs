@@ -33,13 +33,18 @@
 //! )
 //! .unwrap();
 //!
+//! // Every evaluation is one `Eval` request: set the semantics (and
+//! // optionally threads or a shared `RelationCatalog`), then ask it for
+//! // `tuples()`, `ask()`, `limit(k)`, `contains(&t)` or `stream()`.
 //! // Overlapping witness paths are fine under standard and atom-injective
 //! // semantics…
-//! assert!(eval_boolean(&q, &g, Semantics::Standard));
-//! assert!(eval_boolean(&q, &g, Semantics::AtomInjective));
+//! assert!(Eval::new(&q, &g).ask());
+//! assert!(Eval::new(&q, &g).semantics(Semantics::AtomInjective).ask());
 //! // …but query-injective semantics demands internally disjoint paths and
 //! // an injective variable assignment, which the single b-path cannot offer.
-//! assert!(!eval_boolean(&q, &g, Semantics::QueryInjective));
+//! assert!(!Eval::new(&q, &g).semantics(Semantics::QueryInjective).ask());
+//! // A Boolean query's only possible answer is the empty tuple.
+//! assert_eq!(Eval::new(&q, &g).tuples(), vec![Vec::<NodeId>::new()]);
 //!
 //! // Containment (Example 4.7): Q1 ⊆q-inj Q2 but Q1 ⊄a-inj Q2.
 //! let mut sigma = Interner::new();
@@ -66,10 +71,8 @@ pub mod prelude {
         BoundednessConfig, ContainmentConfig, Outcome,
     };
     pub use crpq_core::{
-        check_hierarchy, eval, eval_boolean, eval_boolean_trail, eval_contains,
-        eval_contains_analyzed, eval_contains_trail, eval_tuples, eval_tuples_analyzed,
-        eval_tuples_parallel, eval_tuples_trail, eval_witness, verify_witness, Semantics,
-        TrailSemantics, Witness,
+        check_hierarchy, eval_boolean_trail, eval_contains_trail, eval_tuples_trail, eval_witness,
+        verify_witness, Eval, EvalStrategy, RelationCatalog, Semantics, TrailSemantics, Witness,
     };
     pub use crpq_graph::{generators, rpq, DeltaGraph, GraphBuilder, GraphDb, GraphView, NodeId};
     pub use crpq_query::{parse_crpq, Cq, CqAtom, Crpq, CrpqAtom, QueryClass, UnionCrpq, Var};

@@ -8,9 +8,7 @@
 //! atoms materialises each distinct atom exactly once, observable through
 //! the catalog's hit/miss counters.
 
-use crpq::core::{
-    eval_tuples_parallel, eval_tuples_with, eval_tuples_with_catalog, EvalStrategy, RelationCatalog,
-};
+use crpq::core::{eval_tuples_enumerate, Eval, RelationCatalog};
 use crpq::prelude::*;
 use proptest::prelude::*;
 
@@ -44,15 +42,15 @@ proptest! {
         let (q, g) = random_instance(seed, QueryClass::Crpq, 2);
         let mut catalog = RelationCatalog::new(&g);
         for sem in Semantics::ALL {
-            let shared = eval_tuples_with_catalog(&q, &g, sem, &mut catalog);
+            let shared = Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).tuples();
             prop_assert_eq!(
                 &shared,
-                &eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate),
+                &eval_tuples_enumerate(&q, &g, sem),
                 "catalog vs oracle, seed {} sem {}", seed, sem
             );
             prop_assert_eq!(
                 &shared,
-                &eval_tuples_parallel(&q, &g, sem, 3),
+                &Eval::new(&q, &g).semantics(sem).threads(3).tuples(),
                 "catalog vs parallel, seed {} sem {}", seed, sem
             );
         }
@@ -74,9 +72,9 @@ proptest! {
     fn repeated_evaluation_is_all_hits(seed in 0u64..100_000) {
         let (q, g) = random_instance(seed, QueryClass::CrpqFin, 1);
         let mut catalog = RelationCatalog::new(&g);
-        let first = eval_tuples_with_catalog(&q, &g, Semantics::Standard, &mut catalog);
+        let first = Eval::new(&q, &g).catalog(&mut catalog).tuples();
         let misses_after_first = catalog.misses();
-        let second = eval_tuples_with_catalog(&q, &g, Semantics::Standard, &mut catalog);
+        let second = Eval::new(&q, &g).catalog(&mut catalog).tuples();
         prop_assert_eq!(first, second, "seed {}", seed);
         prop_assert_eq!(
             catalog.misses(), misses_after_first,
@@ -84,17 +82,22 @@ proptest! {
         );
     }
 
-    /// The per-variant (pre-catalog) baseline engine agrees with the
-    /// catalog-backed engine — they differ only in sharing, never results.
+    /// The work-stealing search plans against a caller's catalog too: a
+    /// catalog warmed by sequential runs serves parallel runs (all hits)
+    /// with the same answers as a fresh catalog.
     #[test]
-    fn unshared_baseline_matches_catalog(seed in 0u64..100_000) {
+    fn parallel_search_reuses_caller_catalog(seed in 0u64..100_000) {
         let (q, g) = random_instance(seed, QueryClass::Crpq, 1);
+        let mut catalog = RelationCatalog::new(&g);
         for sem in Semantics::ALL {
+            let fresh = Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).tuples();
+            let misses = catalog.misses();
             prop_assert_eq!(
-                crpq::core::eval_tuples_join_unshared(&q, &g, sem),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Join),
+                Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).threads(2).tuples(),
+                fresh,
                 "seed {} sem {}", seed, sem
             );
+            prop_assert_eq!(catalog.misses(), misses, "warm parallel run must not materialise");
         }
     }
 }
@@ -115,7 +118,7 @@ fn shared_atoms_materialise_once() {
     assert_eq!(q.epsilon_free_union().len(), 2);
 
     let mut catalog = RelationCatalog::new(&g);
-    let result = eval_tuples_with_catalog(&q, &g, Semantics::Standard, &mut catalog);
+    let result = Eval::new(&q, &g).catalog(&mut catalog).tuples();
     assert_eq!(result, vec![vec![g.node_by_name("w").unwrap()]]);
     assert_eq!(
         catalog.misses(),
@@ -138,7 +141,7 @@ fn canonical_keys_unify_across_variants() {
     let q = parse_crpq("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut sigma).unwrap();
     let g = crpq::workloads::scaling::data_complexity_graph(30, 11);
     let mut catalog = RelationCatalog::new(&g);
-    let _ = eval_tuples_with_catalog(&q, &g, Semantics::Standard, &mut catalog);
+    let _ = Eval::new(&q, &g).catalog(&mut catalog).tuples();
     assert_eq!(q.epsilon_free_union().len(), 4);
     assert_eq!(catalog.misses(), 2, "only (ab)⁺ and c⁺ are distinct");
     assert_eq!(

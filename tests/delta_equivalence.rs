@@ -9,8 +9,8 @@
 //! invalidation contract: mutating label `ℓ` evicts exactly the cached
 //! relations whose NFA alphabet mentions `ℓ`.
 
-use crpq::core::{eval_stream, eval_tuples, eval_tuples_parallel, eval_tuples_with, Semantics};
-use crpq::core::{eval_tuples_with_catalog, EvalStrategy, RelationCatalog};
+use crpq::core::{Eval, Semantics};
+use crpq::core::{EvalStrategy, RelationCatalog};
 use crpq::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -58,14 +58,18 @@ fn assert_all_executors_agree(q: &Crpq, delta: &DeltaGraph, ctx: &str) {
     );
     let shared = Arc::new(delta.clone());
     for sem in Semantics::ALL {
-        let expect = eval_tuples(q, &frozen, sem);
+        let expect = Eval::new(q, &frozen).semantics(sem).tuples();
         for strategy in [EvalStrategy::BinaryJoin, EvalStrategy::Wcoj] {
-            let got = eval_tuples_with(q, delta, sem, strategy);
+            let got = Eval::new(q, delta)
+                .semantics(sem)
+                .strategy(strategy)
+                .tuples();
             assert_eq!(got, expect, "{strategy:?} under {sem} [{ctx}]");
         }
-        let parallel = eval_tuples_parallel(q, delta, sem, 4);
+        let parallel = Eval::new(q, delta).semantics(sem).threads(4).tuples();
         assert_eq!(parallel, expect, "parallel under {sem} [{ctx}]");
-        let mut streamed: Vec<Vec<NodeId>> = eval_stream(q, &shared, sem).collect();
+        let mut streamed: Vec<Vec<NodeId>> =
+            Eval::new(q, &shared).semantics(sem).stream().collect();
         streamed.sort();
         assert_eq!(streamed, expect, "stream under {sem} [{ctx}]");
     }
@@ -186,8 +190,8 @@ fn footprint_invalidation_evicts_only_matching_entries() {
     let a = g.label("a");
 
     let mut catalog = RelationCatalog::new(&g);
-    eval_tuples_with_catalog(&q_ab, &g, Semantics::Standard, &mut catalog);
-    eval_tuples_with_catalog(&q_c, &g, Semantics::Standard, &mut catalog);
+    Eval::new(&q_ab, &g).catalog(&mut catalog).tuples();
+    Eval::new(&q_c, &g).catalog(&mut catalog).tuples();
     let populated = catalog.cached_entries();
     assert!(
         populated >= 2,
@@ -212,17 +216,17 @@ fn footprint_invalidation_evicts_only_matching_entries() {
 
     // The surviving entry is a warm hit: answering `q_c` adds no entries.
     let before = catalog.cached_entries();
-    let got_c = eval_tuples_with_catalog(&q_c, &g, Semantics::Standard, &mut catalog);
+    let got_c = Eval::new(&q_c, &g).catalog(&mut catalog).tuples();
     assert_eq!(
         catalog.cached_entries(),
         before,
         "disjoint-footprint entry must be a hit"
     );
     // The evicted entry re-materialises against the mutated view.
-    let got_ab = eval_tuples_with_catalog(&q_ab, &g, Semantics::Standard, &mut catalog);
+    let got_ab = Eval::new(&q_ab, &g).catalog(&mut catalog).tuples();
     assert_eq!(catalog.cached_entries(), populated);
 
     let frozen = rebuild(&g);
-    assert_eq!(got_c, eval_tuples(&q_c, &frozen, Semantics::Standard));
-    assert_eq!(got_ab, eval_tuples(&q_ab, &frozen, Semantics::Standard));
+    assert_eq!(got_c, Eval::new(&q_c, &frozen).tuples());
+    assert_eq!(got_ab, Eval::new(&q_ab, &frozen).tuples());
 }

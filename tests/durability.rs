@@ -16,7 +16,7 @@
 //! fail the matrix), and checks catalog rehydration after recovery.
 //! The invariants live in `DURABILITY.md` (D1–D6).
 
-use crpq::core::{eval_tuples, eval_tuples_with_catalog, RelationCatalog, Semantics};
+use crpq::core::{Eval, RelationCatalog, Semantics};
 use crpq::graph::wal::{
     frame_boundaries, DurabilityMutants, DurableGraph, EdgeMutation, SyncPolicy,
 };
@@ -176,8 +176,8 @@ fn recover_and_check(
     if differential {
         let frozen = rebuild(d.graph());
         for sem in Semantics::ALL {
-            let got = eval_tuples(q, d.graph(), sem);
-            let want = eval_tuples(q, &frozen, sem);
+            let got = Eval::new(q, d.graph()).semantics(sem).tuples();
+            let want = Eval::new(q, &frozen).semantics(sem).tuples();
             if got != want {
                 return Err(format!(
                     "recovered overlay diverges from the prefix rebuild under {sem}"
@@ -701,8 +701,8 @@ fn recovered_catalog_rebuilds_footprint_correct_state() {
     // Warm the catalog against the pre-crash state (as a long-lived server
     // would), then churn label `a` through the durable layer and crash.
     let mut catalog = RelationCatalog::new(d.graph());
-    eval_tuples_with_catalog(&q_ab, d.graph(), Semantics::Standard, &mut catalog);
-    eval_tuples_with_catalog(&q_c, d.graph(), Semantics::Standard, &mut catalog);
+    Eval::new(&q_ab, d.graph()).catalog(&mut catalog).tuples();
+    Eval::new(&q_c, d.graph()).catalog(&mut catalog).tuples();
     let populated = catalog.cached_entries();
     assert!(populated >= 2);
 
@@ -723,18 +723,18 @@ fn recovered_catalog_rebuilds_footprint_correct_state() {
     assert_eq!(catalog.cached_entries(), populated - 1);
     // …the disjoint-footprint entry keeps serving…
     let before = catalog.cached_entries();
-    let got_c = eval_tuples_with_catalog(&q_c, d2.graph(), Semantics::Standard, &mut catalog);
+    let got_c = Eval::new(&q_c, d2.graph()).catalog(&mut catalog).tuples();
     assert_eq!(catalog.cached_entries(), before, "c-entry must stay warm");
     // …and every answer matches a cold catalog over the recovered graph.
     let mut cold = RelationCatalog::new(d2.graph());
-    let got_ab = eval_tuples_with_catalog(&q_ab, d2.graph(), Semantics::Standard, &mut catalog);
+    let got_ab = Eval::new(&q_ab, d2.graph()).catalog(&mut catalog).tuples();
     assert_eq!(
         got_c,
-        eval_tuples_with_catalog(&q_c, d2.graph(), Semantics::Standard, &mut cold)
+        Eval::new(&q_c, d2.graph()).catalog(&mut cold).tuples()
     );
     assert_eq!(
         got_ab,
-        eval_tuples_with_catalog(&q_ab, d2.graph(), Semantics::Standard, &mut cold)
+        Eval::new(&q_ab, d2.graph()).catalog(&mut cold).tuples()
     );
 
     // A recovered WAL that grew the node universe forces a full rebind.
@@ -747,7 +747,7 @@ fn recovered_catalog_rebuilds_footprint_correct_state() {
     )
     .unwrap();
     let mut catalog = RelationCatalog::new(d3.graph());
-    eval_tuples_with_catalog(&q_c, d3.graph(), Semantics::Standard, &mut catalog);
+    Eval::new(&q_c, d3.graph()).catalog(&mut catalog).tuples();
     assert!(catalog.cached_entries() >= 1);
     d3.add_node().unwrap();
     let storage = d3.into_storage();
@@ -759,11 +759,11 @@ fn recovered_catalog_rebuilds_footprint_correct_state() {
         0,
         "node-universe change must rebind (evict everything)"
     );
-    let fresh = eval_tuples_with_catalog(&q_c, d4.graph(), Semantics::Standard, &mut catalog);
+    let fresh = Eval::new(&q_c, d4.graph()).catalog(&mut catalog).tuples();
     let mut cold = RelationCatalog::new(d4.graph());
     assert_eq!(
         fresh,
-        eval_tuples_with_catalog(&q_c, d4.graph(), Semantics::Standard, &mut cold)
+        Eval::new(&q_c, d4.graph()).catalog(&mut cold).tuples()
     );
 }
 

@@ -22,14 +22,14 @@ fn epsilon_only_query_holds_on_any_nonempty_graph() {
     let q = parse_query("x -[a*]-> y, y -[a*]-> x", g.alphabet_mut()).unwrap();
     for sem in Semantics::ALL {
         assert!(
-            eval_boolean(&q, &g, sem),
+            Eval::new(&q, &g).semantics(sem).contains(&[]),
             "ε-collapse variant must fire under {sem}"
         );
     }
     // … but not on the empty graph.
     let empty = GraphBuilder::new().finish();
     for sem in Semantics::ALL {
-        assert!(!eval_boolean(&q, &empty, sem));
+        assert!(!Eval::new(&q, &empty).semantics(sem).contains(&[]));
     }
 }
 
@@ -40,17 +40,21 @@ fn disconnected_query_evaluates_per_component() {
     assert!(!q.is_connected());
     for sem in Semantics::ALL {
         assert!(
-            eval_boolean(&q, &g, sem),
+            Eval::new(&q, &g).semantics(sem).contains(&[]),
             "components satisfied separately under {sem}"
         );
     }
     // q-inj additionally needs the four images distinct — force a clash.
     let mut g2 = graph(&[("u", "a", "v"), ("u", "b", "v")]);
     let q2 = parse_query("x -[a]-> y, z -[b]-> w", g2.alphabet_mut()).unwrap();
-    assert!(eval_boolean(&q2, &g2, Semantics::Standard));
-    assert!(eval_boolean(&q2, &g2, Semantics::AtomInjective));
+    assert!(Eval::new(&q2, &g2).contains(&[]));
+    assert!(Eval::new(&q2, &g2)
+        .semantics(Semantics::AtomInjective)
+        .contains(&[]));
     assert!(
-        !eval_boolean(&q2, &g2, Semantics::QueryInjective),
+        !Eval::new(&q2, &g2)
+            .semantics(Semantics::QueryInjective)
+            .contains(&[]),
         "two nodes cannot host four distinct variable images"
     );
 }
@@ -61,9 +65,9 @@ fn repeated_free_variables_constrain_tuples() {
     let q = parse_query("(x, x) <- x -[a]-> x", g.alphabet_mut()).unwrap();
     let u = g.node_by_name("u").unwrap();
     let v = g.node_by_name("v").unwrap();
-    assert!(eval_contains(&q, &g, &[u, u], Semantics::Standard));
+    assert!(Eval::new(&q, &g).contains(&[u, u]));
     assert!(
-        !eval_contains(&q, &g, &[u, v], Semantics::Standard),
+        !Eval::new(&q, &g).contains(&[u, v]),
         "repeated frees must agree"
     );
 }
@@ -73,7 +77,10 @@ fn zero_atom_query_is_always_true() {
     let mut g = graph(&[("u", "a", "v")]);
     let q = parse_query("(x) <- true", g.alphabet_mut()).unwrap();
     for sem in Semantics::ALL {
-        assert_eq!(eval_tuples(&q, &g, sem).len(), g.num_nodes());
+        assert_eq!(
+            Eval::new(&q, &g).semantics(sem).tuples().len(),
+            g.num_nodes()
+        );
     }
 }
 
@@ -218,7 +225,7 @@ fn parallel_edges_with_distinct_labels() {
     let (u, w) = (g.node_by_name("u").unwrap(), g.node_by_name("w").unwrap());
     for sem in Semantics::ALL {
         assert!(
-            eval_contains(&q, &g, &[u, w], sem),
+            Eval::new(&q, &g).semantics(sem).contains(&[u, w]),
             "b·a path exists under {sem}"
         );
     }
@@ -235,23 +242,26 @@ fn simple_cycle_excludes_shorter_revisits() {
     ]);
     let q3 = parse_query("x -[a a a]-> x", g.alphabet_mut()).unwrap();
     let q2 = parse_query("x -[a a]-> x", g.alphabet_mut()).unwrap();
-    assert!(eval_boolean(&q3, &g, Semantics::AtomInjective));
+    assert!(Eval::new(&q3, &g)
+        .semantics(Semantics::AtomInjective)
+        .contains(&[]));
     assert!(
-        eval_boolean(&q2, &g, Semantics::AtomInjective),
+        Eval::new(&q2, &g)
+            .semantics(Semantics::AtomInjective)
+            .contains(&[]),
         "u→v→u chord 2-cycle"
     );
     // Length-4 simple cycles do not exist in this graph.
     let q4 = parse_query("x -[a a a a]-> x", g.alphabet_mut()).unwrap();
-    assert!(!eval_boolean(&q4, &g, Semantics::AtomInjective));
-    assert!(
-        eval_boolean(&q4, &g, Semantics::Standard),
-        "walk may repeat"
-    );
+    assert!(!Eval::new(&q4, &g)
+        .semantics(Semantics::AtomInjective)
+        .contains(&[]));
+    assert!(Eval::new(&q4, &g).contains(&[]), "walk may repeat");
 }
 
 #[test]
 fn witness_roundtrip_on_generated_workloads() {
-    use crpq::core::{eval_witness, verify_witness};
+    use crpq::core::{eval_witness, verify_witness, Eval};
     let mut sigma = Interner::new();
     let g = crpq::workloads::random::random_graph_for(&mut sigma, 3, 8, 20, 42);
     let q = crpq::workloads::random::random_query(
@@ -267,7 +277,7 @@ fn witness_roundtrip_on_generated_workloads() {
         42,
     );
     for sem in Semantics::ALL {
-        for t in eval_tuples(&q, &g, sem) {
+        for t in Eval::new(&q, &g).semantics(sem).tuples() {
             let w = eval_witness(&q, &g, &t, sem).expect("member tuple must have witness");
             verify_witness(&q, &g, &t, sem, &w).expect("witness must verify");
         }

@@ -14,9 +14,11 @@ fn parse_evaluate_contain_pipeline() {
     b.edge("a3", "edge", "a1");
     let mut g = b.finish();
     let q = parse_crpq("(x, y) <- x -[edge edge]-> y", g.alphabet_mut()).unwrap();
-    let st = eval_tuples(&q, &g, Semantics::Standard);
+    let st = Eval::new(&q, &g).tuples();
     assert_eq!(st.len(), 3, "each node reaches one other in two steps");
-    let qi = eval_tuples(&q, &g, Semantics::QueryInjective);
+    let qi = Eval::new(&q, &g)
+        .semantics(Semantics::QueryInjective)
+        .tuples();
     assert_eq!(st, qi, "triangle two-hops are injective");
 
     let mut sigma = Interner::new();
@@ -51,7 +53,7 @@ fn direct_and_expansion_evaluators_agree() {
         let g = random::random_graph_for(&mut sigma, 2, 5, 10, seed + 100);
         for sem in Semantics::ALL {
             for node in g.nodes() {
-                let direct = eval_contains(&q, &g, &[node], sem);
+                let direct = Eval::new(&q, &g).semantics(sem).contains(&[node]);
                 let via_exp = expansion_eval::eval_contains_complete(&q, &g, &[node], sem);
                 assert_eq!(
                     direct, via_exp,
@@ -138,11 +140,11 @@ fn counter_examples_are_verifiable() {
                 let g = ce.witness.to_graph_anon(sigma.len());
                 let tuple: Vec<NodeId> = ce.witness.free.iter().map(|v| NodeId(v.0)).collect();
                 assert!(
-                    eval_contains(&q1, &g, &tuple, sem),
+                    Eval::new(&q1, &g).semantics(sem).contains(&tuple),
                     "witness satisfies Q1 under {sem}"
                 );
                 assert!(
-                    !eval_contains(&q2, &g, &tuple, sem),
+                    !Eval::new(&q2, &g).semantics(sem).contains(&tuple),
                     "witness avoids Q2 under {sem}"
                 );
             }
@@ -157,11 +159,15 @@ fn epsilon_queries_flow_through_everything() {
     b.edge("u", "a", "v");
     let mut g = b.finish();
     let q = parse_crpq("(x, y) <- x -[a?]-> y", g.alphabet_mut()).unwrap();
-    let st = eval_tuples(&q, &g, Semantics::Standard);
+    let st = Eval::new(&q, &g).tuples();
     // (u,u), (v,v) via ε and (u,v) via a.
     assert_eq!(st.len(), 3);
     for sem in Semantics::ALL {
-        assert_eq!(eval_tuples(&q, &g, sem).len(), 3, "ε-handling under {sem}");
+        assert_eq!(
+            Eval::new(&q, &g).semantics(sem).tuples().len(),
+            3,
+            "ε-handling under {sem}"
+        );
     }
 
     let mut sigma = Interner::new();
@@ -187,7 +193,7 @@ fn graph_formats_roundtrip_through_evaluation() {
     assert_eq!(g2.num_edges(), g3.num_edges());
 
     let q = parse_crpq("(x, y) <- x -[a b]-> y", g2.alphabet_mut()).unwrap();
-    let r2 = eval_tuples(&q, &g2, Semantics::Standard);
+    let r2 = Eval::new(&q, &g2).tuples();
     // node ids may be permuted across formats; compare by names
     let names = |g: &GraphDb, ts: &[Vec<NodeId>]| {
         let mut v: Vec<(String, String)> = ts
@@ -199,7 +205,7 @@ fn graph_formats_roundtrip_through_evaluation() {
     };
     let mut g3 = g3;
     let q3 = parse_crpq("(x, y) <- x -[a b]-> y", g3.alphabet_mut()).unwrap();
-    let r3 = eval_tuples(&q3, &g3, Semantics::Standard);
+    let r3 = Eval::new(&q3, &g3).tuples();
     assert_eq!(names(&g2, &r2), names(&g3, &r3));
 }
 
@@ -213,7 +219,9 @@ fn two_way_navigation_c2rpq() {
     let g = b.finish();
     let (mut g2, _) = augment_with_inverses(&g);
     let q = parse_crpq("(x, y) <- x -[a⁻ a]-> y", g2.alphabet_mut()).unwrap();
-    let tuples = eval_tuples(&q, &g2, Semantics::QueryInjective);
+    let tuples = Eval::new(&q, &g2)
+        .semantics(Semantics::QueryInjective)
+        .tuples();
     // q-inj: x ≠ y with the parent as distinct internal node: exactly the
     // two ordered sibling pairs.
     let names: Vec<(String, String)> = tuples
@@ -224,7 +232,7 @@ fn two_way_navigation_c2rpq() {
     assert!(names.contains(&("c1".into(), "c2".into())));
     // Standard semantics additionally returns the self-pairs (x = y via
     // the same child twice is blocked only by injectivity).
-    let st = eval_tuples(&q, &g2, Semantics::Standard);
+    let st = Eval::new(&q, &g2).tuples();
     assert_eq!(st.len(), 4);
 }
 

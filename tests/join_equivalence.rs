@@ -1,11 +1,20 @@
 //! Differential property tests for the join-based evaluator: on random
-//! graphs × random CRPQs, the relation/semi-join engine must return exactly
-//! the same tuple sets as the legacy `|V|^arity` enumeration oracle, under
-//! all three semantics — and the parallel partitioned join must agree too.
+//! graphs × random CRPQs, every terminal of an [`Eval`] request — at one
+//! thread and under work stealing — must return exactly the same tuple
+//! sets as the legacy `|V|^arity` enumeration oracle, under all three
+//! semantics.
 
-use crpq::core::{eval_tuples_parallel, eval_tuples_with, EvalStrategy};
+use crpq::core::{eval_tuples_enumerate, Eval};
 use crpq::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// The generator slices of the contract table: (query class, arity).
+const CONTRACT_ROWS: [(QueryClass, usize); 3] = [
+    (QueryClass::CrpqFin, 1),
+    (QueryClass::Crpq, 2),
+    (QueryClass::Crpq, 0),
+];
 
 fn random_instance(seed: u64, class: QueryClass, arity: usize) -> (Crpq, GraphDb) {
     let mut sigma = Interner::new();
@@ -28,43 +37,37 @@ fn random_instance(seed: u64, class: QueryClass, arity: usize) -> (Crpq, GraphDb
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Join engine ≡ enumeration oracle on finite-language CRPQs, arity 1.
+    /// The `Eval` contract table. For every row of the random generator
+    /// (finite languages at arity 1, starred languages with ε-variants at
+    /// arity 2, Boolean queries, which take the join path at every thread
+    /// count), every semantics and `threads ∈ {1, 2}`, the terminals agree:
+    /// `tuples()` ≡ sorted `stream()` ≡ `limit(usize::MAX)` ≡ the
+    /// enumeration oracle, `ask()` ≡ non-emptiness, and `contains(t)` holds
+    /// for every returned `t`.
     #[test]
-    fn join_matches_oracle_finite(seed in 0u64..100_000) {
-        let (q, g) = random_instance(seed, QueryClass::CrpqFin, 1);
-        for sem in Semantics::ALL {
-            prop_assert_eq!(
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Join),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate),
-                "seed {} sem {}", seed, sem
-            );
-        }
-    }
-
-    /// Join engine ≡ enumeration oracle on starred CRPQs (infinite
-    /// languages, ε-variants), arity 2.
-    #[test]
-    fn join_matches_oracle_starred(seed in 0u64..100_000) {
-        let (q, g) = random_instance(seed, QueryClass::Crpq, 2);
-        for sem in Semantics::ALL {
-            prop_assert_eq!(
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Join),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate),
-                "seed {} sem {}", seed, sem
-            );
-        }
-    }
-
-    /// Boolean queries: the join engine agrees with the oracle on emptiness.
-    #[test]
-    fn join_matches_oracle_boolean(seed in 0u64..100_000) {
-        let (q, g) = random_instance(seed, QueryClass::Crpq, 0);
-        for sem in Semantics::ALL {
-            prop_assert_eq!(
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Join),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate),
-                "seed {} sem {}", seed, sem
-            );
+    fn eval_terminals_agree_with_oracle(seed in 0u64..100_000) {
+        for (class, arity) in CONTRACT_ROWS {
+            let (q, g) = random_instance(seed, class, arity);
+            let g = Arc::new(g);
+            for sem in Semantics::ALL {
+                let oracle = eval_tuples_enumerate(&q, &*g, sem);
+                for threads in [1, 2] {
+                    let ctx = format!("seed {seed} {class:?}/{arity} {sem} threads {threads}");
+                    let request = || Eval::new(&q, &g).semantics(sem).threads(threads);
+                    let tuples = request().tuples();
+                    let mut streamed: Vec<Vec<NodeId>> = request().stream().collect();
+                    streamed.sort();
+                    prop_assert_eq!(&tuples, &oracle, "tuples vs oracle: {}", ctx);
+                    prop_assert_eq!(&streamed, &oracle, "stream vs oracle: {}", ctx);
+                    prop_assert_eq!(
+                        &request().limit(usize::MAX), &oracle, "limit(MAX) vs oracle: {}", ctx
+                    );
+                    prop_assert_eq!(request().ask(), !oracle.is_empty(), "ask: {}", ctx);
+                    for t in &tuples {
+                        prop_assert!(request().contains(t), "contains {:?}: {}", t, ctx);
+                    }
+                }
+            }
         }
     }
 
@@ -75,21 +78,8 @@ proptest! {
         let (q, g) = random_instance(seed, QueryClass::Crpq, 1);
         for sem in Semantics::ALL {
             prop_assert_eq!(
-                eval_tuples_analyzed(&q, &g, sem),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate),
-                "seed {} sem {}", seed, sem
-            );
-        }
-    }
-
-    /// Domain-partitioned parallel join ≡ sequential join.
-    #[test]
-    fn parallel_join_matches_sequential(seed in 0u64..100_000) {
-        let (q, g) = random_instance(seed, QueryClass::Crpq, 2);
-        for sem in Semantics::ALL {
-            prop_assert_eq!(
-                eval_tuples_parallel(&q, &g, sem, 3),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Join),
+                Eval::new(&q, &g).semantics(sem).analyzed().tuples(),
+                eval_tuples_enumerate(&q, &g, sem),
                 "seed {} sem {}", seed, sem
             );
         }
@@ -101,9 +91,9 @@ proptest! {
     fn membership_consistent_with_join(seed in 0u64..100_000) {
         let (q, g) = random_instance(seed, QueryClass::CrpqFin, 1);
         for sem in Semantics::ALL {
-            let results = eval_tuples_with(&q, &g, sem, EvalStrategy::Join);
+            let results = Eval::new(&q, &g).semantics(sem).tuples();
             for n in g.nodes() {
-                let member = eval_contains(&q, &g, &[n], sem);
+                let member = Eval::new(&q, &g).semantics(sem).contains(&[n]);
                 prop_assert_eq!(
                     results.contains(&vec![n]),
                     member,

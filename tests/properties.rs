@@ -159,7 +159,7 @@ proptest! {
         );
         let g = crpq::workloads::random::random_graph_for(&mut sigma, 2, 4, 9, seed);
         for sem in Semantics::ALL {
-            let direct = eval_boolean(&q, &g, sem);
+            let direct = Eval::new(&q, &g).semantics(sem).contains(&[]);
             let via_exp = expansion_eval::eval_contains_complete(&q, &g, &[], sem);
             prop_assert_eq!(direct, via_exp, "seed {} sem {}", seed, sem);
         }
@@ -237,9 +237,9 @@ proptest! {
             seed,
         );
         let g = crpq::workloads::random::random_graph_for(&mut sigma, 2, 5, 10, seed + 77);
-        let st = eval_tuples(&q, &g, Semantics::Standard);
-        let a_inj = eval_tuples(&q, &g, Semantics::AtomInjective);
-        let q_inj = eval_tuples(&q, &g, Semantics::QueryInjective);
+        let st = Eval::new(&q, &g).tuples();
+        let a_inj = Eval::new(&q, &g).semantics(Semantics::AtomInjective).tuples();
+        let q_inj = Eval::new(&q, &g).semantics(Semantics::QueryInjective).tuples();
         let a_trail = eval_tuples_trail(&q, &g, TrailSemantics::AtomTrail);
         let q_trail = eval_tuples_trail(&q, &g, TrailSemantics::QueryTrail);
         for t in &q_trail {
@@ -263,7 +263,7 @@ proptest! {
     /// verifier.
     #[test]
     fn witnesses_exist_iff_member_and_verify(seed in 0u64..5000) {
-        use crpq::core::{eval_witness, verify_witness};
+        use crpq::core::{eval_witness, verify_witness, Eval};
         let mut sigma = Interner::new();
         let q = crpq::workloads::random::random_query(
             crpq::workloads::random::RandomQueryParams {
@@ -280,7 +280,7 @@ proptest! {
         let g = crpq::workloads::random::random_graph_for(&mut sigma, 2, 5, 10, seed + 31);
         for sem in Semantics::ALL {
             for node in g.nodes() {
-                let member = eval_contains(&q, &g, &[node], sem);
+                let member = Eval::new(&q, &g).semantics(sem).contains(&[node]);
                 let witness = eval_witness(&q, &g, &[node], sem);
                 prop_assert_eq!(member, witness.is_some(), "seed {} sem {}", seed, sem);
                 if let Some(w) = witness {
@@ -295,7 +295,6 @@ proptest! {
     /// agrees with the exact engine on arbitrary CRPQs.
     #[test]
     fn analyzed_evaluator_agrees(seed in 0u64..5000) {
-        use crpq::core::eval::{eval_tuples_analyzed};
         let mut sigma = Interner::new();
         let q = crpq::workloads::random::random_query(
             crpq::workloads::random::RandomQueryParams {
@@ -312,8 +311,8 @@ proptest! {
         let g = crpq::workloads::random::random_graph_for(&mut sigma, 2, 5, 10, seed + 13);
         for sem in Semantics::ALL {
             prop_assert_eq!(
-                eval_tuples(&q, &g, sem),
-                eval_tuples_analyzed(&q, &g, sem),
+                Eval::new(&q, &g).semantics(sem).tuples(),
+                Eval::new(&q, &g).semantics(sem).analyzed().tuples(),
                 "seed {} sem {}", seed, sem
             );
         }
@@ -388,8 +387,8 @@ proptest! {
             }
             let g = crpq::workloads::random::random_graph_for(&mut sigma, 2, 5, 11, seed + 7);
             prop_assert_eq!(
-                eval_tuples(&q, &g, sem),
-                eval_tuples(&result.query, &g, sem),
+                Eval::new(&q, &g).semantics(sem).tuples(),
+                Eval::new(&result.query, &g).semantics(sem).tuples(),
                 "seed {} sem {} removed {:?}", seed, sem, result.removed
             );
         }

@@ -5,7 +5,7 @@
 //! CSR with adaptive semi-join domains) against the legacy enumeration
 //! oracle on label-rich Zipf graphs under all three semantics.
 
-use crpq::core::{eval_tuples_with, EvalStrategy};
+use crpq::core::{eval_tuples_enumerate, Eval};
 use crpq::graph::rpq::{self, ReachScratch};
 use crpq::graph::{generators, NodeId};
 use crpq::prelude::*;
@@ -66,8 +66,8 @@ proptest! {
         let q = crpq::workloads::scaling::label_rich_query(g.alphabet_mut());
         for sem in Semantics::ALL {
             prop_assert_eq!(
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Join),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate),
+                Eval::new(&q, &g).semantics(sem).tuples(),
+                eval_tuples_enumerate(&q, &g, sem),
                 "seed {} sem {}", seed, sem
             );
         }
@@ -82,8 +82,8 @@ proptest! {
         let q = crpq::workloads::scaling::million_query(g.alphabet_mut());
         for sem in Semantics::ALL {
             prop_assert_eq!(
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Join),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate),
+                Eval::new(&q, &g).semantics(sem).tuples(),
+                eval_tuples_enumerate(&q, &g, sem),
                 "seed {} sem {}", seed, sem
             );
         }

@@ -1,22 +1,18 @@
 //! Differential tests for the streaming enumeration API: a collected
 //! stream must equal the fully materialised answer set under every
 //! semantics and executor (binary join, WCOJ, work-stealing parallel),
-//! `eval_limit(k)` must return exactly `min(k, |answers|)` true answers,
-//! and `eval_ask` must agree with non-emptiness — the acceptance contract
-//! of the streaming-enumeration issue. Plus the consumer-side
+//! `Eval::limit(k)` must return exactly `min(k, |answers|)` true answers,
+//! and `Eval::ask` must agree with non-emptiness, cold and on a warm
+//! caller catalog. Plus the consumer-side
 //! cancellation path: dropping a stream after a few tuples must wind the
 //! producer down without hanging or panicking.
 
-use crpq::core::{
-    eval_ask, eval_ask_parallel, eval_ask_with_catalog, eval_limit, eval_limit_parallel,
-    eval_limit_with, eval_stream, eval_stream_parallel, eval_stream_with, eval_tuples_with,
-    EvalStrategy, RelationCatalog,
-};
+use crpq::core::{Eval, EvalStrategy, RelationCatalog};
 use crpq::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Collects a stream and sorts it into the canonical `eval_tuples` order.
+/// Collects a stream and sorts it into the canonical `Eval::tuples` order.
 fn collect_sorted(stream: crpq::core::stream::TupleStream) -> Vec<Vec<NodeId>> {
     let mut tuples: Vec<Vec<NodeId>> = stream.collect();
     tuples.sort();
@@ -35,16 +31,17 @@ proptest! {
         let g = Arc::new(g);
         for sem in Semantics::ALL {
             for strategy in [EvalStrategy::Join, EvalStrategy::BinaryJoin, EvalStrategy::Wcoj] {
-                let materialised = eval_tuples_with(&q, &g, sem, strategy);
-                let streamed = collect_sorted(eval_stream_with(&q, &g, sem, strategy));
+                let request = || Eval::new(&q, &g).semantics(sem).strategy(strategy);
+                let materialised = request().tuples();
+                let streamed = collect_sorted(request().stream());
                 prop_assert_eq!(
                     streamed, materialised.clone(),
                     "stream vs materialised: seed {} sem {} strategy {:?}", seed, sem, strategy
                 );
             }
-            let parallel = collect_sorted(eval_stream_parallel(&q, &g, sem, 4));
+            let parallel = collect_sorted(Eval::new(&q, &g).semantics(sem).threads(4).stream());
             prop_assert_eq!(
-                parallel, eval_tuples(&q, &g, sem),
+                parallel, Eval::new(&q, &g).semantics(sem).tuples(),
                 "parallel stream vs materialised: seed {} sem {}", seed, sem
             );
         }
@@ -62,13 +59,13 @@ proptest! {
         .unwrap();
         let g = Arc::new(g);
         for sem in Semantics::ALL {
-            let materialised = eval_tuples(&q, &g, sem);
-            let streamed = collect_sorted(eval_stream(&q, &g, sem));
+            let materialised = Eval::new(&q, &g).semantics(sem).tuples();
+            let streamed = collect_sorted(Eval::new(&q, &g).semantics(sem).stream());
             prop_assert_eq!(
                 streamed, materialised.clone(),
                 "stream vs materialised: seed {} sem {}", seed, sem
             );
-            let parallel = collect_sorted(eval_stream_parallel(&q, &g, sem, 4));
+            let parallel = collect_sorted(Eval::new(&q, &g).semantics(sem).threads(4).stream());
             prop_assert_eq!(
                 parallel, materialised,
                 "parallel stream vs materialised: seed {} sem {}", seed, sem
@@ -76,51 +73,45 @@ proptest! {
         }
     }
 
-    /// `eval_ask` (sequential, catalog-backed, parallel) == non-emptiness
+    /// `Eval::ask` (sequential, catalog-backed, parallel) == non-emptiness
     /// of the materialised answer set.
     #[test]
     fn ask_matches_existence(seed in 0u64..100_000) {
         let mut g = generators::random_graph(9, 22, &["a", "b"], seed);
         let q = parse_crpq("(x, y) <- x -[a b*]-> y, y -[b]-> z", g.alphabet_mut()).unwrap();
         for sem in Semantics::ALL {
-            let exists = !eval_tuples(&q, &g, sem).is_empty();
-            prop_assert_eq!(eval_ask(&q, &g, sem), exists, "ask: seed {} sem {}", seed, sem);
+            let exists = !Eval::new(&q, &g).semantics(sem).tuples().is_empty();
+            prop_assert_eq!(Eval::new(&q, &g).semantics(sem).ask(), exists, "ask: seed {} sem {}", seed, sem);
             let mut catalog = RelationCatalog::new(&g);
             prop_assert_eq!(
-                eval_ask_with_catalog(&q, &g, sem, &mut catalog), exists,
+                Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).ask(), exists,
                 "ask with catalog: seed {} sem {}", seed, sem
             );
             // Warm catalog: second call must agree too (exercises the
             // cached-relation path of the ASK fast path).
             prop_assert_eq!(
-                eval_ask_with_catalog(&q, &g, sem, &mut catalog), exists,
+                Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).ask(), exists,
                 "warm ask: seed {} sem {}", seed, sem
             );
             prop_assert_eq!(
-                eval_ask_parallel(&q, &g, sem, 3), exists,
+                Eval::new(&q, &g).semantics(sem).threads(3).ask(), exists,
                 "parallel ask: seed {} sem {}", seed, sem
             );
         }
     }
 
-    /// `eval_limit(k)` returns exactly `min(k, |answers|)` distinct true
-    /// answers, sorted, under every strategy — including the truncated
-    /// `Enumerate` oracle, whose result the join strategies need not
-    /// match tuple-for-tuple (any k answers are valid), only set-wise.
+    /// `Eval::limit(k)` returns exactly `min(k, |answers|)` distinct true
+    /// answers, sorted, under every strategy — set-wise only: any k
+    /// answers are valid.
     #[test]
     fn limit_returns_k_true_answers(seed in 0u64..100_000) {
         let mut g = generators::zipf_label_graph(24, 90, 8, 1.3, seed);
         let q = parse_crpq("(x, y) <- x -[(l0+l1)(l0+l1+l2)*]-> y", g.alphabet_mut()).unwrap();
         for sem in Semantics::ALL {
-            let full = eval_tuples(&q, &g, sem);
+            let full = Eval::new(&q, &g).semantics(sem).tuples();
             for k in [0usize, 1, 3, full.len(), full.len() + 5] {
-                for strategy in [
-                    EvalStrategy::Join,
-                    EvalStrategy::BinaryJoin,
-                    EvalStrategy::Wcoj,
-                    EvalStrategy::Enumerate,
-                ] {
-                    let limited = eval_limit_with(&q, &g, sem, k, strategy);
+                for strategy in [EvalStrategy::Join, EvalStrategy::BinaryJoin, EvalStrategy::Wcoj] {
+                    let limited = Eval::new(&q, &g).semantics(sem).strategy(strategy).limit(k);
                     prop_assert_eq!(
                         limited.len(), k.min(full.len()),
                         "limit len: seed {} sem {} k {} strategy {:?}", seed, sem, k, strategy
@@ -133,7 +124,7 @@ proptest! {
                     sorted.sort();
                     prop_assert_eq!(limited, sorted, "limit output must be sorted");
                 }
-                let limited = eval_limit_parallel(&q, &g, sem, k, 3);
+                let limited = Eval::new(&q, &g).semantics(sem).threads(3).limit(k);
                 prop_assert_eq!(limited.len(), k.min(full.len()));
                 prop_assert!(limited.iter().all(|t| full.contains(t)));
             }
@@ -147,14 +138,14 @@ proptest! {
 fn early_drop_cancels_producer() {
     let mut g = generators::zipf_label_graph(60, 360, 6, 1.1, 17);
     let q = parse_crpq("(x, y) <- x -[(l0+l1)(l0+l1+l2)*]-> y", g.alphabet_mut()).unwrap();
-    let full = eval_tuples(&q, &g, Semantics::Standard);
+    let full = Eval::new(&q, &g).tuples();
     assert!(full.len() > 10, "need a sizeable answer set");
     let g = Arc::new(g);
     for threads in [0usize, 4] {
         let stream = if threads == 0 {
-            eval_stream(&q, &g, Semantics::Standard)
+            Eval::new(&q, &g).stream()
         } else {
-            eval_stream_parallel(&q, &g, Semantics::Standard, threads)
+            Eval::new(&q, &g).threads(threads).stream()
         };
         let first_two: Vec<Vec<NodeId>> = stream.take(2).collect();
         assert_eq!(first_two.len(), 2);
@@ -163,7 +154,7 @@ fn early_drop_cancels_producer() {
     }
 }
 
-/// `eval_limit(1)` agrees with `eval_ask`, and a boolean (arity-0) query
+/// `Eval::limit(1)` agrees with `Eval::ask`, and a boolean (arity-0) query
 /// streams its single empty tuple.
 #[test]
 fn boolean_and_singleton_contracts() {
@@ -172,15 +163,18 @@ fn boolean_and_singleton_contracts() {
     let q_none = parse_crpq("x -[a a a a a a]-> y", g.alphabet_mut()).unwrap();
     let g = Arc::new(g);
     for sem in Semantics::ALL {
-        assert!(eval_ask(&q_bool, &g, sem));
-        assert_eq!(eval_limit(&q_bool, &g, sem, 1), vec![Vec::new()]);
+        assert!(Eval::new(&q_bool, &g).semantics(sem).ask());
         assert_eq!(
-            collect_sorted(eval_stream(&q_bool, &g, sem)),
+            Eval::new(&q_bool, &g).semantics(sem).limit(1),
+            vec![Vec::new()]
+        );
+        assert_eq!(
+            collect_sorted(Eval::new(&q_bool, &g).semantics(sem).stream()),
             vec![Vec::new()],
             "boolean stream under {sem}"
         );
-        assert!(!eval_ask(&q_none, &g, sem));
-        assert!(eval_limit(&q_none, &g, sem, 5).is_empty());
-        assert!(collect_sorted(eval_stream(&q_none, &g, sem)).is_empty());
+        assert!(!Eval::new(&q_none, &g).semantics(sem).ask());
+        assert!(Eval::new(&q_none, &g).semantics(sem).limit(5).is_empty());
+        assert!(collect_sorted(Eval::new(&q_none, &g).semantics(sem).stream()).is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! the cyclic output is empty, and through the auto-dispatching default
 //! strategy and the parallel engine.
 
-use crpq::core::{eval_tuples_parallel, eval_tuples_with, EvalStrategy};
+use crpq::core::{eval_tuples_enumerate, Eval, EvalStrategy};
 use crpq::prelude::*;
 use crpq::workloads::cyclic;
 use proptest::prelude::*;
@@ -16,20 +16,20 @@ use proptest::prelude::*;
 fn assert_engines_agree(q: &Crpq, g: &GraphDb, ctx: &str) -> Vec<Vec<Vec<NodeId>>> {
     let mut per_sem = Vec::new();
     for sem in Semantics::ALL {
-        let oracle = eval_tuples_with(q, g, sem, EvalStrategy::Enumerate);
+        let oracle = eval_tuples_enumerate(q, g, sem);
         for strategy in [
             EvalStrategy::Join,
             EvalStrategy::BinaryJoin,
             EvalStrategy::Wcoj,
         ] {
             assert_eq!(
-                eval_tuples_with(q, g, sem, strategy),
+                Eval::new(q, g).semantics(sem).strategy(strategy).tuples(),
                 oracle,
                 "{ctx}: {strategy:?} vs oracle under {sem}"
             );
         }
         assert_eq!(
-            eval_tuples_parallel(q, g, sem, 3),
+            Eval::new(q, g).semantics(sem).threads(3).tuples(),
             oracle,
             "{ctx}: parallel vs oracle under {sem}"
         );
@@ -115,14 +115,14 @@ proptest! {
     fn wcoj_matches_oracle_random(seed in 0u64..100_000) {
         let (q, g) = random_instance(seed, 1);
         for sem in Semantics::ALL {
-            let oracle = eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate);
+            let oracle = eval_tuples_enumerate(&q, &g, sem);
             prop_assert_eq!(
-                &eval_tuples_with(&q, &g, sem, EvalStrategy::Wcoj),
+                &Eval::new(&q, &g).semantics(sem).strategy(EvalStrategy::Wcoj).tuples(),
                 &oracle,
                 "wcoj seed {} sem {}", seed, sem
             );
             prop_assert_eq!(
-                &eval_tuples_with(&q, &g, sem, EvalStrategy::BinaryJoin),
+                &Eval::new(&q, &g).semantics(sem).strategy(EvalStrategy::BinaryJoin).tuples(),
                 &oracle,
                 "binary seed {} sem {}", seed, sem
             );
@@ -135,8 +135,8 @@ proptest! {
         let (q, g) = random_instance(seed, 0);
         for sem in Semantics::ALL {
             prop_assert_eq!(
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Join),
-                eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate),
+                Eval::new(&q, &g).semantics(sem).tuples(),
+                eval_tuples_enumerate(&q, &g, sem),
                 "seed {} sem {}", seed, sem
             );
         }
