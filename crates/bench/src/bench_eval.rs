@@ -15,8 +15,8 @@
 //! * **legacy** — the enumeration oracle ([`eval_tuples_enumerate`]).
 //!
 //! Every row also records a **peak-RSS proxy**: `index_bytes` (the graph's
-//! adjacency indexes, node-major flat arrays + both label-partitioned
-//! CSRs) and `rel_bytes` (every relation materialised by the instrumented
+//! node-major adjacency, both directions) and `rel_bytes` (every relation
+//! materialised by the instrumented
 //! catalog run) — the two allocation sinks that gate large-graph scaling.
 //!
 //! The **scale workloads** (`scale_rows` in the JSON) are too large for
@@ -27,15 +27,16 @@
 //! * `scale_label_rich` evaluates [`scaling::label_rich_query`] over
 //!   [`scaling::label_rich_graph`] (`4n` edges,
 //!   [`scaling::LABEL_RICH_LABELS`] = 10³ Zipf-distributed labels) and
-//!   asserts the sparse per-label CSR memory contract (offsets
-//!   `O(|E| + Σ_l |V_l|)`, nowhere near the dense `O(|labels|·|V|)` cross
-//!   product). `--smoke` runs `|V| = 10⁴`, `--scale-smoke` `|V| = 10⁵`
-//!   under a hard wall-clock ceiling (the PR-3 CI gate, unchanged).
+//!   asserts the adjacency memory contract: `index_bytes` is exactly
+//!   `2·(4·(|V|+1) + 8·|E|)`, independent of the label count.
+//!   `--smoke` runs `|V| = 10⁴`, `--scale-smoke` `|V| = 10⁵` under a hard
+//!   wall-clock ceiling.
 //! * `scale_million` evaluates [`scaling::million_query`] over
 //!   [`scaling::million_graph`] (anonymous nodes, `4n` uniform edges over
 //!   [`scaling::MILLION_LABELS`] labels) and asserts the O(touched)
-//!   contract of the |V|-scale pipeline: zero name bytes, graph index +
-//!   names under an explicit per-size budget, and peak sweep-scratch bytes
+//!   contract of the |V|-scale pipeline: zero name bytes, the same exact
+//!   adjacency size, graph index + names under an explicit per-size
+//!   budget, and peak sweep-scratch bytes
 //!   far below one dense `|V|·|Q|` stamp array. `--smoke` runs `|V| = 10⁵`;
 //!   `--scale-smoke` runs both `|V| = 10⁶ / 4·10⁶` edges (~200 MB budget)
 //!   and `|V| = 10⁷ / 4·10⁷` edges (~2.4 GB index budget — the graph index
@@ -509,17 +510,23 @@ struct ScaleRow {
     rel_bytes: usize,
     /// Peak sweep-scratch bytes across workers (see [`Row::scratch_bytes`]).
     scratch_bytes: usize,
-    /// Offset/index bytes of the two label-partitioned CSRs — the term
-    /// that was `O(|labels|·|V|)` in the dense layout.
-    csr_offset_bytes: usize,
-    /// What the dense `label × node` layout would have paid for the same
-    /// graph (both directions).
-    dense_offset_bytes: usize,
+}
+
+/// Asserts the adjacency memory contract: one node-major offsets/labels/
+/// neighbours triple per direction, `2·(4·(|V|+1) + 8·|E|)` bytes — no
+/// term in the label count, and no second (label-major) copy of the edges.
+fn assert_index_layout(g: &GraphDb) {
+    let expect = 2 * (4 * (g.num_nodes() + 1) + 8 * g.num_edges());
+    assert_eq!(
+        g.index_bytes(),
+        expect,
+        "graph index is not exactly one node-major adjacency per direction"
+    );
 }
 
 /// Builds the label-rich graph at `n` nodes and evaluates the scale query
-/// once through the catalog engine, asserting the sparse-offset memory
-/// contract. With `enforce_ceiling`, build + evaluation must also finish
+/// once through the catalog engine, asserting the adjacency memory
+/// contract ([`assert_index_layout`]). With `enforce_ceiling`, build + evaluation must also finish
 /// under `ceiling_ms` — the CI scale gate.
 fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usize) -> ScaleRow {
     let (mut g, build_ms) = time_once(|| scaling::label_rich_graph(n, 5));
@@ -532,24 +539,7 @@ fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usiz
         "label-rich scale workload returned no tuples — the join is degenerate \
          and the smoke proves nothing"
     );
-    let (fwd, rev) = (g.forward_csr(), g.reverse_csr());
-    let csr_offset_bytes = fwd.offset_bytes() + rev.offset_bytes();
-    let dense_offset_bytes = 2 * 4 * (g.alphabet().len() * g.num_nodes() + 1);
-    // The sparse layout's contract: offsets are O(|E| + Σ_l |V_l|) —
-    // bounded by a small constant per edge/slot/label — and nowhere near
-    // the dense label × node cross product on label-rich graphs.
-    let slots = fwd.touched_slots() + rev.touched_slots();
-    let structural_bound = 4 * (2 * slots + 2 * (g.alphabet().len() + 1) + 2) + 64;
-    assert!(
-        csr_offset_bytes <= structural_bound,
-        "label-index offsets {csr_offset_bytes} B exceed the O(|E| + Σ_l |V_l|) bound \
-         {structural_bound} B"
-    );
-    assert!(
-        csr_offset_bytes * 8 <= dense_offset_bytes,
-        "label-index offsets {csr_offset_bytes} B not an 8x+ win over the dense \
-         label × node layout ({dense_offset_bytes} B)"
-    );
+    assert_index_layout(&g);
     if enforce_ceiling {
         let total = build_ms + eval_ms;
         assert!(
@@ -570,8 +560,6 @@ fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usiz
         name_bytes: g.name_bytes(),
         rel_bytes: catalog.relation_bytes(),
         scratch_bytes: catalog.peak_scratch_bytes(),
-        csr_offset_bytes,
-        dense_offset_bytes,
     }
 }
 
@@ -581,6 +569,8 @@ fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usiz
 ///
 /// * node-name storage is **zero** bytes (anonymous mode — the named mode
 ///   would be a single arena, never per-name `String`s);
+/// * the graph index is exactly one adjacency per direction
+///   ([`assert_index_layout`]);
 /// * graph index + names stay under the ~200 MB budget at 10⁶ nodes (the
 ///   pre-arena layout extrapolated to ≥ 1.5 GB);
 /// * no materialisation run allocated dense per-worker stamp arrays: peak
@@ -613,6 +603,7 @@ fn measure_million(
         0,
         "anonymous scale graph must store zero name bytes"
     );
+    assert_index_layout(&g);
     let build_bytes = g.index_bytes() + g.name_bytes();
     assert!(
         build_bytes <= build_bytes_budget,
@@ -643,7 +634,6 @@ fn measure_million(
              {total:.0}ms > {ceiling_ms:.0}ms"
         );
     }
-    let (fwd, rev) = (g.forward_csr(), g.reverse_csr());
     ScaleRow {
         workload: "scale_million",
         nodes: g.num_nodes(),
@@ -657,8 +647,6 @@ fn measure_million(
         name_bytes: g.name_bytes(),
         rel_bytes: catalog.relation_bytes(),
         scratch_bytes,
-        csr_offset_bytes: fwd.offset_bytes() + rev.offset_bytes(),
-        dense_offset_bytes: 2 * 4 * (g.alphabet().len() * g.num_nodes() + 1),
     }
 }
 
@@ -670,7 +658,7 @@ fn scale_rows_json(scale_rows: &[ScaleRow]) -> String {
             "    {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \
              \"labels\": {}, \"tuples\": {}, \"build_ms\": {:.4}, \"eval_ms\": {:.4}, \
              \"mat_ms\": {:.4}, \"index_bytes\": {}, \"name_bytes\": {}, \"rel_bytes\": {}, \
-             \"scratch_bytes\": {}, \"csr_offset_bytes\": {}, \"dense_offset_bytes\": {}}}{}",
+             \"scratch_bytes\": {}}}{}",
             r.workload,
             r.nodes,
             r.edges,
@@ -683,8 +671,6 @@ fn scale_rows_json(scale_rows: &[ScaleRow]) -> String {
             r.name_bytes,
             r.rel_bytes,
             r.scratch_bytes,
-            r.csr_offset_bytes,
-            r.dense_offset_bytes,
             if i + 1 < scale_rows.len() { "," } else { "" }
         );
     }
@@ -695,11 +681,11 @@ fn print_scale_rows(scale_rows: &[ScaleRow]) {
     println!(
         "\n## scale workloads — label-rich Zipf + million-node anonymous (catalog engine only)\n"
     );
-    println!("| workload | n | edges | labels | tuples | build | eval | mat | index MB | names MB | rel MB | scratch KB | csr offsets | dense offsets |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("| workload | n | edges | labels | tuples | build | eval | mat | index MB | names MB | rel MB | scratch KB |");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
     for r in scale_rows {
         println!(
-            "| {} | {} | {} | {} | {} | {:.0}ms | {:.0}ms | {:.0}ms | {:.1} | {:.2} | {:.1} | {:.1} | {} KB | {} KB |",
+            "| {} | {} | {} | {} | {} | {:.0}ms | {:.0}ms | {:.0}ms | {:.1} | {:.2} | {:.1} | {:.1} |",
             r.workload,
             r.nodes,
             r.edges,
@@ -712,8 +698,6 @@ fn print_scale_rows(scale_rows: &[ScaleRow]) {
             r.name_bytes as f64 / 1e6,
             r.rel_bytes as f64 / 1e6,
             r.scratch_bytes as f64 / 1024.0,
-            r.csr_offset_bytes / 1024,
-            r.dense_offset_bytes / 1024,
         );
     }
 }
@@ -1101,8 +1085,8 @@ fn print_mutate_rows(rows: &[MutateRow]) {
 const MILLION_BYTES_BUDGET: usize = 200_000_000;
 
 /// Index + names budget of the 10⁷-node / 4·10⁷-edge scale row: the graph
-/// index grows linearly with |V| and |E| (~10× the 10⁶ row, plus slack for
-/// the per-label CSR tails), so the explicit contract at this size is
+/// index grows linearly with |V| and |E| (exactly 720 MB here, see
+/// [`assert_index_layout`]), so the explicit contract at this size is
 /// 2.4 GB — what must stay O(touched), and is separately asserted, is the
 /// relation + sweep-scratch side.
 const TEN_MILLION_BYTES_BUDGET: usize = 2_400_000_000;

@@ -12,7 +12,7 @@
 //! trait from `crpq_graph` whose contract (ascending per-label iterators,
 //! node-major `(label, node)` order, post-build labels read as empty) is
 //! documented in `crpq_graph::view`. Frozen [`GraphDb`]s monomorphise to
-//! the original CSR-slice loops at zero cost; `DeltaGraph` overlays run
+//! the original adjacency-slice loops at zero cost; `DeltaGraph` overlays run
 //! the identical algorithms over the base+delta merge. An evaluation
 //! borrows `&G` for its whole run, so it always observes one consistent
 //! snapshot.
@@ -98,7 +98,7 @@
 //!
 //! 1. **Relation materialisation** — every *distinct* atom's full
 //!    standard-semantics RPQ relation is computed in one multi-source
-//!    product BFS over the label-indexed CSR graph
+//!    product BFS over the graph's node-major adjacency
 //!    ([`crpq_graph::rpq::rpq_relation`]), indexed both ways
 //!    (`forward(u)` / `backward(v)` rows) and cached in the request's
 //!    [`RelationCatalog`] — the caller's, or a fresh
@@ -673,7 +673,7 @@ fn compile_atoms(variant: &Crpq, analyze: bool) -> Vec<CompiledAtom> {
 /// evaluations on the same graph. A miss materialises cost-adaptively
 /// ([`rpq::rpq_relation_auto`]): per-source BFS sweeps by default, with a
 /// sampled cost probe that escalates to the condensation bitset closure
-/// ([`rpq::rpq_relation_closure`]) on dense products where per-source
+/// ([`rpq::rpq_relation_closure_blocked`]) on dense products where per-source
 /// exploration would be quadratically wasteful (the closure is
 /// column-blocked, so its reach matrix stays within a fixed working-set
 /// budget at any product size). Sweeps run sequentially

@@ -212,7 +212,7 @@ fn path_matches_language(g: &GraphDb, nfa: &Nfa, path: &[NodeId]) -> bool {
     for win in path.windows(2) {
         let (u, v) = (win[0], win[1]);
         let mut next = BitSet::new(nfa.num_states());
-        for &(sym, to) in g.out_edges(u) {
+        for (sym, to) in g.out_edges(u) {
             if to == v {
                 next.union_with(&nfa.delta_set(&states, sym));
             }

@@ -5,30 +5,36 @@
 //! dense `u32` ids; labels are interned [`Symbol`]s shared with the query
 //! layer through the same [`Interner`].
 //!
-//! Internally the store keeps **two** immutable indexes per direction,
-//! built once in [`GraphBuilder::finish`]:
+//! Internally the store keeps **one** immutable index per direction,
+//! built once in [`GraphBuilder::finish`]: a node-major, struct-of-arrays
+//! adjacency (`Adjacency`). `offsets` (`|V| + 1` entries) delimits each
+//! node's row inside two parallel arrays, `labels` and `nbrs` (`|E|`
+//! entries each), and every row is sorted by `(label, neighbour)`:
 //!
-//! * a *node-major* flat adjacency array (`(label, target)` pairs of each
-//!   node stored contiguously, sorted by label then target) serving
-//!   [`GraphDb::out_edges`] / [`GraphDb::in_edges`] / [`GraphDb::edges`];
-//! * a *label-major* [`LabelCsr`] serving [`GraphDb::successors`] /
-//!   [`GraphDb::predecessors`]: the `a`-neighbours of `v` are one
-//!   contiguous slice, found by a binary search in `a`'s sparse node
-//!   index (O(log |V_a|)), with no scan of `v`'s other labels.
+//! ```text
+//! offsets: [ 0, 3, 3, 5, … , |E| ]
+//! labels:  [ a  a  b ┃ ┃ a  c ┃ … ]     row of v0 ┃ v1 (empty) ┃ v2 ┃ …
+//! nbrs:    [ 4  7  2 ┃ ┃ 0  0 ┃ … ]
+//! ```
 //!
-//! The label-partitioned index is what the RPQ product searches in
-//! [`crate::rpq`] run on; see `crates/graph/src/csr.rs` for the layout.
+//! The `a`-neighbours of `v` ([`GraphDb::successors_slice`] /
+//! [`GraphDb::predecessors_slice`]) are one contiguous sub-slice of `nbrs`,
+//! found by a `partition_point` over `v`'s own label run — `O(log deg(v))`
+//! inside one or two cache lines on typical rows. The same rows serve the
+//! node-major [`GraphDb::out_edges`] / [`GraphDb::in_edges`] views and
+//! [`GraphDb::edges`]. The whole index is `2·(4·(|V|+1) + 8·|E|)` bytes
+//! ([`GraphDb::index_bytes`]).
 //!
 //! A frozen [`GraphDb`] is the canonical implementor of
 //! [`GraphView`](crate::view::GraphView), the read-path trait every query
 //! algorithm is generic over: its trait iterators are `Copied` slice
-//! iterators over the two indexes above, so generic code monomorphised
+//! iterators over the rows above, so generic code monomorphised
 //! here is the concrete slice code. Mutation never touches a built
 //! [`GraphDb`] — dynamic workloads wrap it in a
 //! [`DeltaGraph`](crate::delta::DeltaGraph) overlay and periodically
 //! compact back to a frozen snapshot. The one mutable entry point,
 //! [`GraphDb::alphabet_mut`], only *interns labels*; labels interned after
-//! the CSR build read as empty (see the post-build guard on that method).
+//! the build read as empty (see the post-build guard on that method).
 //!
 //! # Node-name storage and the O(touched) memory contract
 //!
@@ -51,7 +57,6 @@
 //! which falls back to the canonical `#id` rendering. The scale benchmarks
 //! assert the arena contract through [`GraphDb::name_bytes`].
 
-use crate::csr::LabelCsr;
 use crpq_util::{BitSet, Interner, NameArena, Symbol};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -96,29 +101,193 @@ impl NodeNames {
     }
 }
 
-/// An immutable edge-labelled directed graph with node-major flat adjacency
-/// and label-major CSR indexes in both directions.
+/// One direction of a graph's adjacency, node-major and struct-of-arrays:
+/// row `v` is `labels[offsets[v]..offsets[v+1]]` zipped with the same range
+/// of `nbrs`, sorted by `(label, neighbour)`. See the [module docs](self).
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+struct Adjacency {
+    /// `|V| + 1` row bounds; `offsets[|V|] = |E|`.
+    offsets: Vec<u32>,
+    /// Edge labels, row by row.
+    labels: Vec<Symbol>,
+    /// Neighbour ids, parallel to `labels`.
+    nbrs: Vec<NodeId>,
+}
+
+impl Adjacency {
+    /// Row `v`; empty for an id past the graph (a [`DeltaGraph`] probes its
+    /// base with the ids of nodes it added).
+    ///
+    /// [`DeltaGraph`]: crate::delta::DeltaGraph
+    #[inline]
+    fn row(&self, v: NodeId) -> EdgeRow<'_> {
+        match self.offsets.get(v.index()..v.index() + 2) {
+            Some(&[lo, hi]) => {
+                let (lo, hi) = (lo as usize, hi as usize);
+                EdgeRow {
+                    labels: &self.labels[lo..hi],
+                    nbrs: &self.nbrs[lo..hi],
+                }
+            }
+            _ => EdgeRow::EMPTY,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<u32>()
+            + self.labels.len() * std::mem::size_of::<Symbol>()
+            + self.nbrs.len() * std::mem::size_of::<NodeId>()
+    }
+
+    /// Counting sort of `(row, label, nbr)` edges into `n` rows, unsorted
+    /// within each row. `edges` is walked twice — once to size the rows,
+    /// once to fill them — and must yield the same edges both times.
+    fn scatter<I: Iterator<Item = (NodeId, Symbol, NodeId)>>(
+        n: usize,
+        edges: impl Fn() -> I,
+    ) -> Adjacency {
+        let mut offsets = vec![0u32; n + 1];
+        for (row, _, _) in edges() {
+            offsets[row.index() + 1] += 1;
+        }
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        // `offsets[v]` serves as `v`'s fill cursor; after the fill it holds
+        // the row's end, i.e. `v + 1`'s start, so one shift restores it.
+        let m = offsets[n] as usize;
+        let mut labels = vec![Symbol(0); m];
+        let mut nbrs = vec![NodeId(0); m];
+        for (row, l, nbr) in edges() {
+            let at = &mut offsets[row.index()];
+            labels[*at as usize] = l;
+            nbrs[*at as usize] = nbr;
+            *at += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Adjacency {
+            offsets,
+            labels,
+            nbrs,
+        }
+    }
+
+    /// Sorts every row by `(label, neighbour)`; with `dedup`, drops repeated
+    /// pairs and compacts the rows in place.
+    fn sort_rows(&mut self, dedup: bool) {
+        let mut row: Vec<(Symbol, NodeId)> = Vec::new();
+        let mut write = 0usize;
+        let mut lo = 0usize;
+        for v in 0..self.offsets.len() - 1 {
+            let hi = self.offsets[v + 1] as usize;
+            row.clear();
+            row.extend(
+                self.labels[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(self.nbrs[lo..hi].iter().copied()),
+            );
+            if !row.is_sorted() {
+                row.sort_unstable();
+            }
+            if dedup {
+                row.dedup();
+            }
+            for (i, &(l, w)) in row.iter().enumerate() {
+                self.labels[write + i] = l;
+                self.nbrs[write + i] = w;
+            }
+            write += row.len();
+            lo = hi;
+            self.offsets[v + 1] = write as u32;
+        }
+        self.labels.truncate(write);
+        self.nbrs.truncate(write);
+        self.labels.shrink_to_fit();
+        self.nbrs.shrink_to_fit();
+    }
+}
+
+/// Iterator over the `(label, neighbour)` pairs of an [`EdgeRow`].
+pub type EdgeRowIter<'a> = std::iter::Zip<
+    std::iter::Copied<std::slice::Iter<'a, Symbol>>,
+    std::iter::Copied<std::slice::Iter<'a, NodeId>>,
+>;
+
+/// One node's adjacency row ([`GraphDb::out_edges`] / [`GraphDb::in_edges`]):
+/// parallel label and neighbour slices, sorted by `(label, neighbour)`.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeRow<'a> {
+    labels: &'a [Symbol],
+    nbrs: &'a [NodeId],
+}
+
+impl<'a> EdgeRow<'a> {
+    /// The row with no edges.
+    pub(crate) const EMPTY: EdgeRow<'static> = EdgeRow {
+        labels: &[],
+        nbrs: &[],
+    };
+
+    /// Number of edges in the row.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.nbrs.len()
+    }
+
+    /// Whether the row has no edges.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.nbrs.is_empty()
+    }
+
+    /// The `i`-th `(label, neighbour)` pair, if any.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Option<(Symbol, NodeId)> {
+        Some((*self.labels.get(i)?, self.nbrs[i]))
+    }
+
+    /// The row's `(label, neighbour)` pairs in `(label, neighbour)` order.
+    #[inline]
+    pub fn iter(&self) -> EdgeRowIter<'a> {
+        self.labels.iter().copied().zip(self.nbrs.iter().copied())
+    }
+
+    /// The neighbours reached by a `label`-edge: the sorted sub-slice of
+    /// the row's neighbours under its `label` run, found by two
+    /// `partition_point` probes over the row's labels. A label the row
+    /// does not carry (or one interned after the build) yields `&[]`.
+    #[inline]
+    pub(crate) fn with_label(&self, label: Symbol) -> &'a [NodeId] {
+        let lo = self.labels.partition_point(|&l| l < label);
+        let len = self.labels[lo..].partition_point(|&l| l == label);
+        &self.nbrs[lo..lo + len]
+    }
+}
+
+impl<'a> IntoIterator for EdgeRow<'a> {
+    type Item = (Symbol, NodeId);
+    type IntoIter = EdgeRowIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> EdgeRowIter<'a> {
+        self.iter()
+    }
+}
+
+/// An immutable edge-labelled directed graph with one node-major adjacency
+/// per direction.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GraphDb {
     labels: Interner,
     num_nodes: usize,
     /// Arena-interned node names, or nothing (anonymous graphs).
     names: NodeNames,
-    num_edges: usize,
-    /// `out_adj[out_offsets[v]..out_offsets[v+1]]` = sorted `(label, target)`
-    /// pairs of `v`.
-    out_offsets: Vec<u32>,
-    out_adj: Vec<(Symbol, NodeId)>,
-    /// `in_adj[in_offsets[v]..in_offsets[v+1]]` = sorted `(label, source)`
-    /// pairs of `v`.
-    in_offsets: Vec<u32>,
-    in_adj: Vec<(Symbol, NodeId)>,
-    /// Label-partitioned forward index: `fwd.neighbors(v, a)` = targets of
-    /// `v`'s outgoing `a`-edges.
-    fwd: LabelCsr,
-    /// Label-partitioned reverse index: `rev.neighbors(v, a)` = sources of
-    /// `v`'s incoming `a`-edges.
-    rev: LabelCsr,
+    /// Row `v` = `v`'s outgoing `(label, target)` pairs.
+    out: Adjacency,
+    /// Row `v` = `v`'s incoming `(label, source)` pairs.
+    inc: Adjacency,
 }
 
 impl GraphDb {
@@ -129,7 +298,7 @@ impl GraphDb {
 
     /// Number of labelled edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.out.nbrs.len()
     }
 
     /// The edge-label alphabet.
@@ -139,14 +308,14 @@ impl GraphDb {
 
     /// Mutable access to the alphabet (append-only; existing ids are stable).
     /// Useful to parse queries mentioning labels the graph does not use —
-    /// the CSR indexes treat such labels as having no edges.
+    /// the adjacency treats such labels as having no edges.
     ///
-    /// **Post-build guard**: a symbol interned here *after* the CSR was
-    /// built has an id at or past the CSR's label count. Every adjacency
-    /// accessor ([`Self::successors_slice`], [`Self::predecessors_slice`],
-    /// [`Self::has_edge`] and the [`crate::view::GraphView`] surface)
-    /// bounds-checks the label id and answers with an **empty slice /
-    /// `false`**, never a panic or a stale row — the contract
+    /// **Post-build guard**: a symbol interned here *after* the build
+    /// labels no edge in any row, so every adjacency accessor
+    /// ([`Self::successors_slice`], [`Self::predecessors_slice`],
+    /// [`Self::has_edge`] and the [`crate::view::GraphView`] surface) finds
+    /// an empty label run and answers with an **empty slice / `false`**,
+    /// never a panic or a stale row — the contract
     /// `labels_interned_after_finish_have_empty_slices` pins. This is also
     /// what [`crate::delta::DeltaGraph::label`] relies on: fresh labels
     /// live purely in the overlay until compaction.
@@ -221,30 +390,28 @@ impl GraphDb {
 
     /// Outgoing `(label, target)` pairs of `v`, sorted by label then target.
     #[inline]
-    pub fn out_edges(&self, v: NodeId) -> &[(Symbol, NodeId)] {
-        let (lo, hi) = (self.out_offsets[v.index()], self.out_offsets[v.index() + 1]);
-        &self.out_adj[lo as usize..hi as usize]
+    pub fn out_edges(&self, v: NodeId) -> EdgeRow<'_> {
+        self.out.row(v)
     }
 
     /// Incoming `(label, source)` pairs of `v`, sorted by label then source.
     #[inline]
-    pub fn in_edges(&self, v: NodeId) -> &[(Symbol, NodeId)] {
-        let (lo, hi) = (self.in_offsets[v.index()], self.in_offsets[v.index() + 1]);
-        &self.in_adj[lo as usize..hi as usize]
+    pub fn in_edges(&self, v: NodeId) -> EdgeRow<'_> {
+        self.inc.row(v)
     }
 
-    /// Targets of `v`'s outgoing `label`-edges as a sorted slice — one
-    /// O(log |V_label|) slot lookup in the label-partitioned sparse CSR.
+    /// Targets of `v`'s outgoing `label`-edges as a sorted slice — a
+    /// `partition_point` over `v`'s own label run.
     #[inline]
     pub fn successors_slice(&self, v: NodeId, label: Symbol) -> &[NodeId] {
-        self.fwd.neighbors(v, label)
+        self.out.row(v).with_label(label)
     }
 
-    /// Sources of `v`'s incoming `label`-edges as a sorted slice — one
-    /// O(log |V_label|) slot lookup in the label-partitioned sparse CSR.
+    /// Sources of `v`'s incoming `label`-edges as a sorted slice — a
+    /// `partition_point` over `v`'s own label run.
     #[inline]
     pub fn predecessors_slice(&self, v: NodeId, label: Symbol) -> &[NodeId] {
-        self.rev.neighbors(v, label)
+        self.inc.row(v).with_label(label)
     }
 
     /// Targets of `v`'s outgoing `label`-edges.
@@ -257,36 +424,24 @@ impl GraphDb {
         self.predecessors_slice(v, label).iter().copied()
     }
 
-    /// The forward label-partitioned CSR index.
-    pub fn forward_csr(&self) -> &LabelCsr {
-        &self.fwd
-    }
-
-    /// The reverse label-partitioned CSR index.
-    pub fn reverse_csr(&self) -> &LabelCsr {
-        &self.rev
-    }
-
-    /// Approximate heap bytes of the adjacency indexes (node-major flat
-    /// arrays plus both label-partitioned CSRs) — the peak-RSS proxy the
+    /// Heap bytes of the adjacency index, `2·(4·(|V|+1) + 8·|E|)`: both
+    /// directions' offsets, labels and neighbours — the peak-RSS proxy the
     /// scale benchmarks record. Excludes node names and the name index,
     /// which are workload metadata rather than query-path structures.
     pub fn index_bytes(&self) -> usize {
-        (self.out_offsets.len() + self.in_offsets.len()) * std::mem::size_of::<u32>()
-            + (self.out_adj.len() + self.in_adj.len()) * std::mem::size_of::<(Symbol, NodeId)>()
-            + self.fwd.heap_bytes()
-            + self.rev.heap_bytes()
+        self.out.heap_bytes() + self.inc.heap_bytes()
     }
 
-    /// Whether the edge `u -label-> v` exists (binary search in the CSR).
+    /// Whether the edge `u -label-> v` exists (binary search inside `u`'s
+    /// `label` run).
     pub fn has_edge(&self, u: NodeId, label: Symbol, v: NodeId) -> bool {
-        self.fwd.has_edge(u, label, v)
+        self.successors_slice(u, label).binary_search(&v).is_ok()
     }
 
     /// All edges as `(source, label, target)` triples, in source order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, Symbol, NodeId)> + '_ {
         self.nodes()
-            .flat_map(|u| self.out_edges(u).iter().map(move |&(s, v)| (u, s, v)))
+            .flat_map(|u| self.out_edges(u).iter().map(move |(s, v)| (u, s, v)))
     }
 
     /// A fresh bitset sized for this graph's nodes.
@@ -298,20 +453,15 @@ impl GraphDb {
     ///
     /// Combined with [`crpq_automata::Nfa::reverse`], this supports backward
     /// RPQ reachability (`{src : dst reachable from src}`) without a
-    /// dedicated backward search. O(1) beyond cloning: the two index
+    /// dedicated backward search. O(1) beyond cloning: the two adjacency
     /// directions swap roles.
     pub fn reversed(&self) -> GraphDb {
         GraphDb {
             labels: self.labels.clone(),
             num_nodes: self.num_nodes,
             names: self.names.clone(),
-            num_edges: self.num_edges,
-            out_offsets: self.in_offsets.clone(),
-            out_adj: self.in_adj.clone(),
-            in_offsets: self.out_offsets.clone(),
-            in_adj: self.out_adj.clone(),
-            fwd: self.rev.clone(),
-            rev: self.fwd.clone(),
+            out: self.inc.clone(),
+            inc: self.out.clone(),
         }
     }
 
@@ -456,59 +606,43 @@ impl GraphBuilder {
 
     /// Finalises into an immutable, fully indexed [`GraphDb`].
     /// Duplicate edges are deduplicated.
-    pub fn finish(mut self) -> GraphDb {
-        let n = self.num_nodes;
-        // Deduplicate in (source, label, target) order — this is also the
-        // order the node-major flat arrays want.
-        self.edges.sort_unstable_by_key(|&(u, l, v)| (u, l, v));
-        self.edges.dedup();
-        let num_edges = self.edges.len();
-
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(u, _, _) in &self.edges {
-            out_offsets[u.index() + 1] += 1;
-        }
-        for i in 1..out_offsets.len() {
-            out_offsets[i] += out_offsets[i - 1];
-        }
-        let out_adj: Vec<(Symbol, NodeId)> = self.edges.iter().map(|&(_, l, v)| (l, v)).collect();
-
-        // Reverse flat adjacency: counting sort by target.
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(_, _, v) in &self.edges {
-            in_offsets[v.index() + 1] += 1;
-        }
-        for i in 1..in_offsets.len() {
-            in_offsets[i] += in_offsets[i - 1];
-        }
-        let mut cursor = in_offsets[..n].to_vec();
-        let mut in_adj = vec![(Symbol(0), NodeId(0)); num_edges];
-        for &(u, l, v) in &self.edges {
-            in_adj[cursor[v.index()] as usize] = (l, u);
-            cursor[v.index()] += 1;
-        }
-        for v in 0..n {
-            let (lo, hi) = (in_offsets[v] as usize, in_offsets[v + 1] as usize);
-            in_adj[lo..hi].sort_unstable();
-        }
-
-        let num_labels = self.labels.len();
-        let fwd = LabelCsr::build(n, num_labels, &self.edges);
-        let reversed: Vec<(NodeId, Symbol, NodeId)> =
-            self.edges.iter().map(|&(u, l, v)| (v, l, u)).collect();
-        let rev = LabelCsr::build(n, num_labels, &reversed);
-
-        GraphDb {
-            labels: self.labels,
+    ///
+    /// Both directions are filled by a counting sort straight into their
+    /// struct-of-arrays rows; each row is then sorted (and, outgoing,
+    /// deduplicated) on its own. The builder's edge list is released
+    /// before the incoming rows are built from the outgoing ones, so the
+    /// peak is one edge list plus one direction.
+    ///
+    /// Panics if the edge list exceeds `u32::MAX` entries: row offsets
+    /// are `u32`.
+    pub fn finish(self) -> GraphDb {
+        let GraphBuilder {
+            labels,
+            names,
             num_nodes: n,
-            names: self.names,
-            num_edges,
-            out_offsets,
-            out_adj,
-            in_offsets,
-            in_adj,
-            fwd,
-            rev,
+            edges,
+        } = self;
+        assert!(
+            edges.len() <= u32::MAX as usize,
+            "edge count exceeds u32 row offsets — shard the graph"
+        );
+        let mut out = Adjacency::scatter(n, || edges.iter().copied());
+        drop(edges);
+        out.sort_rows(true);
+        let mut inc = Adjacency::scatter(n, || {
+            (0..n as u32).flat_map(|u| {
+                out.row(NodeId(u))
+                    .iter()
+                    .map(move |(l, v)| (v, l, NodeId(u)))
+            })
+        });
+        inc.sort_rows(false);
+        GraphDb {
+            labels,
+            num_nodes: n,
+            names,
+            out,
+            inc,
         }
     }
 }
@@ -636,29 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_csr_indexes_agree() {
-        let g = diamond();
-        for v in g.nodes() {
-            for (sym, _) in g.alphabet().iter() {
-                let from_flat: Vec<NodeId> = g
-                    .out_edges(v)
-                    .iter()
-                    .filter(|&&(s, _)| s == sym)
-                    .map(|&(_, t)| t)
-                    .collect();
-                assert_eq!(g.successors_slice(v, sym), &from_flat[..]);
-                let from_flat_in: Vec<NodeId> = g
-                    .in_edges(v)
-                    .iter()
-                    .filter(|&&(s, _)| s == sym)
-                    .map(|&(_, t)| t)
-                    .collect();
-                assert_eq!(g.predecessors_slice(v, sym), &from_flat_in[..]);
-            }
-        }
-    }
-
-    #[test]
     fn reversed_swaps_directions() {
         let g = diamond();
         let r = g.reversed();
@@ -676,10 +787,6 @@ mod tests {
         use crate::view::GraphView;
         let mut g = diamond();
         let zz = g.alphabet_mut().intern("zz");
-        assert!(
-            zz.index() >= g.fwd.num_labels(),
-            "post-build symbol must land past the CSR's label count"
-        );
         for v in 0..g.num_nodes() {
             let v = NodeId(v as u32);
             // Inherent slice API: explicit empty slices, no panic.

@@ -3,7 +3,7 @@
 //! A [`DeltaGraph`] wraps a frozen [`GraphDb`] and a [`GraphDelta`] — four
 //! per-node sorted overlays (inserted / tombstoned edges, in each
 //! direction). Reads go through [`GraphView`]: each per-label or node-major
-//! query merges the base CSR slice with the matching overlay sub-range in a
+//! query merges the base row with the matching overlay sub-range in a
 //! single two-pointer walk, so a read costs `O(base slice + overlay
 //! sub-range)` and a node untouched by the delta reads at exactly base
 //! speed.
@@ -28,7 +28,7 @@
 //! The overlay is a read-amplification tax: every query pays a sub-range
 //! binary search per touched node. Past a configurable mutation budget
 //! ([`DeltaGraph::should_compact`]) the owner calls
-//! [`DeltaGraph::compact`] to rebuild a frozen [`GraphDb`] (full CSR
+//! [`DeltaGraph::compact`] to rebuild a frozen [`GraphDb`] (full adjacency
 //! build, `O(V + E)`) and start a fresh, empty delta on top of it.
 //!
 //! Cache interplay: the relation catalog in `crpq-core` keys invalidation
@@ -37,14 +37,14 @@
 //! methods here return enough information (`true` = graph changed) for
 //! the caller to drive that invalidation.
 
-use crate::db::{GraphBuilder, GraphDb, NodeId, NodeNames};
+use crate::db::{EdgeRow, GraphBuilder, GraphDb, NodeId, NodeNames};
 use crate::view::GraphView;
 use crpq_util::{FxHashMap, Interner, Symbol};
 
 /// Sorted edge-overlay of a [`DeltaGraph`]: inserted and tombstoned edges,
 /// indexed per node in both directions. Each `Vec` is kept sorted by
 /// `(label, node)`, so the per-label sub-range is found by two
-/// `partition_point` probes and merges against the base CSR slice without
+/// `partition_point` probes and merges against the base row slice without
 /// any further comparisons on label.
 #[derive(Clone, Debug, Default)]
 pub struct GraphDelta {
@@ -186,7 +186,7 @@ impl DeltaGraph {
     }
 
     /// Intern an edge label (existing labels keep their id; labels new to
-    /// the base alphabet get fresh ids whose base CSR slices are empty —
+    /// the base alphabet get fresh ids whose base rows carry no edges —
     /// their edges live purely in the overlay until compaction).
     pub fn label(&mut self, name: &str) -> Symbol {
         self.base.alphabet_mut().intern(name)
@@ -279,7 +279,7 @@ impl DeltaGraph {
     }
 
     /// Rebuild a frozen [`GraphDb`] equivalent to this view (full
-    /// counting-sort CSR build, `O(V + E)`); the overlay is consumed.
+    /// counting-sort adjacency build, `O(V + E)`); the overlay is consumed.
     /// Overlay-added nodes on a named base are assigned fresh `_d{id}`
     /// names (salted on the off-chance the base already used one).
     pub fn compact(self) -> GraphDb {
@@ -341,7 +341,7 @@ impl DeltaGraph {
     }
 }
 
-/// Merged per-label neighbour iterator: base CSR slice minus tombstones,
+/// Merged per-label neighbour iterator: base row slice minus tombstones,
 /// interleaved with overlay inserts, in ascending node-id order. The
 /// overlay invariants guarantee no equal heads (adds ∩ base = ∅) and that
 /// tombstones cancel base heads in lockstep (dels ⊆ base, both sorted).
@@ -390,7 +390,9 @@ impl<'a> Iterator for DeltaNeighbors<'a> {
 /// Merged node-major edge iterator over `(label, node)` pairs, ordered by
 /// `(label, node)`; same merge discipline as [`DeltaNeighbors`].
 pub struct DeltaEdges<'a> {
-    base: &'a [(Symbol, NodeId)],
+    base: EdgeRow<'a>,
+    /// Index of the next unread base pair.
+    at: usize,
     adds: &'a [(Symbol, NodeId)],
     dels: &'a [(Symbol, NodeId)],
 }
@@ -400,13 +402,11 @@ impl<'a> Iterator for DeltaEdges<'a> {
 
     fn next(&mut self) -> Option<(Symbol, NodeId)> {
         loop {
-            if let Some(&b) = self.base.first() {
-                if let Some(&d) = self.dels.first() {
-                    if d == b {
-                        self.base = &self.base[1..];
-                        self.dels = &self.dels[1..];
-                        continue;
-                    }
+            if let Some(b) = self.base.get(self.at) {
+                if self.dels.first() == Some(&b) {
+                    self.at += 1;
+                    self.dels = &self.dels[1..];
+                    continue;
                 }
                 match self.adds.first() {
                     Some(&a) if a < b => {
@@ -414,7 +414,7 @@ impl<'a> Iterator for DeltaEdges<'a> {
                         return Some(a);
                     }
                     _ => {
-                        self.base = &self.base[1..];
+                        self.at += 1;
                         return Some(b);
                     }
                 }
@@ -426,7 +426,7 @@ impl<'a> Iterator for DeltaEdges<'a> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.base.len() + self.adds.len() - self.dels.len();
+        let n = self.base.len() - self.at + self.adds.len() - self.dels.len();
         (n, Some(n))
     }
 }
@@ -448,72 +448,46 @@ impl GraphView for DeltaGraph {
     }
 
     fn successors(&self, v: NodeId, label: Symbol) -> DeltaNeighbors<'_> {
-        let base = if v.index() < self.base.num_nodes() {
-            self.base.successors_slice(v, label)
-        } else {
-            &[]
-        };
         DeltaNeighbors {
-            base,
+            base: self.base.successors_slice(v, label),
             adds: label_range(self.delta.out_adds(v), label),
             dels: label_range(self.delta.out_dels(v), label),
         }
     }
 
     fn predecessors(&self, v: NodeId, label: Symbol) -> DeltaNeighbors<'_> {
-        let base = if v.index() < self.base.num_nodes() {
-            self.base.predecessors_slice(v, label)
-        } else {
-            &[]
-        };
         DeltaNeighbors {
-            base,
+            base: self.base.predecessors_slice(v, label),
             adds: label_range(self.delta.in_adds(v), label),
             dels: label_range(self.delta.in_dels(v), label),
         }
     }
 
     fn out_degree(&self, v: NodeId, label: Symbol) -> usize {
-        let base = if v.index() < self.base.num_nodes() {
-            self.base.successors_slice(v, label).len()
-        } else {
-            0
-        };
-        base + label_range(self.delta.out_adds(v), label).len()
+        self.base.successors_slice(v, label).len()
+            + label_range(self.delta.out_adds(v), label).len()
             - label_range(self.delta.out_dels(v), label).len()
     }
 
     fn in_degree(&self, v: NodeId, label: Symbol) -> usize {
-        let base = if v.index() < self.base.num_nodes() {
-            self.base.predecessors_slice(v, label).len()
-        } else {
-            0
-        };
-        base + label_range(self.delta.in_adds(v), label).len()
+        self.base.predecessors_slice(v, label).len()
+            + label_range(self.delta.in_adds(v), label).len()
             - label_range(self.delta.in_dels(v), label).len()
     }
 
     fn out_edges_iter(&self, v: NodeId) -> DeltaEdges<'_> {
-        let base = if v.index() < self.base.num_nodes() {
-            self.base.out_edges(v)
-        } else {
-            &[]
-        };
         DeltaEdges {
-            base,
+            base: self.base.out_edges(v),
+            at: 0,
             adds: self.delta.out_adds(v),
             dels: self.delta.out_dels(v),
         }
     }
 
     fn in_edges_iter(&self, v: NodeId) -> DeltaEdges<'_> {
-        let base = if v.index() < self.base.num_nodes() {
-            self.base.in_edges(v)
-        } else {
-            &[]
-        };
         DeltaEdges {
-            base,
+            base: self.base.in_edges(v),
+            at: 0,
             adds: self.delta.in_adds(v),
             dels: self.delta.in_dels(v),
         }
@@ -609,7 +583,7 @@ mod tests {
     #[test]
     fn added_nodes_and_new_labels_work_through_the_view() {
         let mut g = DeltaGraph::new(base());
-        let fresh = g.label("fresh"); // not in base CSR
+        let fresh = g.label("fresh"); // not in the base adjacency
         let w = g.add_node();
         assert_eq!(w, NodeId(3));
         assert_eq!(GraphView::num_nodes(&g), 4);
@@ -652,9 +626,10 @@ mod tests {
         assert_eq!(frozen.node_name(NodeId(0)), "x");
         assert_eq!(frozen.node_name(NodeId(3)), "_d3");
         for v in 0..4 {
-            assert_eq!(frozen.out_edges(NodeId(v)), expect[v as usize]);
+            let row: Vec<_> = frozen.out_edges(NodeId(v)).iter().collect();
+            assert_eq!(row, expect[v as usize]);
         }
-        // CSR agrees too, including the post-base label.
+        // Per-label slices agree too, including the post-base label.
         assert_eq!(frozen.successors_slice(NodeId(2), fresh), &[NodeId(3)]);
         assert!(!frozen.successors_slice(NodeId(0), a).is_empty());
     }

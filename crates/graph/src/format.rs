@@ -666,6 +666,40 @@ w c u
         assert!(!g3.is_named());
     }
 
+    /// The v2 encoding of a fixed graph is pinned byte for byte, so an
+    /// index-layout change cannot silently reorder the edge section. The
+    /// edges are added unsorted and with a duplicate.
+    #[test]
+    fn snapshot_bytes_of_a_fixed_graph_are_stable() {
+        let hex =
+            |g: &GraphDb| -> String { to_binary(g).iter().map(|x| format!("{x:02x}")).collect() };
+        let mut b = GraphBuilder::new();
+        b.edge("u", "b", "w");
+        b.edge("u", "a", "v");
+        b.edge("v", "c", "u");
+        b.edge("u", "a", "v");
+        b.edge("w", "a", "u");
+        b.node("iso");
+        assert_eq!(
+            hex(&b.finish()),
+            "435250510203000000010000006201000000610100000063010400000001000000750100\
+             00007701000000760300000069736f040000000000000000000000000000000100000000\
+             00000001000000020000000100000001000000000000000200000002000000000000\
+             00bc22c7a3"
+        );
+        let mut b = GraphBuilder::anonymous(5);
+        let (a, c) = (b.label("a"), b.label("c"));
+        for (u, l, v) in [(3, c, 1), (0, a, 4), (3, a, 1), (0, a, 2), (4, c, 0)] {
+            b.edge_ids(NodeId(u), l, NodeId(v));
+        }
+        assert_eq!(
+            hex(&b.finish()),
+            "435250510202000000010000006101000000630005000000050000000000000000000000\
+             00000000020000000000000000000000040000000300000000000000010000000300\
+             0000010000000100000004000000010000000000000005c28ee5"
+        );
+    }
+
     #[test]
     fn binary_v1_snapshots_still_decode() {
         // Hand-assemble a version-1 snapshot (no names-mode byte):

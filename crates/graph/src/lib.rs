@@ -13,7 +13,6 @@
 //! * **trails** (edge-injective; §7 outlook of the paper) —
 //!   [`rpq::trail_exists`].
 
-pub mod csr;
 pub mod db;
 pub mod delta;
 pub mod format;
@@ -23,8 +22,7 @@ pub mod two_way;
 pub mod view;
 pub mod wal;
 
-pub use csr::LabelCsr;
-pub use db::{GraphBuilder, GraphDb, NodeId, NodeNames};
+pub use db::{EdgeRow, GraphBuilder, GraphDb, NodeId, NodeNames};
 pub use delta::{DeltaGraph, GraphDelta};
 pub use view::GraphView;
 pub use wal::{DurableGraph, EdgeMutation, RecoveryReport, SyncPolicy, WalError};

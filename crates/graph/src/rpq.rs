@@ -27,7 +27,7 @@
 //! successor/predecessor iterators (strictly ascending node ids), degrees,
 //! and the node-major edge iterators — see the contract in
 //! [`crate::view`]. Monomorphised at [`GraphDb`](crate::db::GraphDb) the
-//! iterators are `Copied<slice::Iter>` over the CSR slices, i.e. exactly
+//! iterators are `Copied<slice::Iter>` over its adjacency rows, i.e. exactly
 //! the pre-generalisation loops; monomorphised at
 //! [`DeltaGraph`](crate::delta::DeltaGraph) the same algorithms read the
 //! base+overlay merge, which is how mutated graphs are queried without a
@@ -370,7 +370,7 @@ pub fn rpq_reach<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId) -> BitSet {
 ///
 /// The BFS iterates NFA transitions first and graph edges second: for each
 /// frontier state `(v, q)` and each transition `q -a-> q'`, the `a`-targets
-/// of `v` come from the label-partitioned CSR as one contiguous slice
+/// of `v` come from `v`'s adjacency row as one contiguous slice
 /// ([`GraphDb::successors_slice`]), so nodes with large mixed-label edge
 /// lists are never scanned label-by-label.
 pub fn rpq_reach_with<G: GraphView>(
@@ -452,7 +452,7 @@ pub fn rpq_reach_collect<G: GraphView>(
 /// `nfa_rev` recognises the *mirror* language ([`Nfa::reverse`]).
 ///
 /// Equivalent to `rpq_reach(&g.reversed(), nfa_rev, dst)` but walks the
-/// reverse label-partitioned CSR the graph already carries
+/// incoming adjacency the graph already carries
 /// ([`GraphDb::predecessors_slice`]), so callers needing both directions
 /// (e.g. bidirectional candidate pruning) avoid a full graph clone.
 pub fn rpq_reach_back<G: GraphView>(g: &G, nfa_rev: &Nfa, dst: NodeId) -> BitSet {
@@ -1499,10 +1499,41 @@ impl Relation {
     }
 }
 
+/// Which sources can start a path: those with an edge on some symbol
+/// leaving an initial state — or every source, when an initial state is
+/// final (the empty path matches). Any other source's sweep ends at the
+/// source itself with an empty row, so the materialisers skip it outright
+/// instead of sweeping it and handing off an empty row.
+struct PathStarts {
+    any: bool,
+    symbols: Vec<Symbol>,
+}
+
+impl PathStarts {
+    fn new(nfa: &Nfa) -> Self {
+        let mut symbols: Vec<Symbol> = nfa
+            .initials()
+            .iter()
+            .flat_map(|q| nfa.transitions_from(q as StateId).iter().map(|&(a, _)| a))
+            .collect();
+        symbols.sort_unstable();
+        symbols.dedup();
+        PathStarts {
+            any: nfa.initials().iter().any(|q| nfa.is_final(q as StateId)),
+            symbols,
+        }
+    }
+
+    #[inline]
+    fn admits<G: GraphView>(&self, g: &G, v: NodeId) -> bool {
+        self.any || self.symbols.iter().any(|&a| g.out_degree(v, a) > 0)
+    }
+}
+
 /// Materialises the full RPQ relation `{(u, v) : some u→v path has its
-/// label in L(nfa)}` by a product BFS from every source in `sources`,
-/// reusing `scratch` across sweeps (no per-source reallocation beyond the
-/// output rows themselves).
+/// label in L(nfa)}` by a product BFS from every source in `sources` that
+/// can start a path, reusing `scratch` across sweeps (no per-source
+/// reallocation beyond the output rows themselves).
 pub fn rpq_reach_all<G: GraphView>(
     g: &G,
     nfa: &Nfa,
@@ -1510,9 +1541,10 @@ pub fn rpq_reach_all<G: GraphView>(
     scratch: &mut ReachScratch,
 ) -> Relation {
     let n = g.num_nodes();
+    let starts = PathStarts::new(nfa);
     let mut rel = Relation::empty(n);
     let mut buf: Vec<u32> = Vec::new();
-    for src in sources {
+    for src in sources.into_iter().filter(|&v| starts.admits(g, v)) {
         rpq_reach_collect(g, nfa, src, scratch, &mut buf);
         rel.set_forward_row_ids(src, &buf);
     }
@@ -1540,8 +1572,14 @@ pub fn rpq_reach_all_parallel<G: GraphView>(
     if threads <= 1 {
         return rpq_reach_all(g, nfa, sources.iter().copied(), &mut ReachScratch::new());
     }
+    let starts = PathStarts::new(nfa);
+    let sources: Vec<NodeId> = sources
+        .iter()
+        .copied()
+        .filter(|&v| starts.admits(g, v))
+        .collect();
     let mut rel = Relation::empty(g.num_nodes());
-    let (rows, _scratch_bytes) = parallel_rows(g, nfa, sources, threads);
+    let (rows, _scratch_bytes) = parallel_rows(g, nfa, &sources, threads);
     for (src, ids) in rows {
         rel.set_forward_row_ids(src, &ids);
     }
@@ -1646,24 +1684,9 @@ pub fn rpq_relation_parallel<G: GraphView>(g: &G, nfa: &Nfa, threads: usize) -> 
 }
 
 /// Per-block budget for the blocked closure's reach matrix: 2³⁰ bits
-/// (128 MiB). This used to be a *hard cap* past which the closure refused
-/// to run; it is now only the working-set ceiling of one column block
-/// ([`rpq_relation_closure_blocked`]).
+/// (128 MiB) — the working-set ceiling of one column block
+/// ([`rpq_relation_closure_blocked`]), not a cap on the product size.
 pub const CLOSURE_BLOCK_BUDGET_BITS: usize = 1 << 30;
-
-/// Whether the closure materialiser's worst-case reach matrix — one
-/// `|V|`-bit row per product-graph SCC, `O(|V|²·|Q|)` bits — fits in a
-/// **single** column block of the default budget
-/// ([`CLOSURE_BLOCK_BUDGET_BITS`]). Kept for observability and tests:
-/// [`rpq_relation_closure`] no longer gates on it — past this point it
-/// processes the SCC condensation in column blocks instead of being
-/// unusable, so dense products degrade gracefully rather than falling
-/// back to quadratic per-source sweeps.
-pub fn closure_fits<G: GraphView>(g: &G, nfa: &Nfa) -> bool {
-    let n = g.num_nodes() as u128;
-    let pn = n * nfa.num_states() as u128;
-    pn > 0 && pn * n <= CLOSURE_BLOCK_BUDGET_BITS as u128
-}
 
 /// **Cost-adaptive** full-relation materialiser: starts with per-source
 /// sweeps, observes their cost on a sample of sources, and switches to the
@@ -1701,6 +1724,7 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
 ) -> (Relation, MaterialiseStats) {
     let mut stats = MaterialiseStats::default();
     let n = g.num_nodes();
+    let starts = PathStarts::new(nfa);
     const SAMPLE: usize = 64;
     let sample = SAMPLE.min(n);
     // Resolve the thread knob once up front (see `effective_threads`);
@@ -1717,13 +1741,18 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
     // deduplicated, so a tiny or empty graph can neither divide by zero
     // when projecting the cost nor probe (and double-install) the same
     // source twice; the projection divides by the number of sources
-    // actually probed, not the requested sample size.
+    // actually probed, not the requested sample size. A sampled source
+    // that cannot start a path counts as probed at zero cost (its sweep
+    // would scan nothing) without being swept.
     let mut sampled: Vec<usize> = (0..sample).map(|i| i * n / sample.max(1)).collect();
     sampled.dedup();
     let mut sampled_scans = 0usize;
     for &v in &sampled {
-        sampled_scans += rpq_reach_collect(g, nfa, NodeId(v as u32), scratch, &mut buf);
-        rel.set_forward_row_ids(NodeId(v as u32), &buf);
+        let v = NodeId(v as u32);
+        if starts.admits(g, v) {
+            sampled_scans += rpq_reach_collect(g, nfa, v, scratch, &mut buf);
+            rel.set_forward_row_ids(v, &buf);
+        }
     }
     if !sampled.is_empty() && sampled.len() < n {
         let projected = sampled_scans.saturating_mul(n) / sampled.len();
@@ -1731,13 +1760,14 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
         if projected > 4 * closure_bound {
             // The blocked closure degrades gracefully on any product size
             // (column blocks bound its matrix), so no memory gate here.
-            let rel = rpq_relation_closure(g, nfa);
+            let rel = rpq_relation_closure_blocked(g, nfa, CLOSURE_BLOCK_BUDGET_BITS);
             stats.scratch_bytes = scratch.heap_bytes();
             stats.assembly_ops = rel.assembly_ops();
             return (rel, stats);
         }
     }
-    // Remaining sources: everything not in the (sorted) sample.
+    // Remaining sources: everything not in the (sorted) sample that can
+    // start a path.
     let mut next_sampled = sampled.iter().copied().peekable();
     let rest: Vec<NodeId> = (0..n)
         .filter(|&v| {
@@ -1749,6 +1779,7 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
             }
         })
         .map(|v| NodeId(v as u32))
+        .filter(|&v| starts.admits(g, v))
         .collect();
     if threads > 1 && rest.len() > SAMPLE {
         let (chunk_rows, worker_scratch_bytes) = parallel_rows(g, nfa, &rest, threads);
@@ -1770,13 +1801,8 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
 
 /// Materialises the full RPQ relation by **bitset closure over the
 /// product-graph condensation** instead of one BFS per source, with the
-/// reach matrix capped per column block ([`CLOSURE_BLOCK_BUDGET_BITS`]).
-/// See [`rpq_relation_closure_blocked`] for the mechanics.
-pub fn rpq_relation_closure<G: GraphView>(g: &G, nfa: &Nfa) -> Relation {
-    rpq_relation_closure_blocked(g, nfa, CLOSURE_BLOCK_BUDGET_BITS)
-}
-
-/// The **column-blocked** closure materialiser.
+/// reach matrix capped per column block at `block_budget_bits`
+/// ([`CLOSURE_BLOCK_BUDGET_BITS`] from [`rpq_relation_auto`]).
 ///
 /// The product graph `G × A` has a node `(v, q)` per graph node and
 /// automaton state and an edge `(v, q) → (w, q′)` per graph edge
@@ -2869,13 +2895,51 @@ mod tests {
             let mut g = crate::generators::random_graph(23, 70, &["a", "b"], seed);
             let regex = crpq_automata::parse_regex(expr, g.alphabet_mut()).unwrap();
             let nfa = Nfa::from_regex(&regex);
-            assert!(closure_fits(&g, &nfa));
-            let closure = rpq_relation_closure(&g, &nfa);
+            let closure = rpq_relation_closure_blocked(&g, &nfa, CLOSURE_BLOCK_BUDGET_BITS);
             let per_source = rpq_relation(&g, &nfa, &mut ReachScratch::new());
             assert_eq!(closure, per_source, "seed {seed} expr {expr}");
             let auto = rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 1);
             assert_eq!(auto, per_source, "seed {seed} expr {expr}");
         }
+    }
+
+    #[test]
+    fn sources_that_cannot_start_a_path_are_skipped_exactly() {
+        // 200 nodes, edges only among the first 20: most sources have no
+        // edge at all, and `b`-edges leave only a few of them. A nullable
+        // language keeps every source (the empty path); an anchored one
+        // keeps only sources with an initial-symbol edge. Every entry path
+        // must agree with the closure, which sweeps nothing per source.
+        let mut b = crate::db::GraphBuilder::anonymous(200);
+        let (a, bl) = (b.label("a"), b.label("b"));
+        for i in 0..20u32 {
+            b.edge_ids(NodeId(i), a, NodeId((i + 1) % 20));
+            if i % 7 == 0 {
+                b.edge_ids(NodeId(i), bl, NodeId(i + 3));
+            }
+        }
+        let mut g = b.finish();
+        for expr in ["a*", "b a*", "(b + a) a", "c a"] {
+            let regex = crpq_automata::parse_regex(expr, g.alphabet_mut()).unwrap();
+            let nfa = Nfa::from_regex(&regex);
+            let closure = rpq_relation_closure_blocked(&g, &nfa, CLOSURE_BLOCK_BUDGET_BITS);
+            assert_eq!(
+                rpq_relation(&g, &nfa, &mut ReachScratch::new()),
+                closure,
+                "{expr}"
+            );
+            assert_eq!(rpq_relation_parallel(&g, &nfa, 3), closure, "{expr}");
+            for threads in [1, 2] {
+                let auto = rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), threads);
+                assert_eq!(auto, closure, "{expr} threads {threads}");
+            }
+        }
+        let nfa = Nfa::from_regex(&crpq_automata::parse_regex("a*", g.alphabet_mut()).unwrap());
+        let rel = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+        assert!(
+            rel.contains(NodeId(150), NodeId(150)),
+            "ε keeps edgeless sources"
+        );
     }
 
     #[test]

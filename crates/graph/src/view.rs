@@ -9,14 +9,15 @@
 //! Two implementors exist:
 //!
 //! * [`GraphDb`] — the frozen base snapshot. Its associated iterator types
-//!   are `Copied<slice::Iter>` over the CSR slices, so a function generic
+//!   are `Copied<slice::Iter>` over its adjacency rows (zipped label and
+//!   neighbour slices for the node-major ones), so a function generic
 //!   over `G: GraphView` monomorphised at `GraphDb` compiles to **exactly**
 //!   the same loops as the old concrete `&GraphDb` code (a copied-slice
 //!   iterator is the canonical zero-cost iterator); the static-path perf
 //!   gates in CI are unaffected by the generalisation.
 //! * [`DeltaGraph`](crate::delta::DeltaGraph) — a base snapshot plus a
 //!   sorted overlay of inserted/deleted edges. Its iterators merge the
-//!   base CSR slice with the overlay sub-range at read time; see
+//!   base row slice with the overlay sub-range at read time; see
 //!   [`crate::delta`] for the overlay invariants that make the merge a
 //!   straight two-pointer walk.
 //!
@@ -36,7 +37,7 @@
 //!   equal the respective iterator lengths, and
 //!   [`num_edges`](GraphView::num_edges) is the total over all `(v, a)`.
 //! * A label outside the view's alphabet, or one interned **after** the
-//!   underlying CSR was built, has no edges: the iterators are empty and
+//!   underlying adjacency was built, has no edges: the iterators are empty and
 //!   degrees zero (never a panic). This is what lets queries mention
 //!   labels the data does not use.
 //! * Node ids are dense in `0..num_nodes()`; iterating edges of an
@@ -48,7 +49,7 @@
 //! `&G` for its whole run, so Rust's borrow rules already guarantee the
 //! snapshot-consistent reads Figueira's per-snapshot semantics need.
 
-use crate::db::{GraphDb, NodeId};
+use crate::db::{EdgeRowIter, GraphDb, NodeId};
 use crpq_util::{BitSet, Interner, Symbol};
 
 /// Read-only view of an edge-labelled graph: the complete set of
@@ -109,7 +110,7 @@ pub trait GraphView: Sync {
 
 impl GraphView for GraphDb {
     type Neighbors<'a> = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
-    type NodeEdges<'a> = std::iter::Copied<std::slice::Iter<'a, (Symbol, NodeId)>>;
+    type NodeEdges<'a> = EdgeRowIter<'a>;
 
     #[inline]
     fn num_nodes(&self) -> usize {
@@ -148,12 +149,12 @@ impl GraphView for GraphDb {
 
     #[inline]
     fn out_edges_iter(&self, v: NodeId) -> Self::NodeEdges<'_> {
-        self.out_edges(v).iter().copied()
+        self.out_edges(v).iter()
     }
 
     #[inline]
     fn in_edges_iter(&self, v: NodeId) -> Self::NodeEdges<'_> {
-        self.in_edges(v).iter().copied()
+        self.in_edges(v).iter()
     }
 
     #[inline]
@@ -270,9 +271,9 @@ mod tests {
         assert_eq!(GraphView::out_degree(&g, x, a), 2);
         assert_eq!(GraphView::in_degree(&g, z, a), 1);
         let out: Vec<_> = GraphView::out_edges_iter(&g, x).collect();
-        assert_eq!(out, g.out_edges(x));
+        assert_eq!(out, g.out_edges(x).iter().collect::<Vec<_>>());
         let inc: Vec<_> = GraphView::in_edges_iter(&g, z).collect();
-        assert_eq!(inc, g.in_edges(z));
+        assert_eq!(inc, g.in_edges(z).iter().collect::<Vec<_>>());
         assert!(GraphView::has_edge(&g, y, b, z));
         assert!(!GraphView::has_edge(&g, y, a, z));
         assert_eq!(GraphView::node_set(&g).capacity(), 3);

@@ -70,7 +70,7 @@ pub const LABEL_RICH_ZIPF_EXPONENT: f64 = 1.0;
 /// [`LABEL_RICH_LABELS`] labels with Zipf-distributed frequencies
 /// ([`crpq_graph::generators::zipf_label_graph`]). The scale benchmarks run
 /// it at `n = 10⁵`, where a per-direction dense `label × node` offset table
-/// would cost `4 · 10⁸` bytes against the sparse per-label CSR's few MB.
+/// would cost `4 · 10⁸` bytes against the node-major adjacency's few MB.
 pub fn label_rich_graph(n: usize, seed: u64) -> GraphDb {
     generators::zipf_label_graph(n, 4 * n, LABEL_RICH_LABELS, LABEL_RICH_ZIPF_EXPONENT, seed)
 }
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn label_rich_family_evaluates_consistently() {
         // Scaled-down instance of the |V| = 10⁵ family: the join engine
-        // (adaptive domains, sparse-offset CSR) must agree with the
+        // (adaptive domains, node-major adjacency) must agree with the
         // enumeration oracle under all three semantics.
         let mut g = crpq_graph::generators::zipf_label_graph(40, 160, 25, 1.0, 7);
         let q = label_rich_query(g.alphabet_mut());
