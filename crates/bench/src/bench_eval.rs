@@ -65,8 +65,10 @@
 //! [`Eval::ask`] and the cold end-to-end first tuple off the pull stream
 //! (`Eval::stream`), against the warm
 //! full materialisation over the same catalog. `--smoke` enforces the CI
-//! floors at `|V| = 10⁶`: time-to-first ≤ 10 % of the full-materialisation
+//! floors at `|V| = 10⁶`: time-to-first ≤ 50 % of the full-materialisation
 //! wall clock, and `ASK` no slower than time-to-first (small noise guard).
+//! Both sides pay the same semi-join pass, which bounds the ratio from
+//! below; a `LIMIT 1` that drains the whole search reads ≈ 1.0.
 //!
 //! The **mutation workloads** (`mutate_rows` in `BENCH_scale.json`, the
 //! `--mutate-smoke` gate) exercise the dynamic-graph path: a
@@ -373,9 +375,11 @@ impl StreamRow {
 
 /// Measures the streaming fast paths on the million-node family at `n`
 /// nodes. With `enforce_floor` (the CI gate at `|V| = 10⁶`):
-/// time-to-first-tuple must be ≤ 10 % of the warm full-materialisation
-/// wall clock, and `ASK` must be no slower than time-to-first (they do
-/// the same search; a 5 % + 1 ms guard absorbs timer noise).
+/// time-to-first-tuple must be ≤ 50 % of the warm full-materialisation
+/// wall clock — both pay the same semi-join pass, and an early exit that
+/// broke would drain the whole search and read ≈ 100 % — and `ASK` must
+/// be no slower than time-to-first (they do the same search; a 5 % + 1 ms
+/// guard absorbs timer noise).
 fn measure_stream(n: usize, threads: usize, enforce_floor: bool) -> StreamRow {
     const SAMPLES: usize = 3;
     const K: usize = 64;
@@ -429,8 +433,8 @@ fn measure_stream(n: usize, threads: usize, enforce_floor: bool) -> StreamRow {
     };
     if enforce_floor {
         assert!(
-            row.ttf_fraction() <= 0.10,
-            "time-to-first-tuple above 10% of full materialisation at n={n}: \
+            row.ttf_fraction() <= 0.50,
+            "time-to-first-tuple above 50% of full materialisation at n={n}: \
              {:.2}ms vs {:.2}ms ({:.0}%)",
             row.ttf_ms,
             row.full_ms,
@@ -1449,6 +1453,30 @@ pub fn run_wal_smoke(path: &str) {
     println!("\nwrote {path}");
 }
 
+/// Upper bound on how much the non-materialisation time of the million
+/// family may grow from `10⁶` to `10⁷` nodes (10× the data).
+const SEARCH_SCALING_FACTOR: f64 = 30.0;
+
+/// The `--scale-smoke` scaling gate over two `scale_million` rows of the
+/// same run, `small` at `10⁶` and `large` at `10⁷` nodes: `large.eval_ms −
+/// large.mat_ms ≤` [`SEARCH_SCALING_FACTOR`] `· (small.eval_ms −
+/// small.mat_ms)`. Materialisation is excluded, so only the layers after
+/// it (semi-join pruning, search, output) are gated.
+fn assert_search_scaling(small: &ScaleRow, large: &ScaleRow) {
+    assert_eq!(small.workload, "scale_million");
+    assert_eq!(large.workload, "scale_million");
+    let rest = |r: &ScaleRow| r.eval_ms - r.mat_ms;
+    let (rest_small, rest_large) = (rest(small), rest(large));
+    assert!(
+        rest_large <= SEARCH_SCALING_FACTOR * rest_small,
+        "search time scales superlinearly: {rest_large:.0}ms at |V|={} vs \
+         {rest_small:.0}ms at |V|={} ({:.1}x, bound {SEARCH_SCALING_FACTOR}x)",
+        large.nodes,
+        small.nodes,
+        rest_large / rest_small.max(1e-9)
+    );
+}
+
 /// The `--scale-smoke` CI gate, four rows:
 ///
 /// * `|V| = 10⁵`, 10³-label Zipf workload under its wall-clock ceiling
@@ -1461,7 +1489,11 @@ pub fn run_wal_smoke(path: &str) {
 ///   unchanged);
 /// * `|V| = 10⁷` / `4·10⁷`-edge anonymous workload under the same
 ///   O(touched) contracts at its own index budget (~2.4 GB — the graph
-///   index is linear in |V|; relations and scratch must not be);
+///   index is linear in |V|; relations and scratch must not be), and
+///   the scaling gate: its non-materialisation time (`eval_ms −
+///   mat_ms`: semi-join pruning, search, output) is at most
+///   [`SEARCH_SCALING_FACTOR`]× that of the `10⁶` row (linear scaling
+///   reads 10×, a per-search-node `O(|V|)` term ~70×);
 /// * the skewed-Zipf work-stealing row: full evaluation through the
 ///   work-stealing search and on one thread, with the ≥ 1.5× stealing
 ///   floor enforced on machines with ≥ 4 CPUs.
@@ -1504,6 +1536,7 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
     )];
     print_scale_rows(&rows);
     print_steal_rows(&steal_rows);
+    assert_search_scaling(&rows[1], &rows[2]);
     let new_scale = scale_rows_json(&rows);
     let new_steal = steal_rows_json(&steal_rows);
     let prior_scale = prior_rows_deduped(path, "scale_rows", &new_scale);
@@ -1623,7 +1656,7 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     let cyclic_rows = measure_cyclic_rows();
 
     // Streaming fast paths on the million family: 10⁵ for the trajectory,
-    // 10⁶ as the CI floor carrier (time-to-first ≤ 10% of full, ASK no
+    // 10⁶ as the CI floor carrier (time-to-first ≤ 50% of full, ASK no
     // slower than time-to-first).
     let stream_rows = vec![
         measure_stream(100_000, threads, false),

@@ -1038,6 +1038,10 @@ pub(crate) struct JoinPlan<'a, G: GraphView> {
     /// so domain storage and the per-backtracking-step clone+intersect are
     /// `O(candidates)` instead of `O(|V|)` per variable.
     pub(crate) domains: Vec<NodeSet>,
+    /// `domain_sizes[v] == domains[v].len()`, recorded once at build time
+    /// (domains never change after it): the search reads sizes at every
+    /// node, and counting a dense domain is an `O(|V|/64)` popcount.
+    pub(crate) domain_sizes: Vec<usize>,
     /// Some domain is empty — the variant contributes nothing.
     empty: bool,
 }
@@ -1080,7 +1084,9 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
         // Semi-join fixpoint: a node stays in dom(src) only while some
         // partner in dom(dst) is still related (and vice versa). Each pass
         // rebuilds the shrinking side from its survivors — `O(candidates)`
-        // work and memory, not `O(|V|)`.
+        // work and memory, not `O(|V|)`. Sizes are counted once here and
+        // then kept in step with every rebuild.
+        let mut sizes: Vec<usize> = domains.iter().map(NodeSet::len).collect();
         let mut changed = true;
         while changed {
             changed = false;
@@ -1094,7 +1100,8 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
                     .filter(|&u| domains[d].intersects_row(&rel.forward(NodeId(u as u32))))
                     .map(|u| u as u32)
                     .collect();
-                if kept.len() != domains[s].len() {
+                if kept.len() != sizes[s] {
+                    sizes[s] = kept.len();
                     domains[s] = NodeSet::from_sorted_ids(kept, n);
                     changed = true;
                 }
@@ -1103,14 +1110,15 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
                     .filter(|&v| domains[s].intersects_row(&rel.backward(NodeId(v as u32))))
                     .map(|v| v as u32)
                     .collect();
-                if kept.len() != domains[d].len() {
+                if kept.len() != sizes[d] {
+                    sizes[d] = kept.len();
                     domains[d] = NodeSet::from_sorted_ids(kept, n);
                     changed = true;
                 }
             }
         }
 
-        let empty = domains.iter().any(crpq_graph::rpq::NodeSet::is_empty) && variant.num_vars > 0;
+        let empty = sizes.contains(&0) && variant.num_vars > 0;
         JoinPlan {
             g,
             q: variant,
@@ -1118,6 +1126,7 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             atoms,
             relations,
             domains,
+            domain_sizes: sizes,
             empty,
         }
     }
@@ -1269,13 +1278,13 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
     /// sequential executor would. (An empty candidate set is returned
     /// as-is — the caller's zero-iteration loop prunes the subtree.)
     pub(crate) fn choose_branch(&self, assignment: &[Option<NodeId>]) -> Option<(Var, NodeSet)> {
-        // Exact candidate counts are cheap for every unbound variable:
-        // row-constrained variables materialise their (small, row-driven)
-        // candidate set, unconstrained ones are counted straight off the
-        // pruned domain — materialising those would clone a possibly
-        // dense O(|V|) set per backtracking step. Only the winning
-        // unconstrained variable (at most once per search, at the root)
-        // is materialised at the end.
+        // Exact candidate counts for every unbound variable, none of them
+        // O(|V|): row-constrained variables materialise their (small,
+        // row-driven) candidate set; unconstrained ones read the domain
+        // size recorded at build time (minus used nodes under q-inj) —
+        // counting a dense domain here would be an O(|V|/64) popcount,
+        // and cloning it an O(|V|) copy, per backtracking step. Only the
+        // winning unconstrained variable is materialised at the end.
         let mut best: Option<(Var, Option<NodeSet>, usize)> = None;
         for v in 0..assignment.len() {
             if assignment[v].is_some() {
@@ -1284,7 +1293,7 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             let var = Var(v as u32);
             let (cands, size) = if self.neighbour_rows(var, assignment).is_empty() {
                 let domain = &self.domains[v];
-                let mut size = domain.len();
+                let mut size = self.domain_sizes[v];
                 if self.sem == Semantics::QueryInjective {
                     size -= assignment
                         .iter()
@@ -1505,7 +1514,7 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
     /// variables (pure Boolean check).
     pub(crate) fn split_candidates(&self) -> Option<(Var, Vec<NodeId>)> {
         let var = (0..self.q.num_vars)
-            .min_by_key(|&v| self.domains[v].len())
+            .min_by_key(|&v| self.domain_sizes[v])
             .map(|v| Var(v as u32))?;
         let cands = self.domains[var.index()]
             .iter()
@@ -2351,6 +2360,47 @@ mod tests {
         let mut catalog = RelationCatalog::new(g);
         let plan = plan_variant(&variants[0], g, false, &mut catalog);
         JoinPlan::build(&variants[0], g, Semantics::Standard, plan, &catalog).is_cyclic()
+    }
+
+    #[test]
+    fn recorded_domain_sizes_match_the_pruned_domains() {
+        // An a-chain over 256 nodes, three b-edges and c self-loops on the
+        // first 100 nodes. The semi-join fixpoint cuts x from 255 nodes
+        // (dense) to 2 and z from 3 to 2, and s to the 98 nodes two
+        // a-steps before a looped t: dense and sparse domains at once,
+        // each reached by a rebuild in the fixpoint.
+        let names: Vec<String> = (0..256).map(|i| format!("n{i}")).collect();
+        let mut edges: Vec<(&str, &str, &str)> = (0..255)
+            .map(|i| (names[i].as_str(), "a", names[i + 1].as_str()))
+            .collect();
+        for (u, v) in [(0, 5), (7, 9), (200, 201)] {
+            edges.push((names[u].as_str(), "b", names[v].as_str()));
+        }
+        for name in &names[..100] {
+            edges.push((name.as_str(), "c", name.as_str()));
+        }
+        let mut g = graph(&edges);
+        let query = q(
+            "(x, z) <- x -[a]-> y, y -[b]-> z, s -[a a]-> t, t -[c]-> t",
+            &mut g,
+        );
+        let variants = query.epsilon_free_union();
+        for sem in [
+            Semantics::Standard,
+            Semantics::AtomInjective,
+            Semantics::QueryInjective,
+        ] {
+            let mut catalog = RelationCatalog::new(&g);
+            let plan = plan_variant(&variants[0], &g, false, &mut catalog);
+            let plan = JoinPlan::build(&variants[0], &g, sem, plan, &catalog);
+            let sizes: Vec<usize> = plan.domains.iter().map(NodeSet::len).collect();
+            assert_eq!(plan.domain_sizes, sizes, "{sem:?}");
+            let mut sorted = sizes.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, [2, 2, 2, 98, 98], "{sem:?}");
+            assert!(plan.domains.iter().any(NodeSet::is_dense), "{sem:?}");
+            assert!(plan.domains.iter().any(|d| !d.is_dense()), "{sem:?}");
+        }
     }
 
     #[test]

@@ -32,9 +32,11 @@ use crpq_util::FxHashSet;
 use std::sync::Arc;
 
 /// Bound of the producer→consumer channel: deep enough that the search is
-/// not lock-stepped with the consumer, shallow enough that an abandoned
-/// stream holds O(1) tuples, not the answer set.
-pub const STREAM_CHANNEL_CAPACITY: usize = 64;
+/// not lock-stepped with the consumer (with two CPUs shared by search
+/// workers and the consumer, a shallow channel parks the producer over
+/// and over), shallow enough that an abandoned stream holds at most 1024
+/// tuples, not the answer set.
+pub const STREAM_CHANNEL_CAPACITY: usize = 1024;
 
 /// The producer-side sink: dedupes (so the stream yields distinct tuples
 /// and the duplicate-projection prune keeps working) and forwards each

@@ -130,7 +130,7 @@ fn elimination_order<G: GraphView>(plan: &JoinPlan<'_, G>, first: Option<Var>) -
         };
         let next = (0..n)
             .filter(|&v| !placed[v])
-            .min_by_key(|&v| (!adjacent(v), plan.domains[v].len()))
+            .min_by_key(|&v| (!adjacent(v), plan.domain_sizes[v]))
             .expect("some variable is still unordered"); // invariant: the loop runs only while variables remain unordered
         order.push(Var(next as u32));
         placed[next] = true;

@@ -48,11 +48,11 @@
 //! * A [`Relation`]'s per-node row index is **lazy**: sparse relations
 //!   keep a sorted `(touched id, row kind)` table over the touched-id
 //!   remap and answer [`Relation::forward`] / [`Relation::backward`] by
-//!   binary search; an untouched node costs nothing. The direct `O(|V|)`
-//!   row-kind table is only built past the same `k·32 ≥ |V|` parity point
-//!   that governs dense rows, so [`Relation::empty`] is O(1) — no
-//!   allocation at any |V| — and [`Relation::heap_bytes`] reports the
-//!   actual lazy layout.
+//!   binary search; an untouched node costs nothing. The direct index —
+//!   a 4-byte slot per node into the `k` touched row kinds, `4·|V| + 16·k`
+//!   bytes — is only built past the same `k·32 ≥ |V|` parity point that
+//!   governs dense rows, so [`Relation::empty`] is O(1) — no allocation
+//!   at any |V| — and [`Relation::heap_bytes`] reports the actual layout.
 //! * Row payloads live in **sharded** span storage: each shard holds at
 //!   most `u32::MAX` adjacency slots, so a `4·10⁷`-edge closure packs
 //!   without overflowing the u32 flat offsets that index within a shard.
@@ -661,7 +661,9 @@ impl NodeSet {
         }
     }
 
-    /// Number of ids in the set.
+    /// Number of ids in the set — `O(1)` sparse, but `O(|V|/64)` dense
+    /// ([`BitSet::len`] popcounts the whole universe), so hot loops
+    /// should record it once.
     pub fn len(&self) -> usize {
         match self {
             NodeSet::Sparse { ids, .. } => ids.len(),
@@ -860,9 +862,10 @@ const SHARD_CAP: usize = u32::MAX as usize;
 /// The row table is itself density-adaptive ([`RowIndex`]): a sorted
 /// `(node id, row kind)` pair list while few rows are touched — so an
 /// empty store is O(1) and a k-row store O(k), never O(|V|) — promoted to
-/// a direct per-node table past the usual `k·32 ≥ |V|` parity point,
+/// a direct per-node slot table past the usual `k·32 ≥ |V|` parity point,
 /// where the relation is Ω(|V|) regardless and O(1) row lookup beats the
-/// binary search.
+/// binary search. A promoted index costs `4·|V| + 16·k` bytes: one `u32`
+/// slot per node into the `k` touched row kinds.
 #[derive(Clone, Debug)]
 struct RowStore {
     /// Number of nodes the store ranges over (`row(i)` is defined for
@@ -887,9 +890,13 @@ enum RowIndex {
     /// `(ids[i], kinds[i])` pair list of the touched rows, in install
     /// order until [`RowStore::seal`] sorts it by node id.
     Lazy { ids: Vec<u32>, kinds: Vec<RowKind> },
-    /// Direct per-node table; untouched entries hold the empty row kind.
-    Direct(Vec<RowKind>),
+    /// Direct per-node slot table: `kinds[slot[i]]` is the row kind of
+    /// node `i`, and [`NO_ROW`] marks an untouched node.
+    Direct { slot: Vec<u32>, kinds: Vec<RowKind> },
 }
+
+/// The slot of an untouched node in a [`RowIndex::Direct`] table.
+const NO_ROW: u32 = u32::MAX;
 
 #[derive(Clone, Copy, Debug)]
 enum RowKind {
@@ -897,11 +904,21 @@ enum RowKind {
     Dense { idx: u32 },
 }
 
-const EMPTY_ROW: RowKind = RowKind::Sparse {
-    shard: 0,
-    start: 0,
-    end: 0,
-};
+/// Sorts a lazy `(ids[i], kinds[i])` pair list by node id; a no-op when
+/// the rows were installed in order.
+fn sort_by_node(ids: &mut Vec<u32>, kinds: &mut Vec<RowKind>) {
+    if ids.windows(2).all(|w| w[0] < w[1]) {
+        return;
+    }
+    let mut pairs: Vec<(u32, RowKind)> = ids.iter().copied().zip(kinds.iter().copied()).collect();
+    pairs.sort_unstable_by_key(|&(id, _)| id);
+    debug_assert!(
+        pairs.windows(2).all(|w| w[0].0 < w[1].0),
+        "row installed twice"
+    );
+    *ids = pairs.iter().map(|&(id, _)| id).collect();
+    *kinds = pairs.into_iter().map(|(_, kind)| kind).collect();
+}
 
 impl RowStore {
     /// An empty store over `n` nodes — **O(1)**: no per-node table is
@@ -944,7 +961,10 @@ impl RowStore {
                 Ok(p) => kinds[p],
                 Err(_) => return RelationRow::Sparse(&[]),
             },
-            RowIndex::Direct(table) => table[i],
+            RowIndex::Direct { slot, kinds } => match slot[i] {
+                NO_ROW => return RelationRow::Sparse(&[]),
+                s => kinds[s as usize],
+            },
         };
         self.resolve(kind)
     }
@@ -961,17 +981,14 @@ impl RowStore {
                     .zip(kinds)
                     .map(move |(&id, &kind)| (id, self.resolve(kind))),
             ),
-            RowIndex::Direct(_) => None,
+            RowIndex::Direct { .. } => None,
         };
         let direct = match &self.index {
-            RowIndex::Direct(table) => Some(
-                table
-                    .iter()
+            RowIndex::Direct { slot, kinds } => Some(
+                slot.iter()
                     .enumerate()
-                    .filter(
-                        |(_, k)| !matches!(k, RowKind::Sparse { start, end, .. } if start == end),
-                    )
-                    .map(move |(i, &kind)| (i as u32, self.resolve(kind))),
+                    .filter(|&(_, &s)| s != NO_ROW)
+                    .map(move |(i, &s)| (i as u32, self.resolve(kinds[s as usize]))),
             ),
             RowIndex::Lazy { .. } => None,
         };
@@ -1030,7 +1047,13 @@ impl RowStore {
                 ids.push(i as u32);
                 kinds.push(kind);
             }
-            RowIndex::Direct(table) => table[i] = kind,
+            RowIndex::Direct { slot, kinds } => match slot[i] {
+                NO_ROW => {
+                    slot[i] = kinds.len() as u32;
+                    kinds.push(kind);
+                }
+                s => kinds[s as usize] = kind,
+            },
         }
     }
 
@@ -1042,41 +1065,32 @@ impl RowStore {
     fn seal(&mut self) -> Vec<u32> {
         match &mut self.index {
             RowIndex::Lazy { ids, kinds } => {
-                if !ids.windows(2).all(|w| w[0] < w[1]) {
-                    let mut pairs: Vec<(u32, RowKind)> =
-                        ids.iter().copied().zip(kinds.iter().copied()).collect();
-                    pairs.sort_unstable_by_key(|&(id, _)| id);
-                    debug_assert!(
-                        pairs.windows(2).all(|w| w[0].0 < w[1].0),
-                        "row installed twice"
-                    );
-                    *ids = pairs.iter().map(|&(id, _)| id).collect();
-                    *kinds = pairs.into_iter().map(|(_, kind)| kind).collect();
-                }
+                sort_by_node(ids, kinds);
                 if dense_row(ids.len(), self.n) {
-                    let mut table = vec![EMPTY_ROW; self.n];
-                    for (&id, &kind) in ids.iter().zip(kinds.iter()) {
-                        table[id as usize] = kind;
+                    let mut slot = vec![NO_ROW; self.n];
+                    for (s, &id) in ids.iter().enumerate() {
+                        slot[id as usize] = s as u32;
                     }
                     let ids = std::mem::take(ids);
-                    self.index = RowIndex::Direct(table);
+                    let kinds = std::mem::take(kinds);
+                    self.index = RowIndex::Direct { slot, kinds };
                     ids
                 } else {
                     ids.clone()
                 }
             }
-            RowIndex::Direct(_) => self.touched_rows().map(|(id, _)| id).collect(),
+            RowIndex::Direct { .. } => self.touched_rows().map(|(id, _)| id).collect(),
         }
     }
 
     /// Heap bytes of the index, shards and dense pool — O(touched) by
-    /// construction on lazy stores (no phantom per-node table).
+    /// construction on lazy stores (no phantom per-node table); a direct
+    /// index pays 4 bytes per node for its slot table.
     fn heap_bytes(&self) -> usize {
         let index = match &self.index {
-            RowIndex::Lazy { ids, kinds } => {
-                ids.len() * 4 + kinds.len() * std::mem::size_of::<RowKind>()
+            RowIndex::Lazy { ids: nodes, kinds } | RowIndex::Direct { slot: nodes, kinds } => {
+                nodes.len() * 4 + kinds.len() * std::mem::size_of::<RowKind>()
             }
-            RowIndex::Direct(table) => table.len() * std::mem::size_of::<RowKind>(),
         };
         index
             + self.shards.iter().map(|s| s.len() * 4).sum::<usize>()
@@ -1395,16 +1409,16 @@ impl Relation {
         let t = tgt.len();
 
         // Compact remap target id → index into `tgt`. Past the usual
-        // k·32 ≥ n parity point a direct-indexed table is cheaper than
-        // per-edge binary searches (and the relation is Ω(|V|) there
-        // regardless); below it the remap costs O(t) memory and
-        // O(log t) per edge.
+        // k·32 ≥ n parity point a direct-indexed slot table is cheaper
+        // than per-edge binary searches (and the relation is Ω(|V|) there
+        // regardless); it then becomes the backward index itself. Below
+        // it the remap costs O(t) memory and O(log t) per edge.
         let direct: Option<Vec<u32>> = if dense_row(t, n) {
-            let mut m = vec![0u32; n];
+            let mut slot = vec![NO_ROW; n];
             for (i, &v) in tgt.iter().enumerate() {
-                m[v as usize] = i as u32;
+                slot[v as usize] = i as u32;
             }
-            Some(m)
+            Some(slot)
         } else {
             None
         };
@@ -1475,19 +1489,17 @@ impl Relation {
         }
 
         // Install the backward index over the touched-target remap —
-        // direct past the parity point (mirroring `RowStore::seal`), a
-        // sorted pair list below it.
-        rev.index = if dense_row(t, n) {
-            let mut table = vec![EMPTY_ROW; n];
-            for (&v, &kind) in tgt.iter().zip(rev_kinds.iter()) {
-                table[v as usize] = kind;
-            }
-            RowIndex::Direct(table)
-        } else {
-            RowIndex::Lazy {
+        // the slot table past the parity point (mirroring
+        // `RowStore::seal`), a sorted pair list below it.
+        rev.index = match direct {
+            Some(slot) => RowIndex::Direct {
+                slot,
+                kinds: rev_kinds,
+            },
+            None => RowIndex::Lazy {
                 ids: tgt.clone(),
                 kinds: rev_kinds,
-            }
+            },
         };
         self.rev = rev;
         self.assembly_ops = ops;
@@ -3043,8 +3055,8 @@ mod tests {
         );
         assert!(ops < 100_000, "assembly ops {ops} scale with |V|");
         // The whole relation — both directions, row index included —
-        // stays within a couple hundred KB: a single O(|V|) `RowKind`
-        // table alone would be 10⁷ entries.
+        // stays within a couple hundred KB: a single O(|V|) slot table
+        // alone would be 4·10⁷ bytes.
         assert!(
             rel.heap_bytes() < 1_000_000,
             "relation heap {} B scales with |V|, not touched",
@@ -3391,6 +3403,98 @@ mod tests {
             via_words.target_set().iter().collect::<Vec<_>>(),
             [3, 40, 64, 77]
         );
+    }
+
+    /// Sorts a lazy store's pair list by node id without promoting it —
+    /// the reference layout a promoted store must read like.
+    fn sort_lazy(store: &mut RowStore) {
+        let RowIndex::Lazy { ids, kinds } = &mut store.index else {
+            panic!("reference store must stay lazy");
+        };
+        sort_by_node(ids, kinds);
+    }
+
+    fn row_contents(row: RelationRow<'_>) -> (bool, Vec<usize>) {
+        (row.is_dense(), row.iter().collect())
+    }
+
+    /// Asserts that `store` reads exactly like the sorted lazy `lazy`:
+    /// every row, the touched-row order, and heap bytes that differ only
+    /// by the slot table replacing the id list.
+    fn assert_reads_like(store: &RowStore, lazy: &RowStore) {
+        let n = store.n;
+        for i in 0..n {
+            assert_eq!(
+                row_contents(store.row(i)),
+                row_contents(lazy.row(i)),
+                "row {i}"
+            );
+        }
+        let touched = |s: &RowStore| -> Vec<(u32, (bool, Vec<usize>))> {
+            s.touched_rows()
+                .map(|(id, row)| (id, row_contents(row)))
+                .collect()
+        };
+        assert_eq!(touched(store), touched(lazy), "touched_rows order");
+        let k = lazy.touched_rows().count();
+        let expect = match store.index {
+            RowIndex::Direct { .. } => lazy.heap_bytes() - 4 * k + 4 * n,
+            RowIndex::Lazy { .. } => lazy.heap_bytes(),
+        };
+        assert_eq!(store.heap_bytes(), expect, "heap bytes");
+    }
+
+    #[test]
+    fn promoted_row_index_reads_like_the_lazy_one() {
+        // Around the k·32 ≥ n promotion point: the promoted slot table
+        // must answer every row, the touched order and the byte count
+        // exactly like the sorted pair list it replaces — dense rows,
+        // explicitly empty rows and rows pushed after promotion included.
+        let n = 640usize;
+        for k in [n / 32 - 1, n / 32, n / 32 + 1] {
+            let mut store = RowStore::empty(n);
+            // Install order is scrambled, as parallel workers leave it.
+            for j in 0..k {
+                let i = (j * 37 + 11) % n;
+                match j % 3 {
+                    0 => {
+                        let mut bits = BitSet::new(n);
+                        for v in [j, j + 1, 600] {
+                            bits.insert(v);
+                        }
+                        store.push_dense(i, bits);
+                    }
+                    1 => store.push_sparse(i, &[]),
+                    _ => store.push_sparse(i, &[1, j as u32 + 2, 639]),
+                }
+            }
+            let mut lazy = store.clone();
+            sort_lazy(&mut lazy);
+            let sealed = store.seal();
+            assert_eq!(
+                matches!(store.index, RowIndex::Direct { .. }),
+                k * 32 >= n,
+                "promotion exactly at the parity point (k = {k})"
+            );
+            let lazy_ids: Vec<u32> = lazy.touched_rows().map(|(id, _)| id).collect();
+            assert_eq!(sealed, lazy_ids, "seal returns the sorted touched ids");
+            assert_eq!(store.seal(), lazy_ids, "sealing again is idempotent");
+            assert_reads_like(&store, &lazy);
+
+            // Rows installed after promotion land in fresh slots; a store
+            // still lazy is resealed (and crosses the parity point).
+            for target in [&mut store, &mut lazy] {
+                target.push_sparse(5, &[7, 8]);
+                let mut bits = BitSet::new(n);
+                bits.insert(3);
+                target.push_dense(n - 1, bits);
+            }
+            if matches!(store.index, RowIndex::Lazy { .. }) {
+                store.seal();
+            }
+            sort_lazy(&mut lazy);
+            assert_reads_like(&store, &lazy);
+        }
     }
 
     #[test]

@@ -89,7 +89,8 @@ impl BitSet {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// Number of elements.
+    /// Number of elements — a popcount over every word, `O(capacity/64)`
+    /// however few bits are set. Hot loops should record the count once.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
