@@ -7,8 +7,9 @@
 //!
 //! * **join** — an [`Eval`] request against a fresh caller-owned
 //!   [`RelationCatalog`]: each distinct atom relation materialised once
-//!   per query (shared across ε-free variants), per-source sweeps
-//!   partitioned across threads, density-adaptive relation rows. Per-row
+//!   per query (shared across ε-free variants), per-source sweeps over
+//!   blocks of source ids on several threads, density-adaptive relation
+//!   rows. Per-row
 //!   catalog metrics (hits, misses, hit rate, materialisation wall clock)
 //!   come from one instrumented run; `hit_rate > 0` on the multi-variant
 //!   rows is the CI proof that atoms are shared.
@@ -21,8 +22,10 @@
 //!
 //! The **scale workloads** (`scale_rows` in the JSON) are too large for
 //! the legacy enumeration oracle, so they record only the catalog
-//! engine's build/evaluation wall clock plus the memory proxies
-//! (`index_bytes`, `name_bytes`, `rel_bytes`, `scratch_bytes`):
+//! engine's build/evaluation wall clock, the materialisation split
+//! (`mat_ms` = `sweep_ms` producing rows + `assembly_ms` building the
+//! relations + catalog upkeep), plus the memory proxies (`index_bytes`,
+//! `name_bytes`, `rel_bytes`, `scratch_bytes`):
 //!
 //! * `scale_label_rich` evaluates [`scaling::label_rich_query`] over
 //!   [`scaling::label_rich_graph`] (`4n` edges,
@@ -41,7 +44,8 @@
 //!   `--scale-smoke` runs both `|V| = 10⁶ / 4·10⁶` edges (~200 MB budget)
 //!   and `|V| = 10⁷ / 4·10⁷` edges (~2.4 GB index budget — the graph index
 //!   is linear in |V|; the relation + scratch side must stay O(touched)),
-//!   each under its own wall-clock ceiling.
+//!   each under its own wall-clock ceiling; at `10⁶` relation assembly
+//!   must take at most half the sweep time of two workers.
 //!
 //! The **scheduler workloads** (`steal_rows` in `BENCH_scale.json`) time
 //! the work-stealing search ([`Eval::threads`]) against the same request
@@ -507,6 +511,11 @@ struct ScaleRow {
     build_ms: f64,
     eval_ms: f64,
     mat_ms: f64,
+    /// The part of `mat_ms` producing forward rows (sweeps or closure)
+    /// and the part assembling relations, summed over the catalog's
+    /// materialisations ([`RelationCatalog::materialise_totals`]).
+    sweep_ms: f64,
+    assembly_ms: f64,
     index_bytes: usize,
     /// Node-name storage bytes (single arena for named graphs, 0 for
     /// anonymous ones) — the term that used to be per-name `String`s.
@@ -560,6 +569,8 @@ fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usiz
         build_ms,
         eval_ms,
         mat_ms: catalog.materialise_ms(),
+        sweep_ms: catalog.materialise_totals().sweep_ms,
+        assembly_ms: catalog.materialise_totals().assembly_ms,
         index_bytes: g.index_bytes(),
         name_bytes: g.name_bytes(),
         rel_bytes: catalog.relation_bytes(),
@@ -647,6 +658,8 @@ fn measure_million(
         build_ms,
         eval_ms,
         mat_ms: catalog.materialise_ms(),
+        sweep_ms: catalog.materialise_totals().sweep_ms,
+        assembly_ms: catalog.materialise_totals().assembly_ms,
         index_bytes: g.index_bytes(),
         name_bytes: g.name_bytes(),
         rel_bytes: catalog.relation_bytes(),
@@ -661,7 +674,8 @@ fn scale_rows_json(scale_rows: &[ScaleRow]) -> String {
             json,
             "    {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \
              \"labels\": {}, \"tuples\": {}, \"build_ms\": {:.4}, \"eval_ms\": {:.4}, \
-             \"mat_ms\": {:.4}, \"index_bytes\": {}, \"name_bytes\": {}, \"rel_bytes\": {}, \
+             \"mat_ms\": {:.4}, \"sweep_ms\": {:.4}, \"assembly_ms\": {:.4}, \
+             \"index_bytes\": {}, \"name_bytes\": {}, \"rel_bytes\": {}, \
              \"scratch_bytes\": {}}}{}",
             r.workload,
             r.nodes,
@@ -671,6 +685,8 @@ fn scale_rows_json(scale_rows: &[ScaleRow]) -> String {
             r.build_ms,
             r.eval_ms,
             r.mat_ms,
+            r.sweep_ms,
+            r.assembly_ms,
             r.index_bytes,
             r.name_bytes,
             r.rel_bytes,
@@ -685,11 +701,11 @@ fn print_scale_rows(scale_rows: &[ScaleRow]) {
     println!(
         "\n## scale workloads — label-rich Zipf + million-node anonymous (catalog engine only)\n"
     );
-    println!("| workload | n | edges | labels | tuples | build | eval | mat | index MB | names MB | rel MB | scratch KB |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("| workload | n | edges | labels | tuples | build | eval | mat | sweep | assembly | index MB | names MB | rel MB | scratch KB |");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
     for r in scale_rows {
         println!(
-            "| {} | {} | {} | {} | {} | {:.0}ms | {:.0}ms | {:.0}ms | {:.1} | {:.2} | {:.1} | {:.1} |",
+            "| {} | {} | {} | {} | {} | {:.0}ms | {:.0}ms | {:.0}ms | {:.0}ms | {:.0}ms | {:.1} | {:.2} | {:.1} | {:.1} |",
             r.workload,
             r.nodes,
             r.edges,
@@ -698,6 +714,8 @@ fn print_scale_rows(scale_rows: &[ScaleRow]) {
             r.build_ms,
             r.eval_ms,
             r.mat_ms,
+            r.sweep_ms,
+            r.assembly_ms,
             r.index_bytes as f64 / 1e6,
             r.name_bytes as f64 / 1e6,
             r.rel_bytes as f64 / 1e6,
@@ -1453,6 +1471,31 @@ pub fn run_wal_smoke(path: &str) {
     println!("\nwrote {path}");
 }
 
+/// Upper bound on relation assembly time as a fraction of the sweep time
+/// producing the rows, in the `10⁶` `scale_million` row swept by two
+/// workers.
+const ASSEMBLY_SWEEP_RATIO: f64 = 0.5;
+
+/// The `--scale-smoke` materialisation gate: in `row` (`scale_million`
+/// at `10⁶` nodes), summed `assembly_ms ≤` [`ASSEMBLY_SWEEP_RATIO`]
+/// `· sweep_ms · workers / 2`. Assembly runs on one thread after the
+/// sweeps, so the ratio pins that it stays a small serial tail of
+/// materialisation without an absolute time bound. The sweeps speed up
+/// with the `workers` that run in parallel, so the bound is stated for
+/// two and scales with them.
+fn assert_assembly_share(row: &ScaleRow, workers: usize) {
+    assert_eq!(row.workload, "scale_million");
+    let bound = ASSEMBLY_SWEEP_RATIO * row.sweep_ms * workers as f64 / 2.0;
+    assert!(
+        row.assembly_ms <= bound,
+        "relation assembly {:.0}ms exceeds {bound:.0}ms ({ASSEMBLY_SWEEP_RATIO} x the \
+         {:.0}ms of sweeps on {workers} worker(s), per two) at |V|={}",
+        row.assembly_ms,
+        row.sweep_ms,
+        row.nodes,
+    );
+}
+
 /// Upper bound on how much the non-materialisation time of the million
 /// family may grow from `10⁶` to `10⁷` nodes (10× the data).
 const SEARCH_SCALING_FACTOR: f64 = 30.0;
@@ -1485,8 +1528,9 @@ fn assert_search_scaling(small: &ScaleRow, large: &ScaleRow) {
 /// * `|V| = 10⁶` / `4·10⁶`-edge anonymous workload (build + catalog
 ///   evaluation, st) under its own ceiling, with the O(touched) memory
 ///   contract: zero name bytes, index + names ≤ ~200 MB, and peak sweep
-///   scratch far below one dense `|V|·|Q|` stamp array (the PR-5 gate,
-///   unchanged);
+///   scratch far below one dense `|V|·|Q|` stamp array,
+///   and relation assembly at most [`ASSEMBLY_SWEEP_RATIO`] of the sweep
+///   time on two workers ([`assert_assembly_share`]);
 /// * `|V| = 10⁷` / `4·10⁷`-edge anonymous workload under the same
 ///   O(touched) contracts at its own index budget (~2.4 GB — the graph
 ///   index is linear in |V|; relations and scratch must not be), and
@@ -1536,6 +1580,11 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
     )];
     print_scale_rows(&rows);
     print_steal_rows(&steal_rows);
+    let cpus = crpq_util::sync::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    assert_assembly_share(
+        &rows[1],
+        crpq_graph::rpq::effective_threads(threads).min(cpus),
+    );
     assert_search_scaling(&rows[1], &rows[2]);
     let new_scale = scale_rows_json(&rows);
     let new_steal = steal_rows_json(&steal_rows);

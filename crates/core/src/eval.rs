@@ -86,9 +86,9 @@
 //!
 //! Relations themselves use density-adaptive rows
 //! ([`crpq_graph::rpq::RelationRow`]: sorted-`u32` sparse vs. bitset
-//! dense), and the catalog can materialise with the per-source BFS sweeps
-//! partitioned across scoped threads
-//! ([`crpq_graph::rpq::rpq_relation_parallel`]).
+//! dense), and the catalog can run the per-source BFS sweeps on several
+//! threads, each claiming blocks of source ids
+//! ([`crpq_graph::rpq::rpq_relation_auto`]).
 //!
 //! # Two engines
 //!
@@ -97,12 +97,15 @@
 //! `Eval::run`, per ε-free variant in a relation-first pipeline:
 //!
 //! 1. **Relation materialisation** — every *distinct* atom's full
-//!    standard-semantics RPQ relation is computed in one multi-source
-//!    product BFS over the graph's node-major adjacency
-//!    ([`crpq_graph::rpq::rpq_relation`]), indexed both ways
+//!    standard-semantics RPQ relation is computed by
+//!    [`crpq_graph::rpq::rpq_relation_auto`]: one product BFS per source
+//!    over the graph's node-major adjacency, swept in blocks of source
+//!    ids, or the condensation closure when a sampled cost probe finds
+//!    the product too dense. The relation is indexed both ways
 //!    (`forward(u)` / `backward(v)` rows) and cached in the request's
 //!    [`RelationCatalog`] — the caller's, or a fresh
-//!    [`RelationCatalog::with_threads`]`(g, threads)`.
+//!    [`RelationCatalog::with_threads`]`(g, threads)`. The first tuple
+//!    still waits for every full relation.
 //! 2. **Semi-join pruning** — per-variable candidate domains start at `V`
 //!    and are intersected with atom source/target sets, then shrunk to a
 //!    fixpoint: a node stays in `dom(x)` only while every atom incident to
@@ -676,9 +679,13 @@ fn compile_atoms(variant: &Crpq, analyze: bool) -> Vec<CompiledAtom> {
 /// ([`rpq::rpq_relation_closure_blocked`]) on dense products where per-source
 /// exploration would be quadratically wasteful (the closure is
 /// column-blocked, so its reach matrix stays within a fixed working-set
-/// budget at any product size). Sweeps run sequentially
-/// with a pooled [`ReachScratch`] by default and partition across scoped
-/// threads when built via [`RelationCatalog::with_threads`].
+/// budget at any product size). Both install their rows through the one
+/// relation builder of [`rpq`], which also builds the backward index. The
+/// sweeps take blocks of source ids: on the calling thread with a pooled
+/// [`ReachScratch`] by default, and on that thread plus scoped workers
+/// when built via [`RelationCatalog::with_threads`]. Every
+/// materialisation's [`rpq::MaterialiseStats`] are summed into
+/// [`Self::materialise_totals`].
 ///
 /// # Label-footprint invalidation under mutation
 ///
@@ -721,6 +728,8 @@ pub struct RelationCatalog {
     /// `--mutate-smoke` bench rows.
     evictions: usize,
     materialise_ms: f64,
+    /// Sums of the per-materialisation stats.
+    totals: MaterialiseTotals,
     /// Largest per-materialisation sweep-scratch footprint seen so far
     /// (stamp arrays + sparse visited maps, summed across workers) — the
     /// `scratch_bytes` observable of the scale benchmarks.
@@ -733,9 +742,10 @@ impl RelationCatalog {
         Self::with_threads(g, 1)
     }
 
-    /// An empty catalog for `g` whose per-source BFS sweeps partition
-    /// across `threads` scoped threads (`0` = one per available CPU,
-    /// capped at 16); the sampled closure escalation is unaffected.
+    /// An empty catalog for `g` whose per-source BFS sweeps run on
+    /// `threads` workers — the calling thread plus `threads − 1` scoped
+    /// threads (`0` = one per available CPU, capped at 16); the sampled
+    /// closure escalation is unaffected.
     pub fn with_threads<G: GraphView>(g: &G, threads: usize) -> Self {
         RelationCatalog {
             num_nodes: g.num_nodes(),
@@ -751,6 +761,7 @@ impl RelationCatalog {
             misses: 0,
             evictions: 0,
             materialise_ms: 0.0,
+            totals: MaterialiseTotals::default(),
             peak_scratch_bytes: 0,
         }
     }
@@ -790,6 +801,7 @@ impl RelationCatalog {
         let (rel, stats) =
             rpq::rpq_relation_auto_with_stats(g, nfa, &mut self.scratch, self.threads);
         self.peak_scratch_bytes = self.peak_scratch_bytes.max(stats.scratch_bytes);
+        self.totals.add(&stats);
         // Retention policy: keep the scratch warm for the common case but
         // release what a one-off huge product forced beyond the budget
         // (worker scratches die with their threads; this is the pooled one).
@@ -957,6 +969,13 @@ impl RelationCatalog {
         self.materialise_ms
     }
 
+    /// The summed [`rpq::MaterialiseStats`] of every materialisation so
+    /// far: which materialiser ran how often, sources swept, and the
+    /// sweep and assembly milliseconds inside [`Self::materialise_ms`].
+    pub fn materialise_totals(&self) -> MaterialiseTotals {
+        self.totals
+    }
+
     /// Approximate heap bytes of every relation materialised so far — the
     /// peak-RSS proxy `BENCH_eval` records alongside wall clock.
     pub fn relation_bytes(&self) -> usize {
@@ -968,6 +987,34 @@ impl RelationCatalog {
     /// baselines so scratch regressions are visible across PRs.
     pub fn peak_scratch_bytes(&self) -> usize {
         self.peak_scratch_bytes
+    }
+}
+
+/// Sums of the [`rpq::MaterialiseStats`] of a catalog's materialisations.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MaterialiseTotals {
+    /// Relations built by per-source sweeps.
+    pub sweeps: usize,
+    /// Relations built by the blocked closure.
+    pub closures: usize,
+    /// Sources swept, summed over the sweep materialisations.
+    pub sources_swept: usize,
+    /// Milliseconds producing forward rows ([`rpq::MaterialiseStats::sweep_ms`]).
+    pub sweep_ms: f64,
+    /// Milliseconds assembling relations
+    /// ([`rpq::MaterialiseStats::assembly_ms`]).
+    pub assembly_ms: f64,
+}
+
+impl MaterialiseTotals {
+    fn add(&mut self, stats: &rpq::MaterialiseStats) {
+        match stats.path {
+            rpq::MaterialisePath::Sweeps => self.sweeps += 1,
+            rpq::MaterialisePath::Closure => self.closures += 1,
+        }
+        self.sources_swept += stats.sources_swept;
+        self.sweep_ms += stats.sweep_ms;
+        self.assembly_ms += stats.assembly_ms;
     }
 }
 
@@ -2090,6 +2137,24 @@ mod tests {
             ("u", "b", "v"),
             ("v", "c", "u"),
         ])
+    }
+
+    #[test]
+    fn catalog_sums_materialise_stats() {
+        // `a*` around a 200-cycle sweeps the whole cycle from every
+        // source, so the probe escalates to the closure; single `a` steps
+        // are swept, one source per node.
+        let mut g = crpq_graph::generators::labelled_cycle(200, &["a"]);
+        let star = Nfa::from_regex(&crpq_automata::parse_regex("a*", g.alphabet_mut()).unwrap());
+        let step = Nfa::from_regex(&crpq_automata::parse_regex("a", g.alphabet_mut()).unwrap());
+        let mut catalog = RelationCatalog::with_threads(&g, 2);
+        catalog.get_or_materialize(&g, &star);
+        catalog.get_or_materialize(&g, &step);
+        catalog.get_or_materialize(&g, &step);
+        let totals = catalog.materialise_totals();
+        assert_eq!((totals.closures, totals.sweeps), (1, 1));
+        assert_eq!(totals.sources_swept, 200);
+        assert!(totals.sweep_ms + totals.assembly_ms <= catalog.materialise_ms());
     }
 
     #[test]

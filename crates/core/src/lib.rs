@@ -36,7 +36,9 @@ pub mod trail;
 pub(crate) mod wcoj;
 pub mod witness;
 
-pub use eval::{eval_tuples_enumerate, Eval, EvalStrategy, RelationCatalog, Semantics};
+pub use eval::{
+    eval_tuples_enumerate, Eval, EvalStrategy, MaterialiseTotals, RelationCatalog, Semantics,
+};
 pub use expansion_eval::{eval_contains_via_expansions, EvalOutcome};
 pub use hierarchy::check_hierarchy;
 pub use stream::TupleStream;

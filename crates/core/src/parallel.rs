@@ -4,8 +4,9 @@
 //!
 //! * **Materialisation** — a request without a caller catalog plans
 //!   against [`RelationCatalog::with_threads`], so each distinct atom
-//!   relation's per-source BFS sweeps are partitioned across scoped threads
-//!   ([`crpq_graph::rpq::rpq_relation_parallel`]); the catalog also means
+//!   relation's per-source BFS sweeps run on the calling thread plus
+//!   scoped workers, each claiming blocks of source ids
+//!   ([`crpq_graph::rpq::rpq_relation_auto`]); the catalog also means
 //!   a relation shared by several ε-free variants is materialised once.
 //! * **Join search** — after semi-join pruning, the candidates of the
 //!   first (most selective) join variable seed a shared chunk queue, and

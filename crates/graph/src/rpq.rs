@@ -56,17 +56,18 @@
 //! * Row payloads live in **sharded** span storage: each shard holds at
 //!   most `u32::MAX` adjacency slots, so a `4·10⁷`-edge closure packs
 //!   without overflowing the u32 flat offsets that index within a shard.
-//! * [`Relation::finish_reverse`] assembles the backward index in
-//!   `O(E_rel + touched)`: the forward-row installers record touched
-//!   source/target ids, and the degree, layout and fill passes run over
-//!   the compact touched-id remap instead of scanning `0..|V|` three times
-//!   ([`Relation::assembly_ops`] is the pinned observable).
-//! * All materialiser entry points ([`rpq_reach_all`],
-//!   [`rpq_reach_all_parallel`], [`rpq_relation_auto`], the blocked
-//!   closure) share those mechanisms, so no executor path regresses to
-//!   per-relation `O(|V|)` scans; [`rpq_relation_auto_with_stats`] reports
-//!   the per-materialisation [`MaterialiseStats`] the scale benchmarks
-//!   persist.
+//! * Every materialiser installs its forward rows through one
+//!   `RelationBuilder`, whose `finish` builds the backward index by one
+//!   counting sort over the forward pairs: below the `k·32 ≥ |V|` parity
+//!   point (`k` = pairs) its buckets are the sorted distinct targets, so
+//!   a relation touching k of 10⁷ nodes never scans `0..|V|`; past it
+//!   they are node-indexed ([`Relation::assembly_ops`] is the pinned
+//!   observable).
+//! * The sweep materialiser's workers claim fixed-size blocks of source
+//!   ids, each swept into one flat buffer; blocks are installed in block
+//!   order, so forward rows arrive sorted by source.
+//!   [`rpq_relation_auto_with_stats`] reports the per-materialisation
+//!   [`MaterialiseStats`] the scale benchmarks persist.
 //!
 //! Node-name storage (the third `O(|V|)` wall at this scale) is handled in
 //! [`crate::db`]: arena-interned names or the fully name-free `Anonymous`
@@ -75,16 +76,18 @@
 use crate::db::NodeId;
 use crate::view::GraphView;
 use crpq_automata::{Nfa, StateId};
+use crpq_util::sync::atomic::{AtomicUsize, Ordering};
+use crpq_util::sync::thread;
 use crpq_util::{BitSet, FxHashMap, FxHashSet, Symbol};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
+use std::time::Instant;
 
 /// A sweep upgrades from the sparse visited map to the dense stamp array
 /// once it has visited more than `universe / SPARSE_VISIT_FACTOR` states:
 /// a map entry costs ~8–16 bytes against the stamp's 4, so past this point
-/// the dense array is both smaller *and* faster, and once allocated it is
-/// reused (epoch reset is O(1)) by every later sweep of at least… any size
-/// it covers.
+/// the dense array is both smaller *and* faster, and once allocated it
+/// serves every later sweep it covers.
 const SPARSE_VISIT_FACTOR: usize = 8;
 
 /// Default stamp-array retention budget of [`ReachScratch::shrink_to`]
@@ -106,18 +109,13 @@ pub const SCRATCH_RETAIN_STATES: usize = 1 << 20;
 ///
 /// # Density-adaptive visited set — the O(touched) sweep contract
 ///
-/// The visited set is **density-adaptive**, like [`NodeSet`] and relation
-/// rows: a sweep starts on a sparse epoch-stamped hash map (`state →
-/// epoch`) and only migrates to the dense `|V|·|Q|` stamp array once it
-/// has visited more than a [`1/8`](SPARSE_VISIT_FACTOR) fraction of the
-/// product. A low-output sweep on a `10⁶ · |Q|` product therefore costs
-/// memory proportional to the states it actually touches — it never pays
-/// the multi-MB stamp allocation, which in the pre-adaptive layout was
-/// charged *per worker thread* of the parallel materialiser. The dense
-/// array is allocated at most once per scratch (first overflow) and
-/// afterwards serves any sweep it covers at the old O(1)-reset cost;
-/// [`Self::shrink_to`] releases it when a one-off huge graph would
-/// otherwise pin the high-water mark forever.
+/// A sweep starts on a sparse epoch-stamped hash map (`state → epoch`) and
+/// migrates to the dense `|V|·|Q|` stamp array only once it has visited
+/// more than a [`1/8`](SPARSE_VISIT_FACTOR) fraction of the product, so a
+/// low-output sweep costs memory proportional to the states it touches,
+/// on every worker. The dense array is allocated at most once per scratch
+/// and then serves any sweep it covers; [`Self::shrink_to`] releases it
+/// after a one-off huge graph.
 ///
 /// Epoch wraparound (every 2³² sweeps) invalidates, not zeroes: the dense
 /// arrays are re-trusted lazily, clearing only the prefix the next sweep
@@ -418,8 +416,23 @@ pub fn rpq_reach_collect<G: GraphView>(
     scratch: &mut ReachScratch,
     out: &mut Vec<u32>,
 ) -> usize {
-    let ns = nfa.num_states();
     out.clear();
+    sweep_append::<G, true>(g, nfa, src, scratch, out)
+}
+
+/// The collecting sweep behind [`rpq_reach_collect`]: appends the nodes
+/// reached from `src` to `out` (sorted and deduplicated among themselves)
+/// and returns the graph-edge scans when `COUNT`, 0 otherwise — only the
+/// cost probe reads the count, so the bulk sweeps skip it.
+fn sweep_append<G: GraphView, const COUNT: bool>(
+    g: &G,
+    nfa: &Nfa,
+    src: NodeId,
+    scratch: &mut ReachScratch,
+    out: &mut Vec<u32>,
+) -> usize {
+    let ns = nfa.num_states();
+    let start = out.len();
     scratch.begin(g.num_nodes() * ns, g.num_nodes());
     let mut edge_scans = 0;
     for q in nfa.initials().iter() {
@@ -432,8 +445,10 @@ pub fn rpq_reach_collect<G: GraphView>(
     }
     while let Some((v, q)) = scratch.queue.pop_front() {
         for &(sym, q2) in nfa.transitions_from(q) {
-            edge_scans += g.out_degree(v, sym);
             for to in g.successors(v, sym) {
+                if COUNT {
+                    edge_scans += 1;
+                }
                 if scratch.visit(to.index() * ns + q2 as usize) {
                     if nfa.is_final(q2) && scratch.visit_node(to.index()) {
                         out.push(to.0);
@@ -443,7 +458,7 @@ pub fn rpq_reach_collect<G: GraphView>(
             }
         }
     }
-    out.sort_unstable();
+    out[start..].sort_unstable();
     edge_scans
 }
 
@@ -851,8 +866,7 @@ impl Iterator for NodeSetIter<'_> {
 /// Maximum ids per sparse-row shard of a [`RowStore`]: the `u32` offset
 /// space of one [`RowKind::Sparse`] span. Rows never cross a shard
 /// boundary, so a relation whose flat id buffer outgrows one shard
-/// (2³² ids ≈ 16 GiB) simply opens the next one — the old single-buffer
-/// layout panicked here and demanded manual sharding.
+/// (2³² ids ≈ 16 GiB) simply opens the next one.
 const SHARD_CAP: usize = u32::MAX as usize;
 
 /// One direction of a [`Relation`]: adaptive rows for the **touched**
@@ -972,8 +986,7 @@ impl RowStore {
     /// Iterates the touched rows as `(node id, row)` in ascending node
     /// order — O(touched) on a lazy (sealed) index; on a direct one the
     /// O(n) scan is within a 32× factor of touched by the promotion
-    /// parity. The assembly passes of [`Relation::finish_reverse`] run on
-    /// this instead of `0..n`.
+    /// parity. Equality and pair iteration run on this instead of `0..n`.
     fn touched_rows(&self) -> impl Iterator<Item = (u32, RelationRow<'_>)> + '_ {
         let lazy = match &self.index {
             RowIndex::Lazy { ids, kinds } => Some(
@@ -997,10 +1010,10 @@ impl RowStore {
             .chain(direct.into_iter().flatten())
     }
 
-    /// Reserves the `[start, end)` span of the next sparse row of `deg`
-    /// ids, opening a fresh shard when the current one cannot hold it —
-    /// rows never cross a shard boundary, so `u32` offsets address any
-    /// total buffer size.
+    /// Reserves the zero-filled `[start, end)` span of the next sparse row
+    /// of `deg` ids, opening a fresh shard when the current one cannot
+    /// hold it — rows never cross a shard boundary, so `u32` offsets
+    /// address any total buffer size.
     fn reserve_span(&mut self, deg: usize) -> RowKind {
         assert!(
             deg <= self.shard_cap,
@@ -1016,6 +1029,7 @@ impl RowStore {
         }
         let shard = self.shards.len() - 1;
         let start = self.shards[shard].len();
+        self.shards[shard].resize(start + deg, 0);
         RowKind::Sparse {
             shard: shard as u32,
             start: start as u32,
@@ -1028,7 +1042,9 @@ impl RowStore {
     fn push_sparse(&mut self, i: usize, ids: &[u32]) {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
         let kind = self.reserve_span(ids.len());
-        self.shards.last_mut().unwrap().extend_from_slice(ids); // invariant: shards is never empty
+        if let RowKind::Sparse { shard, start, end } = kind {
+            self.shards[shard as usize][start as usize..end as usize].copy_from_slice(ids);
+        }
         self.push_kind(i, kind);
     }
 
@@ -1058,8 +1074,8 @@ impl RowStore {
     }
 
     /// Finalises the index for reads: sorts the lazy pair list by node id
-    /// (installers run in arbitrary order — parallel workers, sampled
-    /// probes) and promotes it to a direct table past the `k·32 ≥ n`
+    /// (a no-op for the sweeps, which install in source order;
+    /// [`rpq_reach_all`] takes sources in any order) and promotes it to a direct table past the `k·32 ≥ n`
     /// parity point. Returns the sorted touched ids (the relation's
     /// source/target set, for free). Idempotent on a direct index.
     fn seal(&mut self) -> Vec<u32> {
@@ -1104,68 +1120,23 @@ impl RowStore {
 /// `backward(v)` the row of `u`. Both directions are what the join-based
 /// CRPQ evaluator intersects during semi-join pruning and candidate
 /// generation. Rows are density-adaptive and CSR-backed
-/// ([`RelationRow`]), and the source / target sets are maintained
-/// incrementally during materialisation, so [`Relation::source_set`] /
-/// [`Relation::target_set`] are O(1) lookups of cached bitsets rather
-/// than full scans.
+/// ([`RelationRow`]), and the source / target sets are cached when the
+/// relation is built, so [`Relation::source_set`] /
+/// [`Relation::target_set`] are O(1) lookups rather than full scans.
 #[derive(Clone, Debug)]
 pub struct Relation {
     fwd: RowStore,
     rev: RowStore,
     len: usize,
-    /// Cached source/target sets, finalised by [`Self::finish_reverse`]
-    /// from the touched-id lists (density-adaptive — O(touched) while
+    /// Cached source/target sets, built by [`RelationBuilder::finish`]
+    /// from the touched ids (density-adaptive — O(touched) while
     /// sparse, never a phantom `|V|`-bit allocation for a tiny relation).
     sources: NodeSet,
     targets: NodeSet,
-    /// Install-time target deduplication behind [`Self::touch_target`] —
-    /// hash-set sparse, promoted to a bitset past the `k·32 ≥ |V|` parity
-    /// point (where the relation is Ω(|V|) anyway). Drained by
-    /// `finish_reverse`. Touched *sources* need no twin: the forward
-    /// row index records them as it fills.
-    target_touch: TouchSet,
-    /// Distinct targets, in first-touch order (deduplicated against
-    /// `target_touch` on insert). Also drained by `finish_reverse`.
-    touched_targets: Vec<u32>,
-    /// Loop iterations of the last `finish_reverse` — the observable the
-    /// O(E_rel + touched) assembly contract is pinned by (regression
+    /// Loop iterations of the backward-index assembly — the observable
+    /// the O(E_rel + touched) assembly contract is pinned by (regression
     /// tests assert it stays ≪ |V| on sparse relations over huge graphs).
     assembly_ops: usize,
-}
-
-/// Install-time membership set sized by what it holds: a hash set while
-/// sparse, a dense bitset once `k·32 ≥ n` (at which point the `n/8`-byte
-/// allocation is no larger than the hash set it replaces).
-#[derive(Clone, Debug)]
-enum TouchSet {
-    Sparse(FxHashSet<u32>),
-    Dense(BitSet),
-}
-
-impl TouchSet {
-    fn new() -> Self {
-        TouchSet::Sparse(FxHashSet::default())
-    }
-
-    /// Inserts `v`; returns `true` if newly inserted. `n` is the universe
-    /// size (the dense-promotion parity point).
-    #[inline]
-    fn insert(&mut self, v: usize, n: usize) -> bool {
-        match self {
-            TouchSet::Sparse(set) => {
-                let newly = set.insert(v as u32);
-                if newly && dense_row(set.len(), n) {
-                    let mut bits = BitSet::new(n);
-                    for &id in set.iter() {
-                        bits.insert(id as usize);
-                    }
-                    *self = TouchSet::Dense(bits);
-                }
-                newly
-            }
-            TouchSet::Dense(bits) => bits.insert(v),
-        }
-    }
 }
 
 /// Equality is **semantic** — same pair set, regardless of row
@@ -1211,8 +1182,6 @@ impl Relation {
             len: 0,
             sources: NodeSet::empty(n),
             targets: NodeSet::empty(n),
-            target_touch: TouchSet::new(),
-            touched_targets: Vec::new(),
             assembly_ops: 0,
         }
     }
@@ -1251,24 +1220,15 @@ impl Relation {
     }
 
     /// The cached set of sources (`u` with at least one pair) — O(1),
-    /// density-adaptive (finalised by `finish_reverse`).
+    /// density-adaptive (finalised by `RelationBuilder::finish`).
     pub fn source_set(&self) -> &NodeSet {
         &self.sources
     }
 
     /// The cached set of targets (`v` with at least one pair) — O(1),
-    /// density-adaptive (finalised by `finish_reverse`).
+    /// density-adaptive (finalised by `RelationBuilder::finish`).
     pub fn target_set(&self) -> &NodeSet {
         &self.targets
-    }
-
-    /// Fraction of forward rows stored dense (bench observability).
-    pub fn dense_row_fraction(&self) -> f64 {
-        if self.fwd.n == 0 {
-            return 0.0;
-        }
-        let dense = self.fwd.dense.len();
-        dense as f64 / self.fwd.n as f64
     }
 
     /// Iterates all pairs in `(source, target)` order — O(touched + len),
@@ -1279,97 +1239,9 @@ impl Relation {
             .flat_map(move |(u, row)| row.iter().map(move |v| (NodeId(u), NodeId(v as u32))))
     }
 
-    /// Folds `v` into the touched-target list (deduplicated) — the
-    /// bookkeeping every forward-row installer shares so `finish_reverse`
-    /// needs no `0..n` scan.
-    #[inline]
-    fn touch_target(&mut self, v: usize) {
-        if self.target_touch.insert(v, self.fwd.n) {
-            self.touched_targets.push(v as u32);
-        }
-    }
-
-    /// Installs the forward row of `src` directly from backing words (bit
-    /// `i` of word `w` = node `w·64 + i`), as produced by the closure
-    /// materialiser's flat reachability matrix.
-    fn set_forward_row_words(&mut self, src: NodeId, words: &[u64], buf: &mut Vec<u32>) {
-        let n = self.num_nodes();
-        let k: usize = words.iter().map(|w| w.count_ones() as usize).sum();
-        self.len += k;
-        if k == 0 {
-            return;
-        }
-        if dense_row(k, n) {
-            for (wi, &w) in words.iter().enumerate() {
-                let mut w = w;
-                while w != 0 {
-                    self.touch_target(wi * 64 + w.trailing_zeros() as usize);
-                    w &= w - 1;
-                }
-            }
-            self.fwd
-                .push_dense(src.index(), BitSet::from_words(words.to_vec(), n));
-        } else {
-            // One bit-extraction walk serves both the sparse row and the
-            // touched-target bookkeeping.
-            buf.clear();
-            for (wi, &w) in words.iter().enumerate() {
-                let mut w = w;
-                while w != 0 {
-                    buf.push((wi * 64) as u32 + w.trailing_zeros());
-                    w &= w - 1;
-                }
-            }
-            for &v in buf.iter() {
-                self.touch_target(v as usize);
-            }
-            self.fwd.push_sparse(src.index(), buf);
-        }
-    }
-
-    /// Installs the forward row of `src` from an owned sorted id list (the
-    /// hand-off format of the parallel materialiser's worker threads).
-    fn set_forward_row_ids(&mut self, src: NodeId, ids: &[u32]) {
-        let n = self.num_nodes();
-        let k = ids.len();
-        self.len += k;
-        if k == 0 {
-            return;
-        }
-        for &v in ids {
-            self.touch_target(v as usize);
-        }
-        if dense_row(k, n) {
-            let mut bits = BitSet::new(n);
-            for &v in ids {
-                bits.insert(v as usize);
-            }
-            self.fwd.push_dense(src.index(), bits);
-        } else {
-            self.fwd.push_sparse(src.index(), ids);
-        }
-    }
-
-    /// Installs the forward row of `src` from an already-dense bitset (the
-    /// hand-off format of the blocked closure's per-source accumulators).
-    fn set_forward_row_bits(&mut self, src: NodeId, bits: BitSet) {
-        let k = bits.len();
-        self.len += k;
-        if k == 0 {
-            return;
-        }
-        for v in bits.iter() {
-            self.touch_target(v);
-        }
-        self.fwd.push_dense(src.index(), bits);
-    }
-
     /// Approximate heap bytes held by the relation's row stores and cached
-    /// node sets — the peak-RSS proxy the scale benchmarks record. With
-    /// the lazy layout this is **truthful O(touched)** accounting: an
-    /// empty relation reports 0 bytes and a sparse one only what its
-    /// touched rows, ids and node sets actually allocated — no phantom
-    /// `O(|V|)` term for untouched rows.
+    /// node sets — the peak-RSS proxy the scale benchmarks record: O(1)
+    /// for an empty relation, O(touched) for a sparse one.
     pub fn heap_bytes(&self) -> usize {
         let set = |s: &NodeSet| match s {
             NodeSet::Sparse { ids, .. } => ids.len() * 4,
@@ -1378,144 +1250,239 @@ impl Relation {
         self.fwd.heap_bytes() + self.rev.heap_bytes() + set(&self.sources) + set(&self.targets)
     }
 
-    /// Loop iterations of the last backward-index assembly
-    /// ([`Self::finish_reverse`]): `O(E_rel + touched sources + touched
-    /// targets)` by construction, with **no** term scaling in `|V|`. The
-    /// scale regression tests pin this on a 10⁶-node graph whose relation
+    /// Loop iterations of the backward-index assembly
+    /// (`RelationBuilder::finish`): `O(E_rel + touched targets)`. Below
+    /// the `k·32 ≥ |V|` parity point nothing scales with `|V|`; the scale
+    /// regression tests pin this on a 10⁶-node graph whose relation
     /// touches ~10² nodes.
     pub fn assembly_ops(&self) -> usize {
         self.assembly_ops
     }
+}
 
-    /// Builds the backward index from the installed forward rows, in
-    /// `O(E_rel + touched)`: the forward row index recorded the touched
-    /// sources and the installers the touched targets, so the degree
-    /// pass, the column layout pass and the fill pass all run over the
-    /// touched sets — never `0..n`. The `deg` / `cursor` arrays and the
-    /// backward row index itself are sized over a compact touched-target
-    /// remap (direct-indexed only when the relation is dense enough to be
-    /// Ω(|V|) anyway), so a relation touching k of 10⁷ nodes assembles
-    /// its backward index in O(k·d̄), not O(10⁷). Also finalises the
-    /// cached source/target [`NodeSet`]s from the touched ids.
-    fn finish_reverse(&mut self) {
-        let n = self.num_nodes();
-        let mut ops = 0usize;
-        // Install order is arbitrary (parallel workers, sampled probes);
-        // sealing sorts the forward index — ascending source order is
-        // what keeps every backward column sorted below.
-        let src_ids = self.fwd.seal();
-        let mut tgt = std::mem::take(&mut self.touched_targets);
-        tgt.sort_unstable();
-        let t = tgt.len();
+/// Calls `f(u, v)` for every pair of the forward rows of a store just
+/// sealed, whose touched ids `seal` returned as `src_ids` — the row kinds
+/// are then in the same order, so no pass scans `0..n`.
+fn each_pair(fwd: &RowStore, src_ids: &[u32], mut f: impl FnMut(u32, usize)) {
+    let (RowIndex::Lazy { kinds, .. } | RowIndex::Direct { kinds, .. }) = &fwd.index;
+    debug_assert_eq!(kinds.len(), src_ids.len());
+    for (&u, &kind) in src_ids.iter().zip(kinds) {
+        match fwd.resolve(kind) {
+            RelationRow::Sparse(ids) => ids.iter().for_each(|&v| f(u, v as usize)),
+            RelationRow::Dense(bits) => bits.iter().for_each(|v| f(u, v)),
+        }
+    }
+}
 
-        // Compact remap target id → index into `tgt`. Past the usual
-        // k·32 ≥ n parity point a direct-indexed slot table is cheaper
-        // than per-edge binary searches (and the relation is Ω(|V|) there
-        // regardless); it then becomes the backward index itself. Below
-        // it the remap costs O(t) memory and O(log t) per edge.
-        let direct: Option<Vec<u32>> = if dense_row(t, n) {
-            let mut slot = vec![NO_ROW; n];
-            for (i, &v) in tgt.iter().enumerate() {
-                slot[v as usize] = i as u32;
+/// Assembles a [`Relation`] from its forward rows — the one install path
+/// of every materialiser. Rows may arrive in any source order, at most one
+/// per source; the sweeps deliver them in ascending order, so sealing the
+/// forward index sorts nothing. [`Self::finish`] builds the backward index
+/// and the cached source/target sets.
+struct RelationBuilder {
+    fwd: RowStore,
+    len: usize,
+}
+
+/// Fill-cursor tag of a dense backward column: the shard half of a
+/// sparse column's `(shard, offset)` cursor never reaches `u32::MAX`.
+const DENSE_COLUMN: u64 = (u32::MAX as u64) << 32;
+
+impl RelationBuilder {
+    fn new(n: usize) -> Self {
+        Self::with_shard_cap(n, SHARD_CAP)
+    }
+
+    /// A builder whose forward and backward stores open a new shard every
+    /// `shard_cap` ids — [`SHARD_CAP`] in production, small in tests.
+    fn with_shard_cap(n: usize, shard_cap: usize) -> Self {
+        RelationBuilder {
+            fwd: RowStore::with_shard_cap(n, shard_cap),
+            len: 0,
+        }
+    }
+
+    /// Installs the forward row of `src` from strictly ascending ids,
+    /// stored dense past the `k·32 ≥ n` parity point. An empty row
+    /// installs nothing.
+    fn push_ids(&mut self, src: u32, ids: &[u32]) {
+        let n = self.fwd.n;
+        if ids.is_empty() {
+            return;
+        }
+        self.len += ids.len();
+        if dense_row(ids.len(), n) {
+            let mut bits = BitSet::new(n);
+            for &v in ids {
+                bits.insert(v as usize);
             }
-            Some(slot)
+            self.fwd.push_dense(src as usize, bits);
         } else {
-            None
-        };
-        let remap = |v: usize| -> usize {
-            match &direct {
-                Some(m) => m[v] as usize,
-                None => tgt
-                    .binary_search(&(v as u32))
-                    .expect("target missing from touched set"), // invariant: the BFS inserted every reached target
-            }
-        };
+            self.fwd.push_sparse(src as usize, ids);
+        }
+    }
 
-        // Degree pass over the touched sources' rows only.
-        let mut deg = vec![0u32; t];
-        for (_, row) in self.fwd.touched_rows() {
-            for v in row.iter() {
-                deg[remap(v)] += 1;
-                ops += 1;
+    /// Installs the forward row of `src` from backing words (bit `i` of
+    /// word `w` = node `w·64 + i`), as the closure's reach matrix holds
+    /// it; `buf` carries the ids of a sparse row.
+    fn push_words(&mut self, src: u32, words: &[u64], buf: &mut Vec<u32>) {
+        let n = self.fwd.n;
+        let k: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        if k > 0 && dense_row(k, n) {
+            self.push_bits(src, BitSet::from_words(words.to_vec(), n));
+            return;
+        }
+        buf.clear();
+        for (wi, &w) in words.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                buf.push((wi * 64) as u32 + w.trailing_zeros());
+                w &= w - 1;
             }
         }
+        self.push_ids(src, buf);
+    }
 
-        // Column layout: representation choice + cursor per touched
-        // target. Backward kinds are built compactly alongside `tgt`;
-        // untouched targets never get an entry.
-        let mut rev = RowStore::with_shard_cap(n, self.rev.shard_cap);
-        let mut rev_kinds: Vec<RowKind> = Vec::with_capacity(t);
-        let mut cursor = vec![0u32; t];
-        for (i, _) in tgt.iter().enumerate() {
-            ops += 1;
-            let d = deg[i] as usize;
-            debug_assert!(d > 0, "touched target with zero degree");
-            if dense_row(d, n) {
-                let kind = RowKind::Dense {
-                    idx: rev.dense.len() as u32,
-                };
+    /// Installs the forward row of `src` as the given bitset (the closure's
+    /// per-source accumulators turn dense only past the parity point).
+    fn push_bits(&mut self, src: u32, bits: BitSet) {
+        let k = bits.len();
+        if k > 0 {
+            self.len += k;
+            self.fwd.push_dense(src as usize, bits);
+        }
+    }
+
+    /// Installs the rows of one swept block, in its ascending source
+    /// order. When every row is sparse and the block fits the open shard,
+    /// its targets are copied in one piece and the rows become spans of it.
+    fn push_block(&mut self, block: &SweptBlock) {
+        let n = self.fwd.n;
+        let spans = block.rows.iter().scan(0, |start, &(src, end)| {
+            Some((src, std::mem::replace(start, end), end))
+        });
+        let bulk = self.fwd.shards.last().map(Vec::len).filter(|&len| {
+            len + block.targets.len() <= self.fwd.shard_cap
+                && !spans
+                    .clone()
+                    .any(|(_, start, end)| dense_row(end - start, n))
+        });
+        let Some(base) = bulk else {
+            spans.for_each(|(src, start, end)| self.push_ids(src, &block.targets[start..end]));
+            return;
+        };
+        let shard = self.fwd.shards.len() - 1;
+        self.fwd.shards[shard].extend_from_slice(&block.targets);
+        for (src, start, end) in spans {
+            let (start, end) = ((base + start) as u32, (base + end) as u32);
+            let kind = RowKind::Sparse {
+                shard: shard as u32,
+                start,
+                end,
+            };
+            self.fwd.push_kind(src as usize, kind);
+        }
+        self.len += block.targets.len();
+    }
+
+    /// Seals the forward index and builds the backward one by one counting
+    /// sort of the forward pairs, with one bucket per distinct target: a
+    /// degree pass sizes every column, a layout pass makes each column
+    /// dense or a sparse span (in ascending target order, the layout a
+    /// per-target install would give), and a fill pass in ascending source
+    /// order appends every source to its column, which keeps columns
+    /// sorted.
+    ///
+    /// Past the `k·32 ≥ n` parity point, with `k` the number of pairs, the
+    /// buckets are node-indexed (`n ≤ 32·k` cursors). Below it a bucket is
+    /// the target's rank among the sorted distinct targets, so a relation
+    /// touching `k` of 10⁷ nodes assembles in `O(k log k)` with nothing
+    /// sized by `n`.
+    fn finish(self) -> Relation {
+        let RelationBuilder { mut fwd, len } = self;
+        let n = fwd.n;
+        let src_ids = fwd.seal();
+        // The distinct targets `tgt`, ascending, and each one's column
+        // degree in its cursor: at the node id past the parity point, at
+        // the target's rank in `tgt` below it.
+        let node_indexed = dense_row(len, n);
+        let rank = |t: &[u32], v: usize| {
+            t.binary_search(&(v as u32))
+                .expect("target missing from the distinct targets") // invariant: `t` holds every target of these rows
+        };
+        let (tgt, mut cursor) = if node_indexed {
+            let mut cursor = vec![0u64; n];
+            let mut seen = BitSet::new(n);
+            each_pair(&fwd, &src_ids, |_, v| {
+                cursor[v] += 1;
+                seen.insert(v);
+            });
+            (seen.iter().map(|v| v as u32).collect::<Vec<_>>(), cursor)
+        } else {
+            let mut t = Vec::with_capacity(len);
+            each_pair(&fwd, &src_ids, |_, v| t.push(v as u32));
+            t.sort_unstable();
+            t.dedup();
+            let mut cursor = vec![0u64; t.len()];
+            each_pair(&fwd, &src_ids, |_, v| cursor[rank(&t, v)] += 1);
+            (t, cursor)
+        };
+        let mut ops = if node_indexed { len } else { 2 * len } + tgt.len();
+
+        // Layout pass, in ascending target order: each column becomes a
+        // dense bitset or a sparse span, and its cursor the column's fill
+        // position.
+        let mut rev = RowStore::with_shard_cap(n, fwd.shard_cap);
+        if let RowIndex::Lazy { ids, kinds } = &mut rev.index {
+            ids.reserve_exact(tgt.len());
+            kinds.reserve_exact(tgt.len());
+        }
+        for (i, &v) in tgt.iter().enumerate() {
+            let at = &mut cursor[if node_indexed { v as usize } else { i }];
+            let d = *at as usize;
+            let kind = if dense_row(d, n) {
                 rev.dense.push(BitSet::new(n));
-                rev_kinds.push(kind);
+                RowKind::Dense {
+                    idx: rev.dense.len() as u32 - 1,
+                }
             } else {
-                let kind = rev.reserve_span(d);
-                let RowKind::Sparse { shard, start, .. } = kind else {
-                    unreachable!()
-                };
-                let shard = shard as usize;
-                let new_len = start as usize + d;
-                if rev.shards[shard].len() < new_len {
-                    rev.shards[shard].resize(new_len, 0);
-                }
-                cursor[i] = start;
-                rev_kinds.push(kind);
-            }
+                rev.reserve_span(d)
+            };
+            *at = match kind {
+                RowKind::Dense { idx } => DENSE_COLUMN | u64::from(idx),
+                RowKind::Sparse { shard, start, .. } => (u64::from(shard) << 32) | u64::from(start),
+            };
+            rev.push_kind(v as usize, kind);
         }
 
-        // Fill pass, ascending source order keeps every column sorted.
-        for (u, row) in self.fwd.touched_rows() {
-            for v in row.iter() {
-                ops += 1;
-                let i = remap(v);
-                match rev_kinds[i] {
-                    RowKind::Sparse { shard, .. } => {
-                        rev.shards[shard as usize][cursor[i] as usize] = u;
-                        cursor[i] += 1;
-                    }
-                    RowKind::Dense { idx } => {
-                        rev.dense[idx as usize].insert(u as usize);
-                    }
-                }
+        // Fill pass.
+        each_pair(&fwd, &src_ids, |u, v| {
+            let c = if node_indexed { v } else { rank(&tgt, v) };
+            let at = cursor[c];
+            if at & DENSE_COLUMN == DENSE_COLUMN {
+                rev.dense[at as u32 as usize].insert(u as usize);
+            } else {
+                rev.shards[(at >> 32) as usize][at as u32 as usize] = u;
+                cursor[c] = at + 1;
             }
+        });
+        ops += len;
+        let targets = NodeSet::from_sorted_ids(rev.seal(), n);
+        Relation {
+            fwd,
+            rev,
+            len,
+            sources: NodeSet::from_sorted_ids(src_ids, n),
+            targets,
+            assembly_ops: ops,
         }
-
-        // Install the backward index over the touched-target remap —
-        // the slot table past the parity point (mirroring
-        // `RowStore::seal`), a sorted pair list below it.
-        rev.index = match direct {
-            Some(slot) => RowIndex::Direct {
-                slot,
-                kinds: rev_kinds,
-            },
-            None => RowIndex::Lazy {
-                ids: tgt.clone(),
-                kinds: rev_kinds,
-            },
-        };
-        self.rev = rev;
-        self.assembly_ops = ops;
-        // Finalise the cached node sets and release the assembly
-        // scaffolding so a long-lived catalog relation doesn't carry it.
-        self.sources = NodeSet::from_sorted_ids(src_ids, n);
-        self.targets = NodeSet::from_sorted_ids(tgt, n);
-        self.target_touch = TouchSet::new();
     }
 }
 
 /// Which sources can start a path: those with an edge on some symbol
 /// leaving an initial state — or every source, when an initial state is
-/// final (the empty path matches). Any other source's sweep ends at the
-/// source itself with an empty row, so the materialisers skip it outright
-/// instead of sweeping it and handing off an empty row.
+/// final (the empty path matches). Any other source's row is empty, so
+/// the materialisers skip it without a sweep.
 struct PathStarts {
     any: bool,
     symbols: Vec<Symbol>,
@@ -1545,134 +1512,175 @@ impl PathStarts {
 /// Materialises the full RPQ relation `{(u, v) : some u→v path has its
 /// label in L(nfa)}` by a product BFS from every source in `sources` that
 /// can start a path, reusing `scratch` across sweeps (no per-source
-/// reallocation beyond the output rows themselves).
+/// reallocation beyond the output rows themselves). Sources may come in
+/// any order, each at most once.
 pub fn rpq_reach_all<G: GraphView>(
     g: &G,
     nfa: &Nfa,
     sources: impl IntoIterator<Item = NodeId>,
     scratch: &mut ReachScratch,
 ) -> Relation {
-    let n = g.num_nodes();
     let starts = PathStarts::new(nfa);
-    let mut rel = Relation::empty(n);
+    let mut builder = RelationBuilder::new(g.num_nodes());
     let mut buf: Vec<u32> = Vec::new();
     for src in sources.into_iter().filter(|&v| starts.admits(g, v)) {
-        rpq_reach_collect(g, nfa, src, scratch, &mut buf);
-        rel.set_forward_row_ids(src, &buf);
+        buf.clear();
+        sweep_append::<G, false>(g, nfa, src, scratch, &mut buf);
+        builder.push_ids(src.0, &buf);
     }
-    rel.finish_reverse();
-    rel
+    builder.finish()
 }
 
-/// [`rpq_reach_all`] partitioned across `threads` std scoped threads, each
-/// with its own [`ReachScratch`]: per-source product BFS is embarrassingly
-/// parallel, so the sources are split into contiguous chunks and the
-/// backward index is assembled once at the end. `threads = 0` means one
-/// thread per available CPU (capped at 16); `threads ≤ 1` degenerates to
-/// the sequential [`rpq_reach_all`].
-pub fn rpq_reach_all_parallel<G: GraphView>(
+/// Source ids per block of the sweep materialiser, the unit a worker
+/// claims: one atomic add and one buffer per 8 192 sweeps, yet small
+/// enough that a skewed block idles the other workers only briefly.
+const SWEEP_BLOCK: usize = 8192;
+
+/// The rows one worker swept from one block of source ids: the targets of
+/// every row in one flat buffer, and per non-empty row its source and the
+/// end of its targets in that buffer.
+#[derive(Default)]
+struct SweptBlock {
+    targets: Vec<u32>,
+    rows: Vec<(u32, usize)>,
+    /// Sources of the block that can start a path, all swept.
+    swept: usize,
+}
+
+/// Claims blocks of `block` source ids from `next` until none is left and
+/// sweeps the sources of each that can start a path on `scratch`; returns
+/// the swept blocks with their block numbers.
+fn sweep_blocks<G: GraphView>(
     g: &G,
     nfa: &Nfa,
-    sources: &[NodeId],
+    starts: &PathStarts,
+    block: usize,
+    next: &AtomicUsize,
+    scratch: &mut ReachScratch,
+) -> Vec<(usize, SweptBlock)> {
+    let n = g.num_nodes();
+    let mut done = Vec::new();
+    loop {
+        // Relaxed: the counter only hands out block numbers; the rows
+        // reach the caller through the thread join.
+        let b = next.fetch_add(1, Ordering::Relaxed);
+        let lo = b.saturating_mul(block);
+        if lo >= n {
+            return done;
+        }
+        let mut out = SweptBlock::default();
+        for v in lo..(lo + block).min(n) {
+            let src = NodeId(v as u32);
+            if !starts.admits(g, src) {
+                continue;
+            }
+            out.swept += 1;
+            sweep_append::<G, false>(g, nfa, src, scratch, &mut out.targets);
+            if out.targets.len() > out.rows.last().map_or(0, |&(_, end)| end) {
+                out.rows.push((src.0, out.targets.len()));
+            }
+        }
+        done.push((b, out));
+    }
+}
+
+/// The sweep materialiser: the calling thread on the pooled `scratch`,
+/// plus up to `threads − 1` (resolved) scoped threads with a scratch each,
+/// claim blocks of `block` source ids; the swept blocks are installed into
+/// `builder` in block order. A graph of one block spawns no thread.
+fn sweep_relation<G: GraphView>(
+    g: &G,
+    nfa: &Nfa,
+    scratch: &mut ReachScratch,
     threads: usize,
+    block: usize,
+    mut builder: RelationBuilder,
+    stats: &mut MaterialiseStats,
 ) -> Relation {
-    // Resolve the knob exactly once at the public entry point; everything
-    // below takes the resolved count (`parallel_rows` must not re-apply
-    // `effective_threads`, or a `0` knob would be re-interpreted and the
-    // error fallback re-decided per layer).
-    let threads = effective_threads(threads).min(sources.len().max(1));
-    if threads <= 1 {
-        return rpq_reach_all(g, nfa, sources.iter().copied(), &mut ReachScratch::new());
-    }
+    let t0 = Instant::now();
     let starts = PathStarts::new(nfa);
-    let sources: Vec<NodeId> = sources
-        .iter()
-        .copied()
-        .filter(|&v| starts.admits(g, v))
-        .collect();
-    let mut rel = Relation::empty(g.num_nodes());
-    let (rows, _scratch_bytes) = parallel_rows(g, nfa, &sources, threads);
-    for (src, ids) in rows {
-        rel.set_forward_row_ids(src, &ids);
+    let next = AtomicUsize::new(0);
+    let workers = threads.min(g.num_nodes().div_ceil(block));
+    let mut blocks = thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut own = ReachScratch::new();
+                    let blocks = sweep_blocks(g, nfa, &starts, block, &next, &mut own);
+                    (blocks, own.heap_bytes())
+                })
+            })
+            .collect();
+        let mut blocks = sweep_blocks(g, nfa, &starts, block, &next, scratch);
+        for h in handles {
+            let (more, bytes) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            blocks.extend(more);
+            stats.scratch_bytes += bytes;
+        }
+        blocks
+    });
+    blocks.sort_unstable_by_key(|&(b, _)| b);
+    stats.sweep_ms += elapsed_ms(t0);
+    let t1 = Instant::now();
+    for (_, block) in &blocks {
+        stats.sources_swept += block.swept;
+        builder.push_block(block);
     }
-    rel.finish_reverse();
+    drop(blocks);
+    let rel = builder.finish();
+    stats.assembly_ms += elapsed_ms(t1);
+    stats.assembly_ops = rel.assembly_ops();
     rel
 }
 
-/// Observability record of one relation materialisation — what the scale
-/// benchmarks persist next to wall clock and relation bytes so scratch
-/// regressions (a sweep path silently re-growing dense stamp arrays per
-/// worker) show up in the baselines.
+fn elapsed_ms(since: Instant) -> f64 {
+    since.elapsed().as_secs_f64() * 1e3
+}
+
+/// The materialiser a relation was built by.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum MaterialisePath {
+    /// Per-source product BFS sweeps over blocks of source ids.
+    #[default]
+    Sweeps,
+    /// The column-blocked condensation closure
+    /// ([`rpq_relation_closure_blocked`]).
+    Closure,
+}
+
+/// Observability record of one relation materialisation, which the scale
+/// benchmarks persist next to wall clock and relation bytes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MaterialiseStats {
-    /// Peak heap bytes of the per-sweep scratch (stamp arrays, sparse
-    /// visited maps, queues), summed across the calling thread and every
-    /// worker that contributed to the materialisation.
+    /// The materialiser the cost probe picked.
+    pub path: MaterialisePath,
+    /// Edge scans the 64-source cost probe projects for sweeping every
+    /// source (0 on graphs of at most 64 nodes, which skip the probe).
+    pub projected_scans: usize,
+    /// The closure's traversal bound `(|V| + |E|)·|Q|`: the closure runs
+    /// when the projection exceeds 4× of it.
+    pub closure_bound: usize,
+    /// Sources swept on the sweep path, probe sweeps not counted.
+    pub sources_swept: usize,
+    /// Milliseconds producing forward rows: the probe plus the sweeps, or
+    /// plus the closure's condensation and replay.
+    pub sweep_ms: f64,
+    /// Milliseconds installing swept blocks and building both indexes.
+    pub assembly_ms: f64,
+    /// Peak working-set bytes: the pooled sweep scratch, plus every
+    /// worker's on the sweep path, or the product graph, Tarjan arrays
+    /// and reach matrix on the closure path.
     pub scratch_bytes: usize,
     /// Backward-assembly loop iterations ([`Relation::assembly_ops`]).
     pub assembly_ops: usize,
 }
 
-/// One materialised forward row: `(source, sorted target ids)` — the
-/// hand-off format of the parallel materialiser's worker threads.
-type SourceRow = (NodeId, Vec<u32>);
-
-/// Runs the per-source sweeps for `sources` across scoped worker threads
-/// (one [`ReachScratch`] each) and returns the rows in source order, plus
-/// the summed final scratch heap bytes across the workers.
-///
-/// `threads` must be an **already-resolved** worker count (`≥ 1`, from
-/// [`effective_threads`] at the public entry point) — this helper only
-/// clamps it to the source count and never re-interprets the `0` knob.
-fn parallel_rows<G: GraphView>(
-    g: &G,
-    nfa: &Nfa,
-    sources: &[NodeId],
-    threads: usize,
-) -> (Vec<SourceRow>, usize) {
-    debug_assert!(threads >= 1, "threads must be resolved by the caller");
-    let threads = threads.min(sources.len().max(1));
-    let chunk = sources.len().div_ceil(threads);
-    let chunks: Vec<&[NodeId]> = sources.chunks(chunk.max(1)).collect();
-    let per_chunk: Vec<(Vec<SourceRow>, usize)> = crpq_util::sync::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch = ReachScratch::new();
-                    let mut buf: Vec<u32> = Vec::new();
-                    let rows = chunk
-                        .iter()
-                        .map(|&src| {
-                            rpq_reach_collect(g, nfa, src, &mut scratch, &mut buf);
-                            (src, buf.clone())
-                        })
-                        .collect();
-                    (rows, scratch.heap_bytes())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect() // invariant: worker panics propagate to the caller by design
-    });
-    let scratch_bytes = per_chunk.iter().map(|(_, b)| b).sum();
-    (
-        per_chunk.into_iter().flat_map(|(rows, _)| rows).collect(),
-        scratch_bytes,
-    )
-}
-
 /// Resolves a thread-count knob into a concrete worker count (`≥ 1`):
 /// `0` = one per available CPU, capped at 16; any other value is taken
-/// verbatim.
-///
-/// When `available_parallelism` itself errors (it can on exotic platforms,
-/// restricted sandboxes, or when cgroup limits are unreadable) the `0` knob
-/// falls back to **4 workers** — a deliberate middle ground: parallel
-/// enough to matter on typical hardware, small enough not to oversubscribe
-/// a container that hid its CPU count. Callers resolve the knob **once** at
-/// the public entry point and pass the resolved count down; internal
-/// helpers (e.g. `parallel_rows`) never re-apply this function, so the
-/// fallback decision is made in exactly one place.
+/// verbatim. When `available_parallelism` itself errors (restricted
+/// sandboxes, unreadable cgroup limits) the `0` knob falls back to **4
+/// workers**. Callers resolve the knob once at the public entry point and
+/// pass the resolved count down.
 pub fn effective_threads(threads: usize) -> usize {
     if threads == 0 {
         crpq_util::sync::thread::available_parallelism().map_or(4, |n| n.get().min(16))
@@ -1681,18 +1689,13 @@ pub fn effective_threads(threads: usize) -> usize {
     }
 }
 
-/// [`rpq_reach_all`] from every node of the graph: the atom's complete
-/// standard-semantics relation.
+/// The atom's complete standard-semantics relation, swept from every node
+/// on the calling thread — the one-thread call of the sweep materialiser
+/// behind [`rpq_relation_auto`].
 pub fn rpq_relation<G: GraphView>(g: &G, nfa: &Nfa, scratch: &mut ReachScratch) -> Relation {
-    let sources = (0..g.num_nodes()).map(|v| NodeId(v as u32));
-    rpq_reach_all(g, nfa, sources, scratch)
-}
-
-/// [`rpq_relation`] with the per-source sweeps partitioned across scoped
-/// threads ([`rpq_reach_all_parallel`]).
-pub fn rpq_relation_parallel<G: GraphView>(g: &G, nfa: &Nfa, threads: usize) -> Relation {
-    let sources: Vec<NodeId> = (0..g.num_nodes()).map(|v| NodeId(v as u32)).collect();
-    rpq_reach_all_parallel(g, nfa, &sources, threads)
+    let builder = RelationBuilder::new(g.num_nodes());
+    let stats = &mut MaterialiseStats::default();
+    sweep_relation(g, nfa, scratch, 1, SWEEP_BLOCK, builder, stats)
 }
 
 /// Per-block budget for the blocked closure's reach matrix: 2³⁰ bits
@@ -1700,10 +1703,10 @@ pub fn rpq_relation_parallel<G: GraphView>(g: &G, nfa: &Nfa, threads: usize) -> 
 /// ([`rpq_relation_closure_blocked`]), not a cap on the product size.
 pub const CLOSURE_BLOCK_BUDGET_BITS: usize = 1 << 30;
 
-/// **Cost-adaptive** full-relation materialiser: starts with per-source
-/// sweeps, observes their cost on a sample of sources, and switches to the
-/// condensation bitset closure when the product graph is dense enough that
-/// per-source exploration would be quadratically wasteful.
+/// **Cost-adaptive** full-relation materialiser: probes the sweep cost on
+/// a sample of sources, then either sweeps every source or switches to
+/// the condensation bitset closure when the product graph is dense enough
+/// that per-source exploration would be quadratically wasteful.
 ///
 /// Per-source total cost scales with `Σ_v (edges scanned from v's product
 /// cone)` — on sparse relations that is near the output size and beats
@@ -1712,10 +1715,9 @@ pub const CLOSURE_BLOCK_BUDGET_BITS: usize = 1 << 30;
 /// `O(|E_Π|)` traversal + `O(|E_Π|·|V|/64)` word-ORs once, regardless.
 /// The sample's observed edge scans project the per-source total; when the
 /// projection exceeds a small multiple of the closure's traversal bound,
-/// the sampled rows are discarded and the (column-blocked, so
-/// memory-bounded at any scale) closure runs instead. `threads > 1`
-/// additionally partitions the remaining per-source sweeps across scoped
-/// threads.
+/// the (column-blocked, so memory-bounded at any scale) closure runs.
+/// Otherwise the sweeps run over blocks of source ids, on `threads`
+/// workers when `threads > 1` (`0` = one per CPU, capped at 16).
 pub fn rpq_relation_auto<G: GraphView>(
     g: &G,
     nfa: &Nfa,
@@ -1726,88 +1728,51 @@ pub fn rpq_relation_auto<G: GraphView>(
 }
 
 /// [`rpq_relation_auto`] that additionally reports [`MaterialiseStats`]
-/// (peak sweep-scratch bytes across workers, backward-assembly ops) — the
-/// instrumented entry point of the relation catalog.
+/// — the instrumented entry point of the relation catalog.
 pub fn rpq_relation_auto_with_stats<G: GraphView>(
     g: &G,
     nfa: &Nfa,
     scratch: &mut ReachScratch,
     threads: usize,
 ) -> (Relation, MaterialiseStats) {
+    const SAMPLE: usize = 64;
     let mut stats = MaterialiseStats::default();
     let n = g.num_nodes();
-    let starts = PathStarts::new(nfa);
-    const SAMPLE: usize = 64;
-    let sample = SAMPLE.min(n);
-    // Resolve the thread knob once up front (see `effective_threads`);
-    // `parallel_rows` below receives the resolved count.
-    let threads = effective_threads(threads);
-    let mut rel = Relation::empty(n);
-    let mut buf: Vec<u32> = Vec::new();
-    // Spread the sample evenly across the whole id range — graphs often
-    // correlate structure with id order (generators emit hubs first,
-    // loaders cluster by source), and a prefix sample would project that
-    // bias onto the whole graph. `i·n/sample` covers the full range for
-    // every n (a fixed stride would degenerate to a prefix for n just
-    // above the sample size). The division is guarded and the indices
-    // deduplicated, so a tiny or empty graph can neither divide by zero
-    // when projecting the cost nor probe (and double-install) the same
-    // source twice; the projection divides by the number of sources
-    // actually probed, not the requested sample size. A sampled source
-    // that cannot start a path counts as probed at zero cost (its sweep
-    // would scan nothing) without being swept.
-    let mut sampled: Vec<usize> = (0..sample).map(|i| i * n / sample.max(1)).collect();
-    sampled.dedup();
-    let mut sampled_scans = 0usize;
-    for &v in &sampled {
-        let v = NodeId(v as u32);
-        if starts.admits(g, v) {
-            sampled_scans += rpq_reach_collect(g, nfa, v, scratch, &mut buf);
-            rel.set_forward_row_ids(v, &buf);
-        }
-    }
-    if !sampled.is_empty() && sampled.len() < n {
-        let projected = sampled_scans.saturating_mul(n) / sampled.len();
-        let closure_bound = (n + g.num_edges()) * nfa.num_states();
-        if projected > 4 * closure_bound {
-            // The blocked closure degrades gracefully on any product size
-            // (column blocks bound its matrix), so no memory gate here.
-            let rel = rpq_relation_closure_blocked(g, nfa, CLOSURE_BLOCK_BUDGET_BITS);
-            stats.scratch_bytes = scratch.heap_bytes();
-            stats.assembly_ops = rel.assembly_ops();
-            return (rel, stats);
-        }
-    }
-    // Remaining sources: everything not in the (sorted) sample that can
-    // start a path.
-    let mut next_sampled = sampled.iter().copied().peekable();
-    let rest: Vec<NodeId> = (0..n)
-        .filter(|&v| {
-            if next_sampled.peek() == Some(&v) {
-                next_sampled.next();
-                false
-            } else {
-                true
+    let t0 = Instant::now();
+    // The probe sweeps `SAMPLE` sources spread evenly across the id range
+    // — graphs often correlate structure with id order (generators emit
+    // hubs first, loaders cluster by source), and a prefix would project
+    // that bias onto the whole graph. A sampled source that cannot start
+    // a path counts at zero cost. Its rows are only measured: the sweeps
+    // redo them inside their blocks.
+    if n > SAMPLE {
+        let starts = PathStarts::new(nfa);
+        let mut buf: Vec<u32> = Vec::new();
+        let mut scans = 0usize;
+        for i in 0..SAMPLE {
+            let v = NodeId((i * n / SAMPLE) as u32);
+            if starts.admits(g, v) {
+                buf.clear();
+                scans += sweep_append::<G, true>(g, nfa, v, scratch, &mut buf);
             }
-        })
-        .map(|v| NodeId(v as u32))
-        .filter(|&v| starts.admits(g, v))
-        .collect();
-    if threads > 1 && rest.len() > SAMPLE {
-        let (chunk_rows, worker_scratch_bytes) = parallel_rows(g, nfa, &rest, threads);
-        stats.scratch_bytes += worker_scratch_bytes;
-        for (src, ids) in chunk_rows {
-            rel.set_forward_row_ids(src, &ids);
         }
-    } else {
-        for src in rest {
-            rpq_reach_collect(g, nfa, src, scratch, &mut buf);
-            rel.set_forward_row_ids(src, &buf);
+        stats.projected_scans = scans.saturating_mul(n) / SAMPLE;
+        stats.closure_bound = (n + g.num_edges()) * nfa.num_states();
+        if stats.projected_scans > 4 * stats.closure_bound {
+            stats.path = MaterialisePath::Closure;
         }
     }
-    rel.finish_reverse();
+    stats.sweep_ms = elapsed_ms(t0);
+    let rel = match stats.path {
+        // The blocked closure degrades gracefully on any product size
+        // (column blocks bound its matrix), so no memory gate here.
+        MaterialisePath::Closure => closure_relation(g, nfa, CLOSURE_BLOCK_BUDGET_BITS, &mut stats),
+        MaterialisePath::Sweeps => {
+            let (threads, builder) = (effective_threads(threads), RelationBuilder::new(n));
+            sweep_relation(g, nfa, scratch, threads, SWEEP_BLOCK, builder, &mut stats)
+        }
+    };
     stats.scratch_bytes += scratch.heap_bytes();
-    stats.assembly_ops = rel.assembly_ops();
     (rel, stats)
 }
 
@@ -1837,25 +1802,34 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
 /// matrix (`rows × block` bits) stays under `block_budget_bits`, and each
 /// block's row slices are ORed up in one pass — `O(|E_c| · |V| / 64)` word
 /// operations across all blocks, where `|E_c|` is the condensation edge
-/// count. When everything fits one block this is exactly the old
-/// un-blocked materialiser (rows install straight from the matrix);
-/// otherwise per-source accumulators assemble rows across blocks,
+/// count. When everything fits one block, rows install straight from the
+/// matrix; otherwise per-source accumulators assemble rows across blocks,
 /// upgrading from sorted ids to dense bits at the usual `k·32 ≥ n` parity
 /// point, so accumulation memory tracks the final relation's instead of
-/// the worst-case `SCCs × |V|` bits. Dense products therefore degrade
-/// gracefully instead of hitting a hard cap and falling back to
-/// `O(|V| · |E_Π|)` per-source sweeps.
+/// the worst-case `SCCs × |V|` bits.
 pub fn rpq_relation_closure_blocked<G: GraphView>(
     g: &G,
     nfa: &Nfa,
     block_budget_bits: usize,
 ) -> Relation {
+    closure_relation(g, nfa, block_budget_bits, &mut MaterialiseStats::default())
+}
+
+/// [`rpq_relation_closure_blocked`], adding its timings and working-set
+/// bytes to `stats`.
+fn closure_relation<G: GraphView>(
+    g: &G,
+    nfa: &Nfa,
+    block_budget_bits: usize,
+    stats: &mut MaterialiseStats,
+) -> Relation {
+    let t0 = Instant::now();
     let n = g.num_nodes();
+    let mut builder = RelationBuilder::new(n);
     let ns = nfa.num_states();
     let pn = n * ns;
-    let mut rel = Relation::empty(n);
     if pn == 0 {
-        return rel;
+        return builder.finish();
     }
     assert!(
         pn <= u32::MAX as usize,
@@ -1889,6 +1863,7 @@ pub fn rpq_relation_closure_blocked<G: GraphView>(
             }
         }
     }
+    drop(cursor);
 
     // Phase 1 — iterative Tarjan. `scc_row[id]` is the SCC's row id —
     // shared with its single successor when the SCC contributes nothing of
@@ -2014,6 +1989,10 @@ pub fn rpq_relation_closure_blocked<G: GraphView>(
             scc_row.push(row);
         }
     }
+    // Phase 2 reads only the SCC ids and the recipes: release the product
+    // graph and the Tarjan arrays first.
+    let tarjan_bytes = 8 * off.len() + 4 * (adj.len() + index.len() + lowlink.len() + pn);
+    drop((off, adj, index, lowlink, stack, call));
 
     // Phase 2 — replay the recipes per column block.
     let rows = row_succ_off.len() - 1;
@@ -2039,6 +2018,7 @@ pub fn rpq_relation_closure_blocked<G: GraphView>(
     // buffer is exactly the right row.
     let mut union_buf = vec![0u64; if initials.len() == 1 { 0 } else { block_words }];
     let mut idbuf: Vec<u32> = Vec::new();
+    stats.scratch_bytes += tarjan_bytes.max(4 * pn + 8 * matrix.len());
     let mut wlo = 0usize;
     while wlo < words_total {
         let bw = block_words.min(words_total - wlo);
@@ -2079,7 +2059,7 @@ pub fn rpq_relation_closure_blocked<G: GraphView>(
                 &union_buf[..bw]
             };
             if single_block {
-                rel.set_forward_row_words(NodeId(v as u32), words, &mut idbuf);
+                builder.push_words(v as u32, words, &mut idbuf);
                 continue;
             }
             let add: usize = words.iter().map(|w| w.count_ones() as usize).sum();
@@ -2114,12 +2094,17 @@ pub fn rpq_relation_closure_blocked<G: GraphView>(
     if !single_block {
         for (v, a) in acc.into_iter().enumerate() {
             match a {
-                Accum::Ids(ids) => rel.set_forward_row_ids(NodeId(v as u32), &ids),
-                Accum::Bits(bits) => rel.set_forward_row_bits(NodeId(v as u32), bits),
+                Accum::Ids(ids) => builder.push_ids(v as u32, &ids),
+                Accum::Bits(bits) => builder.push_bits(v as u32, bits),
             }
         }
     }
-    rel.finish_reverse();
+    drop((scc_id, matrix));
+    stats.sweep_ms += elapsed_ms(t0);
+    let t1 = Instant::now();
+    let rel = builder.finish();
+    stats.assembly_ms += elapsed_ms(t1);
+    stats.assembly_ops = rel.assembly_ops();
     rel
 }
 
@@ -2178,13 +2163,6 @@ pub fn shortest_path<G: GraphView>(
         }
     }
     None
-}
-
-/// All pairs `(u, v)` related by the RPQ under standard semantics.
-pub fn rpq_pairs<G: GraphView>(g: &G, nfa: &Nfa) -> Vec<(NodeId, NodeId)> {
-    rpq_relation(g, nfa, &mut ReachScratch::new())
-        .iter()
-        .collect()
 }
 
 /// Whether a **simple path** from `src` to `dst` (all nodes pairwise
@@ -2531,8 +2509,8 @@ mod tests {
     fn standard_rpq_epsilon() {
         let (g, nfa) = setup(&[("u", "a", "v")], "a*");
         assert!(rpq_exists(&g, &nfa, n(&g, "u"), n(&g, "u")), "ε path");
-        let pairs = rpq_pairs(&g, &nfa);
-        assert_eq!(pairs.len(), 3); // (u,u), (u,v), (v,v)
+        let rel = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+        assert_eq!(rel.iter().count(), 3); // (u,u), (u,v), (v,v)
     }
 
     #[test]
@@ -2867,8 +2845,7 @@ mod tests {
         let nfa = Nfa::from_regex(&regex);
         let rel = rpq_relation(&g, &nfa, &mut ReachScratch::new());
         assert!(rel.forward(NodeId(0)).iter().eq([1usize]));
-        assert!(!rel.forward(NodeId(0)).is_dense());
-        assert!((rel.dense_row_fraction() - 0.0).abs() < 1e-9);
+        assert!((0..40).all(|u| !rel.forward(NodeId(u)).is_dense()));
         // a* on the same path: row of node 0 holds all 40 nodes → dense.
         let star = crpq_automata::parse_regex("a*", g.alphabet_mut()).unwrap();
         let rel = rpq_relation(&g, &Nfa::from_regex(&star), &mut ReachScratch::new());
@@ -2876,22 +2853,6 @@ mod tests {
         assert_eq!(rel.forward(NodeId(0)).len(), 40);
         assert!(rel.contains(NodeId(0), NodeId(39)));
         assert!(!rel.contains(NodeId(39), NodeId(0)));
-    }
-
-    #[test]
-    fn parallel_relation_matches_sequential() {
-        let mut g = crate::generators::random_graph(37, 120, &["a", "b"], 5);
-        let regex = crpq_automata::parse_regex("a (a+b)*", g.alphabet_mut()).unwrap();
-        let nfa = Nfa::from_regex(&regex);
-        let seq = rpq_relation(&g, &nfa, &mut ReachScratch::new());
-        for threads in [1, 3, 8] {
-            let par = rpq_relation_parallel(&g, &nfa, threads);
-            assert_eq!(seq, par, "threads = {threads}");
-        }
-        assert_eq!(
-            seq.source_set(),
-            rpq_relation_parallel(&g, &nfa, 0).source_set()
-        );
     }
 
     #[test]
@@ -2913,6 +2874,35 @@ mod tests {
             let auto = rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 1);
             assert_eq!(auto, per_source, "seed {seed} expr {expr}");
         }
+    }
+
+    #[test]
+    fn stats_record_the_path_and_its_working_set() {
+        // `a*` around a 200-cycle sweeps the whole cycle from every source:
+        // the probe projects far past the closure bound, and the closure's
+        // scratch includes its product graph and Tarjan arrays.
+        let mut g = crate::generators::labelled_cycle(200, &["a"]);
+        let star = Nfa::from_regex(&parse_regex("a*", g.alphabet_mut()).unwrap());
+        let mut scratch = ReachScratch::new();
+        let (rel, stats) = rpq_relation_auto_with_stats(&g, &star, &mut scratch, 1);
+        assert_eq!(rel.len(), 200 * 200);
+        assert_eq!(stats.path, MaterialisePath::Closure);
+        assert!(stats.projected_scans > 4 * stats.closure_bound);
+        assert_eq!(stats.sources_swept, 0);
+        let pn = 200 * star.num_states();
+        assert!(
+            stats.scratch_bytes >= scratch.heap_bytes() + 8 * (pn + 1) + 12 * pn,
+            "closure scratch {} B omits the Tarjan working set",
+            stats.scratch_bytes
+        );
+        // One step per source stays on the sweeps, one per node.
+        let step = Nfa::from_regex(&parse_regex("a", g.alphabet_mut()).unwrap());
+        let (rel, stats) = rpq_relation_auto_with_stats(&g, &step, &mut scratch, 2);
+        assert_eq!(rel.len(), 200);
+        assert_eq!(stats.path, MaterialisePath::Sweeps);
+        assert!(stats.projected_scans <= 4 * stats.closure_bound);
+        assert_eq!(stats.sources_swept, 200);
+        assert_eq!(stats.assembly_ops, rel.assembly_ops());
     }
 
     #[test]
@@ -2940,7 +2930,16 @@ mod tests {
                 closure,
                 "{expr}"
             );
-            assert_eq!(rpq_relation_parallel(&g, &nfa, 3), closure, "{expr}");
+            let swept = sweep_relation(
+                &g,
+                &nfa,
+                &mut ReachScratch::new(),
+                3,
+                16,
+                RelationBuilder::new(g.num_nodes()),
+                &mut MaterialiseStats::default(),
+            );
+            assert_eq!(swept, closure, "{expr}");
             for threads in [1, 2] {
                 let auto = rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), threads);
                 assert_eq!(auto, closure, "{expr} threads {threads}");
@@ -2956,7 +2955,7 @@ mod tests {
 
     #[test]
     fn reverse_assembly_is_touched_bounded_on_million_node_graph() {
-        // The O(E_rel + touched) contract of `finish_reverse`: a relation
+        // The O(E_rel + touched) contract of `RelationBuilder::finish`: a relation
         // over a 10⁶-node graph that touches ~10² nodes must assemble its
         // backward index in ~10² operations — no pass may scan 0..|V|.
         let n = 1_000_000;
@@ -3244,9 +3243,9 @@ mod tests {
         let n = 640; // n/32 = 20
         for (k, expect_dense) in [(19usize, false), (20, true), (21, true)] {
             let ids: Vec<u32> = (0..k as u32).collect();
-            let mut rel = Relation::empty(n);
-            rel.set_forward_row_ids(NodeId(0), &ids);
-            rel.finish_reverse();
+            let mut builder = RelationBuilder::new(n);
+            builder.push_ids(0, &ids);
+            let rel = builder.finish();
             assert_eq!(
                 rel.forward(NodeId(0)).is_dense(),
                 expect_dense,
@@ -3256,10 +3255,9 @@ mod tests {
             for &v in &ids {
                 words[v as usize / 64] |= 1 << (v % 64);
             }
-            let mut rel = Relation::empty(n);
-            let mut buf = Vec::new();
-            rel.set_forward_row_words(NodeId(0), &words, &mut buf);
-            rel.finish_reverse();
+            let mut builder = RelationBuilder::new(n);
+            builder.push_words(0, &words, &mut Vec::new());
+            let rel = builder.finish();
             assert_eq!(
                 rel.forward(NodeId(0)).is_dense(),
                 expect_dense,
@@ -3372,37 +3370,6 @@ mod tests {
         dense.intersect_into(&mut acc);
         assert!(!acc.is_empty());
         assert!(acc.iter().all(|v| v % 6 == 0 && v < 200));
-    }
-
-    #[test]
-    fn relation_row_install_paths_agree() {
-        // The two row-install paths (raw words, owned ids) must produce
-        // identical relations.
-        let mut buf = Vec::new();
-        let mut words = vec![0u64; 2];
-        for v in [3usize, 40, 64, 77] {
-            words[v / 64] |= 1 << (v % 64);
-        }
-        let mut via_words = Relation::empty(100);
-        via_words.set_forward_row_words(NodeId(2), &words, &mut buf);
-        via_words.finish_reverse();
-
-        let mut via_ids = Relation::empty(100);
-        via_ids.set_forward_row_ids(NodeId(2), &[3, 40, 64, 77]);
-        via_ids.finish_reverse();
-
-        assert_eq!(via_words, via_ids);
-        assert_eq!(via_words.len(), 4);
-        assert!(via_words.contains(NodeId(2), NodeId(64)));
-        assert_eq!(
-            via_words.backward(NodeId(40)).iter().collect::<Vec<_>>(),
-            [2]
-        );
-        assert_eq!(via_words.source_set().iter().collect::<Vec<_>>(), [2]);
-        assert_eq!(
-            via_words.target_set().iter().collect::<Vec<_>>(),
-            [3, 40, 64, 77]
-        );
     }
 
     /// Sorts a lazy store's pair list by node id without promoting it —
@@ -3544,13 +3511,11 @@ mod tests {
         // shards. Universe 640 keeps 3- and 6-id rows below the dense
         // parity point, so the sparse (sharded) path is what runs.
         let big = 640usize;
-        let mut rel = Relation::empty(big);
-        rel.fwd = RowStore::with_shard_cap(big, 7);
-        rel.rev = RowStore::with_shard_cap(big, 7);
+        let mut builder = RelationBuilder::with_shard_cap(big, 7);
         for src in 0..6u32 {
-            rel.set_forward_row_ids(NodeId(src), &[10, 20, 30]);
+            builder.push_ids(src, &[10, 20, 30]);
         }
-        rel.finish_reverse();
+        let rel = builder.finish();
         assert!(rel.fwd.shards.len() > 1, "forward rows sharded");
         assert!(rel.rev.shards.len() > 1, "backward rows sharded");
         for v in [10u32, 20, 30] {
@@ -3616,5 +3581,164 @@ mod tests {
         assert_eq!(p.len(), 7);
         assert_eq!(p[0], n(&g, "u"));
         assert_eq!(p[6], n(&g, "u"));
+    }
+
+    /// A graph of exactly `n` nodes over labels `a` and `b`: `m` seeded
+    /// random edges and, with `hub`, node 0 linked both ways to every
+    /// node — which gives dense rows and dense columns.
+    fn builder_graph(n: usize, m: usize, hub: bool, seed: u64) -> GraphDb {
+        let mut b = GraphBuilder::anonymous(n);
+        let (a, bl) = (b.label("a"), b.label("b"));
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |k: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % k as u64) as u32
+        };
+        if n > 0 {
+            for _ in 0..m {
+                let (u, l, v) = (next(n), if next(3) == 0 { bl } else { a }, next(n));
+                b.edge_ids(NodeId(u), l, NodeId(v));
+            }
+        }
+        if hub {
+            for v in 1..n as u32 {
+                b.edge_ids(NodeId(0), a, NodeId(v));
+                b.edge_ids(NodeId(v), bl, NodeId(0));
+            }
+        }
+        b.finish()
+    }
+
+    /// The heap bytes the row layout must give a relation whose forward
+    /// rows are `rows`: per direction a pair list (or, past the parity
+    /// point, a slot per node) with a row kind per touched row, `4·k`
+    /// bytes per sparse row and `n` bits per dense one, plus the cached
+    /// source and target sets.
+    fn expected_heap_bytes(n: usize, rows: &[Vec<usize>]) -> usize {
+        let mut cols = vec![0usize; n];
+        for v in rows.iter().flatten() {
+            cols[*v] += 1;
+        }
+        let side = |degrees: &mut dyn Iterator<Item = usize>| {
+            let (mut touched, mut payload) = (0, 0);
+            for k in degrees.filter(|&k| k > 0) {
+                touched += 1;
+                payload += if dense_row(k, n) {
+                    8 * n.div_ceil(64)
+                } else {
+                    4 * k
+                };
+            }
+            let (index, set) = if dense_row(touched, n) {
+                (4 * n, 8 * n.div_ceil(64))
+            } else {
+                (4 * touched, 4 * touched)
+            };
+            index + std::mem::size_of::<RowKind>() * touched + payload + set
+        };
+        side(&mut rows.iter().map(Vec::len)) + side(&mut cols.into_iter())
+    }
+
+    /// Checks `rel` against per-source oracle rows: every forward row, the
+    /// transpose of the backward rows, source and target sets, `len` and
+    /// the layout's heap bytes.
+    fn check_against_oracle(rel: &Relation, oracle: &[Vec<usize>]) -> Result<(), String> {
+        let n = oracle.len();
+        let mut columns = vec![Vec::new(); n];
+        for (u, row) in oracle.iter().enumerate() {
+            let got: Vec<usize> = rel.forward(NodeId(u as u32)).iter().collect();
+            proptest::prop_assert_eq!(&got, row, "forward row {}", u);
+            for &v in row {
+                columns[v].push(u);
+            }
+        }
+        for (v, col) in columns.iter().enumerate() {
+            let got: Vec<usize> = rel.backward(NodeId(v as u32)).iter().collect();
+            proptest::prop_assert_eq!(&got, col, "backward row {}", v);
+        }
+        let non_empty = |rows: &[Vec<usize>]| -> Vec<usize> {
+            (0..n).filter(|&i| !rows[i].is_empty()).collect()
+        };
+        proptest::prop_assert_eq!(
+            rel.source_set().iter().collect::<Vec<_>>(),
+            non_empty(oracle)
+        );
+        proptest::prop_assert_eq!(
+            rel.target_set().iter().collect::<Vec<_>>(),
+            non_empty(&columns)
+        );
+        proptest::prop_assert_eq!(rel.len(), oracle.iter().map(Vec::len).sum::<usize>());
+        proptest::prop_assert_eq!(rel.heap_bytes(), expected_heap_bytes(n, oracle));
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Every way a relation is built — the block sweeps at a small
+        /// test block size on 1, 2 and 3 workers with a small shard
+        /// capacity, the one-thread `rpq_relation`, `rpq_reach_all` over
+        /// the sources in descending order, and the cost-adaptive entry
+        /// point — equals the per-source `rpq_reach` oracle row for row in
+        /// both directions, with the same sets, length and heap bytes.
+        #[test]
+        fn relation_builder_matches_per_source_oracle(seed in 0u64..1_000_000, shape in 0usize..10) {
+            const BLOCK: usize = 16;
+            let (n, hub) = [
+                (0, false),
+                (5, true),
+                (BLOCK - 1, false),
+                (BLOCK, true),
+                (BLOCK + 1, false),
+                (3 * BLOCK - 1, true),
+                (3 * BLOCK, false),
+                (3 * BLOCK + 1, true),
+                (200, false),
+                (200, true),
+            ][shape];
+            let mut g = builder_graph(n, 3 * n, hub, seed);
+            let exprs = ["a (a+b)*", "(a b)*", "a*", "b a", "b* a", "c a", "∅"];
+            let expr = exprs[seed as usize % exprs.len()];
+            let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
+            let oracle: Vec<Vec<usize>> =
+                g.nodes().map(|u| rpq_reach(&g, &nfa, u).iter().collect()).collect();
+
+            // Sparse rows hold fewer than n/32 ids, so the small capacity
+            // fits any row and still splits both directions into shards;
+            // at the full one, whole blocks are copied into one shard.
+            let admitted = g.nodes().filter(|&v| PathStarts::new(&nfa).admits(&g, v)).count();
+            for (threads, cap) in [1, 2, 3].into_iter().flat_map(|t| [(t, n / 32 + 1), (t, SHARD_CAP)]) {
+                let mut stats = MaterialiseStats::default();
+                let rel = sweep_relation(
+                    &g,
+                    &nfa,
+                    &mut ReachScratch::new(),
+                    threads,
+                    BLOCK,
+                    RelationBuilder::with_shard_cap(n, cap),
+                    &mut stats,
+                );
+                check_against_oracle(&rel, &oracle)
+                    .map_err(|e| format!("{expr}, n {n}, threads {threads}, cap {cap}: {e}"))?;
+                for store in [&rel.fwd, &rel.rev] {
+                    let ids: usize = store.shards.iter().map(Vec::len).sum();
+                    proptest::prop_assert!(store.shards.iter().all(|s| s.len() <= cap));
+                    proptest::prop_assert!(ids <= cap || store.shards.len() > 1);
+                }
+                proptest::prop_assert_eq!(stats.sources_swept, admitted);
+            }
+            let descending = (0..n as u32).rev().map(NodeId);
+            let relations = [
+                rpq_relation(&g, &nfa, &mut ReachScratch::new()),
+                rpq_reach_all(&g, &nfa, descending, &mut ReachScratch::new()),
+                rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 1),
+                rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 3),
+            ];
+            for rel in &relations {
+                check_against_oracle(rel, &oracle).map_err(|e| format!("{expr}, n {n}: {e}"))?;
+            }
+        }
     }
 }

@@ -156,8 +156,9 @@ proptest! {
     }
 
     /// Touched-set backward assembly ≡ the forward rows transposed, on
-    /// relations materialised through every entry path (sequential,
-    /// parallel, auto) over anonymous graphs.
+    /// relations materialised through every entry path (one-thread
+    /// sweeps, the adaptive entry point on three and two threads) over
+    /// anonymous graphs.
     #[test]
     fn reverse_index_matches_forward_transpose(seed in 0u64..100_000) {
         let mut g = generators::anonymous_random_graph(48, 150, 6, seed);
@@ -173,7 +174,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(back, expect, "column {} seed {}", v.index(), seed);
         }
-        let parallel = rpq::rpq_relation_parallel(&g, &nfa, 3);
+        let parallel = rpq::rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 3);
         prop_assert_eq!(&parallel, &reference);
         let auto = rpq::rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 2);
         prop_assert_eq!(&auto, &reference);
