@@ -1004,6 +1004,9 @@ pub struct MaterialiseTotals {
     /// Milliseconds assembling relations
     /// ([`rpq::MaterialiseStats::assembly_ms`]).
     pub assembly_ms: f64,
+    /// The largest assembly transient of one materialisation
+    /// ([`rpq::MaterialiseStats::assembly_bytes`]) — a peak, not a sum.
+    pub peak_assembly_bytes: usize,
 }
 
 impl MaterialiseTotals {
@@ -1015,6 +1018,7 @@ impl MaterialiseTotals {
         self.sources_swept += stats.sources_swept;
         self.sweep_ms += stats.sweep_ms;
         self.assembly_ms += stats.assembly_ms;
+        self.peak_assembly_bytes = self.peak_assembly_bytes.max(stats.assembly_bytes);
     }
 }
 
@@ -2155,6 +2159,8 @@ mod tests {
         assert_eq!((totals.closures, totals.sweeps), (1, 1));
         assert_eq!(totals.sources_swept, 200);
         assert!(totals.sweep_ms + totals.assembly_ms <= catalog.materialise_ms());
+        // The closure's 200² pairs assembled over the largest transients.
+        assert!(totals.peak_assembly_bytes >= 8 * 200);
     }
 
     #[test]

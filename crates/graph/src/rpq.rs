@@ -58,11 +58,12 @@
 //!   without overflowing the u32 flat offsets that index within a shard.
 //! * Every materialiser installs its forward rows through one
 //!   `RelationBuilder`, whose `finish` builds the backward index by one
-//!   counting sort over the forward pairs: below the `k·32 ≥ |V|` parity
-//!   point (`k` = pairs) its buckets are the sorted distinct targets, so
-//!   a relation touching k of 10⁷ nodes never scans `0..|V|`; past it
-//!   they are node-indexed ([`Relation::assembly_ops`] is the pinned
-//!   observable).
+//!   counting sort over the forward pairs: below the `t·32 ≥ |V|` parity
+//!   point (`t` = distinct targets) its buckets are the sorted distinct
+//!   targets, so a relation touching t of 10⁷ nodes never scans `0..|V|`;
+//!   past it they are node-indexed ([`Relation::assembly_ops`] is the
+//!   pinned observable, [`MaterialiseStats::assembly_bytes`] the
+//!   transient).
 //! * The sweep materialiser's workers claim fixed-size blocks of source
 //!   ids, each swept into one flat buffer; blocks are installed in block
 //!   order, so forward rows arrive sorted by source.
@@ -1010,10 +1011,10 @@ impl RowStore {
             .chain(direct.into_iter().flatten())
     }
 
-    /// Reserves the zero-filled `[start, end)` span of the next sparse row
-    /// of `deg` ids, opening a fresh shard when the current one cannot
-    /// hold it — rows never cross a shard boundary, so `u32` offsets
-    /// address any total buffer size.
+    /// Reserves the `[start, end)` span of the next sparse row of `deg`
+    /// ids, opening a fresh shard when the current one cannot hold it —
+    /// rows never cross a shard boundary, so `u32` offsets address any
+    /// total buffer size.
     fn reserve_span(&mut self, deg: usize) -> RowKind {
         assert!(
             deg <= self.shard_cap,
@@ -1029,7 +1030,6 @@ impl RowStore {
         }
         let shard = self.shards.len() - 1;
         let start = self.shards[shard].len();
-        self.shards[shard].resize(start + deg, 0);
         RowKind::Sparse {
             shard: shard as u32,
             start: start as u32,
@@ -1042,9 +1042,7 @@ impl RowStore {
     fn push_sparse(&mut self, i: usize, ids: &[u32]) {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
         let kind = self.reserve_span(ids.len());
-        if let RowKind::Sparse { shard, start, end } = kind {
-            self.shards[shard as usize][start as usize..end as usize].copy_from_slice(ids);
-        }
+        self.shards.last_mut().unwrap().extend_from_slice(ids); // invariant: shards is never empty
         self.push_kind(i, kind);
     }
 
@@ -1353,81 +1351,65 @@ impl RelationBuilder {
         }
     }
 
-    /// Installs the rows of one swept block, in its ascending source
-    /// order. When every row is sparse and the block fits the open shard,
-    /// its targets are copied in one piece and the rows become spans of it.
+    /// Installs the rows of one swept block, in its ascending source order.
     fn push_block(&mut self, block: &SweptBlock) {
-        let n = self.fwd.n;
-        let spans = block.rows.iter().scan(0, |start, &(src, end)| {
-            Some((src, std::mem::replace(start, end), end))
-        });
-        let bulk = self.fwd.shards.last().map(Vec::len).filter(|&len| {
-            len + block.targets.len() <= self.fwd.shard_cap
-                && !spans
-                    .clone()
-                    .any(|(_, start, end)| dense_row(end - start, n))
-        });
-        let Some(base) = bulk else {
-            spans.for_each(|(src, start, end)| self.push_ids(src, &block.targets[start..end]));
-            return;
-        };
-        let shard = self.fwd.shards.len() - 1;
-        self.fwd.shards[shard].extend_from_slice(&block.targets);
-        for (src, start, end) in spans {
-            let (start, end) = ((base + start) as u32, (base + end) as u32);
-            let kind = RowKind::Sparse {
-                shard: shard as u32,
-                start,
-                end,
-            };
-            self.fwd.push_kind(src as usize, kind);
+        let mut start = 0;
+        for &(src, end) in &block.rows {
+            self.push_ids(src, &block.targets[start..end]);
+            start = end;
         }
-        self.len += block.targets.len();
     }
 
     /// Seals the forward index and builds the backward one by one counting
     /// sort of the forward pairs, with one bucket per distinct target: a
     /// degree pass sizes every column, a layout pass makes each column
-    /// dense or a sparse span (in ascending target order, the layout a
-    /// per-target install would give), and a fill pass in ascending source
-    /// order appends every source to its column, which keeps columns
-    /// sorted.
+    /// dense or a zero-filled sparse span (in ascending target order, the
+    /// layout a per-target install would give), and a fill pass in
+    /// ascending source order appends every source to its column, which
+    /// keeps columns sorted.
     ///
-    /// Past the `k·32 ≥ n` parity point, with `k` the number of pairs, the
-    /// buckets are node-indexed (`n ≤ 32·k` cursors). Below it a bucket is
-    /// the target's rank among the sorted distinct targets, so a relation
-    /// touching `k` of 10⁷ nodes assembles in `O(k log k)` with nothing
-    /// sized by `n`.
-    fn finish(self) -> Relation {
+    /// Past the `t·32 ≥ n` parity point, with `t` the number of distinct
+    /// targets, the buckets are node-indexed (`8n ≤ 256·t` bytes). Below
+    /// it a bucket is the target's rank among the sorted distinct targets,
+    /// so a relation touching `k` of 10⁷ nodes assembles in `O(k log k)`
+    /// with nothing sized by `n`. `stats` receives the loop iterations and
+    /// the transient bytes.
+    fn finish(self, stats: &mut MaterialiseStats) -> Relation {
         let RelationBuilder { mut fwd, len } = self;
         let n = fwd.n;
         let src_ids = fwd.seal();
-        // The distinct targets `tgt`, ascending, and each one's column
-        // degree in its cursor: at the node id past the parity point, at
-        // the target's rank in `tgt` below it.
-        let node_indexed = dense_row(len, n);
-        let rank = |t: &[u32], v: usize| {
-            t.binary_search(&(v as u32))
-                .expect("target missing from the distinct targets") // invariant: `t` holds every target of these rows
-        };
-        let (tgt, mut cursor) = if node_indexed {
-            let mut cursor = vec![0u64; n];
+        // The distinct targets `tgt`, ascending: from a bitset of them when
+        // it costs at most `n/8 ≤ 4·len` bytes, else by sorting.
+        let mut seen_bytes = 0;
+        let tgt: Vec<u32> = if dense_row(len, n) {
             let mut seen = BitSet::new(n);
             each_pair(&fwd, &src_ids, |_, v| {
-                cursor[v] += 1;
                 seen.insert(v);
             });
-            (seen.iter().map(|v| v as u32).collect::<Vec<_>>(), cursor)
+            seen_bytes = seen.heap_bytes();
+            let mut t = Vec::with_capacity(seen.len());
+            t.extend(seen.iter().map(|v| v as u32));
+            t
         } else {
             let mut t = Vec::with_capacity(len);
             each_pair(&fwd, &src_ids, |_, v| t.push(v as u32));
             t.sort_unstable();
             t.dedup();
-            let mut cursor = vec![0u64; t.len()];
-            each_pair(&fwd, &src_ids, |_, v| cursor[rank(&t, v)] += 1);
-            (t, cursor)
+            t
         };
-        let mut ops = if node_indexed { len } else { 2 * len } + tgt.len();
+        let node_indexed = dense_row(tgt.len(), n);
+        let bucket = |v: usize| {
+            if node_indexed {
+                v
+            } else {
+                tgt.binary_search(&(v as u32))
+                    .expect("target missing from the distinct targets") // invariant: `tgt` holds every target of these rows
+            }
+        };
+        // Column degrees, by bucket.
+        let mut cursor = vec![0u64; if node_indexed { n } else { tgt.len() }];
+        each_pair(&fwd, &src_ids, |_, v| cursor[bucket(v)] += 1);
+        stats.assembly_bytes = seen_bytes + 4 * tgt.capacity() + 8 * cursor.len();
 
         // Layout pass, in ascending target order: each column becomes a
         // dense bitset or a sparse span, and its cursor the column's fill
@@ -1450,14 +1432,17 @@ impl RelationBuilder {
             };
             *at = match kind {
                 RowKind::Dense { idx } => DENSE_COLUMN | u64::from(idx),
-                RowKind::Sparse { shard, start, .. } => (u64::from(shard) << 32) | u64::from(start),
+                RowKind::Sparse { shard, start, end } => {
+                    rev.shards[shard as usize].resize(end as usize, 0);
+                    (u64::from(shard) << 32) | u64::from(start)
+                }
             };
             rev.push_kind(v as usize, kind);
         }
 
         // Fill pass.
         each_pair(&fwd, &src_ids, |u, v| {
-            let c = if node_indexed { v } else { rank(&tgt, v) };
+            let c = bucket(v);
             let at = cursor[c];
             if at & DENSE_COLUMN == DENSE_COLUMN {
                 rev.dense[at as u32 as usize].insert(u as usize);
@@ -1466,7 +1451,8 @@ impl RelationBuilder {
                 cursor[c] = at + 1;
             }
         });
-        ops += len;
+        let ops = 3 * len + tgt.len();
+        stats.assembly_ops = ops;
         let targets = NodeSet::from_sorted_ids(rev.seal(), n);
         Relation {
             fwd,
@@ -1528,7 +1514,7 @@ pub fn rpq_reach_all<G: GraphView>(
         sweep_append::<G, false>(g, nfa, src, scratch, &mut buf);
         builder.push_ids(src.0, &buf);
     }
-    builder.finish()
+    builder.finish(&mut MaterialiseStats::default())
 }
 
 /// Source ids per block of the sweep materialiser, the unit a worker
@@ -1627,9 +1613,8 @@ fn sweep_relation<G: GraphView>(
         builder.push_block(block);
     }
     drop(blocks);
-    let rel = builder.finish();
+    let rel = builder.finish(stats);
     stats.assembly_ms += elapsed_ms(t1);
-    stats.assembly_ops = rel.assembly_ops();
     rel
 }
 
@@ -1673,6 +1658,12 @@ pub struct MaterialiseStats {
     pub scratch_bytes: usize,
     /// Backward-assembly loop iterations ([`Relation::assembly_ops`]).
     pub assembly_ops: usize,
+    /// Transient bytes of the backward-index assembly: the distinct
+    /// targets, their bitset when pairs pass the `k·32 ≥ |V|` parity point,
+    /// and the column cursors — node-indexed only when the distinct
+    /// targets pass it too. Released before the relation is returned, and
+    /// not part of `scratch_bytes`.
+    pub assembly_bytes: usize,
 }
 
 /// Resolves a thread-count knob into a concrete worker count (`≥ 1`):
@@ -1829,7 +1820,7 @@ fn closure_relation<G: GraphView>(
     let ns = nfa.num_states();
     let pn = n * ns;
     if pn == 0 {
-        return builder.finish();
+        return builder.finish(stats);
     }
     assert!(
         pn <= u32::MAX as usize,
@@ -2102,9 +2093,8 @@ fn closure_relation<G: GraphView>(
     drop((scc_id, matrix));
     stats.sweep_ms += elapsed_ms(t0);
     let t1 = Instant::now();
-    let rel = builder.finish();
+    let rel = builder.finish(stats);
     stats.assembly_ms += elapsed_ms(t1);
-    stats.assembly_ops = rel.assembly_ops();
     rel
 }
 
@@ -2906,6 +2896,36 @@ mod tests {
     }
 
     #[test]
+    fn node_indexed_cursors_wait_for_the_distinct_targets() {
+        // A hub with an `a`-edge out to every node and a `b`-edge in from
+        // every node: both relations hold n − 1 pairs, past the parity
+        // point. `a` has n − 1 distinct targets and takes a cursor per
+        // node; `b` has one and must not.
+        let n = 10_000;
+        let mut b = crate::db::GraphBuilder::anonymous(n);
+        let (a, bl) = (b.label("a"), b.label("b"));
+        for v in 1..n as u32 {
+            b.edge_ids(NodeId(0), a, NodeId(v));
+            b.edge_ids(NodeId(v), bl, NodeId(0));
+        }
+        let mut g = b.finish();
+        let mut assemble = |expr: &str| {
+            let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
+            let (rel, stats) = rpq_relation_auto_with_stats(&g, &nfa, &mut ReachScratch::new(), 2);
+            assert_eq!(rel.len(), n - 1, "{expr}");
+            (rel, stats.assembly_bytes)
+        };
+        let (fan_out, bytes) = assemble("a");
+        assert!(bytes >= 8 * n, "{bytes} B: no cursor per node");
+        assert_eq!(fan_out.backward(NodeId(7)).iter().collect::<Vec<_>>(), [0]);
+        let (fan_in, bytes) = assemble("b");
+        assert!(bytes <= 16 * (n - 1) + 8, "{bytes} B for one target");
+        assert!(bytes < 8 * n, "{bytes} B: a cursor per node for one target");
+        let col: Vec<usize> = fan_in.backward(NodeId(0)).iter().collect();
+        assert_eq!(col, (1..n).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn sources_that_cannot_start_a_path_are_skipped_exactly() {
         // 200 nodes, edges only among the first 20: most sources have no
         // edge at all, and `b`-edges leave only a few of them. A nullable
@@ -3245,7 +3265,7 @@ mod tests {
             let ids: Vec<u32> = (0..k as u32).collect();
             let mut builder = RelationBuilder::new(n);
             builder.push_ids(0, &ids);
-            let rel = builder.finish();
+            let rel = builder.finish(&mut MaterialiseStats::default());
             assert_eq!(
                 rel.forward(NodeId(0)).is_dense(),
                 expect_dense,
@@ -3257,7 +3277,7 @@ mod tests {
             }
             let mut builder = RelationBuilder::new(n);
             builder.push_words(0, &words, &mut Vec::new());
-            let rel = builder.finish();
+            let rel = builder.finish(&mut MaterialiseStats::default());
             assert_eq!(
                 rel.forward(NodeId(0)).is_dense(),
                 expect_dense,
@@ -3515,7 +3535,7 @@ mod tests {
         for src in 0..6u32 {
             builder.push_ids(src, &[10, 20, 30]);
         }
-        let rel = builder.finish();
+        let rel = builder.finish(&mut MaterialiseStats::default());
         assert!(rel.fwd.shards.len() > 1, "forward rows sharded");
         assert!(rel.rev.shards.len() > 1, "backward rows sharded");
         for v in [10u32, 20, 30] {
@@ -3684,30 +3704,37 @@ mod tests {
         /// point — equals the per-source `rpq_reach` oracle row for row in
         /// both directions, with the same sets, length and heap bytes.
         #[test]
-        fn relation_builder_matches_per_source_oracle(seed in 0u64..1_000_000, shape in 0usize..10) {
+        fn relation_builder_matches_per_source_oracle(seed in 0u64..1_000_000, shape in 0usize..12) {
             const BLOCK: usize = 16;
-            let (n, hub) = [
-                (0, false),
-                (5, true),
-                (BLOCK - 1, false),
-                (BLOCK, true),
-                (BLOCK + 1, false),
-                (3 * BLOCK - 1, true),
-                (3 * BLOCK, false),
-                (3 * BLOCK + 1, true),
-                (200, false),
-                (200, true),
+            // The last two shapes have few random edges: without the hub
+            // the pairs stay below n/32, and with it `a* b` has many pairs
+            // but few distinct targets
+            // (`node_indexed_cursors_wait_for_the_distinct_targets` pins
+            // that case).
+            let (n, m, hub) = [
+                (0, 0, false),
+                (5, 15, true),
+                (BLOCK - 1, 3 * BLOCK - 3, false),
+                (BLOCK, 3 * BLOCK, true),
+                (BLOCK + 1, 3 * BLOCK + 3, false),
+                (3 * BLOCK - 1, 9 * BLOCK - 3, true),
+                (3 * BLOCK, 9 * BLOCK, false),
+                (3 * BLOCK + 1, 9 * BLOCK + 3, true),
+                (200, 600, false),
+                (200, 600, true),
+                (2000, 12, false),
+                (640, 6, true),
             ][shape];
-            let mut g = builder_graph(n, 3 * n, hub, seed);
-            let exprs = ["a (a+b)*", "(a b)*", "a*", "b a", "b* a", "c a", "∅"];
+            let mut g = builder_graph(n, m, hub, seed);
+            // `a* b` on a hub graph: many pairs, few distinct targets.
+            let exprs = ["a (a+b)*", "(a b)*", "a*", "b a", "b* a", "a* b", "c a", "∅"];
             let expr = exprs[seed as usize % exprs.len()];
             let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
             let oracle: Vec<Vec<usize>> =
                 g.nodes().map(|u| rpq_reach(&g, &nfa, u).iter().collect()).collect();
 
             // Sparse rows hold fewer than n/32 ids, so the small capacity
-            // fits any row and still splits both directions into shards;
-            // at the full one, whole blocks are copied into one shard.
+            // fits any row and still splits both directions into shards.
             let admitted = g.nodes().filter(|&v| PathStarts::new(&nfa).admits(&g, v)).count();
             for (threads, cap) in [1, 2, 3].into_iter().flat_map(|t| [(t, n / 32 + 1), (t, SHARD_CAP)]) {
                 let mut stats = MaterialiseStats::default();
@@ -3728,6 +3755,11 @@ mod tests {
                     proptest::prop_assert!(ids <= cap || store.shards.len() > 1);
                 }
                 proptest::prop_assert_eq!(stats.sources_swept, admitted);
+                // Assembly transients are O(pairs), plus a cursor per
+                // node only once the distinct targets pass the parity point.
+                let t = rel.target_set().len();
+                let cursors = if dense_row(t, n) { 8 * n } else { 0 };
+                proptest::prop_assert!(stats.assembly_bytes <= 16 * rel.len() + 8 + cursors);
             }
             let descending = (0..n as u32).rev().map(NodeId);
             let relations = [

@@ -156,9 +156,11 @@ proptest! {
     }
 
     /// Touched-set backward assembly ≡ the forward rows transposed, on
-    /// relations materialised through every entry path (one-thread
-    /// sweeps, the adaptive entry point on three and two threads) over
-    /// anonymous graphs.
+    /// relations materialised through both public entry paths (one-thread
+    /// sweeps and the adaptive entry point) over anonymous graphs. A
+    /// 48-node graph is one sweep block, so no worker thread spawns here;
+    /// multi-worker sweeps are covered by the in-crate
+    /// `relation_builder_matches_per_source_oracle`.
     #[test]
     fn reverse_index_matches_forward_transpose(seed in 0u64..100_000) {
         let mut g = generators::anonymous_random_graph(48, 150, 6, seed);
@@ -174,8 +176,6 @@ proptest! {
                 .collect();
             prop_assert_eq!(back, expect, "column {} seed {}", v.index(), seed);
         }
-        let parallel = rpq::rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 3);
-        prop_assert_eq!(&parallel, &reference);
         let auto = rpq::rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 2);
         prop_assert_eq!(&auto, &reference);
     }
