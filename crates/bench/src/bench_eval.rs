@@ -65,6 +65,12 @@
 //! dispatch sends to WCOJ. `--smoke` asserts WCOJ is no slower than the
 //! binary join on the triangle row.
 //!
+//! The **injective workloads** (`injective_rows` in the JSON) time the
+//! triangle on `cyclic_graph(2 000, 11)` under st, a-inj and q-inj over one
+//! warm catalog (medians of 5 interleaved `tuples()` runs each), so nothing
+//! but join search and injective verification is measured. `--smoke`
+//! asserts that a-inj and q-inj each take at most 3× the st median.
+//!
 //! The **streaming workloads** (`stream_rows` in the JSON) time the
 //! early-exit enumeration API on the million-node family: warm-catalog
 //! time-to-first-tuple ([`Eval::limit`] with k = 1), time-to-k,
@@ -90,10 +96,11 @@
 //!
 //! The JSON is hand-serialised (the workspace's `serde` is an offline no-op
 //! shim); the schema is `rows` + `scale_rows` + `stream_rows` +
-//! `cyclic_rows` arrays with `workload` discriminators (`BENCH_scale.json`
-//! holds `scale_rows` + `steal_rows` + `mutate_rows` + `wal_rows` — the
-//! last measured by the `--wal-smoke` durability gate: WAL apply latency
-//! per sync policy plus recovery wall clock). Rows in **both**
+//! `cyclic_rows` + `injective_rows` arrays with `workload` discriminators
+//! (`BENCH_scale.json` holds `scale_rows` + `steal_rows` + `mutate_rows` +
+//! `wal_rows` — the last measured by the `--wal-smoke` durability gate:
+//! WAL apply latency per sync policy plus recovery wall clock). Rows in
+//! **both**
 //! baseline files are written append-style but **deduped** by
 //! `(workload, graph, semantics, |V|, threads)` (absent fields key on
 //! empty/0) — a repeated CI run replaces its own prior measurement instead
@@ -241,7 +248,8 @@ impl CyclicRow {
     }
 }
 
-/// Samples per side of the WCOJ-vs-binary comparison (median of 5).
+/// Samples per side of the WCOJ-vs-binary comparison, and per semantics
+/// of the injective row (median of 5).
 const CYCLIC_SAMPLES: usize = 5;
 
 /// The triangle gate: WCOJ may be at most this much slower than the
@@ -345,6 +353,41 @@ fn print_cyclic_rows(rows: &[CyclicRow]) {
             r.wcoj_speedup(),
         );
     }
+}
+
+/// The injective/st gate: a-inj and q-inj may each take at most this many
+/// times the st median. Every triangle atom is one letter, so
+/// classification makes each per-atom check free: on a 2-CPU machine the
+/// ratios read 1.0x (a-inj) and 1.3–1.5x (q-inj), against 12–16x for both
+/// when every atom pair ran a simple-path search.
+const INJECTIVE_RATIO_BOUND: f64 = 3.0;
+
+/// The injective row (`injective_rows` in the JSON): result sizes and
+/// median `tuples()` wall clock under each of [`Semantics::ALL`] for the
+/// triangle on `cyclic_graph(2 000, 11)` over one warm catalog, so only
+/// join search and injective verification are timed. One st run
+/// materialises every relation, then the samples cycle through the three
+/// semantics, so a slow phase of the machine lands on all of them.
+fn measure_injective() -> ([usize; 3], [f64; 3]) {
+    let mut g = cyclic::cyclic_graph(2_000, 11);
+    let q = cyclic::triangle_query(g.alphabet_mut());
+    let mut catalog = RelationCatalog::new(&g);
+    Eval::new(&q, &g).catalog(&mut catalog).tuples();
+    let mut tuples = [0; 3];
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    for _ in 0..CYCLIC_SAMPLES {
+        for (k, sem) in Semantics::ALL.into_iter().enumerate() {
+            let (out, ms) = time_once(|| {
+                Eval::new(&q, &g)
+                    .semantics(sem)
+                    .catalog(&mut catalog)
+                    .tuples()
+            });
+            tuples[k] = out.len();
+            samples[k].push(ms);
+        }
+    }
+    (tuples, samples.map(median))
 }
 
 /// One row of the streaming workloads (`stream_rows` in the JSON): the
@@ -1642,8 +1685,9 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
 ///
 /// With `enforce_floor`, the headline numbers are hard assertions (the CI
 /// smoke gate): the ≥10× join-vs-legacy speedup at |V| = 10³, a catalog
-/// hit-rate > 0 on the multi-variant E9 workload, and WCOJ within 1.25× of
-/// the binary join on the triangle (medians of 5). Without it, shortfalls are only reported —
+/// hit-rate > 0 on the multi-variant E9 workload, WCOJ within 1.25× of
+/// the binary join on the triangle (medians of 5), and warm a-inj and
+/// q-inj each within 3× of st on the triangle (medians of 5). Without it, shortfalls are only reported —
 /// the full experiment suite should finish with measurements either way.
 /// `threads = 0` keeps the documented fallback (one materialisation
 /// worker per CPU, capped at 16).
@@ -1725,6 +1769,11 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     // "WCOJ within 1.25x of the binary join" gate.
     let cyclic_rows = measure_cyclic_rows();
 
+    // Injective verification over a warm catalog, for the CI "a-inj and
+    // q-inj within 3x of st" gate.
+    let (inj_tuples, inj_ms) = measure_injective();
+    let over_st = |k: usize| inj_ms[k] / inj_ms[0].max(1e-9);
+
     // Streaming fast paths on the million family: 10⁵ for the trajectory,
     // 10⁶ as the CI floor carrier (time-to-first ≤ 50% of full, ASK no
     // slower than time-to-first).
@@ -1789,6 +1838,16 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     let new_scale = scale_rows_json(&scale_rows);
     let new_stream = stream_rows_json(&stream_rows);
     let new_cyclic = cyclic_rows_json(&cyclic_rows);
+    let new_injective = format!(
+        "    {{\"workload\": \"injective_triangle\", \"graph\": \"cyclic(2000, 11)\", \
+         \"tuples\": {inj_tuples:?}, \"ms\": [{:.4}, {:.4}, {:.4}], \"ainj_over_st\": {:.2}, \
+         \"qinj_over_st\": {:.2}}}\n",
+        inj_ms[0],
+        inj_ms[1],
+        inj_ms[2],
+        over_st(1),
+        over_st(2)
+    );
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(
@@ -1809,6 +1868,10 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     json.push_str("  \"cyclic_rows\": [\n");
     json.push_str(&prior_rows_deduped(path, "cyclic_rows", &new_cyclic));
     json.push_str(&new_cyclic);
+    json.push_str("  ],\n");
+    json.push_str("  \"injective_rows\": [\n");
+    json.push_str(&prior_rows_deduped(path, "injective_rows", &new_injective));
+    json.push_str(&new_injective);
     json.push_str("  ]\n}\n");
     std::fs::write(path, &json).expect("write BENCH_eval.json"); // invariant: harness IO is fail-fast
     println!("\nwrote {path}");
@@ -1849,6 +1912,13 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         triangle.binary_ms,
         triangle.wcoj_speedup()
     );
+    println!(
+        "injective triangle, warm catalog (medians of {CYCLIC_SAMPLES}): st {:.2}ms, \
+         a-inj {:.2}x, q-inj {:.2}x (target: each ≤ {INJECTIVE_RATIO_BOUND}x st)",
+        inj_ms[0],
+        over_st(1),
+        over_st(2)
+    );
     if enforce_floor {
         assert!(
             headline >= 10.0,
@@ -1868,6 +1938,15 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         assert!(
             triangle.tuples > 0,
             "triangle workload returned no tuples — the WCOJ floor proves nothing"
+        );
+        assert!(
+            inj_tuples.iter().all(|&t| t > 0),
+            "injective triangle returned no tuples under some semantics — the gate proves nothing"
+        );
+        assert!(
+            over_st(1) <= INJECTIVE_RATIO_BOUND && over_st(2) <= INJECTIVE_RATIO_BOUND,
+            "injective verification more than {INJECTIVE_RATIO_BOUND}x the st join on the \
+             triangle: st / a-inj / q-inj {inj_ms:.2?} ms"
         );
     } else {
         if headline < 10.0 {

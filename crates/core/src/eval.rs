@@ -2,9 +2,9 @@
 //!
 //! Every question is asked through one request type, [`Eval`]: build it
 //! with `Eval::new(&q, &g)`, shape it with setters (semantics, threads, a
-//! caller-owned catalog, a forced executor, the deletion-closed fast
-//! path) and end it with a terminal (`tuples`, `ask`, `limit`,
-//! `contains`, or `stream` in [`crate::stream`]).
+//! caller-owned catalog, a forced executor) and end it with a terminal
+//! (`tuples`, `ask`, `limit`, `contains`, or `stream` in
+//! [`crate::stream`]).
 //!
 //! # Graphs are read through [`GraphView`]
 //!
@@ -134,8 +134,9 @@
 //! semantics:
 //!
 //! * `st` — reachability pruning is already exact, nothing to re-check;
-//! * `a-inj` — each atom re-checked with a simple-path (or simple-cycle)
-//!   search, independently per atom;
+//! * `a-inj` — each atom re-checked independently by the join's per-atom
+//!   check (free for deletion-closed languages, a simple-path or
+//!   simple-cycle search otherwise);
 //! * `q-inj` — assignments are generated injectively and atoms are *placed*
 //!   one by one, accumulating the set of used nodes so paths stay internally
 //!   disjoint (backtracking across atoms).
@@ -167,13 +168,22 @@
 //! are exactly what stalls a stream. The search now also prunes at **bind
 //! time** ([`JoinPlan::bind_allowed`]): binding a node immediately checks
 //! every incident atom whose other endpoint is already bound for per-atom
-//! simple-path/-cycle feasibility, memoised per plan in [`VerifyScratch`].
-//! Under `a-inj` the check is exact per atom; under `q-inj` it is a sound
-//! *necessary* condition (the joint placement blocks at least as many
-//! nodes as the empty blocked set). The pruning invariant: `bind_allowed`
-//! only rejects assignments no completion of which could verify, so pruned
-//! and unpruned searches emit the same tuple set — differentially tested
-//! in `tests/stream_equivalence.rs`.
+//! simple-path/-cycle feasibility (`atom_injective`, the one per-atom
+//! check both engines share). Under `a-inj` the check is exact per atom;
+//! under `q-inj` it is a sound *necessary* condition (the joint placement
+//! blocks at least as many nodes as the empty blocked set). The pruning
+//! invariant: `bind_allowed` only rejects assignments no completion of
+//! which could verify, so pruned and unpruned searches emit the same tuple
+//! set — differentially tested in `tests/stream_equivalence.rs`.
+//!
+//! Every atom language is classified once at compile time. For a
+//! **factor-deletion-closed** language (`a`, `c + d`, `a*`, `d d*`, …) the
+//! check is free and unmemoised: by the loop-pruning lemma (the tractable
+//! side of the trichotomy the paper cites as \[3\]) a walk prunes to a
+//! simple path still in the language, so the relations' standard
+//! reachability is exact. Only the other languages (`(a a)*`, `a* b a*`,
+//! …) search, memoised per plan in [`VerifyScratch`]. The enumeration
+//! oracle alone searches every atom.
 
 use crpq_automata::{Nfa, NfaKey};
 use crpq_graph::rpq::{NodeSet, ReachScratch, Relation, RelationRow};
@@ -251,9 +261,7 @@ pub enum EvalStrategy {
 ///   relations materialised by one request serve the next; without it
 ///   every request plans against a fresh
 ///   [`RelationCatalog::with_threads`]`(g, threads)`;
-/// * [`strategy`](Self::strategy) — force a join executor;
-/// * [`analyzed`](Self::analyzed) — route factor-deletion-closed atoms
-///   through polynomial reachability under atom-injective semantics.
+/// * [`strategy`](Self::strategy) — force a join executor.
 ///
 /// One terminal consumes the request: [`tuples`](Self::tuples),
 /// [`ask`](Self::ask), [`limit`](Self::limit),
@@ -290,7 +298,6 @@ pub struct Eval<'a, G: GraphView> {
     pub(crate) threads: usize,
     pub(crate) catalog: Option<&'a mut RelationCatalog>,
     pub(crate) strategy: EvalStrategy,
-    pub(crate) analyze: bool,
 }
 
 impl<'a, G: GraphView> Eval<'a, G> {
@@ -304,7 +311,6 @@ impl<'a, G: GraphView> Eval<'a, G> {
             threads: 1,
             catalog: None,
             strategy: EvalStrategy::Join,
-            analyze: false,
         }
     }
 
@@ -333,22 +339,6 @@ impl<'a, G: GraphView> Eval<'a, G> {
     /// Forces a join executor (see [`EvalStrategy`]).
     pub fn strategy(mut self, strategy: EvalStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// First classifies every atom language
-    /// ([`crpq_automata::tractability`]) and routes **factor-deletion-closed**
-    /// atoms through polynomial arbitrary-path reachability under
-    /// atom-injective semantics.
-    ///
-    /// This is sound and complete by the loop-pruning lemma: for a
-    /// deletion-closed language, a walk witness can be pruned to a simple
-    /// path whose label stays in the language, so the (NP-hard in general)
-    /// simple-path check degenerates to reachability — the executable
-    /// content of the tractable side of the trichotomy the paper cites as
-    /// [3].
-    pub fn analyzed(mut self) -> Self {
-        self.analyze = true;
         self
     }
 
@@ -390,9 +380,10 @@ impl<'a, G: GraphView> Eval<'a, G> {
             tuple.len(),
             "tuple arity must match free tuple"
         );
-        self.q.epsilon_free_union().iter().any(|variant| {
-            VariantEval::build(variant, self.g, self.sem, self.analyze).contains(tuple)
-        })
+        self.q
+            .epsilon_free_union()
+            .iter()
+            .any(|variant| VariantEval::build(variant, self.g, self.sem).contains(tuple))
     }
 
     /// The join driver behind every terminal but `contains`, at every
@@ -413,7 +404,6 @@ impl<'a, G: GraphView> Eval<'a, G> {
             threads,
             catalog,
             strategy,
-            analyze,
         } = self;
         let threads = rpq::effective_threads(threads);
         let mut fresh;
@@ -427,7 +417,7 @@ impl<'a, G: GraphView> Eval<'a, G> {
         let variants = q.epsilon_free_union();
         let plans: Vec<VariantPlan> = variants
             .iter()
-            .map(|v| plan_variant(v, g, analyze, catalog))
+            .map(|v| plan_variant(v, g, catalog))
             .collect();
         let mut scratch = VerifyScratch::new();
         for (variant, plan) in variants.iter().zip(plans) {
@@ -600,7 +590,7 @@ pub fn eval_tuples_enumerate<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> V
     // reachability caches amortise.
     let mut evals: Vec<VariantEval<G>> = variants
         .iter()
-        .map(|v| VariantEval::build(v, g, sem, false))
+        .map(|v| VariantEval::exact(v, g, sem))
         .collect();
     let arity = q.free.len();
     let mut tuple = vec![NodeId(0); arity];
@@ -633,29 +623,27 @@ pub(crate) struct CompiledAtom {
     pub(crate) dst: Var,
     nfa: Nfa,
     nfa_rev: Nfa,
-    /// `ε`-freeness is guaranteed upstream; kept as a debug invariant.
-    accepts_epsilon: bool,
-    /// Whether the language is factor-deletion closed (only computed under
-    /// `analyze`): enables the polynomial reachability fast path for
-    /// atom-injective checks.
+    /// Whether the language is factor-deletion closed
+    /// ([`crpq_automata::tractability::deletion_closed`]), which makes
+    /// [`atom_injective`] free.
     deletion_closed: bool,
 }
 
-fn compile_atoms(variant: &Crpq, analyze: bool) -> Vec<CompiledAtom> {
+/// Compiles a variant's atoms and classifies each language once.
+fn compile_atoms(variant: &Crpq) -> Vec<CompiledAtom> {
     variant
         .atoms
         .iter()
         .map(|a| {
             let nfa = a.nfa();
+            // ε-freeness is guaranteed upstream by the variant expansion, so
+            // no atom can be matched by the empty path.
             debug_assert!(!nfa.accepts_epsilon(), "variants must be ε-free");
-            let deletion_closed =
-                analyze && crpq_automata::tractability::deletion_closed(&nfa, &nfa.symbols());
             CompiledAtom {
                 src: a.src,
                 dst: a.dst,
                 nfa_rev: nfa.reverse(),
-                accepts_epsilon: nfa.accepts_epsilon(),
-                deletion_closed,
+                deletion_closed: crpq_automata::tractability::deletion_closed(&nfa, &nfa.symbols()),
                 nfa,
             }
         })
@@ -1057,10 +1045,9 @@ pub(crate) struct VariantPlan {
 pub(crate) fn plan_variant<G: GraphView>(
     variant: &Crpq,
     g: &G,
-    analyze: bool,
     catalog: &mut RelationCatalog,
 ) -> VariantPlan {
-    let atoms = compile_atoms(variant, analyze);
+    let atoms = compile_atoms(variant);
     let rel_ids = atoms
         .iter()
         .map(|a| catalog.get_or_materialize(g, &a.nfa))
@@ -1486,52 +1473,14 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             } else {
                 continue;
             };
-            if !self.atom_feasible_ainj(i, s, d, scratch) {
+            // Candidate generation intersects every incident relation row
+            // and the domain fold guarantees self-loop pairs, so `(s, d)` is
+            // standard-reachable, as `atom_injective` requires.
+            if !atom_injective(self.g, &self.atoms, i, s, d, scratch) {
                 return false;
             }
         }
         true
-    }
-
-    /// Per-atom atom-injective feasibility of `(s, d)` for atom `i` —
-    /// the branch structure mirrors [`verify_atom_injective`] exactly
-    /// (semantics-critical), with the standard-reachability answer of the
-    /// deletion-closed fast path constant-`true`: callers only ask about
-    /// pairs already relation-consistent (candidate generation intersects
-    /// every incident row; the domain fold guarantees self-loop pairs).
-    /// Simple-path/-cycle answers are memoised per plan in `scratch`.
-    fn atom_feasible_ainj(
-        &self,
-        i: usize,
-        s: NodeId,
-        d: NodeId,
-        scratch: &mut VerifyScratch,
-    ) -> bool {
-        let atom = &self.atoms[i];
-        if atom.src != atom.dst {
-            if s == d {
-                // Simple path from a node to itself is the empty path;
-                // atoms are ε-free, so this is unsatisfiable.
-                return atom.accepts_epsilon;
-            }
-            if atom.deletion_closed {
-                // Loop-pruning lemma: standard reachability is exact, and
-                // it is already enforced by the relations.
-                return true;
-            }
-        }
-        let key = (i as u32, s.0, d.0);
-        if let Some(&ok) = scratch.atom_memo.get(&key) {
-            return ok;
-        }
-        scratch.ensure_graph(self.g.num_nodes());
-        let ok = if atom.src == atom.dst {
-            rpq::simple_cycle_exists(self.g, &atom.nfa, s, &scratch.empty)
-        } else {
-            rpq::simple_path_exists(self.g, &atom.nfa, s, d, &scratch.empty)
-        };
-        scratch.atom_memo.insert(key, ok);
-        ok
     }
 
     /// Verifies a complete, relation-consistent assignment under the plan's
@@ -1546,15 +1495,11 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             .all(|(atom, rel)| { rel.contains(mu[atom.src.index()], mu[atom.dst.index()]) }));
         match self.sem {
             Semantics::Standard => true,
-            // Per-atom checks routed through the bind-time memo
-            // ([`Self::atom_feasible_ainj`], same branch structure as
-            // [`verify_atom_injective`] with constant-true `std_reach`):
-            // with inline pruning active, every atom was already checked
-            // when its second endpoint was bound, so this is a handful of
-            // hash lookups.
+            // Every atom was already checked when its second endpoint was
+            // bound, so this re-reads the memo (or a free arm) per atom.
             Semantics::AtomInjective => (0..self.atoms.len()).all(|i| {
                 let (s, d) = (mu[self.atoms[i].src.index()], mu[self.atoms[i].dst.index()]);
-                self.atom_feasible_ainj(i, s, d, scratch)
+                atom_injective(self.g, &self.atoms, i, s, d, scratch)
             }),
             Semantics::QueryInjective => verify_query_injective(self.g, &self.atoms, mu, scratch),
         }
@@ -1591,14 +1536,12 @@ pub(crate) struct VariantEval<'a, G: GraphView> {
 }
 
 impl<'a, G: GraphView> VariantEval<'a, G> {
-    /// The evaluator of one ε-free variant; under `analyze`, classifies
-    /// every atom language and marks factor-deletion-closed atoms for the
-    /// reachability fast path.
-    pub(crate) fn build(variant: &'a Crpq, g: &'a G, sem: Semantics, analyze: bool) -> Self {
+    /// The evaluator of one ε-free variant.
+    pub(crate) fn build(variant: &'a Crpq, g: &'a G, sem: Semantics) -> Self {
         VariantEval {
             g,
             q: variant,
-            atoms: compile_atoms(variant, analyze),
+            atoms: compile_atoms(variant),
             sem,
             reach_fwd: FxHashMap::default(),
             reach_back: FxHashMap::default(),
@@ -1606,27 +1549,38 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
         }
     }
 
-    fn contains(&mut self, tuple: &[NodeId]) -> bool {
-        // Pin free variables; repeated free vars must agree.
+    /// The evaluator behind [`eval_tuples_enumerate`]: every atom is
+    /// verified by exhaustive simple-path search, never by the
+    /// deletion-closed shortcut, so the oracle stays independent of the
+    /// language classifier it checks.
+    fn exact(variant: &'a Crpq, g: &'a G, sem: Semantics) -> Self {
+        let mut eval = Self::build(variant, g, sem);
+        for atom in &mut eval.atoms {
+            atom.deletion_closed = false;
+        }
+        eval
+    }
+
+    /// The assignment with the free variables pinned to `tuple`, or `None`
+    /// when repeated free variables disagree or, under q-inj, two distinct
+    /// pinned variables share a node (μ must be injective).
+    fn pin(&self, tuple: &[NodeId]) -> Option<Vec<Option<NodeId>>> {
         let mut assignment: Vec<Option<NodeId>> = vec![None; self.q.num_vars];
         for (&v, &n) in self.q.free.iter().zip(tuple) {
             match assignment[v.index()] {
-                Some(prev) if prev != n => return false,
+                Some(prev) if prev != n => return None,
                 _ => assignment[v.index()] = Some(n),
             }
         }
-        if self.sem == Semantics::QueryInjective {
-            // μ injective: distinct pinned vars need distinct nodes.
-            for i in 0..assignment.len() {
-                for j in i + 1..assignment.len() {
-                    if let (Some(a), Some(b)) = (assignment[i], assignment[j]) {
-                        if a == b {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
+        let pinned: Vec<NodeId> = assignment.iter().flatten().copied().collect();
+        let clash = (0..pinned.len()).any(|i| pinned[i + 1..].contains(&pinned[i]));
+        (self.sem != Semantics::QueryInjective || !clash).then_some(assignment)
+    }
+
+    fn contains(&mut self, tuple: &[NodeId]) -> bool {
+        let Some(mut assignment) = self.pin(tuple) else {
+            return false;
+        };
         let mut found = false;
         let _ = self.search(&mut assignment, &mut |this, full| {
             if this.verify(full) {
@@ -1644,24 +1598,7 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
         &mut self,
         tuple: &[NodeId],
     ) -> Option<(Vec<NodeId>, Vec<Vec<NodeId>>)> {
-        let mut assignment: Vec<Option<NodeId>> = vec![None; self.q.num_vars];
-        for (&v, &n) in self.q.free.iter().zip(tuple) {
-            match assignment[v.index()] {
-                Some(prev) if prev != n => return None,
-                _ => assignment[v.index()] = Some(n),
-            }
-        }
-        if self.sem == Semantics::QueryInjective {
-            for i in 0..assignment.len() {
-                for j in i + 1..assignment.len() {
-                    if let (Some(a), Some(b)) = (assignment[i], assignment[j]) {
-                        if a == b {
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
+        let mut assignment = self.pin(tuple)?;
         let mut witness = None;
         let _ = self.search(&mut assignment, &mut |this, full| {
             if let Some(paths) = this.verify_paths(full) {
@@ -1779,39 +1716,23 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
 
     /// Verifies a complete assignment according to the semantics.
     fn verify(&mut self, mu: &[NodeId]) -> bool {
+        // Standard reachability of every atom: exact for `st`, and the
+        // precondition of [`atom_injective`]. Pruning already enforced it
+        // for pairs bound through `candidates`, but tuple-pinned pairs never
+        // pass through there (cheap thanks to the cache).
+        let reachable = (0..self.atoms.len()).all(|i| {
+            let (s, d) = (mu[self.atoms[i].src.index()], mu[self.atoms[i].dst.index()]);
+            self.reach_fwd(i, s).contains(d.index())
+        });
+        if !reachable {
+            return false;
+        }
         match self.sem {
-            Semantics::Standard => {
-                // Pruning used exact reachability for non-loop atoms; loop
-                // atoms were checked at candidate time. Re-check everything
-                // defensively (cheap thanks to the cache).
-                (0..self.atoms.len()).all(|i| {
-                    let (s, d) = (mu[self.atoms[i].src.index()], mu[self.atoms[i].dst.index()]);
-                    self.reach_fwd(i, s).contains(d.index())
-                })
-            }
-            Semantics::AtomInjective => {
-                // Split borrows so the deletion-closed fast path can go
-                // through the mutable reachability cache while the shared
-                // verifier reads the atoms and the scratch supplies the
-                // pooled empty blocked set.
-                let VariantEval {
-                    g,
-                    atoms,
-                    reach_fwd,
-                    scratch,
-                    ..
-                } = self;
-                let g: &G = g;
-                let atoms: &[CompiledAtom] = atoms.as_slice();
-                scratch.prepare(g.num_nodes(), 0);
-                let mut std_reach = |i: usize, s: NodeId, d: NodeId| {
-                    reach_fwd
-                        .entry((i, s))
-                        .or_insert_with(|| rpq::rpq_reach(g, &atoms[i].nfa, s))
-                        .contains(d.index())
-                };
-                verify_atom_injective(g, atoms, mu, &mut std_reach, &scratch.empty)
-            }
+            Semantics::Standard => true,
+            Semantics::AtomInjective => (0..self.atoms.len()).all(|i| {
+                let (s, d) = (mu[self.atoms[i].src.index()], mu[self.atoms[i].dst.index()]);
+                atom_injective(self.g, &self.atoms, i, s, d, &mut self.scratch)
+            }),
             Semantics::QueryInjective => {
                 verify_query_injective(self.g, &self.atoms, mu, &mut self.scratch)
             }
@@ -1838,13 +1759,9 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
                             cap = Some(p.to_vec());
                             ControlFlow::Break(())
                         });
-                    } else if s == d {
-                        // Only the empty path is simple from a node to
-                        // itself; atoms are ε-free, so this fails.
-                        if atom.accepts_epsilon {
-                            cap = Some(vec![s]);
-                        }
-                    } else {
+                    } else if s != d {
+                        // From a node to itself only the empty path is
+                        // simple, and atoms are ε-free: no witness then.
                         rpq::for_each_simple_path(
                             self.g,
                             &atom.nfa,
@@ -1899,11 +1816,11 @@ pub(crate) struct VerifyScratch {
     /// Pooled complete-assignment buffer handed to verification (shared
     /// with the [`crate::wcoj`] executor).
     pub(crate) mu: Vec<NodeId>,
-    /// Bind-time memo of per-atom a-inj feasibility: `(atom index, src
+    /// Memo of the search arms of [`atom_injective`]: `(atom index, src
     /// node, dst node) → simple-path/-cycle existence`. Keyed by atom
-    /// *index*, so entries are only valid for one [`JoinPlan`] —
+    /// *index*, so entries are only valid for one variant —
     /// [`Self::begin_plan`] clears it (parallel workers get a fresh
-    /// scratch per plan instead).
+    /// scratch per plan instead; a [`VariantEval`] owns its scratch).
     atom_memo: FxHashMap<(u32, u32, u32), bool>,
 }
 
@@ -1960,39 +1877,46 @@ impl Default for VerifyScratch {
     }
 }
 
-/// Shared atom-injective verification backing both engines: every atom
-/// needs a simple path (simple cycle for `x -L-> x` atoms). `std_reach(i,
-/// s, d)` supplies the standard-reachability answer that the
-/// deletion-closed fast path relies on — a relation lookup in the join
-/// engine (already enforced during the search), a cached BFS in the
-/// membership engine. `empty` is a pooled always-empty blocked set sized
-/// for `g` (see [`VerifyScratch`]). Branch order is semantics-critical;
-/// keep the two callers on this one implementation.
-fn verify_atom_injective<G: GraphView>(
+/// The one atom-injective check of atom `i` on `(s, d)`, shared by both
+/// engines (branch order is semantics-critical): a simple path, or a
+/// simple cycle for `x -L-> x` atoms. The caller must already know the
+/// pair to be standard-reachable — from the relations in the join, from
+/// the reachability cache in the membership engine. Only the search arms
+/// are memoised, keyed by atom index in `scratch.atom_memo`.
+fn atom_injective<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
-    mu: &[NodeId],
-    std_reach: &mut dyn FnMut(usize, NodeId, NodeId) -> bool,
-    empty: &BitSet,
+    i: usize,
+    s: NodeId,
+    d: NodeId,
+    scratch: &mut VerifyScratch,
 ) -> bool {
-    debug_assert!(empty.is_empty() && empty.capacity() == g.num_nodes());
-    atoms.iter().enumerate().all(|(i, atom)| {
-        let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
-        if atom.src == atom.dst {
-            rpq::simple_cycle_exists(g, &atom.nfa, s, empty)
-        } else if s == d {
-            // Simple path from a node to itself is the empty path; atoms
+    let atom = &atoms[i];
+    if atom.src != atom.dst {
+        if s == d {
+            // A simple path from a node to itself is the empty path; atoms
             // are ε-free, so this is unsatisfiable.
-            atom.accepts_epsilon
-        } else if atom.deletion_closed {
+            return false;
+        }
+        if atom.deletion_closed {
             // Loop-pruning lemma: for deletion-closed languages a walk
             // witness prunes to a simple path still in the language, so
             // standard reachability is exact.
-            std_reach(i, s, d)
-        } else {
-            rpq::simple_path_exists(g, &atom.nfa, s, d, empty)
+            return true;
         }
-    })
+    }
+    let key = (i as u32, s.0, d.0);
+    if let Some(&ok) = scratch.atom_memo.get(&key) {
+        return ok;
+    }
+    scratch.ensure_graph(g.num_nodes());
+    let ok = if atom.src == atom.dst {
+        rpq::simple_cycle_exists(g, &atom.nfa, s, &scratch.empty)
+    } else {
+        rpq::simple_path_exists(g, &atom.nfa, s, d, &scratch.empty)
+    };
+    scratch.atom_memo.insert(key, ok);
+    ok
 }
 
 /// Shared query-injective verification backing both engines: jointly place
@@ -2377,16 +2301,17 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_evaluator_agrees_with_exact() {
-        // a* and (a b)* atoms: the first is deletion-closed (fast path),
-        // the second is not; results must coincide with the exact engine.
+    fn classified_engine_agrees_with_exact_oracle() {
+        // a* and (a b)* atoms: the first is deletion-closed (free check),
+        // the second is not; results must coincide with the oracle, which
+        // searches simple paths for every atom.
         let mut g = example21_g();
         let query = q("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut g);
         for sem in Semantics::ALL {
             assert_eq!(
                 Eval::new(&query, &g).semantics(sem).tuples(),
-                Eval::new(&query, &g).semantics(sem).analyzed().tuples(),
-                "analyzed engine must agree under {sem}"
+                eval_tuples_enumerate(&query, &g, sem),
+                "classified engine must agree with the oracle under {sem}"
             );
         }
     }
@@ -2401,35 +2326,80 @@ mod tests {
             ("m", "a", "h"),
             ("h", "a", "t"),
         ]);
-        let query = q("(x, y) <- x -[a a*]-> y", &mut g);
         let (s, t) = (node(&g, "s"), node(&g, "t"));
-        assert!(Eval::new(&query, &g)
-            .semantics(Semantics::AtomInjective)
-            .contains(&[s, t]));
-        assert!(Eval::new(&query, &g)
-            .semantics(Semantics::AtomInjective)
-            .analyzed()
-            .contains(&[s, t]));
-        // (a a)* is NOT deletion-closed: no fast path, and the parity
-        // matters — s →a→ h →a→ t is the only simple even path... of length
-        // 2, which exists; extend the trap so only odd simple paths exist.
-        let query2 = q("(x, y) <- x -[(a a)*]-> y", &mut g);
+        // a a* is deletion-closed (free check); (a a)* is not, and the
+        // parity matters for which pairs have a simple witness.
+        for text in ["(x, y) <- x -[a a*]-> y", "(x, y) <- x -[(a a)*]-> y"] {
+            let query = q(text, &mut g);
+            let exact = eval_tuples_enumerate(&query, &g, Semantics::AtomInjective);
+            assert_eq!(
+                Eval::new(&query, &g)
+                    .semantics(Semantics::AtomInjective)
+                    .tuples(),
+                exact,
+                "{text}"
+            );
+            assert_eq!(
+                Eval::new(&query, &g)
+                    .semantics(Semantics::AtomInjective)
+                    .contains(&[s, t]),
+                exact.contains(&vec![s, t]),
+                "{text}"
+            );
+        }
+    }
+
+    /// Runs the a-inj binary join over every ε-free variant of `query`,
+    /// returning the tuples and the number of simple-path/-cycle searches
+    /// left in the per-plan memos.
+    fn ainj_join_with_memo(query: &Crpq, g: &GraphDb) -> (Vec<Vec<NodeId>>, usize) {
+        let mut catalog = RelationCatalog::new(g);
+        let (mut out, mut searches) = (FxHashSet::default(), 0);
+        let variants = query.epsilon_free_union();
+        for variant in &variants {
+            let plan = plan_variant(variant, g, &mut catalog);
+            let plan = JoinPlan::build(variant, g, Semantics::AtomInjective, plan, &catalog);
+            let mut scratch = VerifyScratch::new();
+            plan.search_all(&mut scratch, &mut out);
+            searches += scratch.atom_memo.len();
+        }
+        (sorted_tuples(out), searches)
+    }
+
+    #[test]
+    fn deletion_closed_atoms_never_search() {
+        // a-chain n0 → n1 → n2 into a b-cycle n2 → n3 → n2 plus n3 → n4.
+        let mut g = graph(&[
+            ("n0", "a", "n1"),
+            ("n1", "a", "n2"),
+            ("n2", "b", "n3"),
+            ("n3", "b", "n2"),
+            ("n3", "b", "n4"),
+        ]);
+        let closed = q("(x, z) <- x -[a]-> y, y -[b b*]-> z", &mut g);
+        let (tuples, searches) = ainj_join_with_memo(&closed, &g);
         assert_eq!(
-            Eval::new(&query2, &g)
-                .semantics(Semantics::AtomInjective)
-                .contains(&[s, t]),
-            Eval::new(&query2, &g)
-                .semantics(Semantics::AtomInjective)
-                .analyzed()
-                .contains(&[s, t]),
+            tuples,
+            eval_tuples_enumerate(&closed, &g, Semantics::AtomInjective)
         );
+        assert!(!tuples.is_empty());
+        assert_eq!(searches, 0, "deletion-closed atoms must not run a search");
+
+        // (a a)* is not deletion-closed: its pairs need a simple-path search.
+        let parity = q("(x, z) <- x -[(a a)*]-> y, y -[b b*]-> z", &mut g);
+        let (tuples, searches) = ainj_join_with_memo(&parity, &g);
+        assert_eq!(
+            tuples,
+            eval_tuples_enumerate(&parity, &g, Semantics::AtomInjective)
+        );
+        assert!(searches > 0, "(a a)* pairs must be searched");
     }
 
     /// Builds the join plan of the query's first ε-free variant.
     fn first_variant_plan_is_cyclic(q: &Crpq, g: &GraphDb) -> bool {
         let variants = q.epsilon_free_union();
         let mut catalog = RelationCatalog::new(g);
-        let plan = plan_variant(&variants[0], g, false, &mut catalog);
+        let plan = plan_variant(&variants[0], g, &mut catalog);
         JoinPlan::build(&variants[0], g, Semantics::Standard, plan, &catalog).is_cyclic()
     }
 
@@ -2462,7 +2432,7 @@ mod tests {
             Semantics::QueryInjective,
         ] {
             let mut catalog = RelationCatalog::new(&g);
-            let plan = plan_variant(&variants[0], &g, false, &mut catalog);
+            let plan = plan_variant(&variants[0], &g, &mut catalog);
             let plan = JoinPlan::build(&variants[0], &g, sem, plan, &catalog);
             let sizes: Vec<usize> = plan.domains.iter().map(NodeSet::len).collect();
             assert_eq!(plan.domain_sizes, sizes, "{sem:?}");
@@ -2551,9 +2521,7 @@ mod tests {
     /// Compiles the `i`-th atom NFA of a single-variant query — the unit
     /// catalog lookups are keyed by.
     fn atom_nfa(query: &Crpq, i: usize) -> Nfa {
-        compile_atoms(&query.epsilon_free_union()[0], false)[i]
-            .nfa
-            .clone()
+        compile_atoms(&query.epsilon_free_union()[0])[i].nfa.clone()
     }
 
     #[test]

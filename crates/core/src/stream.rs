@@ -150,8 +150,7 @@ impl<G: GraphView + Send + Sync + 'static> Eval<'_, Arc<G>> {
         );
         let q = self.q.clone();
         let g = Arc::clone(self.g);
-        let (sem, threads, strategy, analyze) =
-            (self.sem, self.threads, self.strategy, self.analyze);
+        let (sem, threads, strategy) = (self.sem, self.threads, self.strategy);
         TupleStream::spawn(move |tx| {
             let request = Eval {
                 q: &q,
@@ -160,7 +159,6 @@ impl<G: GraphView + Send + Sync + 'static> Eval<'_, Arc<G>> {
                 threads,
                 catalog: None,
                 strategy,
-                analyze,
             };
             request.run(StreamSink {
                 seen: FxHashSet::default(),

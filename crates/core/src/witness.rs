@@ -133,7 +133,7 @@ pub fn eval_witness(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: Semantics) -> 
     );
     for (variant_index, variant) in q.epsilon_free_union().iter().enumerate() {
         if let Some((assignment, atom_paths)) =
-            VariantEval::build(variant, g, sem, false).contains_witness(tuple)
+            VariantEval::build(variant, g, sem).contains_witness(tuple)
         {
             return Some(Witness {
                 variant_index,

@@ -32,7 +32,6 @@ fn main() {
         let st = Eval::new(q, &g).tuples().len();
         let ai = Eval::new(q, &g)
             .semantics(Semantics::AtomInjective)
-            .analyzed()
             .tuples()
             .len();
         let qi = Eval::new(q, &g)
