@@ -57,13 +57,14 @@
 //! ≥ 1.5× floor on machines with ≥ 4 CPUs; `scale_rows`/`steal_rows` are written append-style so
 //! the cross-PR perf trajectory stays visible in the baseline file.
 //!
-//! The **cyclic workloads** (`cyclic_rows` in the JSON) time the
-//! worst-case-optimal executor ([`EvalStrategy::Wcoj`]) against the forced
-//! backtracking binary join ([`EvalStrategy::BinaryJoin`]) on the
-//! triangle / 4-cycle / diamond-with-chord CRPQs of
-//! [`crpq_workloads::cyclic`] — the shapes the default engine's structural
-//! dispatch sends to WCOJ. `--smoke` asserts WCOJ is no slower than the
-//! binary join on the triangle row.
+//! The **cyclic workloads** (`cyclic_rows` in the JSON) time the join on
+//! the triangle / 4-cycle / diamond-with-chord CRPQs of
+//! [`crpq_workloads::cyclic`] (cold, medians of 5), and the warm triangle
+//! join on the heavy-hitter [`cyclic::hub_triangle_graph`] at n = 5 000
+//! and 80 000 under st and a-inj. `--smoke` gates the AGM scaling on the
+//! hub rows: the 16× larger input may cost at most [`HUB_SCALING_BOUND`]×
+//! the time, where the `|R|^{3/2}` bound allows 64× and a pairwise plan,
+//! binding n² spoke pairs at the hub, pays 256×.
 //!
 //! The **injective workloads** (`injective_rows` in the JSON) time the
 //! triangle on `cyclic_graph(2 000, 11)` under st, a-inj and q-inj over one
@@ -95,7 +96,8 @@
 //! evicted.
 //!
 //! The JSON is hand-serialised (the workspace's `serde` is an offline no-op
-//! shim); the schema is `rows` + `scale_rows` + `stream_rows` +
+//! shim); the schema is a `machine` object (CPUs, smoke threads, RAM) plus
+//! `rows` + `scale_rows` + `stream_rows` +
 //! `cyclic_rows` + `injective_rows` arrays with `workload` discriminators
 //! (`BENCH_scale.json` holds `scale_rows` + `steal_rows` + `mutate_rows` +
 //! `wal_rows` — the last measured by the `--wal-smoke` durability gate:
@@ -107,7 +109,7 @@
 //! of growing the file unboundedly, while configurations no longer
 //! measured keep their trajectory.
 
-use crpq_core::{eval_tuples_enumerate, Eval, EvalStrategy, RelationCatalog, Semantics};
+use crpq_core::{eval_tuples_enumerate, Eval, RelationCatalog, Semantics};
 use crpq_graph::{DeltaGraph, DurableGraph, EdgeMutation, GraphDb, GraphView, NodeId, SyncPolicy};
 use crpq_query::{parse_crpq, Crpq};
 use crpq_util::Interner;
@@ -227,35 +229,31 @@ fn measure(
     }
 }
 
-/// One row of the cyclic-shape workloads (`cyclic_rows` in the JSON):
-/// wall clock of the worst-case-optimal executor vs. the backtracking
-/// binary join on the same variant plans, standard semantics.
+/// One row of the cyclic-shape workloads (`cyclic_rows` in the JSON): the
+/// median `tuples()` wall clock of one workload under one semantics.
 struct CyclicRow {
-    workload: String,
+    workload: &'static str,
+    semantics: Semantics,
     nodes: usize,
     edges: usize,
     tuples: usize,
-    /// Forced [`EvalStrategy::Wcoj`] (what [`EvalStrategy::Join`]
-    /// auto-dispatch runs on these cyclic shapes).
-    wcoj_ms: f64,
-    /// Forced [`EvalStrategy::BinaryJoin`] (the pre-WCOJ engine).
-    binary_ms: f64,
+    join_ms: f64,
 }
 
-impl CyclicRow {
-    fn wcoj_speedup(&self) -> f64 {
-        self.binary_ms / self.wcoj_ms.max(1e-9)
-    }
-}
-
-/// Samples per side of the WCOJ-vs-binary comparison, and per semantics
-/// of the injective row (median of 5).
+/// Samples per timed configuration of the cyclic and injective rows
+/// (median of 5).
 const CYCLIC_SAMPLES: usize = 5;
 
-/// The triangle gate: WCOJ may be at most this much slower than the
-/// binary join. The measured ratio sits at parity, so a strict `≤` flips
-/// on noise; the tolerance still catches a real executor regression.
-const WCOJ_TOLERANCE: f64 = 1.25;
+/// The hub-triangle sizes of the AGM scaling gate: the larger input is
+/// 16× the smaller.
+const HUB_SIZES: [usize; 2] = [5_000, 80_000];
+
+/// The AGM scaling gate: the warm join on `hub_triangle_graph(80 000)`
+/// may take at most this many times its time at 5 000. The `|R|^{3/2}`
+/// bound allows 64× and a pairwise plan pays 256×. On a 2-CPU machine the
+/// Generic Join reads 25–34×, and the backtracking binary join it replaced
+/// read 46–60×.
+const HUB_SCALING_BOUND: f64 = 40.0;
 
 /// The median of `samples` — the gate statistic for comparisons that sit
 /// near parity, where a best-of-`n` minimum is too noise-sensitive.
@@ -264,39 +262,81 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times the two join executors on one cyclic workload (standard
-/// semantics — the executors differ only in search, so `st` isolates the
-/// join cost from injective verification). Both runs include their own
-/// catalog materialisation, which is identical work on either side. The
-/// samples alternate between the executors, so a slow phase of the
-/// machine lands on both sides instead of on whichever ran first.
-fn measure_cyclic(workload: &str, q: &Crpq, g: &GraphDb) -> CyclicRow {
-    let run = |strategy| Eval::new(q, g).strategy(strategy).tuples();
-    let (mut wcoj, mut binary) = (Vec::new(), Vec::new());
-    let (mut wcoj_samples, mut binary_samples) = (Vec::new(), Vec::new());
-    for _ in 0..CYCLIC_SAMPLES {
-        let ms;
-        (wcoj, ms) = time_once(|| run(EvalStrategy::Wcoj));
-        wcoj_samples.push(ms);
-        let ms;
-        (binary, ms) = time_once(|| run(EvalStrategy::BinaryJoin));
-        binary_samples.push(ms);
-    }
-    let (wcoj_ms, binary_ms) = (median(wcoj_samples), median(binary_samples));
-    assert_eq!(wcoj, binary, "wcoj/binary result mismatch on {workload}");
+/// Times the join on one cyclic workload (standard semantics, so the
+/// join cost is not mixed with injective verification). Every sample
+/// includes its own catalog materialisation.
+fn measure_cyclic(workload: &'static str, q: &Crpq, g: &GraphDb) -> CyclicRow {
+    let mut tuples = 0;
+    let samples = (0..CYCLIC_SAMPLES)
+        .map(|_| {
+            let (out, ms) = time_once(|| Eval::new(q, g).tuples());
+            tuples = out.len();
+            ms
+        })
+        .collect();
     CyclicRow {
-        workload: workload.to_owned(),
+        workload,
+        semantics: Semantics::Standard,
         nodes: g.num_nodes(),
         edges: g.num_edges(),
-        tuples: wcoj.len(),
-        wcoj_ms,
-        binary_ms,
+        tuples,
+        join_ms: median(samples),
     }
 }
 
-/// The cyclic workload suite: triangle (the CI floor carrier), 4-cycle and
-/// diamond-with-chord, at sizes where the binary join's intermediate
-/// bindings are felt but the smoke stays fast.
+/// The warm hub-triangle rows of the AGM scaling gate, st then a-inj,
+/// each at every [`HUB_SIZES`] entry in order, over one warm catalog per
+/// graph, so only the join search (and a-inj's free per-atom checks) is
+/// timed. Each round times every size and semantics back to back, so a
+/// slow phase of the machine lands on both sides of the ratio.
+fn measure_hub_scaling() -> Vec<CyclicRow> {
+    const SEMS: [Semantics; 2] = [Semantics::Standard, Semantics::AtomInjective];
+    let graphs: Vec<(GraphDb, Crpq)> = HUB_SIZES
+        .iter()
+        .map(|&n| {
+            let mut g = cyclic::hub_triangle_graph(n, 7);
+            let q = cyclic::triangle_query(g.alphabet_mut());
+            (g, q)
+        })
+        .collect();
+    let mut catalogs: Vec<RelationCatalog> = graphs
+        .iter()
+        .map(|(g, q)| {
+            let mut catalog = RelationCatalog::new(g);
+            Eval::new(q, g).catalog(&mut catalog).tuples();
+            catalog
+        })
+        .collect();
+    let mut tuples = [[0; 2]; 2];
+    let mut samples: [[Vec<f64>; 2]; 2] = Default::default();
+    for _ in 0..CYCLIC_SAMPLES {
+        for (k, &sem) in SEMS.iter().enumerate() {
+            for (i, ((g, q), catalog)) in graphs.iter().zip(&mut catalogs).enumerate() {
+                let (out, ms) =
+                    time_once(|| Eval::new(q, g).semantics(sem).catalog(catalog).tuples());
+                tuples[k][i] = out.len();
+                samples[k][i].push(ms);
+            }
+        }
+    }
+    let mut rows = Vec::new();
+    for (k, &sem) in SEMS.iter().enumerate() {
+        for (i, (g, _)) in graphs.iter().enumerate() {
+            rows.push(CyclicRow {
+                workload: "hub_triangle_warm",
+                semantics: sem,
+                nodes: g.num_nodes(),
+                edges: g.num_edges(),
+                tuples: tuples[k][i],
+                join_ms: median(std::mem::take(&mut samples[k][i])),
+            });
+        }
+    }
+    rows
+}
+
+/// The cyclic workload suite: triangle, 4-cycle and diamond-with-chord at
+/// sizes where intermediate bindings are felt but the smoke stays fast.
 fn measure_cyclic_rows() -> Vec<CyclicRow> {
     let mut rows = Vec::new();
     {
@@ -322,15 +362,14 @@ fn cyclic_rows_json(rows: &[CyclicRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \"tuples\": {}, \
-             \"wcoj_ms\": {:.4}, \"binary_ms\": {:.4}, \"wcoj_speedup\": {:.2}}}{}",
+            "    {{\"workload\": \"{}\", \"semantics\": \"{}\", \"nodes\": {}, \"edges\": {}, \
+             \"tuples\": {}, \"join_ms\": {:.4}}}{}",
             r.workload,
+            r.semantics,
             r.nodes,
             r.edges,
             r.tuples,
-            r.wcoj_ms,
-            r.binary_ms,
-            r.wcoj_speedup(),
+            r.join_ms,
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
@@ -338,19 +377,13 @@ fn cyclic_rows_json(rows: &[CyclicRow]) -> String {
 }
 
 fn print_cyclic_rows(rows: &[CyclicRow]) {
-    println!("\n## cyclic shapes — worst-case-optimal join vs. backtracking binary join (st)\n");
-    println!("| workload | n | edges | tuples | wcoj | binary | wcoj-x |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("\n## cyclic shapes — Generic Join (medians of {CYCLIC_SAMPLES})\n");
+    println!("| workload | sem | n | edges | tuples | join |");
+    println!("|---|---|---|---|---|---|");
     for r in rows {
         println!(
-            "| {} | {} | {} | {} | {:.1}ms | {:.1}ms | {:.1}x |",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.tuples,
-            r.wcoj_ms,
-            r.binary_ms,
-            r.wcoj_speedup(),
+            "| {} | {} | {} | {} | {} | {:.1}ms |",
+            r.workload, r.semantics, r.nodes, r.edges, r.tuples, r.join_ms,
         );
     }
 }
@@ -1681,14 +1714,34 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
     println!("\nwrote {path}");
 }
 
+/// The `machine` object of `BENCH_eval.json`: available CPUs, the smoke's
+/// resolved thread count and total RAM from `/proc/meminfo` (`0` where
+/// either is unreadable).
+fn machine_json(threads: usize) -> String {
+    let cpus = crpq_util::sync::thread::available_parallelism().map_or(0, std::num::NonZero::get);
+    let mem_total_kb = std::fs::read_to_string("/proc/meminfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("MemTotal:"))?;
+            line.split_whitespace().nth(1)?.parse::<u64>().ok()
+        })
+        .unwrap_or(0);
+    format!(
+        "{{\"cpus\": {cpus}, \"threads\": {}, \"mem_total_kb\": {mem_total_kb}}}",
+        crpq_graph::rpq::effective_threads(threads)
+    )
+}
+
 /// Runs the E2 + E9 evaluation comparison and writes `path`.
 ///
 /// With `enforce_floor`, the headline numbers are hard assertions (the CI
 /// smoke gate): the ≥10× join-vs-legacy speedup at |V| = 10³, a catalog
-/// hit-rate > 0 on the multi-variant E9 workload, WCOJ within 1.25× of
-/// the binary join on the triangle (medians of 5), and warm a-inj and
-/// q-inj each within 3× of st on the triangle (medians of 5). Without it, shortfalls are only reported —
-/// the full experiment suite should finish with measurements either way.
+/// hit-rate > 0 on the multi-variant E9 workload, the warm hub-triangle
+/// join at n = 80 000 within [`HUB_SCALING_BOUND`]× its time at 5 000
+/// under st and a-inj (medians of 5), and warm a-inj and q-inj each
+/// within 3× of st on the triangle (medians of 5). Without it, shortfalls
+/// are only reported — the full experiment suite should finish with
+/// measurements either way.
 /// `threads = 0` keeps the documented fallback (one materialisation
 /// worker per CPU, capped at 16).
 pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
@@ -1764,10 +1817,17 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         measure_million(100_000, f64::INFINITY, false, threads, MILLION_BYTES_BUDGET),
     ];
 
-    // Cyclic shapes: the worst-case-optimal executor vs. the backtracking
-    // binary join on the same plans. The triangle row carries the CI
-    // "WCOJ within 1.25x of the binary join" gate.
-    let cyclic_rows = measure_cyclic_rows();
+    // Cyclic shapes, plus the warm hub-triangle rows that carry the CI
+    // AGM scaling gate: per semantics, the larger input's join time over
+    // the smaller's.
+    let mut cyclic_rows = measure_cyclic_rows();
+    let hub_rows = measure_hub_scaling();
+    let hub_ratios: Vec<f64> = hub_rows
+        .chunks(HUB_SIZES.len())
+        .map(|p| p[1].join_ms / p[0].join_ms.max(1e-9))
+        .collect();
+    let hub_tuples = hub_rows.iter().map(|r| r.tuples).min().unwrap_or(0);
+    cyclic_rows.extend(hub_rows);
 
     // Injective verification over a warm catalog, for the CI "a-inj and
     // q-inj within 3x of st" gate.
@@ -1853,6 +1913,7 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     json.push_str(
         "  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- --smoke\",\n",
     );
+    let _ = writeln!(json, "  \"machine\": {},", machine_json(threads));
     json.push_str("  \"rows\": [\n");
     json.push_str(&prior_rows_deduped(path, "rows", &new_rows));
     json.push_str(&new_rows);
@@ -1901,16 +1962,10 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         "e9 multi-variant catalog hit-rate at |V|=10^3: {:.0}% (target > 0)",
         min_hit_rate * 100.0
     );
-    let triangle = cyclic_rows
-        .iter()
-        .find(|r| r.workload == "cyclic_triangle")
-        .expect("triangle row must be measured"); // invariant: cyclic_triangle is in the fixed workload list
     println!(
-        "cyclic triangle wcoj vs binary join (medians of {CYCLIC_SAMPLES}): {:.1}ms vs {:.1}ms \
-         ({:.2}x, target: wcoj ≤ {WCOJ_TOLERANCE}x binary)",
-        triangle.wcoj_ms,
-        triangle.binary_ms,
-        triangle.wcoj_speedup()
+        "hub triangle warm join, n = {} -> {} (medians of {CYCLIC_SAMPLES}): st {:.1}x, \
+         a-inj {:.1}x (target: each ≤ {HUB_SCALING_BOUND}x; AGM allows 64x, a pairwise plan 256x)",
+        HUB_SIZES[0], HUB_SIZES[1], hub_ratios[0], hub_ratios[1]
     );
     println!(
         "injective triangle, warm catalog (medians of {CYCLIC_SAMPLES}): st {:.2}ms, \
@@ -1929,15 +1984,15 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
             "catalog hit-rate is 0 on the multi-variant E9 workload — atom sharing broke"
         );
         assert!(
-            triangle.wcoj_ms <= WCOJ_TOLERANCE * triangle.binary_ms,
-            "worst-case-optimal join more than {WCOJ_TOLERANCE}x slower than the binary join \
-             on the triangle workload: {:.1}ms vs {:.1}ms",
-            triangle.wcoj_ms,
-            triangle.binary_ms
+            hub_ratios.iter().all(|&r| r <= HUB_SCALING_BOUND),
+            "hub-triangle join grew more than {HUB_SCALING_BOUND}x over a 16x larger input: \
+             st {:.1}x, a-inj {:.1}x",
+            hub_ratios[0],
+            hub_ratios[1]
         );
         assert!(
-            triangle.tuples > 0,
-            "triangle workload returned no tuples — the WCOJ floor proves nothing"
+            hub_tuples > 0,
+            "hub triangle returned no tuples — the scaling gate proves nothing"
         );
         assert!(
             inj_tuples.iter().all(|&t| t > 0),

@@ -2,7 +2,7 @@
 //!
 //! Every question is asked through one request type, [`Eval`]: build it
 //! with `Eval::new(&q, &g)`, shape it with setters (semantics, threads, a
-//! caller-owned catalog, a forced executor) and end it with a terminal
+//! caller-owned catalog) and end it with a terminal
 //! (`tuples`, `ask`, `limit`, `contains`, or `stream` in
 //! [`crate::stream`]).
 //!
@@ -49,40 +49,35 @@
 //!   **hit**). Hit/miss counters and materialisation wall clock are
 //!   exposed for tests and benchmarks.
 //! * **Execution** ([`JoinPlan`]): the per-variant join *borrows* catalog
-//!   entries instead of owning relations, prunes domains and runs one of
-//!   two executors, picked per variant by shape (see below).
+//!   entries instead of owning relations, prunes domains and runs the one
+//!   join executor (see below).
 //!
-//! # Executor dispatch: cyclic shapes go worst-case-optimal
+//! # Executor dispatch: one Generic Join for every shape
 //!
-//! Two join executors sit behind the planner:
+//! Every variant, terminal and thread count runs the **worst-case-optimal
+//! join** of [`crate::wcoj`], a Generic-Join executor: it binds one
+//! variable at a time along a static elimination order and enumerates
+//! each variable's candidates by *leapfrog intersection* of sorted views
+//! (the pruned domain plus every incident relation row restricted by the
+//! bound neighbours), so the per-candidate cost tracks the **smallest**
+//! participating view instead of the domain size.
 //!
-//! * the **backtracking binary join** ([`JoinPlan::search_all`]) —
-//!   selectivity-ordered variable assignment with domain-clone +
-//!   row-intersection candidate generation; and
-//! * the **worst-case-optimal join** ([`crate::wcoj`]) — a Generic-Join
-//!   style executor that binds one variable at a time along a fixed
-//!   elimination order, enumerating each variable's candidates by
-//!   *leapfrog intersection* of sorted views (the pruned domain plus every
-//!   incident relation row restricted by the bound neighbours), so the
-//!   per-candidate cost tracks the **smallest** participating view instead
-//!   of the domain size.
+//! Why Generic Join: on cyclic shapes (triangle, 4-cycle,
+//! diamond-with-chord, …) any pairwise join plan can bind asymptotically
+//! more intermediate pairs than the output (`O(|R|²)` against the AGM
+//! bound `O(|R|^{3/2})` on the triangle), while per-variable intersection
+//! is worst-case optimal; on acyclic shapes it measures as fast as a
+//! pairwise plan on every benchmark workload. The heavy-hitter triangle
+//! (`crpq_workloads::cyclic::hub_triangle_graph`) is the instance where
+//! the gap shows, and the `experiments --smoke` scaling gate runs on it.
 //!
-//! Dispatch is structural ([`JoinPlan::is_cyclic`]): a variant whose
-//! atom–variable incidence graph contains a **cycle** — a connected
-//! component with at least as many (non-self-loop) atoms as variables,
-//! which includes parallel atoms between the same variable pair — is run
-//! through the WCOJ executor; acyclic (forest-shaped) variants keep the
-//! backtracking join, whose dynamic fewest-candidates ordering is already
-//! near-optimal there. The rationale is the AGM bound: on cyclic shapes
-//! (triangle, 4-cycle, diamond-with-chord, …) any binary join plan can
-//! produce asymptotically more intermediate bindings than the output size
-//! (`O(|R|²)` vs `O(|R|^{3/2})` on the triangle), while Generic Join's
-//! per-variable intersection is worst-case optimal. Self-loop atoms
-//! (`x -L-> x`) are folded into the domains at plan-build time and close
-//! no cycle. Both executors share [`RelationCatalog`] materialisation,
-//! semi-join pruning, the duplicate-projection prune and the per-semantics
-//! [`VerifyScratch`] verification, and [`EvalStrategy`] can force either
-//! executor for differential testing and benchmarks.
+//! The order is static and computed once per variant by `Eval::run`: it
+//! starts at the variable with the smallest pruned domain, then
+//! repeatedly takes the smallest-domain unordered variable **adjacent to
+//! an ordered one** (connectivity first), so every level after the first
+//! of a connected variant intersects at least one bound relation row. The
+//! work-stealing scheduler splits the first variable's domain. Self-loop
+//! atoms (`x -L-> x`) are folded into the domains at plan-build time.
 //!
 //! Relations themselves use density-adaptive rows
 //! ([`crpq_graph::rpq::RelationRow`]: sorted-`u32` sparse vs. bitset
@@ -110,13 +105,12 @@
 //!    and are intersected with atom source/target sets, then shrunk to a
 //!    fixpoint: a node stays in `dom(x)` only while every atom incident to
 //!    `x` can still be matched inside the current domains.
-//! 3. **Selectivity-ordered join** — backtracking assigns the unassigned
-//!    variable with the fewest remaining candidates first (candidates =
-//!    pruned domain ∩ relation rows of already-assigned neighbours), so the
-//!    join tree stays narrow. With `threads > 1` and more than one
-//!    candidate for the most selective variable, the work-stealing
-//!    scheduler of [`crate::parallel`] splits the same search across
-//!    workers; otherwise it runs on the calling thread.
+//! 3. **Generic Join** — the variables are bound along the elimination
+//!    order, each from the leapfrog intersection of its pruned domain and
+//!    the relation rows of its bound neighbours (see above). With
+//!    `threads > 1` and more than one candidate for the first variable,
+//!    the work-stealing scheduler of [`crate::parallel`] splits the same
+//!    search across workers; otherwise it runs on the calling thread.
 //! 4. **Per-semantics verification** — the relations are *exact* for `st`,
 //!    so a join solution is a result. For `a-inj`/`q-inj` they are a sound
 //!    over-approximation (every simple path is a path): each join solution
@@ -154,12 +148,12 @@
 //! node, so a sink can end the enumeration early — after the first witness
 //! ([`Eval::ask`]), after `k` tuples ([`Eval::limit`]), or when a streaming
 //! consumer hangs up ([`crate::stream`]). The contract: once a sink returns
-//! [`SinkStatus::Stop`] (or starts reporting `should_stop`), every executor
-//! — the backtracking join, the WCOJ executor ([`crate::wcoj`]) and the
-//! work-stealing scheduler ([`crate::parallel`], via a shared cancellation
-//! flag) — unwinds without inserting further tuples; a parallel worker may
-//! at most finish verifying the candidate it was already on, so overshoot
-//! is bounded by the worker count. The full-result set never stops.
+//! [`SinkStatus::Stop`] (or starts reporting `should_stop`), the search
+//! ([`crate::wcoj`]) and the work-stealing scheduler ([`crate::parallel`],
+//! via a shared cancellation flag) unwind without inserting further
+//! tuples; a parallel worker may at most finish verifying the candidate
+//! it was already on, so overshoot is bounded by the worker count. The
+//! full-result set never stops.
 //!
 //! # Inline injective verification
 //!
@@ -186,7 +180,7 @@
 //! oracle alone searches every atom.
 
 use crpq_automata::{Nfa, NfaKey};
-use crpq_graph::rpq::{NodeSet, ReachScratch, Relation, RelationRow};
+use crpq_graph::rpq::{NodeSet, ReachScratch, Relation};
 use crpq_graph::{rpq, GraphView, NodeId};
 use crpq_query::{Crpq, Var};
 use crpq_util::{BitSet, FxHashMap, FxHashSet, Symbol};
@@ -229,25 +223,6 @@ impl std::fmt::Display for Semantics {
     }
 }
 
-/// Which join executor a request runs ([`Eval::strategy`]). Every strategy
-/// returns the same answers — property-tested in `tests/wcoj_equivalence.rs`
-/// — so the forced executors exist for differential tests and the
-/// `BENCH_eval` WCOJ-vs-binary comparison.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvalStrategy {
-    /// Per-variant structural dispatch ([`JoinPlan::is_cyclic`]): the
-    /// worst-case-optimal join on cyclic variant shapes, the backtracking
-    /// binary join on acyclic ones (see the module docs).
-    #[default]
-    Join,
-    /// The backtracking binary join forced on every variant shape.
-    BinaryJoin,
-    /// The worst-case-optimal executor forced on every variant shape
-    /// (leapfrog intersection also handles acyclic shapes, just without the
-    /// dynamic variable ordering).
-    Wcoj,
-}
-
 /// One evaluation request for `Q(G)_sem`: the crate's entry point to the
 /// join engine and to the membership engine.
 ///
@@ -260,8 +235,7 @@ pub enum EvalStrategy {
 /// * [`catalog`](Self::catalog) — a caller-owned [`RelationCatalog`], so
 ///   relations materialised by one request serve the next; without it
 ///   every request plans against a fresh
-///   [`RelationCatalog::with_threads`]`(g, threads)`;
-/// * [`strategy`](Self::strategy) — force a join executor.
+///   [`RelationCatalog::with_threads`]`(g, threads)`.
 ///
 /// One terminal consumes the request: [`tuples`](Self::tuples),
 /// [`ask`](Self::ask), [`limit`](Self::limit),
@@ -297,7 +271,6 @@ pub struct Eval<'a, G: GraphView> {
     pub(crate) sem: Semantics,
     pub(crate) threads: usize,
     pub(crate) catalog: Option<&'a mut RelationCatalog>,
-    pub(crate) strategy: EvalStrategy,
 }
 
 impl<'a, G: GraphView> Eval<'a, G> {
@@ -310,7 +283,6 @@ impl<'a, G: GraphView> Eval<'a, G> {
             sem: Semantics::Standard,
             threads: 1,
             catalog: None,
-            strategy: EvalStrategy::Join,
         }
     }
 
@@ -333,12 +305,6 @@ impl<'a, G: GraphView> Eval<'a, G> {
     /// reuse every relation materialised so far.
     pub fn catalog(mut self, catalog: &'a mut RelationCatalog) -> Self {
         self.catalog = Some(catalog);
-        self
-    }
-
-    /// Forces a join executor (see [`EvalStrategy`]).
-    pub fn strategy(mut self, strategy: EvalStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -368,8 +334,8 @@ impl<'a, G: GraphView> Eval<'a, G> {
     }
 
     /// Whether `tuple ∈ Q(G)_sem`, decided per ε-free variant by the
-    /// membership engine (see the module docs). Threads, catalog and
-    /// strategy do not apply: nothing is materialised.
+    /// membership engine (see the module docs). Threads and catalog do
+    /// not apply: nothing is materialised.
     ///
     /// # Panics
     ///
@@ -389,13 +355,14 @@ impl<'a, G: GraphView> Eval<'a, G> {
     /// The join driver behind every terminal but `contains`, at every
     /// thread count: plan every ε-free variant against the request's
     /// catalog (or a fresh one), materialising each distinct atom relation
-    /// once, then search each variant into `sink` through the executor the
-    /// strategy selects, honouring the sink's stop signal between and
-    /// inside variants. A variant runs the sequential search when
-    /// `threads ≤ 1` or its most selective variable has at most one
-    /// candidate; otherwise the work-stealing scheduler of
-    /// [`crate::parallel`] splits it across `threads` workers feeding the
-    /// same sink. Hands the sink back.
+    /// once, then search each variant into `sink` through the Generic Join
+    /// of [`crate::wcoj`] along one elimination order per variant,
+    /// honouring the sink's stop signal between and inside variants. A
+    /// variant runs the sequential search when `threads ≤ 1` or the
+    /// order's first variable has at most one candidate; otherwise the
+    /// work-stealing scheduler of [`crate::parallel`] splits that
+    /// variable's domain across `threads` workers feeding the same sink.
+    /// Hands the sink back.
     pub(crate) fn run<S: TupleSink + Send>(self, mut sink: S) -> S {
         let Eval {
             q,
@@ -403,7 +370,6 @@ impl<'a, G: GraphView> Eval<'a, G> {
             sem,
             threads,
             catalog,
-            strategy,
         } = self;
         let threads = rpq::effective_threads(threads);
         let mut fresh;
@@ -425,23 +391,15 @@ impl<'a, G: GraphView> Eval<'a, G> {
                 break;
             }
             let plan = JoinPlan::build(variant, g, sem, plan, catalog);
-            let wcoj = plan.use_wcoj(strategy);
-            let split = (threads > 1)
-                .then(|| plan.split_candidates())
-                .flatten()
-                .filter(|(_, cands)| cands.len() > 1);
-            let status = match split {
-                Some((var, cands)) => {
-                    // The WCOJ elimination order depends only on (plan,
-                    // var): computed once here, not per stolen chunk.
-                    let order = wcoj.then(|| crate::wcoj::fixed_order(&plan, var));
-                    let order = order.as_deref();
-                    crate::parallel::search_work_stealing(
-                        &plan, order, var, cands, threads, &mut sink,
-                    )
-                }
-                None if wcoj => crate::wcoj::search_all(&plan, &mut scratch, &mut sink),
-                None => plan.search_all(&mut scratch, &mut sink),
+            let order = crate::wcoj::elimination_order(&plan);
+            let split = threads > 1
+                && order
+                    .first()
+                    .is_some_and(|first| plan.domain_sizes[first.index()] > 1);
+            let status = if split {
+                crate::parallel::search_work_stealing(&plan, &order, threads, &mut sink)
+            } else {
+                crate::wcoj::search_all(&plan, &order, &mut scratch, &mut sink)
             };
             if status == SinkStatus::Stop {
                 break;
@@ -1073,12 +1031,14 @@ pub(crate) struct JoinPlan<'a, G: GraphView> {
     pub(crate) relations: Vec<&'a Relation>,
     /// Per-variable candidate domains after semi-join fixpoint —
     /// density-adaptive ([`NodeSet`]: sorted-`u32` sparse / bitset dense),
-    /// so domain storage and the per-backtracking-step clone+intersect are
-    /// `O(candidates)` instead of `O(|V|)` per variable.
+    /// so domain storage is `O(candidates)` instead of `O(|V|)` per
+    /// variable, and each domain is one seekable view of the leapfrog
+    /// intersection.
     pub(crate) domains: Vec<NodeSet>,
     /// `domain_sizes[v] == domains[v].len()`, recorded once at build time
-    /// (domains never change after it): the search reads sizes at every
-    /// node, and counting a dense domain is an `O(|V|/64)` popcount.
+    /// (domains never change after it): the elimination order and the
+    /// parallel split read sizes, and counting a dense domain is an
+    /// `O(|V|/64)` popcount.
     pub(crate) domain_sizes: Vec<usize>,
     /// Some domain is empty — the variant contributes nothing.
     empty: bool,
@@ -1180,117 +1140,6 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
         self.g.num_nodes()
     }
 
-    /// Whether the variant's **atom–variable incidence graph is cyclic**:
-    /// some connected component of the variable graph (one edge per
-    /// non-self-loop atom, parallel atoms counted separately) contains a
-    /// cycle. Detected by union-find — an atom whose endpoints are already
-    /// connected closes a cycle, which covers both genuine cycles
-    /// (triangle, 4-cycle) and parallel atoms between the same variable
-    /// pair. Self-loop atoms are folded into the domains at build time and
-    /// close no cycle. This is the [`EvalStrategy::Join`] dispatch
-    /// predicate: cyclic shapes run the worst-case-optimal executor
-    /// ([`crate::wcoj`]).
-    pub(crate) fn is_cyclic(&self) -> bool {
-        let mut uf = crpq_util::UnionFind::new(self.q.num_vars);
-        self.atoms
-            .iter()
-            .filter(|a| a.src != a.dst)
-            .any(|a| !uf.union(a.src.index(), a.dst.index()))
-    }
-
-    /// Executor dispatch for this variant under `strategy` (see module
-    /// docs).
-    pub(crate) fn use_wcoj(&self, strategy: EvalStrategy) -> bool {
-        match strategy {
-            EvalStrategy::Join => self.is_cyclic(),
-            EvalStrategy::BinaryJoin => false,
-            EvalStrategy::Wcoj => true,
-        }
-    }
-
-    /// Runs the join to completion (or until the sink stops it), inserting
-    /// every result projection (tuple of free-variable images) into `out`.
-    /// `scratch` pools the verification buffers across solutions (and
-    /// across variants when the caller reuses it); the per-plan atom memo
-    /// is reset here.
-    pub(crate) fn search_all(
-        &self,
-        scratch: &mut VerifyScratch,
-        out: &mut dyn TupleSink,
-    ) -> SinkStatus {
-        if self.empty {
-            return SinkStatus::Continue;
-        }
-        scratch.begin_plan(self.g.num_nodes());
-        let mut assignment: Vec<Option<NodeId>> = vec![None; self.q.num_vars];
-        self.search(&mut assignment, scratch, out)
-    }
-
-    /// The relation rows of `var`'s assigned neighbours — the selective
-    /// constraints a partial assignment imposes on `var`'s candidates.
-    fn neighbour_rows(&self, var: Var, assignment: &[Option<NodeId>]) -> Vec<RelationRow<'_>> {
-        let mut rows = Vec::new();
-        for (atom, rel) in self.atoms.iter().zip(&self.relations) {
-            if atom.src == atom.dst {
-                continue; // folded into the domain at build time
-            }
-            if atom.src == var {
-                if let Some(dst_node) = assignment[atom.dst.index()] {
-                    rows.push(rel.backward(dst_node));
-                }
-            }
-            if atom.dst == var {
-                if let Some(src_node) = assignment[atom.src.index()] {
-                    rows.push(rel.forward(src_node));
-                }
-            }
-        }
-        rows
-    }
-
-    /// The candidate set for `var` given the current partial assignment:
-    /// pruned domain ∩ relation rows of assigned neighbours (∖ used nodes
-    /// under `q-inj`). When any neighbour is assigned, the intersection is
-    /// **driven from the smallest neighbour row** — membership tests
-    /// against the domain and the other rows — so the per-backtracking
-    /// -step cost is `O(row)`, never `O(|V|)`: cloning a dense 10⁷-node
-    /// domain at every step is exactly the quadratic wall the 10⁷ scale
-    /// row exists to catch. Only an unconstrained variable (no neighbour
-    /// assigned — in practice the root of the search) pays for a domain
-    /// clone.
-    fn candidates(&self, var: Var, assignment: &[Option<NodeId>]) -> NodeSet {
-        let domain = &self.domains[var.index()];
-        let rows = self.neighbour_rows(var, assignment);
-        let mut cands = match rows
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| r.len())
-            .map(|(i, _)| i)
-        {
-            Some(driver) => {
-                let kept: Vec<u32> = rows[driver]
-                    .iter()
-                    .filter(|&u| {
-                        domain.contains(u)
-                            && rows
-                                .iter()
-                                .enumerate()
-                                .all(|(i, r)| i == driver || r.contains(u))
-                    })
-                    .map(|u| u as u32)
-                    .collect();
-                NodeSet::from_sorted_ids(kept, domain.universe())
-            }
-            None => domain.clone(),
-        };
-        if self.sem == Semantics::QueryInjective {
-            for node in assignment.iter().flatten() {
-                cands.remove(node.index());
-            }
-        }
-        cands
-    }
-
     /// Writes the free-variable projection into `buf`; `false` (buffer
     /// contents unspecified) when some free variable is still unassigned.
     pub(crate) fn projection_into(
@@ -1306,135 +1155,6 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             }
         }
         true
-    }
-
-    /// The branch the sequential search takes from `assignment`: the
-    /// unassigned variable with the fewest candidates plus its candidate
-    /// set, or `None` when the assignment is complete. Shared by the
-    /// recursive [`Self::search`] and the work-stealing driver in
-    /// [`crate::parallel`], so a stolen subtree branches exactly like the
-    /// sequential executor would. (An empty candidate set is returned
-    /// as-is — the caller's zero-iteration loop prunes the subtree.)
-    pub(crate) fn choose_branch(&self, assignment: &[Option<NodeId>]) -> Option<(Var, NodeSet)> {
-        // Exact candidate counts for every unbound variable, none of them
-        // O(|V|): row-constrained variables materialise their (small,
-        // row-driven) candidate set; unconstrained ones read the domain
-        // size recorded at build time (minus used nodes under q-inj) —
-        // counting a dense domain here would be an O(|V|/64) popcount,
-        // and cloning it an O(|V|) copy, per backtracking step. Only the
-        // winning unconstrained variable is materialised at the end.
-        let mut best: Option<(Var, Option<NodeSet>, usize)> = None;
-        for v in 0..assignment.len() {
-            if assignment[v].is_some() {
-                continue;
-            }
-            let var = Var(v as u32);
-            let (cands, size) = if self.neighbour_rows(var, assignment).is_empty() {
-                let domain = &self.domains[v];
-                let mut size = self.domain_sizes[v];
-                if self.sem == Semantics::QueryInjective {
-                    size -= assignment
-                        .iter()
-                        .flatten()
-                        .filter(|node| domain.contains(node.index()))
-                        .count();
-                }
-                (None, size)
-            } else {
-                let cands = self.candidates(var, assignment);
-                let size = cands.len();
-                (Some(cands), size)
-            };
-            if size == 0 {
-                let cands = cands.unwrap_or_else(|| NodeSet::empty(self.domains[v].universe()));
-                return Some((var, cands));
-            }
-            if best.as_ref().is_none_or(|&(_, _, s)| size < s) {
-                best = Some((var, cands, size));
-                if size == 1 {
-                    break;
-                }
-            }
-        }
-        best.map(|(var, cands, _)| {
-            let cands = cands.unwrap_or_else(|| self.candidates(var, assignment));
-            (var, cands)
-        })
-    }
-
-    /// Runs the backtracking join from an arbitrary partial `assignment`
-    /// — the subtree hand-off point of the work-stealing driver
-    /// ([`crate::parallel`]): a worker that has explicitly enumerated the
-    /// stealable prefix levels delegates the remaining subtree here.
-    pub(crate) fn search_from(
-        &self,
-        assignment: &mut Vec<Option<NodeId>>,
-        scratch: &mut VerifyScratch,
-        out: &mut dyn TupleSink,
-    ) -> SinkStatus {
-        self.search(assignment, scratch, out)
-    }
-
-    /// Selectivity-ordered backtracking join.
-    fn search(
-        &self,
-        assignment: &mut Vec<Option<NodeId>>,
-        scratch: &mut VerifyScratch,
-        out: &mut dyn TupleSink,
-    ) -> SinkStatus {
-        // Early exit: a stopped sink (limit reached, stream hung up,
-        // sibling worker cancelled) unwinds the whole search.
-        if out.should_stop() {
-            return SinkStatus::Stop;
-        }
-        // Prune: once all free variables are fixed, deeper levels only vary
-        // existential variables — pointless if the projection is already a
-        // known result. The projection goes through a pooled buffer; the
-        // hash set answers slice lookups without an owned tuple.
-        let mut proj = std::mem::take(&mut scratch.tuple);
-        let pruned =
-            self.projection_into(assignment, &mut proj) && out.contains_tuple(proj.as_slice());
-        scratch.tuple = proj;
-        if pruned {
-            return SinkStatus::Continue;
-        }
-        let Some((var, cands)) = self.choose_branch(assignment) else {
-            // Complete assignment: relations guaranteed it standard-wise;
-            // verify the injective side and record the projection. `mu`
-            // lives in the scratch pool; an owned tuple is only allocated
-            // for solutions that actually verify.
-            let mut mu = std::mem::take(&mut scratch.mu);
-            mu.clear();
-            mu.extend(assignment.iter().map(|a| a.unwrap())); // invariant: every variable is bound at a leaf
-            let ok = self.verify(&mu, scratch);
-            scratch.mu = mu;
-            if ok {
-                // `scratch.tuple` still holds this call's projection: the
-                // entry prune filled it (the assignment is complete here,
-                // so `projection_into` returned `true`) and `verify`
-                // does not touch it.
-                debug_assert_eq!(
-                    scratch.tuple.len(),
-                    self.q.free.len(),
-                    "entry prune must have projected the complete assignment"
-                );
-                return out.insert_tuple(scratch.tuple.clone());
-            }
-            return SinkStatus::Continue;
-        };
-        for node in cands.iter() {
-            let node = NodeId(node as u32);
-            if !self.bind_allowed(var, node, assignment, scratch) {
-                continue;
-            }
-            assignment[var.index()] = Some(node);
-            let status = self.search(assignment, scratch, out);
-            assignment[var.index()] = None;
-            if status == SinkStatus::Stop {
-                return SinkStatus::Stop;
-            }
-        }
-        SinkStatus::Continue
     }
 
     /// Bind-time injectivity prune (see the module docs): whether binding
@@ -1485,8 +1205,8 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
 
     /// Verifies a complete, relation-consistent assignment under the plan's
     /// semantics. For `st` the relations are exact, so there is nothing
-    /// left to check; the injective semantics re-check paths. Shared by
-    /// both executors (backtracking and [`crate::wcoj`]).
+    /// left to check; the injective semantics re-check paths. Called at
+    /// every leaf of the search ([`crate::wcoj`]).
     pub(crate) fn verify(&self, mu: &[NodeId], scratch: &mut VerifyScratch) -> bool {
         debug_assert!(self
             .atoms
@@ -1503,20 +1223,6 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             }),
             Semantics::QueryInjective => verify_query_injective(self.g, &self.atoms, mu, scratch),
         }
-    }
-
-    /// For parallel evaluation: the variable the sequential search would
-    /// assign first and its candidates, or `None` when the variant has no
-    /// variables (pure Boolean check).
-    pub(crate) fn split_candidates(&self) -> Option<(Var, Vec<NodeId>)> {
-        let var = (0..self.q.num_vars)
-            .min_by_key(|&v| self.domain_sizes[v])
-            .map(|v| Var(v as u32))?;
-        let cands = self.domains[var.index()]
-            .iter()
-            .map(|n| NodeId(n as u32))
-            .collect();
-        Some((var, cands))
     }
 }
 
@@ -1848,10 +1554,10 @@ impl VerifyScratch {
     }
 
     /// Plan boundary: sizes the pools for a graph with `n` nodes and
-    /// invalidates the per-plan atom memo. Called by both executors'
-    /// `search_all`; the subtree entry points (`search_from`,
-    /// `search_from_level`) deliberately don't — the memo stays valid
-    /// across subtrees of one plan.
+    /// invalidates the per-plan atom memo. Called by the sequential
+    /// `wcoj::search_all`; the subtree entry point (`search_from_level`,
+    /// used by the work-stealing workers) deliberately doesn't — the memo
+    /// stays valid across subtrees of one plan.
     pub(crate) fn begin_plan(&mut self, n: usize) {
         self.ensure_graph(n);
         self.atom_memo.clear();
@@ -2238,7 +1944,7 @@ mod tests {
                 assert_eq!(
                     Eval::new(&query, &g).semantics(sem).tuples(),
                     eval_tuples_enumerate(&query, &g, sem),
-                    "strategy mismatch under {sem}"
+                    "join vs oracle under {sem}"
                 );
             }
         }
@@ -2349,7 +2055,7 @@ mod tests {
         }
     }
 
-    /// Runs the a-inj binary join over every ε-free variant of `query`,
+    /// Runs the a-inj join search over every ε-free variant of `query`,
     /// returning the tuples and the number of simple-path/-cycle searches
     /// left in the per-plan memos.
     fn ainj_join_with_memo(query: &Crpq, g: &GraphDb) -> (Vec<Vec<NodeId>>, usize) {
@@ -2359,8 +2065,9 @@ mod tests {
         for variant in &variants {
             let plan = plan_variant(variant, g, &mut catalog);
             let plan = JoinPlan::build(variant, g, Semantics::AtomInjective, plan, &catalog);
+            let order = crate::wcoj::elimination_order(&plan);
             let mut scratch = VerifyScratch::new();
-            plan.search_all(&mut scratch, &mut out);
+            crate::wcoj::search_all(&plan, &order, &mut scratch, &mut out);
             searches += scratch.atom_memo.len();
         }
         (sorted_tuples(out), searches)
@@ -2393,14 +2100,6 @@ mod tests {
             eval_tuples_enumerate(&parity, &g, Semantics::AtomInjective)
         );
         assert!(searches > 0, "(a a)* pairs must be searched");
-    }
-
-    /// Builds the join plan of the query's first ε-free variant.
-    fn first_variant_plan_is_cyclic(q: &Crpq, g: &GraphDb) -> bool {
-        let variants = q.epsilon_free_union();
-        let mut catalog = RelationCatalog::new(g);
-        let plan = plan_variant(&variants[0], g, &mut catalog);
-        JoinPlan::build(&variants[0], g, Semantics::Standard, plan, &catalog).is_cyclic()
     }
 
     #[test]
@@ -2445,27 +2144,7 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_shape_detection() {
-        let mut g = graph(&[("u", "a", "v"), ("v", "b", "w"), ("w", "c", "u")]);
-        // Chain and star: forests, acyclic.
-        let chain = q("x -[a]-> y, y -[b]-> z", &mut g);
-        assert!(!first_variant_plan_is_cyclic(&chain, &g));
-        let star = q("x -[a]-> y, x -[b]-> z", &mut g);
-        assert!(!first_variant_plan_is_cyclic(&star, &g));
-        // Triangle closes a cycle.
-        let triangle = q("x -[a]-> y, y -[b]-> z, z -[c]-> x", &mut g);
-        assert!(first_variant_plan_is_cyclic(&triangle, &g));
-        // Parallel atoms between the same pair are a cycle in the
-        // atom–variable incidence graph.
-        let parallel = q("x -[a]-> y, x -[b]-> y", &mut g);
-        assert!(first_variant_plan_is_cyclic(&parallel, &g));
-        // A self-loop atom is folded into the domain — no cycle.
-        let self_loop = q("x -[a]-> y, y -[b c]-> y", &mut g);
-        assert!(!first_variant_plan_is_cyclic(&self_loop, &g));
-    }
-
-    #[test]
-    fn wcoj_and_binary_join_agree_on_cyclic_and_acyclic_shapes() {
+    fn join_matches_oracle_on_cyclic_and_acyclic_shapes() {
         let mut g = graph(&[
             ("u", "a", "v"),
             ("v", "b", "w"),
@@ -2481,19 +2160,17 @@ mod tests {
         ] {
             let query = q(text, &mut g);
             for sem in Semantics::ALL {
-                let auto = Eval::new(&query, &g).semantics(sem).tuples();
-                let binary = Eval::new(&query, &g)
-                    .semantics(sem)
-                    .strategy(EvalStrategy::BinaryJoin)
-                    .tuples();
-                let wcoj = Eval::new(&query, &g)
-                    .semantics(sem)
-                    .strategy(EvalStrategy::Wcoj)
-                    .tuples();
                 let oracle = eval_tuples_enumerate(&query, &g, sem);
-                assert_eq!(auto, oracle, "{text} auto vs oracle under {sem}");
-                assert_eq!(binary, oracle, "{text} binary vs oracle under {sem}");
-                assert_eq!(wcoj, oracle, "{text} wcoj vs oracle under {sem}");
+                for threads in [1, 3] {
+                    assert_eq!(
+                        Eval::new(&query, &g)
+                            .semantics(sem)
+                            .threads(threads)
+                            .tuples(),
+                        oracle,
+                        "{text} under {sem}, {threads} threads"
+                    );
+                }
             }
         }
     }

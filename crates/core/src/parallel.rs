@@ -8,8 +8,8 @@
 //!   scoped workers, each claiming blocks of source ids
 //!   ([`crpq_graph::rpq::rpq_relation_auto`]); the catalog also means
 //!   a relation shared by several ε-free variants is materialised once.
-//! * **Join search** — after semi-join pruning, the candidates of the
-//!   first (most selective) join variable seed a shared chunk queue, and
+//! * **Join search** — after semi-join pruning, the pruned domain of the
+//!   elimination order's first variable seeds a shared chunk queue, and
 //!   workers run the immutable [`JoinPlan`] with a per-worker
 //!   verification scratch, all feeding the request's one sink.
 //!
@@ -25,12 +25,11 @@
 //!   partial assignment above it. The queue is seeded with one top-level
 //!   range per worker; drained workers block on a condvar until a chunk
 //!   is donated or every worker is idle (global quiescence).
-//! * Workers enumerate the first [`STEAL_DEPTH`] join levels
-//!   **explicitly** (via [`JoinPlan::choose_branch`] /
-//!   [`wcoj::level_candidates`], so a stolen subtree branches exactly
-//!   like the sequential executor), and hand deeper subtrees to the
-//!   sequential engines ([`JoinPlan::search_from`] /
-//!   [`wcoj::search_from_level`]).
+//! * Workers enumerate the first [`STEAL_DEPTH`] levels of the
+//!   elimination order **explicitly** (via [`wcoj::level_candidates`],
+//!   which enumerates exactly what the sequential search would, so a
+//!   stolen subtree branches like it), and hand deeper subtrees to the
+//!   sequential search ([`wcoj::search_from_level`]).
 //! * **Split invariant**: every explicitly enumerated level re-checks for
 //!   starving siblings before each candidate, and donates the upper half
 //!   of *its own* remaining range. Because the innermost level iterates
@@ -54,7 +53,7 @@
 //! under the lock. The moment the sink answers [`SinkStatus::Stop`], the
 //! worker raises the [`StealCtx`] **cancel flag**; every other worker
 //! observes it through `should_stop` — checked at search-node entry by the
-//! sequential engines and per candidate by [`enumerate_range`] — and
+//! sequential search and per candidate by [`enumerate_range`] — and
 //! [`next_chunk`] drains the queue, so the run reaches quiescence
 //! promptly. Overshoot is bounded: past the flag, a worker can at most
 //! finish the candidate it was already verifying (one late insert each),
@@ -81,20 +80,24 @@ use std::sync::Arc;
 const STEAL_DEPTH: usize = 3;
 
 /// The work-stealing scheduler (see the module docs): seeds one top-level
-/// range of `var`'s candidates per worker, then lets drained workers
-/// receive donated subtree ranges until global quiescence. Every worker
-/// feeds `out` through a [`WorkerSink`], so an early-exit sink stops the
-/// whole fleet via the [`StealCtx`] cancel flag. Returns
-/// [`SinkStatus::Stop`] iff `out` wants no further tuples.
+/// range of `order[0]`'s candidates (its pruned domain) per worker, then
+/// lets drained workers receive donated subtree ranges until global
+/// quiescence. Every worker feeds `out` through a [`WorkerSink`], so an
+/// early-exit sink stops the whole fleet via the [`StealCtx`] cancel
+/// flag. Returns [`SinkStatus::Stop`] iff `out` wants no further tuples.
 pub(crate) fn search_work_stealing<G: GraphView, S: TupleSink + Send>(
     plan: &JoinPlan<'_, G>,
-    wcoj_order: Option<&[Var]>,
-    var: Var,
-    cands: Vec<NodeId>,
+    order: &[Var],
     threads: usize,
     out: &mut S,
 ) -> SinkStatus {
-    let cands = Arc::new(cands);
+    let var = order[0];
+    let cands: Arc<Vec<NodeId>> = Arc::new(
+        plan.domains[var.index()]
+            .iter()
+            .map(|n| NodeId(n as u32))
+            .collect(),
+    );
     let ctx = StealCtx::new();
     seed_chunks(&ctx, plan, var, &cands, threads);
     let batch = out.never_stops();
@@ -108,7 +111,7 @@ pub(crate) fn search_work_stealing<G: GraphView, S: TupleSink + Send>(
             batch,
         };
         let mut scratch = VerifyScratch::new();
-        drain_chunks(&ctx, plan, wcoj_order, &mut scratch, &mut sink);
+        drain_chunks(&ctx, plan, order, &mut scratch, &mut sink);
         sink.flush();
     });
     let out = global
@@ -150,12 +153,12 @@ fn seed_chunks<G: GraphView>(
 
 /// One worker's drain loop: claim chunks until global quiescence. If a
 /// chunk's enumeration reports [`SinkStatus::Stop`], raises the cancel
-/// flag so every sibling — including ones deep in the sequential engines,
+/// flag so every sibling — including ones deep in the sequential search,
 /// which poll `should_stop` at search-node entry — winds down too.
 fn drain_chunks<G: GraphView>(
     ctx: &StealCtx,
     plan: &JoinPlan<'_, G>,
-    wcoj_order: Option<&[Var]>,
+    order: &[Var],
     scratch: &mut VerifyScratch,
     out: &mut dyn TupleSink,
 ) {
@@ -175,7 +178,7 @@ fn drain_chunks<G: GraphView>(
         let status = enumerate_range(
             ctx,
             plan,
-            wcoj_order,
+            order,
             var,
             &cands,
             lo,
@@ -221,7 +224,7 @@ struct StealCtx {
     starving: AtomicUsize,
     /// Raised when a shared early-exit sink answers [`SinkStatus::Stop`]:
     /// [`next_chunk`] drains the queue and [`WorkerSink::should_stop`]
-    /// makes the sequential engines unwind, so the run reaches quiescence
+    /// makes the sequential search unwind, so the run reaches quiescence
     /// without finishing the search. Never set by full-materialisation
     /// runs (their sinks always continue).
     cancel: AtomicBool,
@@ -341,13 +344,13 @@ fn next_chunk(ctx: &StealCtx) -> Option<Chunk> {
 /// invariant of the module docs). Candidates that already violate
 /// injectivity under the partial assignment are pruned via
 /// [`JoinPlan::bind_allowed`] before their subtree is descended, mirroring
-/// the sequential engines; the sink's stop signal is polled once per
+/// the sequential search; the sink's stop signal is polled once per
 /// candidate, which bounds a worker's overshoot to the subtree it had
 /// already entered.
 fn enumerate_range<G: GraphView>(
     ctx: &StealCtx,
     plan: &JoinPlan<'_, G>,
-    wcoj_order: Option<&[Var]>,
+    order: &[Var],
     var: Var,
     cands: &Arc<Vec<NodeId>>,
     mut lo: usize,
@@ -380,7 +383,7 @@ fn enumerate_range<G: GraphView>(
             continue;
         }
         assignment[var.index()] = Some(node);
-        let status = descend(ctx, plan, wcoj_order, depth + 1, assignment, scratch, out);
+        let status = descend(ctx, plan, order, depth + 1, assignment, scratch, out);
         assignment[var.index()] = None;
         if status == SinkStatus::Stop {
             return SinkStatus::Stop;
@@ -389,71 +392,41 @@ fn enumerate_range<G: GraphView>(
     SinkStatus::Continue
 }
 
-/// One explicit join level of the work-stealing search: chooses the next
-/// variable exactly as the sequential executor would, enumerates its
-/// candidates as a stealable range, and past [`STEAL_DEPTH`] (or on a
-/// complete assignment) hands the subtree to the sequential engines. The
-/// sequential entry points re-run the duplicate-projection prune; the
-/// explicit levels skip it, which only costs re-exploration — `out` is a
-/// set, so results are unaffected.
+/// One explicit join level of the work-stealing search: enumerates the
+/// candidates of `order[depth]` as a stealable range, and past
+/// [`STEAL_DEPTH`] (or on a complete assignment) hands the subtree to the
+/// sequential search. `depth` doubles as the elimination-order level: the
+/// seed chunks enumerate `order[0]`. The sequential entry point re-runs
+/// the duplicate-projection prune; the explicit levels skip it, which
+/// only costs re-exploration — `out` is a set, so results are
+/// unaffected.
 fn descend<G: GraphView>(
     ctx: &StealCtx,
     plan: &JoinPlan<'_, G>,
-    wcoj_order: Option<&[Var]>,
+    order: &[Var],
     depth: usize,
     assignment: &mut Vec<Option<NodeId>>,
     scratch: &mut VerifyScratch,
     out: &mut dyn TupleSink,
 ) -> SinkStatus {
-    match wcoj_order {
-        Some(order) => {
-            // `depth` doubles as the elimination-order level here: the
-            // seed chunks enumerate `order[0]`.
-            if depth >= STEAL_DEPTH || depth >= order.len() {
-                return wcoj::search_from_level(plan, order, depth, assignment, scratch, out);
-            }
-            let next = wcoj::level_candidates(plan, order, depth, assignment);
-            if next.is_empty() {
-                return SinkStatus::Continue;
-            }
-            let var = order[depth];
-            let next = Arc::new(next);
-            let hi = next.len();
-            enumerate_range(
-                ctx, plan, wcoj_order, var, &next, 0, hi, depth, assignment, scratch, out,
-            )
-        }
-        None => {
-            if depth >= STEAL_DEPTH {
-                return plan.search_from(assignment, scratch, out);
-            }
-            match plan.choose_branch(assignment) {
-                None => {
-                    // Complete assignment: the sequential entry verifies
-                    // and emits it.
-                    plan.search_from(assignment, scratch, out)
-                }
-                Some((var, node_set)) => {
-                    let next: Vec<NodeId> = node_set.iter().map(|n| NodeId(n as u32)).collect();
-                    if next.is_empty() {
-                        return SinkStatus::Continue;
-                    }
-                    let next = Arc::new(next);
-                    let hi = next.len();
-                    enumerate_range(
-                        ctx, plan, wcoj_order, var, &next, 0, hi, depth, assignment, scratch, out,
-                    )
-                }
-            }
-        }
+    if depth >= STEAL_DEPTH || depth >= order.len() {
+        return wcoj::search_from_level(plan, order, depth, assignment, scratch, out);
     }
+    let next = wcoj::level_candidates(plan, order, depth, assignment);
+    if next.is_empty() {
+        return SinkStatus::Continue;
+    }
+    let (var, hi, next) = (order[depth], next.len(), Arc::new(next));
+    enumerate_range(
+        ctx, plan, order, var, &next, 0, hi, depth, assignment, scratch, out,
+    )
 }
 
 /// One worker's view of the request's shared sink: duplicates are filtered
 /// through a lock-free local seen-set (one worker never re-offers a tuple
 /// it already forwarded), fresh tuples go to the `global` sink under its
 /// mutex, and the scheduler's cancel flag doubles as `should_stop` so the
-/// sequential engines unwind without finishing their subtree.
+/// sequential search unwind without finishing their subtree.
 ///
 /// `contains_tuple` consults only the local set — a subtree whose
 /// projection another worker already found is re-explored; the global
@@ -651,9 +624,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_on_cyclic_shape() {
-        // Cyclic (triangle) variants route workers through the WCOJ
-        // executor — the partitioned result must still match the
-        // sequential engine under every semantics.
+        // Cyclic (triangle) variants: the partitioned result must still
+        // match the sequential search under every semantics.
         let mut g = generators::random_graph(10, 40, &["a", "b", "c"], 23);
         let q = parse_crpq(
             "(x, y, z) <- x -[a]-> y, y -[b]-> z, z -[c]-> x",
@@ -701,9 +673,8 @@ mod tests {
 
     #[test]
     fn work_stealing_matches_on_cyclic_shape() {
-        // Cyclic shape → WCOJ executor → the explicit levels go through
-        // `wcoj::level_candidates`, which must enumerate exactly what
-        // `bind_level` would.
+        // The explicit levels go through `wcoj::level_candidates`, which
+        // must enumerate exactly what `bind_level` would.
         let mut g = generators::random_graph(12, 60, &["a", "b", "c"], 41);
         let q = parse_crpq(
             "(x, z) <- x -[a+b]-> y, y -[b+c]-> z, z -[c a*]-> x",

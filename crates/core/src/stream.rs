@@ -150,7 +150,7 @@ impl<G: GraphView + Send + Sync + 'static> Eval<'_, Arc<G>> {
         );
         let q = self.q.clone();
         let g = Arc::clone(self.g);
-        let (sem, threads, strategy) = (self.sem, self.threads, self.strategy);
+        let (sem, threads) = (self.sem, self.threads);
         TupleStream::spawn(move |tx| {
             let request = Eval {
                 q: &q,
@@ -158,7 +158,6 @@ impl<G: GraphView + Send + Sync + 'static> Eval<'_, Arc<G>> {
                 sem,
                 threads,
                 catalog: None,
-                strategy,
             };
             request.run(StreamSink {
                 seen: FxHashSet::default(),

@@ -1,11 +1,10 @@
-//! Worst-case-optimal (Generic-Join-style) executor for cyclic variant
-//! shapes.
+//! The join search: a worst-case-optimal (Generic-Join-style) executor,
+//! run on every variant shape, terminal and thread count.
 //!
-//! The backtracking binary join of [`crate::eval::JoinPlan::search_all`]
-//! is provably suboptimal on cyclic CRPQ shapes: on a triangle over three
-//! materialised atom relations it can touch `O(|R|²)` intermediate
-//! bindings where the output is only `O(|R|^{3/2})` (the AGM bound). This
-//! module implements the Generic Join recipe instead:
+//! A pairwise join is provably suboptimal on cyclic CRPQ shapes: on a
+//! triangle over three materialised atom relations it can touch `O(|R|²)`
+//! intermediate bindings where the output is only `O(|R|^{3/2})` (the AGM
+//! bound). This module implements the Generic Join recipe instead:
 //!
 //! 1. fix a **variable elimination order** up front (greedy: start from
 //!    the smallest pruned domain, then repeatedly take the
@@ -19,28 +18,26 @@
 //!    (`first_at_or_after`: binary search on sparse rows, word-scan on
 //!    dense bitsets), so a candidate costs `O(Σ seeks)` with the
 //!    **smallest view leading**, never a clone of the whole domain;
-//! 3. at a complete assignment, run exactly the same per-semantics
-//!    verification ([`JoinPlan::verify`] via [`VerifyScratch`]) and
-//!    duplicate-projection prune as the binary join — the executors differ
-//!    only in how they enumerate relation-consistent assignments.
+//! 3. at a complete assignment, run the per-semantics verification
+//!    ([`JoinPlan::verify`] via [`VerifyScratch`]) after the
+//!    duplicate-projection prune.
 //!
-//! Under query-injective semantics already-used nodes are skipped during
-//! enumeration (the binary join removes them from its candidate clone;
-//! here they are filtered as the intersection streams by).
+//! Under query-injective semantics already-used nodes are filtered as the
+//! intersection streams by.
 //!
 //! This executor honours the streaming sink contract of
 //! [`crate::eval`]: every level checks `should_stop` on entry, candidate
 //! loops unwind on [`SinkStatus::Stop`], and each bind runs the inline
 //! injectivity prune ([`JoinPlan::bind_allowed`], memoised per-atom
 //! simple-path feasibility) before descending — both invariants are
-//! documented in the `eval` module docs and must stay aligned with the
-//! binary join.
+//! documented in the `eval` module docs.
 //!
-//! Dispatch lives in [`crate::eval`]: [`JoinPlan::is_cyclic`] sends cyclic
-//! variants here under the default strategy, and
-//! [`crate::eval::EvalStrategy::Wcoj`] forces this executor on any shape
-//! (the fixed order handles acyclic variants too). Equivalence against the
-//! binary join and the enumeration oracle is property-tested in
+//! `Eval::run` computes one [`elimination_order`] per variant and either
+//! runs [`search_all`] on the calling thread or hands the order to the
+//! work-stealing scheduler of [`crate::parallel`], whose explicit levels
+//! ([`level_candidates`]) and subtree hand-off ([`search_from_level`])
+//! enumerate through the same [`each_level_candidate`]. Equivalence
+//! against the enumeration oracle is property-tested in
 //! `tests/wcoj_equivalence.rs`.
 
 use crate::eval::{JoinPlan, Semantics, SinkStatus, TupleSink, VerifyScratch};
@@ -81,11 +78,13 @@ impl View<'_> {
     }
 }
 
-/// Runs the worst-case-optimal join to completion, inserting every
-/// verified result projection into `out` — the WCOJ counterpart of
-/// [`JoinPlan::search_all`].
+/// Runs the join along `order` to completion (or until the sink stops
+/// it), inserting every verified result projection into `out`. `scratch`
+/// pools the verification buffers across solutions (and across variants
+/// when the caller reuses it); the per-plan atom memo is reset here.
 pub(crate) fn search_all<G: GraphView>(
     plan: &JoinPlan<'_, G>,
+    order: &[Var],
     scratch: &mut VerifyScratch,
     out: &mut dyn TupleSink,
 ) -> SinkStatus {
@@ -93,34 +92,22 @@ pub(crate) fn search_all<G: GraphView>(
         return SinkStatus::Continue;
     }
     scratch.begin_plan(plan.num_nodes());
-    let order = elimination_order(plan, None);
     let mut assignment: Vec<Option<NodeId>> = vec![None; plan.q.num_vars];
-    bind_level(plan, &order, 0, &mut assignment, scratch, out)
+    bind_level(plan, order, 0, &mut assignment, scratch, out)
 }
 
-/// The elimination order with `var` pinned as its head — the order the
-/// work-stealing driver of [`crate::parallel`] enumerates when it splits
-/// the candidates of `var`. It depends only on `(plan, var)`, so the
-/// driver computes it **once** per variant, not per stolen chunk.
-pub(crate) fn fixed_order<G: GraphView>(plan: &JoinPlan<'_, G>, var: Var) -> Vec<Var> {
-    elimination_order(plan, Some(var))
-}
-
-/// The static variable elimination order: `first` (when given) leads,
-/// then greedily the unordered variable with the smallest pruned domain
-/// among those **adjacent to an ordered one** — falling back to the
-/// globally smallest domain when no unordered variable is adjacent (start
-/// of a new connected component). Connectivity-first matters: a level
-/// whose variable has no bound neighbour intersects nothing but its
-/// domain, which degenerates to a cross product.
-fn elimination_order<G: GraphView>(plan: &JoinPlan<'_, G>, first: Option<Var>) -> Vec<Var> {
+/// The static variable elimination order: greedily the unordered
+/// variable with the smallest pruned domain among those **adjacent to an
+/// ordered one**, falling back to the globally smallest domain when no
+/// unordered variable is adjacent (the first variable, or the start of a
+/// new connected component); ties go to the lowest variable index.
+/// Connectivity-first matters: a level whose variable has no bound
+/// neighbour intersects nothing but its domain, which degenerates to a
+/// cross product.
+pub(crate) fn elimination_order<G: GraphView>(plan: &JoinPlan<'_, G>) -> Vec<Var> {
     let n = plan.q.num_vars;
     let mut order: Vec<Var> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
-    if let Some(v) = first {
-        order.push(v);
-        placed[v.index()] = true;
-    }
     while order.len() < n {
         let adjacent = |v: usize| {
             plan.atoms.iter().any(|a| {
@@ -191,9 +178,9 @@ fn bind_level<G: GraphView>(
     if out.should_stop() {
         return SinkStatus::Stop;
     }
-    // Duplicate-projection prune (same as the binary join): once every
-    // free variable is bound, deeper levels only vary existential
-    // variables — pointless if the projection is already a known result.
+    // Duplicate-projection prune: once every free variable is bound,
+    // deeper levels only vary existential variables — pointless if the
+    // projection is already a known result.
     let mut proj = std::mem::take(&mut scratch.tuple);
     let pruned = plan.projection_into(assignment, &mut proj) && out.contains_tuple(proj.as_slice());
     scratch.tuple = proj;

@@ -566,14 +566,6 @@ impl<'a> RelationRow<'a> {
         }
     }
 
-    /// `acc ∩= self`, without allocating.
-    pub fn intersect_into(&self, acc: &mut BitSet) {
-        match self {
-            RelationRow::Sparse(ids) => acc.intersect_with_sorted(ids),
-            RelationRow::Dense(b) => acc.intersect_with(b),
-        }
-    }
-
     /// Whether the row shares an id with `other`.
     pub fn intersects(&self, other: &BitSet) -> bool {
         match self {
@@ -583,9 +575,10 @@ impl<'a> RelationRow<'a> {
     }
 
     /// The smallest id `≥ from`, if any — the sorted-view seek primitive
-    /// of the leapfrog intersection in the worst-case-optimal join
-    /// (`crpq-core`'s `wcoj` module). `O(log k)` on sparse rows (binary
-    /// search), `O(words to the hit)` on dense rows (word scan).
+    /// of the leapfrog intersection in `crpq-core`'s join search (the
+    /// `wcoj` module, the engine's one join executor). `O(log k)` on
+    /// sparse rows (binary search), `O(words to the hit)` on dense rows
+    /// (word scan).
     #[inline]
     pub fn first_at_or_after(&self, from: usize) -> Option<usize> {
         match self {
@@ -632,12 +625,13 @@ fn dense_row(k: usize, n: usize) -> bool {
 ///
 /// This is the semi-join **domain** representation of the join engine: a
 /// per-variable candidate set starts at `V`, is cut down by atom
-/// source/target sets and relation rows, and is then cloned and
-/// intersected per backtracking step. With dense `|V|`-bit sets every one
-/// of those steps costs `O(|V|/64)` regardless of how few candidates
-/// survive; adaptively sparse sets make domain storage and per-step work
-/// `O(candidates)`, which is what keeps the join affordable at
-/// `|V| = 10⁵` where domains are almost always tiny after pruning.
+/// source/target sets and relation rows, and then joins the leapfrog
+/// intersection as one seekable view ([`NodeSet::first_at_or_after`]).
+/// With dense `|V|`-bit sets every rebuild costs `O(|V|/64)` regardless
+/// of how few candidates survive; adaptively sparse sets make domain
+/// storage and pruning work `O(candidates)`, which is what keeps the join
+/// affordable at `|V| = 10⁵` where domains are almost always tiny after
+/// pruning.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NodeSet {
     /// Sorted node ids (strictly ascending) over universe `0..universe`.
@@ -669,14 +663,6 @@ impl NodeSet {
         s
     }
 
-    /// One past the largest storable id.
-    pub fn universe(&self) -> usize {
-        match self {
-            NodeSet::Sparse { universe, .. } => *universe,
-            NodeSet::Dense(b) => b.capacity(),
-        }
-    }
-
     /// Number of ids in the set — `O(1)` sparse, but `O(|V|/64)` dense
     /// ([`BitSet::len`] popcounts the whole universe), so hot loops
     /// should record it once.
@@ -705,21 +691,6 @@ impl NodeSet {
         match self {
             NodeSet::Sparse { ids, .. } => ids.binary_search(&(v as u32)).is_ok(),
             NodeSet::Dense(b) => b.contains(v),
-        }
-    }
-
-    /// Removes `v` if present; returns whether it was. Sparse removal is
-    /// `O(k)` — callers remove a handful of μ-images, not whole domains.
-    pub fn remove(&mut self, v: usize) -> bool {
-        match self {
-            NodeSet::Sparse { ids, .. } => match ids.binary_search(&(v as u32)) {
-                Ok(p) => {
-                    ids.remove(p);
-                    true
-                }
-                Err(_) => false,
-            },
-            NodeSet::Dense(b) => b.remove(v),
         }
     }
 
@@ -769,28 +740,10 @@ impl NodeSet {
         }
     }
 
-    /// `self ∩= row` for a borrowed relation row, then re-picks the
-    /// representation — the candidate-generation step of the join.
-    pub fn intersect_with_row(&mut self, row: &RelationRow<'_>) {
-        if let (NodeSet::Sparse { .. }, RelationRow::Sparse(row_ids)) = (&*self, row) {
-            // Same sorted-id merge as a plain sorted-slice operand.
-            let row_ids = *row_ids;
-            self.intersect_with_sorted(row_ids);
-            return;
-        }
-        match (&mut *self, row) {
-            (NodeSet::Sparse { ids, .. }, RelationRow::Dense(b)) => {
-                ids.retain(|&v| b.contains(v as usize));
-            }
-            (NodeSet::Dense(bits), row) => row.intersect_into(bits),
-            (NodeSet::Sparse { .. }, RelationRow::Sparse(_)) => unreachable!("handled above"),
-        }
-        self.normalize();
-    }
-
     /// The smallest id `≥ from`, if any — the same sorted-view seek as
-    /// [`RelationRow::first_at_or_after`], so a pruned domain can join the
-    /// leapfrog intersection alongside relation rows.
+    /// [`RelationRow::first_at_or_after`], so a pruned domain joins the
+    /// leapfrog intersection alongside relation rows at every level of
+    /// the join search.
     #[inline]
     pub fn first_at_or_after(&self, from: usize) -> Option<usize> {
         match self {
@@ -1116,8 +1069,8 @@ impl RowStore {
 /// result set of an RPQ atom under standard semantics, indexed both ways:
 /// `forward(u)` is the row of `v` with `(u, v)` in the relation, and
 /// `backward(v)` the row of `u`. Both directions are what the join-based
-/// CRPQ evaluator intersects during semi-join pruning and candidate
-/// generation. Rows are density-adaptive and CSR-backed
+/// CRPQ evaluator intersects during semi-join pruning and the leapfrog
+/// candidate enumeration. Rows are density-adaptive and CSR-backed
 /// ([`RelationRow`]), and the source / target sets are cached when the
 /// relation is built, so [`Relation::source_set`] /
 /// [`Relation::target_set`] are O(1) lookups rather than full scans.
@@ -3327,30 +3280,23 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 70, 200]);
         assert!(s.contains(70) && !s.contains(71));
 
-        // Sparse ∩ sparse row.
+        // Sparse set against sparse and dense rows.
         let row_ids = [70u32, 199, 200];
-        let mut t = s.clone();
-        t.intersect_with_row(&RelationRow::Sparse(&row_ids));
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![70, 200]);
         assert!(s.intersects_row(&RelationRow::Sparse(&row_ids)));
         assert!(!s.intersects_row(&RelationRow::Sparse(&[4u32, 71])));
-
-        // Sparse ∩ dense row, and dense ∩ sparse row.
         let mut dense_bits = BitSet::new(n);
         (0..n).step_by(2).for_each(|v| {
             dense_bits.insert(v);
         });
-        let mut t = s.clone();
-        t.intersect_with_row(&RelationRow::Dense(&dense_bits));
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![70, 200]);
+        assert!(s.intersects_row(&RelationRow::Dense(&dense_bits)));
+
+        // Dense set ∩ sorted ids re-picks the representation.
         let mut d = NodeSet::Dense(dense_bits.clone());
-        d.intersect_with_row(&RelationRow::Sparse(&row_ids));
+        assert!(d.intersects_row(&RelationRow::Sparse(&row_ids)));
+        d.intersect_with_sorted(&row_ids);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![70, 200]);
         assert!(!d.is_dense(), "intersection result re-picks representation");
-
-        // Removal and sorted intersection.
-        assert!(d.remove(70) && !d.remove(70));
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.len(), 2);
         let mut u = NodeSet::from_sorted_ids(vec![1, 5, 9, 200], n);
         u.intersect_with_sorted(&[5, 200, 201]);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![5, 200]);
@@ -3362,9 +3308,6 @@ mod tests {
         let ids = [1u32, 5, 70];
         let sparse = RelationRow::Sparse(&ids);
         assert!(!sparse.is_dense());
-        let mut acc = BitSet::full(4096);
-        sparse.intersect_into(&mut acc);
-        assert_eq!(acc.iter().collect::<Vec<_>>(), vec![1, 5, 70]);
         let mut probe = BitSet::new(4096);
         probe.insert(5);
         assert!(sparse.intersects(&probe));
@@ -3383,13 +3326,11 @@ mod tests {
         let dense = RelationRow::Dense(&evens);
         assert!(dense.is_dense());
         assert_eq!(dense.len(), 100);
-        let mut acc = BitSet::new(256);
-        (0..256usize).filter(|v| v % 3 == 0).for_each(|v| {
-            acc.insert(v);
-        });
-        dense.intersect_into(&mut acc);
-        assert!(!acc.is_empty());
-        assert!(acc.iter().all(|v| v % 6 == 0 && v < 200));
+        let mut probe = BitSet::new(256);
+        probe.insert(201);
+        assert!(!dense.intersects(&probe));
+        probe.insert(198);
+        assert!(dense.intersects(&probe));
     }
 
     /// Sorts a lazy store's pair list by node id without promoting it —

@@ -1,10 +1,10 @@
 //! The read-path abstraction over frozen and mutated graphs.
 //!
 //! Every algorithm in this workspace — the RPQ sweeps, the relation
-//! materialisers, the WCOJ and work-stealing executors — reads a graph
-//! through exactly the operations collected here as [`GraphView`]:
-//! per-label successor/predecessor enumeration, node-major edge
-//! enumeration, degrees, membership, and the alphabet.
+//! materialisers, the join search and its work-stealing scheduler — reads
+//! a graph through exactly the operations collected here as
+//! [`GraphView`]: per-label successor/predecessor enumeration, node-major
+//! edge enumeration, degrees, membership, and the alphabet.
 //!
 //! Two implementors exist:
 //!

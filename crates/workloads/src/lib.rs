@@ -13,7 +13,8 @@
 //! * [`scaling`] — evaluation scaling families: data complexity (growing
 //!   graphs) and combined complexity (growing queries) (E9);
 //! * [`cyclic`] — cyclic-shape CRPQs (triangle, 4-cycle,
-//!   diamond-with-chord) for the worst-case-optimal join executor.
+//!   diamond-with-chord) and the heavy-hitter hub triangle for the
+//!   worst-case-optimal join, the engine's one join executor.
 
 pub mod cyclic;
 pub mod figure1;

@@ -72,7 +72,7 @@ pub mod prelude {
     };
     pub use crpq_core::{
         check_hierarchy, eval_boolean_trail, eval_contains_trail, eval_tuples_trail, eval_witness,
-        verify_witness, Eval, EvalStrategy, RelationCatalog, Semantics, TrailSemantics, Witness,
+        verify_witness, Eval, RelationCatalog, Semantics, TrailSemantics, Witness,
     };
     pub use crpq_graph::{generators, rpq, DeltaGraph, GraphBuilder, GraphDb, GraphView, NodeId};
     pub use crpq_query::{parse_crpq, Cq, CqAtom, Crpq, CrpqAtom, QueryClass, UnionCrpq, Var};

@@ -1,7 +1,7 @@
 //! Differential tests for the dynamic-graph read path: a [`DeltaGraph`]
 //! (base snapshot + sorted overlay) must be observationally equivalent to
 //! a frozen [`GraphDb`] rebuilt from scratch over the same edge set, under
-//! every semantics and executor — binary join, WCOJ, the work-stealing
+//! every semantics and executor — the sequential join, the work-stealing
 //! parallel executor, and the streaming producer. Schedules cover mixed
 //! insert/delete churn, delete-heavy workloads (tombstone-dominated
 //! overlays), and compaction boundaries (tiny threshold, compact + re-wrap
@@ -9,8 +9,7 @@
 //! invalidation contract: mutating label `ℓ` evicts exactly the cached
 //! relations whose NFA alphabet mentions `ℓ`.
 
-use crpq::core::{Eval, Semantics};
-use crpq::core::{EvalStrategy, RelationCatalog};
+use crpq::core::{Eval, RelationCatalog, Semantics};
 use crpq::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -59,13 +58,8 @@ fn assert_all_executors_agree(q: &Crpq, delta: &DeltaGraph, ctx: &str) {
     let shared = Arc::new(delta.clone());
     for sem in Semantics::ALL {
         let expect = Eval::new(q, &frozen).semantics(sem).tuples();
-        for strategy in [EvalStrategy::BinaryJoin, EvalStrategy::Wcoj] {
-            let got = Eval::new(q, delta)
-                .semantics(sem)
-                .strategy(strategy)
-                .tuples();
-            assert_eq!(got, expect, "{strategy:?} under {sem} [{ctx}]");
-        }
+        let got = Eval::new(q, delta).semantics(sem).tuples();
+        assert_eq!(got, expect, "sequential under {sem} [{ctx}]");
         let parallel = Eval::new(q, delta).semantics(sem).threads(4).tuples();
         assert_eq!(parallel, expect, "parallel under {sem} [{ctx}]");
         let mut streamed: Vec<Vec<NodeId>> =

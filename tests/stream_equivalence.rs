@@ -1,13 +1,13 @@
 //! Differential tests for the streaming enumeration API: a collected
 //! stream must equal the fully materialised answer set under every
-//! semantics and executor (binary join, WCOJ, work-stealing parallel),
+//! semantics, sequential and work-stealing parallel,
 //! `Eval::limit(k)` must return exactly `min(k, |answers|)` true answers,
 //! and `Eval::ask` must agree with non-emptiness, cold and on a warm
 //! caller catalog. Plus the consumer-side
 //! cancellation path: dropping a stream after a few tuples must wind the
 //! producer down without hanging or panicking.
 
-use crpq::core::{Eval, EvalStrategy, RelationCatalog};
+use crpq::core::{Eval, RelationCatalog};
 use crpq::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -22,33 +22,30 @@ fn collect_sorted(stream: crpq::core::stream::TupleStream) -> Vec<Vec<NodeId>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Stream-collected == materialised for every semantics × executor on
-    /// skewed Zipf graphs (the work-stealing bench family).
+    /// Stream-collected == materialised for every semantics, sequential
+    /// and parallel, on skewed Zipf graphs (the work-stealing bench
+    /// family).
     #[test]
     fn stream_matches_materialised(seed in 0u64..100_000) {
         let mut g = generators::zipf_label_graph(30, 120, 16, 1.4, seed);
         let q = crpq::workloads::scaling::steal_query(g.alphabet_mut());
         let g = Arc::new(g);
         for sem in Semantics::ALL {
-            for strategy in [EvalStrategy::Join, EvalStrategy::BinaryJoin, EvalStrategy::Wcoj] {
-                let request = || Eval::new(&q, &g).semantics(sem).strategy(strategy);
-                let materialised = request().tuples();
-                let streamed = collect_sorted(request().stream());
-                prop_assert_eq!(
-                    streamed, materialised.clone(),
-                    "stream vs materialised: seed {} sem {} strategy {:?}", seed, sem, strategy
-                );
-            }
+            let materialised = Eval::new(&q, &g).semantics(sem).tuples();
+            let streamed = collect_sorted(Eval::new(&q, &g).semantics(sem).stream());
+            prop_assert_eq!(
+                streamed, materialised.clone(),
+                "stream vs materialised: seed {} sem {}", seed, sem
+            );
             let parallel = collect_sorted(Eval::new(&q, &g).semantics(sem).threads(4).stream());
             prop_assert_eq!(
-                parallel, Eval::new(&q, &g).semantics(sem).tuples(),
+                parallel, materialised,
                 "parallel stream vs materialised: seed {} sem {}", seed, sem
             );
         }
     }
 
-    /// Same agreement on a cyclic (triangle-ish) shape, which routes the
-    /// default strategy through the WCOJ executor.
+    /// Same agreement on a cyclic (triangle-ish) shape.
     #[test]
     fn stream_matches_materialised_on_cyclic_shape(seed in 0u64..100_000) {
         let mut g = generators::random_graph(10, 45, &["a", "b", "c"], seed);
@@ -101,7 +98,7 @@ proptest! {
     }
 
     /// `Eval::limit(k)` returns exactly `min(k, |answers|)` distinct true
-    /// answers, sorted, under every strategy — set-wise only: any k
+    /// answers, sorted, sequential and parallel — set-wise only: any k
     /// answers are valid.
     #[test]
     fn limit_returns_k_true_answers(seed in 0u64..100_000) {
@@ -110,20 +107,18 @@ proptest! {
         for sem in Semantics::ALL {
             let full = Eval::new(&q, &g).semantics(sem).tuples();
             for k in [0usize, 1, 3, full.len(), full.len() + 5] {
-                for strategy in [EvalStrategy::Join, EvalStrategy::BinaryJoin, EvalStrategy::Wcoj] {
-                    let limited = Eval::new(&q, &g).semantics(sem).strategy(strategy).limit(k);
-                    prop_assert_eq!(
-                        limited.len(), k.min(full.len()),
-                        "limit len: seed {} sem {} k {} strategy {:?}", seed, sem, k, strategy
-                    );
-                    prop_assert!(
-                        limited.iter().all(|t| full.contains(t)),
-                        "limit subset: seed {} sem {} k {} strategy {:?}", seed, sem, k, strategy
-                    );
-                    let mut sorted = limited.clone();
-                    sorted.sort();
-                    prop_assert_eq!(limited, sorted, "limit output must be sorted");
-                }
+                let limited = Eval::new(&q, &g).semantics(sem).limit(k);
+                prop_assert_eq!(
+                    limited.len(), k.min(full.len()),
+                    "limit len: seed {} sem {} k {}", seed, sem, k
+                );
+                prop_assert!(
+                    limited.iter().all(|t| full.contains(t)),
+                    "limit subset: seed {} sem {} k {}", seed, sem, k
+                );
+                let mut sorted = limited.clone();
+                sorted.sort();
+                prop_assert_eq!(limited, sorted, "limit output must be sorted");
                 let limited = Eval::new(&q, &g).semantics(sem).threads(3).limit(k);
                 prop_assert_eq!(limited.len(), k.min(full.len()));
                 prop_assert!(limited.iter().all(|t| full.contains(t)));
