@@ -110,9 +110,10 @@
 //! measured keep their trajectory.
 
 use crpq_core::{eval_tuples_enumerate, Eval, RelationCatalog, Semantics};
+use crpq_graph::rpq::{NodeSet, RelationRow};
 use crpq_graph::{DeltaGraph, DurableGraph, EdgeMutation, GraphDb, GraphView, NodeId, SyncPolicy};
 use crpq_query::{parse_crpq, Crpq};
-use crpq_util::Interner;
+use crpq_util::{BitSet, Interner};
 use crpq_workloads::{cyclic, paper_examples as paper, scaling};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -618,10 +619,52 @@ fn assert_index_layout(g: &GraphDb) {
     );
 }
 
+/// Asserts the relation memory contract on every relation `catalog`
+/// holds: per direction one CSR over the touched rows, whose heap bytes
+/// are exactly, with `t` touched rows over `n` nodes, the touched set
+/// (`4·t` while sparse, `12·⌈n/64⌉` for its bitset and rank table once
+/// `32·t ≥ n`), `8·(t + 1)` offsets (none when `t = 0`), `4` bytes per id
+/// of a sparse row and `8·⌈n/64⌉` plus its `(rank, bitset)` entry per
+/// dense row — no slot per node, no per-row kind table.
+fn assert_relation_layout(catalog: &RelationCatalog) {
+    for id in 0..catalog.len() {
+        let rel = catalog.relation(id);
+        let n = rel.num_nodes();
+        let words = n.div_ceil(64);
+        // `row(v)` = (dense, ids) of the row of touched id `v`.
+        let side = |set: &NodeSet, row: &dyn Fn(NodeId) -> (bool, usize)| {
+            let t = set.len();
+            if t == 0 {
+                return 0;
+            }
+            let (mut dense_rows, mut dense_ids) = (0, 0);
+            for (dense, k) in set.iter().map(|v| row(NodeId(v as u32))) {
+                if dense {
+                    dense_rows += 1;
+                    dense_ids += k;
+                }
+            }
+            let set_bytes = if set.is_dense() { 12 * words } else { 4 * t };
+            let dense_bytes = 8 * words + std::mem::size_of::<(u32, BitSet)>();
+            set_bytes + 8 * (t + 1) + 4 * (rel.len() - dense_ids) + dense_rows * dense_bytes
+        };
+        let shape = |r: RelationRow<'_>| (r.is_dense(), r.len());
+        let expect = side(rel.source_set(), &|u| shape(rel.forward(u)))
+            + side(rel.target_set(), &|v| shape(rel.backward(v)));
+        assert_eq!(
+            rel.heap_bytes(),
+            expect,
+            "relation {id} ({} pairs) is not exactly one CSR per direction",
+            rel.len()
+        );
+    }
+}
+
 /// Builds the label-rich graph at `n` nodes and evaluates the scale query
-/// once through the catalog engine, asserting the adjacency memory
-/// contract ([`assert_index_layout`]). With `enforce_ceiling`, build + evaluation must also finish
-/// under `ceiling_ms` — the CI scale gate.
+/// once through the catalog engine, asserting the adjacency and relation
+/// memory contracts ([`assert_index_layout`], [`assert_relation_layout`]).
+/// With `enforce_ceiling`, build + evaluation must also finish under
+/// `ceiling_ms` — the CI scale gate.
 fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usize) -> ScaleRow {
     let (mut g, build_ms) = time_once(|| scaling::label_rich_graph(n, 5));
     let q = scaling::label_rich_query(g.alphabet_mut());
@@ -634,6 +677,7 @@ fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usiz
          and the smoke proves nothing"
     );
     assert_index_layout(&g);
+    assert_relation_layout(&catalog);
     if enforce_ceiling {
         let total = build_ms + eval_ms;
         assert!(
@@ -667,7 +711,8 @@ fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usiz
 /// * node-name storage is **zero** bytes (anonymous mode — the named mode
 ///   would be a single arena, never per-name `String`s);
 /// * the graph index is exactly one adjacency per direction
-///   ([`assert_index_layout`]);
+///   ([`assert_index_layout`]), and every relation exactly one CSR per
+///   direction ([`assert_relation_layout`]);
 /// * graph index + names stay under the ~200 MB budget at 10⁶ nodes (the
 ///   pre-arena layout extrapolated to ≥ 1.5 GB);
 /// * no materialisation run allocated dense per-worker stamp arrays: peak
@@ -723,9 +768,11 @@ fn measure_million(
          (one would be ≥ {} B per worker)",
         4 * n
     );
+    assert_relation_layout(&catalog);
     // Building a relation's backward index must not allocate more than
-    // the relations hold: a cursor per node of the graph only once the
-    // distinct targets pass the parity point, otherwise one per target.
+    // the relations hold: no cursor per node of the graph, and one n-bit
+    // set of the distinct targets only once the pairs pass the parity
+    // point.
     let assembly_bytes = catalog.materialise_totals().peak_assembly_bytes;
     let rel_bytes = catalog.relation_bytes();
     assert!(
@@ -1326,26 +1373,8 @@ pub fn run_mutate_smoke(path: &str, threads: usize) {
     let scale = array_body(&prior_rows(path, "scale_rows"));
     let steal = array_body(&prior_rows(path, "steal_rows"));
     let wal = array_body(&prior_rows(path, "wal_rows"));
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(
-        "  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- --mutate-smoke\",\n",
-    );
-    json.push_str("  \"scale_rows\": [\n");
-    json.push_str(&scale);
-    json.push_str("  ],\n");
-    json.push_str("  \"steal_rows\": [\n");
-    json.push_str(&steal);
-    json.push_str("  ],\n");
-    json.push_str("  \"mutate_rows\": [\n");
-    json.push_str(&prior_mutate);
-    json.push_str(&new_mutate);
-    json.push_str("  ],\n");
-    json.push_str("  \"wal_rows\": [\n");
-    json.push_str(&wal);
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, &json).expect("write mutate smoke JSON"); // invariant: harness IO is fail-fast
-    println!("\nwrote {path}");
+    let mutate = prior_mutate + &new_mutate;
+    write_scale_file(path, "--mutate-smoke", threads, [scale, steal, mutate, wal]);
 }
 
 /// One row of the durability workloads (`wal_rows` in `BENCH_scale.json`):
@@ -1544,25 +1573,29 @@ pub fn run_wal_smoke(path: &str) {
     let scale = array_body(&prior_rows(path, "scale_rows"));
     let steal = array_body(&prior_rows(path, "steal_rows"));
     let mutate = array_body(&prior_rows(path, "mutate_rows"));
+    let wal = prior_wal + &new_wal;
+    write_scale_file(path, "--wal-smoke", 1, [scale, steal, mutate, wal]);
+}
+
+/// Writes `BENCH_scale.json` at `path`: the `experiments` mode that
+/// generated it, the `machine` it ran on with `threads` workers, and the
+/// bodies of its `scale_rows`, `steal_rows`, `mutate_rows` and `wal_rows`
+/// arrays, in that order.
+fn write_scale_file(path: &str, mode: &str, threads: usize, arrays: [String; 4]) {
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str(
-        "  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- --wal-smoke\",\n",
+    let _ = writeln!(
+        json,
+        "  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- {mode}\","
     );
-    json.push_str("  \"scale_rows\": [\n");
-    json.push_str(&scale);
-    json.push_str("  ],\n");
-    json.push_str("  \"steal_rows\": [\n");
-    json.push_str(&steal);
-    json.push_str("  ],\n");
-    json.push_str("  \"mutate_rows\": [\n");
-    json.push_str(&mutate);
-    json.push_str("  ],\n");
-    json.push_str("  \"wal_rows\": [\n");
-    json.push_str(&prior_wal);
-    json.push_str(&new_wal);
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, &json).expect("write wal smoke JSON"); // invariant: harness IO is fail-fast
+    let _ = writeln!(json, "  \"machine\": {},", machine_json(threads));
+    let names = ["scale_rows", "steal_rows", "mutate_rows", "wal_rows"];
+    for (i, (name, body)) in names.iter().zip(&arrays).enumerate() {
+        let sep = if i + 1 < names.len() { "," } else { "" };
+        let _ = write!(json, "  \"{name}\": [\n{body}  ]{sep}\n");
+    }
+    json.push_str("}\n");
+    std::fs::write(path, &json).expect("write scale smoke JSON"); // invariant: harness IO is fail-fast
     println!("\nwrote {path}");
 }
 
@@ -1691,31 +1724,12 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
     // rewrite the shared file in any order.
     let mutate = array_body(&prior_rows(path, "mutate_rows"));
     let wal = array_body(&prior_rows(path, "wal_rows"));
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(
-        "  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- --scale-smoke\",\n",
-    );
-    json.push_str("  \"scale_rows\": [\n");
-    json.push_str(&prior_scale);
-    json.push_str(&new_scale);
-    json.push_str("  ],\n");
-    json.push_str("  \"steal_rows\": [\n");
-    json.push_str(&prior_steal);
-    json.push_str(&new_steal);
-    json.push_str("  ],\n");
-    json.push_str("  \"mutate_rows\": [\n");
-    json.push_str(&mutate);
-    json.push_str("  ],\n");
-    json.push_str("  \"wal_rows\": [\n");
-    json.push_str(&wal);
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, &json).expect("write scale smoke JSON"); // invariant: harness IO is fail-fast
-    println!("\nwrote {path}");
+    let (scale, steal) = (prior_scale + &new_scale, prior_steal + &new_steal);
+    write_scale_file(path, "--scale-smoke", threads, [scale, steal, mutate, wal]);
 }
 
-/// The `machine` object of `BENCH_eval.json`: available CPUs, the smoke's
-/// resolved thread count and total RAM from `/proc/meminfo` (`0` where
+/// The `machine` object of `BENCH_eval.json` and `BENCH_scale.json`:
+/// available CPUs, the smoke's resolved thread count and total RAM from `/proc/meminfo` (`0` where
 /// either is unreadable).
 fn machine_json(threads: usize) -> String {
     let cpus = crpq_util::sync::thread::available_parallelism().map_or(0, std::num::NonZero::get);

@@ -45,23 +45,19 @@
 //!   back by [`ReachScratch::shrink_to`]). A low-output sweep over a
 //!   `10⁷ · |Q|` product costs bytes proportional to its visit count, per
 //!   worker thread.
-//! * A [`Relation`]'s per-node row index is **lazy**: sparse relations
-//!   keep a sorted `(touched id, row kind)` table over the touched-id
-//!   remap and answer [`Relation::forward`] / [`Relation::backward`] by
-//!   binary search; an untouched node costs nothing. The direct index —
-//!   a 4-byte slot per node into the `k` touched row kinds, `4·|V| + 16·k`
-//!   bytes — is only built past the same `k·32 ≥ |V|` parity point that
-//!   governs dense rows, so [`Relation::empty`] is O(1) — no allocation
-//!   at any |V| — and [`Relation::heap_bytes`] reports the actual layout.
-//! * Row payloads live in **sharded** span storage: each shard holds at
-//!   most `u32::MAX` adjacency slots, so a `4·10⁷`-edge closure packs
-//!   without overflowing the u32 flat offsets that index within a shard.
-//! * Every materialiser installs its forward rows through one
-//!   `RelationBuilder`, whose `finish` builds the backward index by one
-//!   counting sort over the forward pairs: below the `t·32 ≥ |V|` parity
-//!   point (`t` = distinct targets) its buckets are the sorted distinct
-//!   targets, so a relation touching t of 10⁷ nodes never scans `0..|V|`;
-//!   past it they are node-indexed ([`Relation::assembly_ops`] is the
+//! * Each direction of a [`Relation`] is one CSR over its **touched**
+//!   rows: the touched ids (the source or target set), one offset per
+//!   touched row, the sparse rows' ids and the dense rows' bitsets. A row
+//!   is found by binary search over the touched ids, or by a per-word rank
+//!   table once they pass the `k·32 ≥ |V|` parity point that also governs
+//!   dense rows; an untouched node costs nothing, so [`Relation::empty`]
+//!   allocates nothing at any |V| and [`Relation::heap_bytes`] reports
+//!   exactly what the layout allocates.
+//! * Every materialiser installs its forward rows, in ascending source
+//!   order, through one `RelationBuilder`, whose `finish` builds the
+//!   backward CSR by one counting sort over the forward pairs, bucketed by
+//!   each target's rank in the target set, so a relation touching t of
+//!   10⁷ nodes never scans `0..|V|` ([`Relation::assembly_ops`] is the
 //!   pinned observable, [`MaterialiseStats::assembly_bytes`] the
 //!   transient).
 //! * The sweep materialiser's workers claim fixed-size blocks of source
@@ -731,8 +727,8 @@ impl NodeSet {
     }
 
     /// `self ∩= other` for another [`NodeSet`] operand (e.g. a cached
-    /// relation source/target set, density-adaptive since the lazy
-    /// relation layout), dispatching on the operand's representation.
+    /// relation source/target set), dispatching on the operand's
+    /// representation.
     pub fn intersect_with_set(&mut self, other: &NodeSet) {
         match other {
             NodeSet::Sparse { ids, .. } => self.intersect_with_sorted(ids),
@@ -790,7 +786,8 @@ impl NodeSet {
             NodeSet::Dense(b) => {
                 let (k, n) = (b.len(), b.capacity());
                 if !dense_row(k, n) {
-                    let ids = b.iter().map(|v| v as u32).collect();
+                    let mut ids = Vec::with_capacity(k);
+                    ids.extend(b.iter().map(|v| v as u32));
                     *self = NodeSet::Sparse { ids, universe: n };
                 }
             }
@@ -817,251 +814,121 @@ impl Iterator for NodeSetIter<'_> {
     }
 }
 
-/// Maximum ids per sparse-row shard of a [`RowStore`]: the `u32` offset
-/// space of one [`RowKind::Sparse`] span. Rows never cross a shard
-/// boundary, so a relation whose flat id buffer outgrows one shard
-/// (2³² ids ≈ 16 GiB) simply opens the next one.
-const SHARD_CAP: usize = u32::MAX as usize;
-
-/// One direction of a [`Relation`]: adaptive rows for the **touched**
-/// nodes only, backed by a 2-level sharded CSR id buffer (sparse rows)
-/// plus a bitset pool (dense rows).
+/// One direction of a [`Relation`] in compressed sparse row form over the
+/// **touched** rows only, so an untouched node costs nothing and nothing
+/// is sized by `|V|` below the `k·32 ≥ |V|` parity point.
 ///
-/// The row table is itself density-adaptive ([`RowIndex`]): a sorted
-/// `(node id, row kind)` pair list while few rows are touched — so an
-/// empty store is O(1) and a k-row store O(k), never O(|V|) — promoted to
-/// a direct per-node slot table past the usual `k·32 ≥ |V|` parity point,
-/// where the relation is Ω(|V|) regardless and O(1) row lookup beats the
-/// binary search. A promoted index costs `4·|V| + 16·k` bytes: one `u32`
-/// slot per node into the `k` touched row kinds.
+/// `rows` holds the touched ids, which are exactly the relation's source
+/// (or target) set; a row is addressed by its **rank** among them. While
+/// `rows` is sparse the rank is a binary search over the sorted ids; once
+/// it is dense, `ranks` holds per-word prefix popcounts and a rank is one
+/// word lookup and one popcount. The row of rank `r` spans
+/// `ids[offsets[r]..offsets[r + 1]]`, except that a dense row keeps its
+/// bitset in `dense`, keyed by rank, and an empty span: a touched row is
+/// never empty, so an empty span marks a dense row.
 #[derive(Clone, Debug)]
-struct RowStore {
-    /// Number of nodes the store ranges over (`row(i)` is defined for
-    /// `i < n`, untouched rows read as empty).
-    n: usize,
-    index: RowIndex,
-    /// Sharded flat id buffer of the sparse rows: each shard holds at
-    /// most `shard_cap` ids and no row crosses a shard boundary, so a
-    /// `(shard, start, end)` triple of `u32`s addresses any row at any
-    /// total size.
-    shards: Vec<Vec<u32>>,
-    dense: Vec<BitSet>,
-    /// Per-shard id capacity — [`SHARD_CAP`] in production, settable
-    /// small in tests so the multi-shard paths are exercised without
-    /// 16 GiB allocations.
-    shard_cap: usize,
+struct Csr {
+    rows: NodeSet,
+    /// `ranks[w]` = touched ids below `64·w`; empty while `rows` is sparse.
+    ranks: Vec<u32>,
+    /// One offset per touched row plus one; empty when nothing is touched.
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+    /// Dense rows by ascending touched rank.
+    dense: Vec<(u32, BitSet)>,
 }
 
-/// The row table of a [`RowStore`] — lazy (touched rows only) or direct.
-#[derive(Clone, Debug)]
-enum RowIndex {
-    /// `(ids[i], kinds[i])` pair list of the touched rows, in install
-    /// order until [`RowStore::seal`] sorts it by node id.
-    Lazy { ids: Vec<u32>, kinds: Vec<RowKind> },
-    /// Direct per-node slot table: `kinds[slot[i]]` is the row kind of
-    /// node `i`, and [`NO_ROW`] marks an untouched node.
-    Direct { slot: Vec<u32>, kinds: Vec<RowKind> },
-}
-
-/// The slot of an untouched node in a [`RowIndex::Direct`] table.
-const NO_ROW: u32 = u32::MAX;
-
-#[derive(Clone, Copy, Debug)]
-enum RowKind {
-    Sparse { shard: u32, start: u32, end: u32 },
-    Dense { idx: u32 },
-}
-
-/// Sorts a lazy `(ids[i], kinds[i])` pair list by node id; a no-op when
-/// the rows were installed in order.
-fn sort_by_node(ids: &mut Vec<u32>, kinds: &mut Vec<RowKind>) {
-    if ids.windows(2).all(|w| w[0] < w[1]) {
-        return;
-    }
-    let mut pairs: Vec<(u32, RowKind)> = ids.iter().copied().zip(kinds.iter().copied()).collect();
-    pairs.sort_unstable_by_key(|&(id, _)| id);
-    debug_assert!(
-        pairs.windows(2).all(|w| w[0].0 < w[1].0),
-        "row installed twice"
-    );
-    *ids = pairs.iter().map(|&(id, _)| id).collect();
-    *kinds = pairs.into_iter().map(|(_, kind)| kind).collect();
-}
-
-impl RowStore {
-    /// An empty store over `n` nodes — **O(1)**: no per-node table is
-    /// allocated until enough rows are installed to justify one.
-    fn empty(n: usize) -> Self {
-        Self::with_shard_cap(n, SHARD_CAP)
-    }
-
-    fn with_shard_cap(n: usize, shard_cap: usize) -> Self {
-        RowStore {
-            n,
-            index: RowIndex::Lazy {
-                ids: Vec::new(),
-                kinds: Vec::new(),
-            },
-            shards: Vec::new(),
-            dense: Vec::new(),
-            shard_cap,
-        }
-    }
-
-    #[inline]
-    fn resolve(&self, kind: RowKind) -> RelationRow<'_> {
-        match kind {
-            RowKind::Sparse { start, end, .. } if start == end => RelationRow::Sparse(&[]),
-            RowKind::Sparse { shard, start, end } => {
-                RelationRow::Sparse(&self.shards[shard as usize][start as usize..end as usize])
+impl Csr {
+    /// A CSR over the touched `rows`, with no row installed yet: the
+    /// rank table is computed when `rows` is dense, and a sparse id list
+    /// is trimmed to its length.
+    fn new(mut rows: NodeSet) -> Self {
+        let ranks = match &mut rows {
+            NodeSet::Sparse { ids, .. } => {
+                ids.shrink_to_fit();
+                Vec::new()
             }
-            RowKind::Dense { idx } => RelationRow::Dense(&self.dense[idx as usize]),
+            NodeSet::Dense(bits) => {
+                let mut below = 0;
+                let prefix = |w: &u64| {
+                    let rank = below;
+                    below += w.count_ones();
+                    rank
+                };
+                bits.words().iter().map(prefix).collect()
+            }
+        };
+        Csr {
+            rows,
+            ranks,
+            offsets: Vec::new(),
+            ids: Vec::new(),
+            dense: Vec::new(),
         }
     }
 
-    /// The row of node `i` — O(1) on a direct index, O(log touched) on a
-    /// lazy one (binary search; only valid once the index is sorted, i.e.
-    /// after [`Self::seal`]).
+    /// The rank of `v` among the touched ids, if it is touched.
     #[inline]
-    fn row(&self, i: usize) -> RelationRow<'_> {
-        let kind = match &self.index {
-            RowIndex::Lazy { ids, kinds } => match ids.binary_search(&(i as u32)) {
-                Ok(p) => kinds[p],
-                Err(_) => return RelationRow::Sparse(&[]),
-            },
-            RowIndex::Direct { slot, kinds } => match slot[i] {
-                NO_ROW => return RelationRow::Sparse(&[]),
-                s => kinds[s as usize],
-            },
-        };
-        self.resolve(kind)
+    fn rank(&self, v: usize) -> Option<usize> {
+        match &self.rows {
+            NodeSet::Sparse { ids, .. } => ids.binary_search(&(v as u32)).ok(),
+            NodeSet::Dense(bits) => bits.contains(v).then(|| {
+                let below = bits.words()[v / 64] & ((1u64 << (v % 64)) - 1);
+                self.ranks[v / 64] as usize + below.count_ones() as usize
+            }),
+        }
+    }
+
+    /// The row of rank `r`.
+    #[inline]
+    fn row_at(&self, r: usize) -> RelationRow<'_> {
+        let (lo, hi) = (self.offsets[r], self.offsets[r + 1]);
+        if lo < hi {
+            return RelationRow::Sparse(&self.ids[lo..hi]);
+        }
+        let d = self.dense.partition_point(|&(k, _)| (k as usize) < r);
+        RelationRow::Dense(&self.dense[d].1)
+    }
+
+    /// The row of node `v` — empty when `v` is untouched.
+    #[inline]
+    fn row(&self, v: usize) -> RelationRow<'_> {
+        self.rank(v)
+            .map_or(RelationRow::Sparse(&[]), |r| self.row_at(r))
     }
 
     /// Iterates the touched rows as `(node id, row)` in ascending node
-    /// order — O(touched) on a lazy (sealed) index; on a direct one the
-    /// O(n) scan is within a 32× factor of touched by the promotion
-    /// parity. Equality and pair iteration run on this instead of `0..n`.
+    /// order — O(touched), never a `0..n` scan.
     fn touched_rows(&self) -> impl Iterator<Item = (u32, RelationRow<'_>)> + '_ {
-        let lazy = match &self.index {
-            RowIndex::Lazy { ids, kinds } => Some(
-                ids.iter()
-                    .zip(kinds)
-                    .map(move |(&id, &kind)| (id, self.resolve(kind))),
-            ),
-            RowIndex::Direct { .. } => None,
-        };
-        let direct = match &self.index {
-            RowIndex::Direct { slot, kinds } => Some(
-                slot.iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| s != NO_ROW)
-                    .map(move |(i, &s)| (i as u32, self.resolve(kinds[s as usize]))),
-            ),
-            RowIndex::Lazy { .. } => None,
-        };
-        lazy.into_iter()
-            .flatten()
-            .chain(direct.into_iter().flatten())
+        self.rows
+            .iter()
+            .enumerate()
+            .map(|(r, v)| (v as u32, self.row_at(r)))
     }
 
-    /// Reserves the `[start, end)` span of the next sparse row of `deg`
-    /// ids, opening a fresh shard when the current one cannot hold it —
-    /// rows never cross a shard boundary, so `u32` offsets address any
-    /// total buffer size.
-    fn reserve_span(&mut self, deg: usize) -> RowKind {
-        assert!(
-            deg <= self.shard_cap,
-            "a single relation row of {deg} ids exceeds the shard capacity {}",
-            self.shard_cap
-        );
-        if self
-            .shards
-            .last()
-            .is_none_or(|s| s.len() + deg > self.shard_cap)
-        {
-            self.shards.push(Vec::new());
-        }
-        let shard = self.shards.len() - 1;
-        let start = self.shards[shard].len();
-        RowKind::Sparse {
-            shard: shard as u32,
-            start: start as u32,
-            end: (start + deg) as u32,
-        }
-    }
-
-    /// Appends a sparse row for node `i` (ids strictly ascending,
-    /// non-empty).
-    fn push_sparse(&mut self, i: usize, ids: &[u32]) {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
-        let kind = self.reserve_span(ids.len());
-        self.shards.last_mut().unwrap().extend_from_slice(ids); // invariant: shards is never empty
-        self.push_kind(i, kind);
-    }
-
-    /// Installs a dense row for node `i`.
-    fn push_dense(&mut self, i: usize, bits: BitSet) {
-        let kind = RowKind::Dense {
-            idx: self.dense.len() as u32,
-        };
-        self.dense.push(bits);
-        self.push_kind(i, kind);
-    }
-
-    fn push_kind(&mut self, i: usize, kind: RowKind) {
-        match &mut self.index {
-            RowIndex::Lazy { ids, kinds } => {
-                ids.push(i as u32);
-                kinds.push(kind);
+    /// Calls `f(u, v)` for every pair, rows in ascending order.
+    fn each_pair(&self, mut f: impl FnMut(u32, usize)) {
+        for (u, row) in self.touched_rows() {
+            match row {
+                RelationRow::Sparse(ids) => ids.iter().for_each(|&v| f(u, v as usize)),
+                RelationRow::Dense(bits) => bits.iter().for_each(|v| f(u, v)),
             }
-            RowIndex::Direct { slot, kinds } => match slot[i] {
-                NO_ROW => {
-                    slot[i] = kinds.len() as u32;
-                    kinds.push(kind);
-                }
-                s => kinds[s as usize] = kind,
-            },
         }
     }
 
-    /// Finalises the index for reads: sorts the lazy pair list by node id
-    /// (a no-op for the sweeps, which install in source order;
-    /// [`rpq_reach_all`] takes sources in any order) and promotes it to a direct table past the `k·32 ≥ n`
-    /// parity point. Returns the sorted touched ids (the relation's
-    /// source/target set, for free). Idempotent on a direct index.
-    fn seal(&mut self) -> Vec<u32> {
-        match &mut self.index {
-            RowIndex::Lazy { ids, kinds } => {
-                sort_by_node(ids, kinds);
-                if dense_row(ids.len(), self.n) {
-                    let mut slot = vec![NO_ROW; self.n];
-                    for (s, &id) in ids.iter().enumerate() {
-                        slot[id as usize] = s as u32;
-                    }
-                    let ids = std::mem::take(ids);
-                    let kinds = std::mem::take(kinds);
-                    self.index = RowIndex::Direct { slot, kinds };
-                    ids
-                } else {
-                    ids.clone()
-                }
-            }
-            RowIndex::Direct { .. } => self.touched_rows().map(|(id, _)| id).collect(),
-        }
-    }
-
-    /// Heap bytes of the index, shards and dense pool — O(touched) by
-    /// construction on lazy stores (no phantom per-node table); a direct
-    /// index pays 4 bytes per node for its slot table.
+    /// Heap bytes allocated by the touched set, its rank table, the
+    /// offsets, the ids and the dense rows.
     fn heap_bytes(&self) -> usize {
-        let index = match &self.index {
-            RowIndex::Lazy { ids: nodes, kinds } | RowIndex::Direct { slot: nodes, kinds } => {
-                nodes.len() * 4 + kinds.len() * std::mem::size_of::<RowKind>()
-            }
+        let rows = match &self.rows {
+            NodeSet::Sparse { ids, .. } => 4 * ids.capacity(),
+            NodeSet::Dense(bits) => bits.heap_bytes(),
         };
-        index
-            + self.shards.iter().map(|s| s.len() * 4).sum::<usize>()
-            + self.dense.iter().map(BitSet::heap_bytes).sum::<usize>()
+        let dense: usize = self.dense.iter().map(|(_, b)| b.heap_bytes()).sum();
+        rows + dense
+            + 4 * self.ranks.capacity()
+            + std::mem::size_of::<usize>() * self.offsets.capacity()
+            + 4 * self.ids.capacity()
+            + std::mem::size_of::<(u32, BitSet)>() * self.dense.capacity()
     }
 }
 
@@ -1070,20 +937,17 @@ impl RowStore {
 /// `forward(u)` is the row of `v` with `(u, v)` in the relation, and
 /// `backward(v)` the row of `u`. Both directions are what the join-based
 /// CRPQ evaluator intersects during semi-join pruning and the leapfrog
-/// candidate enumeration. Rows are density-adaptive and CSR-backed
-/// ([`RelationRow`]), and the source / target sets are cached when the
-/// relation is built, so [`Relation::source_set`] /
+/// candidate enumeration. Each direction is one CSR over its touched rows
+/// with density-adaptive rows ([`RelationRow`]); its touched ids are the
+/// source (or target) set, so [`Relation::source_set`] /
 /// [`Relation::target_set`] are O(1) lookups rather than full scans.
 #[derive(Clone, Debug)]
 pub struct Relation {
-    fwd: RowStore,
-    rev: RowStore,
+    /// Number of nodes the relation ranges over.
+    n: usize,
+    fwd: Csr,
+    rev: Csr,
     len: usize,
-    /// Cached source/target sets, built by [`RelationBuilder::finish`]
-    /// from the touched ids (density-adaptive — O(touched) while
-    /// sparse, never a phantom `|V|`-bit allocation for a tiny relation).
-    sources: NodeSet,
-    targets: NodeSet,
     /// Loop iterations of the backward-index assembly — the observable
     /// the O(E_rel + touched) assembly contract is pinned by (regression
     /// tests assert it stays ≪ |V| on sparse relations over huge graphs).
@@ -1091,55 +955,37 @@ pub struct Relation {
 }
 
 /// Equality is **semantic** — same pair set, regardless of row
-/// representation (sparse vs. dense) or installation order — so relations
-/// from different materialisers compare equal exactly when they denote
-/// the same RPQ result.
+/// representation (sparse vs. dense) — so relations from different
+/// materialisers compare equal exactly when they denote the same RPQ
+/// result.
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
-        if self.num_nodes() != other.num_nodes() || self.len != other.len {
-            return false;
-        }
-        // Compare the non-empty forward rows in ascending source order —
-        // O(touched), so equality checks on sparse relations over huge
-        // graphs never scan `0..n`. (Empty rows are filtered because a
-        // dense row may be stored explicitly and still be empty.)
-        let mut a = self.fwd.touched_rows().filter(|(_, r)| !r.is_empty());
-        let mut b = other.fwd.touched_rows().filter(|(_, r)| !r.is_empty());
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return true,
-                (Some((ua, ra)), Some((ub, rb))) => {
-                    if ua != ub || !ra.iter().eq(rb.iter()) {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
+        // Pairs in `(source, target)` order — O(touched + len), so
+        // equality checks on sparse relations over huge graphs never scan
+        // `0..n`.
+        self.n == other.n && self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
 impl Eq for Relation {}
 
 impl Relation {
-    /// The empty relation over `n` nodes — **O(1)**: row tables, flat
-    /// buffers and the source/target sets all materialise lazily over the
-    /// touched ids, so creating (and discarding) a relation on a 10⁷-node
-    /// graph costs nothing until rows are installed.
+    /// The empty relation over `n` nodes — **O(1)**: both CSRs are sized
+    /// by their touched rows, so creating (and discarding) a relation on a
+    /// 10⁷-node graph allocates nothing.
     pub fn empty(n: usize) -> Self {
         Relation {
-            fwd: RowStore::empty(n),
-            rev: RowStore::empty(n),
+            n,
+            fwd: Csr::new(NodeSet::empty(n)),
+            rev: Csr::new(NodeSet::empty(n)),
             len: 0,
-            sources: NodeSet::empty(n),
-            targets: NodeSet::empty(n),
             assembly_ops: 0,
         }
     }
 
     /// Number of nodes the relation ranges over.
     pub fn num_nodes(&self) -> usize {
-        self.fwd.n
+        self.n
     }
 
     /// Number of pairs in the relation.
@@ -1170,16 +1016,16 @@ impl Relation {
         self.rev.row(v.index())
     }
 
-    /// The cached set of sources (`u` with at least one pair) — O(1),
-    /// density-adaptive (finalised by `RelationBuilder::finish`).
+    /// The set of sources (`u` with at least one pair) — O(1): the
+    /// touched rows of the forward CSR, density-adaptive.
     pub fn source_set(&self) -> &NodeSet {
-        &self.sources
+        &self.fwd.rows
     }
 
-    /// The cached set of targets (`v` with at least one pair) — O(1),
-    /// density-adaptive (finalised by `RelationBuilder::finish`).
+    /// The set of targets (`v` with at least one pair) — O(1): the
+    /// touched rows of the backward CSR, density-adaptive.
     pub fn target_set(&self) -> &NodeSet {
-        &self.targets
+        &self.rev.rows
     }
 
     /// Iterates all pairs in `(source, target)` order — O(touched + len),
@@ -1190,230 +1036,228 @@ impl Relation {
             .flat_map(move |(u, row)| row.iter().map(move |v| (NodeId(u), NodeId(v as u32))))
     }
 
-    /// Approximate heap bytes held by the relation's row stores and cached
-    /// node sets — the peak-RSS proxy the scale benchmarks record: O(1)
-    /// for an empty relation, O(touched) for a sparse one.
+    /// Heap bytes allocated by both CSRs — the peak-RSS proxy the scale
+    /// benchmarks record: 0 for an empty relation, O(touched + pairs) for
+    /// a sparse one. Every buffer is sized exactly, so this is also what
+    /// the allocator holds.
     pub fn heap_bytes(&self) -> usize {
-        let set = |s: &NodeSet| match s {
-            NodeSet::Sparse { ids, .. } => ids.len() * 4,
-            NodeSet::Dense(b) => b.heap_bytes(),
-        };
-        self.fwd.heap_bytes() + self.rev.heap_bytes() + set(&self.sources) + set(&self.targets)
+        self.fwd.heap_bytes() + self.rev.heap_bytes()
     }
 
     /// Loop iterations of the backward-index assembly
-    /// (`RelationBuilder::finish`): `O(E_rel + touched targets)`. Below
-    /// the `k·32 ≥ |V|` parity point nothing scales with `|V|`; the scale
-    /// regression tests pin this on a 10⁶-node graph whose relation
-    /// touches ~10² nodes.
+    /// (`RelationBuilder::finish`): `O(E_rel + touched targets)`, nothing
+    /// scaling with `|V|`; the scale regression tests pin this on 10⁶- and
+    /// 10⁷-node graphs whose relation touches ~10² nodes.
     pub fn assembly_ops(&self) -> usize {
         self.assembly_ops
     }
 }
 
-/// Calls `f(u, v)` for every pair of the forward rows of a store just
-/// sealed, whose touched ids `seal` returned as `src_ids` — the row kinds
-/// are then in the same order, so no pass scans `0..n`.
-fn each_pair(fwd: &RowStore, src_ids: &[u32], mut f: impl FnMut(u32, usize)) {
-    let (RowIndex::Lazy { kinds, .. } | RowIndex::Direct { kinds, .. }) = &fwd.index;
-    debug_assert_eq!(kinds.len(), src_ids.len());
-    for (&u, &kind) in src_ids.iter().zip(kinds) {
-        match fwd.resolve(kind) {
-            RelationRow::Sparse(ids) => ids.iter().for_each(|&v| f(u, v as usize)),
-            RelationRow::Dense(bits) => bits.iter().for_each(|v| f(u, v)),
-        }
-    }
-}
-
 /// Assembles a [`Relation`] from its forward rows — the one install path
-/// of every materialiser. Rows may arrive in any source order, at most one
-/// per source; the sweeps deliver them in ascending order, so sealing the
-/// forward index sorts nothing. [`Self::finish`] builds the backward index
-/// and the cached source/target sets.
+/// of every materialiser. Rows arrive in strictly ascending source order,
+/// at most one per source: the sweeps install their blocks in block order,
+/// the closure walks its sources ascending and [`rpq_reach_all`] sorts its
+/// sources. [`Self::finish`] builds the backward CSR.
+#[derive(Default)]
 struct RelationBuilder {
-    fwd: RowStore,
+    n: usize,
+    /// The forward CSR's parts: touched sources, offsets, sparse ids and
+    /// dense rows by rank.
+    sources: Vec<u32>,
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+    dense: Vec<(u32, BitSet)>,
     len: usize,
 }
 
-/// Fill-cursor tag of a dense backward column: the shard half of a
-/// sparse column's `(shard, offset)` cursor never reaches `u32::MAX`.
-const DENSE_COLUMN: u64 = (u32::MAX as u64) << 32;
-
 impl RelationBuilder {
     fn new(n: usize) -> Self {
-        Self::with_shard_cap(n, SHARD_CAP)
+        RelationBuilder {
+            n,
+            ..Self::default()
+        }
     }
 
-    /// A builder whose forward and backward stores open a new shard every
-    /// `shard_cap` ids — [`SHARD_CAP`] in production, small in tests.
-    fn with_shard_cap(n: usize, shard_cap: usize) -> Self {
-        RelationBuilder {
-            fwd: RowStore::with_shard_cap(n, shard_cap),
-            len: 0,
+    /// Sizes the buffers of a fresh builder for `rows` rows holding at
+    /// most `ids` ids; [`Self::finish`] trims what dense rows leave unused.
+    fn reserve_exact(&mut self, rows: usize, ids: usize) {
+        self.sources.reserve_exact(rows);
+        self.offsets.reserve_exact(rows + 1);
+        self.ids.reserve_exact(ids);
+    }
+
+    /// Opens the row of `src`, which must come after every row so far.
+    fn open_row(&mut self, src: u32) {
+        assert!(
+            self.sources.last().is_none_or(|&last| last < src),
+            "relation rows must arrive in strictly ascending source order"
+        );
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
         }
+        self.sources.push(src);
     }
 
     /// Installs the forward row of `src` from strictly ascending ids,
     /// stored dense past the `k·32 ≥ n` parity point. An empty row
     /// installs nothing.
     fn push_ids(&mut self, src: u32, ids: &[u32]) {
-        let n = self.fwd.n;
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
         if ids.is_empty() {
             return;
         }
-        self.len += ids.len();
-        if dense_row(ids.len(), n) {
-            let mut bits = BitSet::new(n);
+        if dense_row(ids.len(), self.n) {
+            let mut bits = BitSet::new(self.n);
             for &v in ids {
                 bits.insert(v as usize);
             }
-            self.fwd.push_dense(src as usize, bits);
-        } else {
-            self.fwd.push_sparse(src as usize, ids);
+            self.push_bits(src, bits);
+            return;
         }
+        self.open_row(src);
+        self.ids.extend_from_slice(ids);
+        self.offsets.push(self.ids.len());
+        self.len += ids.len();
     }
 
     /// Installs the forward row of `src` from backing words (bit `i` of
     /// word `w` = node `w·64 + i`), as the closure's reach matrix holds
     /// it; `buf` carries the ids of a sparse row.
     fn push_words(&mut self, src: u32, words: &[u64], buf: &mut Vec<u32>) {
-        let n = self.fwd.n;
         let k: usize = words.iter().map(|w| w.count_ones() as usize).sum();
-        if k > 0 && dense_row(k, n) {
-            self.push_bits(src, BitSet::from_words(words.to_vec(), n));
+        if dense_row(k, self.n) {
+            self.push_bits(src, BitSet::from_words(words.to_vec(), self.n));
             return;
         }
         buf.clear();
-        for (wi, &w) in words.iter().enumerate() {
-            let mut w = w;
-            while w != 0 {
-                buf.push((wi * 64) as u32 + w.trailing_zeros());
-                w &= w - 1;
-            }
-        }
+        extend_with_bits(buf, 0, words);
         self.push_ids(src, buf);
     }
 
-    /// Installs the forward row of `src` as the given bitset (the closure's
-    /// per-source accumulators turn dense only past the parity point).
+    /// Installs the forward row of `src` as a dense row (the closure's
+    /// per-source accumulators turn dense only past the parity point). An
+    /// empty row installs nothing.
     fn push_bits(&mut self, src: u32, bits: BitSet) {
         let k = bits.len();
         if k > 0 {
+            self.open_row(src);
+            self.dense.push((self.sources.len() as u32 - 1, bits));
+            self.offsets.push(self.ids.len());
             self.len += k;
-            self.fwd.push_dense(src as usize, bits);
         }
     }
 
-    /// Installs the rows of one swept block, in its ascending source order.
-    fn push_block(&mut self, block: &SweptBlock) {
-        let mut start = 0;
-        for &(src, end) in &block.rows {
-            self.push_ids(src, &block.targets[start..end]);
-            start = end;
-        }
-    }
-
-    /// Seals the forward index and builds the backward one by one counting
-    /// sort of the forward pairs, with one bucket per distinct target: a
-    /// degree pass sizes every column, a layout pass makes each column
-    /// dense or a zero-filled sparse span (in ascending target order, the
-    /// layout a per-target install would give), and a fill pass in
-    /// ascending source order appends every source to its column, which
-    /// keeps columns sorted.
+    /// Seals the forward CSR and builds the backward one by one counting
+    /// sort of the forward pairs, bucketed by each target's rank in the
+    /// target set: a degree pass sizes every column, a layout pass makes
+    /// each column dense or a span of exactly its degree (in ascending
+    /// target order), and a fill pass in ascending source order appends
+    /// every source to its column, which keeps columns sorted.
     ///
-    /// Past the `t·32 ≥ n` parity point, with `t` the number of distinct
-    /// targets, the buckets are node-indexed (`8n ≤ 256·t` bytes). Below
-    /// it a bucket is the target's rank among the sorted distinct targets,
-    /// so a relation touching `k` of 10⁷ nodes assembles in `O(k log k)`
-    /// with nothing sized by `n`. `stats` receives the loop iterations and
-    /// the transient bytes.
+    /// The distinct targets come from a bitset once the pairs pass the
+    /// `k·32 ≥ n` parity point (so it costs at most `4·len` bytes), and
+    /// from sorting below it, so a relation touching `k` of 10⁷ nodes
+    /// assembles in `O(k log k)`. The column cursors live in the backward
+    /// offsets. `stats` receives the loop iterations and transient bytes.
     fn finish(self, stats: &mut MaterialiseStats) -> Relation {
-        let RelationBuilder { mut fwd, len } = self;
-        let n = fwd.n;
-        let src_ids = fwd.seal();
-        // The distinct targets `tgt`, ascending: from a bitset of them when
-        // it costs at most `n/8 ≤ 4·len` bytes, else by sorting.
-        let mut seen_bytes = 0;
-        let tgt: Vec<u32> = if dense_row(len, n) {
+        let RelationBuilder {
+            n, sources, len, ..
+        } = self;
+        let mut transient = 0;
+        if dense_row(sources.len(), n) {
+            transient += 4 * sources.capacity();
+        }
+        let mut fwd = Csr::new(NodeSet::from_sorted_ids(sources, n));
+        (fwd.offsets, fwd.ids, fwd.dense) = (self.offsets, self.ids, self.dense);
+        fwd.offsets.shrink_to_fit();
+        fwd.ids.shrink_to_fit();
+        fwd.dense.shrink_to_fit();
+
+        // The target set.
+        let targets = if dense_row(len, n) {
             let mut seen = BitSet::new(n);
-            each_pair(&fwd, &src_ids, |_, v| {
+            fwd.each_pair(|_, v| {
                 seen.insert(v);
             });
-            seen_bytes = seen.heap_bytes();
-            let mut t = Vec::with_capacity(seen.len());
-            t.extend(seen.iter().map(|v| v as u32));
-            t
+            let bytes = seen.heap_bytes();
+            let mut set = NodeSet::Dense(seen);
+            set.normalize();
+            if !set.is_dense() {
+                transient += bytes;
+            }
+            set
         } else {
             let mut t = Vec::with_capacity(len);
-            each_pair(&fwd, &src_ids, |_, v| t.push(v as u32));
+            fwd.each_pair(|_, v| t.push(v as u32));
+            transient += 4 * t.capacity();
             t.sort_unstable();
             t.dedup();
-            t
+            NodeSet::from_sorted_ids(t, n)
         };
-        let node_indexed = dense_row(tgt.len(), n);
-        let bucket = |v: usize| {
-            if node_indexed {
-                v
-            } else {
-                tgt.binary_search(&(v as u32))
-                    .expect("target missing from the distinct targets") // invariant: `tgt` holds every target of these rows
+        let mut rev = Csr::new(targets);
+        let t = rev.rows.len();
+        if t > 0 {
+            // Degree pass: bucket `r + 1` counts the column of rank `r`.
+            // invariant: the target set holds every target of the pairs.
+            let bucket = |v| rev.rank(v).expect("target outside the target set") + 1;
+            let mut offsets = vec![0usize; t + 1];
+            fwd.each_pair(|_, v| offsets[bucket(v)] += 1);
+            // Layout pass: `offsets[r + 1]` becomes the fill cursor of
+            // column `r` — its start while sparse, and `sparse + i` for the
+            // `i`-th dense column, past every sparse position.
+            let sparse: usize = offsets[1..].iter().filter(|&&d| !dense_row(d, n)).sum();
+            let dense_cols = offsets[1..].iter().filter(|&&d| dense_row(d, n)).count();
+            let mut dense = Vec::with_capacity(dense_cols);
+            let mut start = 0;
+            for r in 0..t {
+                let d = offsets[r + 1];
+                offsets[r + 1] = if dense_row(d, n) {
+                    dense.push((r as u32, BitSet::new(n)));
+                    sparse + dense.len() - 1
+                } else {
+                    start += d;
+                    start - d
+                };
             }
-        };
-        // Column degrees, by bucket.
-        let mut cursor = vec![0u64; if node_indexed { n } else { tgt.len() }];
-        each_pair(&fwd, &src_ids, |_, v| cursor[bucket(v)] += 1);
-        stats.assembly_bytes = seen_bytes + 4 * tgt.capacity() + 8 * cursor.len();
-
-        // Layout pass, in ascending target order: each column becomes a
-        // dense bitset or a sparse span, and its cursor the column's fill
-        // position.
-        let mut rev = RowStore::with_shard_cap(n, fwd.shard_cap);
-        if let RowIndex::Lazy { ids, kinds } = &mut rev.index {
-            ids.reserve_exact(tgt.len());
-            kinds.reserve_exact(tgt.len());
-        }
-        for (i, &v) in tgt.iter().enumerate() {
-            let at = &mut cursor[if node_indexed { v as usize } else { i }];
-            let d = *at as usize;
-            let kind = if dense_row(d, n) {
-                rev.dense.push(BitSet::new(n));
-                RowKind::Dense {
-                    idx: rev.dense.len() as u32 - 1,
+            // Fill pass: a sparse cursor ends at the next column's start;
+            // a dense column's span then collapses to empty.
+            let mut ids = vec![0u32; sparse];
+            fwd.each_pair(|u, v| {
+                let c = bucket(v);
+                let at = offsets[c];
+                if at < sparse {
+                    ids[at] = u;
+                    offsets[c] = at + 1;
+                } else {
+                    dense[at - sparse].1.insert(u as usize);
                 }
-            } else {
-                rev.reserve_span(d)
-            };
-            *at = match kind {
-                RowKind::Dense { idx } => DENSE_COLUMN | u64::from(idx),
-                RowKind::Sparse { shard, start, end } => {
-                    rev.shards[shard as usize].resize(end as usize, 0);
-                    (u64::from(shard) << 32) | u64::from(start)
-                }
-            };
-            rev.push_kind(v as usize, kind);
-        }
-
-        // Fill pass.
-        each_pair(&fwd, &src_ids, |u, v| {
-            let c = bucket(v);
-            let at = cursor[c];
-            if at & DENSE_COLUMN == DENSE_COLUMN {
-                rev.dense[at as u32 as usize].insert(u as usize);
-            } else {
-                rev.shards[(at >> 32) as usize][at as u32 as usize] = u;
-                cursor[c] = at + 1;
+            });
+            for &(r, _) in &dense {
+                offsets[r as usize + 1] = offsets[r as usize];
             }
-        });
-        let ops = 3 * len + tgt.len();
+            (rev.offsets, rev.ids, rev.dense) = (offsets, ids, dense);
+        }
+        let ops = 3 * len + t;
         stats.assembly_ops = ops;
-        let targets = NodeSet::from_sorted_ids(rev.seal(), n);
+        stats.assembly_bytes = transient;
         Relation {
+            n,
             fwd,
             rev,
             len,
-            sources: NodeSet::from_sorted_ids(src_ids, n),
-            targets,
             assembly_ops: ops,
+        }
+    }
+}
+
+/// Appends to `out` the ids of the bits set in `words`, whose first word
+/// holds ids `64·first_word ..`.
+fn extend_with_bits(out: &mut Vec<u32>, first_word: usize, words: &[u64]) {
+    for (wi, &w) in words.iter().enumerate() {
+        let mut w = w;
+        while w != 0 {
+            out.push(((first_word + wi) * 64) as u32 + w.trailing_zeros());
+            w &= w - 1;
         }
     }
 }
@@ -1452,7 +1296,7 @@ impl PathStarts {
 /// label in L(nfa)}` by a product BFS from every source in `sources` that
 /// can start a path, reusing `scratch` across sweeps (no per-source
 /// reallocation beyond the output rows themselves). Sources may come in
-/// any order, each at most once.
+/// any order and repeat; each is swept once.
 pub fn rpq_reach_all<G: GraphView>(
     g: &G,
     nfa: &Nfa,
@@ -1460,6 +1304,9 @@ pub fn rpq_reach_all<G: GraphView>(
     scratch: &mut ReachScratch,
 ) -> Relation {
     let starts = PathStarts::new(nfa);
+    let mut sources: Vec<NodeId> = sources.into_iter().collect();
+    sources.sort_unstable();
+    sources.dedup();
     let mut builder = RelationBuilder::new(g.num_nodes());
     let mut buf: Vec<u32> = Vec::new();
     for src in sources.into_iter().filter(|&v| starts.admits(g, v)) {
@@ -1525,15 +1372,14 @@ fn sweep_blocks<G: GraphView>(
 
 /// The sweep materialiser: the calling thread on the pooled `scratch`,
 /// plus up to `threads − 1` (resolved) scoped threads with a scratch each,
-/// claim blocks of `block` source ids; the swept blocks are installed into
-/// `builder` in block order. A graph of one block spawns no thread.
+/// claim blocks of `block` source ids; the swept blocks are installed in
+/// block order. A graph of one block spawns no thread.
 fn sweep_relation<G: GraphView>(
     g: &G,
     nfa: &Nfa,
     scratch: &mut ReachScratch,
     threads: usize,
     block: usize,
-    mut builder: RelationBuilder,
     stats: &mut MaterialiseStats,
 ) -> Relation {
     let t0 = Instant::now();
@@ -1561,9 +1407,16 @@ fn sweep_relation<G: GraphView>(
     blocks.sort_unstable_by_key(|&(b, _)| b);
     stats.sweep_ms += elapsed_ms(t0);
     let t1 = Instant::now();
+    let mut builder = RelationBuilder::new(g.num_nodes());
+    let rows = blocks.iter().map(|(_, b)| b.rows.len()).sum();
+    builder.reserve_exact(rows, blocks.iter().map(|(_, b)| b.targets.len()).sum());
     for (_, block) in &blocks {
         stats.sources_swept += block.swept;
-        builder.push_block(block);
+        let mut start = 0;
+        for &(src, end) in &block.rows {
+            builder.push_ids(src, &block.targets[start..end]);
+            start = end;
+        }
     }
     drop(blocks);
     let rel = builder.finish(stats);
@@ -1611,11 +1464,11 @@ pub struct MaterialiseStats {
     pub scratch_bytes: usize,
     /// Backward-assembly loop iterations ([`Relation::assembly_ops`]).
     pub assembly_ops: usize,
-    /// Transient bytes of the backward-index assembly: the distinct
-    /// targets, their bitset when pairs pass the `k·32 ≥ |V|` parity point,
-    /// and the column cursors — node-indexed only when the distinct
-    /// targets pass it too. Released before the relation is returned, and
-    /// not part of `scratch_bytes`.
+    /// Transient bytes of the relation assembly, none sized per node: the
+    /// source ids once the source set turns dense, and the targets sorted
+    /// to find the distinct ones, or their bitset once the pairs pass the
+    /// `k·32 ≥ |V|` parity point and the target set stays sparse. Not part
+    /// of `scratch_bytes`.
     pub assembly_bytes: usize,
 }
 
@@ -1637,9 +1490,14 @@ pub fn effective_threads(threads: usize) -> usize {
 /// on the calling thread — the one-thread call of the sweep materialiser
 /// behind [`rpq_relation_auto`].
 pub fn rpq_relation<G: GraphView>(g: &G, nfa: &Nfa, scratch: &mut ReachScratch) -> Relation {
-    let builder = RelationBuilder::new(g.num_nodes());
-    let stats = &mut MaterialiseStats::default();
-    sweep_relation(g, nfa, scratch, 1, SWEEP_BLOCK, builder, stats)
+    sweep_relation(
+        g,
+        nfa,
+        scratch,
+        1,
+        SWEEP_BLOCK,
+        &mut MaterialiseStats::default(),
+    )
 }
 
 /// Per-block budget for the blocked closure's reach matrix: 2³⁰ bits
@@ -1712,8 +1570,8 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
         // (column blocks bound its matrix), so no memory gate here.
         MaterialisePath::Closure => closure_relation(g, nfa, CLOSURE_BLOCK_BUDGET_BITS, &mut stats),
         MaterialisePath::Sweeps => {
-            let (threads, builder) = (effective_threads(threads), RelationBuilder::new(n));
-            sweep_relation(g, nfa, scratch, threads, SWEEP_BLOCK, builder, &mut stats)
+            let threads = effective_threads(threads);
+            sweep_relation(g, nfa, scratch, threads, SWEEP_BLOCK, &mut stats)
         }
     };
     stats.scratch_bytes += scratch.heap_bytes();
@@ -2021,15 +1879,7 @@ fn closure_relation<G: GraphView>(
                 }
             }
             match a {
-                Accum::Ids(ids) => {
-                    for (wi, &w) in words.iter().enumerate() {
-                        let mut w = w;
-                        while w != 0 {
-                            ids.push(((wlo + wi) * 64) as u32 + w.trailing_zeros());
-                            w &= w - 1;
-                        }
-                    }
-                }
+                Accum::Ids(ids) => extend_with_bits(ids, wlo, words),
                 Accum::Bits(bits) => bits.or_words_at(wlo, words),
             }
         }
@@ -2849,11 +2699,12 @@ mod tests {
     }
 
     #[test]
-    fn node_indexed_cursors_wait_for_the_distinct_targets() {
+    fn hub_assembly_allocates_no_cursor_per_node() {
         // A hub with an `a`-edge out to every node and a `b`-edge in from
         // every node: both relations hold n − 1 pairs, past the parity
-        // point. `a` has n − 1 distinct targets and takes a cursor per
-        // node; `b` has one and must not.
+        // point. `a` has n − 1 distinct targets, `b` one; neither may
+        // allocate a cursor per node — the column cursors live in the
+        // backward offsets, one per distinct target.
         let n = 10_000;
         let mut b = crate::db::GraphBuilder::anonymous(n);
         let (a, bl) = (b.label("a"), b.label("b"));
@@ -2866,16 +2717,35 @@ mod tests {
             let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
             let (rel, stats) = rpq_relation_auto_with_stats(&g, &nfa, &mut ReachScratch::new(), 2);
             assert_eq!(rel.len(), n - 1, "{expr}");
-            (rel, stats.assembly_bytes)
+            let bytes = stats.assembly_bytes;
+            assert!(bytes <= 16 * (n - 1) + 8 + n / 8, "{expr}: {bytes} B");
+            assert!(bytes < 8 * n, "{expr}: {bytes} B, a cursor per node");
+            rel
         };
-        let (fan_out, bytes) = assemble("a");
-        assert!(bytes >= 8 * n, "{bytes} B: no cursor per node");
+        let fan_out = assemble("a");
         assert_eq!(fan_out.backward(NodeId(7)).iter().collect::<Vec<_>>(), [0]);
-        let (fan_in, bytes) = assemble("b");
-        assert!(bytes <= 16 * (n - 1) + 8, "{bytes} B for one target");
-        assert!(bytes < 8 * n, "{bytes} B: a cursor per node for one target");
+        assert!(fan_out.target_set().is_dense());
+        let fan_in = assemble("b");
         let col: Vec<usize> = fan_in.backward(NodeId(0)).iter().collect();
         assert_eq!(col, (1..n).collect::<Vec<_>>());
+        assert!(fan_in.backward(NodeId(0)).is_dense());
+    }
+
+    #[test]
+    fn reach_all_sweeps_repeated_sources_once() {
+        // `rpq_reach_all` takes sources in any order, repeats included;
+        // each must be swept once, giving exactly the one-sweep relation.
+        let mut g = crate::generators::random_graph(50, 150, &["a", "b"], 3);
+        let nfa = Nfa::from_regex(&parse_regex("a b*", g.alphabet_mut()).unwrap());
+        let expect = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+        let mut sources: Vec<NodeId> = g.nodes().chain(g.nodes()).collect();
+        let len = sources.len();
+        for i in 0..len {
+            sources.swap(i, (i * 37 + 11) % len);
+        }
+        let rel = rpq_reach_all(&g, &nfa, sources, &mut ReachScratch::new());
+        assert_eq!(rel.len(), expect.len());
+        assert_eq!(rel, expect);
     }
 
     #[test]
@@ -2909,7 +2779,6 @@ mod tests {
                 &mut ReachScratch::new(),
                 3,
                 16,
-                RelationBuilder::new(g.num_nodes()),
                 &mut MaterialiseStats::default(),
             );
             assert_eq!(swept, closure, "{expr}");
@@ -3333,161 +3202,6 @@ mod tests {
         assert!(dense.intersects(&probe));
     }
 
-    /// Sorts a lazy store's pair list by node id without promoting it —
-    /// the reference layout a promoted store must read like.
-    fn sort_lazy(store: &mut RowStore) {
-        let RowIndex::Lazy { ids, kinds } = &mut store.index else {
-            panic!("reference store must stay lazy");
-        };
-        sort_by_node(ids, kinds);
-    }
-
-    fn row_contents(row: RelationRow<'_>) -> (bool, Vec<usize>) {
-        (row.is_dense(), row.iter().collect())
-    }
-
-    /// Asserts that `store` reads exactly like the sorted lazy `lazy`:
-    /// every row, the touched-row order, and heap bytes that differ only
-    /// by the slot table replacing the id list.
-    fn assert_reads_like(store: &RowStore, lazy: &RowStore) {
-        let n = store.n;
-        for i in 0..n {
-            assert_eq!(
-                row_contents(store.row(i)),
-                row_contents(lazy.row(i)),
-                "row {i}"
-            );
-        }
-        let touched = |s: &RowStore| -> Vec<(u32, (bool, Vec<usize>))> {
-            s.touched_rows()
-                .map(|(id, row)| (id, row_contents(row)))
-                .collect()
-        };
-        assert_eq!(touched(store), touched(lazy), "touched_rows order");
-        let k = lazy.touched_rows().count();
-        let expect = match store.index {
-            RowIndex::Direct { .. } => lazy.heap_bytes() - 4 * k + 4 * n,
-            RowIndex::Lazy { .. } => lazy.heap_bytes(),
-        };
-        assert_eq!(store.heap_bytes(), expect, "heap bytes");
-    }
-
-    #[test]
-    fn promoted_row_index_reads_like_the_lazy_one() {
-        // Around the k·32 ≥ n promotion point: the promoted slot table
-        // must answer every row, the touched order and the byte count
-        // exactly like the sorted pair list it replaces — dense rows,
-        // explicitly empty rows and rows pushed after promotion included.
-        let n = 640usize;
-        for k in [n / 32 - 1, n / 32, n / 32 + 1] {
-            let mut store = RowStore::empty(n);
-            // Install order is scrambled, as parallel workers leave it.
-            for j in 0..k {
-                let i = (j * 37 + 11) % n;
-                match j % 3 {
-                    0 => {
-                        let mut bits = BitSet::new(n);
-                        for v in [j, j + 1, 600] {
-                            bits.insert(v);
-                        }
-                        store.push_dense(i, bits);
-                    }
-                    1 => store.push_sparse(i, &[]),
-                    _ => store.push_sparse(i, &[1, j as u32 + 2, 639]),
-                }
-            }
-            let mut lazy = store.clone();
-            sort_lazy(&mut lazy);
-            let sealed = store.seal();
-            assert_eq!(
-                matches!(store.index, RowIndex::Direct { .. }),
-                k * 32 >= n,
-                "promotion exactly at the parity point (k = {k})"
-            );
-            let lazy_ids: Vec<u32> = lazy.touched_rows().map(|(id, _)| id).collect();
-            assert_eq!(sealed, lazy_ids, "seal returns the sorted touched ids");
-            assert_eq!(store.seal(), lazy_ids, "sealing again is idempotent");
-            assert_reads_like(&store, &lazy);
-
-            // Rows installed after promotion land in fresh slots; a store
-            // still lazy is resealed (and crosses the parity point).
-            for target in [&mut store, &mut lazy] {
-                target.push_sparse(5, &[7, 8]);
-                let mut bits = BitSet::new(n);
-                bits.insert(3);
-                target.push_dense(n - 1, bits);
-            }
-            if matches!(store.index, RowIndex::Lazy { .. }) {
-                store.seal();
-            }
-            sort_lazy(&mut lazy);
-            assert_reads_like(&store, &lazy);
-        }
-    }
-
-    #[test]
-    fn sparse_rows_shard_past_the_offset_space() {
-        // The 2-level sharded CSR behind `RowKind::Sparse`: a flat id
-        // buffer crossing one shard's offset space opens the next shard
-        // instead of panicking (the pre-shard layout refused relations
-        // past 2³² ids with a "shard the relation" panic). Exercised with
-        // a tiny test capacity so no 16 GiB allocation is needed —
-        // production uses the full u32 offset space per shard.
-        let n = 64usize;
-        let mut store = RowStore::with_shard_cap(n, 7);
-        // Rows of 3, 3, 3 ids: the third cannot fit shard 0 (3+3+3 > 7)
-        // and must start shard 1 — rows never cross a shard boundary.
-        for (i, base) in [(0usize, 0u32), (1, 8), (2, 16), (3, 24)] {
-            store.push_sparse(i, &[base, base + 1, base + 2]);
-        }
-        assert_eq!(store.shards.len(), 2, "third row opens a second shard");
-        assert!(store.shards.iter().all(|s| s.len() <= 7));
-        store.seal();
-        for (i, base) in [(0usize, 0u32), (1, 8), (2, 16), (3, 24)] {
-            assert_eq!(
-                store.row(i).iter().collect::<Vec<_>>(),
-                vec![base as usize, base as usize + 1, base as usize + 2],
-                "row {i} readable across the shard boundary"
-            );
-        }
-        assert!(store.row(5).is_empty(), "untouched row reads empty");
-
-        // A single row larger than the shard capacity cannot be split —
-        // it must fail loudly instead of corrupting offsets.
-        let err = std::panic::catch_unwind(|| {
-            let mut s = RowStore::with_shard_cap(64, 4);
-            s.push_sparse(0, &[1, 2, 3, 4, 5]);
-        })
-        .expect_err("oversized row must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .expect("panic message is a String");
-        assert!(
-            msg.contains("shard capacity"),
-            "panic must name the shard capacity, got: {msg}"
-        );
-
-        // End-to-end: a Relation whose stores run at a tiny shard cap
-        // still assembles a correct (sorted) backward index across
-        // shards. Universe 640 keeps 3- and 6-id rows below the dense
-        // parity point, so the sparse (sharded) path is what runs.
-        let big = 640usize;
-        let mut builder = RelationBuilder::with_shard_cap(big, 7);
-        for src in 0..6u32 {
-            builder.push_ids(src, &[10, 20, 30]);
-        }
-        let rel = builder.finish(&mut MaterialiseStats::default());
-        assert!(rel.fwd.shards.len() > 1, "forward rows sharded");
-        assert!(rel.rev.shards.len() > 1, "backward rows sharded");
-        for v in [10u32, 20, 30] {
-            assert_eq!(
-                rel.backward(NodeId(v)).iter().collect::<Vec<_>>(),
-                vec![0, 1, 2, 3, 4, 5],
-                "backward column of {v} sorted across shards"
-            );
-        }
-    }
-
     #[test]
     fn sorted_view_seek_agrees_across_representations() {
         // RelationRow/NodeSet `first_at_or_after` (the WCOJ leapfrog seek)
@@ -3572,32 +3286,36 @@ mod tests {
         b.finish()
     }
 
-    /// The heap bytes the row layout must give a relation whose forward
-    /// rows are `rows`: per direction a pair list (or, past the parity
-    /// point, a slot per node) with a row kind per touched row, `4·k`
-    /// bytes per sparse row and `n` bits per dense one, plus the cached
-    /// source and target sets.
+    /// The heap bytes the CSR layout must give a relation whose forward
+    /// rows are `rows`. Per direction, with `t` touched rows: the touched
+    /// set (`4·t` while sparse, a bitset plus a `u32` rank per word once
+    /// dense), `t + 1` offsets (none when `t = 0`), `4·k` bytes per sparse
+    /// row and `n` bits plus its `(rank, bitset)` entry per dense one.
     fn expected_heap_bytes(n: usize, rows: &[Vec<usize>]) -> usize {
         let mut cols = vec![0usize; n];
         for v in rows.iter().flatten() {
             cols[*v] += 1;
         }
+        let words = n.div_ceil(64);
         let side = |degrees: &mut dyn Iterator<Item = usize>| {
             let (mut touched, mut payload) = (0, 0);
             for k in degrees.filter(|&k| k > 0) {
                 touched += 1;
                 payload += if dense_row(k, n) {
-                    8 * n.div_ceil(64)
+                    8 * words + std::mem::size_of::<(u32, BitSet)>()
                 } else {
                     4 * k
                 };
             }
-            let (index, set) = if dense_row(touched, n) {
-                (4 * n, 8 * n.div_ceil(64))
+            if touched == 0 {
+                return 0;
+            }
+            let set = if dense_row(touched, n) {
+                12 * words
             } else {
-                (4 * touched, 4 * touched)
+                4 * touched
             };
-            index + std::mem::size_of::<RowKind>() * touched + payload + set
+            set + 8 * (touched + 1) + payload
         };
         side(&mut rows.iter().map(Vec::len)) + side(&mut cols.into_iter())
     }
@@ -3639,19 +3357,18 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
         /// Every way a relation is built — the block sweeps at a small
-        /// test block size on 1, 2 and 3 workers with a small shard
-        /// capacity, the one-thread `rpq_relation`, `rpq_reach_all` over
-        /// the sources in descending order, and the cost-adaptive entry
-        /// point — equals the per-source `rpq_reach` oracle row for row in
-        /// both directions, with the same sets, length and heap bytes.
+        /// test block size on 1, 2 and 3 workers, the one-thread
+        /// `rpq_relation`, `rpq_reach_all` over the sources in descending
+        /// order, and the cost-adaptive entry point — equals the
+        /// per-source `rpq_reach` oracle row for row in both directions,
+        /// with the same sets, length and heap bytes.
         #[test]
         fn relation_builder_matches_per_source_oracle(seed in 0u64..1_000_000, shape in 0usize..12) {
             const BLOCK: usize = 16;
             // The last two shapes have few random edges: without the hub
             // the pairs stay below n/32, and with it `a* b` has many pairs
             // but few distinct targets
-            // (`node_indexed_cursors_wait_for_the_distinct_targets` pins
-            // that case).
+            // (`hub_assembly_allocates_no_cursor_per_node` pins that case).
             let (n, m, hub) = [
                 (0, 0, false),
                 (5, 15, true),
@@ -3674,10 +3391,8 @@ mod tests {
             let oracle: Vec<Vec<usize>> =
                 g.nodes().map(|u| rpq_reach(&g, &nfa, u).iter().collect()).collect();
 
-            // Sparse rows hold fewer than n/32 ids, so the small capacity
-            // fits any row and still splits both directions into shards.
             let admitted = g.nodes().filter(|&v| PathStarts::new(&nfa).admits(&g, v)).count();
-            for (threads, cap) in [1, 2, 3].into_iter().flat_map(|t| [(t, n / 32 + 1), (t, SHARD_CAP)]) {
+            for threads in [1, 2, 3] {
                 let mut stats = MaterialiseStats::default();
                 let rel = sweep_relation(
                     &g,
@@ -3685,22 +3400,15 @@ mod tests {
                     &mut ReachScratch::new(),
                     threads,
                     BLOCK,
-                    RelationBuilder::with_shard_cap(n, cap),
                     &mut stats,
                 );
                 check_against_oracle(&rel, &oracle)
-                    .map_err(|e| format!("{expr}, n {n}, threads {threads}, cap {cap}: {e}"))?;
-                for store in [&rel.fwd, &rel.rev] {
-                    let ids: usize = store.shards.iter().map(Vec::len).sum();
-                    proptest::prop_assert!(store.shards.iter().all(|s| s.len() <= cap));
-                    proptest::prop_assert!(ids <= cap || store.shards.len() > 1);
-                }
+                    .map_err(|e| format!("{expr}, n {n}, threads {threads}: {e}"))?;
                 proptest::prop_assert_eq!(stats.sources_swept, admitted);
-                // Assembly transients are O(pairs), plus a cursor per
-                // node only once the distinct targets pass the parity point.
-                let t = rel.target_set().len();
-                let cursors = if dense_row(t, n) { 8 * n } else { 0 };
-                proptest::prop_assert!(stats.assembly_bytes <= 16 * rel.len() + 8 + cursors);
+                // Assembly transients are O(pairs), plus one n-bit set once
+                // the pairs pass the parity point — never a cursor per node.
+                let seen = if dense_row(rel.len(), n) { 8 * n.div_ceil(64) } else { 0 };
+                proptest::prop_assert!(stats.assembly_bytes <= 16 * rel.len() + 8 + seen);
             }
             let descending = (0..n as u32).rev().map(NodeId);
             let relations = [

@@ -210,10 +210,17 @@ impl BitSet {
         self.iter().next()
     }
 
-    /// Heap bytes of the backing word buffer — the building block of the
-    /// O(touched) memory accounting in `crpq-graph`'s relation layer.
+    /// The backing words: bit `i` of word `w` is value `w·64 + i`.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Heap bytes allocated for the backing word buffer — the building
+    /// block of the O(touched) memory accounting in `crpq-graph`'s
+    /// relation layer.
     pub fn heap_bytes(&self) -> usize {
-        self.words.len() * 8
+        self.words.capacity() * 8
     }
 
     /// The smallest element `≥ from`, if any — the seek primitive of
