@@ -1,65 +1,16 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for the engine's design choices:
 //!
-//! * **parallel vs sequential** counter-example checking (crossbeam fan-out);
 //! * **direct vs characterisation** evaluation engines (path search vs
 //!   expansion + homomorphism — Prop 2.2/2.3);
-//! * **reachability pruning** in the homomorphism/evaluation engine
-//!   (measured via the exact-vs-overapproximate candidate domains on
-//!   clique-shaped targets);
+//! * **sequential vs work-stealing** join search (`Eval::threads`);
 //! * **trail vs simple-path** search primitives on the same instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crpq_containment::{contain_with, ContainmentConfig, Semantics};
+use crpq_containment::Semantics;
 use crpq_core::{expansion_eval, Eval};
 use crpq_graph::{generators, rpq};
-use crpq_query::expansion::ExpansionLimits;
 use crpq_query::parse_crpq;
-use crpq_util::Interner;
 use std::time::Duration;
-
-fn bench_parallel_containment(c: &mut Criterion) {
-    let mut it = Interner::new();
-    // 2^10 expansions on the ∀-side, all matched (worst case).
-    let q1 = {
-        use crpq_automata::Regex;
-        use crpq_query::{Crpq, CrpqAtom, Var};
-        let a = it.intern("a");
-        let b = it.intern("b");
-        let atoms = (0..10)
-            .map(|i| CrpqAtom {
-                src: Var(i as u32),
-                dst: Var(i as u32 + 1),
-                regex: Regex::alt(vec![Regex::lit(a), Regex::lit(b)]),
-            })
-            .collect();
-        Crpq::boolean(atoms)
-    };
-    let q2 = parse_crpq("x -[a + b]-> y", &mut it).unwrap();
-    let mut group = c.benchmark_group("ablation_parallel");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(1));
-    for threads in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                let out = contain_with(
-                    &q1,
-                    &q2,
-                    Semantics::Standard,
-                    ContainmentConfig {
-                        limits: ExpansionLimits {
-                            max_word_len: 1,
-                            max_expansions: usize::MAX,
-                        },
-                        threads: t,
-                    },
-                );
-                assert!(out.is_contained());
-            });
-        });
-    }
-    group.finish();
-}
 
 fn bench_engines(c: &mut Criterion) {
     let mut g = generators::random_graph(8, 20, &["a", "b"], 5);
@@ -127,7 +78,6 @@ fn bench_path_primitives(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_parallel_containment,
     bench_engines,
     bench_parallel_eval,
     bench_path_primitives

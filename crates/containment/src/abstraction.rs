@@ -1043,7 +1043,7 @@ fn contain_variant(q1: &Crpq, q2: &Crpq, config: AbstractionConfig) -> Option<bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::{contain_with, ContainmentConfig};
+    use crate::naive::contain_with;
     use crpq_core::Semantics;
     use crpq_query::expansion::ExpansionLimits;
     use crpq_query::parse_crpq;
@@ -1113,12 +1113,9 @@ mod tests {
                 &q1,
                 &q2,
                 Semantics::QueryInjective,
-                ContainmentConfig {
-                    limits: ExpansionLimits {
-                        max_word_len: 8,
-                        max_expansions: usize::MAX,
-                    },
-                    threads: 1,
+                ExpansionLimits {
+                    max_word_len: 8,
+                    max_expansions: usize::MAX,
                 },
             );
             if let Some(abs) = try_contain_qinj(&q1, &q2) {

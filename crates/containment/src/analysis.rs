@@ -8,7 +8,7 @@
 //! query-injective containment with infinite left-hand languages.
 
 use crate::abstraction;
-use crate::naive::{contain_with, ContainmentConfig, Outcome};
+use crate::naive::{contain_with, Outcome};
 use crate::rpq_cq;
 use crpq_core::Semantics;
 use crpq_query::expansion::ExpansionLimits;
@@ -63,7 +63,6 @@ pub fn recommended_limits(q1: &Crpq) -> ExpansionLimits {
 /// ```
 pub fn contain(q1: &Crpq, q2: &Crpq, sem: Semantics) -> Outcome {
     let limits = recommended_limits(q1);
-    let config = ContainmentConfig { limits, threads: 1 };
     let left_finite = q1.classify() != QueryClass::Crpq;
 
     if !left_finite && sem == Semantics::Standard {
@@ -72,7 +71,7 @@ pub fn contain(q1: &Crpq, q2: &Crpq, sem: Semantics) -> Outcome {
             return if verdict {
                 Outcome::Contained
             } else {
-                match contain_with(q1, q2, sem, config) {
+                match contain_with(q1, q2, sem, limits) {
                     Outcome::NotContained(ce) => Outcome::NotContained(ce),
                     _ => Outcome::NotContained(crate::naive::CounterExample {
                         witness: crpq_query::Cq::boolean(vec![]),
@@ -93,7 +92,7 @@ pub fn contain(q1: &Crpq, q2: &Crpq, sem: Semantics) -> Outcome {
                     // (the abstraction engine certifies existence only);
                     // fall back to the abstract verdict if the witness needs
                     // a longer expansion than the default budget.
-                    match contain_with(q1, q2, sem, config) {
+                    match contain_with(q1, q2, sem, limits) {
                         Outcome::NotContained(ce) => Outcome::NotContained(ce),
                         _ => Outcome::NotContained(crate::naive::CounterExample {
                             witness: crpq_query::Cq::boolean(vec![]),
@@ -105,7 +104,7 @@ pub fn contain(q1: &Crpq, q2: &Crpq, sem: Semantics) -> Outcome {
             };
         }
     }
-    contain_with(q1, q2, sem, config)
+    contain_with(q1, q2, sem, limits)
 }
 
 #[cfg(test)]

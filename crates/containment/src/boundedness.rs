@@ -42,7 +42,7 @@
 //! assert!(matches!(verdict, Boundedness::Refuted { .. }));
 //! ```
 
-use crate::naive::{contain_union_with, ContainmentConfig, CounterExample, Outcome};
+use crate::naive::{contain_union_with, CounterExample, Outcome};
 use crpq_core::Semantics;
 use crpq_query::expansion::{enumerate_expansions, ExpansionLimits};
 use crpq_query::{Cq, Crpq, UnionCrpq};
@@ -54,14 +54,14 @@ pub struct BoundednessConfig {
     pub max_level: usize,
     /// Budget for each per-level containment check; the word-length budget
     /// is raised to at least `level + 2` so each level can be refuted.
-    pub per_level: ContainmentConfig,
+    pub per_level: ExpansionLimits,
 }
 
 impl Default for BoundednessConfig {
     fn default() -> Self {
         BoundednessConfig {
             max_level: 3,
-            per_level: ContainmentConfig::default(),
+            per_level: ExpansionLimits::default(),
         }
     }
 }
@@ -115,7 +115,7 @@ pub fn truncation(q: &Crpq, k: usize, max_branches: usize) -> Vec<Cq> {
 pub fn check_boundedness(q: &Crpq, config: BoundednessConfig) -> Boundedness {
     let mut last_refutation: Option<(usize, CounterExample)> = None;
     for level in 0..=config.max_level {
-        let branches = truncation(q, level, config.per_level.limits.max_expansions);
+        let branches = truncation(q, level, config.per_level.max_expansions);
         if branches.is_empty() {
             // Q^{≤level} is empty; Q ⊆ ∅ only if Q itself has no expansion,
             // which level max_word_len-budget search below would certify —
@@ -124,7 +124,7 @@ pub fn check_boundedness(q: &Crpq, config: BoundednessConfig) -> Boundedness {
         }
         let union2 = UnionCrpq::new(branches.iter().map(Crpq::from_cq).collect::<Vec<_>>());
         let mut per_level = config.per_level;
-        per_level.limits.max_word_len = per_level.limits.max_word_len.max(level + 2);
+        per_level.max_word_len = per_level.max_word_len.max(level + 2);
         let outcome = contain_union_with(
             &UnionCrpq::single(q.clone()),
             &union2,

@@ -11,7 +11,9 @@
 //!   is complete. Decisions are exact whenever `Q₁`'s languages are finite
 //!   within the budget, and three-valued otherwise — the honest rendering of
 //!   an ExpSpace-complete (st), PSpace-complete (q-inj) and undecidable
-//!   (a-inj) problem family on bounded hardware.
+//!   (a-inj) problem family on bounded hardware. The budget is one
+//!   [`ExpansionLimits`]; CRPQ and UCRPQ containment share one sequential
+//!   counter-example walk.
 //! * [`abstraction`] — the paper's main algorithmic contribution
 //!   (Thm 5.1, Appendix C): the **PSpace abstraction algorithm** for
 //!   query-injective CRPQ/CRPQ containment, built on per-atom profile
@@ -34,5 +36,6 @@ pub mod rpq_cq;
 pub use analysis::{contain, recommended_limits};
 pub use boundedness::{check_boundedness, Boundedness, BoundednessConfig};
 pub use crpq_core::Semantics;
-pub use naive::{contain_union_with, contain_with, ContainmentConfig, CounterExample, Outcome};
+pub use crpq_query::expansion::ExpansionLimits;
+pub use naive::{contain_union_with, contain_with, CounterExample, Outcome};
 pub use optimize::{equivalent, minimize_atoms, Equivalence, MinimizeResult};

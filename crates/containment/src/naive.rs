@@ -13,14 +13,19 @@
 //! exactly. The ∀-side is exhaustive precisely when the expansion
 //! enumeration is ([`ExpansionLimits`] + finiteness), which the
 //! [`Outcome`] reports faithfully.
+//!
+//! One sequential walk, `find_counter_example`, serves both entry points:
+//! [`contain_with`] runs it with a one-query right side, and
+//! [`contain_union_with`] once per left branch against the whole right
+//! union.
 
 use crpq_core::{Eval, Semantics};
 use crpq_graph::NodeId;
 use crpq_query::expansion::{enumerate_expansions, ExpansionLimits};
 use crpq_query::{enumerate_a_inj_expansions, Cq, Crpq};
-use crpq_util::sync::atomic::{AtomicBool, Ordering};
-use crpq_util::sync::Mutex;
+use crpq_util::Symbol;
 use std::ops::ControlFlow;
+use std::slice;
 
 /// Result of a containment check.
 #[derive(Clone, Debug)]
@@ -64,86 +69,27 @@ pub struct CounterExample {
     /// The counter-example as a CQ (`E₁` or `F₁`); its free tuple is `ȳ`.
     pub witness: Cq,
     /// The expansion words chosen per atom of the ε-free variant of `Q₁`.
-    pub profile: Vec<Vec<crpq_util::Symbol>>,
+    pub profile: Vec<Vec<Symbol>>,
     /// Number of variable merges applied (0 unless ★ = a-inj).
     pub merges: usize,
 }
 
-/// Budget and execution options.
-#[derive(Clone, Copy, Debug)]
-pub struct ContainmentConfig {
-    /// Expansion enumeration budget for the ∀-side.
-    pub limits: ExpansionLimits,
-    /// Worker threads for the candidate checks (1 = sequential).
-    pub threads: usize,
-}
-
-impl Default for ContainmentConfig {
-    fn default() -> Self {
-        Self {
-            limits: ExpansionLimits::default(),
-            threads: 1,
-        }
-    }
-}
-
-/// Decides `Q₁ ⊆★ Q₂` with an explicit configuration.
+/// Decides `Q₁ ⊆★ Q₂` within the expansion budget `limits`.
 ///
 /// Both queries must have the same free-tuple arity (containment between
 /// different arities is vacuously false and rejected loudly).
-pub fn contain_with(q1: &Crpq, q2: &Crpq, sem: Semantics, config: ContainmentConfig) -> Outcome {
+pub fn contain_with(q1: &Crpq, q2: &Crpq, sem: Semantics, limits: ExpansionLimits) -> Outcome {
     assert_eq!(
         q1.free.len(),
         q2.free.len(),
         "containment requires equal free-tuple arity"
     );
-    if config.threads > 1 {
-        return contain_parallel(q1, q2, sem, config);
+    let num_symbols = alphabet_span([q1, q2]);
+    match find_counter_example(q1, slice::from_ref(q2), sem, limits, num_symbols) {
+        (Some(c), _) => Outcome::NotContained(c),
+        (None, true) => Outcome::Contained,
+        (None, false) => Outcome::Inconclusive { limits },
     }
-    let num_symbols = alphabet_span(q1, q2);
-    let mut counter: Option<CounterExample> = None;
-
-    let check = |cq: &Cq,
-                 profile: &[Vec<crpq_util::Symbol>],
-                 merges: usize,
-                 counter: &mut Option<CounterExample>|
-     -> ControlFlow<()> {
-        if !is_counter_example(cq, q2, sem, num_symbols) {
-            return ControlFlow::Continue(());
-        }
-        *counter = Some(CounterExample {
-            witness: cq.clone(),
-            profile: profile.to_vec(),
-            merges,
-        });
-        ControlFlow::Break(())
-    };
-
-    let outcome = match sem {
-        Semantics::Standard | Semantics::QueryInjective => {
-            enumerate_expansions(q1, config.limits, |exp| {
-                check(&exp.cq, &exp.profile, 0, &mut counter)
-            })
-        }
-        Semantics::AtomInjective => enumerate_a_inj_expansions(q1, config.limits, |aexp| {
-            check(&aexp.cq, &aexp.base.profile, aexp.merges(), &mut counter)
-        }),
-    };
-
-    match counter {
-        Some(c) => Outcome::NotContained(c),
-        None if outcome.complete => Outcome::Contained,
-        None => Outcome::Inconclusive {
-            limits: config.limits,
-        },
-    }
-}
-
-/// `ȳ ∉ Q₂(E₁)★`? — the ∃-side, decided by exact evaluation.
-fn is_counter_example(e1: &Cq, q2: &Crpq, sem: Semantics, num_symbols: usize) -> bool {
-    let g = e1.to_graph_anon(num_symbols);
-    let tuple: Vec<NodeId> = e1.free.iter().map(|v| NodeId(v.0)).collect();
-    !Eval::new(q2, &g).semantics(sem).contains(&tuple)
 }
 
 /// Decides `(Q₁¹ ∨ … ∨ Q₁ᵏ) ⊆★ (Q₂¹ ∨ … ∨ Q₂ᵐ)` — unions of CRPQs
@@ -158,156 +104,75 @@ pub fn contain_union_with(
     u1: &crpq_query::UnionCrpq,
     u2: &crpq_query::UnionCrpq,
     sem: Semantics,
-    config: ContainmentConfig,
+    limits: ExpansionLimits,
 ) -> Outcome {
     assert_eq!(
         u1.arity(),
         u2.arity(),
         "union containment requires equal arity"
     );
-    let num_symbols = u1
-        .branches
-        .iter()
-        .chain(&u2.branches)
-        .flat_map(|q| q.atoms.iter())
-        .flat_map(|a| a.regex.symbols())
-        .map(|s| s.index() + 1)
-        .max()
-        .unwrap_or(0);
+    let num_symbols = alphabet_span(u1.branches.iter().chain(&u2.branches));
     let mut inconclusive = false;
     for q1 in &u1.branches {
-        let mut counter: Option<CounterExample> = None;
-        let check = |cq: &Cq,
-                     profile: &[Vec<crpq_util::Symbol>],
-                     merges: usize,
-                     counter: &mut Option<CounterExample>|
-         -> ControlFlow<()> {
-            let g = cq.to_graph_anon(num_symbols);
-            let tuple: Vec<NodeId> = cq.free.iter().map(|v| NodeId(v.0)).collect();
-            let matched = u2
-                .branches
-                .iter()
-                .any(|q2| Eval::new(q2, &g).semantics(sem).contains(&tuple));
-            if matched {
-                return ControlFlow::Continue(());
-            }
-            *counter = Some(CounterExample {
-                witness: cq.clone(),
-                profile: profile.to_vec(),
-                merges,
-            });
-            ControlFlow::Break(())
-        };
-        let outcome = match sem {
-            Semantics::Standard | Semantics::QueryInjective => {
-                enumerate_expansions(q1, config.limits, |exp| {
-                    check(&exp.cq, &exp.profile, 0, &mut counter)
-                })
-            }
-            Semantics::AtomInjective => enumerate_a_inj_expansions(q1, config.limits, |aexp| {
-                check(&aexp.cq, &aexp.base.profile, aexp.merges(), &mut counter)
-            }),
-        };
-        match counter {
-            Some(c) => return Outcome::NotContained(c),
-            None if outcome.complete => {}
-            None => inconclusive = true,
+        match find_counter_example(q1, &u2.branches, sem, limits, num_symbols) {
+            (Some(c), _) => return Outcome::NotContained(c),
+            (None, complete) => inconclusive |= !complete,
         }
     }
     if inconclusive {
-        Outcome::Inconclusive {
-            limits: config.limits,
-        }
+        Outcome::Inconclusive { limits }
     } else {
         Outcome::Contained
     }
 }
 
-fn alphabet_span(q1: &Crpq, q2: &Crpq) -> usize {
-    q1.atoms
-        .iter()
-        .chain(&q2.atoms)
-        .flat_map(|a| a.regex.symbols())
-        .map(|s| s.index() + 1)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Parallel candidate checking: the enumerator batches candidates, workers
-/// evaluate them, an atomic flag short-circuits on the first counter-example.
-fn contain_parallel(q1: &Crpq, q2: &Crpq, sem: Semantics, config: ContainmentConfig) -> Outcome {
-    const BATCH: usize = 64;
-    let num_symbols = alphabet_span(q1, q2);
-    let found: Mutex<Option<CounterExample>> = Mutex::new(None);
-    let stop = AtomicBool::new(false);
-
-    let mut batch: Vec<CounterExample> = Vec::with_capacity(BATCH);
-    let process_batch = |batch: &mut Vec<CounterExample>| {
-        if batch.is_empty() || stop.load(Ordering::Relaxed) {
-            batch.clear();
-            return;
+/// The one counter-example walk: enumerates the ★-expansions of `q1`
+/// within `limits` and returns the first on which no query of `q2s` holds
+/// (the ∃-side, decided by exact evaluation over the expansion viewed as a
+/// graph), with whether the enumeration was exhaustive.
+fn find_counter_example(
+    q1: &Crpq,
+    q2s: &[Crpq],
+    sem: Semantics,
+    limits: ExpansionLimits,
+    num_symbols: usize,
+) -> (Option<CounterExample>, bool) {
+    let mut counter = None;
+    let mut check = |cq: &Cq, profile: &[Vec<Symbol>], merges: usize| {
+        let g = cq.to_graph_anon(num_symbols);
+        let tuple: Vec<NodeId> = cq.free.iter().map(|v| NodeId(v.0)).collect();
+        if q2s
+            .iter()
+            .any(|q2| Eval::new(q2, &g).semantics(sem).contains(&tuple))
+        {
+            return ControlFlow::Continue(());
         }
-        let (stop_ref, found_ref) = (&stop, &found);
-        crpq_util::sync::thread::scope(|scope| {
-            let chunk = batch.len().div_ceil(config.threads).max(1);
-            for part in batch.chunks(chunk) {
-                scope.spawn(move || {
-                    for cand in part {
-                        if stop_ref.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        if is_counter_example(&cand.witness, q2, sem, num_symbols) {
-                            *found_ref.lock().unwrap() = Some(cand.clone()); // poison: re-raise a panicked sibling worker
-                            stop_ref.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        batch.clear();
-    };
-
-    let push = |cq: &Cq,
-                profile: &[Vec<crpq_util::Symbol>],
-                merges: usize,
-                batch: &mut Vec<CounterExample>|
-     -> ControlFlow<()> {
-        batch.push(CounterExample {
+        counter = Some(CounterExample {
             witness: cq.clone(),
             profile: profile.to_vec(),
             merges,
         });
-        if batch.len() >= BATCH {
-            process_batch(batch);
-        }
-        if stop.load(Ordering::Relaxed) {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
+        ControlFlow::Break(())
     };
-
     let outcome = match sem {
         Semantics::Standard | Semantics::QueryInjective => {
-            enumerate_expansions(q1, config.limits, |exp| {
-                push(&exp.cq, &exp.profile, 0, &mut batch)
-            })
+            enumerate_expansions(q1, limits, |exp| check(&exp.cq, &exp.profile, 0))
         }
-        Semantics::AtomInjective => enumerate_a_inj_expansions(q1, config.limits, |aexp| {
-            push(&aexp.cq, &aexp.base.profile, aexp.merges(), &mut batch)
+        Semantics::AtomInjective => enumerate_a_inj_expansions(q1, limits, |aexp| {
+            check(&aexp.cq, &aexp.base.profile, aexp.merges())
         }),
     };
-    process_batch(&mut batch);
+    (counter, outcome.complete)
+}
 
-    let result = found.into_inner().unwrap(); // poison: re-raise a panicked sibling worker
-    match result {
-        Some(c) => Outcome::NotContained(c),
-        None if outcome.complete => Outcome::Contained,
-        None => Outcome::Inconclusive {
-            limits: config.limits,
-        },
-    }
+/// One more than the largest alphabet symbol the queries mention.
+fn alphabet_span<'a>(qs: impl IntoIterator<Item = &'a Crpq>) -> usize {
+    qs.into_iter()
+        .flat_map(|q| q.atoms.iter())
+        .flat_map(|a| a.regex.symbols())
+        .map(|s| s.index() + 1)
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -321,7 +186,7 @@ mod tests {
     }
 
     fn check(q1: &Crpq, q2: &Crpq, sem: Semantics) -> Outcome {
-        contain_with(q1, q2, sem, ContainmentConfig::default())
+        contain_with(q1, q2, sem, ExpansionLimits::default())
     }
 
     /// Example 4.7, first pair: Q1 = x -a-> y ∧ y -b-> z, Q2 = x -[a b]-> y.
@@ -438,26 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agrees_with_sequential() {
-        let mut it = Interner::new();
-        let q1 = q("x -[a+b]-> y, y -[a+b]-> z", &mut it);
-        let q2 = q("x -[a]-> y, y -[a]-> z", &mut it);
-        for sem in Semantics::ALL {
-            let seq = check(&q1, &q2, sem);
-            let par = contain_with(
-                &q1,
-                &q2,
-                sem,
-                ContainmentConfig {
-                    limits: ExpansionLimits::default(),
-                    threads: 4,
-                },
-            );
-            assert_eq!(seq.as_bool(), par.as_bool(), "under {sem}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "equal free-tuple arity")]
     fn arity_mismatch_panics() {
         let mut it = Interner::new();
@@ -482,7 +327,7 @@ mod tests {
                 &UnionCrpq::single(q1.clone()),
                 &UnionCrpq::new(vec![qa.clone(), qb.clone()]),
                 sem,
-                ContainmentConfig::default(),
+                ExpansionLimits::default(),
             );
             assert!(out.is_contained(), "union containment under {sem}: {out:?}");
         }
@@ -500,7 +345,7 @@ mod tests {
             &u1,
             &UnionCrpq::single(qa.clone()),
             Semantics::Standard,
-            ContainmentConfig::default(),
+            ExpansionLimits::default(),
         );
         assert!(out.is_not_contained());
         // (a ∨ b) ⊆ (b ∨ a).
@@ -508,7 +353,7 @@ mod tests {
             &u1,
             &UnionCrpq::new(vec![qb, qa]),
             Semantics::Standard,
-            ContainmentConfig::default(),
+            ExpansionLimits::default(),
         );
         assert!(out.is_contained());
     }

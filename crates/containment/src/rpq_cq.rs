@@ -289,7 +289,7 @@ fn pattern_nfa(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::{contain_with, ContainmentConfig};
+    use crate::naive::contain_with;
     use crpq_core::Semantics;
     use crpq_query::expansion::ExpansionLimits;
     use crpq_query::parse_crpq;
@@ -406,12 +406,9 @@ mod tests {
                 &q1,
                 &q2,
                 Semantics::Standard,
-                ContainmentConfig {
-                    limits: ExpansionLimits {
-                        max_word_len: 8,
-                        max_expansions: usize::MAX,
-                    },
-                    threads: 1,
+                ExpansionLimits {
+                    max_word_len: 8,
+                    max_expansions: usize::MAX,
                 },
             );
             assert_eq!(exact, naive.as_bool(), "mismatch on {t1} ⊆ {t2}");

@@ -87,6 +87,12 @@
 //!
 //! # Two engines
 //!
+//! The join engine answers every enumerating terminal; one membership
+//! engine (`VariantEval`, one pin-and-search entry `find`) answers every
+//! question about one tuple — [`Eval::contains`], the enumeration oracle
+//! [`eval_tuples_enumerate`], [`crate::witness::eval_witness`] and the
+//! trail semantics of [`crate::trail`], each with its own leaf check.
+//!
 //! **Join-based ([`Eval::tuples`], [`Eval::ask`], [`Eval::limit`] and the
 //! stream).** Every terminal that enumerates answers runs one driver,
 //! `Eval::run`, per ε-free variant in a relation-first pipeline:
@@ -122,9 +128,11 @@
 //! Boolean queries take the same path: their one possible answer is the
 //! empty projection.
 //!
-//! **Membership ([`Eval::contains`]).** Backtracks over variable
-//! assignments with (exact-for-standard, sound-for-injective) RPQ
-//! reachability pruning; fully assigned tuples are then verified per
+//! **Membership.** Pins the free variables to the tuple, backtracks over
+//! the other variables with (exact-for-standard, sound-for-injective) RPQ
+//! reachability pruning, and hands each complete, standard-reachable
+//! assignment to the caller's leaf; the first leaf that succeeds ends the
+//! search. [`Eval::contains`] and the enumeration oracle verify per
 //! semantics:
 //!
 //! * `st` — reachability pruning is already exact, nothing to re-check;
@@ -135,8 +143,14 @@
 //!   one by one, accumulating the set of used nodes so paths stay internally
 //!   disjoint (backtracking across atoms).
 //!
+//! The [`crate::witness::eval_witness`] leaf returns one path per atom
+//! instead: a shortest path under `st`, a simple path or cycle under
+//! `a-inj`, the joint placement's paths under `q-inj`. The trail leaves
+//! search trails, under `st` pruning.
+//!
 //! **Enumeration oracle ([`eval_tuples_enumerate`]).** Enumerates all
-//! `|V|^arity` candidate tuples and decides membership per tuple — the
+//! `|V|^arity` candidate tuples and decides membership per tuple, sharing
+//! one membership search per variant across the tuples — the
 //! differential-testing ground truth for [`Eval`] and the baseline of the
 //! `BENCH_eval` measurements.
 //!
@@ -294,7 +308,8 @@ impl<'a, G: GraphView> Eval<'a, G> {
 
     /// Threads for the join search (work stealing, see
     /// [`crate::parallel`]) and for a fresh catalog's materialisation.
-    /// `0` = one per available CPU, capped at 16.
+    /// `0` = one per available CPU, capped at 16; larger counts are clamped
+    /// to [`rpq::MAX_THREADS`] (256).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -560,7 +575,9 @@ pub fn eval_tuples_enumerate<G: GraphView>(q: &Crpq, g: &G, sem: Semantics) -> V
     out.into_iter().collect()
 }
 
-fn enumerate_tuples<G: GraphView, F: FnMut(&[NodeId])>(
+/// Calls `f` on every extension of `tuple[..pos]` by nodes of `g`, in
+/// lexicographic order.
+pub(crate) fn enumerate_tuples<G: GraphView, F: FnMut(&[NodeId])>(
     g: &G,
     tuple: &mut Vec<NodeId>,
     pos: usize,
@@ -579,7 +596,7 @@ fn enumerate_tuples<G: GraphView, F: FnMut(&[NodeId])>(
 pub(crate) struct CompiledAtom {
     pub(crate) src: Var,
     pub(crate) dst: Var,
-    nfa: Nfa,
+    pub(crate) nfa: Nfa,
     nfa_rev: Nfa,
     /// Whether the language is factor-deletion closed
     /// ([`crpq_automata::tractability::deletion_closed`]), which makes
@@ -690,8 +707,9 @@ impl RelationCatalog {
 
     /// An empty catalog for `g` whose per-source BFS sweeps run on
     /// `threads` workers — the calling thread plus `threads − 1` scoped
-    /// threads (`0` = one per available CPU, capped at 16); the sampled
-    /// closure escalation is unaffected.
+    /// threads (`0` = one per available CPU, capped at 16; larger counts
+    /// are clamped to [`rpq::MAX_THREADS`], 256); the sampled closure
+    /// escalation is unaffected.
     pub fn with_threads<G: GraphView>(g: &G, threads: usize) -> Self {
         RelationCatalog {
             num_nodes: g.num_nodes(),
@@ -1283,19 +1301,38 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
         (self.sem != Semantics::QueryInjective || !clash).then_some(assignment)
     }
 
-    fn contains(&mut self, tuple: &[NodeId]) -> bool {
-        let Some(mut assignment) = self.pin(tuple) else {
-            return false;
-        };
-        let mut found = false;
-        let _ = self.search(&mut assignment, &mut |this, full| {
-            if this.verify(full) {
-                found = true;
-                return ControlFlow::Break(());
+    /// The one pin-and-search entry: pins the free variables to `tuple`,
+    /// backtracks over the rest with reachability pruning, and returns the
+    /// first `Some` that `leaf` yields on a complete assignment whose every
+    /// atom pair is standard-reachable.
+    pub(crate) fn find<T>(
+        &mut self,
+        tuple: &[NodeId],
+        mut leaf: impl FnMut(&mut Self, &[NodeId]) -> Option<T>,
+    ) -> Option<T> {
+        let mut assignment = self.pin(tuple)?;
+        let mut found = None;
+        let _ = self.search(&mut assignment, &mut |this, mu| {
+            // Pruning enforced reachability for pairs bound through
+            // `candidates`; tuple-pinned pairs never pass through there
+            // (cheap thanks to the cache).
+            let reachable = (0..this.atoms.len()).all(|i| {
+                let (s, d) = (mu[this.atoms[i].src.index()], mu[this.atoms[i].dst.index()]);
+                this.reach_fwd(i, s).contains(d.index())
+            });
+            found = if reachable { leaf(this, mu) } else { None };
+            if found.is_some() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            ControlFlow::Continue(())
         });
         found
+    }
+
+    fn contains(&mut self, tuple: &[NodeId]) -> bool {
+        self.find(tuple, |this, mu| this.verify(mu).then_some(()))
+            .is_some()
     }
 
     /// Like `contains`, but returns the witnessing assignment and one node
@@ -1304,16 +1341,14 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
         &mut self,
         tuple: &[NodeId],
     ) -> Option<(Vec<NodeId>, Vec<Vec<NodeId>>)> {
-        let mut assignment = self.pin(tuple)?;
-        let mut witness = None;
-        let _ = self.search(&mut assignment, &mut |this, full| {
-            if let Some(paths) = this.verify_paths(full) {
-                witness = Some((full.to_vec(), paths));
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        });
-        witness
+        self.find(tuple, |this, mu| {
+            this.verify_paths(mu).map(|p| (mu.to_vec(), p))
+        })
+    }
+
+    /// The compiled atoms, for leaves of [`Self::find`].
+    pub(crate) fn atoms(&self) -> &[CompiledAtom] {
+        &self.atoms
     }
 
     /// Backtracks over variable assignments, invoking `visit` on complete
@@ -1402,15 +1437,10 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
         };
 
         // Self-loop atoms: reachability from the node back to itself.
-        let loop_atoms: Vec<usize> = (0..self.atoms.len())
-            .filter(|&i| self.atoms[i].src == var && self.atoms[i].dst == var)
-            .collect();
-        for i in loop_atoms {
-            cands.retain(|&n| {
-                // borrow dance: compute membership through the cache
-                let set = rpq::rpq_reach(self.g, &self.atoms[i].nfa, n);
-                set.contains(n.index())
-            });
+        for i in 0..self.atoms.len() {
+            if self.atoms[i].src == var && self.atoms[i].dst == var {
+                cands.retain(|&n| self.reach_fwd(i, n).contains(n.index()));
+            }
         }
 
         // Injectivity of μ under q-inj.
@@ -1420,19 +1450,10 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
         cands
     }
 
-    /// Verifies a complete assignment according to the semantics.
+    /// Verifies a complete, standard-reachable assignment (the leaf
+    /// precondition of [`Self::find`], and that of [`atom_injective`])
+    /// according to the semantics.
     fn verify(&mut self, mu: &[NodeId]) -> bool {
-        // Standard reachability of every atom: exact for `st`, and the
-        // precondition of [`atom_injective`]. Pruning already enforced it
-        // for pairs bound through `candidates`, but tuple-pinned pairs never
-        // pass through there (cheap thanks to the cache).
-        let reachable = (0..self.atoms.len()).all(|i| {
-            let (s, d) = (mu[self.atoms[i].src.index()], mu[self.atoms[i].dst.index()]);
-            self.reach_fwd(i, s).contains(d.index())
-        });
-        if !reachable {
-            return false;
-        }
         match self.sem {
             Semantics::Standard => true,
             Semantics::AtomInjective => (0..self.atoms.len()).all(|i| {
@@ -1483,14 +1504,11 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
                     cap
                 })
                 .collect(),
+            // On success the placement leaves one path per atom in
+            // `scratch.paths`.
             Semantics::QueryInjective => {
-                self.scratch.prepare(self.g.num_nodes(), self.atoms.len());
-                for &n in mu {
-                    self.scratch.used.insert(n.index());
-                }
-                let mut paths = Vec::with_capacity(self.atoms.len());
-                place_atoms(self.g, &self.atoms, mu, 0, &mut self.scratch, &mut paths)
-                    .then_some(paths)
+                verify_query_injective(self.g, &self.atoms, mu, &mut self.scratch)
+                    .then(|| self.scratch.paths.clone())
             }
         }
     }
@@ -1748,6 +1766,18 @@ mod tests {
 
     fn node(g: &GraphDb, n: &str) -> NodeId {
         g.node_by_name(n).unwrap()
+    }
+
+    #[test]
+    fn huge_thread_counts_are_clamped() {
+        // 100 000 OS threads would exhaust the process's memory mappings;
+        // the count resolves to at most `rpq::MAX_THREADS`.
+        assert_eq!(rpq::effective_threads(100_000), rpq::MAX_THREADS);
+        let mut g = crpq_graph::generators::random_graph(30, 90, &["a"], 3);
+        let query = q("(x, y) <- x -[a a]-> y", &mut g);
+        let one = Eval::new(&query, &g).tuples();
+        assert!(!one.is_empty());
+        assert_eq!(Eval::new(&query, &g).threads(100_000).tuples(), one);
     }
 
     /// Figure 2 reconstruction (G): u -a-> v -b-> w, w -c-> v -c-> u.

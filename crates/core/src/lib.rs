@@ -14,9 +14,10 @@
 //! * [`Eval`] — the *direct* engine, one request type for every question
 //!   the paper asks of `Q(G)_sem`: all tuples, `ASK`, `LIMIT k`, a pull
 //!   stream, or membership of one tuple. Setters pick the semantics, the
-//!   thread count, a shared [`RelationCatalog`], a forced join executor
-//!   and the deletion-closed fast path; every terminal except membership
-//!   runs one sink-driven join driver (see [`eval`]);
+//!   thread count and a shared [`RelationCatalog`]; every terminal except
+//!   membership runs one sink-driven join driver, and membership runs the
+//!   one pin-and-search membership engine that the oracles share (see
+//!   [`eval`]);
 //! * [`expansion_eval`] — the *characterisation* engine implementing
 //!   Prop 2.2/2.3 and Cor 4.5 literally: search an expansion
 //!   `E ∈ Exp(Q)` with an (ordinary / atom-injective / injective)

@@ -23,13 +23,22 @@
 //! never duplicate a whole path the inclusion holds — see the tests. The
 //! paper's §7 outlook leaves this definitional choice open; we take the
 //! disjoint-trails reading (the natural "edge-consuming" semantics).
+//!
+//! Membership runs the membership engine of [`crate::eval`] under `st`
+//! (trail semantics put no injectivity on μ): it pins the free variables,
+//! backtracks over the rest with standard-reachability pruning (every trail
+//! is a path), and decides each complete assignment with a trail leaf —
+//! [`rpq::trail_exists`] per atom for a-trail, a jointly edge-disjoint
+//! placement over [`rpq::for_each_trail`] for q-trail.
+//! [`eval_tuples_trail`] enumerates all `|V|^arity` candidate tuples and
+//! shares one search per variant across them, so its reachability caches
+//! amortise.
 
-use crpq_automata::Nfa;
+use crate::eval::{enumerate_tuples, CompiledAtom, Semantics, VariantEval};
 use crpq_graph::rpq::{self, Edge};
 use crpq_graph::{GraphDb, NodeId};
-use crpq_query::{Crpq, Var};
-use crpq_util::{BitSet, FxHashMap, FxHashSet};
-use std::collections::BTreeSet;
+use crpq_query::Crpq;
+use crpq_util::FxHashSet;
 use std::ops::ControlFlow;
 
 /// The two edge-injective semantics of §7.
@@ -83,9 +92,14 @@ pub fn eval_contains_trail(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: TrailSe
         tuple.len(),
         "tuple arity must match free tuple"
     );
-    q.epsilon_free_union()
-        .iter()
-        .any(|variant| TrailEval::new(variant, g, sem).contains(tuple))
+    q.epsilon_free_union().iter().any(|v| {
+        contains(
+            &mut VariantEval::build(v, g, Semantics::Standard),
+            g,
+            tuple,
+            sem,
+        )
+    })
 }
 
 /// Whether the Boolean query holds under a trail semantics.
@@ -99,205 +113,53 @@ pub fn eval_boolean_trail(q: &Crpq, g: &GraphDb, sem: TrailSemantics) -> bool {
 
 /// The full result set under a trail semantics (sorted, deduplicated).
 pub fn eval_tuples_trail(q: &Crpq, g: &GraphDb, sem: TrailSemantics) -> Vec<Vec<NodeId>> {
-    let mut out = BTreeSet::new();
     let variants = q.epsilon_free_union();
-    let arity = q.free.len();
-    let mut tuple = vec![NodeId(0); arity];
-    fn rec(
-        g: &GraphDb,
-        variants: &[Crpq],
-        sem: TrailSemantics,
-        tuple: &mut Vec<NodeId>,
-        pos: usize,
-        out: &mut BTreeSet<Vec<NodeId>>,
-    ) {
-        if pos == tuple.len() {
-            if variants
-                .iter()
-                .any(|v| TrailEval::new(v, g, sem).contains(tuple))
-            {
-                out.insert(tuple.clone());
-            }
-            return;
+    // One evaluator per variant, shared across candidate tuples so the
+    // reachability caches amortise.
+    let mut evals: Vec<_> = variants
+        .iter()
+        .map(|v| VariantEval::build(v, g, Semantics::Standard))
+        .collect();
+    let mut out = Vec::new();
+    let mut tuple = vec![NodeId(0); q.free.len()];
+    enumerate_tuples(g, &mut tuple, 0, &mut |tuple: &[NodeId]| {
+        if evals.iter_mut().any(|e| contains(e, g, tuple, sem)) {
+            out.push(tuple.to_vec());
         }
-        for v in g.nodes() {
-            tuple[pos] = v;
-            rec(g, variants, sem, tuple, pos + 1, out);
-        }
-    }
-    rec(g, &variants, sem, &mut tuple, 0, &mut out);
-    out.into_iter().collect()
+    });
+    // Tuples are enumerated in lexicographic order, each once.
+    out
 }
 
-struct TrailAtom {
-    src: Var,
-    dst: Var,
-    nfa: Nfa,
-    nfa_rev: Nfa,
-}
-
-struct TrailEval<'a> {
-    g: &'a GraphDb,
-    q: &'a Crpq,
-    atoms: Vec<TrailAtom>,
+/// Trail membership of `tuple` in the variant `eval` searches. `eval` runs
+/// under `st`: trail semantics put no injectivity requirement on μ, and
+/// standard reachability, which every trail witnesses, only prunes; the
+/// trail leaf decides.
+fn contains(
+    eval: &mut VariantEval<'_, GraphDb>,
+    g: &GraphDb,
+    tuple: &[NodeId],
     sem: TrailSemantics,
-    reach_fwd: FxHashMap<(usize, NodeId), BitSet>,
-    reach_back: FxHashMap<(usize, NodeId), BitSet>,
-}
-
-impl<'a> TrailEval<'a> {
-    fn new(variant: &'a Crpq, g: &'a GraphDb, sem: TrailSemantics) -> Self {
-        let atoms = variant
-            .atoms
-            .iter()
-            .map(|a| {
-                let nfa = a.nfa();
-                debug_assert!(!nfa.accepts_epsilon(), "variants must be ε-free");
-                TrailAtom {
-                    src: a.src,
-                    dst: a.dst,
-                    nfa_rev: nfa.reverse(),
-                    nfa,
-                }
-            })
-            .collect();
-        TrailEval {
-            g,
-            q: variant,
-            atoms,
-            sem,
-            reach_fwd: FxHashMap::default(),
-            reach_back: FxHashMap::default(),
-        }
-    }
-
-    fn contains(&mut self, tuple: &[NodeId]) -> bool {
-        let mut assignment: Vec<Option<NodeId>> = vec![None; self.q.num_vars];
-        for (&v, &n) in self.q.free.iter().zip(tuple) {
-            match assignment[v.index()] {
-                Some(prev) if prev != n => return false,
-                _ => assignment[v.index()] = Some(n),
-            }
-        }
-        // NOTE: no injectivity requirement on μ under trail semantics.
-        let mut found = false;
-        let _ = self.search(&mut assignment, &mut |this, full| {
-            if this.verify(full) {
-                found = true;
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        });
-        found
-    }
-
-    fn search(
-        &mut self,
-        assignment: &mut Vec<Option<NodeId>>,
-        visit: &mut dyn FnMut(&mut Self, &[NodeId]) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let mut best: Option<(Var, Vec<NodeId>)> = None;
-        for v in 0..assignment.len() {
-            if assignment[v].is_some() {
-                continue;
-            }
-            let cands = self.candidates(Var(v as u32), assignment);
-            if cands.is_empty() {
-                return ControlFlow::Continue(());
-            }
-            let better = best.as_ref().is_none_or(|(_, c)| cands.len() < c.len());
-            if better {
-                let single = cands.len() == 1;
-                best = Some((Var(v as u32), cands));
-                if single {
-                    break;
-                }
-            }
-        }
-        let Some((var, cands)) = best else {
-            let full: Vec<NodeId> = assignment.iter().map(|a| a.unwrap()).collect(); // invariant: every variable is bound at a leaf
-            return visit(self, &full);
-        };
-        for node in cands {
-            assignment[var.index()] = Some(node);
-            self.search(assignment, visit)?;
-            assignment[var.index()] = None;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn reach_fwd(&mut self, atom: usize, from: NodeId) -> &BitSet {
-        if !self.reach_fwd.contains_key(&(atom, from)) {
-            let set = rpq::rpq_reach(self.g, &self.atoms[atom].nfa, from);
-            self.reach_fwd.insert((atom, from), set);
-        }
-        &self.reach_fwd[&(atom, from)]
-    }
-
-    fn reach_back(&mut self, atom: usize, to: NodeId) -> &BitSet {
-        if !self.reach_back.contains_key(&(atom, to)) {
-            let set = rpq::rpq_reach_back(self.g, &self.atoms[atom].nfa_rev, to);
-            self.reach_back.insert((atom, to), set);
-        }
-        &self.reach_back[&(atom, to)]
-    }
-
-    fn candidates(&mut self, var: Var, assignment: &[Option<NodeId>]) -> Vec<NodeId> {
-        let mut domain: Option<BitSet> = None;
-        let restrict = |domain: &mut Option<BitSet>, set: &BitSet| match domain {
-            None => *domain = Some(set.clone()),
-            Some(d) => d.intersect_with(set),
-        };
-        for i in 0..self.atoms.len() {
-            let (src, dst) = (self.atoms[i].src, self.atoms[i].dst);
-            if src == var && dst == var {
-                continue;
-            }
-            if src == var {
-                if let Some(dst_node) = assignment[dst.index()] {
-                    let set = self.reach_back(i, dst_node).clone();
-                    restrict(&mut domain, &set);
-                }
-            }
-            if dst == var {
-                if let Some(src_node) = assignment[src.index()] {
-                    let set = self.reach_fwd(i, src_node).clone();
-                    restrict(&mut domain, &set);
-                }
-            }
-        }
-        let mut cands: Vec<NodeId> = match domain {
-            Some(d) => d.iter().map(|i| NodeId(i as u32)).collect(),
-            None => self.g.nodes().collect(),
-        };
-        let loop_atoms: Vec<usize> = (0..self.atoms.len())
-            .filter(|&i| self.atoms[i].src == var && self.atoms[i].dst == var)
-            .collect();
-        for i in loop_atoms {
-            cands.retain(|&n| rpq::rpq_reach(self.g, &self.atoms[i].nfa, n).contains(n.index()));
-        }
-        cands
-    }
-
-    fn verify(&mut self, mu: &[NodeId]) -> bool {
-        match self.sem {
-            TrailSemantics::AtomTrail => (0..self.atoms.len()).all(|i| {
-                let atom = &self.atoms[i];
-                let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
-                rpq::trail_exists(self.g, &atom.nfa, s, d)
-            }),
+) -> bool {
+    eval.find(tuple, |e, mu| {
+        let ok = match sem {
+            TrailSemantics::AtomTrail => e
+                .atoms()
+                .iter()
+                .all(|a| rpq::trail_exists(g, &a.nfa, mu[a.src.index()], mu[a.dst.index()])),
             TrailSemantics::QueryTrail => {
-                let mut used: FxHashSet<Edge> = FxHashSet::default();
-                place_trails(self.g, &self.atoms, mu, 0, &mut used)
+                place_trails(g, e.atoms(), mu, 0, &mut FxHashSet::default())
             }
-        }
-    }
+        };
+        ok.then_some(())
+    })
+    .is_some()
 }
 
 /// Joint edge-disjoint placement for query-trail semantics.
 fn place_trails(
     g: &GraphDb,
-    atoms: &[TrailAtom],
+    atoms: &[CompiledAtom],
     mu: &[NodeId],
     i: usize,
     used: &mut FxHashSet<Edge>,
@@ -331,7 +193,8 @@ fn place_trails(
 mod tests {
     use super::*;
     use crate::eval::{Eval, Semantics};
-    use crpq_graph::GraphBuilder;
+    use crpq_automata::Nfa;
+    use crpq_graph::{generators, GraphBuilder};
     use crpq_query::parse_crpq;
 
     fn graph(edges: &[(&str, &str, &str)]) -> GraphDb {
@@ -496,5 +359,125 @@ mod tests {
         assert!(!Eval::new(&q, &g)
             .semantics(Semantics::QueryInjective)
             .contains(&[u, w]));
+    }
+
+    /// Brute-force trail membership: every ε-free variant and every
+    /// μ ∈ V^vars consistent with `tuple`, with no reachability pruning;
+    /// a-trail checks each atom by `trail_exists`, q-trail places
+    /// edge-disjoint trails atom by atom.
+    fn oracle_contains(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: TrailSemantics) -> bool {
+        q.epsilon_free_union().iter().any(|variant| {
+            let atoms: Vec<(usize, usize, Nfa)> = variant
+                .atoms
+                .iter()
+                .map(|a| (a.src.index(), a.dst.index(), a.nfa()))
+                .collect();
+            let mut mu = vec![NodeId(0); variant.num_vars];
+            loop {
+                let pinned = variant
+                    .free
+                    .iter()
+                    .zip(tuple)
+                    .all(|(v, &t)| mu[v.index()] == t);
+                let holds = pinned
+                    && match sem {
+                        TrailSemantics::AtomTrail => atoms
+                            .iter()
+                            .all(|(s, d, nfa)| rpq::trail_exists(g, nfa, mu[*s], mu[*d])),
+                        TrailSemantics::QueryTrail => {
+                            disjoint_trails(g, &atoms, &mu, &mut Vec::new())
+                        }
+                    };
+                if holds {
+                    return true;
+                }
+                // Next μ in odometer order; `false` once every μ was tried.
+                let mut i = 0;
+                loop {
+                    if i == mu.len() {
+                        return false;
+                    }
+                    mu[i].0 += 1;
+                    if mu[i].index() < g.num_nodes() {
+                        break;
+                    }
+                    mu[i] = NodeId(0);
+                    i += 1;
+                }
+            }
+        })
+    }
+
+    fn disjoint_trails(
+        g: &GraphDb,
+        atoms: &[(usize, usize, Nfa)],
+        mu: &[NodeId],
+        used: &mut Vec<Edge>,
+    ) -> bool {
+        let Some(((s, d, nfa), rest)) = atoms.split_first() else {
+            return true;
+        };
+        let blocked: FxHashSet<Edge> = used.iter().copied().collect();
+        let mut ok = false;
+        rpq::for_each_trail(g, nfa, mu[*s], mu[*d], &blocked, |edges| {
+            let before = used.len();
+            used.extend_from_slice(edges);
+            ok = disjoint_trails(g, rest, mu, used);
+            used.truncate(before);
+            if ok {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        ok
+    }
+
+    #[test]
+    fn trail_engine_agrees_with_brute_force_oracle() {
+        let queries = [
+            // Self-loop atom: a closed trail.
+            "(x) <- x -[a b*]-> x",
+            // Repeated free variable.
+            "(x, x) <- x -[a]-> y, y -[b a*]-> x",
+            // Existential variable z.
+            "(x, y) <- x -[a]-> z, z -[a + b]-> y",
+            // Nullable atom: several ε-free variants.
+            "(x, y) <- x -[a b*]-> y, y -[a*]-> z, z -[b]-> x",
+        ];
+        // Answers per (query, semantics), so a vacuous oracle shows.
+        let mut answers = [[0usize; 2]; 4];
+        for seed in 0..12 {
+            for (qi, text) in queries.into_iter().enumerate() {
+                let nodes = 2 + (seed as usize) % 4;
+                let mut g = generators::random_graph(nodes, 2 * nodes, &["a", "b"], seed);
+                let q = parse_crpq(text, g.alphabet_mut()).unwrap();
+                for (si, sem) in TrailSemantics::ALL.into_iter().enumerate() {
+                    let mut expected = Vec::new();
+                    let mut tuple = vec![NodeId(0); q.free.len()];
+                    enumerate_tuples(&g, &mut tuple, 0, &mut |t: &[NodeId]| {
+                        let want = oracle_contains(&q, &g, t, sem);
+                        assert_eq!(
+                            eval_contains_trail(&q, &g, t, sem),
+                            want,
+                            "{text} at {t:?} under {sem}, seed {seed}"
+                        );
+                        if want {
+                            expected.push(t.to_vec());
+                        }
+                    });
+                    assert_eq!(
+                        eval_tuples_trail(&q, &g, sem),
+                        expected,
+                        "{text} under {sem}, seed {seed}"
+                    );
+                    answers[qi][si] += expected.len();
+                }
+            }
+        }
+        assert!(
+            answers.iter().flatten().all(|&n| n > 0),
+            "every query has answers under both semantics: {answers:?}"
+        );
     }
 }

@@ -353,30 +353,16 @@ impl ReachScratch {
 }
 
 /// Nodes reachable from `src` by a path whose label is in `L(nfa)`.
-pub fn rpq_reach<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId) -> BitSet {
-    let mut result = g.node_set();
-    rpq_reach_with(g, nfa, src, &mut ReachScratch::new(), &mut result);
-    result
-}
-
-/// [`rpq_reach`] with caller-provided buffers: reachable nodes are inserted
-/// into `result` (which is cleared first), and `scratch` is reused across
-/// calls without reallocation.
 ///
 /// The BFS iterates NFA transitions first and graph edges second: for each
 /// frontier state `(v, q)` and each transition `q -a-> q'`, the `a`-targets
 /// of `v` come from `v`'s adjacency row as one contiguous slice
 /// ([`GraphDb::successors_slice`]), so nodes with large mixed-label edge
 /// lists are never scanned label-by-label.
-pub fn rpq_reach_with<G: GraphView>(
-    g: &G,
-    nfa: &Nfa,
-    src: NodeId,
-    scratch: &mut ReachScratch,
-    result: &mut BitSet,
-) {
+pub fn rpq_reach<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId) -> BitSet {
     let ns = nfa.num_states();
-    result.clear();
+    let mut result = g.node_set();
+    let mut scratch = ReachScratch::new();
     scratch.begin(g.num_nodes() * ns, 0);
     for q in nfa.initials().iter() {
         if scratch.visit(src.index() * ns + q) {
@@ -398,10 +384,11 @@ pub fn rpq_reach_with<G: GraphView>(
             }
         }
     }
+    result
 }
 
-/// [`rpq_reach_with`] variant for bulk materialisation: reached nodes are
-/// collected (sorted, deduplicated) into `out` instead of a bitset, using
+/// [`rpq_reach`] variant for bulk materialisation with a caller-provided,
+/// reusable `scratch`: reached nodes are collected (sorted, deduplicated) into `out` instead of a bitset, using
 /// per-node stamps for the dedup — so a sweep whose output is small never
 /// touches `O(|V|/64)` words of clear/scan. Returns the number of
 /// graph-edge scans the sweep performed, which the adaptive materialiser
@@ -468,21 +455,9 @@ fn sweep_append<G: GraphView, const COUNT: bool>(
 /// ([`GraphDb::predecessors_slice`]), so callers needing both directions
 /// (e.g. bidirectional candidate pruning) avoid a full graph clone.
 pub fn rpq_reach_back<G: GraphView>(g: &G, nfa_rev: &Nfa, dst: NodeId) -> BitSet {
-    let mut result = g.node_set();
-    rpq_reach_back_with(g, nfa_rev, dst, &mut ReachScratch::new(), &mut result);
-    result
-}
-
-/// [`rpq_reach_back`] with caller-provided buffers (see [`rpq_reach_with`]).
-pub fn rpq_reach_back_with<G: GraphView>(
-    g: &G,
-    nfa_rev: &Nfa,
-    dst: NodeId,
-    scratch: &mut ReachScratch,
-    result: &mut BitSet,
-) {
     let ns = nfa_rev.num_states();
-    result.clear();
+    let mut result = g.node_set();
+    let mut scratch = ReachScratch::new();
     scratch.begin(g.num_nodes() * ns, 0);
     for q in nfa_rev.initials().iter() {
         if scratch.visit(dst.index() * ns + q) {
@@ -504,6 +479,7 @@ pub fn rpq_reach_back_with<G: GraphView>(
             }
         }
     }
+    result
 }
 
 /// Borrowed view of one row of a materialised [`Relation`]: the successor
@@ -1472,17 +1448,23 @@ pub struct MaterialiseStats {
     pub assembly_bytes: usize,
 }
 
-/// Resolves a thread-count knob into a concrete worker count (`≥ 1`):
-/// `0` = one per available CPU, capped at 16; any other value is taken
-/// verbatim. When `available_parallelism` itself errors (restricted
-/// sandboxes, unreadable cgroup limits) the `0` knob falls back to **4
-/// workers**. Callers resolve the knob once at the public entry point and
-/// pass the resolved count down.
+/// The most workers any thread-count knob resolves to. Every worker is an
+/// OS thread with its own stack and guard page, so an unbounded count can
+/// exhaust the process's memory mappings and abort it.
+pub const MAX_THREADS: usize = 256;
+
+/// Resolves a thread-count knob into a concrete worker count in
+/// `1..=`[`MAX_THREADS`]: `0` = one per available CPU, capped at 16; any
+/// other value is taken verbatim up to [`MAX_THREADS`]. When
+/// `available_parallelism` itself errors (restricted sandboxes, unreadable
+/// cgroup limits) the `0` knob falls back to **4 workers**. Callers resolve
+/// the knob once at the public entry point and pass the resolved count
+/// down.
 pub fn effective_threads(threads: usize) -> usize {
     if threads == 0 {
         crpq_util::sync::thread::available_parallelism().map_or(4, |n| n.get().min(16))
     } else {
-        threads
+        threads.min(MAX_THREADS)
     }
 }
 
@@ -2004,6 +1986,25 @@ where
         }
         return true;
     }
+    search_simple(g, nfa, src, dst, blocked, &mut visit)
+}
+
+/// The non-empty simple paths from `src` to `dst` (a simple cycle when
+/// `src == dst`): sets up the useful states, the initial state set, the
+/// visited set and the path, then runs [`dfs_simple`]. Returns `true` if
+/// enumeration ran to completion.
+fn search_simple<G, F>(
+    g: &G,
+    nfa: &Nfa,
+    src: NodeId,
+    dst: NodeId,
+    blocked: &BitSet,
+    visit: &mut F,
+) -> bool
+where
+    G: GraphView,
+    F: FnMut(&[NodeId]) -> ControlFlow<()>,
+{
     let useful = nfa.useful_states();
     let mut initial = nfa.initials().clone();
     initial.intersect_with(&useful);
@@ -2022,7 +2023,7 @@ where
         &mut visited,
         &mut path,
         initial,
-        &mut visit,
+        visit,
     )
     .is_continue()
 }
@@ -2101,72 +2102,7 @@ where
     if nfa.accepts_epsilon() && visit(&[at]).is_break() {
         return false;
     }
-    let useful = nfa.useful_states();
-    let mut initial = nfa.initials().clone();
-    initial.intersect_with(&useful);
-    if initial.is_empty() {
-        return true;
-    }
-    let mut visited = g.node_set();
-    visited.insert(at.index());
-    let mut path = vec![at];
-    dfs_cycle(
-        g,
-        nfa,
-        at,
-        blocked,
-        &useful,
-        &mut visited,
-        &mut path,
-        initial,
-        &mut visit,
-    )
-    .is_continue()
-}
-
-fn dfs_cycle<G, F>(
-    g: &G,
-    nfa: &Nfa,
-    at: NodeId,
-    blocked: &BitSet,
-    useful: &BitSet,
-    visited: &mut BitSet,
-    path: &mut Vec<NodeId>,
-    states: BitSet,
-    visit: &mut F,
-) -> ControlFlow<()>
-where
-    G: GraphView,
-    F: FnMut(&[NodeId]) -> ControlFlow<()>,
-{
-    let here = *path.last().unwrap(); // invariant: path starts seeded with the source
-    for (sym, to) in g.out_edges_iter(here) {
-        if to == at {
-            let image = nfa.delta_set(&states, sym);
-            if image.intersects(nfa.finals()) {
-                path.push(to);
-                let flow = visit(path);
-                path.pop();
-                flow?;
-            }
-            continue;
-        }
-        if visited.contains(to.index()) || blocked.contains(to.index()) {
-            continue;
-        }
-        let mut image = nfa.delta_set(&states, sym);
-        image.intersect_with(useful);
-        if image.is_empty() {
-            continue;
-        }
-        visited.insert(to.index());
-        path.push(to);
-        let flow = dfs_cycle(g, nfa, at, blocked, useful, visited, path, image, visit);
-        path.pop();
-        visited.remove(to.index());
-        flow?;
-    }
-    ControlFlow::Continue(())
+    search_simple(g, nfa, at, at, blocked, &mut visit)
 }
 
 /// A labelled edge occurrence, the unit of trail (edge-injective) search.
@@ -2584,12 +2520,12 @@ mod tests {
         it.intern("b");
         let just_a = Nfa::from_regex(&crpq_automata::parse_regex("a", &mut it).unwrap());
         let mut scratch = ReachScratch::new();
-        let mut out = g.node_set();
+        let mut out = Vec::new();
         for _ in 0..3 {
-            rpq_reach_with(&g, &ab, n(&g, "u"), &mut scratch, &mut out);
-            assert_eq!(out.iter().collect::<Vec<_>>(), vec![n(&g, "w").index()]);
-            rpq_reach_with(&g, &just_a, n(&g, "u"), &mut scratch, &mut out);
-            assert_eq!(out.iter().collect::<Vec<_>>(), vec![n(&g, "v").index()]);
+            rpq_reach_collect(&g, &ab, n(&g, "u"), &mut scratch, &mut out);
+            assert_eq!(out, vec![n(&g, "w").0]);
+            rpq_reach_collect(&g, &just_a, n(&g, "u"), &mut scratch, &mut out);
+            assert_eq!(out, vec![n(&g, "v").0]);
         }
     }
 

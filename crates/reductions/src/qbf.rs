@@ -299,7 +299,7 @@ pub fn check_reduction_clean_quotients(inst: &QbfInstance, red: &QbfReduction) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crpq_containment::{contain_with, ContainmentConfig};
+    use crpq_containment::contain_with;
     use crpq_query::expansion::ExpansionLimits;
 
     fn reduction(inst: &QbfInstance) -> QbfReduction {
@@ -403,12 +403,9 @@ mod tests {
             &red.q1,
             &red.q2,
             Semantics::AtomInjective,
-            ContainmentConfig {
-                limits: ExpansionLimits {
-                    max_word_len: 2,
-                    max_expansions: 100_000,
-                },
-                threads: 1,
+            ExpansionLimits {
+                max_word_len: 2,
+                max_expansions: 100_000,
             },
         );
         assert!(out.is_not_contained(), "{out:?}");
@@ -428,12 +425,9 @@ mod tests {
             &red.q1,
             &red.q2,
             Semantics::AtomInjective,
-            ContainmentConfig {
-                limits: ExpansionLimits {
-                    max_word_len: 2,
-                    max_expansions: 100_000,
-                },
-                threads: 1,
+            ExpansionLimits {
+                max_word_len: 2,
+                max_expansions: 100_000,
             },
         );
         assert!(out.is_contained(), "{out:?}");

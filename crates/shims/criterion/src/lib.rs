@@ -6,9 +6,10 @@
 //! mean/min/max wall-clock measurement loop instead of criterion's
 //! statistical machinery.
 //!
-//! `cargo test` (which runs `harness = false` bench targets with `--test`)
-//! is honoured: in test mode every benchmark body runs exactly once, so the
-//! benches double as smoke tests.
+//! As in criterion, a bench target measures only when `cargo bench` runs
+//! it (cargo passes `--bench`). Otherwise — `cargo test --benches`, which
+//! passes no flag, or an explicit `--test` — it is in test mode: every
+//! benchmark body runs exactly once, so the benches double as smoke tests.
 
 use std::time::{Duration, Instant};
 
@@ -95,17 +96,21 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        let mut test_mode = false;
+        let (mut bench, mut test) = (false, false);
         let mut filter = None;
         for arg in std::env::args().skip(1) {
             match arg.as_str() {
-                "--test" => test_mode = true,
-                "--bench" => {}
+                "--test" => test = true,
+                "--bench" => bench = true,
                 a if !a.starts_with('-') => filter = Some(a.to_owned()),
                 _ => {}
             }
         }
-        Criterion { test_mode, filter }
+        // As in criterion: measure only when `cargo bench` asks (`--bench`).
+        Criterion {
+            test_mode: test || !bench,
+            filter,
+        }
     }
 }
 

@@ -55,7 +55,7 @@ semantics S: st | a-inj | q-inj | a-trail | q-trail (default: st)
 sync P: always | never | every:N (default: always)
 mutations FILE: one `insert SRC LABEL DST`, `delete SRC LABEL DST` or `add-node`
   per line; `#` comments; db-info exits 1 when recovery dropped a torn WAL tail
-threads N: parallel enumeration on N threads (0 = one per CPU, capped at 16)
+threads N: parallel enumeration on N threads (0 = one per CPU, capped at 16; at most 256)
 --ask: existence only — prints true/false, exits 0 iff an answer exists (stops at first witness)
 --limit K: prints at most K answer tuples, stopping the search early
 graph FILE: text (one `src label dst` per line) or CRPQ binary snapshot";
@@ -241,6 +241,14 @@ fn cmd_contain(args: &[String]) -> Result<String, String> {
             return Err("containment is implemented for st/a-inj/q-inj".into())
         }
     };
+    // Guard the library's arity assertion, as `eval --tuple` does.
+    if q1.free.len() != q2.free.len() {
+        return Err(format!(
+            "--q1 has free-tuple arity {} but --q2 has arity {}; containment needs equal arities",
+            q1.free.len(),
+            q2.free.len()
+        ));
+    }
     let out = contain(&q1, &q2, sem);
     Ok(match out {
         Outcome::Contained => format!("Q1 ⊆{} Q2", sem.short_name()),
@@ -805,6 +813,16 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("unknown node"), "{err}");
+        // Mismatched free-tuple arities in `contain`.
+        let err = run_ok(&a(&[
+            "contain",
+            "--q1",
+            "(x) <- x -[a]-> y",
+            "--q2",
+            "x -[a]-> y",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("arity 1") && err.contains("arity 0"), "{err}");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crpq_automata::{classify_simple_path, parse_regex, Dfa, Nfa, Regex, SimplePathClass};
     pub use crpq_containment::{
         check_boundedness, contain, contain_with, recommended_limits, Boundedness,
-        BoundednessConfig, ContainmentConfig, Outcome,
+        BoundednessConfig, ExpansionLimits, Outcome,
     };
     pub use crpq_core::{
         check_hierarchy, eval_boolean_trail, eval_contains_trail, eval_tuples_trail, eval_witness,

@@ -60,12 +60,9 @@ fn exhaustive(q1: &Crpq, q2: &Crpq) -> Option<bool> {
         q1,
         q2,
         Semantics::QueryInjective,
-        ContainmentConfig {
-            limits: ExpansionLimits {
-                max_word_len: 6,
-                max_expansions: usize::MAX,
-            },
-            threads: 1,
+        ExpansionLimits {
+            max_word_len: 6,
+            max_expansions: usize::MAX,
         },
     )
     .as_bool()
@@ -155,12 +152,9 @@ fn abstraction_agrees_on_starred_instances_with_planted_words() {
             &q1,
             &q2,
             Semantics::QueryInjective,
-            ContainmentConfig {
-                limits: ExpansionLimits {
-                    max_word_len: 8,
-                    max_expansions: 100_000,
-                },
-                threads: 1,
+            ExpansionLimits {
+                max_word_len: 8,
+                max_expansions: 100_000,
             },
         );
         match bounded {

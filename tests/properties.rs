@@ -202,13 +202,10 @@ proptest! {
             &q1,
             &q2,
             Semantics::Standard,
-            ContainmentConfig {
-                limits: crpq::query::ExpansionLimits {
+            crpq::query::ExpansionLimits {
                     max_word_len: 6,
                     max_expansions: usize::MAX,
                 },
-                threads: 1,
-            },
         )
         .as_bool();
         if let (Some(e), Some(n)) = (exact, naive) {
