@@ -1,31 +1,36 @@
 //! `BENCH_eval` — wall-clock comparison of the catalog-backed planner
 //! engine against the legacy `|V|^arity` enumeration oracle, on the E2
-//! (Example 2.1) and E9 (data-complexity) workloads, written to a JSON
-//! baseline file.
+//! (Example 2.1) and E9 (data-complexity) workloads, plus the scale,
+//! streaming, cyclic, injective, scheduler, mutation and durability
+//! workloads, written to JSON baseline files.
 //!
-//! Two engines per row:
+//! Every measurement is one `Row`: the workload name followed by named
+//! values. `print_table` prints a row set with one column per field under
+//! its JSON name, and `write_baseline` rewrites a baseline file with one
+//! JSON object per row. Every row records the `cpus` of the machine and
+//! the resolved `threads` it was measured with.
+//!
+//! `rows` (E2/E9) time two engines per row:
 //!
 //! * **join** — an [`Eval`] request against a fresh caller-owned
 //!   [`RelationCatalog`]: each distinct atom relation materialised once
 //!   per query (shared across ε-free variants), per-source sweeps over
-//!   blocks of source ids on several threads, density-adaptive relation
-//!   rows. Per-row
-//!   catalog metrics (hits, misses, hit rate, materialisation wall clock)
-//!   come from one instrumented run; `hit_rate > 0` on the multi-variant
-//!   rows is the CI proof that atoms are shared.
+//!   blocks of source ids on several threads. Catalog metrics (hits,
+//!   misses, hit rate, materialisation wall clock) come from one
+//!   instrumented run; `catalog_hit_rate > 0` on the multi-variant rows is
+//!   the CI proof that atoms are shared.
 //! * **legacy** — the enumeration oracle ([`eval_tuples_enumerate`]).
 //!
 //! Every row also records a **peak-RSS proxy**: `index_bytes` (the graph's
 //! node-major adjacency, both directions) and `rel_bytes` (every relation
-//! materialised by the instrumented
-//! catalog run) — the two allocation sinks that gate large-graph scaling.
+//! materialised by the instrumented catalog run).
 //!
-//! The **scale workloads** (`scale_rows` in the JSON) are too large for
-//! the legacy enumeration oracle, so they record only the catalog
-//! engine's build/evaluation wall clock, the materialisation split
-//! (`mat_ms` = `sweep_ms` producing rows + `assembly_ms` building the
-//! relations + catalog upkeep), plus the memory proxies (`index_bytes`,
-//! `name_bytes`, `rel_bytes`, `scratch_bytes`):
+//! The **scale workloads** (`scale_rows`) are too large for the legacy
+//! enumeration oracle, so they record only the catalog engine's
+//! build/evaluation wall clock, the materialisation split (`mat_ms` =
+//! `sweep_ms` producing rows + `assembly_ms` building the relations +
+//! catalog upkeep), plus the memory proxies (`index_bytes`, `name_bytes`,
+//! `rel_bytes`, `scratch_bytes`, `assembly_bytes`):
 //!
 //! * `scale_label_rich` evaluates [`scaling::label_rich_query`] over
 //!   [`scaling::label_rich_graph`] (`4n` edges,
@@ -39,52 +44,48 @@
 //!   [`scaling::MILLION_LABELS`] labels) and asserts the O(touched)
 //!   contract of the |V|-scale pipeline: zero name bytes, the same exact
 //!   adjacency size, graph index + names under an explicit per-size
-//!   budget, and peak sweep-scratch bytes
-//!   far below one dense `|V|·|Q|` stamp array. `--smoke` runs `|V| = 10⁵`;
-//!   `--scale-smoke` runs both `|V| = 10⁶ / 4·10⁶` edges (~200 MB budget)
-//!   and `|V| = 10⁷ / 4·10⁷` edges (~2.4 GB index budget — the graph index
-//!   is linear in |V|; the relation + scratch side must stay O(touched)),
-//!   each under its own wall-clock ceiling; at `10⁶`, swept by two
-//!   workers, relation assembly must take at most half the sweep time.
-//!   Both rows also record `assembly_bytes`, the largest transient of one
-//!   relation assembly, which must not exceed `rel_bytes`.
+//!   budget, peak sweep-scratch bytes far below one dense `|V|·|Q|` stamp
+//!   array, and `assembly_bytes` no larger than `rel_bytes`. `--smoke`
+//!   runs `|V| = 10⁵`; `--scale-smoke` runs `|V| = 10⁶` (~200 MB budget;
+//!   swept by two workers, relation assembly at most half the sweep time)
+//!   and `|V| = 10⁷` (~2.4 GB index budget), each under its own
+//!   wall-clock ceiling.
 //!
-//! The **scheduler workloads** (`steal_rows` in `BENCH_scale.json`) time
+//! The **scheduler workload** (`steal_rows` in `BENCH_scale.json`) times
 //! the work-stealing search ([`Eval::threads`]) against the same request
 //! on one thread, on a Zipf-skewed label-rich graph
 //! ([`scaling::steal_skew_graph`]) whose hot node's subtree a static
 //! top-level split could not share out. `--scale-smoke` enforces the
-//! ≥ 1.5× floor on machines with ≥ 4 CPUs; `scale_rows`/`steal_rows` are written append-style so
-//! the cross-PR perf trajectory stays visible in the baseline file.
+//! ≥ 1.5× floor on machines with ≥ 4 CPUs.
 //!
-//! The **cyclic workloads** (`cyclic_rows` in the JSON) time the join on
-//! the triangle / 4-cycle / diamond-with-chord CRPQs of
-//! [`crpq_workloads::cyclic`] (cold, medians of 5), and the warm triangle
-//! join on the heavy-hitter [`cyclic::hub_triangle_graph`] at n = 5 000
-//! and 80 000 under st and a-inj. `--smoke` gates the AGM scaling on the
-//! hub rows: the 16× larger input may cost at most [`HUB_SCALING_BOUND`]×
-//! the time, where the `|R|^{3/2}` bound allows 64× and a pairwise plan,
-//! binding n² spoke pairs at the hub, pays 256×.
+//! The **cyclic workloads** (`cyclic_rows`) time the join on the triangle /
+//! 4-cycle / diamond-with-chord CRPQs of [`crpq_workloads::cyclic`] (cold,
+//! medians of 5), and the warm triangle join on the heavy-hitter
+//! [`cyclic::hub_triangle_graph`] at n = 5 000 and 80 000 under st and
+//! a-inj. `--smoke` gates the AGM scaling on the hub rows: the 16× larger
+//! input may cost at most [`HUB_SCALING_BOUND`]× the time, where the
+//! `|R|^{3/2}` bound allows 64× and a pairwise plan, binding n² spoke pairs
+//! at the hub, pays 256×.
 //!
-//! The **injective workloads** (`injective_rows` in the JSON) time the
-//! triangle on `cyclic_graph(2 000, 11)` under st, a-inj and q-inj over one
-//! warm catalog (medians of 5 interleaved `tuples()` runs each), so nothing
-//! but join search and injective verification is measured. `--smoke`
-//! asserts that a-inj and q-inj each take at most 3× the st median.
+//! The **injective workload** (`injective_rows`) times the triangle on
+//! `cyclic_graph(2 000, 11)` under st, a-inj and q-inj over one warm
+//! catalog (medians of 5 interleaved `tuples()` runs each), so nothing but
+//! join search and injective verification is measured. `--smoke` asserts
+//! that a-inj and q-inj each take at most 3× the st median.
 //!
-//! The **streaming workloads** (`stream_rows` in the JSON) time the
-//! early-exit enumeration API on the million-node family: warm-catalog
+//! The **streaming workloads** (`stream_rows`) time the early-exit
+//! enumeration API on the million-node family: warm-catalog
 //! time-to-first-tuple ([`Eval::limit`] with k = 1), time-to-k,
 //! [`Eval::ask`] and the cold end-to-end first tuple off the pull stream
-//! (`Eval::stream`), against the warm
-//! full materialisation over the same catalog. `--smoke` enforces the CI
-//! floors at `|V| = 10⁶`: time-to-first ≤ 50 % of the full-materialisation
-//! wall clock, and `ASK` no slower than time-to-first (small noise guard).
-//! Both sides pay the same semi-join pass, which bounds the ratio from
-//! below; a `LIMIT 1` that drains the whole search reads ≈ 1.0.
+//! (`Eval::stream`), against the warm full materialisation over the same
+//! catalog. `--smoke` enforces the CI floors at `|V| = 10⁶`: time-to-first
+//! ≤ 50 % of the full-materialisation wall clock, and `ASK` no slower than
+//! time-to-first (small noise guard). Both sides pay the same semi-join
+//! pass, which bounds the ratio from below; a `LIMIT 1` that drains the
+//! whole search reads ≈ 1.0.
 //!
-//! The **mutation workloads** (`mutate_rows` in `BENCH_scale.json`, the
-//! `--mutate-smoke` gate) exercise the dynamic-graph path: a
+//! The **mutation workload** (`mutate_rows` in `BENCH_scale.json`, the
+//! `--mutate-smoke` gate) exercises the dynamic-graph path: a
 //! [`DeltaGraph`] overlay over the `|V| = 10⁵` million-family graph under
 //! single-hot-label churn, queried through a persistent
 //! [`RelationCatalog`] by a mixed-label workload. Per row: mutation apply
@@ -95,22 +96,21 @@
 //! beats evict-all and the eviction counters prove a strict subset was
 //! evicted.
 //!
+//! The **durability workloads** (`wal_rows` in `BENCH_scale.json`, the
+//! `--wal-smoke` gate) record WAL apply latency per sync policy plus the
+//! recovery wall clock.
+//!
 //! The JSON is hand-serialised (the workspace's `serde` is an offline no-op
-//! shim); the schema is a `machine` object (CPUs, smoke threads, RAM) plus
-//! `rows` + `scale_rows` + `stream_rows` +
-//! `cyclic_rows` + `injective_rows` arrays with `workload` discriminators
-//! (`BENCH_scale.json` holds `scale_rows` + `steal_rows` + `mutate_rows` +
-//! `wal_rows` — the last measured by the `--wal-smoke` durability gate:
-//! WAL apply latency per sync policy plus recovery wall clock). Rows in
-//! **both**
-//! baseline files are written append-style but **deduped** by
-//! `(workload, graph, semantics, |V|, threads)` (absent fields key on
-//! empty/0) — a repeated CI run replaces its own prior measurement instead
-//! of growing the file unboundedly, while configurations no longer
+//! shim). A baseline file is a `generated_by` command, a `machine` object
+//! (`cpus`, `mem_total_kb`) and the file's arrays (`BENCH_eval.json`:
+//! `EVAL_ARRAYS`; `BENCH_scale.json`: `SCALE_ARRAYS`). Each rewrite
+//! keeps the rows already in the file, then this run's rows, and of those
+//! the last row per [`row_key`] — a repeated CI run replaces its own prior
+//! measurement instead of growing the file, while configurations no longer
 //! measured keep their trajectory.
 
 use crpq_core::{eval_tuples_enumerate, Eval, RelationCatalog, Semantics};
-use crpq_graph::rpq::{NodeSet, RelationRow};
+use crpq_graph::rpq::{effective_threads, NodeSet, RelationRow};
 use crpq_graph::{DeltaGraph, DurableGraph, EdgeMutation, GraphDb, GraphView, NodeId, SyncPolicy};
 use crpq_query::{parse_crpq, Crpq};
 use crpq_util::{BitSet, Interner};
@@ -119,50 +119,257 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct Row {
-    workload: String,
-    graph: String,
-    nodes: usize,
-    edges: usize,
-    arity: usize,
-    semantics: &'static str,
-    tuples: usize,
-    /// Catalog-backed planner engine (the production path).
-    join_ms: f64,
-    /// `|V|^arity` enumeration oracle.
-    legacy_ms: f64,
-    /// Relation-materialisation wall clock inside one catalog-backed run.
-    mat_ms: f64,
-    catalog_hits: usize,
-    catalog_misses: usize,
-    /// Heap bytes of the graph's adjacency indexes (peak-RSS proxy).
-    index_bytes: usize,
-    /// Heap bytes of the catalog's materialised relations (peak-RSS proxy).
-    rel_bytes: usize,
-    /// Peak per-materialisation sweep-scratch bytes (stamp arrays +
-    /// sparse visited maps, summed across workers) of the instrumented
-    /// catalog run — so scratch regressions show up in the baselines.
-    scratch_bytes: usize,
+/// One field value of a [`Row`].
+#[derive(Debug)]
+enum Value {
+    Int(usize),
+    /// Written with 4 decimals.
+    Num(f64),
+    Text(String),
+    List(Vec<Value>),
 }
 
-impl Row {
-    /// The headline join-vs-legacy speedup (the ≥10× CI floor).
-    fn speedup(&self) -> f64 {
-        self.legacy_ms / self.join_ms.max(1e-9)
+impl Value {
+    fn json(&self) -> String {
+        match self {
+            Value::Int(v) => v.to_string(),
+            Value::Num(v) => format!("{v:.4}"),
+            Value::Text(s) => format!("\"{s}\""),
+            Value::List(vs) => {
+                let items: Vec<String> = vs.iter().map(Value::json).collect();
+                format!("[{}]", items.join(", "))
+            }
+        }
     }
 
-    fn hit_rate(&self) -> f64 {
-        let total = self.catalog_hits + self.catalog_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.catalog_hits as f64 / total as f64
+    fn num(&self) -> f64 {
+        match self {
+            Value::Int(v) => *v as f64,
+            Value::Num(v) => *v,
+            v => panic!("{v:?} read as a number"),
         }
     }
 }
 
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::Int(v)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Num(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Text(v.to_owned())
+    }
+}
+
+impl<T: Into<Value>, const N: usize> From<[T; N]> for Value {
+    fn from(vs: [T; N]) -> Self {
+        Value::List(vs.into_iter().map(Into::into).collect())
+    }
+}
+
+/// One measurement: the `workload` name followed by named values, in the
+/// order they are written.
+struct Row(Vec<(&'static str, Value)>);
+
+impl Row {
+    fn new(workload: &str) -> Self {
+        Row(vec![("workload", workload.into())])
+    }
+
+    fn with(mut self, name: &'static str, value: impl Into<Value>) -> Self {
+        self.0.push((name, value.into()));
+        self
+    }
+
+    /// Appends the machine's `cpus` and the resolved `threads` the row was
+    /// measured with.
+    fn measured_on(self, threads: usize) -> Self {
+        self.with("cpus", cpus())
+            .with("threads", effective_threads(threads))
+    }
+
+    /// The field `name`; gates read only fields their `measure_*` wrote.
+    fn value(&self, name: &str) -> &Value {
+        match self.0.iter().find(|(n, _)| *n == name) {
+            Some((_, v)) => v,
+            None => panic!("row has no field {name:?}"),
+        }
+    }
+
+    /// The numeric field `name`.
+    fn get(&self, name: &str) -> f64 {
+        self.value(name).num()
+    }
+
+    /// The numeric list field `name`.
+    fn nums(&self, name: &str) -> Vec<f64> {
+        match self.value(name) {
+            Value::List(vs) => vs.iter().map(Value::num).collect(),
+            v => panic!("field {name:?} is not a list: {v:?}"),
+        }
+    }
+
+    /// The text field `name`.
+    fn text(&self, name: &str) -> &str {
+        match self.value(name) {
+            Value::Text(s) => s,
+            v => panic!("field {name:?} is not text: {v:?}"),
+        }
+    }
+
+    /// The row as one JSON object.
+    fn json(&self) -> String {
+        let fields: Vec<String> = self
+            .0
+            .iter()
+            .map(|(name, v)| format!("\"{name}\": {}", v.json()))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+}
+
+/// Prints `rows` as a markdown table with one column per field of the
+/// first row, under its JSON name.
+fn print_table(title: &str, rows: &[Row]) {
+    let Some(first) = rows.first() else {
+        return;
+    };
+    let names: Vec<&str> = first.0.iter().map(|(name, _)| *name).collect();
+    println!("\n## {title}\n");
+    println!("| {} |", names.join(" | "));
+    println!("|{}", "---|".repeat(names.len()));
+    for r in rows {
+        let cells: Vec<String> = names
+            .iter()
+            .map(|&name| match r.value(name) {
+                Value::Text(s) => s.clone(),
+                v => v.json(),
+            })
+            .collect();
+        println!("| {} |", cells.join(" | "));
+    }
+}
+
+/// The dedupe key of one row's JSON text: the raw value text of
+/// `workload`, `graph`, `semantics`, `nodes` and `threads`, `None` where
+/// the row has no such field. Two rows with the same key measure the same
+/// configuration.
+pub fn row_key(json: &str) -> [Option<&str>; 5] {
+    ["workload", "graph", "semantics", "nodes", "threads"].map(|name| {
+        let tag = format!("\"{name}\": ");
+        let rest = &json[json.find(&tag)? + tag.len()..];
+        let end = match rest.strip_prefix('"') {
+            Some(text) => text.find('"')? + 2,
+            None => rest.find([',', '}'])?,
+        };
+        Some(&rest[..end])
+    })
+}
+
+/// The JSON text of each row of array `name` in a baseline file's text,
+/// one row per line; empty when the file has no such array.
+fn file_rows<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
+    let open = format!("\"{name}\": [");
+    let Some(start) = text.find(&open) else {
+        return Vec::new();
+    };
+    text[start + open.len()..]
+        .lines()
+        .skip(1)
+        .map(str::trim)
+        .take_while(|line| line.starts_with('{'))
+        .map(|line| line.trim_end_matches(','))
+        .collect()
+}
+
+/// The rows of array `name` in `prior` (a baseline file's text), then
+/// `fresh`, keeping only the last row per [`row_key`].
+fn merge_rows(prior: &str, name: &str, fresh: &[Row]) -> Vec<String> {
+    let rows: Vec<String> = file_rows(prior, name)
+        .into_iter()
+        .map(str::to_owned)
+        .chain(fresh.iter().map(Row::json))
+        .collect();
+    let keys: Vec<_> = rows.iter().map(|r| row_key(r)).collect();
+    rows.iter()
+        .enumerate()
+        .filter(|&(i, _)| !keys[i + 1..].contains(&keys[i]))
+        .map(|(_, r)| r.clone())
+        .collect()
+}
+
+/// The arrays of `BENCH_eval.json`, in file order.
+const EVAL_ARRAYS: [&str; 5] = [
+    "rows",
+    "scale_rows",
+    "stream_rows",
+    "cyclic_rows",
+    "injective_rows",
+];
+
+/// The arrays of `BENCH_scale.json`, in file order.
+const SCALE_ARRAYS: [&str; 4] = ["scale_rows", "steal_rows", "mutate_rows", "wal_rows"];
+
+/// Rewrites the baseline file at `path`: the `experiments` `mode` that
+/// wrote it, the `machine` it ran on and each of `arrays` in order, holding
+/// the array's rows already in the file followed by its rows in `fresh`,
+/// deduped by [`merge_rows`]. Arrays without fresh rows pass through under
+/// the same rule; a missing file or array starts empty.
+fn write_baseline(path: &str, mode: &str, arrays: &[&str], fresh: &[(&str, Vec<Row>)]) {
+    let prior = std::fs::read_to_string(path).unwrap_or_default();
+    let mut json = String::from("{\n");
+    let _ = writeln!(
+        json,
+        "  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- {mode}\","
+    );
+    let _ = writeln!(json, "  \"machine\": {},", machine_json());
+    for (i, &name) in arrays.iter().enumerate() {
+        let new = fresh
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(&[][..], |f| &f.1);
+        let rows = merge_rows(&prior, name, new);
+        let _ = writeln!(json, "  \"{name}\": [");
+        for (k, row) in rows.iter().enumerate() {
+            let sep = if k + 1 < rows.len() { "," } else { "" };
+            let _ = writeln!(json, "    {row}{sep}");
+        }
+        let sep = if i + 1 < arrays.len() { "," } else { "" };
+        let _ = writeln!(json, "  ]{sep}");
+    }
+    json.push_str("}\n");
+    std::fs::write(path, &json).expect("write baseline JSON"); // invariant: harness IO is fail-fast
+    println!("\nwrote {path}");
+}
+
+/// The CPUs available to this process.
+fn cpus() -> usize {
+    crpq_util::sync::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// The `machine` object of both baseline files: available CPUs and total
+/// RAM from `/proc/meminfo` (`0` where unreadable).
+fn machine_json() -> String {
+    let mem_total_kb = std::fs::read_to_string("/proc/meminfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("MemTotal:"))?;
+            line.split_whitespace().nth(1)?.parse::<u64>().ok()
+        })
+        .unwrap_or(0);
+    format!("{{\"cpus\": {}, \"mem_total_kb\": {mem_total_kb}}}", cpus())
+}
+
 /// Times one invocation of `f`, returning milliseconds.
-fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
+pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64() * 1e3)
@@ -181,6 +388,14 @@ fn time_best_of<T>(n: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (out, best)
 }
 
+/// `hits / (hits + misses)`, 0 before the first lookup.
+fn hit_rate(hits: usize, misses: usize) -> f64 {
+    hits as f64 / (hits + misses).max(1) as f64
+}
+
+/// One E2/E9 row (`rows`): the join engine over a fresh catalog against the
+/// legacy enumeration oracle, best of 3 each, plus the catalog metrics of
+/// one instrumented run.
 fn measure(
     workload: &str,
     graph_name: &str,
@@ -211,34 +426,30 @@ fn measure(
         join, legacy,
         "join/legacy result mismatch on {workload}/{graph_name} {sem}"
     );
-    Row {
-        workload: workload.to_owned(),
-        graph: graph_name.to_owned(),
-        nodes: g.num_nodes(),
-        edges: g.num_edges(),
-        arity: q.free.len(),
-        semantics: sem.short_name(),
-        tuples: join.len(),
-        join_ms,
-        legacy_ms,
-        mat_ms: catalog.materialise_ms(),
-        catalog_hits: catalog.hits(),
-        catalog_misses: catalog.misses(),
-        index_bytes: g.index_bytes(),
-        rel_bytes: catalog.relation_bytes(),
-        scratch_bytes: catalog.peak_scratch_bytes(),
-    }
-}
-
-/// One row of the cyclic-shape workloads (`cyclic_rows` in the JSON): the
-/// median `tuples()` wall clock of one workload under one semantics.
-struct CyclicRow {
-    workload: &'static str,
-    semantics: Semantics,
-    nodes: usize,
-    edges: usize,
-    tuples: usize,
-    join_ms: f64,
+    Row::new(workload)
+        .with("graph", graph_name)
+        .with("nodes", g.num_nodes())
+        .with("edges", g.num_edges())
+        .with("arity", q.free.len())
+        .with("semantics", sem.short_name())
+        .with("tuples", join.len())
+        .with("join_ms", join_ms)
+        .with("legacy_ms", legacy_ms)
+        .with("mat_ms", catalog.materialise_ms())
+        .with("catalog_hits", catalog.hits())
+        .with("catalog_misses", catalog.misses())
+        .with(
+            "catalog_hit_rate",
+            hit_rate(catalog.hits(), catalog.misses()),
+        )
+        // The headline join-vs-legacy speedup (the ≥10× CI floor).
+        .with("speedup", legacy_ms / join_ms.max(1e-9))
+        .with("index_bytes", g.index_bytes())
+        .with("rel_bytes", catalog.relation_bytes())
+        // Peak per-materialisation sweep-scratch bytes (stamp arrays +
+        // sparse visited maps, summed across workers).
+        .with("scratch_bytes", catalog.peak_scratch_bytes())
+        .measured_on(threads)
 }
 
 /// Samples per timed configuration of the cyclic and injective rows
@@ -263,10 +474,22 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// One cyclic row (`cyclic_rows`): the median `tuples()` wall clock of
+/// one workload under one semantics, on one thread.
+fn cyclic_row(workload: &str, sem: Semantics, g: &GraphDb, tuples: usize, join_ms: f64) -> Row {
+    Row::new(workload)
+        .with("semantics", sem.short_name())
+        .with("nodes", g.num_nodes())
+        .with("edges", g.num_edges())
+        .with("tuples", tuples)
+        .with("join_ms", join_ms)
+        .measured_on(1)
+}
+
 /// Times the join on one cyclic workload (standard semantics, so the
 /// join cost is not mixed with injective verification). Every sample
 /// includes its own catalog materialisation.
-fn measure_cyclic(workload: &'static str, q: &Crpq, g: &GraphDb) -> CyclicRow {
+fn measure_cyclic(workload: &str, q: &Crpq, g: &GraphDb) -> Row {
     let mut tuples = 0;
     let samples = (0..CYCLIC_SAMPLES)
         .map(|_| {
@@ -275,14 +498,7 @@ fn measure_cyclic(workload: &'static str, q: &Crpq, g: &GraphDb) -> CyclicRow {
             ms
         })
         .collect();
-    CyclicRow {
-        workload,
-        semantics: Semantics::Standard,
-        nodes: g.num_nodes(),
-        edges: g.num_edges(),
-        tuples,
-        join_ms: median(samples),
-    }
+    cyclic_row(workload, Semantics::Standard, g, tuples, median(samples))
 }
 
 /// The warm hub-triangle rows of the AGM scaling gate, st then a-inj,
@@ -290,7 +506,7 @@ fn measure_cyclic(workload: &'static str, q: &Crpq, g: &GraphDb) -> CyclicRow {
 /// graph, so only the join search (and a-inj's free per-atom checks) is
 /// timed. Each round times every size and semantics back to back, so a
 /// slow phase of the machine lands on both sides of the ratio.
-fn measure_hub_scaling() -> Vec<CyclicRow> {
+fn measure_hub_scaling() -> Vec<Row> {
     const SEMS: [Semantics; 2] = [Semantics::Standard, Semantics::AtomInjective];
     let graphs: Vec<(GraphDb, Crpq)> = HUB_SIZES
         .iter()
@@ -323,14 +539,14 @@ fn measure_hub_scaling() -> Vec<CyclicRow> {
     let mut rows = Vec::new();
     for (k, &sem) in SEMS.iter().enumerate() {
         for (i, (g, _)) in graphs.iter().enumerate() {
-            rows.push(CyclicRow {
-                workload: "hub_triangle_warm",
-                semantics: sem,
-                nodes: g.num_nodes(),
-                edges: g.num_edges(),
-                tuples: tuples[k][i],
-                join_ms: median(std::mem::take(&mut samples[k][i])),
-            });
+            let join_ms = median(std::mem::take(&mut samples[k][i]));
+            rows.push(cyclic_row(
+                "hub_triangle_warm",
+                sem,
+                g,
+                tuples[k][i],
+                join_ms,
+            ));
         }
     }
     rows
@@ -338,7 +554,7 @@ fn measure_hub_scaling() -> Vec<CyclicRow> {
 
 /// The cyclic workload suite: triangle, 4-cycle and diamond-with-chord at
 /// sizes where intermediate bindings are felt but the smoke stays fast.
-fn measure_cyclic_rows() -> Vec<CyclicRow> {
+fn measure_cyclic_rows() -> Vec<Row> {
     let mut rows = Vec::new();
     {
         let mut g = cyclic::cyclic_graph(20_000, 11);
@@ -358,37 +574,6 @@ fn measure_cyclic_rows() -> Vec<CyclicRow> {
     rows
 }
 
-fn cyclic_rows_json(rows: &[CyclicRow]) -> String {
-    let mut json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"semantics\": \"{}\", \"nodes\": {}, \"edges\": {}, \
-             \"tuples\": {}, \"join_ms\": {:.4}}}{}",
-            r.workload,
-            r.semantics,
-            r.nodes,
-            r.edges,
-            r.tuples,
-            r.join_ms,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json
-}
-
-fn print_cyclic_rows(rows: &[CyclicRow]) {
-    println!("\n## cyclic shapes — Generic Join (medians of {CYCLIC_SAMPLES})\n");
-    println!("| workload | sem | n | edges | tuples | join |");
-    println!("|---|---|---|---|---|---|");
-    for r in rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {:.1}ms |",
-            r.workload, r.semantics, r.nodes, r.edges, r.tuples, r.join_ms,
-        );
-    }
-}
-
 /// The injective/st gate: a-inj and q-inj may each take at most this many
 /// times the st median. Every triangle atom is one letter, so
 /// classification makes each per-atom check free: on a 2-CPU machine the
@@ -396,13 +581,13 @@ fn print_cyclic_rows(rows: &[CyclicRow]) {
 /// when every atom pair ran a simple-path search.
 const INJECTIVE_RATIO_BOUND: f64 = 3.0;
 
-/// The injective row (`injective_rows` in the JSON): result sizes and
-/// median `tuples()` wall clock under each of [`Semantics::ALL`] for the
-/// triangle on `cyclic_graph(2 000, 11)` over one warm catalog, so only
-/// join search and injective verification are timed. One st run
-/// materialises every relation, then the samples cycle through the three
-/// semantics, so a slow phase of the machine lands on all of them.
-fn measure_injective() -> ([usize; 3], [f64; 3]) {
+/// The injective row (`injective_rows`): result sizes and median
+/// `tuples()` wall clock under each of [`Semantics::ALL`] for the triangle
+/// on `cyclic_graph(2 000, 11)` over one warm catalog, so only join search
+/// and injective verification are timed. One st run materialises every
+/// relation, then the samples cycle through the three semantics, so a
+/// slow phase of the machine lands on all of them.
+fn measure_injective() -> Row {
     let mut g = cyclic::cyclic_graph(2_000, 11);
     let q = cyclic::triangle_query(g.alphabet_mut());
     let mut catalog = RelationCatalog::new(&g);
@@ -421,49 +606,31 @@ fn measure_injective() -> ([usize; 3], [f64; 3]) {
             samples[k].push(ms);
         }
     }
-    (tuples, samples.map(median))
+    let ms = samples.map(median);
+    let over_st = |k: usize| ms[k] / ms[0].max(1e-9);
+    Row::new("injective_triangle")
+        .with("graph", "cyclic(2000, 11)")
+        .with("tuples", tuples)
+        .with("ms", ms)
+        .with("ainj_over_st", over_st(1))
+        .with("qinj_over_st", over_st(2))
+        .measured_on(1)
 }
 
-/// One row of the streaming workloads (`stream_rows` in the JSON): the
-/// early-exit enumeration fast paths against full materialisation on the
-/// million-node family, standard semantics.
-struct StreamRow {
-    workload: &'static str,
-    nodes: usize,
-    edges: usize,
-    tuples: usize,
-    /// Warm-catalog full materialisation — the baseline the floors
-    /// compare against. Warm on both sides so the ratios measure search
-    /// early-exit, not relation-materialisation sharing.
-    full_ms: f64,
-    /// Warm-catalog time-to-first-tuple (`Eval::limit` with k = 1).
-    ttf_ms: f64,
-    /// Warm-catalog time-to-k.
-    ttk_ms: f64,
-    /// The k of `ttk_ms`.
-    k: usize,
-    /// Warm-catalog existence check (`Eval::ask`).
-    ask_ms: f64,
-    /// Cold end-to-end wall clock until the pull stream yields its first
-    /// tuple — includes relation materialisation, i.e. what a fresh
-    /// caller actually waits.
-    stream_first_ms: f64,
-}
-
-impl StreamRow {
-    fn ttf_fraction(&self) -> f64 {
-        self.ttf_ms / self.full_ms.max(1e-9)
-    }
-}
-
-/// Measures the streaming fast paths on the million-node family at `n`
-/// nodes. With `enforce_floor` (the CI gate at `|V| = 10⁶`):
-/// time-to-first-tuple must be ≤ 50 % of the warm full-materialisation
-/// wall clock — both pay the same semi-join pass, and an early exit that
-/// broke would drain the whole search and read ≈ 100 % — and `ASK` must
-/// be no slower than time-to-first (they do the same search; a 5 % + 1 ms
-/// guard absorbs timer noise).
-fn measure_stream(n: usize, threads: usize, enforce_floor: bool) -> StreamRow {
+/// Measures the streaming fast paths (`stream_rows`, standard semantics)
+/// on the million-node family at `n` nodes: warm-catalog full
+/// materialisation (`full_ms`, the baseline the floors compare against —
+/// warm on both sides so the ratios measure search early-exit, not
+/// relation sharing), time-to-first-tuple (`ttf_ms`, `Eval::limit` with
+/// k = 1), time-to-k (`ttk_ms`), `ASK` (`ask_ms`) and the cold end-to-end
+/// wait for the pull stream's first tuple (`stream_first_ms`, relation
+/// materialisation included). With `enforce_floor` (the CI gate at
+/// `|V| = 10⁶`): time-to-first-tuple must be ≤ 50 % of the warm
+/// full-materialisation wall clock — both pay the same semi-join pass, and
+/// an early exit that broke would drain the whole search and read ≈ 100 %
+/// — and `ASK` must be no slower than time-to-first (they do the same
+/// search; a 5 % + 1 ms guard absorbs timer noise).
+fn measure_stream(n: usize, threads: usize, enforce_floor: bool) -> Row {
     const SAMPLES: usize = 3;
     const K: usize = 64;
     let mut g = scaling::million_graph(n, 7);
@@ -502,109 +669,34 @@ fn measure_stream(n: usize, threads: usize, enforce_floor: bool) -> StreamRow {
             .next()
             .expect("stream must yield a first tuple") // invariant: the workload has answers (asserted above)
     });
-    let row = StreamRow {
-        workload: "stream_million",
-        nodes: g.num_nodes(),
-        edges: g.num_edges(),
-        tuples,
-        full_ms,
-        ttf_ms,
-        ttk_ms,
-        k: K,
-        ask_ms,
-        stream_first_ms,
-    };
+    let ttf_fraction = ttf_ms / full_ms.max(1e-9);
     if enforce_floor {
         assert!(
-            row.ttf_fraction() <= 0.50,
+            ttf_fraction <= 0.50,
             "time-to-first-tuple above 50% of full materialisation at n={n}: \
-             {:.2}ms vs {:.2}ms ({:.0}%)",
-            row.ttf_ms,
-            row.full_ms,
-            row.ttf_fraction() * 100.0
+             {ttf_ms:.2}ms vs {full_ms:.2}ms ({:.0}%)",
+            ttf_fraction * 100.0
         );
         assert!(
-            row.ask_ms <= row.ttf_ms * 1.05 + 1.0,
-            "ASK slower than time-to-first-tuple at n={n}: {:.2}ms vs {:.2}ms",
-            row.ask_ms,
-            row.ttf_ms
+            ask_ms <= ttf_ms * 1.05 + 1.0,
+            "ASK slower than time-to-first-tuple at n={n}: {ask_ms:.2}ms vs {ttf_ms:.2}ms"
         );
     }
-    row
-}
-
-fn stream_rows_json(rows: &[StreamRow]) -> String {
-    let mut json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \"tuples\": {}, \
-             \"full_ms\": {:.4}, \"ttf_ms\": {:.4}, \"ttk_ms\": {:.4}, \"k\": {}, \
-             \"ask_ms\": {:.4}, \"stream_first_ms\": {:.4}, \"ttf_fraction\": {:.4}}}{}",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.tuples,
-            r.full_ms,
-            r.ttf_ms,
-            r.ttk_ms,
-            r.k,
-            r.ask_ms,
-            r.stream_first_ms,
-            r.ttf_fraction(),
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json
-}
-
-fn print_stream_rows(rows: &[StreamRow]) {
-    println!("\n## streaming enumeration — early-exit fast paths vs full materialisation (st)\n");
-    println!("| workload | n | tuples | full (warm) | first | k={} | ask | first (cold stream) | first/full |", rows.first().map_or(64, |r| r.k));
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for r in rows {
-        println!(
-            "| {} | {} | {} | {:.1}ms | {:.2}ms | {:.2}ms | {:.2}ms | {:.1}ms | {:.1}% |",
-            r.workload,
-            r.nodes,
-            r.tuples,
-            r.full_ms,
-            r.ttf_ms,
-            r.ttk_ms,
-            r.ask_ms,
-            r.stream_first_ms,
-            r.ttf_fraction() * 100.0,
-        );
-    }
-}
-
-/// One row of the scale workloads (`scale_rows` in the JSON): the
-/// label-rich Zipf family (`scale_label_rich`) and the million-node
-/// anonymous family (`scale_million`).
-struct ScaleRow {
-    workload: &'static str,
-    nodes: usize,
-    edges: usize,
-    labels: usize,
-    tuples: usize,
-    build_ms: f64,
-    eval_ms: f64,
-    mat_ms: f64,
-    /// The part of `mat_ms` producing forward rows (sweeps or closure)
-    /// and the part assembling relations, summed over the catalog's
-    /// materialisations ([`RelationCatalog::materialise_totals`]).
-    sweep_ms: f64,
-    assembly_ms: f64,
-    index_bytes: usize,
-    /// Node-name storage bytes (single arena for named graphs, 0 for
-    /// anonymous ones) — the term that used to be per-name `String`s.
-    name_bytes: usize,
-    rel_bytes: usize,
-    /// Peak sweep-scratch bytes across workers (see [`Row::scratch_bytes`]).
-    scratch_bytes: usize,
-    /// The largest transient of one relation assembly
-    /// ([`crpq_core::MaterialiseTotals::peak_assembly_bytes`]).
-    assembly_bytes: usize,
+    Row::new("stream_million")
+        .with("nodes", g.num_nodes())
+        .with("edges", g.num_edges())
+        .with("tuples", tuples)
+        .with("full_ms", full_ms)
+        .with("ttf_ms", ttf_ms)
+        .with("ttk_ms", ttk_ms)
+        .with("k", K)
+        .with("ask_ms", ask_ms)
+        .with("stream_first_ms", stream_first_ms)
+        .with("ttf_fraction", ttf_fraction)
+        // `threads` only sweeps the untimed warm-up: the warm paths search
+        // on one thread and materialise nothing, and the cold stream
+        // materialises on one thread.
+        .measured_on(1)
 }
 
 /// Asserts the adjacency memory contract: one node-major offsets/labels/
@@ -660,12 +752,44 @@ fn assert_relation_layout(catalog: &RelationCatalog) {
     }
 }
 
+/// One scale row (`scale_rows`) of `workload` over `g`, built in
+/// `build_ms` and evaluated once in `eval_ms` through `catalog` (swept on
+/// `threads` workers): the materialisation split and the memory proxies of
+/// the module docs; `name_bytes` is 0 for anonymous graphs.
+fn scale_row(
+    workload: &str,
+    g: &GraphDb,
+    catalog: &RelationCatalog,
+    tuples: usize,
+    build_ms: f64,
+    eval_ms: f64,
+    threads: usize,
+) -> Row {
+    let totals = catalog.materialise_totals();
+    Row::new(workload)
+        .with("nodes", g.num_nodes())
+        .with("edges", g.num_edges())
+        .with("labels", g.alphabet().len())
+        .with("tuples", tuples)
+        .with("build_ms", build_ms)
+        .with("eval_ms", eval_ms)
+        .with("mat_ms", catalog.materialise_ms())
+        .with("sweep_ms", totals.sweep_ms)
+        .with("assembly_ms", totals.assembly_ms)
+        .with("index_bytes", g.index_bytes())
+        .with("name_bytes", g.name_bytes())
+        .with("rel_bytes", catalog.relation_bytes())
+        .with("scratch_bytes", catalog.peak_scratch_bytes())
+        .with("assembly_bytes", totals.peak_assembly_bytes)
+        .measured_on(threads)
+}
+
 /// Builds the label-rich graph at `n` nodes and evaluates the scale query
 /// once through the catalog engine, asserting the adjacency and relation
 /// memory contracts ([`assert_index_layout`], [`assert_relation_layout`]).
 /// With `enforce_ceiling`, build + evaluation must also finish under
 /// `ceiling_ms` — the CI scale gate.
-fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usize) -> ScaleRow {
+fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usize) -> Row {
     let (mut g, build_ms) = time_once(|| scaling::label_rich_graph(n, 5));
     let q = scaling::label_rich_query(g.alphabet_mut());
     let mut catalog = RelationCatalog::with_threads(&g, threads);
@@ -685,23 +809,15 @@ fn measure_scale(n: usize, ceiling_ms: f64, enforce_ceiling: bool, threads: usiz
             "scale smoke exceeded the wall-clock ceiling: {total:.0}ms > {ceiling_ms:.0}ms"
         );
     }
-    ScaleRow {
-        workload: "scale_label_rich",
-        nodes: g.num_nodes(),
-        edges: g.num_edges(),
-        labels: g.alphabet().len(),
+    scale_row(
+        "scale_label_rich",
+        &g,
+        &catalog,
         tuples,
         build_ms,
         eval_ms,
-        mat_ms: catalog.materialise_ms(),
-        sweep_ms: catalog.materialise_totals().sweep_ms,
-        assembly_ms: catalog.materialise_totals().assembly_ms,
-        index_bytes: g.index_bytes(),
-        name_bytes: g.name_bytes(),
-        rel_bytes: catalog.relation_bytes(),
-        scratch_bytes: catalog.peak_scratch_bytes(),
-        assembly_bytes: catalog.materialise_totals().peak_assembly_bytes,
-    }
+        threads,
+    )
 }
 
 /// Builds the million-node anonymous graph at `n` nodes / `4n` edges and
@@ -731,7 +847,7 @@ fn measure_million(
     enforce_ceiling: bool,
     threads: usize,
     build_bytes_budget: usize,
-) -> ScaleRow {
+) -> Row {
     let (mut g, build_ms) = time_once(|| scaling::million_graph(n, 7));
     let q = scaling::million_query(g.alphabet_mut());
     let mut catalog = RelationCatalog::with_threads(&g, threads);
@@ -758,7 +874,7 @@ fn measure_million(
     // count — a fixed `O(n)` bound would fail spuriously on many-core
     // machines whose per-worker floors add up. 256 KB/worker is ~100× the
     // measured footprint and ~10–100× below one dense stamp array.
-    let workers = crpq_graph::rpq::effective_threads(threads) + 1;
+    let workers = effective_threads(threads) + 1;
     let scratch_budget = workers * 256 * 1024;
     let scratch_bytes = catalog.peak_scratch_bytes();
     assert!(
@@ -788,119 +904,26 @@ fn measure_million(
              {total:.0}ms > {ceiling_ms:.0}ms"
         );
     }
-    ScaleRow {
-        workload: "scale_million",
-        nodes: g.num_nodes(),
-        edges: g.num_edges(),
-        labels: g.alphabet().len(),
+    scale_row(
+        "scale_million",
+        &g,
+        &catalog,
         tuples,
         build_ms,
         eval_ms,
-        mat_ms: catalog.materialise_ms(),
-        sweep_ms: catalog.materialise_totals().sweep_ms,
-        assembly_ms: catalog.materialise_totals().assembly_ms,
-        index_bytes: g.index_bytes(),
-        name_bytes: g.name_bytes(),
-        rel_bytes,
-        scratch_bytes,
-        assembly_bytes,
-    }
+        threads,
+    )
 }
 
-fn scale_rows_json(scale_rows: &[ScaleRow]) -> String {
-    let mut json = String::new();
-    for (i, r) in scale_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \
-             \"labels\": {}, \"tuples\": {}, \"build_ms\": {:.4}, \"eval_ms\": {:.4}, \
-             \"mat_ms\": {:.4}, \"sweep_ms\": {:.4}, \"assembly_ms\": {:.4}, \
-             \"index_bytes\": {}, \"name_bytes\": {}, \"rel_bytes\": {}, \
-             \"scratch_bytes\": {}, \"assembly_bytes\": {}}}{}",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.labels,
-            r.tuples,
-            r.build_ms,
-            r.eval_ms,
-            r.mat_ms,
-            r.sweep_ms,
-            r.assembly_ms,
-            r.index_bytes,
-            r.name_bytes,
-            r.rel_bytes,
-            r.scratch_bytes,
-            r.assembly_bytes,
-            if i + 1 < scale_rows.len() { "," } else { "" }
-        );
-    }
-    json
-}
-
-fn print_scale_rows(scale_rows: &[ScaleRow]) {
-    println!(
-        "\n## scale workloads — label-rich Zipf + million-node anonymous (catalog engine only)\n"
-    );
-    println!("| workload | n | edges | labels | tuples | build | eval | mat | sweep | assembly | index MB | names MB | rel MB | scratch KB | assembly KB |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
-    for r in scale_rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {:.0}ms | {:.0}ms | {:.0}ms | {:.0}ms | {:.0}ms | {:.1} | {:.2} | {:.1} | {:.1} | {:.1} |",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.labels,
-            r.tuples,
-            r.build_ms,
-            r.eval_ms,
-            r.mat_ms,
-            r.sweep_ms,
-            r.assembly_ms,
-            r.index_bytes as f64 / 1e6,
-            r.name_bytes as f64 / 1e6,
-            r.rel_bytes as f64 / 1e6,
-            r.scratch_bytes as f64 / 1024.0,
-            r.assembly_bytes as f64 / 1024.0,
-        );
-    }
-}
-
-/// One row of the work-stealing scheduler check (`steal_rows` in
-/// `BENCH_scale.json`): full evaluation (st) of [`scaling::steal_query`]
-/// over the Zipf-skewed [`scaling::steal_skew_graph`], once through the
-/// work-stealing search and once as the same request on one thread.
-struct StealRow {
-    workload: &'static str,
-    nodes: usize,
-    edges: usize,
-    labels: usize,
-    /// The resolved worker count of the work-stealing run.
-    threads: usize,
-    /// Hardware parallelism actually available — the speedup column is
-    /// only meaningful (and only CI-enforced) when this is ≥ 4; on a
-    /// 1-core runner the workers timeshare one CPU and the ratio hovers
-    /// around 1×.
-    cpus: usize,
-    tuples: usize,
-    /// Work-stealing search ([`Eval::threads`]`(threads)`).
-    ws_ms: f64,
-    /// The same request on one thread.
-    seq_ms: f64,
-}
-
-impl StealRow {
-    fn speedup(&self) -> f64 {
-        self.seq_ms / self.ws_ms.max(1e-9)
-    }
-}
-
-/// Measures the work-stealing search against the same request on one
-/// thread, on the skewed-Zipf workload at `n` nodes. With `enforce_floor`
-/// (the CI gate), work stealing must win by ≥ 1.5× — enforced only when
-/// the machine actually has ≥ 4 CPUs, since scheduling cannot buy wall
-/// clock that the hardware doesn't have.
-fn measure_steal(n: usize, threads: usize, enforce_floor: bool) -> StealRow {
+/// Measures the work-stealing search (`ws_ms`, [`Eval::threads`]) against
+/// the same request on one thread (`seq_ms`), full evaluation (st) of
+/// [`scaling::steal_query`] over the Zipf-skewed
+/// [`scaling::steal_skew_graph`] at `n` nodes (`steal_rows`). With
+/// `enforce_floor` (the CI gate), work stealing must win by ≥ 1.5× —
+/// enforced only when the machine actually has ≥ 4 CPUs, since scheduling
+/// cannot buy wall clock that the hardware doesn't have (on a 1-core
+/// runner the workers timeshare one CPU and the ratio hovers around 1×).
+fn measure_steal(n: usize, threads: usize, enforce_floor: bool) -> Row {
     const SAMPLES: usize = 3;
     let mut g = scaling::steal_skew_graph(n, 19);
     let q = scaling::steal_query(g.alphabet_mut());
@@ -911,127 +934,26 @@ fn measure_steal(n: usize, threads: usize, enforce_floor: bool) -> StealRow {
         !ws.is_empty(),
         "steal workload returned no tuples — the scheduler comparison proves nothing"
     );
-    let cpus = crpq_util::sync::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let row = StealRow {
-        workload: "steal_skew_zipf",
-        nodes: g.num_nodes(),
-        edges: g.num_edges(),
-        labels: g.alphabet().len(),
-        threads: crpq_graph::rpq::effective_threads(threads),
-        cpus,
-        tuples: ws.len(),
-        ws_ms,
-        seq_ms,
-    };
+    let (workers, cpus) = (effective_threads(threads), cpus());
+    let speedup = seq_ms / ws_ms.max(1e-9);
     if enforce_floor && cpus >= 4 {
         assert!(
-            row.speedup() >= 1.5,
+            speedup >= 1.5,
             "work stealing below the 1.5x floor over one thread on the skewed \
-             workload: {:.2}x ({:.1}ms vs {:.1}ms at {} threads, {} cpus)",
-            row.speedup(),
-            row.ws_ms,
-            row.seq_ms,
-            row.threads,
-            row.cpus
+             workload: {speedup:.2}x ({ws_ms:.1}ms vs {seq_ms:.1}ms at {workers} threads, \
+             {cpus} cpus)"
         );
     }
-    row
-}
-
-fn steal_rows_json(rows: &[StealRow]) -> String {
-    let mut json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \"labels\": {}, \
-             \"threads\": {}, \"cpus\": {}, \"tuples\": {}, \"ws_ms\": {:.4}, \
-             \"seq_ms\": {:.4}, \"ws_speedup\": {:.2}}}{}",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.labels,
-            r.threads,
-            r.cpus,
-            r.tuples,
-            r.ws_ms,
-            r.seq_ms,
-            r.speedup(),
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json
-}
-
-fn print_steal_rows(rows: &[StealRow]) {
-    println!("\n## skewed-Zipf join parallelism — work stealing vs one thread (st)\n");
-    println!("| workload | n | edges | threads | cpus | tuples | stealing | 1 thread | ws-x |");
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for r in rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {:.1}ms | {:.1}ms | {:.2}x |",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.threads,
-            r.cpus,
-            r.tuples,
-            r.ws_ms,
-            r.seq_ms,
-            r.speedup(),
-        );
-    }
-}
-
-/// One row of the dynamic-graph churn workloads (`mutate_rows` in
-/// `BENCH_scale.json`): mutation apply latency, catalog-backed query
-/// latency warm / after footprint-keyed invalidation / after evict-all,
-/// and the catalog's eviction counters, on a [`DeltaGraph`] under
-/// single-hot-label churn with a mixed-label query workload.
-struct MutateRow {
-    workload: &'static str,
-    nodes: usize,
-    edges: usize,
-    threads: usize,
-    /// Mutations applied per churn batch.
-    churn_ops: usize,
-    /// Mean per-mutation apply latency (µs) across all churn batches.
-    apply_us: f64,
-    /// Catalog-backed latency for the full query workload, fully warm
-    /// catalog, no intervening mutation (the all-hits baseline).
-    warm_ms: f64,
-    /// Same workload right after a churn batch +
-    /// [`RelationCatalog::invalidate_label`] on the churned label — only
-    /// footprint-matching entries re-materialise.
-    footprint_ms: f64,
-    /// Same workload right after a churn batch +
-    /// [`RelationCatalog::invalidate_all`] — the evict-everything
-    /// baseline footprint keying is measured against.
-    evict_all_ms: f64,
-    /// Entries evicted by one footprint-keyed invalidation round.
-    evictions_footprint: usize,
-    /// Entries evicted by one evict-all round (= live entries).
-    evictions_all: usize,
-    /// Live catalog entries once the full workload is materialised.
-    cached_entries: usize,
-    catalog_hits: usize,
-    catalog_misses: usize,
-}
-
-impl MutateRow {
-    /// The headline ratio: how much cheaper requerying is when only the
-    /// churned label's footprint is evicted instead of everything.
-    fn footprint_speedup(&self) -> f64 {
-        self.evict_all_ms / self.footprint_ms.max(1e-9)
-    }
-
-    fn hit_rate(&self) -> f64 {
-        let total = self.catalog_hits + self.catalog_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.catalog_hits as f64 / total as f64
-        }
-    }
+    Row::new("steal_skew_zipf")
+        .with("nodes", g.num_nodes())
+        .with("edges", g.num_edges())
+        .with("labels", g.alphabet().len())
+        .with("threads", workers)
+        .with("cpus", cpus)
+        .with("tuples", ws.len())
+        .with("ws_ms", ws_ms)
+        .with("seq_ms", seq_ms)
+        .with("ws_speedup", speedup)
 }
 
 /// Deterministic splitmix64 for churn schedules — the bench must be
@@ -1052,21 +974,23 @@ impl SplitMix {
     }
 }
 
-/// Measures the dynamic-graph churn workload at `n` nodes: the
-/// million-family graph wrapped in a [`DeltaGraph`], churned on one hot
-/// label (`l0`, alternating inserts and deletes), queried through a
-/// persistent [`RelationCatalog`] by a **mixed-label workload** — the
-/// scale query (footprint `l0..l4`) plus a disjoint-footprint twin over
-/// `l8..l12`. Per batch the catalog is invalidated either by
-/// [`RelationCatalog::invalidate_label`] on the churned label (only the
-/// one `l0`-footprint entry re-materialises) or by
-/// [`RelationCatalog::invalidate_all`] (every entry does).
+/// Measures the dynamic-graph churn workload at `n` nodes (`mutate_rows`):
+/// the million-family graph wrapped in a [`DeltaGraph`], churned on one
+/// hot label (`l0`, alternating inserts and deletes, `churn_ops` per
+/// batch), queried through a persistent [`RelationCatalog`] by a
+/// **mixed-label workload** — the scale query (footprint `l0..l4`) plus a
+/// disjoint-footprint twin over `l8..l12`. Per batch the catalog is
+/// invalidated either by [`RelationCatalog::invalidate_label`] on the
+/// churned label (only the one `l0`-footprint entry re-materialises;
+/// `footprint_ms`) or by [`RelationCatalog::invalidate_all`] (every entry
+/// does; `evict_all_ms`). `warm_ms` is the all-hits baseline and
+/// `apply_us` the mean per-mutation apply latency.
 ///
 /// With `enforce_floor` (the CI gate): footprint-keyed requery must be
 /// strictly cheaper than requery after evict-all, and the eviction
 /// counters must show footprint keying actually evicted a strict,
 /// non-empty subset of the live entries.
-fn measure_mutate(n: usize, threads: usize, enforce_floor: bool) -> MutateRow {
+fn measure_mutate(n: usize, threads: usize, enforce_floor: bool) -> Row {
     const SAMPLES: usize = 3;
     const CHURN_OPS: usize = 2_000;
     let mut base = scaling::million_graph(n, 7);
@@ -1153,95 +1077,40 @@ fn measure_mutate(n: usize, threads: usize, enforce_floor: bool) -> MutateRow {
         "catalog-backed answers diverged from a fresh evaluation after churn"
     );
 
-    let row = MutateRow {
-        workload: "mutate_churn_million",
-        nodes: GraphView::num_nodes(&g),
-        edges: GraphView::num_edges(&g),
-        threads: crpq_graph::rpq::effective_threads(threads),
-        churn_ops: CHURN_OPS,
-        apply_us: apply_us_sum / batches as f64,
-        warm_ms,
-        footprint_ms,
-        evict_all_ms,
-        evictions_footprint,
-        evictions_all,
-        cached_entries,
-        catalog_hits: catalog.hits(),
-        catalog_misses: catalog.misses(),
-    };
     if enforce_floor {
         assert!(
-            row.evictions_footprint > 0 && row.evictions_footprint < row.evictions_all,
-            "footprint keying must evict a strict non-empty subset: {} vs {} entries",
-            row.evictions_footprint,
-            row.evictions_all
+            evictions_footprint > 0 && evictions_footprint < evictions_all,
+            "footprint keying must evict a strict non-empty subset: \
+             {evictions_footprint} vs {evictions_all} entries"
         );
         assert!(
-            row.footprint_ms < row.evict_all_ms,
+            footprint_ms < evict_all_ms,
             "footprint-keyed requery not cheaper than evict-all on the mixed-label \
-             workload: {:.2}ms vs {:.2}ms",
-            row.footprint_ms,
-            row.evict_all_ms
+             workload: {footprint_ms:.2}ms vs {evict_all_ms:.2}ms"
         );
     }
-    row
-}
-
-fn mutate_rows_json(rows: &[MutateRow]) -> String {
-    let mut json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \"threads\": {}, \
-             \"churn_ops\": {}, \"apply_us\": {:.4}, \"warm_ms\": {:.4}, \
-             \"footprint_ms\": {:.4}, \"evict_all_ms\": {:.4}, \"footprint_speedup\": {:.2}, \
-             \"evictions_footprint\": {}, \"evictions_all\": {}, \"cached_entries\": {}, \
-             \"catalog_hits\": {}, \"catalog_misses\": {}, \"catalog_hit_rate\": {:.3}}}{}",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.threads,
-            r.churn_ops,
-            r.apply_us,
-            r.warm_ms,
-            r.footprint_ms,
-            r.evict_all_ms,
-            r.footprint_speedup(),
-            r.evictions_footprint,
-            r.evictions_all,
-            r.cached_entries,
-            r.catalog_hits,
-            r.catalog_misses,
-            r.hit_rate(),
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json
-}
-
-fn print_mutate_rows(rows: &[MutateRow]) {
-    println!(
-        "\n## dynamic graphs — base+delta churn, footprint-keyed vs evict-all invalidation (st)\n"
-    );
-    println!("| workload | n | edges | threads | apply/op | warm | footprint | evict-all | fp-x | evicted | hit-rate |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|");
-    for r in rows {
-        println!(
-            "| {} | {} | {} | {} | {:.2}µs | {:.1}ms | {:.1}ms | {:.1}ms | {:.2}x | {}/{} | {:.0}% |",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.threads,
-            r.apply_us,
-            r.warm_ms,
-            r.footprint_ms,
-            r.evict_all_ms,
-            r.footprint_speedup(),
-            r.evictions_footprint,
-            r.evictions_all,
-            r.hit_rate() * 100.0,
-        );
-    }
+    Row::new("mutate_churn_million")
+        .with("nodes", GraphView::num_nodes(&g))
+        .with("edges", GraphView::num_edges(&g))
+        .with("threads", effective_threads(threads))
+        .with("churn_ops", CHURN_OPS)
+        .with("apply_us", apply_us_sum / batches as f64)
+        .with("warm_ms", warm_ms)
+        .with("footprint_ms", footprint_ms)
+        .with("evict_all_ms", evict_all_ms)
+        // The headline ratio: how much cheaper requerying is when only the
+        // churned label's footprint is evicted instead of everything.
+        .with("footprint_speedup", evict_all_ms / footprint_ms.max(1e-9))
+        .with("evictions_footprint", evictions_footprint)
+        .with("evictions_all", evictions_all)
+        .with("cached_entries", cached_entries)
+        .with("catalog_hits", catalog.hits())
+        .with("catalog_misses", catalog.misses())
+        .with(
+            "catalog_hit_rate",
+            hit_rate(catalog.hits(), catalog.misses()),
+        )
+        .with("cpus", cpus())
 }
 
 /// Index + names budget of the 10⁶-node scale row (the PR-5 contract,
@@ -1255,209 +1124,44 @@ const MILLION_BYTES_BUDGET: usize = 200_000_000;
 /// relation + sweep-scratch side.
 const TEN_MILLION_BYTES_BUDGET: usize = 2_400_000_000;
 
-/// Extracts the rows of an existing `"name": [...]` array from a
-/// previously written baseline file, returning them with a trailing comma
-/// so new rows can be appended after them — the cross-PR perf trajectory.
-/// Defensive on purpose: a missing file, missing array or empty array all
-/// yield `""` (fresh start) rather than an error.
-fn prior_rows(path: &str, name: &str) -> String {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return String::new();
-    };
-    let open = format!("\"{name}\": [\n");
-    let Some(start) = text.find(&open) else {
-        return String::new();
-    };
-    let body = &text[start + open.len()..];
-    let Some(end) = body.find("\n  ]") else {
-        return String::new();
-    };
-    let inner = &body[..end];
-    if inner.trim().is_empty() {
-        String::new()
-    } else {
-        format!("{inner},\n")
-    }
-}
-
-/// The append-dedupe key of one serialised row:
-/// `(workload, graph, semantics, |V|, threads)`. Rows without a `threads`
-/// field (the scale rows) key on 0; rows without `graph` / `semantics`
-/// discriminators (everything except `BENCH_eval.json`'s `rows`) key on
-/// the empty string. `None` for lines that don't look like a measurement
-/// row.
-fn row_key(line: &str) -> Option<(String, String, String, usize, usize)> {
-    fn field_num(line: &str, name: &str) -> Option<usize> {
-        let tag = format!("\"{name}\": ");
-        let rest = &line[line.find(&tag)? + tag.len()..];
-        let digits = &rest[..rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len())];
-        digits.parse().ok()
-    }
-    fn field_str(line: &str, name: &str) -> Option<String> {
-        let tag = format!("\"{name}\": \"");
-        let rest = &line[line.find(&tag)? + tag.len()..];
-        Some(rest[..rest.find('"')?].to_string())
-    }
-    let workload = field_str(line, "workload")?;
-    let nodes = field_num(line, "nodes")?;
-    Some((
-        workload,
-        field_str(line, "graph").unwrap_or_default(),
-        field_str(line, "semantics").unwrap_or_default(),
-        nodes,
-        field_num(line, "threads").unwrap_or(0),
-    ))
-}
-
-/// [`prior_rows`] minus every row whose `(workload, |V|, threads)` key is
-/// re-measured in `new_rows` — and minus within-file duplicates (keeping
-/// the most recent, i.e. last, occurrence). This is what bounds
-/// `BENCH_scale.json`: repeated CI runs replace their own prior rows
-/// instead of appending forever, while rows of configurations *not*
-/// re-measured keep their trajectory.
-fn prior_rows_deduped(path: &str, name: &str, new_rows: &str) -> String {
-    let prior = prior_rows(path, name);
-    if prior.is_empty() {
-        return prior;
-    }
-    let new_keys: Vec<_> = new_rows.lines().filter_map(row_key).collect();
-    let lines: Vec<&str> = prior.lines().collect();
-    let mut kept: Vec<String> = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let keep = match row_key(line) {
-            // Defensive: pass unrecognised non-empty lines through rather
-            // than silently deleting hand-edited content.
-            None => !line.trim().is_empty(),
-            Some(key) => {
-                !new_keys.contains(&key)
-                    && !lines[i + 1..]
-                        .iter()
-                        .filter_map(|l| row_key(l))
-                        .any(|k| k == key)
-            }
-        };
-        if keep {
-            kept.push(line.trim_end().trim_end_matches(',').to_string());
-        }
-    }
-    if kept.is_empty() {
-        String::new()
-    } else {
-        format!("{},\n", kept.join(",\n"))
-    }
-}
-
-/// Re-emits a [`prior_rows`] extraction verbatim as a complete array body
-/// (no new rows appended): strips the trailing separator comma so the
-/// array stays valid JSON. Used to carry arrays a bench mode does *not*
-/// re-measure through its rewrite of a shared baseline file.
-fn array_body(prior: &str) -> String {
-    match prior.strip_suffix(",\n") {
-        Some(inner) => format!("{inner}\n"),
-        None => prior.to_string(),
-    }
-}
-
 /// The `--mutate-smoke` CI gate: the dynamic-graph churn workload at
 /// `|V| = 10⁵` (see [`measure_mutate`]), with the footprint-vs-evict-all
-/// floor enforced. Writes `mutate_rows` into `path` (`BENCH_scale.json`),
-/// appending to prior rows with `(workload, |V|, threads)` dedupe and
-/// carrying the file's `scale_rows` / `steal_rows` through untouched.
+/// floor enforced. Writes `mutate_rows` into `path` (`BENCH_scale.json`)
+/// with `write_baseline`.
 pub fn run_mutate_smoke(path: &str, threads: usize) {
     let rows = vec![measure_mutate(100_000, threads, true)];
-    print_mutate_rows(&rows);
-    let new_mutate = mutate_rows_json(&rows);
-    let prior_mutate = prior_rows_deduped(path, "mutate_rows", &new_mutate);
-    let scale = array_body(&prior_rows(path, "scale_rows"));
-    let steal = array_body(&prior_rows(path, "steal_rows"));
-    let wal = array_body(&prior_rows(path, "wal_rows"));
-    let mutate = prior_mutate + &new_mutate;
-    write_scale_file(path, "--mutate-smoke", threads, [scale, steal, mutate, wal]);
+    print_table(
+        "dynamic graphs — base+delta churn, footprint-keyed vs evict-all invalidation (st)",
+        &rows,
+    );
+    write_baseline(
+        path,
+        "--mutate-smoke",
+        &SCALE_ARRAYS,
+        &[("mutate_rows", rows)],
+    );
 }
 
-/// One row of the durability workloads (`wal_rows` in `BENCH_scale.json`):
-/// per-mutation WAL apply latency under one sync policy, plus the
-/// recovery (reopen + replay) wall clock, at `|V| = 10⁵` single-label
-/// churn over the real filesystem ([`crpq_util::StdStorage`]).
-struct WalRow {
-    /// `wal_churn_<policy>` — the policy is part of the workload name so
-    /// the append-dedupe key keeps one row per policy.
-    workload: &'static str,
-    nodes: usize,
-    edges: usize,
-    policy: String,
-    churn_ops: usize,
-    /// Mean per-mutation apply latency (µs), WAL append + policy sync
-    /// included.
-    apply_us: f64,
-    /// Reopen wall clock: read checkpoint, verify, replay the full WAL.
-    recover_ms: f64,
-    /// Records replayed by that reopen (= records logged by the churn).
-    replayed: usize,
-    /// WAL size after the churn (bytes).
-    wal_bytes: usize,
-}
-
-fn wal_rows_json(rows: &[WalRow]) -> String {
-    let mut json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"nodes\": {}, \"edges\": {}, \"policy\": \"{}\", \
-             \"churn_ops\": {}, \"apply_us\": {:.4}, \"recover_ms\": {:.4}, \
-             \"replayed\": {}, \"wal_bytes\": {}}}{}",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.policy,
-            r.churn_ops,
-            r.apply_us,
-            r.recover_ms,
-            r.replayed,
-            r.wal_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json
-}
-
-fn print_wal_rows(rows: &[WalRow]) {
-    println!("\n## durable graphs — WAL apply + recovery vs sync policy (single-label churn)\n");
-    println!("| workload | n | edges | policy | apply/op | recover | replayed | wal bytes |");
-    println!("|---|---|---|---|---|---|---|---|");
-    for r in rows {
-        println!(
-            "| {} | {} | {} | {} | {:.2}µs | {:.1}ms | {} | {} |",
-            r.workload,
-            r.nodes,
-            r.edges,
-            r.policy,
-            r.apply_us,
-            r.recover_ms,
-            r.replayed,
-            r.wal_bytes,
-        );
-    }
-}
-
-/// Measures one durability row: churn `ops` single-label mutations at `n`
-/// nodes through a [`DurableGraph`] on the real filesystem under
-/// `policy`, then reopen and time recovery. `Always` drives group-commit
-/// batches (100 mutations per `apply_batch`, one sync each); the other
-/// policies apply single mutations. With `enforce_ceiling` (the CI gate),
-/// the mean apply latency and the recovery wall clock must stay under
-/// generous ceilings — like the scale gates, these only catch asymptotic
-/// regressions (an fsync per byte, or recovery re-reading the WAL per
-/// record, would blow straight through).
+/// Measures one durability row (`wal_rows`): churn `ops` single-label
+/// mutations at `n` nodes through a [`DurableGraph`] on the real
+/// filesystem under `policy`, then reopen and time recovery. `workload`
+/// names the policy, so the dedupe key keeps one row per policy. `Always`
+/// drives group-commit batches (100 mutations per `apply_batch`, one sync
+/// each); the other policies apply single mutations. The row records the
+/// mean apply latency (`apply_us`, WAL append + policy sync), the reopen
+/// wall clock (`recover_ms`: read checkpoint, verify, replay the full
+/// WAL), the records it replayed and the WAL size. With `enforce_ceiling`
+/// (the CI gate), the apply latency and the recovery wall clock must stay
+/// under generous ceilings — like the scale gates, these only catch
+/// asymptotic regressions (an fsync per byte, or recovery re-reading the
+/// WAL per record, would blow straight through).
 fn measure_wal(
     n: usize,
     ops: usize,
-    workload: &'static str,
+    workload: &str,
     policy: SyncPolicy,
     enforce_ceiling: bool,
-) -> WalRow {
+) -> Row {
     const APPLY_CEILING_US: f64 = 2_000.0;
     const RECOVER_CEILING_MS: f64 = 60_000.0;
     let dir = std::env::temp_dir().join(format!("crpq_wal_smoke_{workload}"));
@@ -1523,31 +1227,28 @@ fn measure_wal(
         vec![hot],
         "single-label churn must report exactly the hot label"
     );
-    let row = WalRow {
-        workload,
-        nodes: GraphView::num_nodes(d2.graph()),
-        edges: live_edges,
-        policy: policy.to_string(),
-        churn_ops: ops,
-        apply_us,
-        recover_ms,
-        replayed: report.replayed,
-        wal_bytes,
-    };
     if enforce_ceiling {
         assert!(
-            row.apply_us < APPLY_CEILING_US,
-            "wal apply exceeded the per-mutation ceiling under {}: {:.1}µs > {APPLY_CEILING_US}µs",
-            row.policy,
-            row.apply_us
+            apply_us < APPLY_CEILING_US,
+            "wal apply exceeded the per-mutation ceiling under {policy}: \
+             {apply_us:.1}µs > {APPLY_CEILING_US}µs"
         );
         assert!(
-            row.recover_ms < RECOVER_CEILING_MS,
-            "wal recovery exceeded the wall-clock ceiling under {}: {:.0}ms > {RECOVER_CEILING_MS}ms",
-            row.policy,
-            row.recover_ms
+            recover_ms < RECOVER_CEILING_MS,
+            "wal recovery exceeded the wall-clock ceiling under {policy}: \
+             {recover_ms:.0}ms > {RECOVER_CEILING_MS}ms"
         );
     }
+    let row = Row::new(workload)
+        .with("nodes", GraphView::num_nodes(d2.graph()))
+        .with("edges", live_edges)
+        .with("policy", &*policy.to_string())
+        .with("churn_ops", ops)
+        .with("apply_us", apply_us)
+        .with("recover_ms", recover_ms)
+        .with("replayed", report.replayed)
+        .with("wal_bytes", wal_bytes)
+        .measured_on(1);
     drop(d2);
     let _ = std::fs::remove_dir_all(&dir);
     row
@@ -1557,8 +1258,7 @@ fn measure_wal(
 /// layer at `|V| = 10⁵` under each sync policy (`always` via 100-mutation
 /// group commits, `every:64`, `never`), with apply-latency and
 /// recovery-wall-clock ceilings enforced. Writes `wal_rows` into `path`
-/// (`BENCH_scale.json`), appending with the usual `(workload, |V|)`
-/// dedupe and carrying the other arrays through untouched.
+/// (`BENCH_scale.json`) with `write_baseline`.
 pub fn run_wal_smoke(path: &str) {
     const OPS: usize = 10_000;
     const N: usize = 100_000;
@@ -1567,36 +1267,11 @@ pub fn run_wal_smoke(path: &str) {
         measure_wal(N, OPS, "wal_churn_every64", SyncPolicy::EveryN(64), true),
         measure_wal(N, OPS, "wal_churn_never", SyncPolicy::Never, true),
     ];
-    print_wal_rows(&rows);
-    let new_wal = wal_rows_json(&rows);
-    let prior_wal = prior_rows_deduped(path, "wal_rows", &new_wal);
-    let scale = array_body(&prior_rows(path, "scale_rows"));
-    let steal = array_body(&prior_rows(path, "steal_rows"));
-    let mutate = array_body(&prior_rows(path, "mutate_rows"));
-    let wal = prior_wal + &new_wal;
-    write_scale_file(path, "--wal-smoke", 1, [scale, steal, mutate, wal]);
-}
-
-/// Writes `BENCH_scale.json` at `path`: the `experiments` mode that
-/// generated it, the `machine` it ran on with `threads` workers, and the
-/// bodies of its `scale_rows`, `steal_rows`, `mutate_rows` and `wal_rows`
-/// arrays, in that order.
-fn write_scale_file(path: &str, mode: &str, threads: usize, arrays: [String; 4]) {
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(
-        json,
-        "  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- {mode}\","
+    print_table(
+        "durable graphs — WAL apply + recovery vs sync policy (single-label churn)",
+        &rows,
     );
-    let _ = writeln!(json, "  \"machine\": {},", machine_json(threads));
-    let names = ["scale_rows", "steal_rows", "mutate_rows", "wal_rows"];
-    for (i, (name, body)) in names.iter().zip(&arrays).enumerate() {
-        let sep = if i + 1 < names.len() { "," } else { "" };
-        let _ = write!(json, "  \"{name}\": [\n{body}  ]{sep}\n");
-    }
-    json.push_str("}\n");
-    std::fs::write(path, &json).expect("write scale smoke JSON"); // invariant: harness IO is fail-fast
-    println!("\nwrote {path}");
+    write_baseline(path, "--wal-smoke", &SCALE_ARRAYS, &[("wal_rows", rows)]);
 }
 
 /// Upper bound on relation assembly time as a fraction of the sweep time
@@ -1614,16 +1289,15 @@ const ASSEMBLY_GATE_THREADS: usize = 2;
 /// `assembly_ms ≤` [`ASSEMBLY_SWEEP_RATIO`] `· sweep_ms`. Assembly runs on
 /// one thread after the sweeps, so the ratio pins that it stays a small
 /// serial tail of materialisation without an absolute time bound.
-fn assert_assembly_share(row: &ScaleRow) {
-    assert_eq!(row.workload, "scale_million");
-    let bound = ASSEMBLY_SWEEP_RATIO * row.sweep_ms;
+fn assert_assembly_share(row: &Row) {
+    assert_eq!(row.text("workload"), "scale_million");
+    let (assembly_ms, sweep_ms) = (row.get("assembly_ms"), row.get("sweep_ms"));
+    let bound = ASSEMBLY_SWEEP_RATIO * sweep_ms;
     assert!(
-        row.assembly_ms <= bound,
-        "relation assembly {:.0}ms exceeds {bound:.0}ms ({ASSEMBLY_SWEEP_RATIO} x the \
-         {:.0}ms of sweeps on {ASSEMBLY_GATE_THREADS} workers) at |V|={}",
-        row.assembly_ms,
-        row.sweep_ms,
-        row.nodes,
+        assembly_ms <= bound,
+        "relation assembly {assembly_ms:.0}ms exceeds {bound:.0}ms ({ASSEMBLY_SWEEP_RATIO} x the \
+         {sweep_ms:.0}ms of sweeps on {ASSEMBLY_GATE_THREADS} workers) at |V|={}",
+        row.get("nodes"),
     );
 }
 
@@ -1636,17 +1310,17 @@ const SEARCH_SCALING_FACTOR: f64 = 30.0;
 /// large.mat_ms ≤` [`SEARCH_SCALING_FACTOR`] `· (small.eval_ms −
 /// small.mat_ms)`. Materialisation is excluded, so only the layers after
 /// it (semi-join pruning, search, output) are gated.
-fn assert_search_scaling(small: &ScaleRow, large: &ScaleRow) {
-    assert_eq!(small.workload, "scale_million");
-    assert_eq!(large.workload, "scale_million");
-    let rest = |r: &ScaleRow| r.eval_ms - r.mat_ms;
+fn assert_search_scaling(small: &Row, large: &Row) {
+    assert_eq!(small.text("workload"), "scale_million");
+    assert_eq!(large.text("workload"), "scale_million");
+    let rest = |r: &Row| r.get("eval_ms") - r.get("mat_ms");
     let (rest_small, rest_large) = (rest(small), rest(large));
     assert!(
         rest_large <= SEARCH_SCALING_FACTOR * rest_small,
         "search time scales superlinearly: {rest_large:.0}ms at |V|={} vs \
          {rest_small:.0}ms at |V|={} ({:.1}x, bound {SEARCH_SCALING_FACTOR}x)",
-        large.nodes,
-        small.nodes,
+        large.get("nodes"),
+        small.get("nodes"),
         rest_large / rest_small.max(1e-9)
     );
 }
@@ -1675,11 +1349,10 @@ fn assert_search_scaling(small: &ScaleRow, large: &ScaleRow) {
 ///   work-stealing search and on one thread, with the ≥ 1.5× stealing
 ///   floor enforced on machines with ≥ 4 CPUs.
 ///
-/// Writes the measurements to `path` (same `scale_rows` schema as
-/// `BENCH_eval.json`), **appending** to any rows already present in the
-/// file so the trajectory across PRs stays visible. `threads` sets the
-/// sweep workers of every row but the `10⁶` one; `0` keeps the documented
-/// fallback (one worker per CPU, capped at 16).
+/// Writes `scale_rows` and `steal_rows` into `path` (`BENCH_scale.json`)
+/// with `write_baseline`. `threads` sets the sweep workers of every row
+/// but the `10⁶` one; `0` keeps the documented fallback (one worker per
+/// CPU, capped at 16).
 pub fn run_scale_smoke(path: &str, threads: usize) {
     // Generous ceilings: the workloads run in seconds on a laptop; the
     // ceilings only have to catch asymptotic regressions (a dense
@@ -1712,38 +1385,22 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
         if threads == 0 { 16 } else { threads },
         true,
     )];
-    print_scale_rows(&rows);
-    print_steal_rows(&steal_rows);
+    print_table(
+        "scale workloads — label-rich Zipf + million-node anonymous (catalog engine only)",
+        &rows,
+    );
+    print_table(
+        "skewed-Zipf join parallelism — work stealing vs one thread (st)",
+        &steal_rows,
+    );
     assert_assembly_share(&rows[1]);
     assert_search_scaling(&rows[1], &rows[2]);
-    let new_scale = scale_rows_json(&rows);
-    let new_steal = steal_rows_json(&steal_rows);
-    let prior_scale = prior_rows_deduped(path, "scale_rows", &new_scale);
-    let prior_steal = prior_rows_deduped(path, "steal_rows", &new_steal);
-    // Not re-measured here — carried through so the smoke modes can
-    // rewrite the shared file in any order.
-    let mutate = array_body(&prior_rows(path, "mutate_rows"));
-    let wal = array_body(&prior_rows(path, "wal_rows"));
-    let (scale, steal) = (prior_scale + &new_scale, prior_steal + &new_steal);
-    write_scale_file(path, "--scale-smoke", threads, [scale, steal, mutate, wal]);
-}
-
-/// The `machine` object of `BENCH_eval.json` and `BENCH_scale.json`:
-/// available CPUs, the smoke's resolved thread count and total RAM from `/proc/meminfo` (`0` where
-/// either is unreadable).
-fn machine_json(threads: usize) -> String {
-    let cpus = crpq_util::sync::thread::available_parallelism().map_or(0, std::num::NonZero::get);
-    let mem_total_kb = std::fs::read_to_string("/proc/meminfo")
-        .ok()
-        .and_then(|text| {
-            let line = text.lines().find(|l| l.starts_with("MemTotal:"))?;
-            line.split_whitespace().nth(1)?.parse::<u64>().ok()
-        })
-        .unwrap_or(0);
-    format!(
-        "{{\"cpus\": {cpus}, \"threads\": {}, \"mem_total_kb\": {mem_total_kb}}}",
-        crpq_graph::rpq::effective_threads(threads)
-    )
+    write_baseline(
+        path,
+        "--scale-smoke",
+        &SCALE_ARRAYS,
+        &[("scale_rows", rows), ("steal_rows", steal_rows)],
+    );
 }
 
 /// Runs the E2 + E9 evaluation comparison and writes `path`.
@@ -1759,9 +1416,6 @@ fn machine_json(threads: usize) -> String {
 /// `threads = 0` keeps the documented fallback (one materialisation
 /// worker per CPU, capped at 16).
 pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
-    println!("## BENCH_eval — catalog-backed planner vs. legacy enumeration\n");
-    println!("| workload | graph | n | sem | tuples | join | legacy | mat | hit-rate | legacy-x |");
-    println!("|---|---|---|---|---|---|---|---|---|---|");
     let mut rows: Vec<Row> = Vec::new();
 
     // E2: the paper's running example, all three semantics.
@@ -1838,15 +1492,21 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     let hub_rows = measure_hub_scaling();
     let hub_ratios: Vec<f64> = hub_rows
         .chunks(HUB_SIZES.len())
-        .map(|p| p[1].join_ms / p[0].join_ms.max(1e-9))
+        .map(|p| p[1].get("join_ms") / p[0].get("join_ms").max(1e-9))
         .collect();
-    let hub_tuples = hub_rows.iter().map(|r| r.tuples).min().unwrap_or(0);
+    let hub_tuples = hub_rows
+        .iter()
+        .map(|r| r.get("tuples"))
+        .fold(f64::INFINITY, f64::min);
     cyclic_rows.extend(hub_rows);
 
     // Injective verification over a warm catalog, for the CI "a-inj and
     // q-inj within 3x of st" gate.
-    let (inj_tuples, inj_ms) = measure_injective();
-    let over_st = |k: usize| inj_ms[k] / inj_ms[0].max(1e-9);
+    let injective = measure_injective();
+    let inj_tuples = injective.nums("tuples");
+    let inj_ms = injective.nums("ms");
+    let (ainj_over_st, qinj_over_st) =
+        (injective.get("ainj_over_st"), injective.get("qinj_over_st"));
 
     // Streaming fast paths on the million family: 10⁵ for the trajectory,
     // 10⁶ as the CI floor carrier (time-to-first ≤ 50% of full, ASK no
@@ -1856,100 +1516,27 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         measure_stream(1_000_000, threads, enforce_floor),
     ];
 
-    for r in &rows {
-        println!(
-            "| {} | {} | {} | {} | {} | {:.3}ms | {:.3}ms | {:.3}ms | {:.0}% | {:.1}x |",
-            r.workload,
-            r.graph,
-            r.nodes,
-            r.semantics,
-            r.tuples,
-            r.join_ms,
-            r.legacy_ms,
-            r.mat_ms,
-            r.hit_rate() * 100.0,
-            r.speedup()
-        );
-    }
-
-    print_scale_rows(&scale_rows);
-    print_stream_rows(&stream_rows);
-    print_cyclic_rows(&cyclic_rows);
-
-    let mut new_rows = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            new_rows,
-            "    {{\"workload\": \"{}\", \"graph\": \"{}\", \"nodes\": {}, \"edges\": {}, \
-             \"arity\": {}, \"semantics\": \"{}\", \"tuples\": {}, \"join_ms\": {:.4}, \
-             \"legacy_ms\": {:.4}, \"mat_ms\": {:.4}, \
-             \"catalog_hits\": {}, \"catalog_misses\": {}, \"catalog_hit_rate\": {:.3}, \
-             \"speedup\": {:.2}, \"index_bytes\": {}, \
-             \"rel_bytes\": {}, \"scratch_bytes\": {}}}{}",
-            r.workload,
-            r.graph,
-            r.nodes,
-            r.edges,
-            r.arity,
-            r.semantics,
-            r.tuples,
-            r.join_ms,
-            r.legacy_ms,
-            r.mat_ms,
-            r.catalog_hits,
-            r.catalog_misses,
-            r.hit_rate(),
-            r.speedup(),
-            r.index_bytes,
-            r.rel_bytes,
-            r.scratch_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    // Every array appends to the prior baseline with per-configuration
-    // dedupe — same policy as BENCH_scale.json, so configurations dropped
-    // from a future smoke keep their last measurement on record.
-    let new_scale = scale_rows_json(&scale_rows);
-    let new_stream = stream_rows_json(&stream_rows);
-    let new_cyclic = cyclic_rows_json(&cyclic_rows);
-    let new_injective = format!(
-        "    {{\"workload\": \"injective_triangle\", \"graph\": \"cyclic(2000, 11)\", \
-         \"tuples\": {inj_tuples:?}, \"ms\": [{:.4}, {:.4}, {:.4}], \"ainj_over_st\": {:.2}, \
-         \"qinj_over_st\": {:.2}}}\n",
-        inj_ms[0],
-        inj_ms[1],
-        inj_ms[2],
-        over_st(1),
-        over_st(2)
+    print_table(
+        "BENCH_eval — catalog-backed planner vs. legacy enumeration",
+        &rows,
     );
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(
-        "  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- --smoke\",\n",
+    print_table(
+        "scale workloads — label-rich Zipf + million-node anonymous (catalog engine only)",
+        &scale_rows,
     );
-    let _ = writeln!(json, "  \"machine\": {},", machine_json(threads));
-    json.push_str("  \"rows\": [\n");
-    json.push_str(&prior_rows_deduped(path, "rows", &new_rows));
-    json.push_str(&new_rows);
-    json.push_str("  ],\n");
-    json.push_str("  \"scale_rows\": [\n");
-    json.push_str(&prior_rows_deduped(path, "scale_rows", &new_scale));
-    json.push_str(&new_scale);
-    json.push_str("  ],\n");
-    json.push_str("  \"stream_rows\": [\n");
-    json.push_str(&prior_rows_deduped(path, "stream_rows", &new_stream));
-    json.push_str(&new_stream);
-    json.push_str("  ],\n");
-    json.push_str("  \"cyclic_rows\": [\n");
-    json.push_str(&prior_rows_deduped(path, "cyclic_rows", &new_cyclic));
-    json.push_str(&new_cyclic);
-    json.push_str("  ],\n");
-    json.push_str("  \"injective_rows\": [\n");
-    json.push_str(&prior_rows_deduped(path, "injective_rows", &new_injective));
-    json.push_str(&new_injective);
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, &json).expect("write BENCH_eval.json"); // invariant: harness IO is fail-fast
-    println!("\nwrote {path}");
+    print_table(
+        "streaming enumeration — early-exit fast paths vs full materialisation (st)",
+        &stream_rows,
+    );
+    print_table(
+        &format!("cyclic shapes — Generic Join (medians of {CYCLIC_SAMPLES})"),
+        &cyclic_rows,
+    );
+    let injective_rows = vec![injective];
+    print_table(
+        &format!("injective triangle — warm catalog (medians of {CYCLIC_SAMPLES})"),
+        &injective_rows,
+    );
 
     // Headline numbers the CI smoke asserts on, over the E9 rows at
     // |V| ≈ 10³, arity 2:
@@ -1958,19 +1545,30 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     //    query shapes);
     // 2. the multi-variant query must actually share atoms through the
     //    catalog (hit-rate > 0).
-    let e9: Vec<&Row> = rows
-        .iter()
-        .filter(|r| r.workload.starts_with("e9_") && r.nodes >= 1000)
-        .collect();
-    let mv: Vec<&Row> = rows
-        .iter()
-        .filter(|r| r.workload == "e9_multi_variant" && r.nodes >= 1000)
-        .collect();
-    let headline = e9.iter().map(|r| r.speedup()).fold(f64::INFINITY, f64::min);
-    let min_hit_rate = mv
-        .iter()
-        .map(|r| r.hit_rate())
+    let e9_at = |prefix: &'static str| {
+        rows.iter()
+            .filter(move |r| r.text("workload").starts_with(prefix) && r.get("nodes") >= 1000.0)
+    };
+    let headline = e9_at("e9_")
+        .map(|r| r.get("speedup"))
         .fold(f64::INFINITY, f64::min);
+    let min_hit_rate = e9_at("e9_multi_variant")
+        .map(|r| r.get("catalog_hit_rate"))
+        .fold(f64::INFINITY, f64::min);
+
+    write_baseline(
+        path,
+        "--smoke",
+        &EVAL_ARRAYS,
+        &[
+            ("rows", rows),
+            ("scale_rows", scale_rows),
+            ("stream_rows", stream_rows),
+            ("cyclic_rows", cyclic_rows),
+            ("injective_rows", injective_rows),
+        ],
+    );
+
     println!("headline e9 speedup at |V|=10^3: {headline:.1}x (target ≥ 10x)");
     println!(
         "e9 multi-variant catalog hit-rate at |V|=10^3: {:.0}% (target > 0)",
@@ -1983,10 +1581,9 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     );
     println!(
         "injective triangle, warm catalog (medians of {CYCLIC_SAMPLES}): st {:.2}ms, \
-         a-inj {:.2}x, q-inj {:.2}x (target: each ≤ {INJECTIVE_RATIO_BOUND}x st)",
-        inj_ms[0],
-        over_st(1),
-        over_st(2)
+         a-inj {ainj_over_st:.2}x, q-inj {qinj_over_st:.2}x (target: each ≤ \
+         {INJECTIVE_RATIO_BOUND}x st)",
+        inj_ms[0]
     );
     if enforce_floor {
         assert!(
@@ -2005,15 +1602,15 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
             hub_ratios[1]
         );
         assert!(
-            hub_tuples > 0,
+            hub_tuples > 0.0,
             "hub triangle returned no tuples — the scaling gate proves nothing"
         );
         assert!(
-            inj_tuples.iter().all(|&t| t > 0),
+            inj_tuples.iter().all(|&t| t > 0.0),
             "injective triangle returned no tuples under some semantics — the gate proves nothing"
         );
         assert!(
-            over_st(1) <= INJECTIVE_RATIO_BOUND && over_st(2) <= INJECTIVE_RATIO_BOUND,
+            ainj_over_st <= INJECTIVE_RATIO_BOUND && qinj_over_st <= INJECTIVE_RATIO_BOUND,
             "injective verification more than {INJECTIVE_RATIO_BOUND}x the st join on the \
              triangle: st / a-inj / q-inj {inj_ms:.2?} ms"
         );
@@ -2026,76 +1623,138 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
 
 #[cfg(test)]
 mod tests {
-    use super::{prior_rows_deduped, row_key};
+    use super::{file_rows, merge_rows, row_key, write_baseline, Row};
 
     #[test]
     fn row_key_reads_workload_nodes_and_optional_discriminators() {
-        let steal = r#"    {"workload": "zipf_steal", "nodes": 60000, "threads": 16, "ms": 1.0},"#;
+        let steal = r#"{"workload": "zipf_steal", "nodes": 60000, "threads": 16, "ms": 1.0}"#;
         assert_eq!(
             row_key(steal),
-            Some((
-                "zipf_steal".to_string(),
-                String::new(),
-                String::new(),
-                60_000,
-                16
-            ))
+            [
+                Some(r#""zipf_steal""#),
+                None,
+                None,
+                Some("60000"),
+                Some("16")
+            ]
         );
-        let scale = r#"    {"workload": "million", "nodes": 1000000, "eval_ms": 3.0}"#;
+        let scale = r#"{"workload": "million", "nodes": 1000000, "eval_ms": 3.0}"#;
         assert_eq!(
             row_key(scale),
-            Some((
-                "million".to_string(),
-                String::new(),
-                String::new(),
-                1_000_000,
-                0
-            ))
+            [Some(r#""million""#), None, None, Some("1000000"), None]
         );
         // The eval rows carry graph + semantics discriminators, so the
         // three semantics of one workload/graph pair stay distinct keys.
-        let eval = r#"    {"workload": "e2", "graph": "G", "nodes": 5, "semantics": "a-inj"},"#;
+        let eval = r#"{"workload": "e2", "graph": "G", "nodes": 5, "semantics": "a-inj"}"#;
         assert_eq!(
             row_key(eval),
-            Some(("e2".to_string(), "G".to_string(), "a-inj".to_string(), 5, 0))
+            [
+                Some(r#""e2""#),
+                Some(r#""G""#),
+                Some(r#""a-inj""#),
+                Some("5"),
+                None
+            ]
         );
-        assert_eq!(row_key("  ],"), None);
+        // Commas inside a text or list value do not split fields.
+        let injective =
+            r#"{"workload": "inj", "graph": "cyclic(2000, 11)", "tuples": [1, 2], "threads": 1}"#;
+        assert_eq!(
+            row_key(injective),
+            [
+                Some(r#""inj""#),
+                Some(r#""cyclic(2000, 11)""#),
+                None,
+                None,
+                Some("1")
+            ]
+        );
+        // A written row keys on exactly the text `Row::json` gives it.
+        let row = Row::new("w")
+            .with("graph", "g, h")
+            .with("nodes", 3usize)
+            .with("ms", [1.5, 2.0]);
+        assert_eq!(
+            row.json(),
+            r#"{"workload": "w", "graph": "g, h", "nodes": 3, "ms": [1.5000, 2.0000]}"#
+        );
+        assert_eq!(
+            row_key(&row.json()),
+            [Some(r#""w""#), Some(r#""g, h""#), None, Some("3"), None]
+        );
     }
 
     #[test]
     fn prior_rows_dedupe_replaces_remeasured_and_keeps_last_duplicate() {
-        let path = std::env::temp_dir().join(format!("bench-dedupe-{}.json", std::process::id()));
-        let text = concat!(
-            "{\n",
-            "  \"scale_rows\": [\n",
-            "    {\"workload\": \"zipf\", \"nodes\": 100000, \"threads\": 4, \"eval_ms\": 1.0},\n",
-            "    {\"workload\": \"zipf\", \"nodes\": 100000, \"threads\": 4, \"eval_ms\": 2.0},\n",
-            "    {\"workload\": \"million\", \"nodes\": 1000000, \"eval_ms\": 3.0}\n",
-            "  ]\n",
-            "}\n",
+        let zipf1 = r#"{"workload": "zipf", "nodes": 100000, "threads": 4, "eval_ms": 1.0}"#;
+        let zipf2 = r#"{"workload": "zipf", "nodes": 100000, "threads": 4, "eval_ms": 2.0}"#;
+        let million = r#"{"workload": "million", "nodes": 1000000, "eval_ms": 3.0}"#;
+        let inj1 = r#"{"workload": "inj", "graph": "cyclic(2000, 11)", "ms": [1.0, 1.5]}"#;
+        let inj2 = r#"{"workload": "inj", "graph": "cyclic(2000, 11)", "ms": [2.0, 2.5]}"#;
+        let st = r#"{"workload": "e2", "graph": "G", "nodes": 3, "semantics": "st"}"#;
+        let ainj = r#"{"workload": "e2", "graph": "G", "nodes": 3, "semantics": "a-inj"}"#;
+        let gprime = r#"{"workload": "e2", "graph": "Gprime", "nodes": 3, "semantics": "st"}"#;
+        let text = format!(
+            "{{\n  \"rows\": [\n    {st},\n    {ainj},\n    {gprime}\n  ],\n  \
+             \"scale_rows\": [\n    {zipf1},\n    {zipf2},\n    {million}\n  ],\n  \
+             \"injective_rows\": [\n    {inj1},\n    {inj2}\n  ]\n}}\n"
         );
-        std::fs::write(&path, text).unwrap();
-        let path_str = path.to_str().unwrap();
+        assert_eq!(file_rows(&text, "scale_rows"), [zipf1, zipf2, million]);
 
-        // Re-measuring `million` drops its prior row; the duplicated `zipf`
-        // row keeps only its last (most recent) occurrence.
-        let new_rows = "    {\"workload\": \"million\", \"nodes\": 1000000, \"eval_ms\": 9.0},\n";
-        let deduped = prior_rows_deduped(path_str, "scale_rows", new_rows);
-        assert_eq!(
-            deduped,
-            "    {\"workload\": \"zipf\", \"nodes\": 100000, \"threads\": 4, \"eval_ms\": 2.0},\n"
-        );
-
+        // Re-measuring `million` replaces its prior row; the duplicated
+        // `zipf` row keeps only its last (most recent) occurrence.
+        let fresh = [Row::new("million")
+            .with("nodes", 1_000_000usize)
+            .with("eval_ms", 9.0)];
+        let remeasured = r#"{"workload": "million", "nodes": 1000000, "eval_ms": 9.0000}"#;
+        assert_eq!(merge_rows(&text, "scale_rows", &fresh), [zipf2, remeasured]);
         // Nothing re-measured: both distinct keys survive, still deduped.
-        let untouched = prior_rows_deduped(path_str, "scale_rows", "");
-        assert_eq!(untouched.lines().count(), 2);
-        assert!(untouched.contains("\"eval_ms\": 2.0"));
-        assert!(untouched.contains("\"million\""));
-        assert!(!untouched.contains("\"eval_ms\": 1.0"));
+        assert_eq!(merge_rows(&text, "scale_rows", &[]), [zipf2, million]);
+        // Rows without `nodes` key on the fields they have: two rows of
+        // one workload and graph collapse to the last.
+        assert_eq!(merge_rows(&text, "injective_rows", &[]), [inj2]);
+        // `graph` and `semantics` discriminate.
+        assert_eq!(merge_rows(&text, "rows", &[]), [st, ainj, gprime]);
+        // A missing array is a fresh start.
+        assert!(merge_rows(&text, "no_such_array", &[]).is_empty());
+    }
 
-        // Missing file / missing array stay a fresh start.
-        assert_eq!(prior_rows_deduped(path_str, "no_such_array", ""), "");
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(prior_rows_deduped(path_str, "scale_rows", ""), "");
+    #[test]
+    fn write_baseline_starts_fresh_and_carries_unmeasured_arrays() {
+        let path = std::env::temp_dir().join(format!("bench-baseline-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let arrays = ["a_rows", "b_rows"];
+        let x = r#"{"workload": "x", "nodes": 1}"#;
+
+        // A missing file is a fresh start; an unmeasured array is empty.
+        write_baseline(
+            path,
+            "--test",
+            &arrays,
+            &[("a_rows", vec![Row::new("x").with("nodes", 1usize)])],
+        );
+        let first = std::fs::read_to_string(path).unwrap();
+        assert!(first.starts_with(
+            "{\n  \"generated_by\": \"cargo run --release -p crpq-bench --bin experiments -- --test\",\n"
+        ));
+        assert!(first.contains("\n  \"b_rows\": [\n  ]\n}\n"));
+        assert_eq!(file_rows(&first, "a_rows"), [x]);
+        assert!(file_rows(&first, "b_rows").is_empty());
+
+        // A run that measures only `b_rows` passes `a_rows` through.
+        let y = |ms: f64| {
+            Row::new("y")
+                .with("graph", "cyclic(2000, 11)")
+                .with("ms", ms)
+        };
+        write_baseline(path, "--test", &arrays, &[("b_rows", vec![y(1.0), y(2.0)])]);
+        let second = std::fs::read_to_string(path).unwrap();
+        assert_eq!(file_rows(&second, "a_rows"), [x]);
+        assert_eq!(
+            file_rows(&second, "b_rows"),
+            [r#"{"workload": "y", "graph": "cyclic(2000, 11)", "ms": 2.0000}"#]
+        );
+        std::fs::remove_file(path).unwrap();
     }
 }

@@ -27,9 +27,10 @@
 //! dense |V|·|Q| stamp array; from 10⁶ to 10⁷ nodes the time after
 //! materialisation grows at most 30×), plus the skewed-Zipf scheduler check
 //! (work stealing vs. the same request on one thread, ≥ 1.5× floor on
-//! ≥ 4-CPU machines). Rows append to `BENCH_scale.json` across runs, with
-//! re-measured `(workload, |V|, threads)` configurations replacing their
-//! prior rows instead of duplicating them:
+//! ≥ 4-CPU machines). Rows append to `BENCH_scale.json` across runs; a
+//! re-measured row replaces every prior row with the same key (the raw
+//! `workload`, `graph`, `semantics`, `nodes` and `threads` values, an
+//! absent field counting as absent) instead of duplicating it:
 //!
 //! ```sh
 //! cargo run --release -p crpq-bench --bin experiments -- --scale-smoke
@@ -42,8 +43,8 @@
 //! (evict only the entries whose NFA alphabet mentions the churned label)
 //! requeries strictly cheaper than evict-all, and that the eviction
 //! counters show a strict non-empty subset was evicted. Writes
-//! `mutate_rows` into `BENCH_scale.json` (append + dedupe, other arrays
-//! carried through):
+//! `mutate_rows` into `BENCH_scale.json` (append + keyed dedupe; the other
+//! arrays pass through under the same rule):
 //!
 //! ```sh
 //! cargo run --release -p crpq-bench --bin experiments -- --mutate-smoke
@@ -54,8 +55,8 @@
 //! filesystem under each sync policy (`always` via group commit,
 //! `every:64`, `never`), asserting per-mutation apply latency and
 //! recovery (reopen + replay) wall clock stay under their ceilings.
-//! Writes `wal_rows` into `BENCH_scale.json` (append + dedupe, other
-//! arrays carried through):
+//! Writes `wal_rows` into `BENCH_scale.json` (append + keyed dedupe; the
+//! other arrays pass through under the same rule):
 //!
 //! ```sh
 //! cargo run --release -p crpq-bench --bin experiments -- --wal-smoke
@@ -64,7 +65,8 @@
 //! `--threads N` overrides the materialisation/evaluation worker count in
 //! all benchmark modes (`0` keeps the documented fallback: one worker per
 //! CPU, capped at 16), so baseline numbers are reproducible across
-//! machines.
+//! machines. Every row records the machine's `cpus` and the resolved
+//! `threads` it was measured with.
 
 use crpq_containment::abstraction::try_contain_qinj;
 use crpq_containment::{contain, Semantics};
@@ -73,9 +75,8 @@ use crpq_graph::{generators, rpq};
 use crpq_reductions as red;
 use crpq_util::Interner;
 use crpq_workloads::{figure1, paper_examples as paper, scaling};
-use std::time::Instant;
 
-use crpq_bench::bench_eval;
+use crpq_bench::bench_eval::{self, time_once};
 
 /// Parses `--threads N` from the command line; `0` (the default) keeps
 /// the documented per-CPU fallback.
@@ -124,12 +125,6 @@ fn main() {
     println!("\nAll experiments completed.");
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed().as_secs_f64() * 1e3)
-}
-
 fn verdict(v: Option<bool>) -> &'static str {
     match v {
         Some(true) => "⊆",
@@ -154,7 +149,7 @@ fn e1_figure1() {
             Semantics::QueryInjective,
             Semantics::AtomInjective,
         ] {
-            let (out, ms) = timed(|| contain(&inst.q1, &inst.q2, sem));
+            let (out, ms) = time_once(|| contain(&inst.q1, &inst.q2, sem));
             row += &format!(" {} {:.2}ms |", verdict(out.as_bool()), ms);
         }
         println!("{row}");
@@ -289,8 +284,8 @@ fn e5_abstraction() {
     let mut it = Interner::new();
     let q1 = crpq_query::parse_crpq("(x, z) <- x -[a a*]-> y, y -[b b*]-> z", &mut it).unwrap();
     let q2 = crpq_query::parse_crpq("(x, z) <- x -[a (a+b)* b]-> z", &mut it).unwrap();
-    let (fwd, ms1) = timed(|| try_contain_qinj(&q1, &q2));
-    let (bwd, ms2) = timed(|| try_contain_qinj(&q2, &q1));
+    let (fwd, ms1) = time_once(|| try_contain_qinj(&q1, &q2));
+    let (bwd, ms2) = time_once(|| try_contain_qinj(&q2, &q1));
     println!("a⁺·b⁺ ⊆q-inj a(a+b)*b : {fwd:?} in {ms1:.2}ms (bounded engine: inconclusive)");
     println!("a(a+b)*b ⊆q-inj a⁺·b⁺ : {bwd:?} in {ms2:.2}ms (counter-example abab)");
     // Agreement corpus on finite instances:
@@ -331,9 +326,9 @@ fn e6_pcp() {
     let unsolvable = red::PcpInstance {
         pairs: vec![("a".into(), "b".into())],
     };
-    let (sol, ms) = timed(|| red::pcp_brute_force(&solvable, 6));
+    let (sol, ms) = time_once(|| red::pcp_brute_force(&solvable, 6));
     println!("solvable instance (ab,a)(c,bc): solution {sol:?} in {ms:.2}ms");
-    let (none, ms) = timed(|| red::pcp_brute_force(&unsolvable, 8));
+    let (none, ms) = time_once(|| red::pcp_brute_force(&unsolvable, 8));
     println!("unsolvable instance (a,b): {none:?} within bound 8 in {ms:.2}ms");
     let mut it = Interner::new();
     let r = red::pcp_to_ainj_containment(&solvable, &mut it);
@@ -343,12 +338,12 @@ fn e6_pcp() {
         it.len()
     );
     let s = sol.unwrap();
-    let (wf, ms) = timed(|| {
+    let (wf, ms) = time_once(|| {
         let w = red::pcp::witness_expansion(&r, &solvable, &s, false);
         red::pcp::satisfies_wellformedness(&r, &w)
     });
     println!("solution witness passes all four conditions: {wf} in {ms:.2}ms");
-    let (ill, ms) = timed(|| {
+    let (ill, ms) = time_once(|| {
         let w = red::pcp::witness_expansion(&r, &solvable, &s, true);
         red::pcp::satisfies_wellformedness(&r, &w)
     });
@@ -381,7 +376,7 @@ fn e7_gcp2() {
     for (name, inst) in cases {
         let brute = red::gcp2_brute_force(&inst);
         let ((via, ms), _) = (
-            timed(|| {
+            time_once(|| {
                 let mut it = Interner::new();
                 let (q1, q2, _) = red::gcp2_to_qinj_containment(&inst, &mut it);
                 contain(&q1, &q2, Semantics::QueryInjective)
@@ -434,7 +429,7 @@ fn e8_qbf() {
     println!("|---|---|---|---|");
     for (name, inst) in cases {
         let brute = red::qbf_brute_force(&inst);
-        let (ok, ms) = timed(|| {
+        let (ok, ms) = time_once(|| {
             let mut it = Interner::new();
             let r = red::qbf_to_ainj_containment(&inst, &mut it);
             red::qbf::check_reduction_clean_quotients(&inst, &r)
@@ -456,7 +451,7 @@ fn e9_evaluation() {
         let tuple = [crpq_graph::NodeId(0), crpq_graph::NodeId((n - 1) as u32)];
         let mut row = format!("| {n} |");
         for sem in Semantics::ALL {
-            let (_, ms) = timed(|| Eval::new(&q, &g).semantics(sem).contains(&tuple));
+            let (_, ms) = time_once(|| Eval::new(&q, &g).semantics(sem).contains(&tuple));
             row += &format!(" {ms:.2}ms |");
         }
         println!("{row}");
@@ -471,8 +466,8 @@ fn e9_evaluation() {
         let nfa = crpq_automata::Nfa::from_regex(&regex);
         let s = g.node_by_name("s0").unwrap();
         let t = g.node_by_name(&format!("s{n}")).unwrap();
-        let (_, ms_simple) = timed(|| rpq::simple_path_exists(&g, &nfa, s, t, &g.node_set()));
-        let (_, ms_std) = timed(|| rpq::rpq_exists(&g, &nfa, s, t));
+        let (_, ms_simple) = time_once(|| rpq::simple_path_exists(&g, &nfa, s, t, &g.node_set()));
+        let (_, ms_std) = time_once(|| rpq::rpq_exists(&g, &nfa, s, t));
         println!("| {n} | 2^{n} | {ms_simple:.2}ms | {ms_std:.3}ms |");
     }
 }
@@ -516,10 +511,10 @@ fn e10_tractability() {
         let q_hard = parse_crpq("(x, y) <- x -[(a a)*]-> y", g.alphabet_mut()).unwrap();
         let search = |q: &crpq_query::Crpq| {
             let (nfa, blocked) = (q.atoms[0].nfa(), g.node_set());
-            timed(|| rpq::simple_path_exists(&g, &nfa, s, t, &blocked)).1
+            time_once(|| rpq::simple_path_exists(&g, &nfa, s, t, &blocked)).1
         };
         let eval = |q: &crpq_query::Crpq| {
-            timed(|| {
+            time_once(|| {
                 Eval::new(q, &g)
                     .semantics(Semantics::AtomInjective)
                     .contains(&[s, t])

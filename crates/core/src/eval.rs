@@ -597,7 +597,6 @@ pub(crate) struct CompiledAtom {
     pub(crate) src: Var,
     pub(crate) dst: Var,
     pub(crate) nfa: Nfa,
-    nfa_rev: Nfa,
     /// Whether the language is factor-deletion closed
     /// ([`crpq_automata::tractability::deletion_closed`]), which makes
     /// [`atom_injective`] free.
@@ -617,7 +616,6 @@ fn compile_atoms(variant: &Crpq) -> Vec<CompiledAtom> {
             CompiledAtom {
                 src: a.src,
                 dst: a.dst,
-                nfa_rev: nfa.reverse(),
                 deletion_closed: crpq_automata::tractability::deletion_closed(&nfa, &nfa.symbols()),
                 nfa,
             }
@@ -1253,6 +1251,8 @@ pub(crate) struct VariantEval<'a, G: GraphView> {
     g: &'a G,
     q: &'a Crpq,
     atoms: Vec<CompiledAtom>,
+    /// The reversed NFA of each atom, read only by [`Self::reach_back`].
+    nfa_rev: Vec<Nfa>,
     sem: Semantics,
     reach_fwd: FxHashMap<(usize, NodeId), BitSet>,
     reach_back: FxHashMap<(usize, NodeId), BitSet>,
@@ -1262,10 +1262,12 @@ pub(crate) struct VariantEval<'a, G: GraphView> {
 impl<'a, G: GraphView> VariantEval<'a, G> {
     /// The evaluator of one ε-free variant.
     pub(crate) fn build(variant: &'a Crpq, g: &'a G, sem: Semantics) -> Self {
+        let atoms = compile_atoms(variant);
         VariantEval {
             g,
             q: variant,
-            atoms: compile_atoms(variant),
+            nfa_rev: atoms.iter().map(|a| a.nfa.reverse()).collect(),
+            atoms,
             sem,
             reach_fwd: FxHashMap::default(),
             reach_back: FxHashMap::default(),
@@ -1399,7 +1401,7 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
 
     fn reach_back(&mut self, atom: usize, to: NodeId) -> &BitSet {
         if !self.reach_back.contains_key(&(atom, to)) {
-            let set = rpq::rpq_reach_back(self.g, &self.atoms[atom].nfa_rev, to);
+            let set = rpq::rpq_reach_back(self.g, &self.nfa_rev[atom], to);
             self.reach_back.insert((atom, to), set);
         }
         &self.reach_back[&(atom, to)]
