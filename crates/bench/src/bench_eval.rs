@@ -8,7 +8,8 @@
 //! values. `print_table` prints a row set with one column per field under
 //! its JSON name, and `write_baseline` rewrites a baseline file with one
 //! JSON object per row. Every row records the `cpus` of the machine and
-//! the resolved `threads` it was measured with.
+//! the resolved `threads` it was measured with, and its written JSON the
+//! `mode` that wrote it.
 //!
 //! `rows` (E2/E9) time two engines per row:
 //!
@@ -61,11 +62,13 @@
 //! The **cyclic workloads** (`cyclic_rows`) time the join on the triangle /
 //! 4-cycle / diamond-with-chord CRPQs of [`crpq_workloads::cyclic`] (cold,
 //! medians of 5), and the warm triangle join on the heavy-hitter
-//! [`cyclic::hub_triangle_graph`] at n = 5 000 and 80 000 under st and
-//! a-inj. `--smoke` gates the AGM scaling on the hub rows: the 16× larger
-//! input may cost at most [`HUB_SCALING_BOUND`]× the time, where the
-//! `|R|^{3/2}` bound allows 64× and a pairwise plan, binding n² spoke pairs
-//! at the hub, pays 256×.
+//! [`cyclic::hub_triangle_graph`] at n = 5 000 and 80 000 under st, a-inj
+//! and q-inj. `--smoke` gates the AGM scaling on the hub rows: under each
+//! semantics the 16× larger input may cost at most [`HUB_SCALING_BOUND`]×
+//! the time, where the `|R|^{3/2}` bound allows 64× and a pairwise plan,
+//! binding n² spoke pairs at the hub, pays 256×. At n = 80 000 q-inj may
+//! take at most [`INJECTIVE_RATIO_BOUND`]× the st time: every atom is one
+//! letter, so q-inj verification places nothing.
 //!
 //! The **injective workload** (`injective_rows`) times the triangle on
 //! `cyclic_graph(2 000, 11)` under st, a-inj and q-inj over one warm
@@ -78,9 +81,11 @@
 //! time-to-first-tuple ([`Eval::limit`] with k = 1), time-to-k,
 //! [`Eval::ask`] and the cold end-to-end first tuple off the pull stream
 //! (`Eval::stream`), against the warm full materialisation over the same
-//! catalog. `--smoke` enforces the CI floors at `|V| = 10⁶`: time-to-first
-//! ≤ 50 % of the full-materialisation wall clock, and `ASK` no slower than
-//! time-to-first (small noise guard). Both sides pay the same semi-join
+//! catalog, every path on one thread (there is no thread knob).
+//! Time-to-first and `ASK` are medians of 5 interleaved samples. `--smoke`
+//! enforces the CI floors at `|V| = 10⁶`: time-to-first ≤ 50 % of the
+//! full-materialisation wall clock, and `ASK` no slower than time-to-first
+//! (small noise guard). Both sides pay the same semi-join
 //! pass, which bounds the ratio from below; a `LIMIT 1` that drains the
 //! whole search reads ≈ 1.0.
 //!
@@ -101,13 +106,16 @@
 //! recovery wall clock.
 //!
 //! The JSON is hand-serialised (the workspace's `serde` is an offline no-op
-//! shim). A baseline file is a `generated_by` command, a `machine` object
-//! (`cpus`, `mem_total_kb`) and the file's arrays (`BENCH_eval.json`:
-//! `EVAL_ARRAYS`; `BENCH_scale.json`: `SCALE_ARRAYS`). Each rewrite
-//! keeps the rows already in the file, then this run's rows, and of those
-//! the last row per [`row_key`] — a repeated CI run replaces its own prior
-//! measurement instead of growing the file, while configurations no longer
-//! measured keep their trajectory.
+//! shim). A baseline file is a `generated_by` command (the mode that
+//! rewrote the file last, not necessarily the one that measured a given
+//! row), a `machine` object (`cpus`, `mem_total_kb`) and the file's arrays
+//! (`BENCH_eval.json`: `EVAL_ARRAYS`; `BENCH_scale.json`: `SCALE_ARRAYS`).
+//! Every row written records the `experiments` mode that measured it as
+//! its `mode` field (rows written before the field was added lack it).
+//! Each rewrite keeps the rows already in the file, then this run's rows,
+//! and of those the last row per [`row_key`] — a repeated CI run replaces
+//! its own prior measurement instead of growing the file, while
+//! configurations no longer measured keep their trajectory.
 
 use crpq_core::{eval_tuples_enumerate, Eval, RelationCatalog, Semantics};
 use crpq_graph::rpq::{effective_threads, NodeSet, RelationRow};
@@ -319,11 +327,16 @@ const EVAL_ARRAYS: [&str; 5] = [
 const SCALE_ARRAYS: [&str; 4] = ["scale_rows", "steal_rows", "mutate_rows", "wal_rows"];
 
 /// Rewrites the baseline file at `path`: the `experiments` `mode` that
-/// wrote it, the `machine` it ran on and each of `arrays` in order, holding
-/// the array's rows already in the file followed by its rows in `fresh`,
-/// deduped by [`merge_rows`]. Arrays without fresh rows pass through under
-/// the same rule; a missing file or array starts empty.
-fn write_baseline(path: &str, mode: &str, arrays: &[&str], fresh: &[(&str, Vec<Row>)]) {
+/// wrote it last (`generated_by`), the `machine` it ran on and each of
+/// `arrays` in order, holding the array's rows already in the file
+/// followed by its rows in `fresh`, deduped by [`merge_rows`]. Each fresh
+/// row records `mode` as its last field, outside the [`row_key`]. Arrays
+/// without fresh rows pass through under the same rule; a missing file or
+/// array starts empty.
+fn write_baseline(path: &str, mode: &str, arrays: &[&str], mut fresh: Vec<(&str, Vec<Row>)>) {
+    for row in fresh.iter_mut().flat_map(|(_, rows)| rows) {
+        row.0.push(("mode", mode.into()));
+    }
     let prior = std::fs::read_to_string(path).unwrap_or_default();
     let mut json = String::from("{\n");
     let _ = writeln!(
@@ -452,9 +465,9 @@ fn measure(
         .measured_on(threads)
 }
 
-/// Samples per timed configuration of the cyclic and injective rows
-/// (median of 5).
-const CYCLIC_SAMPLES: usize = 5;
+/// Samples per timed configuration of the cyclic and injective rows and
+/// of the stream rows' `ttf_ms` and `ask_ms` (median of 5).
+const MEDIAN_SAMPLES: usize = 5;
 
 /// The hub-triangle sizes of the AGM scaling gate: the larger input is
 /// 16× the smaller.
@@ -491,7 +504,7 @@ fn cyclic_row(workload: &str, sem: Semantics, g: &GraphDb, tuples: usize, join_m
 /// includes its own catalog materialisation.
 fn measure_cyclic(workload: &str, q: &Crpq, g: &GraphDb) -> Row {
     let mut tuples = 0;
-    let samples = (0..CYCLIC_SAMPLES)
+    let samples = (0..MEDIAN_SAMPLES)
         .map(|_| {
             let (out, ms) = time_once(|| Eval::new(q, g).tuples());
             tuples = out.len();
@@ -501,13 +514,13 @@ fn measure_cyclic(workload: &str, q: &Crpq, g: &GraphDb) -> Row {
     cyclic_row(workload, Semantics::Standard, g, tuples, median(samples))
 }
 
-/// The warm hub-triangle rows of the AGM scaling gate, st then a-inj,
-/// each at every [`HUB_SIZES`] entry in order, over one warm catalog per
-/// graph, so only the join search (and a-inj's free per-atom checks) is
-/// timed. Each round times every size and semantics back to back, so a
-/// slow phase of the machine lands on both sides of the ratio.
+/// The warm hub-triangle rows of the AGM scaling gate, one per semantics
+/// of [`Semantics::ALL`] in order, each at every [`HUB_SIZES`] entry in
+/// order, over one warm catalog per graph, so only the join search (and
+/// the free injective checks of the one-letter atoms) is timed. Each
+/// round times every size and semantics back to back, so a slow phase of
+/// the machine lands on both sides of every ratio.
 fn measure_hub_scaling() -> Vec<Row> {
-    const SEMS: [Semantics; 2] = [Semantics::Standard, Semantics::AtomInjective];
     let graphs: Vec<(GraphDb, Crpq)> = HUB_SIZES
         .iter()
         .map(|&n| {
@@ -524,10 +537,10 @@ fn measure_hub_scaling() -> Vec<Row> {
             catalog
         })
         .collect();
-    let mut tuples = [[0; 2]; 2];
-    let mut samples: [[Vec<f64>; 2]; 2] = Default::default();
-    for _ in 0..CYCLIC_SAMPLES {
-        for (k, &sem) in SEMS.iter().enumerate() {
+    let mut tuples = [[0; 2]; 3];
+    let mut samples: [[Vec<f64>; 2]; 3] = Default::default();
+    for _ in 0..MEDIAN_SAMPLES {
+        for (k, sem) in Semantics::ALL.into_iter().enumerate() {
             for (i, ((g, q), catalog)) in graphs.iter().zip(&mut catalogs).enumerate() {
                 let (out, ms) =
                     time_once(|| Eval::new(q, g).semantics(sem).catalog(catalog).tuples());
@@ -537,7 +550,7 @@ fn measure_hub_scaling() -> Vec<Row> {
         }
     }
     let mut rows = Vec::new();
-    for (k, &sem) in SEMS.iter().enumerate() {
+    for (k, sem) in Semantics::ALL.into_iter().enumerate() {
         for (i, (g, _)) in graphs.iter().enumerate() {
             let join_ms = median(std::mem::take(&mut samples[k][i]));
             rows.push(cyclic_row(
@@ -575,9 +588,11 @@ fn measure_cyclic_rows() -> Vec<Row> {
 }
 
 /// The injective/st gate: a-inj and q-inj may each take at most this many
-/// times the st median. Every triangle atom is one letter, so
-/// classification makes each per-atom check free: on a 2-CPU machine the
-/// ratios read 1.0x (a-inj) and 1.3–1.5x (q-inj), against 12–16x for both
+/// times the st median, on the `cyclic_graph` triangle and, for q-inj, on
+/// the n = 80 000 hub triangle. Every triangle atom is one letter, so
+/// classification makes each per-atom check free and the q-inj placement
+/// records each atom's edge without a search: on a 2-CPU machine the
+/// ratios read ~1.0x (a-inj) and ~1.1x (q-inj), against 12–16x for both
 /// when every atom pair ran a simple-path search.
 const INJECTIVE_RATIO_BOUND: f64 = 3.0;
 
@@ -594,7 +609,7 @@ fn measure_injective() -> Row {
     Eval::new(&q, &g).catalog(&mut catalog).tuples();
     let mut tuples = [0; 3];
     let mut samples: [Vec<f64>; 3] = Default::default();
-    for _ in 0..CYCLIC_SAMPLES {
+    for _ in 0..MEDIAN_SAMPLES {
         for (k, sem) in Semantics::ALL.into_iter().enumerate() {
             let (out, ms) = time_once(|| {
                 Eval::new(&q, &g)
@@ -618,26 +633,28 @@ fn measure_injective() -> Row {
 }
 
 /// Measures the streaming fast paths (`stream_rows`, standard semantics)
-/// on the million-node family at `n` nodes: warm-catalog full
-/// materialisation (`full_ms`, the baseline the floors compare against —
-/// warm on both sides so the ratios measure search early-exit, not
-/// relation sharing), time-to-first-tuple (`ttf_ms`, `Eval::limit` with
-/// k = 1), time-to-k (`ttk_ms`), `ASK` (`ask_ms`) and the cold end-to-end
-/// wait for the pull stream's first tuple (`stream_first_ms`, relation
-/// materialisation included). With `enforce_floor` (the CI gate at
-/// `|V| = 10⁶`): time-to-first-tuple must be ≤ 50 % of the warm
-/// full-materialisation wall clock — both pay the same semi-join pass, and
-/// an early exit that broke would drain the whole search and read ≈ 100 %
-/// — and `ASK` must be no slower than time-to-first (they do the same
-/// search; a 5 % + 1 ms guard absorbs timer noise).
-fn measure_stream(n: usize, threads: usize, enforce_floor: bool) -> Row {
+/// on the million-node family at `n` nodes, every path on one thread:
+/// warm-catalog full materialisation (`full_ms`, best of 3, the baseline
+/// the floors compare against — warm on both sides so the ratios measure
+/// search early-exit, not relation sharing), time-to-first-tuple
+/// (`ttf_ms`, `Eval::limit` with k = 1), time-to-k (`ttk_ms`, best of 3),
+/// `ASK` (`ask_ms`) and the cold end-to-end wait for the pull stream's
+/// first tuple (`stream_first_ms`, relation materialisation included).
+/// `ttf_ms` and `ask_ms` are medians of [`MEDIAN_SAMPLES`] interleaved
+/// samples. With `enforce_floor` (the CI gate at `|V| = 10⁶`):
+/// time-to-first-tuple must be ≤ 50 % of the warm full-materialisation
+/// wall clock — both pay the same semi-join pass, and an early exit that
+/// broke would drain the whole search and read ≈ 100 % — and `ASK` must be
+/// no slower than time-to-first (they do the same search; a 5 % + 1 ms
+/// guard absorbs timer noise).
+fn measure_stream(n: usize, enforce_floor: bool) -> Row {
     const SAMPLES: usize = 3;
     const K: usize = 64;
     let mut g = scaling::million_graph(n, 7);
     let q = scaling::million_query(g.alphabet_mut());
     // Warm the shared catalog once; every timed path below then runs over
     // identical, already-materialised relations.
-    let mut catalog = RelationCatalog::with_threads(&g, threads);
+    let mut catalog = RelationCatalog::new(&g);
     let tuples = Eval::new(&q, &g).catalog(&mut catalog).tuples().len();
     assert!(
         tuples > K,
@@ -645,17 +662,19 @@ fn measure_stream(n: usize, threads: usize, enforce_floor: bool) -> Row {
     );
     let (_, full_ms) = time_best_of(SAMPLES, || Eval::new(&q, &g).catalog(&mut catalog).tuples());
     // `LIMIT 1` and `ASK` run the same search, and the gate compares them:
-    // their samples alternate, so a slow phase of the machine lands on both.
+    // their samples alternate, so a slow phase of the machine lands on
+    // both, and the gate reads medians, which one slow sample cannot move.
     let (mut first, mut exists) = (Vec::new(), false);
-    let (mut ttf_ms, mut ask_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..SAMPLES {
+    let (mut ttf_samples, mut ask_samples) = (Vec::new(), Vec::new());
+    for _ in 0..MEDIAN_SAMPLES {
         let ms;
         (first, ms) = time_once(|| Eval::new(&q, &g).catalog(&mut catalog).limit(1));
-        ttf_ms = ttf_ms.min(ms);
+        ttf_samples.push(ms);
         let ms;
         (exists, ms) = time_once(|| Eval::new(&q, &g).catalog(&mut catalog).ask());
-        ask_ms = ask_ms.min(ms);
+        ask_samples.push(ms);
     }
+    let (ttf_ms, ask_ms) = (median(ttf_samples), median(ask_samples));
     assert_eq!(first.len(), 1, "time-to-first run must yield one tuple");
     assert!(exists, "ASK must find the witness the full run found");
     let (topk, ttk_ms) = time_best_of(SAMPLES, || Eval::new(&q, &g).catalog(&mut catalog).limit(K));
@@ -693,9 +712,6 @@ fn measure_stream(n: usize, threads: usize, enforce_floor: bool) -> Row {
         .with("ask_ms", ask_ms)
         .with("stream_first_ms", stream_first_ms)
         .with("ttf_fraction", ttf_fraction)
-        // `threads` only sweeps the untimed warm-up: the warm paths search
-        // on one thread and materialise nothing, and the cold stream
-        // materialises on one thread.
         .measured_on(1)
 }
 
@@ -1138,7 +1154,7 @@ pub fn run_mutate_smoke(path: &str, threads: usize) {
         path,
         "--mutate-smoke",
         &SCALE_ARRAYS,
-        &[("mutate_rows", rows)],
+        vec![("mutate_rows", rows)],
     );
 }
 
@@ -1271,7 +1287,7 @@ pub fn run_wal_smoke(path: &str) {
         "durable graphs — WAL apply + recovery vs sync policy (single-label churn)",
         &rows,
     );
-    write_baseline(path, "--wal-smoke", &SCALE_ARRAYS, &[("wal_rows", rows)]);
+    write_baseline(path, "--wal-smoke", &SCALE_ARRAYS, vec![("wal_rows", rows)]);
 }
 
 /// Upper bound on relation assembly time as a fraction of the sweep time
@@ -1399,7 +1415,7 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
         path,
         "--scale-smoke",
         &SCALE_ARRAYS,
-        &[("scale_rows", rows), ("steal_rows", steal_rows)],
+        vec![("scale_rows", rows), ("steal_rows", steal_rows)],
     );
 }
 
@@ -1409,8 +1425,9 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
 /// smoke gate): the ≥10× join-vs-legacy speedup at |V| = 10³, a catalog
 /// hit-rate > 0 on the multi-variant E9 workload, the warm hub-triangle
 /// join at n = 80 000 within [`HUB_SCALING_BOUND`]× its time at 5 000
-/// under st and a-inj (medians of 5), and warm a-inj and q-inj each
-/// within 3× of st on the triangle (medians of 5). Without it, shortfalls
+/// under each semantics and q-inj within [`INJECTIVE_RATIO_BOUND`]× st
+/// there (medians of 5), and warm a-inj and q-inj each within
+/// [`INJECTIVE_RATIO_BOUND`]× st on the triangle (medians of 5). Without it, shortfalls
 /// are only reported — the full experiment suite should finish with
 /// measurements either way.
 /// `threads = 0` keeps the documented fallback (one materialisation
@@ -1490,10 +1507,13 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     // the smaller's.
     let mut cyclic_rows = measure_cyclic_rows();
     let hub_rows = measure_hub_scaling();
-    let hub_ratios: Vec<f64> = hub_rows
+    // One chunk per semantics, st first, each holding the HUB_SIZES rows.
+    let hub_ms: Vec<[f64; 2]> = hub_rows
         .chunks(HUB_SIZES.len())
-        .map(|p| p[1].get("join_ms") / p[0].get("join_ms").max(1e-9))
+        .map(|p| [p[0].get("join_ms"), p[1].get("join_ms")])
         .collect();
+    let hub_ratios: Vec<f64> = hub_ms.iter().map(|ms| ms[1] / ms[0].max(1e-9)).collect();
+    let hub_qinj_over_st = hub_ms[2][1] / hub_ms[0][1].max(1e-9);
     let hub_tuples = hub_rows
         .iter()
         .map(|r| r.get("tuples"))
@@ -1512,8 +1532,8 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     // 10⁶ as the CI floor carrier (time-to-first ≤ 50% of full, ASK no
     // slower than time-to-first).
     let stream_rows = vec![
-        measure_stream(100_000, threads, false),
-        measure_stream(1_000_000, threads, enforce_floor),
+        measure_stream(100_000, false),
+        measure_stream(1_000_000, enforce_floor),
     ];
 
     print_table(
@@ -1529,12 +1549,12 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         &stream_rows,
     );
     print_table(
-        &format!("cyclic shapes — Generic Join (medians of {CYCLIC_SAMPLES})"),
+        &format!("cyclic shapes — Generic Join (medians of {MEDIAN_SAMPLES})"),
         &cyclic_rows,
     );
     let injective_rows = vec![injective];
     print_table(
-        &format!("injective triangle — warm catalog (medians of {CYCLIC_SAMPLES})"),
+        &format!("injective triangle — warm catalog (medians of {MEDIAN_SAMPLES})"),
         &injective_rows,
     );
 
@@ -1560,7 +1580,7 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         path,
         "--smoke",
         &EVAL_ARRAYS,
-        &[
+        vec![
             ("rows", rows),
             ("scale_rows", scale_rows),
             ("stream_rows", stream_rows),
@@ -1575,12 +1595,14 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         min_hit_rate * 100.0
     );
     println!(
-        "hub triangle warm join, n = {} -> {} (medians of {CYCLIC_SAMPLES}): st {:.1}x, \
-         a-inj {:.1}x (target: each ≤ {HUB_SCALING_BOUND}x; AGM allows 64x, a pairwise plan 256x)",
-        HUB_SIZES[0], HUB_SIZES[1], hub_ratios[0], hub_ratios[1]
+        "hub triangle warm join, n = {} -> {} (medians of {MEDIAN_SAMPLES}): st {:.1}x, \
+         a-inj {:.1}x, q-inj {:.1}x (target: each ≤ {HUB_SCALING_BOUND}x; AGM allows 64x, \
+         a pairwise plan 256x); q-inj/st at n = {} {hub_qinj_over_st:.2}x (target: ≤ \
+         {INJECTIVE_RATIO_BOUND}x)",
+        HUB_SIZES[0], HUB_SIZES[1], hub_ratios[0], hub_ratios[1], hub_ratios[2], HUB_SIZES[1]
     );
     println!(
-        "injective triangle, warm catalog (medians of {CYCLIC_SAMPLES}): st {:.2}ms, \
+        "injective triangle, warm catalog (medians of {MEDIAN_SAMPLES}): st {:.2}ms, \
          a-inj {ainj_over_st:.2}x, q-inj {qinj_over_st:.2}x (target: each ≤ \
          {INJECTIVE_RATIO_BOUND}x st)",
         inj_ms[0]
@@ -1597,9 +1619,18 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         assert!(
             hub_ratios.iter().all(|&r| r <= HUB_SCALING_BOUND),
             "hub-triangle join grew more than {HUB_SCALING_BOUND}x over a 16x larger input: \
-             st {:.1}x, a-inj {:.1}x",
+             st {:.1}x, a-inj {:.1}x, q-inj {:.1}x",
             hub_ratios[0],
-            hub_ratios[1]
+            hub_ratios[1],
+            hub_ratios[2]
+        );
+        assert!(
+            hub_qinj_over_st <= INJECTIVE_RATIO_BOUND,
+            "q-inj verification more than {INJECTIVE_RATIO_BOUND}x the st join on the hub \
+             triangle at n = {}: st / q-inj {:.2} / {:.2} ms",
+            HUB_SIZES[1],
+            hub_ms[0][1],
+            hub_ms[2][1]
         );
         assert!(
             hub_tuples > 0.0,
@@ -1725,14 +1756,14 @@ mod tests {
         let path = path.to_str().unwrap();
         let _ = std::fs::remove_file(path);
         let arrays = ["a_rows", "b_rows"];
-        let x = r#"{"workload": "x", "nodes": 1}"#;
+        let x = r#"{"workload": "x", "nodes": 1, "mode": "--test"}"#;
 
         // A missing file is a fresh start; an unmeasured array is empty.
         write_baseline(
             path,
             "--test",
             &arrays,
-            &[("a_rows", vec![Row::new("x").with("nodes", 1usize)])],
+            vec![("a_rows", vec![Row::new("x").with("nodes", 1usize)])],
         );
         let first = std::fs::read_to_string(path).unwrap();
         assert!(first.starts_with(
@@ -1748,12 +1779,25 @@ mod tests {
                 .with("graph", "cyclic(2000, 11)")
                 .with("ms", ms)
         };
-        write_baseline(path, "--test", &arrays, &[("b_rows", vec![y(1.0), y(2.0)])]);
+        write_baseline(
+            path,
+            "--test",
+            &arrays,
+            vec![("b_rows", vec![y(1.0), y(2.0)])],
+        );
         let second = std::fs::read_to_string(path).unwrap();
         assert_eq!(file_rows(&second, "a_rows"), [x]);
         assert_eq!(
             file_rows(&second, "b_rows"),
-            [r#"{"workload": "y", "graph": "cyclic(2000, 11)", "ms": 2.0000}"#]
+            [r#"{"workload": "y", "graph": "cyclic(2000, 11)", "ms": 2.0000, "mode": "--test"}"#]
+        );
+        // `mode` is no part of the key: a row re-measured by another mode
+        // replaces its twin.
+        write_baseline(path, "--other", &arrays, vec![("b_rows", vec![y(3.0)])]);
+        let third = std::fs::read_to_string(path).unwrap();
+        assert_eq!(
+            file_rows(&third, "b_rows"),
+            [r#"{"workload": "y", "graph": "cyclic(2000, 11)", "ms": 3.0000, "mode": "--other"}"#]
         );
         std::fs::remove_file(path).unwrap();
     }

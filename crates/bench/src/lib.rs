@@ -7,13 +7,14 @@
 //! `BENCH_eval.json` (`experiments --smoke`) and `BENCH_scale.json`
 //! (`--scale-smoke`, `--mutate-smoke`, `--wal-smoke`) each hold a
 //! `generated_by` command, a `machine` object (`cpus`, `mem_total_kb`) and
-//! named arrays of rows, one JSON object per line. Every row starts with
-//! its `workload` and records the `cpus` and resolved `threads` it was
-//! measured with. A rewrite keeps the last row per key — the raw
-//! `workload`, `graph`, `semantics`, `nodes` and `threads` values
-//! ([`bench_eval::row_key`]) — so rows of configurations no longer
-//! measured stay as history. Rows written before a field was added lack
-//! it.
+//! named arrays of rows, one JSON object per line. `generated_by` names
+//! the last mode that rewrote the file; each row's own `mode` field names
+//! the mode that measured it. Every row starts with its `workload` and
+//! records the `cpus` and resolved `threads` it was measured with. A
+//! rewrite keeps the last row per key — the raw `workload`, `graph`,
+//! `semantics`, `nodes` and `threads` values ([`bench_eval::row_key`]; not
+//! `mode`) — so rows of configurations no longer measured stay as history.
+//! Rows written before a field was added lack it.
 //!
 //! `BENCH_eval.json`:
 //!
@@ -32,9 +33,10 @@
 //!   proxies plus `name_bytes` and `assembly_bytes`, with `index_bytes`
 //!   asserted to be exactly `2·(4·(|V|+1) + 8·|E|)`.
 //! * `stream_rows` — warm time-to-first / time-to-k / `ASK` against the
-//!   warm full run, and the cold stream's first tuple, at 10⁵ and 10⁶.
+//!   warm full run, and the cold stream's first tuple, at 10⁵ and 10⁶, on
+//!   one thread (`--threads` does not reach them).
 //! * `cyclic_rows` — the median join on the cyclic shapes and the warm
-//!   hub triangle under st and a-inj.
+//!   hub triangle under st, a-inj and q-inj.
 //! * `injective_rows` — the warm triangle under st, a-inj and q-inj
 //!   (`tuples` and `ms` lists in that order) and the two ratios over st.
 //!

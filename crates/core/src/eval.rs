@@ -121,7 +121,11 @@
 //!    so a join solution is a result. For `a-inj`/`q-inj` they are a sound
 //!    over-approximation (every simple path is a path): each join solution
 //!    is verified by simple-path / simple-cycle search, or the jointly
-//!    disjoint placement of [`place_atoms`] under `q-inj`. Subtrees whose
+//!    disjoint placement of [`place_atoms`] under `q-inj`. A single-edge
+//!    atom (every word one letter) has no internal node, so the placement
+//!    records its edge `[s, d]` without a search; a CQ, whose atoms are
+//!    all single-edge, then costs under `q-inj` what the injective join
+//!    already paid for `μ`. Subtrees whose
 //!    free-variable projection is already in the result set are pruned —
 //!    only existential variables could still vary there.
 //!
@@ -189,9 +193,12 @@
 //! check is free and unmemoised: by the loop-pruning lemma (the tractable
 //! side of the trichotomy the paper cites as \[3\]) a walk prunes to a
 //! simple path still in the language, so the relations' standard
-//! reachability is exact. Only the other languages (`(a a)*`, `a* b a*`,
-//! …) search, memoised per plan in [`VerifyScratch`]. The enumeration
-//! oracle alone searches every atom.
+//! reachability is exact. A **single-edge** language (`a`, `a + b`) is
+//! free in the self-loop arm too, and its q-inj placement is its edge.
+//! Only the other languages (`(a a)*`, `a* b a*`, `d (a + b)`, …) search,
+//! memoised per plan in [`VerifyScratch`]; the simple-path search itself
+//! continues through a node only in a state from which a final state is
+//! still reachable. The enumeration oracle alone searches every atom.
 
 use crpq_automata::{Nfa, NfaKey};
 use crpq_graph::rpq::{NodeSet, ReachScratch, Relation};
@@ -601,6 +608,11 @@ pub(crate) struct CompiledAtom {
     /// ([`crpq_automata::tractability::deletion_closed`]), which makes
     /// [`atom_injective`] free.
     deletion_closed: bool,
+    /// Whether every word of the language is one letter
+    /// (`Finite { max_len: 1 }`): the atom's path is one edge with no
+    /// internal node, so the q-inj placement records `[s, d]` without a
+    /// search and a self-loop atom needs no cycle search.
+    single_edge: bool,
 }
 
 /// Compiles a variant's atoms and classifies each language once.
@@ -617,6 +629,7 @@ fn compile_atoms(variant: &Crpq) -> Vec<CompiledAtom> {
                 src: a.src,
                 dst: a.dst,
                 deletion_closed: crpq_automata::tractability::deletion_closed(&nfa, &nfa.symbols()),
+                single_edge: nfa.max_word_len() == Some(1),
                 nfa,
             }
         })
@@ -1277,12 +1290,13 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
 
     /// The evaluator behind [`eval_tuples_enumerate`]: every atom is
     /// verified by exhaustive simple-path search, never by the
-    /// deletion-closed shortcut, so the oracle stays independent of the
-    /// language classifier it checks.
+    /// deletion-closed or single-edge shortcut, so the oracle stays
+    /// independent of the language classifier it checks.
     fn exact(variant: &'a Crpq, g: &'a G, sem: Semantics) -> Self {
         let mut eval = Self::build(variant, g, sem);
         for atom in &mut eval.atoms {
             atom.deletion_closed = false;
+            atom.single_edge = false;
         }
         eval
     }
@@ -1531,7 +1545,8 @@ pub(crate) struct VerifyScratch {
     blocked: Vec<BitSet>,
     /// Per-depth internal-node buffers.
     internals: Vec<Vec<NodeId>>,
-    /// Pooled path buffer for boolean (non-witness) verification.
+    /// One path buffer per atom, rewritten by every q-inj placement; the
+    /// witness leaf clones it.
     paths: Vec<Vec<NodeId>>,
     /// Always-empty set with graph capacity — the "nothing blocked"
     /// argument of the a-inj per-atom checks. Never mutated after sizing.
@@ -1607,8 +1622,9 @@ impl Default for VerifyScratch {
 /// engines (branch order is semantics-critical): a simple path, or a
 /// simple cycle for `x -L-> x` atoms. The caller must already know the
 /// pair to be standard-reachable — from the relations in the join, from
-/// the reachability cache in the membership engine. Only the search arms
-/// are memoised, keyed by atom index in `scratch.atom_memo`.
+/// the reachability cache in the membership engine — which is what makes
+/// the free arms exact. Only the search arms are memoised, keyed by atom
+/// index in `scratch.atom_memo`.
 fn atom_injective<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
@@ -1631,6 +1647,12 @@ fn atom_injective<G: GraphView>(
             return true;
         }
     }
+    if atom.single_edge {
+        // A one-letter path is a simple path between distinct endpoints
+        // (checked above) and a simple cycle at `s == d`; reachability
+        // already guarantees the edge.
+        return true;
+    }
     let key = (i as u32, s.0, d.0);
     if let Some(&ok) = scratch.atom_memo.get(&key) {
         return ok;
@@ -1647,42 +1669,56 @@ fn atom_injective<G: GraphView>(
 
 /// Shared query-injective verification backing both engines: jointly place
 /// internally disjoint simple paths for all atoms, with every μ-image
-/// blocked as a path internal. All working sets come from `scratch`.
+/// blocked as a path internal. All working sets come from `scratch`; when
+/// every atom is single-edge nothing is searched, so the `|V|`-bit
+/// blocked set is neither cleared nor seeded.
 fn verify_query_injective<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
     mu: &[NodeId],
     scratch: &mut VerifyScratch,
 ) -> bool {
-    scratch.prepare(g.num_nodes(), atoms.len());
-    for &n in mu {
-        scratch.used.insert(n.index());
+    if atoms.iter().any(|a| !a.single_edge) {
+        scratch.prepare(g.num_nodes(), atoms.len());
+        for &n in mu {
+            scratch.used.insert(n.index());
+        }
     }
     let mut paths = std::mem::take(&mut scratch.paths);
-    paths.clear();
+    paths.resize_with(atoms.len(), Vec::new);
     let ok = place_atoms(g, atoms, mu, 0, scratch, &mut paths);
     scratch.paths = paths;
     ok
 }
 
 /// Recursively places atom paths so that no internal node is reused
-/// (query-injective joint search). On success, `paths` holds the chosen
-/// node path for every atom from `i` onwards (earlier entries untouched).
-/// Callers must have run `scratch.prepare(n, atoms.len())` and seeded
-/// `scratch.used` with the μ-images.
+/// (query-injective joint search). On success, `paths[j]` holds the chosen
+/// node path of every atom `j ≥ i` (earlier entries untouched); `paths`
+/// has one entry per atom. Single-edge atoms have no internal node, so
+/// their path is `[s, d]` without a search. Unless every atom is
+/// single-edge, callers must have run `scratch.prepare(n, atoms.len())`
+/// and seeded `scratch.used` with the μ-images.
 fn place_atoms<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
     mu: &[NodeId],
     i: usize,
     scratch: &mut VerifyScratch,
-    paths: &mut Vec<Vec<NodeId>>,
+    paths: &mut [Vec<NodeId>],
 ) -> bool {
     if i == atoms.len() {
         return true;
     }
     let atom = &atoms[i];
     let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
+    if atom.single_edge {
+        // Standard reachability (the caller's precondition) guarantees the
+        // edge, and μ is injective, so `[s, d]` blocks nothing.
+        debug_assert!(atom.src == atom.dst || s != d, "q-inj μ must be injective");
+        paths[i].clear();
+        paths[i].extend([s, d]);
+        return place_atoms(g, atoms, mu, i + 1, scratch, paths);
+    }
     let mut placed = false;
     // Snapshot of the blocked set for the enumeration: `try_rest` restores
     // `used` to exactly this state before the enumerator resumes, so the
@@ -1712,7 +1748,7 @@ fn try_rest<G: GraphView>(
     scratch: &mut VerifyScratch,
     path: &[NodeId],
     placed: &mut bool,
-    paths: &mut Vec<Vec<NodeId>>,
+    paths: &mut [Vec<NodeId>],
 ) -> ControlFlow<()> {
     // Internal nodes of `path` (endpoints are μ-images, already in `used`);
     // the buffer is pooled per depth.
@@ -1732,8 +1768,8 @@ fn try_rest<G: GraphView>(
     for n in &internals {
         scratch.used.insert(n.index());
     }
-    paths.truncate(i);
-    paths.push(path.to_vec());
+    paths[i].clear();
+    paths[i].extend_from_slice(path);
     let ok = place_atoms(g, atoms, mu, i + 1, scratch, paths);
     for n in &internals {
         scratch.used.remove(n.index());

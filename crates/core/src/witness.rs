@@ -314,6 +314,35 @@ mod tests {
     }
 
     #[test]
+    fn qinj_one_letter_witness_paths_are_single_edges() {
+        // A one-letter triangle with a self-loop atom: no atom has an
+        // internal node, so each witness path is its edge `[s, d]`.
+        let mut g = graph(&[
+            ("u", "a", "v"),
+            ("v", "b", "w"),
+            ("w", "c", "u"),
+            ("u", "e", "u"),
+            ("v", "a", "u"),
+        ]);
+        let q = parse_crpq(
+            "(x, y, z) <- x -[a]-> y, y -[b + d]-> z, z -[c]-> x, x -[e]-> x",
+            g.alphabet_mut(),
+        )
+        .unwrap();
+        let (u, v, w) = (n(&g, "u"), n(&g, "v"), n(&g, "w"));
+        let sem = Semantics::QueryInjective;
+        let witness = eval_witness(&q, &g, &[u, v, w], sem).unwrap();
+        verify_witness(&q, &g, &[u, v, w], sem, &witness).unwrap();
+        assert_eq!(
+            witness.atom_paths,
+            [vec![u, v], vec![v, w], vec![w, u], vec![u, u]]
+        );
+        // A tuple whose edges are missing has no witness.
+        assert!(!Eval::new(&q, &g).semantics(sem).contains(&[v, u, w]));
+        assert!(eval_witness(&q, &g, &[v, u, w], sem).is_none());
+    }
+
+    #[test]
     fn tampered_witnesses_are_rejected() {
         let mut g = example21_g();
         let q = parse_crpq("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", g.alphabet_mut()).unwrap();

@@ -1990,9 +1990,16 @@ where
 }
 
 /// The non-empty simple paths from `src` to `dst` (a simple cycle when
-/// `src == dst`): sets up the useful states, the initial state set, the
+/// `src == dst`): sets up the live states, the initial state set, the
 /// visited set and the path, then runs [`dfs_simple`]. Returns `true` if
 /// enumeration ran to completion.
+///
+/// A state is *live* when it is useful and has a transition into a useful
+/// state: from a live state some further step can still reach a final
+/// state. A path continues through a node other than `dst` only in a live
+/// state, so after the last letter of `a`, `c + d` or `d (a + b)` the
+/// search stops instead of scanning every neighbour's whole out-row. The
+/// check at `dst` reads the full image, so no accepted path is lost.
 fn search_simple<G, F>(
     g: &G,
     nfa: &Nfa,
@@ -2006,8 +2013,15 @@ where
     F: FnMut(&[NodeId]) -> ControlFlow<()>,
 {
     let useful = nfa.useful_states();
+    let mut live = BitSet::new(nfa.num_states());
+    for q in useful.iter() {
+        let row = nfa.transitions_from(q as StateId);
+        if row.iter().any(|&(_, t)| useful.contains(t as usize)) {
+            live.insert(q);
+        }
+    }
     let mut initial = nfa.initials().clone();
-    initial.intersect_with(&useful);
+    initial.intersect_with(&live);
     if initial.is_empty() {
         return true;
     }
@@ -2019,7 +2033,7 @@ where
         nfa,
         dst,
         blocked,
-        &useful,
+        &live,
         &mut visited,
         &mut path,
         initial,
@@ -2033,7 +2047,7 @@ fn dfs_simple<G, F>(
     nfa: &Nfa,
     dst: NodeId,
     blocked: &BitSet,
-    useful: &BitSet,
+    live: &BitSet,
     visited: &mut BitSet,
     path: &mut Vec<NodeId>,
     states: BitSet,
@@ -2059,13 +2073,13 @@ where
             continue;
         }
         let mut image = nfa.delta_set(&states, sym);
-        image.intersect_with(useful);
+        image.intersect_with(live);
         if image.is_empty() {
             continue;
         }
         visited.insert(to.index());
         path.push(to);
-        let flow = dfs_simple(g, nfa, dst, blocked, useful, visited, path, image, visit);
+        let flow = dfs_simple(g, nfa, dst, blocked, live, visited, path, image, visit);
         path.pop();
         visited.remove(to.index());
         flow?;
@@ -2205,6 +2219,7 @@ mod tests {
     use super::*;
     use crate::db::{GraphBuilder, GraphDb};
     use crpq_automata::parse_regex;
+    use std::collections::BTreeSet;
 
     /// Builds the graph and an NFA over its alphabet.
     fn setup(edges: &[(&str, &str, &str)], expr: &str) -> (GraphDb, Nfa) {
@@ -3357,5 +3372,139 @@ mod tests {
                 check_against_oracle(rel, &oracle).map_err(|e| format!("{expr}, n {n}: {e}"))?;
             }
         }
+    }
+
+    /// The labels of the edges `u → v`, parallel edges included.
+    fn labels_between(g: &GraphDb, u: NodeId, v: NodeId) -> Vec<Symbol> {
+        g.out_edges_iter(u)
+            .filter(|&(_, to)| to == v)
+            .map(|(sym, _)| sym)
+            .collect()
+    }
+
+    /// Whether some label word along the node sequence `seq` is in
+    /// `L(nfa)`, by running the NFA over every label choice at once.
+    fn some_word_accepted(g: &GraphDb, nfa: &Nfa, seq: &[NodeId]) -> bool {
+        let mut states = nfa.initials().clone();
+        for step in seq.windows(2) {
+            let mut next = BitSet::new(nfa.num_states());
+            for sym in labels_between(g, step[0], step[1]) {
+                next.union_with(&nfa.delta_set(&states, sym));
+            }
+            states = next;
+        }
+        states.intersects(nfa.finals())
+    }
+
+    /// Brute force, blind to the language: every extension of `seq` by
+    /// distinct unblocked nodes that ends at an edge into `dst`. With
+    /// `seq = [src]` these are the non-empty simple paths to `dst`, or the
+    /// non-empty simple cycles when `src == dst`.
+    fn naive_extensions(
+        g: &GraphDb,
+        seq: &mut Vec<NodeId>,
+        dst: NodeId,
+        blocked: &BitSet,
+        out: &mut BTreeSet<Vec<NodeId>>,
+    ) {
+        let here = *seq.last().unwrap();
+        for v in (0..g.num_nodes()).map(|v| NodeId(v as u32)) {
+            if labels_between(g, here, v).is_empty() {
+                continue;
+            }
+            seq.push(v);
+            if v == dst {
+                out.insert(seq.clone());
+            } else if !seq[..seq.len() - 1].contains(&v) && !blocked.contains(v.index()) {
+                naive_extensions(g, seq, dst, blocked, out);
+            }
+            seq.pop();
+        }
+    }
+
+    /// The simple-path DFS (with its live-state cut) and the simple-cycle
+    /// search visit exactly the node sequences that a brute-force
+    /// enumeration finds: random graphs with parallel edges, self-loops
+    /// and a random blocked set, over finite, star and NP-hard languages.
+    #[test]
+    fn simple_paths_and_cycles_match_brute_force() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const EXPRS: [&str; 7] = [
+            "a",
+            "a + b",
+            "d (a + b)",
+            "a b + b",
+            "a*",
+            "(a a)*",
+            "a* b a*",
+        ];
+        let mut found = [0usize; EXPRS.len()];
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=7usize);
+            let labels = &["a", "b", "d"][..rng.gen_range(2..=3usize)];
+            let mut b = GraphBuilder::new();
+            let names: Vec<String> = (0..n).map(|v| format!("v{v}")).collect();
+            for name in &names {
+                b.node(name);
+            }
+            for _ in 0..rng.gen_range(0..=3 * n) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                b.edge(&names[u], labels[rng.gen_range(0..labels.len())], &names[v]);
+                if rng.gen_bool(0.3) {
+                    // A parallel edge, possibly under the same label.
+                    b.edge(&names[u], labels[rng.gen_range(0..labels.len())], &names[v]);
+                }
+            }
+            let mut g = b.finish();
+            let mut blocked = g.node_set();
+            for v in 0..n {
+                if rng.gen_bool(0.2) {
+                    blocked.insert(v);
+                }
+            }
+            for (e, expr) in EXPRS.into_iter().enumerate() {
+                let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
+                let epsilon = nfa.accepts_epsilon();
+                for s in (0..n).map(|v| NodeId(v as u32)) {
+                    let mut cycles = BTreeSet::new();
+                    naive_extensions(&g, &mut vec![s], s, &blocked, &mut cycles);
+                    cycles.retain(|seq| some_word_accepted(&g, &nfa, seq));
+                    if epsilon {
+                        cycles.insert(vec![s]);
+                    }
+                    let mut got = BTreeSet::new();
+                    for_each_simple_cycle(&g, &nfa, s, &blocked, |seq| {
+                        got.insert(seq.to_vec());
+                        ControlFlow::Continue(())
+                    });
+                    assert_eq!(got, cycles, "cycles at {s:?}, {expr}, seed {seed}");
+                    found[e] += got.len();
+                    for d in (0..n).map(|v| NodeId(v as u32)) {
+                        let mut paths = BTreeSet::new();
+                        if s == d {
+                            if epsilon {
+                                paths.insert(vec![s]);
+                            }
+                        } else {
+                            naive_extensions(&g, &mut vec![s], d, &blocked, &mut paths);
+                            paths.retain(|seq| some_word_accepted(&g, &nfa, seq));
+                        }
+                        let mut got = BTreeSet::new();
+                        for_each_simple_path(&g, &nfa, s, d, &blocked, |seq| {
+                            got.insert(seq.to_vec());
+                            ControlFlow::Continue(())
+                        });
+                        assert_eq!(got, paths, "paths {s:?} -> {d:?}, {expr}, seed {seed}");
+                        found[e] += got.len();
+                    }
+                }
+            }
+        }
+        assert!(
+            found.iter().all(|&k| k > 0),
+            "every language has paths or cycles somewhere: {found:?}"
+        );
     }
 }
