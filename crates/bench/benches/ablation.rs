@@ -2,7 +2,6 @@
 //!
 //! * **direct vs characterisation** evaluation engines (path search vs
 //!   expansion + homomorphism — Prop 2.2/2.3);
-//! * **sequential vs work-stealing** join search (`Eval::threads`);
 //! * **trail vs simple-path** search primitives on the same instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -30,31 +29,6 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_eval(c: &mut Criterion) {
-    let mut g = generators::random_graph(10, 30, &["a", "b", "c"], 9);
-    let q = parse_crpq("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", g.alphabet_mut()).unwrap();
-    let mut group = c.benchmark_group("ablation_parallel_eval");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(1));
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            Eval::new(&q, &g)
-                .semantics(Semantics::AtomInjective)
-                .tuples()
-        });
-    });
-    group.bench_function("parallel_4", |b| {
-        b.iter(|| {
-            Eval::new(&q, &g)
-                .semantics(Semantics::AtomInjective)
-                .threads(4)
-                .tuples()
-        });
-    });
-    group.finish();
-}
-
 fn bench_path_primitives(c: &mut Criterion) {
     let mut g = generators::grid(4, 4, "r", "d");
     let regex =
@@ -76,10 +50,5 @@ fn bench_path_primitives(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_parallel_eval,
-    bench_path_primitives
-);
+criterion_group!(benches, bench_engines, bench_path_primitives);
 criterion_main!(benches);

@@ -52,12 +52,10 @@
 //!   and `|V| = 10⁷` (~2.4 GB index budget), each under its own
 //!   wall-clock ceiling.
 //!
-//! The **scheduler workload** (`steal_rows` in `BENCH_scale.json`) times
-//! the work-stealing search ([`Eval::threads`]) against the same request
-//! on one thread, on a Zipf-skewed label-rich graph
-//! ([`scaling::steal_skew_graph`]) whose hot node's subtree a static
-//! top-level split could not share out. `--scale-smoke` enforces the
-//! ≥ 1.5× floor on machines with ≥ 4 CPUs.
+//! `steal_rows` in `BENCH_scale.json` are history: they timed a
+//! work-stealing join search against one thread, which no row showed to
+//! pay, so the search and its row were deleted and `write_baseline`
+//! carries the committed rows through.
 //!
 //! The **cyclic workloads** (`cyclic_rows`) time the join on the triangle /
 //! 4-cycle / diamond-with-chord CRPQs of [`crpq_workloads::cyclic`] (cold,
@@ -931,47 +929,6 @@ fn measure_million(
     )
 }
 
-/// Measures the work-stealing search (`ws_ms`, [`Eval::threads`]) against
-/// the same request on one thread (`seq_ms`), full evaluation (st) of
-/// [`scaling::steal_query`] over the Zipf-skewed
-/// [`scaling::steal_skew_graph`] at `n` nodes (`steal_rows`). With
-/// `enforce_floor` (the CI gate), work stealing must win by ≥ 1.5× —
-/// enforced only when the machine actually has ≥ 4 CPUs, since scheduling
-/// cannot buy wall clock that the hardware doesn't have (on a 1-core
-/// runner the workers timeshare one CPU and the ratio hovers around 1×).
-fn measure_steal(n: usize, threads: usize, enforce_floor: bool) -> Row {
-    const SAMPLES: usize = 3;
-    let mut g = scaling::steal_skew_graph(n, 19);
-    let q = scaling::steal_query(g.alphabet_mut());
-    let (ws, ws_ms) = time_best_of(SAMPLES, || Eval::new(&q, &g).threads(threads).tuples());
-    let (seq, seq_ms) = time_best_of(SAMPLES, || Eval::new(&q, &g).threads(1).tuples());
-    assert_eq!(ws, seq, "work-stealing/one-thread result mismatch at n={n}");
-    assert!(
-        !ws.is_empty(),
-        "steal workload returned no tuples — the scheduler comparison proves nothing"
-    );
-    let (workers, cpus) = (effective_threads(threads), cpus());
-    let speedup = seq_ms / ws_ms.max(1e-9);
-    if enforce_floor && cpus >= 4 {
-        assert!(
-            speedup >= 1.5,
-            "work stealing below the 1.5x floor over one thread on the skewed \
-             workload: {speedup:.2}x ({ws_ms:.1}ms vs {seq_ms:.1}ms at {workers} threads, \
-             {cpus} cpus)"
-        );
-    }
-    Row::new("steal_skew_zipf")
-        .with("nodes", g.num_nodes())
-        .with("edges", g.num_edges())
-        .with("labels", g.alphabet().len())
-        .with("threads", workers)
-        .with("cpus", cpus)
-        .with("tuples", ws.len())
-        .with("ws_ms", ws_ms)
-        .with("seq_ms", seq_ms)
-        .with("ws_speedup", speedup)
-}
-
 /// Deterministic splitmix64 for churn schedules — the bench must be
 /// reproducible across runs without pulling a RNG dependency in.
 struct SplitMix(u64);
@@ -1360,12 +1317,9 @@ fn assert_search_scaling(small: &Row, large: &Row) {
 ///   the scaling gate: its non-materialisation time (`eval_ms −
 ///   mat_ms`: semi-join pruning, search, output) is at most
 ///   [`SEARCH_SCALING_FACTOR`]× that of the `10⁶` row (linear scaling
-///   reads 10×, a per-search-node `O(|V|)` term ~70×);
-/// * the skewed-Zipf work-stealing row: full evaluation through the
-///   work-stealing search and on one thread, with the ≥ 1.5× stealing
-///   floor enforced on machines with ≥ 4 CPUs.
+///   reads 10×, a per-search-node `O(|V|)` term ~70×).
 ///
-/// Writes `scale_rows` and `steal_rows` into `path` (`BENCH_scale.json`)
+/// Writes `scale_rows` into `path` (`BENCH_scale.json`)
 /// with `write_baseline`. `threads` sets the sweep workers of every row
 /// but the `10⁶` one; `0` keeps the documented fallback (one worker per
 /// CPU, capped at 16).
@@ -1394,20 +1348,9 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
             TEN_MILLION_BYTES_BUDGET,
         ),
     ];
-    // The scheduler comparison runs at 16 workers (the CI criterion size)
-    // unless --threads overrides it.
-    let steal_rows = vec![measure_steal(
-        60_000,
-        if threads == 0 { 16 } else { threads },
-        true,
-    )];
     print_table(
         "scale workloads — label-rich Zipf + million-node anonymous (catalog engine only)",
         &rows,
-    );
-    print_table(
-        "skewed-Zipf join parallelism — work stealing vs one thread (st)",
-        &steal_rows,
     );
     assert_assembly_share(&rows[1]);
     assert_search_scaling(&rows[1], &rows[2]);
@@ -1415,7 +1358,7 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
         path,
         "--scale-smoke",
         &SCALE_ARRAYS,
-        vec![("scale_rows", rows), ("steal_rows", steal_rows)],
+        vec![("scale_rows", rows)],
     );
 }
 

@@ -25,9 +25,8 @@
 //! |V| = 10⁷ anonymous workloads at 4 edges/node (zero name bytes, index +
 //! names under explicit per-size budgets, sweep scratch far below one
 //! dense |V|·|Q| stamp array; from 10⁶ to 10⁷ nodes the time after
-//! materialisation grows at most 30×), plus the skewed-Zipf scheduler check
-//! (work stealing vs. the same request on one thread, ≥ 1.5× floor on
-//! ≥ 4-CPU machines). Rows append to `BENCH_scale.json` across runs; a
+//! materialisation grows at most 30×). Rows append to `BENCH_scale.json`
+//! across runs, and the committed `steal_rows` pass through as history; a
 //! re-measured row replaces every prior row with the same key (the raw
 //! `workload`, `graph`, `semantics`, `nodes` and `threads` values, an
 //! absent field counting as absent) instead of duplicating it:
@@ -62,7 +61,7 @@
 //! cargo run --release -p crpq-bench --bin experiments -- --wal-smoke
 //! ```
 //!
-//! `--threads N` overrides the materialisation/evaluation worker count in
+//! `--threads N` overrides the materialisation worker count in
 //! all benchmark modes (`0` keeps the documented fallback: one worker per
 //! CPU, capped at 16), so baseline numbers are reproducible across
 //! machines. Every row records the machine's `cpus` and the resolved

@@ -41,7 +41,8 @@
 //!   (`tuples` and `ms` lists in that order) and the two ratios over st.
 //!
 //! `BENCH_scale.json`: `scale_rows` (the same schema at `|V| = 10⁵`, 10⁶
-//! and 10⁷), `steal_rows` (work stealing against one thread),
+//! and 10⁷), `steal_rows` (history: a deleted work-stealing search
+//! against one thread; no mode writes them any more),
 //! `mutate_rows` (footprint-keyed against evict-all invalidation) and
 //! `wal_rows` (WAL apply and recovery per sync policy).
 

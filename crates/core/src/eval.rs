@@ -39,7 +39,7 @@
 //! *verbatim* into every variant, so a k-variant query used to pay for the
 //! same relation k times. Evaluation is therefore split into two phases:
 //!
-//! * **Planning** ([`plan_variant`]): each variant's atoms are compiled and
+//! * **Planning** ([`JoinPlan::build`]): each variant's atoms are compiled and
 //!   resolved against a [`RelationCatalog`] — a per-graph store of
 //!   materialised atom relations keyed by the *canonical structural key* of
 //!   the compiled NFA ([`crpq_automata::Nfa::canonical_key`]). The first
@@ -48,13 +48,13 @@
 //!   repeated requests sharing the catalog — reuses it (a
 //!   **hit**). Hit/miss counters and materialisation wall clock are
 //!   exposed for tests and benchmarks.
-//! * **Execution** ([`JoinPlan`]): the per-variant join *borrows* catalog
-//!   entries instead of owning relations, prunes domains and runs the one
-//!   join executor (see below).
+//! * **Execution** ([`JoinPlan`]): the per-variant join names catalog
+//!   entries by index instead of owning relations, prunes domains and is
+//!   searched by the one join cursor (see below).
 //!
 //! # Executor dispatch: one Generic Join for every shape
 //!
-//! Every variant, terminal and thread count runs the **worst-case-optimal
+//! Every variant and terminal runs the **worst-case-optimal
 //! join** of [`crate::wcoj`], a Generic-Join executor: it binds one
 //! variable at a time along a static elimination order and enumerates
 //! each variable's candidates by *leapfrog intersection* of sorted views
@@ -71,13 +71,13 @@
 //! (`crpq_workloads::cyclic::hub_triangle_graph`) is the instance where
 //! the gap shows, and the `experiments --smoke` scaling gate runs on it.
 //!
-//! The order is static and computed once per variant by `Eval::run`: it
+//! The order is static and computed once per variant at plan time: it
 //! starts at the variable with the smallest pruned domain, then
 //! repeatedly takes the smallest-domain unordered variable **adjacent to
 //! an ordered one** (connectivity first), so every level after the first
-//! of a connected variant intersects at least one bound relation row. The
-//! work-stealing scheduler splits the first variable's domain. Self-loop
-//! atoms (`x -L-> x`) are folded into the domains at plan-build time.
+//! of a connected variant intersects at least one bound relation row.
+//! Self-loop atoms (`x -L-> x`) are folded into the domains at plan-build
+//! time.
 //!
 //! Relations themselves use density-adaptive rows
 //! ([`crpq_graph::rpq::RelationRow`]: sorted-`u32` sparse vs. bitset
@@ -94,8 +94,9 @@
 //! trail semantics of [`crate::trail`], each with its own leaf check.
 //!
 //! **Join-based ([`Eval::tuples`], [`Eval::ask`], [`Eval::limit`] and the
-//! stream).** Every terminal that enumerates answers runs one driver,
-//! `Eval::run`, per ε-free variant in a relation-first pipeline:
+//! stream).** Every terminal that enumerates answers plans every ε-free
+//! variant and steps one join cursor over the plans, in a relation-first
+//! pipeline:
 //!
 //! 1. **Relation materialisation** — every *distinct* atom's full
 //!    standard-semantics RPQ relation is computed by
@@ -113,10 +114,8 @@
 //!    `x` can still be matched inside the current domains.
 //! 3. **Generic Join** — the variables are bound along the elimination
 //!    order, each from the leapfrog intersection of its pruned domain and
-//!    the relation rows of its bound neighbours (see above). With
-//!    `threads > 1` and more than one candidate for the first variable,
-//!    the work-stealing scheduler of [`crate::parallel`] splits the same
-//!    search across workers; otherwise it runs on the calling thread.
+//!    the relation rows of its bound neighbours (see above), on the
+//!    calling thread. `threads` sizes only the materialisation of step 1.
 //! 4. **Per-semantics verification** — the relations are *exact* for `st`,
 //!    so a join solution is a result. For `a-inj`/`q-inj` they are a sound
 //!    over-approximation (every simple path is a path): each join solution
@@ -158,20 +157,19 @@
 //! differential-testing ground truth for [`Eval`] and the baseline of the
 //! `BENCH_eval` measurements.
 //!
-//! # Streaming enumeration: the sink contract
+//! # Streaming enumeration: the cursor contract
 //!
-//! The driver emits results through a [`TupleSink`] rather than a concrete
-//! set, and the sink steers the search: `insert_tuple` returns a
-//! [`SinkStatus`] and `should_stop` is re-checked at every search-tree
-//! node, so a sink can end the enumeration early — after the first witness
-//! ([`Eval::ask`]), after `k` tuples ([`Eval::limit`]), or when a streaming
-//! consumer hangs up ([`crate::stream`]). The contract: once a sink returns
-//! [`SinkStatus::Stop`] (or starts reporting `should_stop`), the search
-//! ([`crate::wcoj`]) and the work-stealing scheduler ([`crate::parallel`],
-//! via a shared cancellation flag) unwind without inserting further
-//! tuples; a parallel worker may at most finish verifying the candidate
-//! it was already on, so overshoot is bounded by the worker count. The
-//! full-result set never stops.
+//! The join search is a resumable cursor ([`crate::wcoj`]): each step
+//! returns the next verified projection that no earlier step returned —
+//! across the ε-free variants in order — and keeps, per level, the bound
+//! node and the leapfrog position to resume from. The terminals only
+//! differ in how many steps they take: [`Eval::ask`] takes one,
+//! [`Eval::limit`] takes `k`, [`Eval::tuples`] drains the cursor, and a
+//! [`crate::TupleStream`] is the cursor, one step per `next()`. So the
+//! first `k` tuples of a stream are exactly `limit(k)`, a stopped request
+//! has done no work past its last tuple, and nothing runs between steps.
+//! The contract: a step never returns a tuple twice, and once it returns
+//! `None` every later step does too.
 //!
 //! # Inline injective verification
 //!
@@ -200,6 +198,7 @@
 //! continues through a node only in a state from which a final state is
 //! still reachable. The enumeration oracle alone searches every atom.
 
+use crate::wcoj::{Cursor, Views};
 use crpq_automata::{Nfa, NfaKey};
 use crpq_graph::rpq::{NodeSet, ReachScratch, Relation};
 use crpq_graph::{rpq, GraphView, NodeId};
@@ -251,8 +250,8 @@ impl std::fmt::Display for Semantics {
 ///
 /// * [`semantics`](Self::semantics) — `st` (the default), `a-inj` or
 ///   `q-inj`;
-/// * [`threads`](Self::threads) — join-search and materialisation threads
-///   (default 1; `0` = one per available CPU, capped at 16);
+/// * [`threads`](Self::threads) — materialisation threads of a fresh
+///   catalog (default 1; `0` = one per available CPU, capped at 16);
 /// * [`catalog`](Self::catalog) — a caller-owned [`RelationCatalog`], so
 ///   relations materialised by one request serve the next; without it
 ///   every request plans against a fresh
@@ -313,10 +312,11 @@ impl<'a, G: GraphView> Eval<'a, G> {
         self
     }
 
-    /// Threads for the join search (work stealing, see
-    /// [`crate::parallel`]) and for a fresh catalog's materialisation.
-    /// `0` = one per available CPU, capped at 16; larger counts are clamped
-    /// to [`rpq::MAX_THREADS`] (256).
+    /// Threads for a fresh catalog's relation materialisation (see
+    /// [`RelationCatalog::with_threads`]); the join search always runs on
+    /// the calling thread. `0` = one per available CPU, capped at 16;
+    /// larger counts are clamped to [`rpq::MAX_THREADS`] (256). A caller
+    /// catalog keeps the thread count it was built with.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -330,29 +330,29 @@ impl<'a, G: GraphView> Eval<'a, G> {
         self
     }
 
-    /// The full result set `Q(G)_sem`, sorted and deduplicated.
+    /// The full result set `Q(G)_sem`, sorted and deduplicated: the
+    /// cursor drained.
     pub fn tuples(self) -> Vec<Vec<NodeId>> {
-        sorted_tuples(self.run(FxHashSet::default()))
+        self.search(usize::MAX)
     }
 
-    /// `ASK`: whether `Q(G)_sem ≠ ∅`, stopping the join search at the
-    /// **first verified witness**. For a Boolean query this is the query's
-    /// truth value.
+    /// `ASK`: whether `Q(G)_sem ≠ ∅` — the cursor's first step, which
+    /// stops the join search at the **first verified witness**. For a
+    /// Boolean query this is the query's truth value.
     pub fn ask(self) -> bool {
-        !self.run(LimitSink::new(1)).is_empty()
+        !self.limit(1).is_empty()
     }
 
-    /// `LIMIT k`: at most `k` distinct result tuples, stopping the search
-    /// as soon as the k-th is found. The tuples are a subset of
-    /// [`Self::tuples`], sorted among themselves; *which* subset is
-    /// unspecified — it depends on search order (and, with several
-    /// threads, on scheduling), like any engine's unordered `LIMIT`. The
-    /// count is exact even with racing workers.
+    /// `LIMIT k`: the cursor's first `k` distinct result tuples (fewer
+    /// when the result has fewer), sorted among themselves. They are a
+    /// subset of [`Self::tuples`]; *which* subset is unspecified — it
+    /// depends on the search order, like any engine's unordered `LIMIT`.
+    /// [`Self::stream`] yields the same `k` tuples first.
     pub fn limit(self, k: usize) -> Vec<Vec<NodeId>> {
         if k == 0 {
             return Vec::new();
         }
-        sorted_tuples(self.run(LimitSink::new(k)).into_tuples())
+        self.search(k)
     }
 
     /// Whether `tuple ∈ Q(G)_sem`, decided per ε-free variant by the
@@ -374,18 +374,11 @@ impl<'a, G: GraphView> Eval<'a, G> {
             .any(|variant| VariantEval::build(variant, self.g, self.sem).contains(tuple))
     }
 
-    /// The join driver behind every terminal but `contains`, at every
-    /// thread count: plan every ε-free variant against the request's
-    /// catalog (or a fresh one), materialising each distinct atom relation
-    /// once, then search each variant into `sink` through the Generic Join
-    /// of [`crate::wcoj`] along one elimination order per variant,
-    /// honouring the sink's stop signal between and inside variants. A
-    /// variant runs the sequential search when `threads ≤ 1` or the
-    /// order's first variable has at most one candidate; otherwise the
-    /// work-stealing scheduler of [`crate::parallel`] splits that
-    /// variable's domain across `threads` workers feeding the same sink.
-    /// Hands the sink back.
-    pub(crate) fn run<S: TupleSink + Send>(self, mut sink: S) -> S {
+    /// The join driver behind every terminal but `contains`: plans every
+    /// ε-free variant against the request's catalog (or a fresh one,
+    /// materialising on `threads` workers), then advances one cursor over
+    /// the plans at most `k` times. Returns the tuples found, sorted.
+    fn search(self, k: usize) -> Vec<Vec<NodeId>> {
         let Eval {
             q,
             g,
@@ -393,7 +386,6 @@ impl<'a, G: GraphView> Eval<'a, G> {
             threads,
             catalog,
         } = self;
-        let threads = rpq::effective_threads(threads);
         let mut fresh;
         let catalog = match catalog {
             Some(catalog) => catalog,
@@ -402,32 +394,14 @@ impl<'a, G: GraphView> Eval<'a, G> {
                 &mut fresh
             }
         };
-        let variants = q.epsilon_free_union();
-        let plans: Vec<VariantPlan> = variants
-            .iter()
-            .map(|v| plan_variant(v, g, catalog))
-            .collect();
-        let mut scratch = VerifyScratch::new();
-        for (variant, plan) in variants.iter().zip(plans) {
-            if sink.should_stop() {
-                break;
-            }
-            let plan = JoinPlan::build(variant, g, sem, plan, catalog);
-            let order = crate::wcoj::elimination_order(&plan);
-            let split = threads > 1
-                && order
-                    .first()
-                    .is_some_and(|first| plan.domain_sizes[first.index()] > 1);
-            let status = if split {
-                crate::parallel::search_work_stealing(&plan, &order, threads, &mut sink)
-            } else {
-                crate::wcoj::search_all(&plan, &order, &mut scratch, &mut sink)
-            };
-            if status == SinkStatus::Stop {
+        let plans = JoinPlan::plan_all(q, g, sem, catalog);
+        let (mut cursor, mut views) = (Cursor::default(), Views::default());
+        for _ in 0..k {
+            if cursor.advance(g, catalog, &plans, &mut views).is_none() {
                 break;
             }
         }
-        sink
+        sorted_tuples(cursor.seen)
     }
 }
 
@@ -439,125 +413,6 @@ fn sorted_tuples(out: FxHashSet<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
     let mut tuples: Vec<Vec<NodeId>> = out.into_iter().collect();
     tuples.sort_unstable();
     tuples
-}
-
-/// `ControlFlow`-style steering signal a [`TupleSink`] hands back to the
-/// executors: [`SinkStatus::Stop`] unwinds the search without inserting
-/// further tuples (see the module docs for the full contract).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SinkStatus {
-    /// Keep enumerating.
-    Continue,
-    /// The sink has everything it wants — unwind the search.
-    Stop,
-}
-
-/// Result-set abstraction for the join search: the full-result hash set,
-/// the early-exit [`LimitSink`], the streaming sink of [`crate::stream`]
-/// and the cancellation-aware worker sinks of [`crate::parallel`] all
-/// receive tuples through it, and the early-exit ones can end the
-/// enumeration from inside the search.
-///
-/// Contract: after `insert_tuple` returns [`SinkStatus::Stop`],
-/// `should_stop` must keep returning `true`; executors re-check it at
-/// every search-tree node, so a stopped sink is never descended past.
-pub(crate) trait TupleSink {
-    /// Whether the projection is already a known result.
-    fn contains_tuple(&self, t: &[NodeId]) -> bool;
-    /// Records a verified result projection; [`SinkStatus::Stop`] ends the
-    /// enumeration.
-    fn insert_tuple(&mut self, t: Vec<NodeId>) -> SinkStatus;
-    /// Whether the search should unwind before doing more work. Checked at
-    /// search-node entry (and per candidate by the parallel driver), so a
-    /// stop decision made elsewhere — another worker, a hung-up stream
-    /// consumer — propagates promptly.
-    fn should_stop(&self) -> bool {
-        false
-    }
-    /// Whether the sink never answers [`SinkStatus::Stop`] — true only for
-    /// the full-result set, whose parallel workers may then hand over their
-    /// tuples in one batch instead of one lock acquisition per tuple.
-    fn never_stops(&self) -> bool {
-        false
-    }
-}
-
-/// Lets the parallel scheduler share a caller's sink behind one mutex
-/// without taking ownership of it.
-impl<T: TupleSink + ?Sized> TupleSink for &mut T {
-    fn contains_tuple(&self, t: &[NodeId]) -> bool {
-        (**self).contains_tuple(t)
-    }
-    fn insert_tuple(&mut self, t: Vec<NodeId>) -> SinkStatus {
-        (**self).insert_tuple(t)
-    }
-    fn should_stop(&self) -> bool {
-        (**self).should_stop()
-    }
-    fn never_stops(&self) -> bool {
-        (**self).never_stops()
-    }
-}
-
-impl TupleSink for FxHashSet<Vec<NodeId>> {
-    fn contains_tuple(&self, t: &[NodeId]) -> bool {
-        self.contains(t)
-    }
-    fn insert_tuple(&mut self, t: Vec<NodeId>) -> SinkStatus {
-        self.insert(t);
-        SinkStatus::Continue
-    }
-    fn never_stops(&self) -> bool {
-        true
-    }
-}
-
-/// Early-exit sink behind [`Eval::ask`] and [`Eval::limit`]: accumulates
-/// at most `limit` distinct tuples, then stops the search. The length
-/// never exceeds `limit` even with racing parallel workers — an insert
-/// against a full sink is refused (and answered with [`SinkStatus::Stop`]).
-pub(crate) struct LimitSink {
-    seen: FxHashSet<Vec<NodeId>>,
-    limit: usize,
-}
-
-impl LimitSink {
-    pub(crate) fn new(limit: usize) -> Self {
-        LimitSink {
-            seen: FxHashSet::default(),
-            limit,
-        }
-    }
-
-    /// The collected tuples (≤ `limit` of them).
-    pub(crate) fn into_tuples(self) -> FxHashSet<Vec<NodeId>> {
-        self.seen
-    }
-
-    /// Whether any tuple was collected.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-}
-
-impl TupleSink for LimitSink {
-    fn contains_tuple(&self, t: &[NodeId]) -> bool {
-        self.seen.contains(t)
-    }
-    fn insert_tuple(&mut self, t: Vec<NodeId>) -> SinkStatus {
-        if self.seen.len() >= self.limit {
-            return SinkStatus::Stop;
-        }
-        self.seen.insert(t);
-        if self.seen.len() >= self.limit {
-            SinkStatus::Stop
-        } else {
-            SinkStatus::Continue
-        }
-    }
-    fn should_stop(&self) -> bool {
-        self.seen.len() >= self.limit
-    }
 }
 
 /// The paper-faithful full-result oracle: `|V|^arity` candidate tuples,
@@ -1019,71 +874,70 @@ fn graph_fingerprint<G: GraphView>(g: &G) -> u64 {
     h.finish()
 }
 
-/// Planner output for one ε-free variant: compiled atoms plus the catalog
-/// ids of their relations. Turned into an executable [`JoinPlan`] once all
-/// variants are planned (so the catalog can be borrowed immutably).
-pub(crate) struct VariantPlan {
-    atoms: Vec<CompiledAtom>,
-    rel_ids: Vec<usize>,
-}
-
-/// Compiles a variant's atoms and resolves each against the catalog,
-/// materialising only relations never seen before.
-pub(crate) fn plan_variant<G: GraphView>(
-    variant: &Crpq,
-    g: &G,
-    catalog: &mut RelationCatalog,
-) -> VariantPlan {
-    let atoms = compile_atoms(variant);
-    let rel_ids = atoms
-        .iter()
-        .map(|a| catalog.get_or_materialize(g, &a.nfa))
-        .collect();
-    VariantPlan { atoms, rel_ids }
-}
-
 // ---------------------------------------------------------------------------
 // Join-based engine (executor)
 // ---------------------------------------------------------------------------
 
-/// The compiled join pipeline for one ε-free variant: catalog-borrowed
-/// per-atom relations plus semi-join-pruned per-variable domains.
-/// Immutable once built, so [`crate::parallel`] can share one plan across
-/// worker threads.
-pub(crate) struct JoinPlan<'a, G: GraphView> {
-    g: &'a G,
-    pub(crate) q: &'a Crpq,
+/// The compiled join pipeline for one ε-free variant: per-atom relations,
+/// named by their [`RelationCatalog`] index, semi-join-pruned per-variable
+/// domains and the elimination order. It borrows nothing, so a
+/// [`crate::TupleStream`] can own its plans next to the catalog they
+/// index.
+pub(crate) struct JoinPlan {
     pub(crate) sem: Semantics,
+    /// The variant's free tuple.
+    free: Vec<Var>,
     pub(crate) atoms: Vec<CompiledAtom>,
-    /// `relations[i]` = full standard-semantics relation of atom `i`,
-    /// borrowed from the [`RelationCatalog`] it was planned against.
-    pub(crate) relations: Vec<&'a Relation>,
+    /// `rel_ids[i]` = catalog index of atom `i`'s full standard-semantics
+    /// relation.
+    pub(crate) rel_ids: Vec<usize>,
     /// Per-variable candidate domains after semi-join fixpoint —
     /// density-adaptive ([`NodeSet`]: sorted-`u32` sparse / bitset dense),
     /// so domain storage is `O(candidates)` instead of `O(|V|)` per
     /// variable, and each domain is one seekable view of the leapfrog
     /// intersection.
     pub(crate) domains: Vec<NodeSet>,
-    /// `domain_sizes[v] == domains[v].len()`, recorded once at build time
-    /// (domains never change after it): the elimination order and the
-    /// parallel split read sizes, and counting a dense domain is an
-    /// `O(|V|/64)` popcount.
-    pub(crate) domain_sizes: Vec<usize>,
+    /// The static variable elimination order
+    /// ([`crate::wcoj::elimination_order`]).
+    pub(crate) order: Vec<Var>,
+    /// `level_of[v]` = the position of variable `v` in `order`.
+    pub(crate) level_of: Vec<usize>,
+    /// Levels of `order` that bind every free variable: the level whose
+    /// entry runs the duplicate-projection prune.
+    pub(crate) proj_depth: usize,
     /// Some domain is empty — the variant contributes nothing.
     empty: bool,
 }
 
-impl<'a, G: GraphView> JoinPlan<'a, G> {
-    /// Resolves a [`VariantPlan`] against the (now frozen) catalog and
-    /// prunes variable domains to the semi-join fixpoint.
-    pub(crate) fn build(
-        variant: &'a Crpq,
-        g: &'a G,
+impl JoinPlan {
+    /// The plans of every ε-free variant of `q`, in order, against
+    /// `catalog`.
+    pub(crate) fn plan_all<G: GraphView>(
+        q: &Crpq,
+        g: &G,
         sem: Semantics,
-        plan: VariantPlan,
-        catalog: &'a RelationCatalog,
+        catalog: &mut RelationCatalog,
+    ) -> Vec<JoinPlan> {
+        q.epsilon_free_union()
+            .iter()
+            .map(|variant| Self::build(variant, g, sem, catalog))
+            .collect()
+    }
+
+    /// Compiles a variant's atoms, resolves each against the catalog
+    /// (materialising only relations never seen before), prunes variable
+    /// domains to the semi-join fixpoint and fixes the elimination order.
+    pub(crate) fn build<G: GraphView>(
+        variant: &Crpq,
+        g: &G,
+        sem: Semantics,
+        catalog: &mut RelationCatalog,
     ) -> Self {
-        let VariantPlan { atoms, rel_ids } = plan;
+        let atoms = compile_atoms(variant);
+        let rel_ids: Vec<usize> = atoms
+            .iter()
+            .map(|a| catalog.get_or_materialize(g, &a.nfa))
+            .collect();
         let relations: Vec<&Relation> = rel_ids.iter().map(|&id| catalog.relation(id)).collect();
 
         let n = g.num_nodes();
@@ -1146,14 +1000,26 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
         }
 
         let empty = sizes.contains(&0) && variant.num_vars > 0;
+        let order = crate::wcoj::elimination_order(&atoms, &sizes);
+        let mut level_of = vec![0; order.len()];
+        for (level, v) in order.iter().enumerate() {
+            level_of[v.index()] = level;
+        }
+        let proj_depth = variant
+            .free
+            .iter()
+            .map(|v| level_of[v.index()] + 1)
+            .max()
+            .unwrap_or(0);
         JoinPlan {
-            g,
-            q: variant,
             sem,
+            free: variant.free.clone(),
             atoms,
-            relations,
+            rel_ids,
             domains,
-            domain_sizes: sizes,
+            order,
+            level_of,
+            proj_depth,
             empty,
         }
     }
@@ -1163,27 +1029,17 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
         self.empty
     }
 
-    /// Node count of the plan's graph (for sizing scratch pools from the
-    /// sibling executor modules, which cannot see the private graph ref).
-    pub(crate) fn num_nodes(&self) -> usize {
-        self.g.num_nodes()
+    /// Number of the variant's variables.
+    pub(crate) fn num_vars(&self) -> usize {
+        self.domains.len()
     }
 
-    /// Writes the free-variable projection into `buf`; `false` (buffer
-    /// contents unspecified) when some free variable is still unassigned.
-    pub(crate) fn projection_into(
-        &self,
-        assignment: &[Option<NodeId>],
-        buf: &mut Vec<NodeId>,
-    ) -> bool {
+    /// Writes the free-variable projection of `assignment` into `buf`.
+    pub(crate) fn project_into(&self, assignment: &[Option<NodeId>], buf: &mut Vec<NodeId>) {
         buf.clear();
-        for v in &self.q.free {
-            match assignment[v.index()] {
-                Some(n) => buf.push(n),
-                None => return false,
-            }
+        for v in &self.free {
+            buf.push(assignment[v.index()].expect("free variables are bound")); // invariant: the cursor projects only then
         }
-        true
     }
 
     /// Bind-time injectivity prune (see the module docs): whether binding
@@ -1193,8 +1049,9 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
     /// necessary condition under `q-inj` (the joint placement only blocks
     /// *more* nodes). Standard semantics never prunes — the relations are
     /// exact there.
-    pub(crate) fn bind_allowed(
+    pub(crate) fn bind_allowed<G: GraphView>(
         &self,
+        g: &G,
         var: Var,
         node: NodeId,
         assignment: &[Option<NodeId>],
@@ -1225,7 +1082,7 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             // Candidate generation intersects every incident relation row
             // and the domain fold guarantees self-loop pairs, so `(s, d)` is
             // standard-reachable, as `atom_injective` requires.
-            if !atom_injective(self.g, &self.atoms, i, s, d, scratch) {
+            if !atom_injective(g, &self.atoms, i, s, d, scratch) {
                 return false;
             }
         }
@@ -1236,21 +1093,27 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
     /// semantics. For `st` the relations are exact, so there is nothing
     /// left to check; the injective semantics re-check paths. Called at
     /// every leaf of the search ([`crate::wcoj`]).
-    pub(crate) fn verify(&self, mu: &[NodeId], scratch: &mut VerifyScratch) -> bool {
-        debug_assert!(self
-            .atoms
-            .iter()
-            .zip(&self.relations)
-            .all(|(atom, rel)| { rel.contains(mu[atom.src.index()], mu[atom.dst.index()]) }));
+    pub(crate) fn verify<G: GraphView>(
+        &self,
+        g: &G,
+        catalog: &RelationCatalog,
+        mu: &[NodeId],
+        scratch: &mut VerifyScratch,
+    ) -> bool {
+        debug_assert!(self.atoms.iter().zip(&self.rel_ids).all(|(atom, &id)| {
+            catalog
+                .relation(id)
+                .contains(mu[atom.src.index()], mu[atom.dst.index()])
+        }));
         match self.sem {
             Semantics::Standard => true,
             // Every atom was already checked when its second endpoint was
             // bound, so this re-reads the memo (or a free arm) per atom.
             Semantics::AtomInjective => (0..self.atoms.len()).all(|i| {
                 let (s, d) = (mu[self.atoms[i].src.index()], mu[self.atoms[i].dst.index()]);
-                atom_injective(self.g, &self.atoms, i, s, d, scratch)
+                atom_injective(g, &self.atoms, i, s, d, scratch)
             }),
-            Semantics::QueryInjective => verify_query_injective(self.g, &self.atoms, mu, scratch),
+            Semantics::QueryInjective => verify_query_injective(g, &self.atoms, mu, scratch),
         }
     }
 }
@@ -1551,17 +1414,11 @@ pub(crate) struct VerifyScratch {
     /// Always-empty set with graph capacity — the "nothing blocked"
     /// argument of the a-inj per-atom checks. Never mutated after sizing.
     empty: BitSet,
-    /// Pooled projection buffer for the duplicate-result prune (shared
-    /// with the [`crate::wcoj`] executor).
-    pub(crate) tuple: Vec<NodeId>,
-    /// Pooled complete-assignment buffer handed to verification (shared
-    /// with the [`crate::wcoj`] executor).
-    pub(crate) mu: Vec<NodeId>,
     /// Memo of the search arms of [`atom_injective`]: `(atom index, src
     /// node, dst node) → simple-path/-cycle existence`. Keyed by atom
     /// *index*, so entries are only valid for one variant —
-    /// [`Self::begin_plan`] clears it (parallel workers get a fresh
-    /// scratch per plan instead; a [`VariantEval`] owns its scratch).
+    /// [`Self::begin_plan`] clears it (a [`VariantEval`] owns its
+    /// scratch).
     atom_memo: FxHashMap<(u32, u32, u32), bool>,
 }
 
@@ -1573,8 +1430,6 @@ impl VerifyScratch {
             internals: Vec::new(),
             paths: Vec::new(),
             empty: BitSet::new(0),
-            tuple: Vec::new(),
-            mu: Vec::new(),
             atom_memo: FxHashMap::default(),
         }
     }
@@ -1589,10 +1444,9 @@ impl VerifyScratch {
     }
 
     /// Plan boundary: sizes the pools for a graph with `n` nodes and
-    /// invalidates the per-plan atom memo. Called by the sequential
-    /// `wcoj::search_all`; the subtree entry point (`search_from_level`,
-    /// used by the work-stealing workers) deliberately doesn't — the memo
-    /// stays valid across subtrees of one plan.
+    /// invalidates the per-plan atom memo. Called by the join cursor when
+    /// it enters a variant; the memo stays valid across the variant's
+    /// subtrees and across resumes.
     pub(crate) fn begin_plan(&mut self, n: usize) {
         self.ensure_graph(n);
         self.atom_memo.clear();
@@ -2138,14 +1992,17 @@ mod tests {
     fn ainj_join_with_memo(query: &Crpq, g: &GraphDb) -> (Vec<Vec<NodeId>>, usize) {
         let mut catalog = RelationCatalog::new(g);
         let (mut out, mut searches) = (FxHashSet::default(), 0);
-        let variants = query.epsilon_free_union();
-        for variant in &variants {
-            let plan = plan_variant(variant, g, &mut catalog);
-            let plan = JoinPlan::build(variant, g, Semantics::AtomInjective, plan, &catalog);
-            let order = crate::wcoj::elimination_order(&plan);
-            let mut scratch = VerifyScratch::new();
-            crate::wcoj::search_all(&plan, &order, &mut scratch, &mut out);
-            searches += scratch.atom_memo.len();
+        for variant in &query.epsilon_free_union() {
+            let plans = [JoinPlan::build(
+                variant,
+                g,
+                Semantics::AtomInjective,
+                &mut catalog,
+            )];
+            let (mut cursor, mut views) = (Cursor::default(), Views::default());
+            while cursor.advance(g, &catalog, &plans, &mut views).is_some() {}
+            searches += cursor.scratch.atom_memo.len();
+            out.extend(cursor.seen);
         }
         (sorted_tuples(out), searches)
     }
@@ -2180,7 +2037,7 @@ mod tests {
     }
 
     #[test]
-    fn recorded_domain_sizes_match_the_pruned_domains() {
+    fn elimination_order_reads_the_pruned_domain_sizes() {
         // An a-chain over 256 nodes, three b-edges and c self-loops on the
         // first 100 nodes. The semi-join fixpoint cuts x from 255 nodes
         // (dense) to 2 and z from 3 to 2, and s to the 98 nodes two
@@ -2208,10 +2065,10 @@ mod tests {
             Semantics::QueryInjective,
         ] {
             let mut catalog = RelationCatalog::new(&g);
-            let plan = plan_variant(&variants[0], &g, &mut catalog);
-            let plan = JoinPlan::build(&variants[0], &g, sem, plan, &catalog);
+            let plan = JoinPlan::build(&variants[0], &g, sem, &mut catalog);
             let sizes: Vec<usize> = plan.domains.iter().map(NodeSet::len).collect();
-            assert_eq!(plan.domain_sizes, sizes, "{sem:?}");
+            let order = crate::wcoj::elimination_order(&plan.atoms, &sizes);
+            assert_eq!(plan.order, order, "{sem:?}");
             let mut sorted = sizes.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, [2, 2, 2, 98, 98], "{sem:?}");

@@ -14,8 +14,8 @@
 //! * [`Eval`] — the *direct* engine, one request type for every question
 //!   the paper asks of `Q(G)_sem`: all tuples, `ASK`, `LIMIT k`, a pull
 //!   stream, or membership of one tuple. Setters pick the semantics, the
-//!   thread count and a shared [`RelationCatalog`]; every terminal except
-//!   membership runs one sink-driven join driver, and membership runs the
+//!   materialisation thread count and a shared [`RelationCatalog`]; every terminal except
+//!   membership steps one resumable join cursor, and membership runs the
 //!   one pin-and-search membership engine that the oracles share (see
 //!   [`eval`]);
 //! * [`expansion_eval`] — the *characterisation* engine implementing
@@ -31,7 +31,6 @@
 pub mod eval;
 pub mod expansion_eval;
 pub mod hierarchy;
-pub mod parallel;
 pub mod stream;
 pub mod trail;
 pub(crate) mod wcoj;
@@ -77,6 +76,6 @@ pub fn eval_stream_parallel<G: crpq_graph::GraphView + Send + Sync + 'static>(
     g: &std::sync::Arc<G>,
     sem: Semantics,
     threads: usize,
-) -> TupleStream {
+) -> TupleStream<G> {
     Eval::new(q, g).semantics(sem).threads(threads).stream()
 }

@@ -1,5 +1,5 @@
 //! The join search: a worst-case-optimal (Generic-Join-style) executor,
-//! run on every variant shape, terminal and thread count.
+//! run on every variant shape and terminal as one resumable cursor.
 //!
 //! A pairwise join is provably suboptimal on cyclic CRPQ shapes: on a
 //! triangle over three materialised atom relations it can touch `O(|R|²)`
@@ -19,32 +19,30 @@
 //!    dense bitsets), so a candidate costs `O(Σ seeks)` with the
 //!    **smallest view leading**, never a clone of the whole domain;
 //! 3. at a complete assignment, run the per-semantics verification
-//!    ([`JoinPlan::verify`] via [`VerifyScratch`]) after the
-//!    duplicate-projection prune.
+//!    ([`JoinPlan::verify`] via [`VerifyScratch`]).
 //!
 //! Under query-injective semantics already-used nodes are filtered as the
-//! intersection streams by.
+//! intersection streams by, and each bind runs the inline injectivity
+//! prune ([`JoinPlan::bind_allowed`], memoised per-atom simple-path
+//! feasibility) before descending (see the `eval` module docs).
 //!
-//! This executor honours the streaming sink contract of
-//! [`crate::eval`]: every level checks `should_stop` on entry, candidate
-//! loops unwind on [`SinkStatus::Stop`], and each bind runs the inline
-//! injectivity prune ([`JoinPlan::bind_allowed`], memoised per-atom
-//! simple-path feasibility) before descending — both invariants are
-//! documented in the `eval` module docs.
-//!
-//! `Eval::run` computes one [`elimination_order`] per variant and either
-//! runs [`search_all`] on the calling thread or hands the order to the
-//! work-stealing scheduler of [`crate::parallel`], whose explicit levels
-//! ([`level_candidates`]) and subtree hand-off ([`search_from_level`])
-//! enumerate through the same [`each_level_candidate`]. Equivalence
-//! against the enumeration oracle is property-tested in
-//! `tests/wcoj_equivalence.rs`.
+//! The search is a [`Cursor`], not a recursion: per level it keeps the
+//! bound node (in the assignment) and the leapfrog position (the smallest
+//! candidate id not yet tried), so [`Cursor::advance`] can return one
+//! verified projection and later resume exactly where it stopped, across
+//! the ε-free variants in order. The views borrow the catalog's relations
+//! and the plans' domains, so the cursor stores none of them: a
+//! [`Views`] buffer holds the active levels' views for as long as its
+//! caller keeps it, and a fresh buffer rebuilds each active level once
+//! from the assignment. Equivalence against the enumeration oracle is
+//! property-tested in `tests/wcoj_equivalence.rs`.
 
-use crate::eval::{JoinPlan, Semantics, SinkStatus, TupleSink, VerifyScratch};
+use crate::eval::{CompiledAtom, JoinPlan, RelationCatalog, Semantics, VerifyScratch};
 use crpq_graph::rpq::{NodeSet, RelationRow};
 use crpq_graph::GraphView;
 use crpq_graph::NodeId;
 use crpq_query::Var;
+use crpq_util::FxHashSet;
 
 /// One sorted, seekable operand of the per-variable leapfrog intersection.
 enum View<'a> {
@@ -78,22 +76,256 @@ impl View<'_> {
     }
 }
 
-/// Runs the join along `order` to completion (or until the sink stops
-/// it), inserting every verified result projection into `out`. `scratch`
-/// pools the verification buffers across solutions (and across variants
-/// when the caller reuses it); the per-plan atom memo is reset here.
-pub(crate) fn search_all<G: GraphView>(
-    plan: &JoinPlan<'_, G>,
-    order: &[Var],
-    scratch: &mut VerifyScratch,
-    out: &mut dyn TupleSink,
-) -> SinkStatus {
-    if plan.is_empty() {
-        return SinkStatus::Continue;
+/// The views of the active levels `0..starts.len()`, stacked: level `l`
+/// owns `views[starts[l]..]` up to the next level's start, lead first.
+/// A level's views depend only on the nodes bound above it, so rebinding
+/// level `l` invalidates exactly the levels below it.
+#[derive(Default)]
+pub(crate) struct Views<'a> {
+    views: Vec<View<'a>>,
+    starts: Vec<usize>,
+}
+
+impl<'a> Views<'a> {
+    /// Keeps the views of the first `levels` levels only.
+    fn truncate(&mut self, levels: usize) {
+        if let Some(&start) = self.starts.get(levels) {
+            self.views.truncate(start);
+            self.starts.truncate(levels);
+        }
     }
-    scratch.begin_plan(plan.num_nodes());
-    let mut assignment: Vec<Option<NodeId>> = vec![None; plan.q.num_vars];
-    bind_level(plan, order, 0, &mut assignment, scratch, out)
+
+    /// The views of built level `level`.
+    fn level(&self, level: usize) -> &[View<'a>] {
+        let end = self
+            .starts
+            .get(level + 1)
+            .copied()
+            .unwrap_or(self.views.len());
+        &self.views[self.starts[level]..end]
+    }
+
+    /// Builds the views of the next level, `order[self.starts.len()]`:
+    /// incident relation rows whose other endpoint is bound, plus the
+    /// pruned domain (self-loop atoms were folded into the domain at plan
+    /// time), with the (cheaply measurable) smallest view leading so
+    /// leapfrog's outer advance steps through the fewest candidates.
+    fn push_level(
+        &mut self,
+        plan: &'a JoinPlan,
+        catalog: &'a RelationCatalog,
+        assignment: &[Option<NodeId>],
+    ) {
+        let level = self.starts.len();
+        let var = plan.order[level];
+        // Only the levels above count: on a resume, deeper levels are
+        // still bound in `assignment`.
+        let above = |v: Var| assignment[v.index()].filter(|_| plan.level_of[v.index()] < level);
+        let start = self.views.len();
+        self.starts.push(start);
+        for (atom, &id) in plan.atoms.iter().zip(&plan.rel_ids) {
+            if atom.src == atom.dst {
+                continue;
+            }
+            let rel = catalog.relation(id);
+            if atom.src == var {
+                if let Some(dst_node) = above(atom.dst) {
+                    self.views.push(View::Row(rel.backward(dst_node)));
+                }
+            }
+            if atom.dst == var {
+                if let Some(src_node) = above(atom.src) {
+                    self.views.push(View::Row(rel.forward(src_node)));
+                }
+            }
+        }
+        self.views.push(View::Domain(&plan.domains[var.index()]));
+        let lead = (start..self.views.len())
+            .min_by_key(|&i| self.views[i].lead_weight())
+            .unwrap_or(start);
+        self.views.swap(start, lead);
+    }
+}
+
+/// The smallest id `≥ from` in every view: a leapfrog round raises the
+/// candidate through each view until all agree. `views[0]` leads.
+fn leapfrog(views: &[View<'_>], from: usize) -> Option<usize> {
+    let mut cand = views[0].first_at_or_after(from)?;
+    loop {
+        let mut stable = true;
+        for view in views {
+            let w = view.first_at_or_after(cand)?;
+            if w > cand {
+                cand = w;
+                stable = false;
+            }
+        }
+        if stable {
+            return Some(cand);
+        }
+    }
+}
+
+/// What entering a level decided.
+enum Entry {
+    /// Keep searching at the entered level.
+    Descend,
+    /// Nothing below can yield a new projection: undo the last bind.
+    Skip,
+    /// A verified, new projection is in `Cursor::tuple`.
+    Emit,
+}
+
+/// The resumable state of one request's join search over its plans (one
+/// per ε-free variant, searched in order), with its verification
+/// scratch. Owns no borrow: every [`Self::advance`] is handed the graph,
+/// the catalog and the plans.
+#[derive(Default)]
+pub(crate) struct Cursor {
+    /// The plan being searched; `plans.len()` once exhausted.
+    variant: usize,
+    /// Whether the current plan's root level was entered.
+    entered: bool,
+    /// `order[..depth]` is bound; level `depth` is being enumerated.
+    depth: usize,
+    /// Per level: the leapfrog position, the smallest id not yet tried.
+    next: Vec<usize>,
+    /// The bound node of every variable (`None` below `depth`).
+    assignment: Vec<Option<NodeId>>,
+    /// The projections returned so far, across plans: the
+    /// duplicate-projection prune skips every subtree whose free
+    /// variables already project onto one of them.
+    pub(crate) seen: FxHashSet<Vec<NodeId>>,
+    /// Projection buffer of the current assignment.
+    tuple: Vec<NodeId>,
+    /// Complete-assignment buffer handed to verification.
+    mu: Vec<NodeId>,
+    /// The verification buffers and the per-plan atom memo.
+    pub(crate) scratch: VerifyScratch,
+}
+
+impl Cursor {
+    /// Runs the search to its next verified projection not returned
+    /// before, and returns it; `None` once every plan is exhausted (and on
+    /// every later call). `views` caches the active levels' views while
+    /// the caller passes the same buffer; a fresh (default) buffer is
+    /// rebuilt from the assignment, at most once per active level.
+    pub(crate) fn advance<'a, G: GraphView>(
+        &mut self,
+        g: &G,
+        catalog: &'a RelationCatalog,
+        plans: &'a [JoinPlan],
+        views: &mut Views<'a>,
+    ) -> Option<&[NodeId]> {
+        while let Some(plan) = plans.get(self.variant) {
+            if !self.entered {
+                self.entered = true;
+                views.truncate(0);
+                self.depth = 0;
+                self.assignment.clear();
+                self.assignment.resize(plan.num_vars(), None);
+                self.next.clear();
+                self.next.resize(plan.order.len(), 0);
+                if plan.is_empty() {
+                    self.next_variant();
+                    continue;
+                }
+                self.scratch.begin_plan(g.num_nodes());
+                match self.enter(g, catalog, plan, views, 0) {
+                    Entry::Descend => {}
+                    Entry::Skip => self.next_variant(),
+                    Entry::Emit => return Some(&self.tuple),
+                }
+                continue;
+            }
+            let level = self.depth;
+            while views.starts.len() <= level {
+                views.push_level(plan, catalog, &self.assignment);
+            }
+            let Some(cand) = leapfrog(views.level(level), self.next[level]) else {
+                // Level exhausted: backtrack to the one above.
+                if level == 0 {
+                    self.next_variant();
+                } else {
+                    views.truncate(level);
+                    self.depth = level - 1;
+                    self.assignment[plan.order[level - 1].index()] = None;
+                }
+                continue;
+            };
+            self.next[level] = cand + 1;
+            let (var, node) = (plan.order[level], NodeId(cand as u32));
+            if plan.sem == Semantics::QueryInjective && self.assignment.contains(&Some(node)) {
+                continue; // μ must be injective under q-inj
+            }
+            if !plan.bind_allowed(g, var, node, &self.assignment, &mut self.scratch) {
+                continue;
+            }
+            self.assignment[var.index()] = Some(node);
+            match self.enter(g, catalog, plan, views, level + 1) {
+                Entry::Descend => {}
+                Entry::Skip => self.assignment[var.index()] = None,
+                Entry::Emit => return Some(&self.tuple),
+            }
+        }
+        None
+    }
+
+    /// Moves on to the next plan.
+    fn next_variant(&mut self) {
+        self.variant += 1;
+        self.entered = false;
+    }
+
+    /// Enters `level` with `order[..level]` bound. At the level that binds
+    /// the last free variable the duplicate-projection prune runs; at the
+    /// leaf (every variable bound) the assignment is verified, and a new
+    /// projection is recorded and emitted. After an emission only
+    /// existential variables could still vary below the last free one, so
+    /// the cursor resumes at that variable's level.
+    fn enter<'a, G: GraphView>(
+        &mut self,
+        g: &G,
+        catalog: &'a RelationCatalog,
+        plan: &'a JoinPlan,
+        views: &mut Views<'a>,
+        level: usize,
+    ) -> Entry {
+        if level == plan.proj_depth {
+            plan.project_into(&self.assignment, &mut self.tuple);
+            if self.seen.contains(self.tuple.as_slice()) {
+                return Entry::Skip;
+            }
+        }
+        if level < plan.order.len() {
+            self.depth = level;
+            self.next[level] = 0;
+            views.truncate(level);
+            return Entry::Descend;
+        }
+        // Complete assignment: standard consistency is guaranteed by the
+        // views; verify the injective side.
+        self.mu.clear();
+        for a in &self.assignment {
+            self.mu.push(a.expect("leaf variables are bound")); // invariant: a leaf binds every variable
+        }
+        if !plan.verify(g, catalog, &self.mu, &mut self.scratch) {
+            return Entry::Skip;
+        }
+        // `tuple` was projected when `proj_depth` (≤ `level`) was entered.
+        self.seen.insert(self.tuple.clone());
+        match plan.proj_depth.checked_sub(1) {
+            None => self.next_variant(),
+            Some(resume) => {
+                for &v in &plan.order[resume..] {
+                    self.assignment[v.index()] = None;
+                }
+                self.depth = resume;
+                views.truncate(resume + 1);
+            }
+        }
+        Entry::Emit
+    }
 }
 
 /// The static variable elimination order: greedily the unordered
@@ -104,191 +336,23 @@ pub(crate) fn search_all<G: GraphView>(
 /// Connectivity-first matters: a level whose variable has no bound
 /// neighbour intersects nothing but its domain, which degenerates to a
 /// cross product.
-pub(crate) fn elimination_order<G: GraphView>(plan: &JoinPlan<'_, G>) -> Vec<Var> {
-    let n = plan.q.num_vars;
+pub(crate) fn elimination_order(atoms: &[CompiledAtom], domain_sizes: &[usize]) -> Vec<Var> {
+    let n = domain_sizes.len();
     let mut order: Vec<Var> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
     while order.len() < n {
         let adjacent = |v: usize| {
-            plan.atoms.iter().any(|a| {
+            atoms.iter().any(|a| {
                 (a.src.index() == v && placed[a.dst.index()])
                     || (a.dst.index() == v && placed[a.src.index()])
             })
         };
         let next = (0..n)
             .filter(|&v| !placed[v])
-            .min_by_key(|&v| (!adjacent(v), plan.domain_sizes[v]))
+            .min_by_key(|&v| (!adjacent(v), domain_sizes[v]))
             .expect("some variable is still unordered"); // invariant: the loop runs only while variables remain unordered
         order.push(Var(next as u32));
         placed[next] = true;
     }
     order
-}
-
-/// Continues the worst-case-optimal join from `level` of `order`, with the
-/// variables of `order[..level]` already bound in `assignment` — the
-/// subtree hand-off point of the work-stealing driver in
-/// [`crate::parallel`]: a worker that has explicitly enumerated the
-/// stealable prefix levels delegates the remaining subtree here.
-pub(crate) fn search_from_level<G: GraphView>(
-    plan: &JoinPlan<'_, G>,
-    order: &[Var],
-    level: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    scratch: &mut VerifyScratch,
-    out: &mut dyn TupleSink,
-) -> SinkStatus {
-    if plan.is_empty() {
-        return SinkStatus::Continue;
-    }
-    bind_level(plan, order, level, assignment, scratch, out)
-}
-
-/// The candidates the leapfrog intersection would enumerate for
-/// `order[level]` under the current partial assignment (query-injective
-/// used-node filter included) — lets the work-stealing driver materialise
-/// a level's domain as a splittable range instead of descending through
-/// it. Must agree exactly with what [`bind_level`] enumerates; both go
-/// through [`each_level_candidate`].
-pub(crate) fn level_candidates<G: GraphView>(
-    plan: &JoinPlan<'_, G>,
-    order: &[Var],
-    level: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-) -> Vec<NodeId> {
-    let mut cands = Vec::new();
-    each_level_candidate(plan, order, level, assignment, |_, node| {
-        cands.push(node);
-        SinkStatus::Continue
-    });
-    cands
-}
-
-/// Binds `order[level..]` one variable at a time by leapfrog intersection,
-/// verifying and emitting complete assignments.
-fn bind_level<G: GraphView>(
-    plan: &JoinPlan<'_, G>,
-    order: &[Var],
-    level: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    scratch: &mut VerifyScratch,
-    out: &mut dyn TupleSink,
-) -> SinkStatus {
-    // Early exit: a stopped sink unwinds the whole search.
-    if out.should_stop() {
-        return SinkStatus::Stop;
-    }
-    // Duplicate-projection prune: once every free variable is bound,
-    // deeper levels only vary existential variables — pointless if the
-    // projection is already a known result.
-    let mut proj = std::mem::take(&mut scratch.tuple);
-    let pruned = plan.projection_into(assignment, &mut proj) && out.contains_tuple(proj.as_slice());
-    scratch.tuple = proj;
-    if pruned {
-        return SinkStatus::Continue;
-    }
-    if order.get(level).is_none() {
-        // Complete assignment: standard consistency is guaranteed by the
-        // views; verify the injective side and record the projection.
-        let mut mu = std::mem::take(&mut scratch.mu);
-        mu.clear();
-        mu.extend(assignment.iter().map(|a| a.unwrap())); // invariant: every variable is bound at a leaf
-        let ok = plan.verify(&mu, scratch);
-        scratch.mu = mu;
-        if ok {
-            debug_assert_eq!(
-                scratch.tuple.len(),
-                plan.q.free.len(),
-                "entry prune must have projected the complete assignment"
-            );
-            return out.insert_tuple(scratch.tuple.clone());
-        }
-        return SinkStatus::Continue;
-    }
-    let var = order[level];
-    each_level_candidate(plan, order, level, assignment, |assignment, node| {
-        if !plan.bind_allowed(var, node, assignment, scratch) {
-            return SinkStatus::Continue;
-        }
-        assignment[var.index()] = Some(node);
-        let status = bind_level(plan, order, level + 1, assignment, scratch, out);
-        assignment[var.index()] = None;
-        status
-    })
-}
-
-/// Enumerates the candidates of `order[level]` by leapfrog intersection of
-/// the restricting views, invoking `visit` once per candidate in ascending
-/// id order until exhaustion or a [`SinkStatus::Stop`] from `visit` (which
-/// is returned). Under query-injective semantics, nodes already used by
-/// the assignment are filtered as the intersection streams by; the filter
-/// re-reads `assignment` each round, so `visit` may bind and unbind
-/// deeper variables between calls.
-fn each_level_candidate<G: GraphView>(
-    plan: &JoinPlan<'_, G>,
-    order: &[Var],
-    level: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    mut visit: impl FnMut(&mut Vec<Option<NodeId>>, NodeId) -> SinkStatus,
-) -> SinkStatus {
-    let var = order[level];
-    // Collect the views restricting `var`: incident relation rows whose
-    // other endpoint is bound, plus the pruned domain. Self-loop atoms
-    // were folded into the domain at plan-build time.
-    let mut views: Vec<View<'_>> = Vec::with_capacity(plan.atoms.len() + 1);
-    for (atom, rel) in plan.atoms.iter().zip(&plan.relations) {
-        if atom.src == atom.dst {
-            continue;
-        }
-        if atom.src == var {
-            if let Some(dst_node) = assignment[atom.dst.index()] {
-                views.push(View::Row(rel.backward(dst_node)));
-            }
-        }
-        if atom.dst == var {
-            if let Some(src_node) = assignment[atom.src.index()] {
-                views.push(View::Row(rel.forward(src_node)));
-            }
-        }
-    }
-    views.push(View::Domain(&plan.domains[var.index()]));
-    // Lead with the (cheaply measurable) smallest view: leapfrog's outer
-    // advance then steps through the fewest candidates.
-    let lead = views
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, v)| v.lead_weight())
-        .map(|(i, _)| i)
-        .unwrap(); // invariant: a join plan has at least one view
-    views.swap(0, lead);
-
-    let inj = plan.sem == Semantics::QueryInjective;
-    let mut lo = 0usize;
-    'candidates: while let Some(first) = views[0].first_at_or_after(lo) {
-        // Leapfrog round: raise `cand` through every view until all agree.
-        let mut cand = first;
-        let mut stable = false;
-        while !stable {
-            stable = true;
-            for view in &views {
-                match view.first_at_or_after(cand) {
-                    None => break 'candidates,
-                    Some(w) if w > cand => {
-                        cand = w;
-                        stable = false;
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        lo = cand + 1;
-        let node = NodeId(cand as u32);
-        if inj && assignment.iter().flatten().any(|&used| used == node) {
-            continue; // μ must be injective under q-inj
-        }
-        if visit(assignment, node) == SinkStatus::Stop {
-            return SinkStatus::Stop;
-        }
-    }
-    SinkStatus::Continue
 }

@@ -1,10 +1,10 @@
 //! The read-path abstraction over frozen and mutated graphs.
 //!
 //! Every algorithm in this workspace — the RPQ sweeps, the relation
-//! materialisers, the join search and its work-stealing scheduler — reads
-//! a graph through exactly the operations collected here as
-//! [`GraphView`]: per-label successor/predecessor enumeration, node-major
-//! edge enumeration, degrees, membership, and the alphabet.
+//! materialisers and the join search — reads a graph through exactly the
+//! operations collected here as [`GraphView`]: per-label
+//! successor/predecessor enumeration, node-major edge enumeration,
+//! degrees, membership, and the alphabet.
 //!
 //! Two implementors exist:
 //!
@@ -56,8 +56,8 @@ use crpq_util::{BitSet, Interner, Symbol};
 /// operations the query engine needs. See the [module docs](self) for the
 /// behavioural contract and the zero-cost monomorphisation argument.
 ///
-/// `Sync` is a supertrait because the parallel materialiser and the
-/// work-stealing executor share `&G` across scoped worker threads.
+/// `Sync` is a supertrait because the parallel materialiser shares `&G`
+/// across its scoped sweep threads.
 pub trait GraphView: Sync {
     /// Per-label neighbour iterator ([`successors`](Self::successors) /
     /// [`predecessors`](Self::predecessors)); strictly ascending node ids.
@@ -168,9 +168,9 @@ impl GraphView for GraphDb {
     }
 }
 
-/// Delegating impl so `Arc`-shared graphs (the streaming producer, tests
-/// exercising `Eval::stream`) are views themselves — deref coercion does not
-/// apply through generic bounds, so the wrapper needs its own impl.
+/// Delegating impl so `Arc`-shared graphs (the ones `Eval::stream` takes)
+/// are views themselves — deref coercion does not apply through generic
+/// bounds, so the wrapper needs its own impl.
 impl<G: GraphView + Send> GraphView for std::sync::Arc<G> {
     type Neighbors<'a>
         = G::Neighbors<'a>

@@ -19,8 +19,8 @@
 //! - `rename` is atomic (readers see the old file or the new file, never
 //!   a mix) and, in this model, immediately durable.
 //!
-//! All fault schedules are seeded/explicit — no ambient entropy — in the
-//! same spirit as the `crpq-check` model checker.
+//! All fault schedules are seeded/explicit — no ambient entropy — so
+//! every failure reproduces from its seed.
 
 use std::collections::BTreeMap;
 use std::io;

@@ -2,91 +2,37 @@
 //!
 //! Every crate that spawns threads or shares state across them imports
 //! its primitives from here instead of `std::sync`/`std::thread`
-//! (enforced by `cargo xtask lint`). In ordinary builds the module is a
-//! zero-cost verbatim re-export of `std`. Compiled with
-//! `RUSTFLAGS="--cfg crpq_model_check"`, it instead routes to the
-//! shadow primitives of the in-repo concurrency model checker
-//! (`crpq-check`), whose engine serializes execution and explores
-//! thread interleavings deterministically — see that crate's docs.
-//!
-//! The two surfaces are kept method-for-method compatible, so the same
-//! scheduler/stream/catalog source compiles against either; the
-//! `facade_is_zero_cost_std` test pins the std build to *type identity*
-//! (not just API compatibility).
-//!
-//! One deliberate narrowing: `thread::scope` passes the scope handle to
-//! the closure **by value** in model builds (`std` passes `&Scope`).
-//! Call sites written as `scope.spawn(..)` auto-ref and compile
-//! identically against both.
+//! (enforced by `cargo xtask lint`), so the engine's cross-thread surface
+//! is one short list: the materialisation sweep's block counter and its
+//! scoped workers (`crpq_graph::rpq`, see `CONCURRENCY.md`). The module
+//! is a zero-cost verbatim re-export of `std`; the
+//! `facade_is_zero_cost_std` test pins it to *type identity*.
 
-#[cfg(not(crpq_model_check))]
-pub use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
-
-#[cfg(not(crpq_model_check))]
 pub mod atomic {
     //! Re-export of the `std::sync::atomic` subset the workspace uses.
-    pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicUsize, Ordering};
 }
 
-#[cfg(not(crpq_model_check))]
-pub mod mpsc {
-    //! Re-export of the `std::sync::mpsc` subset the workspace uses.
-    pub use std::sync::mpsc::{sync_channel, Receiver, RecvError, SendError, SyncSender};
-}
-
-#[cfg(not(crpq_model_check))]
 pub mod thread {
     //! Re-export of the `std::thread` subset the workspace uses.
-    pub use std::thread::{
-        available_parallelism, panicking, scope, sleep, spawn, yield_now, JoinHandle, Result,
-        Scope, ScopedJoinHandle,
-    };
+    pub use std::thread::{available_parallelism, scope};
 }
 
-#[cfg(crpq_model_check)]
-pub use crpq_check::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
-
-#[cfg(crpq_model_check)]
-pub use crpq_check::sync::{atomic, mpsc};
-
-#[cfg(crpq_model_check)]
-pub use crpq_check::thread;
-
-#[cfg(all(test, not(crpq_model_check)))]
+#[cfg(test)]
 mod tests {
     use std::any::TypeId;
 
-    /// The std build of the façade must be the *same types* as `std`'s —
-    /// zero cost by construction, not merely API-compatible.
+    /// The façade must be the *same types* as `std`'s — zero cost by
+    /// construction, not merely API-compatible.
     #[test]
     fn facade_is_zero_cost_std() {
-        assert_eq!(
-            TypeId::of::<super::Mutex<usize>>(),
-            TypeId::of::<std::sync::Mutex<usize>>()
-        );
-        assert_eq!(
-            TypeId::of::<super::Condvar>(),
-            TypeId::of::<std::sync::Condvar>()
-        );
-        assert_eq!(
-            TypeId::of::<super::atomic::AtomicBool>(),
-            TypeId::of::<std::sync::atomic::AtomicBool>()
-        );
         assert_eq!(
             TypeId::of::<super::atomic::AtomicUsize>(),
             TypeId::of::<std::sync::atomic::AtomicUsize>()
         );
         assert_eq!(
-            TypeId::of::<super::mpsc::SyncSender<usize>>(),
-            TypeId::of::<std::sync::mpsc::SyncSender<usize>>()
-        );
-        assert_eq!(
-            TypeId::of::<super::mpsc::Receiver<usize>>(),
-            TypeId::of::<std::sync::mpsc::Receiver<usize>>()
-        );
-        assert_eq!(
-            TypeId::of::<super::thread::JoinHandle<usize>>(),
-            TypeId::of::<std::thread::JoinHandle<usize>>()
+            TypeId::of::<super::atomic::Ordering>(),
+            TypeId::of::<std::sync::atomic::Ordering>()
         );
     }
 }

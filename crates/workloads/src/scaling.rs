@@ -125,23 +125,14 @@ pub fn million_query(alphabet: &mut Interner) -> Crpq {
     .unwrap() // invariant: fixed workload query text parses
 }
 
-/// Zipf exponent of the work-stealing bench family — deliberately more
-/// skewed than [`LABEL_RICH_ZIPF_EXPONENT`]: at 1.4 the head labels carry
-/// most of the edges, so a handful of top-level join candidates own most
-/// of the search space. That is the starvation case static partitioning
-/// loses on (one worker crawls the huge subtree while the rest idle) and
-/// the work-stealing scheduler exists for.
+/// Zipf exponent of the skewed steal family — deliberately more skewed
+/// than [`LABEL_RICH_ZIPF_EXPONENT`]: at 1.4 the head labels carry most
+/// of the edges, so a handful of top-level join candidates own most of
+/// the search space. The family was built to load a work-stealing search
+/// (deleted since); the differential tests keep it as a skewed shape.
 pub const STEAL_ZIPF_EXPONENT: f64 = 1.4;
 
-/// The **work-stealing bench graph**: the label-rich family skewed to
-/// [`STEAL_ZIPF_EXPONENT`]. Benchmarked under [`steal_query`], work
-/// stealing vs. the same request on one thread, in `BENCH_scale.json`'s
-/// `steal_rows`.
-pub fn steal_skew_graph(n: usize, seed: u64) -> GraphDb {
-    generators::zipf_label_graph(n, 4 * n, LABEL_RICH_LABELS, STEAL_ZIPF_EXPONENT, seed)
-}
-
-/// The query evaluated over [`steal_skew_graph`]: the same anchored
+/// The query evaluated over the skewed steal family: the same anchored
 /// two-atom chain as [`label_rich_query`] — under the skewed label
 /// distribution its `l0`/`l2` anchors produce few but heavy top-level
 /// candidates.
@@ -221,16 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn steal_family_schedulers_agree() {
-        // Scaled-down instance of the work-stealing bench family: the
-        // work-stealing search must agree with the sequential engine under
-        // all three semantics.
+    fn steal_family_thread_counts_agree() {
+        // Scaled-down instance of the skewed steal family: a catalog swept
+        // on four threads must agree with one thread under all three
+        // semantics.
         let mut g = crpq_graph::generators::zipf_label_graph(40, 160, 25, STEAL_ZIPF_EXPONENT, 13);
         let q = steal_query(g.alphabet_mut());
         for sem in Semantics::ALL {
             let seq = Eval::new(&q, &g).semantics(sem).tuples();
-            let ws = Eval::new(&q, &g).semantics(sem).threads(4).tuples();
-            assert_eq!(seq, ws, "work-stealing vs sequential under {sem}");
+            let four = Eval::new(&q, &g).semantics(sem).threads(4).tuples();
+            assert_eq!(seq, four, "four threads vs one under {sem}");
         }
     }
 

@@ -6,20 +6,16 @@
 //!   the `crpq_util::sync` façade is the only door to the concurrency
 //!   primitives, the `crpq_util::storage` façade the only door to the
 //!   filesystem, and library code has no undocumented panic sites.
-//! * `cargo xtask model-check` — build and run the bounded-exploration
-//!   concurrency suite (`crates/check` unit tests plus every `model_*`
-//!   protocol test) under `--cfg crpq_model_check`.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
-        Some("model-check") => model_check(),
         _ => {
-            eprintln!("usage: cargo xtask <lint | model-check>");
+            eprintln!("usage: cargo xtask lint");
             ExitCode::FAILURE
         }
     }
@@ -39,14 +35,15 @@ fn workspace_root() -> PathBuf {
 // -------------------------------------------------------------------------
 
 /// Paths (relative to the workspace root, `/`-separated) exempt from the
-/// façade-only rule: the façade itself and the checker it routes to — the
-/// only modules allowed to name the raw std primitives.
-const FACADE_EXEMPT: &[&str] = &["crates/check/", "crates/util/src/sync.rs", "crates/xtask/"];
+/// façade-only rule: the façade itself — the only module allowed to name
+/// the raw std primitives — and this tool.
+const FACADE_EXEMPT: &[&str] = &["crates/util/src/sync.rs", "crates/xtask/"];
 
 /// Substrings whose presence on a (non-exempt, non-comment) line flags a
-/// direct use of a std concurrency primitive that has a façade double.
-/// `std::sync::Arc` and friends stay legal — only the primitives the
-/// model checker must interpose on are gated.
+/// direct use of a std concurrency primitive. `std::sync::Arc` and
+/// friends stay legal — only the primitives that make a cross-thread
+/// protocol are gated, so every such protocol imports the façade and is
+/// listed in `CONCURRENCY.md`.
 const FACADE_NAMES: &[&str] = &["Mutex", "Condvar", "mpsc", "AtomicBool", "AtomicUsize"];
 
 /// Top-level directories the lint does not scan: `perfbench/` is a package
@@ -87,8 +84,8 @@ fn lint() -> ExitCode {
     eprintln!(
         "\nxtask lint: {} violation(s).\n\
          - facade-only: import concurrency primitives through `crpq_util::sync`,\n\
-           never `std::sync`/`std::thread` directly (the model checker must be\n\
-           able to interpose on every acquire/release/park point).\n\
+           never `std::sync`/`std::thread` directly (every cross-thread\n\
+           protocol goes through the façade and is listed in CONCURRENCY.md).\n\
          - storage-facade: library code must not touch `std::fs` directly;\n\
            route file IO through `crpq_util::storage::Storage` so the\n\
            crash-fault harness can interpose on every write/sync/rename.\n\
@@ -131,13 +128,12 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
 }
 
 /// Whether the documented-panic rule applies to this file at all: library
-/// sources only — not tests, benches, examples, binaries, the checker, or
-/// this tool.
+/// sources only — not tests, benches, examples, binaries, or this tool.
 fn panic_rule_applies(rel: &str) -> bool {
     let exempt_dir = ["tests/", "benches/", "examples/", "src/bin/"]
         .iter()
         .any(|d| rel.contains(d) || rel.starts_with(d));
-    let exempt_crate = rel.starts_with("crates/check/") || rel.starts_with("crates/xtask/");
+    let exempt_crate = rel.starts_with("crates/xtask/");
     !(exempt_dir || exempt_crate)
 }
 
@@ -241,50 +237,4 @@ fn scan_file(rel: &str, src: &str, out: &mut Vec<Violation>) {
         }
         prev_comment_justifies = false;
     }
-}
-
-// -------------------------------------------------------------------------
-// `cargo xtask model-check`
-// -------------------------------------------------------------------------
-
-/// Runs the full bounded-exploration suite: the checker's own unit tests
-/// (deadlock/lost-wakeup detectors, mutant detection) and every `model_*`
-/// protocol test, all compiled with `--cfg crpq_model_check` so the
-/// `crpq_util::sync` façade routes to the shadow primitives.
-fn model_check() -> ExitCode {
-    let root = workspace_root();
-    let mut rustflags = std::env::var("RUSTFLAGS").unwrap_or_default();
-    if !rustflags.contains("crpq_model_check") {
-        if !rustflags.is_empty() {
-            rustflags.push(' ');
-        }
-        rustflags.push_str("--cfg crpq_model_check");
-    }
-
-    let suites: &[&[&str]] = &[
-        &["test", "-p", "crpq-check", "--lib", "-q"],
-        &["test", "-p", "crpq-util", "--lib", "-q", "sync"],
-        &["test", "-p", "crpq-core", "--lib", "-q", "model_"],
-    ];
-    for args in suites {
-        println!("$ RUSTFLAGS=\"{rustflags}\" cargo {}", args.join(" "));
-        let status = Command::new("cargo")
-            .args(*args)
-            .current_dir(&root)
-            .env("RUSTFLAGS", &rustflags)
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("model-check suite failed: {s}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("failed to spawn cargo: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    println!("xtask model-check: OK");
-    ExitCode::SUCCESS
 }

@@ -55,7 +55,7 @@ semantics S: st | a-inj | q-inj | a-trail | q-trail (default: st)
 sync P: always | never | every:N (default: always)
 mutations FILE: one `insert SRC LABEL DST`, `delete SRC LABEL DST` or `add-node`
   per line; `#` comments; db-info exits 1 when recovery dropped a torn WAL tail
-threads N: parallel enumeration on N threads (0 = one per CPU, capped at 16; at most 256)
+threads N: materialise relations on N threads (0 = one per CPU, capped at 16; at most 256)
 --ask: existence only — prints true/false, exits 0 iff an answer exists (stops at first witness)
 --limit K: prints at most K answer tuples, stopping the search early
 graph FILE: text (one `src label dst` per line) or CRPQ binary snapshot";
@@ -120,9 +120,10 @@ fn cmd_eval(args: &[String]) -> Result<(String, u8), String> {
     let q = parse_crpq(query_text, g.alphabet_mut()).map_err(|e| e.to_string())?;
     let sem = parse_semantics(flag(args, "semantics").unwrap_or("st"))?;
 
-    // `--threads N` routes enumeration through the work-stealing parallel
-    // engine; N = 0 keeps the documented fallback (one thread per
-    // available CPU, capped at 16). Without it the search runs on one.
+    // `--threads N` sweeps the atom relations on N threads; N = 0 keeps
+    // the documented fallback (one thread per available CPU, capped at
+    // 16). Without it they are swept on one. The join search always runs
+    // on the calling thread.
     let threads: usize = flag(args, "threads")
         .map(|t| t.parse().map_err(|e| format!("bad --threads: {e}")))
         .transpose()?

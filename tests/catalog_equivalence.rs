@@ -1,7 +1,7 @@
 //! Differential property tests for the planner layer: catalog-backed
 //! evaluation (shared atom relations, adaptive sparse/dense rows) must
 //! return exactly the same tuple sets as the legacy `|V|^arity`
-//! enumeration oracle and as the parallel partitioned join, on random
+//! enumeration oracle and as a fresh catalog swept on three threads, on random
 //! graphs × random CRPQs under all three semantics — including when one
 //! catalog is reused across semantics and repeated calls. Plus unit tests
 //! pinning the sharing contract itself: a multi-variant query with shared
@@ -35,8 +35,8 @@ proptest! {
 
     /// One catalog reused across all three semantics (and therefore across
     /// 3× the ε-free variants) still matches the enumeration oracle and
-    /// the parallel engine; relations materialised for one semantics are
-    /// hits for the next.
+    /// a fresh three-thread catalog; relations materialised for one
+    /// semantics are hits for the next.
     #[test]
     fn shared_catalog_matches_oracle_and_parallel(seed in 0u64..100_000) {
         let (q, g) = random_instance(seed, QueryClass::Crpq, 2);
@@ -82,9 +82,9 @@ proptest! {
         );
     }
 
-    /// The work-stealing search plans against a caller's catalog too: a
-    /// catalog warmed by sequential runs serves parallel runs (all hits)
-    /// with the same answers as a fresh catalog.
+    /// A request with a thread count plans against a caller's catalog
+    /// too: the warmed catalog serves it (all hits, the count does not
+    /// apply) with the same answers.
     #[test]
     fn parallel_search_reuses_caller_catalog(seed in 0u64..100_000) {
         let (q, g) = random_instance(seed, QueryClass::Crpq, 1);

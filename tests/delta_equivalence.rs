@@ -1,8 +1,8 @@
 //! Differential tests for the dynamic-graph read path: a [`DeltaGraph`]
 //! (base snapshot + sorted overlay) must be observationally equivalent to
 //! a frozen [`GraphDb`] rebuilt from scratch over the same edge set, under
-//! every semantics and executor — the sequential join, the work-stealing
-//! parallel executor, and the streaming producer. Schedules cover mixed
+//! every semantics and terminal — `tuples` with one and with four
+//! materialisation threads, and the stream. Schedules cover mixed
 //! insert/delete churn, delete-heavy workloads (tombstone-dominated
 //! overlays), and compaction boundaries (tiny threshold, compact + re-wrap
 //! mid-schedule). A final test counter-asserts the label-footprint catalog

@@ -1,8 +1,8 @@
 //! Differential property tests for the join-based evaluator: on random
-//! graphs × random CRPQs, every terminal of an [`Eval`] request — at one
-//! thread and under work stealing — must return exactly the same tuple
-//! sets as the legacy `|V|^arity` enumeration oracle, under all three
-//! semantics.
+//! graphs × random CRPQs, every terminal of an [`Eval`] request — with one
+//! and with two materialisation threads — must return exactly the same
+//! tuple sets as the legacy `|V|^arity` enumeration oracle, under all three
+//! semantics, and every prefix of a stream must be the matching `limit`.
 
 use crpq::core::{eval_tuples_enumerate, Eval};
 use crpq::prelude::*;
@@ -68,6 +68,35 @@ proptest! {
                         prop_assert!(request().contains(t), "contains {:?}: {}", t, ctx);
                     }
                 }
+            }
+        }
+    }
+
+    /// The cursor resumes at every depth: for every row of the contract
+    /// table and every semantics, the first `k` tuples of `stream()`,
+    /// sorted, are `limit(k)` for every `k` in `0..=|answers| + 1` — so
+    /// resumes land inside variants, across variant boundaries and below
+    /// existential suffixes.
+    #[test]
+    fn stream_prefixes_equal_limits(seed in 0u64..100_000) {
+        for (class, arity) in CONTRACT_ROWS {
+            let (q, g) = random_instance(seed, class, arity);
+            let g = Arc::new(g);
+            for sem in Semantics::ALL {
+                let request = || Eval::new(&q, &g).semantics(sem);
+                let answers = request().tuples().len();
+                let mut stream = request().stream();
+                let mut prefix: Vec<Vec<NodeId>> = Vec::new();
+                for k in 0..=answers + 1 {
+                    let mut sorted = prefix.clone();
+                    sorted.sort();
+                    prop_assert_eq!(
+                        request().limit(k), sorted,
+                        "seed {} {:?}/{} {} k {}", seed, class, arity, sem, k
+                    );
+                    prefix.extend(stream.next());
+                }
+                prop_assert_eq!(prefix.len(), answers);
             }
         }
     }

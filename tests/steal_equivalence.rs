@@ -1,9 +1,9 @@
-//! Differential tests pinning the work-stealing parallel search against
-//! the sequential engine and the enumeration oracle on skewed Zipf label-rich
-//! graphs: the workload family where a static top-level split would
-//! strand workers behind the hot node's subtree, so every scheduler path
-//! (seeding, donation, deepest-level splitting, quiescence) is actually
-//! exercised.
+//! Differential tests on skewed Zipf label-rich graphs and a cyclic shape:
+//! requests whose catalogs materialise on four threads (the sweep's
+//! scoped workers claiming blocks of source ids) must return the
+//! enumeration oracle's answers. The test names are older than the
+//! cursor: these graphs were chosen to exercise a work-stealing search,
+//! deleted since, and now drive the parallel sweep over hot sources.
 
 use crpq::core::{eval_tuples_enumerate, Eval};
 use crpq::prelude::*;
@@ -12,10 +12,10 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Work-stealing ≡ sequential ≡ enumeration oracle on skewed Zipf
-    /// graphs under all three semantics (the steal query is acyclic). The
-    /// Zipf exponent matches the bench steal family; 4 workers over a
-    /// ~20-label graph forces donations on most seeds.
+    /// One thread ≡ four materialisation threads ≡ enumeration oracle on
+    /// skewed Zipf graphs under all three semantics (the steal query is
+    /// acyclic; its Zipf exponent concentrates edges on a few hot
+    /// sources).
     #[test]
     fn work_stealing_matches_oracle_on_skewed_zipf(seed in 0u64..100_000) {
         let mut g = generators::zipf_label_graph(36, 140, 20, 1.4, seed);
@@ -25,18 +25,17 @@ proptest! {
             prop_assert_eq!(
                 Eval::new(&q, &g).semantics(sem).tuples(),
                 oracle.clone(),
-                "sequential vs oracle: seed {} sem {}", seed, sem
+                "1 thread vs oracle: seed {} sem {}", seed, sem
             );
             prop_assert_eq!(
                 Eval::new(&q, &g).semantics(sem).threads(4).tuples(),
                 oracle,
-                "work-stealing vs oracle: seed {} sem {}", seed, sem
+                "4 threads vs oracle: seed {} sem {}", seed, sem
             );
         }
     }
 
-    /// Same agreement on a cyclic shape, where the parallel evaluator
-    /// descends through the join's level candidates.
+    /// Same agreement on a cyclic shape.
     #[test]
     fn work_stealing_matches_oracle_on_cyclic_shape(seed in 0u64..100_000) {
         let mut g = generators::random_graph(10, 45, &["a", "b", "c"], seed);
@@ -50,7 +49,7 @@ proptest! {
             prop_assert_eq!(
                 Eval::new(&q, &g).semantics(sem).threads(4).tuples(),
                 oracle,
-                "work-stealing vs oracle: seed {} sem {}", seed, sem
+                "4 threads vs oracle: seed {} sem {}", seed, sem
             );
         }
     }

@@ -1,8 +1,9 @@
 //! Differential property tests for the worst-case-optimal join, the one
 //! join executor: on the cyclic workloads (triangle, heavy-hitter hub
 //! triangle, 4-cycle, diamond-with-chord, starred triangle) and on random
-//! CRPQs, sequential and parallel evaluation must return exactly the
-//! tuple sets of the enumeration oracle, under all three semantics —
+//! CRPQs, evaluation with one and with three materialisation threads
+//! must return exactly the tuple sets of the enumeration oracle, under
+//! all three semantics —
 //! including graphs where the cyclic output is empty.
 
 use crpq::core::{eval_tuples_enumerate, Eval};
@@ -10,7 +11,7 @@ use crpq::prelude::*;
 use crpq::workloads::cyclic;
 use proptest::prelude::*;
 
-/// The join, sequential and on three threads, must agree with the
+/// The join, with one and with three materialisation threads, must agree with the
 /// enumeration oracle; returns the oracle's result for further checks.
 fn assert_engines_agree(q: &Crpq, g: &GraphDb, ctx: &str) -> Vec<Vec<Vec<NodeId>>> {
     let mut per_sem = Vec::new();
