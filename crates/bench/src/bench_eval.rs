@@ -66,7 +66,10 @@
 //! the time, where the `|R|^{3/2}` bound allows 64× and a pairwise plan,
 //! binding n² spoke pairs at the hub, pays 256×. At n = 80 000 q-inj may
 //! take at most [`INJECTIVE_RATIO_BOUND`]× the st time: every atom is one
-//! letter, so q-inj verification places nothing.
+//! letter, so q-inj verification places nothing. The hub rows also carry
+//! the warm `ask_ms`, and `--smoke` gates its growth from n = 5 000 to
+//! 80 000 by [`HUB_ASK_SCALING_BOUND`]×: a warm ASK is one cursor step
+//! over the catalog's memoised plans, with no `O(|V|)` planning.
 //!
 //! The **injective workload** (`injective_rows`) times the triangle on
 //! `cyclic_graph(2 000, 11)` under st, a-inj and q-inj over one warm
@@ -80,11 +83,11 @@
 //! [`Eval::ask`] and the cold end-to-end first tuple off the pull stream
 //! (`Eval::stream`), against the warm full materialisation over the same
 //! catalog, every path on one thread (there is no thread knob).
-//! Time-to-first and `ASK` are medians of 5 interleaved samples. `--smoke`
+//! Every warm path is a median of 5 interleaved samples. `--smoke`
 //! enforces the CI floors at `|V| = 10⁶`: time-to-first ≤ 50 % of the
 //! full-materialisation wall clock, and `ASK` no slower than time-to-first
-//! (small noise guard). Both sides pay the same semi-join
-//! pass, which bounds the ratio from below; a `LIMIT 1` that drains the
+//! (small noise guard). Warm requests reuse the catalog's memoised plans,
+//! so neither side pays the semi-join pass; a `LIMIT 1` that drains the
 //! whole search reads ≈ 1.0.
 //!
 //! The **mutation workload** (`mutate_rows` in `BENCH_scale.json`, the
@@ -478,6 +481,19 @@ const HUB_SIZES: [usize; 2] = [5_000, 80_000];
 /// read 46–60×.
 const HUB_SCALING_BOUND: f64 = 40.0;
 
+/// Warm `ask()`s averaged into one `ask_ms` sample of the hub rows: with
+/// the plans memoised one ASK takes microseconds, below what a single
+/// timer read resolves reliably.
+const ASK_REPEATS: usize = 20;
+
+/// The warm ASK scaling gate: under each semantics, `ask()` on
+/// `hub_triangle_graph(80 000)` may take at most this many times its time
+/// at 5 000. A warm ASK is one cursor step over memoised plans, so it
+/// should barely grow with |V| (1.3–1.5x on 2 CPUs); replanning every
+/// request (expansion, compilation and the `O(|V|)` semi-join fixpoint)
+/// reads 15–17x.
+const HUB_ASK_SCALING_BOUND: f64 = 4.0;
+
 /// The median of `samples` — the gate statistic for comparisons that sit
 /// near parity, where a best-of-`n` minimum is too noise-sensitive.
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -515,9 +531,12 @@ fn measure_cyclic(workload: &str, q: &Crpq, g: &GraphDb) -> Row {
 /// The warm hub-triangle rows of the AGM scaling gate, one per semantics
 /// of [`Semantics::ALL`] in order, each at every [`HUB_SIZES`] entry in
 /// order, over one warm catalog per graph, so only the join search (and
-/// the free injective checks of the one-letter atoms) is timed. Each
-/// round times every size and semantics back to back, so a slow phase of
-/// the machine lands on both sides of every ratio.
+/// the free injective checks of the one-letter atoms) is timed. Each row
+/// also carries `ask_ms`, the median over rounds of the mean of
+/// [`ASK_REPEATS`] warm `ask()`s: the gate on its growth catches a warm
+/// request that pays planning again. Each round times every size and
+/// semantics back to back, so a slow phase of the machine lands on both
+/// sides of every ratio.
 fn measure_hub_scaling() -> Vec<Row> {
     let graphs: Vec<(GraphDb, Crpq)> = HUB_SIZES
         .iter()
@@ -537,6 +556,7 @@ fn measure_hub_scaling() -> Vec<Row> {
         .collect();
     let mut tuples = [[0; 2]; 3];
     let mut samples: [[Vec<f64>; 2]; 3] = Default::default();
+    let mut ask_samples: [[Vec<f64>; 2]; 3] = Default::default();
     for _ in 0..MEDIAN_SAMPLES {
         for (k, sem) in Semantics::ALL.into_iter().enumerate() {
             for (i, ((g, q), catalog)) in graphs.iter().zip(&mut catalogs).enumerate() {
@@ -544,6 +564,11 @@ fn measure_hub_scaling() -> Vec<Row> {
                     time_once(|| Eval::new(q, g).semantics(sem).catalog(catalog).tuples());
                 tuples[k][i] = out.len();
                 samples[k][i].push(ms);
+                let (found, ms) = time_once(|| {
+                    (0..ASK_REPEATS).all(|_| Eval::new(q, g).semantics(sem).catalog(catalog).ask())
+                });
+                assert!(found, "ASK must find the answers the full run found");
+                ask_samples[k][i].push(ms / ASK_REPEATS as f64);
             }
         }
     }
@@ -551,13 +576,11 @@ fn measure_hub_scaling() -> Vec<Row> {
     for (k, sem) in Semantics::ALL.into_iter().enumerate() {
         for (i, (g, _)) in graphs.iter().enumerate() {
             let join_ms = median(std::mem::take(&mut samples[k][i]));
-            rows.push(cyclic_row(
-                "hub_triangle_warm",
-                sem,
-                g,
-                tuples[k][i],
-                join_ms,
-            ));
+            let ask_ms = median(std::mem::take(&mut ask_samples[k][i]));
+            rows.push(
+                cyclic_row("hub_triangle_warm", sem, g, tuples[k][i], join_ms)
+                    .with("ask_ms", ask_ms),
+            );
         }
     }
     rows
@@ -632,21 +655,20 @@ fn measure_injective() -> Row {
 
 /// Measures the streaming fast paths (`stream_rows`, standard semantics)
 /// on the million-node family at `n` nodes, every path on one thread:
-/// warm-catalog full materialisation (`full_ms`, best of 3, the baseline
-/// the floors compare against — warm on both sides so the ratios measure
-/// search early-exit, not relation sharing), time-to-first-tuple
-/// (`ttf_ms`, `Eval::limit` with k = 1), time-to-k (`ttk_ms`, best of 3),
-/// `ASK` (`ask_ms`) and the cold end-to-end wait for the pull stream's
-/// first tuple (`stream_first_ms`, relation materialisation included).
-/// `ttf_ms` and `ask_ms` are medians of [`MEDIAN_SAMPLES`] interleaved
-/// samples. With `enforce_floor` (the CI gate at `|V| = 10⁶`):
-/// time-to-first-tuple must be ≤ 50 % of the warm full-materialisation
-/// wall clock — both pay the same semi-join pass, and an early exit that
-/// broke would drain the whole search and read ≈ 100 % — and `ASK` must be
-/// no slower than time-to-first (they do the same search; a 5 % + 1 ms
-/// guard absorbs timer noise).
+/// warm-catalog full materialisation (`full_ms`, the baseline the floors
+/// compare against — warm on both sides so the ratios measure search
+/// early-exit, not relation sharing), time-to-first-tuple (`ttf_ms`,
+/// `Eval::limit` with k = 1), time-to-k (`ttk_ms`), `ASK` (`ask_ms`) and
+/// the cold end-to-end wait for the pull stream's first tuple
+/// (`stream_first_ms`, relation materialisation included). `full_ms`,
+/// `ttf_ms`, `ttk_ms` and `ask_ms` are medians of [`MEDIAN_SAMPLES`]
+/// interleaved samples. With `enforce_floor` (the CI gate at
+/// `|V| = 10⁶`): time-to-first-tuple must be ≤ 50 % of the warm
+/// full-materialisation wall clock — an early exit that broke would drain
+/// the whole search and read ≈ 100 % — and `ASK` must be no slower than
+/// time-to-first (they do the same search; a 5 % + 1 ms guard absorbs
+/// timer noise).
 fn measure_stream(n: usize, enforce_floor: bool) -> Row {
-    const SAMPLES: usize = 3;
     const K: usize = 64;
     let mut g = scaling::million_graph(n, 7);
     let q = scaling::million_query(g.alphabet_mut());
@@ -658,24 +680,28 @@ fn measure_stream(n: usize, enforce_floor: bool) -> Row {
         tuples > K,
         "stream workload returned {tuples} tuples — too few for the time-to-k comparison"
     );
-    let (_, full_ms) = time_best_of(SAMPLES, || Eval::new(&q, &g).catalog(&mut catalog).tuples());
-    // `LIMIT 1` and `ASK` run the same search, and the gate compares them:
-    // their samples alternate, so a slow phase of the machine lands on
-    // both, and the gate reads medians, which one slow sample cannot move.
-    let (mut first, mut exists) = (Vec::new(), false);
-    let (mut ttf_samples, mut ask_samples) = (Vec::new(), Vec::new());
+    // Every path's samples alternate, so a slow phase of the machine lands
+    // on all of them, and the gates read medians, which one slow sample
+    // cannot move.
+    let (mut first, mut exists, mut topk) = (Vec::new(), false, Vec::new());
+    let mut samples: [Vec<f64>; 4] = Default::default();
     for _ in 0..MEDIAN_SAMPLES {
+        let (all, ms) = time_once(|| Eval::new(&q, &g).catalog(&mut catalog).tuples());
+        assert_eq!(all.len(), tuples, "a warm full run must repeat the first");
+        samples[0].push(ms);
         let ms;
         (first, ms) = time_once(|| Eval::new(&q, &g).catalog(&mut catalog).limit(1));
-        ttf_samples.push(ms);
+        samples[1].push(ms);
+        let ms;
+        (topk, ms) = time_once(|| Eval::new(&q, &g).catalog(&mut catalog).limit(K));
+        samples[2].push(ms);
         let ms;
         (exists, ms) = time_once(|| Eval::new(&q, &g).catalog(&mut catalog).ask());
-        ask_samples.push(ms);
+        samples[3].push(ms);
     }
-    let (ttf_ms, ask_ms) = (median(ttf_samples), median(ask_samples));
+    let [full_ms, ttf_ms, ttk_ms, ask_ms] = samples.map(median);
     assert_eq!(first.len(), 1, "time-to-first run must yield one tuple");
     assert!(exists, "ASK must find the witness the full run found");
-    let (topk, ttk_ms) = time_best_of(SAMPLES, || Eval::new(&q, &g).catalog(&mut catalog).limit(K));
     assert_eq!(topk.len(), K, "time-to-k run must yield k tuples");
     // Cold path: a fresh stream materialises its own relations before the
     // first tuple can surface.
@@ -1369,7 +1395,9 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
 /// hit-rate > 0 on the multi-variant E9 workload, the warm hub-triangle
 /// join at n = 80 000 within [`HUB_SCALING_BOUND`]× its time at 5 000
 /// under each semantics and q-inj within [`INJECTIVE_RATIO_BOUND`]× st
-/// there (medians of 5), and warm a-inj and q-inj each within
+/// there (medians of 5), the warm hub-triangle ASK at n = 80 000 within
+/// [`HUB_ASK_SCALING_BOUND`]× its time at 5 000 under each semantics
+/// (medians of 5 means of [`ASK_REPEATS`]), and warm a-inj and q-inj each within
 /// [`INJECTIVE_RATIO_BOUND`]× st on the triangle (medians of 5). Without it, shortfalls
 /// are only reported — the full experiment suite should finish with
 /// measurements either way.
@@ -1456,6 +1484,14 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         .map(|p| [p[0].get("join_ms"), p[1].get("join_ms")])
         .collect();
     let hub_ratios: Vec<f64> = hub_ms.iter().map(|ms| ms[1] / ms[0].max(1e-9)).collect();
+    let hub_ask_ms: Vec<[f64; 2]> = hub_rows
+        .chunks(HUB_SIZES.len())
+        .map(|p| [p[0].get("ask_ms"), p[1].get("ask_ms")])
+        .collect();
+    let hub_ask_ratios: Vec<f64> = hub_ask_ms
+        .iter()
+        .map(|ms| ms[1] / ms[0].max(1e-9))
+        .collect();
     let hub_qinj_over_st = hub_ms[2][1] / hub_ms[0][1].max(1e-9);
     let hub_tuples = hub_rows
         .iter()
@@ -1545,6 +1581,18 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         HUB_SIZES[0], HUB_SIZES[1], hub_ratios[0], hub_ratios[1], hub_ratios[2], HUB_SIZES[1]
     );
     println!(
+        "hub triangle warm ASK, n = {} -> {} (medians of {MEDIAN_SAMPLES} means of \
+         {ASK_REPEATS}): st {:.4} -> {:.4}ms {:.1}x, a-inj {:.1}x, q-inj {:.1}x (target: \
+         each ≤ {HUB_ASK_SCALING_BOUND}x)",
+        HUB_SIZES[0],
+        HUB_SIZES[1],
+        hub_ask_ms[0][0],
+        hub_ask_ms[0][1],
+        hub_ask_ratios[0],
+        hub_ask_ratios[1],
+        hub_ask_ratios[2]
+    );
+    println!(
         "injective triangle, warm catalog (medians of {MEDIAN_SAMPLES}): st {:.2}ms, \
          a-inj {ainj_over_st:.2}x, q-inj {qinj_over_st:.2}x (target: each ≤ \
          {INJECTIVE_RATIO_BOUND}x st)",
@@ -1574,6 +1622,15 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
             HUB_SIZES[1],
             hub_ms[0][1],
             hub_ms[2][1]
+        );
+        assert!(
+            hub_ask_ratios.iter().all(|&r| r <= HUB_ASK_SCALING_BOUND),
+            "warm hub-triangle ASK grew more than {HUB_ASK_SCALING_BOUND}x over a 16x larger \
+             input — a warm request is planning again: st {:.1}x, a-inj {:.1}x, q-inj {:.1}x \
+             ({hub_ask_ms:.4?} ms)",
+            hub_ask_ratios[0],
+            hub_ask_ratios[1],
+            hub_ask_ratios[2]
         );
         assert!(
             hub_tuples > 0.0,

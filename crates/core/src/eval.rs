@@ -47,7 +47,12 @@
 //!   every later occurrence — across variants, across semantics, across
 //!   repeated requests sharing the catalog — reuses it (a
 //!   **hit**). Hit/miss counters and materialisation wall clock are
-//!   exposed for tests and benchmarks.
+//!   exposed for tests and benchmarks. The catalog also memoises each
+//!   query's finished plans ([`RelationCatalog`]'s plan memo): the
+//!   relations are standard-semantics for every semantics (Remark 2.1),
+//!   so one query's pruned domains and elimination order are the same
+//!   under `st`, `a-inj` and `q-inj`, and a warm request skips expansion,
+//!   compilation, the lookups and the semi-join fixpoint altogether.
 //! * **Execution** ([`JoinPlan`]): the per-variant join names catalog
 //!   entries by index instead of owning relations, prunes domains and is
 //!   searched by the one join cursor (see below).
@@ -106,8 +111,9 @@
 //!    the product too dense. The relation is indexed both ways
 //!    (`forward(u)` / `backward(v)` rows) and cached in the request's
 //!    [`RelationCatalog`] — the caller's, or a fresh
-//!    [`RelationCatalog::with_threads`]`(g, threads)`. The first tuple
-//!    still waits for every full relation.
+//!    [`RelationCatalog::with_threads`]`(g, threads)`. On a cold catalog
+//!    the first tuple waits for every full relation; on a warm one the
+//!    request starts at step 3 with the memoised plans.
 //! 2. **Semi-join pruning** — per-variable candidate domains start at `V`
 //!    and are intersected with atom source/target sets, then shrunk to a
 //!    fixpoint: a node stays in `dom(x)` only while every atom incident to
@@ -159,7 +165,9 @@
 //!
 //! # Streaming enumeration: the cursor contract
 //!
-//! The join search is a resumable cursor ([`crate::wcoj`]): each step
+//! The join search is a resumable cursor ([`crate::wcoj`]) over a
+//! request's plans, and the cursor, not the plan, carries the semantics,
+//! so one memoised plan set serves all three. Each step
 //! returns the next verified projection that no earlier step returned —
 //! across the ε-free variants in order — and keeps, per level, the bound
 //! node and the leapfrog position to resume from. The terminals only
@@ -206,6 +214,7 @@ use crpq_query::{Crpq, Var};
 use crpq_util::{BitSet, FxHashMap, FxHashSet, Symbol};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The three semantics of the paper.
@@ -280,9 +289,10 @@ impl std::fmt::Display for Semantics {
 ///     .catalog(&mut catalog)
 ///     .tuples();
 /// assert_eq!(all, vec![vec![u, w]]);
-/// // A second request on the same catalog reuses both relations.
-/// assert!(Eval::new(&q, &g).catalog(&mut catalog).threads(2).ask());
-/// assert_eq!(catalog.misses(), 2);
+/// // A second request on the same catalog, under another semantics,
+/// // reuses the memoised plans and both relations.
+/// assert!(Eval::new(&q, &g).catalog(&mut catalog).ask());
+/// assert_eq!((catalog.misses(), catalog.hits()), (2, 2));
 /// assert!(Eval::new(&q, &g).contains(&[u, w]));
 /// ```
 pub struct Eval<'a, G: GraphView> {
@@ -323,8 +333,11 @@ impl<'a, G: GraphView> Eval<'a, G> {
     }
 
     /// Plans against a caller-owned catalog, so repeated requests on the
-    /// same graph (other queries sharing atoms, other semantics, re-runs)
-    /// reuse every relation materialised so far.
+    /// same graph reuse its work: other queries sharing atoms reuse every
+    /// relation materialised so far, and a query planned before (under
+    /// any semantics) reuses its memoised plans, skipping expansion,
+    /// compilation and the semi-join fixpoint. [`Self::threads`] does not
+    /// apply: the catalog keeps the thread count it was built with.
     pub fn catalog(mut self, catalog: &'a mut RelationCatalog) -> Self {
         self.catalog = Some(catalog);
         self
@@ -374,10 +387,11 @@ impl<'a, G: GraphView> Eval<'a, G> {
             .any(|variant| VariantEval::build(variant, self.g, self.sem).contains(tuple))
     }
 
-    /// The join driver behind every terminal but `contains`: plans every
-    /// ε-free variant against the request's catalog (or a fresh one,
-    /// materialising on `threads` workers), then advances one cursor over
-    /// the plans at most `k` times. Returns the tuples found, sorted.
+    /// The join driver behind every terminal but `contains`: takes the
+    /// plans of every ε-free variant from the request's catalog (or a
+    /// fresh one, materialising on `threads` workers), then advances one
+    /// cursor under the request's semantics at most `k` times. Returns
+    /// the tuples found, sorted.
     fn search(self, k: usize) -> Vec<Vec<NodeId>> {
         let Eval {
             q,
@@ -394,8 +408,9 @@ impl<'a, G: GraphView> Eval<'a, G> {
                 &mut fresh
             }
         };
-        let plans = JoinPlan::plan_all(q, g, sem, catalog);
-        let (mut cursor, mut views) = (Cursor::default(), Views::default());
+        let plans = catalog.plans(q, g);
+        let catalog = &*catalog;
+        let (mut cursor, mut views) = (Cursor::new(sem), Views::default());
         for _ in 0..k {
             if cursor.advance(g, catalog, &plans, &mut views).is_none() {
                 break;
@@ -529,6 +544,32 @@ fn compile_atoms(variant: &Crpq) -> Vec<CompiledAtom> {
 /// the universe every relation is sized by, so they require a full
 /// [`Self::rebind`]. Labels interned *after* a relation was cached cannot
 /// appear in its footprint, hence need no eviction path of their own.
+///
+/// # The plan memo
+///
+/// The catalog also memoises each query's join plans: the map from a
+/// [`Crpq`] to the plans of its ε-free variants (relations named by slot,
+/// semi-join-pruned domains, elimination order). A plan holds no
+/// semantics — the relations are the standard ones under every semantics
+/// (Remark 2.1), and the cursor carries the semantics — so one entry
+/// serves `st`, `a-inj` and `q-inj`. A request for a query seen before
+/// skips ε-expansion, NFA compilation, the relation lookups and the
+/// semi-join fixpoint; a new query is planned once and stored.
+///
+/// * **When an entry is dropped.** [`Self::invalidate_label`] drops every
+///   entry naming a slot it evicts, before that slot can be recycled: a
+///   pruned domain is a function of exactly the relations its plan names.
+///   [`Self::invalidate_all`] and [`Self::rebind`] (and so
+///   [`Self::rehydrate_after_recovery`]) drop every entry.
+/// * **Counters.** A memo hit runs the same misuse guards as
+///   [`Self::get_or_materialize`] and counts one relation **hit** per atom
+///   relation its plans name — the lookups planning would have made — so
+///   [`Self::hits`], [`Self::misses`] and [`Self::hit_rate`] read as if
+///   every request had planned afresh.
+/// * **Memory.** Each plan stores one domain per variable, at most
+///   `|V|/8` bytes each (a domain turns dense where a bitset is smaller),
+///   so a cached query holds at most `num_vars · |V|/8` bytes of domains
+///   per ε-free variant. Entries live until an invalidation drops them.
 pub struct RelationCatalog {
     /// Node count of the graph this catalog is bound to (O(1) misuse
     /// guard on every lookup).
@@ -544,6 +585,8 @@ pub struct RelationCatalog {
     footprints: Vec<Vec<Symbol>>,
     /// Slots vacated by eviction, reused by the next materialisation.
     free_slots: Vec<usize>,
+    /// The plan memo: every planned query's plans (see the type docs).
+    plans: FxHashMap<Crpq, Arc<[JoinPlan]>>,
     /// The bound graph mutated since the fingerprint was last sampled
     /// (set by the invalidation entry points, which have no `&G` in hand);
     /// the next lookup re-samples instead of tripping the misuse guard.
@@ -584,6 +627,7 @@ impl RelationCatalog {
             relations: Vec::new(),
             footprints: Vec::new(),
             free_slots: Vec::new(),
+            plans: FxHashMap::default(),
             fingerprint_stale: false,
             scratch: ReachScratch::new(),
             threads: rpq::effective_threads(threads),
@@ -604,23 +648,7 @@ impl RelationCatalog {
     /// count is caught in tests without taxing the all-hits fast path
     /// (`GraphDb` is structurally immutable once built).
     pub fn get_or_materialize<G: GraphView>(&mut self, g: &G, nfa: &Nfa) -> usize {
-        assert_eq!(
-            self.num_nodes,
-            g.num_nodes(),
-            "RelationCatalog is bound to a different graph"
-        );
-        if self.fingerprint_stale {
-            // A mutation was reported since the last sample; surviving
-            // entries are valid by the footprint invariant, so only the
-            // misuse guard needs re-anchoring.
-            self.fingerprint = graph_fingerprint(g);
-            self.fingerprint_stale = false;
-        }
-        debug_assert_eq!(
-            self.fingerprint,
-            graph_fingerprint(g),
-            "RelationCatalog is bound to a different graph"
-        );
+        self.check_graph(g);
         let key = nfa.canonical_key();
         if let Some(&id) = self.index.get(&key) {
             self.hits += 1;
@@ -655,12 +683,56 @@ impl RelationCatalog {
         id
     }
 
+    /// The join plans of every ε-free variant of `q`, in order: the
+    /// memoised ones when `q` was planned before (counting one hit per
+    /// atom relation they name), otherwise planned now and stored — the
+    /// one way a request plans. Panics like [`Self::get_or_materialize`]
+    /// if `g` is not the bound graph.
+    pub(crate) fn plans<G: GraphView>(&mut self, q: &Crpq, g: &G) -> Arc<[JoinPlan]> {
+        self.check_graph(g);
+        if let Some(plans) = self.plans.get(q).cloned() {
+            self.hits += plans.iter().map(|p| p.rel_ids.len()).sum::<usize>();
+            return plans;
+        }
+        let plans: Arc<[JoinPlan]> = q
+            .epsilon_free_union()
+            .iter()
+            .map(|variant| JoinPlan::build(variant, g, self))
+            .collect();
+        self.plans.insert(q.clone(), Arc::clone(&plans));
+        plans
+    }
+
+    /// The misuse guard of every lookup: the node count is checked in
+    /// O(1), and debug builds compare a sampled structural fingerprint
+    /// (re-sampled first when a mutation was reported since).
+    fn check_graph<G: GraphView>(&mut self, g: &G) {
+        assert_eq!(
+            self.num_nodes,
+            g.num_nodes(),
+            "RelationCatalog is bound to a different graph"
+        );
+        if self.fingerprint_stale {
+            // A mutation was reported since the last sample; surviving
+            // entries are valid by the footprint invariant, so only the
+            // misuse guard needs re-anchoring.
+            self.fingerprint = graph_fingerprint(g);
+            self.fingerprint_stale = false;
+        }
+        debug_assert_eq!(
+            self.fingerprint,
+            graph_fingerprint(g),
+            "RelationCatalog is bound to a different graph"
+        );
+    }
+
     /// Evicts every entry whose label footprint mentions `label` — the
     /// invalidation hook for edge mutations: an atom relation depends only
     /// on edges labelled from its NFA alphabet, so after inserting or
     /// deleting `label`-edges, entries not mentioning `label` stay exact.
-    /// Marks the misuse-guard fingerprint stale (re-sampled at the next
-    /// lookup). Returns the number of entries evicted.
+    /// Drops every memoised plan set that names an evicted slot, and marks
+    /// the misuse-guard fingerprint stale (re-sampled at the next lookup).
+    /// Returns the number of relation entries evicted.
     pub fn invalidate_label(&mut self, label: Symbol) -> usize {
         self.fingerprint_stale = true;
         let footprints = &self.footprints;
@@ -676,6 +748,11 @@ impl RelationCatalog {
             });
             gone
         };
+        self.plans.retain(|_, plans| {
+            !plans
+                .iter()
+                .any(|p| p.rel_ids.iter().any(|id| evicted.contains(id)))
+        });
         for &slot in &evicted {
             // Release the relation's heap now (`Relation::empty` is O(1));
             // the slot id is recycled by the next materialisation.
@@ -717,13 +794,14 @@ impl RelationCatalog {
             .sum()
     }
 
-    /// Evicts **every** entry — the structure-oblivious baseline the
-    /// `--mutate-smoke` benchmark compares footprint-keyed eviction
-    /// against. Returns the number of entries evicted.
+    /// Evicts **every** entry and memoised plan — the structure-oblivious
+    /// baseline the `--mutate-smoke` benchmark compares footprint-keyed
+    /// eviction against. Returns the number of relation entries evicted.
     pub fn invalidate_all(&mut self) -> usize {
         self.fingerprint_stale = true;
         let evicted = self.index.len();
         self.index.clear();
+        self.plans.clear();
         for slot in 0..self.relations.len() {
             if !self.footprints[slot].is_empty() || !self.relations[slot].is_empty() {
                 self.relations[slot] = Relation::empty(self.num_nodes);
@@ -737,10 +815,12 @@ impl RelationCatalog {
 
     /// Rebinds the catalog after a change to the **node universe** (e.g.
     /// [`crpq_graph::DeltaGraph::add_node`] or compaction): relations and
-    /// domains are sized by `num_nodes`, so nothing cached survives.
+    /// domains are sized by `num_nodes`, so nothing cached survives, not
+    /// even a memoised plan.
     pub fn rebind<G: GraphView>(&mut self, g: &G) {
         self.evictions += self.index.len();
         self.index.clear();
+        self.plans.clear();
         self.relations.clear();
         self.footprints.clear();
         self.free_slots.clear();
@@ -757,6 +837,11 @@ impl RelationCatalog {
     /// Number of currently cached (non-evicted) entries.
     pub fn cached_entries(&self) -> usize {
         self.index.len()
+    }
+
+    /// Number of queries whose plans are currently memoised.
+    pub fn cached_plans(&self) -> usize {
+        self.plans.len()
     }
 
     /// The materialised relation with the given id.
@@ -880,11 +965,11 @@ fn graph_fingerprint<G: GraphView>(g: &G) -> u64 {
 
 /// The compiled join pipeline for one ε-free variant: per-atom relations,
 /// named by their [`RelationCatalog`] index, semi-join-pruned per-variable
-/// domains and the elimination order. It borrows nothing, so a
-/// [`crate::TupleStream`] can own its plans next to the catalog they
-/// index.
+/// domains and the elimination order. It holds no semantics (the cursor
+/// does), so the catalog's plan memo serves every semantics with one
+/// entry, and it borrows nothing, so a [`crate::TupleStream`] can own its
+/// plans next to the catalog they index.
 pub(crate) struct JoinPlan {
-    pub(crate) sem: Semantics,
     /// The variant's free tuple.
     free: Vec<Var>,
     pub(crate) atoms: Vec<CompiledAtom>,
@@ -910,29 +995,11 @@ pub(crate) struct JoinPlan {
 }
 
 impl JoinPlan {
-    /// The plans of every ε-free variant of `q`, in order, against
-    /// `catalog`.
-    pub(crate) fn plan_all<G: GraphView>(
-        q: &Crpq,
-        g: &G,
-        sem: Semantics,
-        catalog: &mut RelationCatalog,
-    ) -> Vec<JoinPlan> {
-        q.epsilon_free_union()
-            .iter()
-            .map(|variant| Self::build(variant, g, sem, catalog))
-            .collect()
-    }
-
     /// Compiles a variant's atoms, resolves each against the catalog
     /// (materialising only relations never seen before), prunes variable
     /// domains to the semi-join fixpoint and fixes the elimination order.
-    pub(crate) fn build<G: GraphView>(
-        variant: &Crpq,
-        g: &G,
-        sem: Semantics,
-        catalog: &mut RelationCatalog,
-    ) -> Self {
+    /// Only [`RelationCatalog::plans`] calls it, on a memo miss.
+    fn build<G: GraphView>(variant: &Crpq, g: &G, catalog: &mut RelationCatalog) -> Self {
         let atoms = compile_atoms(variant);
         let rel_ids: Vec<usize> = atoms
             .iter()
@@ -1012,7 +1079,6 @@ impl JoinPlan {
             .max()
             .unwrap_or(0);
         JoinPlan {
-            sem,
             free: variant.free.clone(),
             atoms,
             rel_ids,
@@ -1052,12 +1118,13 @@ impl JoinPlan {
     pub(crate) fn bind_allowed<G: GraphView>(
         &self,
         g: &G,
+        sem: Semantics,
         var: Var,
         node: NodeId,
         assignment: &[Option<NodeId>],
         scratch: &mut VerifyScratch,
     ) -> bool {
-        if self.sem == Semantics::Standard {
+        if sem == Semantics::Standard {
             return true;
         }
         for (i, atom) in self.atoms.iter().enumerate() {
@@ -1089,14 +1156,15 @@ impl JoinPlan {
         true
     }
 
-    /// Verifies a complete, relation-consistent assignment under the plan's
-    /// semantics. For `st` the relations are exact, so there is nothing
-    /// left to check; the injective semantics re-check paths. Called at
-    /// every leaf of the search ([`crate::wcoj`]).
+    /// Verifies a complete, relation-consistent assignment under `sem`.
+    /// For `st` the relations are exact, so there is nothing left to
+    /// check; the injective semantics re-check paths. Called at every leaf
+    /// of the search ([`crate::wcoj`]).
     pub(crate) fn verify<G: GraphView>(
         &self,
         g: &G,
         catalog: &RelationCatalog,
+        sem: Semantics,
         mu: &[NodeId],
         scratch: &mut VerifyScratch,
     ) -> bool {
@@ -1105,7 +1173,7 @@ impl JoinPlan {
                 .relation(id)
                 .contains(mu[atom.src.index()], mu[atom.dst.index()])
         }));
-        match self.sem {
+        match sem {
             Semantics::Standard => true,
             // Every atom was already checked when its second endpoint was
             // bound, so this re-reads the memo (or a free arm) per atom.
@@ -1993,13 +2061,9 @@ mod tests {
         let mut catalog = RelationCatalog::new(g);
         let (mut out, mut searches) = (FxHashSet::default(), 0);
         for variant in &query.epsilon_free_union() {
-            let plans = [JoinPlan::build(
-                variant,
-                g,
-                Semantics::AtomInjective,
-                &mut catalog,
-            )];
-            let (mut cursor, mut views) = (Cursor::default(), Views::default());
+            let plans = [JoinPlan::build(variant, g, &mut catalog)];
+            let mut cursor = Cursor::new(Semantics::AtomInjective);
+            let mut views = Views::default();
             while cursor.advance(g, &catalog, &plans, &mut views).is_some() {}
             searches += cursor.scratch.atom_memo.len();
             out.extend(cursor.seen);
@@ -2059,22 +2123,16 @@ mod tests {
             &mut g,
         );
         let variants = query.epsilon_free_union();
-        for sem in [
-            Semantics::Standard,
-            Semantics::AtomInjective,
-            Semantics::QueryInjective,
-        ] {
-            let mut catalog = RelationCatalog::new(&g);
-            let plan = JoinPlan::build(&variants[0], &g, sem, &mut catalog);
-            let sizes: Vec<usize> = plan.domains.iter().map(NodeSet::len).collect();
-            let order = crate::wcoj::elimination_order(&plan.atoms, &sizes);
-            assert_eq!(plan.order, order, "{sem:?}");
-            let mut sorted = sizes.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, [2, 2, 2, 98, 98], "{sem:?}");
-            assert!(plan.domains.iter().any(NodeSet::is_dense), "{sem:?}");
-            assert!(plan.domains.iter().any(|d| !d.is_dense()), "{sem:?}");
-        }
+        let mut catalog = RelationCatalog::new(&g);
+        let plan = JoinPlan::build(&variants[0], &g, &mut catalog);
+        let sizes: Vec<usize> = plan.domains.iter().map(NodeSet::len).collect();
+        let order = crate::wcoj::elimination_order(&plan.atoms, &sizes);
+        assert_eq!(plan.order, order);
+        let mut sorted = sizes.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, [2, 2, 2, 98, 98]);
+        assert!(plan.domains.iter().any(NodeSet::is_dense));
+        assert!(plan.domains.iter().any(|d| !d.is_dense()));
     }
 
     #[test]
@@ -2211,5 +2269,72 @@ mod tests {
         let fresh = Eval::new(&query, &g).tuples();
         assert_eq!(after, fresh, "catalog reuse must match rebuild");
         assert!(catalog.get_or_materialize(&g, &nfa) < catalog.len());
+    }
+
+    #[test]
+    fn one_memo_entry_serves_every_semantics() {
+        let mut g = example21_g();
+        let query = q("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut g);
+        let variants = query.epsilon_free_union().len();
+        let mut catalog = RelationCatalog::new(&g);
+        let first = Eval::new(&query, &g).catalog(&mut catalog).tuples();
+        assert_eq!(catalog.cached_plans(), 1);
+        let planned = Arc::as_ptr(&catalog.plans[&query]);
+        assert_eq!(catalog.plans[&query].len(), variants);
+        let lookups = catalog.hits() + catalog.misses();
+        for sem in Semantics::ALL {
+            let (hits, misses) = (catalog.hits(), catalog.misses());
+            let warm = Eval::new(&query, &g)
+                .semantics(sem)
+                .catalog(&mut catalog)
+                .tuples();
+            assert_eq!(warm, Eval::new(&query, &g).semantics(sem).tuples(), "{sem}");
+            // A memo hit counts one relation hit per lookup planning made.
+            assert_eq!(catalog.hits(), hits + lookups, "{sem}");
+            assert_eq!(catalog.misses(), misses, "{sem}");
+        }
+        assert_eq!(first, Eval::new(&query, &g).tuples());
+        assert_eq!(catalog.cached_plans(), 1);
+        assert_eq!(Arc::as_ptr(&catalog.plans[&query]), planned);
+    }
+
+    #[test]
+    fn label_invalidation_drops_only_footprint_plans() {
+        let mut g = graph(&[("u", "a", "v"), ("v", "b", "w"), ("w", "c", "u")]);
+        let ab = q("(x, y) <- x -[a b]-> y", &mut g);
+        let c = q("(x, y) <- x -[c]-> y", &mut g);
+        let mut catalog = RelationCatalog::new(&g);
+        Eval::new(&ab, &g).catalog(&mut catalog).tuples();
+        Eval::new(&c, &g).catalog(&mut catalog).tuples();
+        assert_eq!(catalog.cached_plans(), 2);
+        // `c` is disjoint from the `a b` footprint: both plans stay.
+        let d = g.alphabet_mut().intern("d");
+        assert_eq!(catalog.invalidate_label(d), 0);
+        assert_eq!(catalog.cached_plans(), 2);
+        // `b` is in the `a b` footprint: its plans go, the `c` plans stay.
+        let b = g.alphabet().get("b").unwrap();
+        assert_eq!(catalog.invalidate_label(b), 1);
+        assert_eq!(catalog.cached_plans(), 1);
+        assert!(catalog.plans.contains_key(&c));
+        let misses = catalog.misses();
+        Eval::new(&c, &g).catalog(&mut catalog).ask();
+        assert_eq!(catalog.misses(), misses);
+        Eval::new(&ab, &g).catalog(&mut catalog).ask();
+        assert_eq!(catalog.misses(), misses + 1);
+        assert_eq!(catalog.cached_plans(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "RelationCatalog is bound to a different graph")]
+    fn memo_hit_on_another_graph_panics() {
+        let mut g = graph(&[("u", "a", "v")]);
+        let query = q("(x, y) <- x -[a]-> y", &mut g);
+        let mut catalog = RelationCatalog::new(&g);
+        Eval::new(&query, &g).catalog(&mut catalog).tuples();
+        assert_eq!(catalog.cached_plans(), 1);
+        // The same query text over a third node: the memo holds its key.
+        let mut other = graph(&[("u", "a", "v"), ("v", "a", "w")]);
+        assert_eq!(q("(x, y) <- x -[a]-> y", &mut other), query);
+        Eval::new(&query, &other).catalog(&mut catalog).tuples();
     }
 }

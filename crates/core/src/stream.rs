@@ -4,8 +4,9 @@
 //! answer tuples that yields each one as the join search finds it,
 //! instead of waiting for the full materialised set. The stream *is* the
 //! join cursor of [`crate::wcoj`]: it owns the graph (`Arc`), its catalog,
-//! the plans (which name relations by catalog index) and the cursor (with
-//! its verification scratch), and every `next()` re-borrows them for one
+//! the plans (which name relations by catalog index; the catalog's memo
+//! holds the same `Arc`) and the cursor (with the semantics and its
+//! verification scratch), and every `next()` re-borrows them for one
 //! cursor step on the calling thread. Nothing runs between calls, so a
 //! stream that is dropped early simply stops; there is no thread, channel
 //! or buffered answer behind it.
@@ -26,7 +27,7 @@ use std::sync::Arc;
 pub struct TupleStream<G: GraphView = GraphDb> {
     g: Arc<G>,
     catalog: RelationCatalog,
-    plans: Vec<JoinPlan>,
+    plans: Arc<[JoinPlan]>,
     cursor: Cursor,
 }
 
@@ -58,12 +59,12 @@ impl<G: GraphView + Send> Eval<'_, Arc<G>> {
         );
         let g = Arc::clone(self.g);
         let mut catalog = RelationCatalog::with_threads(&*g, self.threads);
-        let plans = JoinPlan::plan_all(self.q, &*g, self.sem, &mut catalog);
+        let plans = catalog.plans(self.q, &*g);
         TupleStream {
             g,
             catalog,
             plans,
-            cursor: Cursor::default(),
+            cursor: Cursor::new(self.sem),
         }
     }
 }

@@ -177,11 +177,13 @@ enum Entry {
 }
 
 /// The resumable state of one request's join search over its plans (one
-/// per ε-free variant, searched in order), with its verification
-/// scratch. Owns no borrow: every [`Self::advance`] is handed the graph,
-/// the catalog and the plans.
-#[derive(Default)]
+/// per ε-free variant, searched in order), with the request's semantics
+/// and its verification scratch. Owns no borrow: every [`Self::advance`]
+/// is handed the graph, the catalog and the plans, which hold no
+/// semantics, so one plan set serves a cursor under each.
 pub(crate) struct Cursor {
+    /// The semantics every bind and leaf is verified under.
+    sem: Semantics,
     /// The plan being searched; `plans.len()` once exhausted.
     variant: usize,
     /// Whether the current plan's root level was entered.
@@ -205,6 +207,22 @@ pub(crate) struct Cursor {
 }
 
 impl Cursor {
+    /// A cursor at the start of the first plan, searching under `sem`.
+    pub(crate) fn new(sem: Semantics) -> Self {
+        Cursor {
+            sem,
+            variant: 0,
+            entered: false,
+            depth: 0,
+            next: Vec::new(),
+            assignment: Vec::new(),
+            seen: FxHashSet::default(),
+            tuple: Vec::new(),
+            mu: Vec::new(),
+            scratch: VerifyScratch::new(),
+        }
+    }
+
     /// Runs the search to its next verified projection not returned
     /// before, and returns it; `None` once every plan is exhausted (and on
     /// every later call). `views` caches the active levels' views while
@@ -255,10 +273,10 @@ impl Cursor {
             };
             self.next[level] = cand + 1;
             let (var, node) = (plan.order[level], NodeId(cand as u32));
-            if plan.sem == Semantics::QueryInjective && self.assignment.contains(&Some(node)) {
+            if self.sem == Semantics::QueryInjective && self.assignment.contains(&Some(node)) {
                 continue; // μ must be injective under q-inj
             }
-            if !plan.bind_allowed(g, var, node, &self.assignment, &mut self.scratch) {
+            if !plan.bind_allowed(g, self.sem, var, node, &self.assignment, &mut self.scratch) {
                 continue;
             }
             self.assignment[var.index()] = Some(node);
@@ -309,7 +327,7 @@ impl Cursor {
         for a in &self.assignment {
             self.mu.push(a.expect("leaf variables are bound")); // invariant: a leaf binds every variable
         }
-        if !plan.verify(g, catalog, &self.mu, &mut self.scratch) {
+        if !plan.verify(g, catalog, self.sem, &self.mu, &mut self.scratch) {
             return Entry::Skip;
         }
         // `tuple` was projected when `proj_depth` (≤ `level`) was entered.

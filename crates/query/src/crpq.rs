@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CRPQ atom `src -[regex]-> dst`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CrpqAtom {
     /// Source variable.
     pub src: Var,
@@ -65,7 +65,7 @@ impl fmt::Display for QueryClass {
 }
 
 /// A conjunctive regular path query.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Crpq {
     /// Number of variables (ids `0..num_vars`).
     pub num_vars: usize,

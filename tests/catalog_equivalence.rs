@@ -82,22 +82,33 @@ proptest! {
         );
     }
 
-    /// A request with a thread count plans against a caller's catalog
-    /// too: the warmed catalog serves it (all hits, the count does not
-    /// apply) with the same answers.
+    /// A caller catalog built with two materialisation threads serves a
+    /// repeat request under each semantics from its memoised plans: the
+    /// same answers, no miss, and exactly one hit per lookup the first
+    /// request made. `Eval::threads` does not apply with `.catalog(..)`:
+    /// the catalog keeps the thread count it was built with.
     #[test]
     fn parallel_search_reuses_caller_catalog(seed in 0u64..100_000) {
         let (q, g) = random_instance(seed, QueryClass::Crpq, 1);
-        let mut catalog = RelationCatalog::new(&g);
+        let mut catalog = RelationCatalog::with_threads(&g, 2);
+        let mut lookups = None;
         for sem in Semantics::ALL {
-            let fresh = Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).tuples();
-            let misses = catalog.misses();
+            let first = Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).tuples();
+            let lookups = *lookups.get_or_insert(catalog.hits() + catalog.misses());
             prop_assert_eq!(
-                Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).threads(2).tuples(),
-                fresh,
-                "seed {} sem {}", seed, sem
+                &first,
+                &Eval::new(&q, &g).semantics(sem).tuples(),
+                "two-thread catalog vs a fresh one, seed {} sem {}", seed, sem
             );
-            prop_assert_eq!(catalog.misses(), misses, "warm parallel run must not materialise");
+            let (hits, misses) = (catalog.hits(), catalog.misses());
+            let repeat = Eval::new(&q, &g).semantics(sem).catalog(&mut catalog).tuples();
+            prop_assert_eq!(&repeat, &first, "seed {} sem {}", seed, sem);
+            prop_assert_eq!(catalog.misses(), misses, "a warm repeat must not materialise");
+            prop_assert_eq!(
+                catalog.hits(), hits + lookups,
+                "a warm repeat counts one hit per lookup of the first request, seed {} sem {}",
+                seed, sem
+            );
         }
     }
 }

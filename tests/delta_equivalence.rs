@@ -5,9 +5,10 @@
 //! materialisation threads, and the stream. Schedules cover mixed
 //! insert/delete churn, delete-heavy workloads (tombstone-dominated
 //! overlays), and compaction boundaries (tiny threshold, compact + re-wrap
-//! mid-schedule). A final test counter-asserts the label-footprint catalog
+//! mid-schedule). The last tests counter-assert the label-footprint catalog
 //! invalidation contract: mutating label `ℓ` evicts exactly the cached
-//! relations whose NFA alphabet mentions `ℓ`.
+//! relations whose NFA alphabet mentions `ℓ`, and every memoised plan that
+//! names one of them, while `invalidate_all` and `rebind` drop every plan.
 
 use crpq::core::{Eval, RelationCatalog, Semantics};
 use crpq::prelude::*;
@@ -223,4 +224,99 @@ fn footprint_invalidation_evicts_only_matching_entries() {
     let frozen = rebuild(&g);
     assert_eq!(got_c, Eval::new(&q_c, &frozen).tuples());
     assert_eq!(got_ab, Eval::new(&q_ab, &frozen).tuples());
+}
+
+/// An anonymous overlay over `n` nodes with `a`/`b`/`c` edges, and the
+/// query `(x, y) <- x -[a b*]-> y, y -[c]-> z` parsed against it.
+fn memo_setup(n: usize, edges: &[(u32, &str, u32)]) -> (Crpq, DeltaGraph) {
+    let mut b = GraphBuilder::anonymous(n);
+    for &(u, l, v) in edges {
+        let l = b.label(l);
+        b.edge_ids(NodeId(u), l, NodeId(v));
+    }
+    let mut base = b.finish();
+    let q = parse_crpq("(x, y) <- x -[a b*]-> y, y -[c]-> z", base.alphabet_mut()).unwrap();
+    (q, DeltaGraph::new(base))
+}
+
+/// A memoised plan is dropped with the relations it names: after new
+/// `a`-edges and `invalidate_label(a)`, the warm catalog finds the new
+/// answers (the stale plan's pruned domains excluded their sources), and
+/// a different relation materialised into the recycled slot cannot leak
+/// into the first query's answers.
+#[test]
+fn memoised_plans_follow_label_invalidation_and_slot_recycling() {
+    let edges = [(0, "a", 1), (1, "c", 2), (3, "b", 4), (5, "c", 6)];
+    let (q, mut g) = memo_setup(7, &edges);
+    let (a, b) = (g.label("a"), g.label("b"));
+    let mut catalog = RelationCatalog::new(&g);
+    let before = Eval::new(&q, &g).catalog(&mut catalog).tuples();
+    assert_eq!(before, vec![vec![NodeId(0), NodeId(1)]]);
+    assert_eq!(catalog.cached_plans(), 1);
+
+    // n3 -a-> n5 -c-> n6 answers (n3, n5); n3 was pruned from dom(x).
+    assert!(g.insert_edge(NodeId(3), a, NodeId(5)));
+    assert_eq!(catalog.invalidate_label(a), 1);
+    assert_eq!(catalog.cached_plans(), 0, "the plan named the evicted slot");
+
+    // A `b` relation takes the slot the `a b*` relation vacated.
+    let slots = catalog.len();
+    let q_b = parse_crpq("(x, y) <- x -[b]-> y", &mut g.alphabet().clone()).unwrap();
+    assert_eq!(q_b.atoms[0].regex, crpq::automata::Regex::Literal(b));
+    let got_b = Eval::new(&q_b, &g).catalog(&mut catalog).tuples();
+    assert_eq!(catalog.len(), slots, "the evicted slot was recycled");
+    assert_eq!(got_b, Eval::new(&q_b, &rebuild(&g)).tuples());
+
+    let frozen = rebuild(&g);
+    for sem in Semantics::ALL {
+        let got = Eval::new(&q, &g)
+            .semantics(sem)
+            .catalog(&mut catalog)
+            .tuples();
+        assert_eq!(got, Eval::new(&q, &frozen).semantics(sem).tuples(), "{sem}");
+        assert_eq!(got, Eval::new(&q, &g).semantics(sem).tuples(), "{sem}");
+        assert!(got.contains(&vec![NodeId(3), NodeId(5)]), "{sem}");
+    }
+    assert_eq!(catalog.cached_plans(), 2);
+}
+
+/// `invalidate_all` and `rebind` (after `add_node` and after compaction)
+/// drop every memoised plan, and the replanned answers equal a fresh
+/// catalog's.
+#[test]
+fn invalidate_all_and_rebind_clear_the_plan_memo() {
+    let edges = [(0, "a", 1), (1, "c", 2), (3, "b", 4), (5, "c", 6)];
+    let (q, mut g) = memo_setup(7, &edges);
+    let a = g.label("a");
+    let mut catalog = RelationCatalog::new(&g);
+    Eval::new(&q, &g).catalog(&mut catalog).tuples();
+    assert_eq!(catalog.cached_plans(), 1);
+
+    let replan = |catalog: &mut RelationCatalog, g: &DeltaGraph, ctx: &str| {
+        assert_eq!(catalog.cached_plans(), 0, "{ctx}");
+        let misses = catalog.misses();
+        let got = Eval::new(&q, g).catalog(catalog).tuples();
+        assert!(
+            catalog.misses() > misses,
+            "{ctx}: replanning re-materialises"
+        );
+        assert_eq!(got, Eval::new(&q, g).tuples(), "{ctx}");
+        assert_eq!(catalog.cached_plans(), 1, "{ctx}");
+        got
+    };
+
+    assert!(g.insert_edge(NodeId(3), a, NodeId(5)));
+    catalog.invalidate_all();
+    let got = replan(&mut catalog, &g, "invalidate_all");
+    assert!(got.contains(&vec![NodeId(3), NodeId(5)]));
+
+    let fresh = g.add_node();
+    assert!(g.insert_edge(fresh, a, NodeId(1)));
+    catalog.rebind(&g);
+    let got = replan(&mut catalog, &g, "rebind after add_node");
+    assert!(got.contains(&vec![fresh, NodeId(1)]));
+
+    g.compact_in_place();
+    catalog.rebind(&g);
+    replan(&mut catalog, &g, "rebind after compaction");
 }
