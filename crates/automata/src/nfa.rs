@@ -146,12 +146,19 @@ impl Nfa {
     /// Image of a state set under `sym`.
     pub fn delta_set(&self, states: &BitSet, sym: Symbol) -> BitSet {
         let mut out = BitSet::new(self.num_states());
+        self.delta_into(states, sym, &mut out);
+        out
+    }
+
+    /// [`Self::delta_set`] written into `out`, which is emptied and sized
+    /// to the state count first; reuses `out`'s buffer.
+    pub fn delta_into(&self, states: &BitSet, sym: Symbol, out: &mut BitSet) {
+        out.reset(self.num_states());
         for q in states.iter() {
             for t in self.successors(q as StateId, sym) {
                 out.insert(t as usize);
             }
         }
-        out
     }
 
     /// The set of symbols appearing on any transition, in id order.

@@ -75,7 +75,12 @@
 //! `cyclic_graph(2 000, 11)` under st, a-inj and q-inj over one warm
 //! catalog (medians of 5 interleaved `tuples()` runs each), so nothing but
 //! join search and injective verification is measured. `--smoke` asserts
-//! that a-inj and q-inj each take at most 3× the st median.
+//! that a-inj and q-inj each take at most 3× the st median. Every triangle
+//! atom is one letter, so that row never reaches the simple-path search;
+//! the `injective_fin_chain` row times [`FIN_CHAIN_QUERY`] on the same
+//! graph, whose `a (b + c)` atom searches for every candidate pair, and
+//! `--smoke` bounds its a-inj/st and q-inj/st by
+//! [`FIN_CHAIN_RATIO_BOUND`]×.
 //!
 //! The **streaming workloads** (`stream_rows`) time the early-exit
 //! enumeration API on the million-node family: warm-catalog
@@ -617,15 +622,28 @@ fn measure_cyclic_rows() -> Vec<Row> {
 /// when every atom pair ran a simple-path search.
 const INJECTIVE_RATIO_BOUND: f64 = 3.0;
 
-/// The injective row (`injective_rows`): result sizes and median
-/// `tuples()` wall clock under each of [`Semantics::ALL`] for the triangle
-/// on `cyclic_graph(2 000, 11)` over one warm catalog, so only join search
-/// and injective verification are timed. One st run materialises every
-/// relation, then the samples cycle through the three semantics, so a
-/// slow phase of the machine lands on all of them.
-fn measure_injective() -> Row {
+/// The finite-chain injective/st gate: on [`FIN_CHAIN_QUERY`] a-inj and
+/// q-inj may each take at most this many times the st median. Its
+/// `a (b + c)` atom is neither deletion-closed nor single-edge, so every
+/// candidate pair runs the simple-path search, which is what the gate
+/// times. On a 2-CPU machine the ratios read 2.6–2.8x (a-inj) and
+/// 4.0–4.4x (q-inj); with a search that recomputed the automaton's live
+/// states and allocated its buffers on every call they read 11–12x and
+/// 19–22x.
+const FIN_CHAIN_RATIO_BOUND: f64 = 7.0;
+
+/// The CRPQ_fin chain of the `injective_fin_chain` row.
+const FIN_CHAIN_QUERY: &str = "(x, y) <- x -[a (b + c)]-> y, y -[c]-> z";
+
+/// One injective row (`injective_rows`): result sizes and median
+/// `tuples()` wall clock under each of [`Semantics::ALL`] for the query
+/// `query` builds, on `cyclic_graph(2 000, 11)` over one warm catalog, so
+/// only join search and injective verification are timed. One st run
+/// materialises every relation, then the samples cycle through the three
+/// semantics, so a slow phase of the machine lands on all of them.
+fn measure_injective(workload: &str, query: impl FnOnce(&mut Interner) -> Crpq) -> Row {
     let mut g = cyclic::cyclic_graph(2_000, 11);
-    let q = cyclic::triangle_query(g.alphabet_mut());
+    let q = query(g.alphabet_mut());
     let mut catalog = RelationCatalog::new(&g);
     Eval::new(&q, &g).catalog(&mut catalog).tuples();
     let mut tuples = [0; 3];
@@ -644,7 +662,7 @@ fn measure_injective() -> Row {
     }
     let ms = samples.map(median);
     let over_st = |k: usize| ms[k] / ms[0].max(1e-9);
-    Row::new("injective_triangle")
+    Row::new(workload)
         .with("graph", "cyclic(2000, 11)")
         .with("tuples", tuples)
         .with("ms", ms)
@@ -1397,8 +1415,9 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
 /// under each semantics and q-inj within [`INJECTIVE_RATIO_BOUND`]× st
 /// there (medians of 5), the warm hub-triangle ASK at n = 80 000 within
 /// [`HUB_ASK_SCALING_BOUND`]× its time at 5 000 under each semantics
-/// (medians of 5 means of [`ASK_REPEATS`]), and warm a-inj and q-inj each within
-/// [`INJECTIVE_RATIO_BOUND`]× st on the triangle (medians of 5). Without it, shortfalls
+/// (medians of 5 means of [`ASK_REPEATS`]), warm a-inj and q-inj each within
+/// [`INJECTIVE_RATIO_BOUND`]× st on the triangle and within
+/// [`FIN_CHAIN_RATIO_BOUND`]× st on the finite chain (medians of 5). Without it, shortfalls
 /// are only reported — the full experiment suite should finish with
 /// measurements either way.
 /// `threads = 0` keeps the documented fallback (one materialisation
@@ -1500,12 +1519,20 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
     cyclic_rows.extend(hub_rows);
 
     // Injective verification over a warm catalog, for the CI "a-inj and
-    // q-inj within 3x of st" gate.
-    let injective = measure_injective();
+    // q-inj within 3x of st" gate on the triangle, whose atoms need no
+    // search, and the finite-chain gate, whose first atom always does.
+    let injective = measure_injective("injective_triangle", cyclic::triangle_query);
     let inj_tuples = injective.nums("tuples");
     let inj_ms = injective.nums("ms");
     let (ainj_over_st, qinj_over_st) =
         (injective.get("ainj_over_st"), injective.get("qinj_over_st"));
+    let fin_chain = measure_injective("injective_fin_chain", |sigma| {
+        parse_crpq(FIN_CHAIN_QUERY, sigma).expect("the finite chain parses") // invariant: fixed query text
+    });
+    let fin_tuples = fin_chain.nums("tuples");
+    let fin_ms = fin_chain.nums("ms");
+    let (fin_ainj_over_st, fin_qinj_over_st) =
+        (fin_chain.get("ainj_over_st"), fin_chain.get("qinj_over_st"));
 
     // Streaming fast paths on the million family: 10⁵ for the trajectory,
     // 10⁶ as the CI floor carrier (time-to-first ≤ 50% of full, ASK no
@@ -1531,9 +1558,11 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
         &format!("cyclic shapes — Generic Join (medians of {MEDIAN_SAMPLES})"),
         &cyclic_rows,
     );
-    let injective_rows = vec![injective];
+    let injective_rows = vec![injective, fin_chain];
     print_table(
-        &format!("injective triangle — warm catalog (medians of {MEDIAN_SAMPLES})"),
+        &format!(
+            "injective triangle and finite chain — warm catalog (medians of {MEDIAN_SAMPLES})"
+        ),
         &injective_rows,
     );
 
@@ -1598,6 +1627,12 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
          {INJECTIVE_RATIO_BOUND}x st)",
         inj_ms[0]
     );
+    println!(
+        "injective finite chain {FIN_CHAIN_QUERY}, warm catalog (medians of \
+         {MEDIAN_SAMPLES}): st {:.2}ms, a-inj {fin_ainj_over_st:.2}x, q-inj \
+         {fin_qinj_over_st:.2}x (target: each ≤ {FIN_CHAIN_RATIO_BOUND}x st)",
+        fin_ms[0]
+    );
     if enforce_floor {
         assert!(
             headline >= 10.0,
@@ -1644,6 +1679,16 @@ pub fn run_smoke(path: &str, enforce_floor: bool, threads: usize) {
             ainj_over_st <= INJECTIVE_RATIO_BOUND && qinj_over_st <= INJECTIVE_RATIO_BOUND,
             "injective verification more than {INJECTIVE_RATIO_BOUND}x the st join on the \
              triangle: st / a-inj / q-inj {inj_ms:.2?} ms"
+        );
+        assert!(
+            fin_tuples.iter().all(|&t| t > 0.0),
+            "injective finite chain returned no tuples under some semantics — the gate proves \
+             nothing"
+        );
+        assert!(
+            fin_ainj_over_st <= FIN_CHAIN_RATIO_BOUND && fin_qinj_over_st <= FIN_CHAIN_RATIO_BOUND,
+            "simple-path verification more than {FIN_CHAIN_RATIO_BOUND}x the st join on the \
+             finite chain: st / a-inj / q-inj {fin_ms:.2?} ms"
         );
     } else {
         if headline < 10.0 {

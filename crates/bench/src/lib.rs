@@ -37,7 +37,8 @@
 //!   one thread (`--threads` does not reach them).
 //! * `cyclic_rows` — the median join on the cyclic shapes and the warm
 //!   hub triangle under st, a-inj and q-inj.
-//! * `injective_rows` — the warm triangle under st, a-inj and q-inj
+//! * `injective_rows` — the warm triangle (`injective_triangle`) and the
+//!   warm finite chain (`injective_fin_chain`) under st, a-inj and q-inj
 //!   (`tuples` and `ms` lists in that order) and the two ratios over st.
 //!
 //! `BENCH_scale.json`: `scale_rows` (the same schema at `|V| = 10⁵`, 10⁶

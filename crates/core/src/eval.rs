@@ -202,13 +202,20 @@
 //! reachability is exact. A **single-edge** language (`a`, `a + b`) is
 //! free in the self-loop arm too, and its q-inj placement is its edge.
 //! Only the other languages (`(a a)*`, `a* b a*`, `d (a + b)`, …) search,
-//! memoised per plan in [`VerifyScratch`]; the simple-path search itself
-//! continues through a node only in a state from which a final state is
-//! still reachable. The enumeration oracle alone searches every atom.
+//! memoised per plan in [`VerifyScratch`]. Every engine-side search — the
+//! a-inj check, the q-inj placement and the witness leaf — is one call of
+//! [`crpq_graph::rpq::search_simple`] through `CompiledAtom::for_each_path`.
+//! What it needs of the automaton (its live states, from which a final
+//! state is still reachable, and the labels they read) is computed once
+//! per atom in `compile_atoms`, so the memoised plans carry it; its
+//! buffers (visited set, path, state images) are pooled per placement
+//! depth in the [`VerifyScratch`] of the cursor or evaluator. A search
+//! then costs what its DFS scans, with no per-call setup. The enumeration
+//! oracle alone searches every atom.
 
 use crate::wcoj::{Cursor, Views};
 use crpq_automata::{Nfa, NfaKey};
-use crpq_graph::rpq::{NodeSet, ReachScratch, Relation};
+use crpq_graph::rpq::{LiveStates, NodeSet, ReachScratch, Relation, SimplePathScratch};
 use crpq_graph::{rpq, GraphView, NodeId};
 use crpq_query::{Crpq, Var};
 use crpq_util::{BitSet, FxHashMap, FxHashSet, Symbol};
@@ -483,6 +490,33 @@ pub(crate) struct CompiledAtom {
     /// internal node, so the q-inj placement records `[s, d]` without a
     /// search and a self-loop atom needs no cycle search.
     single_edge: bool,
+    /// The automaton's live states, computed once here so that every
+    /// simple-path search of the atom, in every request its memoised plan
+    /// serves, starts without recomputing them.
+    live: LiveStates,
+}
+
+impl CompiledAtom {
+    /// The one engine-side simple-path search: enumerates the atom's
+    /// non-empty simple paths from `s` to `d` whose internal nodes avoid
+    /// `blocked` — simple cycles at `s` for a self-loop atom — on the
+    /// pooled buffers `search`. A non-self-loop atom has no path from a
+    /// node to itself: the only simple one is empty, and atoms are ε-free.
+    /// Returns `true` if enumeration ran to completion.
+    fn for_each_path<G: GraphView>(
+        &self,
+        g: &G,
+        s: NodeId,
+        d: NodeId,
+        blocked: &BitSet,
+        search: &mut SimplePathScratch,
+        visit: impl FnMut(&[NodeId]) -> ControlFlow<()>,
+    ) -> bool {
+        if self.src != self.dst && s == d {
+            return true;
+        }
+        rpq::search_simple(g, &self.nfa, &self.live, s, d, blocked, search, visit)
+    }
 }
 
 /// Compiles a variant's atoms and classifies each language once.
@@ -500,6 +534,7 @@ fn compile_atoms(variant: &Crpq) -> Vec<CompiledAtom> {
                 dst: a.dst,
                 deletion_closed: crpq_automata::tractability::deletion_closed(&nfa, &nfa.symbols()),
                 single_edge: nfa.max_word_len() == Some(1),
+                live: LiveStates::new(&nfa),
                 nfa,
             }
         })
@@ -1423,34 +1458,23 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
                     rpq::shortest_path(self.g, &atom.nfa, s, d)
                 })
                 .collect(),
-            Semantics::AtomInjective => (0..self.atoms.len())
-                .map(|i| {
-                    let atom = &self.atoms[i];
-                    let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
-                    let mut cap: Option<Vec<NodeId>> = None;
-                    if atom.src == atom.dst {
-                        rpq::for_each_simple_cycle(self.g, &atom.nfa, s, &self.g.node_set(), |p| {
+            Semantics::AtomInjective => {
+                let scratch = &mut self.scratch;
+                scratch.ensure_depths(1);
+                let search = &mut scratch.depths[0].search;
+                self.atoms
+                    .iter()
+                    .map(|atom| {
+                        let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
+                        let mut cap: Option<Vec<NodeId>> = None;
+                        atom.for_each_path(self.g, s, d, &scratch.empty, search, |p| {
                             cap = Some(p.to_vec());
                             ControlFlow::Break(())
                         });
-                    } else if s != d {
-                        // From a node to itself only the empty path is
-                        // simple, and atoms are ε-free: no witness then.
-                        rpq::for_each_simple_path(
-                            self.g,
-                            &atom.nfa,
-                            s,
-                            d,
-                            &self.g.node_set(),
-                            |p| {
-                                cap = Some(p.to_vec());
-                                ControlFlow::Break(())
-                            },
-                        );
-                    }
-                    cap
-                })
-                .collect(),
+                        cap
+                    })
+                    .collect()
+            }
             // On success the placement leaves one path per atom in
             // `scratch.paths`.
             Semantics::QueryInjective => {
@@ -1461,26 +1485,31 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
     }
 }
 
-/// Reusable buffers for the injective verification path.
+/// Reusable buffers for the injective verification path, owned by a join
+/// cursor or a membership evaluator for its whole life.
 ///
-/// `simple_path_exists`/`place_atoms` verification used to allocate a
-/// fresh `|V|`-bit blocked set per placement level plus a `Vec` of
-/// internal nodes per candidate path — per *join solution*. The scratch
-/// pools those allocations: the blocked accumulator and the per-depth
-/// snapshot/internal buffers live here and are reused across solutions,
-/// across variants, and (for long-lived callers) across evaluations.
+/// Verification allocates nothing per join solution: the blocked
+/// accumulator, and per placement depth the blocked snapshot, the
+/// internal-node buffer and the simple-path search's buffers
+/// ([`SimplePathScratch`]: visited set, path, per-depth state images) live
+/// here and are reused across solutions, across variants and across
+/// resumes. Depth `i` serves atom `i` of a q-inj placement, whose search
+/// runs nested inside the searches of atoms `0..i`; the a-inj checks and
+/// the witness leaf search one atom at a time on depth 0. Every buffer is
+/// sized on first use, so a cursor that never verifies (`st`, or an
+/// injective query of free atoms) allocates no `|V|`-bit set.
 pub(crate) struct VerifyScratch {
-    /// Blocked-node accumulator for the q-inj joint placement.
+    /// Blocked-node accumulator for the q-inj joint placement: empty
+    /// between placements, which remove the μ-images they seeded.
     used: BitSet,
-    /// Per-depth snapshots of `used` (the enumerator's blocked set).
-    blocked: Vec<BitSet>,
-    /// Per-depth internal-node buffers.
-    internals: Vec<Vec<NodeId>>,
+    /// The buffers of each placement depth.
+    depths: Vec<PlacementDepth>,
     /// One path buffer per atom, rewritten by every q-inj placement; the
     /// witness leaf clones it.
     paths: Vec<Vec<NodeId>>,
-    /// Always-empty set with graph capacity — the "nothing blocked"
-    /// argument of the a-inj per-atom checks. Never mutated after sizing.
+    /// Always empty, with capacity 0 — the "nothing blocked" argument of
+    /// the a-inj searches (a node past a blocked set's capacity is not
+    /// blocked).
     empty: BitSet,
     /// Memo of the search arms of [`atom_injective`]: `(atom index, src
     /// node, dst node) → simple-path/-cycle existence`. Keyed by atom
@@ -1490,46 +1519,39 @@ pub(crate) struct VerifyScratch {
     atom_memo: FxHashMap<(u32, u32, u32), bool>,
 }
 
+/// The pooled buffers of one placement depth.
+#[derive(Default)]
+struct PlacementDepth {
+    /// Snapshot of `used` that the depth's search reads as its blocked set.
+    blocked: BitSet,
+    /// Internal nodes of the depth's current path.
+    internals: Vec<NodeId>,
+    /// The depth's simple-path search buffers.
+    search: SimplePathScratch,
+}
+
 impl VerifyScratch {
     pub(crate) fn new() -> Self {
         VerifyScratch {
             used: BitSet::new(0),
-            blocked: Vec::new(),
-            internals: Vec::new(),
+            depths: Vec::new(),
             paths: Vec::new(),
             empty: BitSet::new(0),
             atom_memo: FxHashMap::default(),
         }
     }
 
-    /// Sizes the graph-capacity bitsets without touching their contents
-    /// beyond a (re)allocation — cheap equality check when already sized.
-    fn ensure_graph(&mut self, n: usize) {
-        if self.used.capacity() != n {
-            self.used = BitSet::new(n);
-            self.empty = BitSet::new(n);
-        }
-    }
-
-    /// Plan boundary: sizes the pools for a graph with `n` nodes and
-    /// invalidates the per-plan atom memo. Called by the join cursor when
-    /// it enters a variant; the memo stays valid across the variant's
-    /// subtrees and across resumes.
-    pub(crate) fn begin_plan(&mut self, n: usize) {
-        self.ensure_graph(n);
+    /// Plan boundary: invalidates the per-plan atom memo. Called by the
+    /// join cursor when it enters a variant; the memo stays valid across
+    /// the variant's subtrees and across resumes.
+    pub(crate) fn begin_plan(&mut self) {
         self.atom_memo.clear();
     }
 
-    /// Sizes the pools for a graph with `n` nodes and a placement search
-    /// `depth` atoms deep, and clears the blocked accumulator.
-    fn prepare(&mut self, n: usize, depth: usize) {
-        self.ensure_graph(n);
-        self.used.clear();
-        while self.blocked.len() < depth {
-            self.blocked.push(BitSet::new(0));
-        }
-        while self.internals.len() < depth {
-            self.internals.push(Vec::new());
+    /// Makes room for `depth` placement depths.
+    fn ensure_depths(&mut self, depth: usize) {
+        if self.depths.len() < depth {
+            self.depths.resize_with(depth, PlacementDepth::default);
         }
     }
 }
@@ -1579,12 +1601,11 @@ fn atom_injective<G: GraphView>(
     if let Some(&ok) = scratch.atom_memo.get(&key) {
         return ok;
     }
-    scratch.ensure_graph(g.num_nodes());
-    let ok = if atom.src == atom.dst {
-        rpq::simple_cycle_exists(g, &atom.nfa, s, &scratch.empty)
-    } else {
-        rpq::simple_path_exists(g, &atom.nfa, s, d, &scratch.empty)
-    };
+    scratch.ensure_depths(1);
+    let search = &mut scratch.depths[0].search;
+    // The search breaks at the first path, so it ran to completion iff
+    // there is none.
+    let ok = !atom.for_each_path(g, s, d, &scratch.empty, search, |_| ControlFlow::Break(()));
     scratch.atom_memo.insert(key, ok);
     ok
 }
@@ -1593,15 +1614,20 @@ fn atom_injective<G: GraphView>(
 /// internally disjoint simple paths for all atoms, with every μ-image
 /// blocked as a path internal. All working sets come from `scratch`; when
 /// every atom is single-edge nothing is searched, so the `|V|`-bit
-/// blocked set is neither cleared nor seeded.
+/// blocked set is not touched. Otherwise it is seeded with the μ-images
+/// and emptied again by removing them, never by a `|V|`-bit clear.
 fn verify_query_injective<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
     mu: &[NodeId],
     scratch: &mut VerifyScratch,
 ) -> bool {
-    if atoms.iter().any(|a| !a.single_edge) {
-        scratch.prepare(g.num_nodes(), atoms.len());
+    let search = atoms.iter().any(|a| !a.single_edge);
+    if search {
+        if scratch.used.capacity() != g.num_nodes() {
+            scratch.used.reset(g.num_nodes());
+        }
+        scratch.ensure_depths(atoms.len());
         for &n in mu {
             scratch.used.insert(n.index());
         }
@@ -1610,6 +1636,12 @@ fn verify_query_injective<G: GraphView>(
     paths.resize_with(atoms.len(), Vec::new);
     let ok = place_atoms(g, atoms, mu, 0, scratch, &mut paths);
     scratch.paths = paths;
+    if search {
+        // Every placement restores `used`, so only the μ-images are left.
+        for &n in mu {
+            scratch.used.remove(n.index());
+        }
+    }
     ok
 }
 
@@ -1618,8 +1650,8 @@ fn verify_query_injective<G: GraphView>(
 /// node path of every atom `j ≥ i` (earlier entries untouched); `paths`
 /// has one entry per atom. Single-edge atoms have no internal node, so
 /// their path is `[s, d]` without a search. Unless every atom is
-/// single-edge, callers must have run `scratch.prepare(n, atoms.len())`
-/// and seeded `scratch.used` with the μ-images.
+/// single-edge, callers must have sized `scratch.used`, seeded it with the
+/// μ-images and made room for one placement depth per atom.
 fn place_atoms<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
@@ -1633,31 +1665,39 @@ fn place_atoms<G: GraphView>(
     }
     let atom = &atoms[i];
     let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
+    debug_assert!(atom.src == atom.dst || s != d, "q-inj μ must be injective");
     if atom.single_edge {
         // Standard reachability (the caller's precondition) guarantees the
         // edge, and μ is injective, so `[s, d]` blocks nothing.
-        debug_assert!(atom.src == atom.dst || s != d, "q-inj μ must be injective");
         paths[i].clear();
         paths[i].extend([s, d]);
         return place_atoms(g, atoms, mu, i + 1, scratch, paths);
     }
     let mut placed = false;
-    // Snapshot of the blocked set for the enumeration: `try_rest` restores
-    // `used` to exactly this state before the enumerator resumes, so the
-    // snapshot stays accurate throughout. The snapshot buffer is pooled
-    // per depth; it is moved out so the closure can borrow `scratch`.
-    let mut blocked = std::mem::replace(&mut scratch.blocked[i], BitSet::new(0));
-    blocked.copy_from(&scratch.used);
-    let complete = if atom.src == atom.dst {
-        rpq::for_each_simple_cycle(g, &atom.nfa, s, &blocked, |path| {
-            try_rest(g, atoms, mu, i, scratch, path, &mut placed, paths)
-        })
-    } else {
-        rpq::for_each_simple_path(g, &atom.nfa, s, d, &blocked, |path| {
-            try_rest(g, atoms, mu, i, scratch, path, &mut placed, paths)
-        })
-    };
-    scratch.blocked[i] = blocked;
+    // The depth's buffers are moved out so the closure can borrow
+    // `scratch`. The blocked snapshot stays accurate throughout: `try_rest`
+    // restores `used` to exactly this state before the search resumes.
+    let mut depth = std::mem::take(&mut scratch.depths[i]);
+    depth.blocked.copy_from(&scratch.used);
+    let PlacementDepth {
+        blocked,
+        internals,
+        search,
+    } = &mut depth;
+    let complete = atom.for_each_path(g, s, d, blocked, search, |path| {
+        try_rest(
+            g,
+            atoms,
+            mu,
+            i,
+            scratch,
+            internals,
+            path,
+            &mut placed,
+            paths,
+        )
+    });
+    scratch.depths[i] = depth;
     debug_assert!(complete || placed);
     placed
 }
@@ -1668,13 +1708,12 @@ fn try_rest<G: GraphView>(
     mu: &[NodeId],
     i: usize,
     scratch: &mut VerifyScratch,
+    internals: &mut Vec<NodeId>,
     path: &[NodeId],
     placed: &mut bool,
     paths: &mut [Vec<NodeId>],
 ) -> ControlFlow<()> {
-    // Internal nodes of `path` (endpoints are μ-images, already in `used`);
-    // the buffer is pooled per depth.
-    let mut internals = std::mem::take(&mut scratch.internals[i]);
+    // Internal nodes of `path` (endpoints are μ-images, already in `used`).
     internals.clear();
     internals.extend(
         path[1..path.len().saturating_sub(1)]
@@ -1687,16 +1726,15 @@ fn try_rest<G: GraphView>(
         path.len().saturating_sub(2),
         "simple-path search must avoid used internals"
     );
-    for n in &internals {
+    for n in internals.iter() {
         scratch.used.insert(n.index());
     }
     paths[i].clear();
     paths[i].extend_from_slice(path);
     let ok = place_atoms(g, atoms, mu, i + 1, scratch, paths);
-    for n in &internals {
+    for n in internals.iter() {
         scratch.used.remove(n.index());
     }
-    scratch.internals[i] = internals;
     if ok {
         *placed = true;
         ControlFlow::Break(())
@@ -2069,6 +2107,39 @@ mod tests {
             out.extend(cursor.seen);
         }
         (sorted_tuples(out), searches)
+    }
+
+    /// A cursor sizes its verification buffers on first use: an st drain
+    /// allocates no `|V|`-bit set, while an a-inj drain over an atom that
+    /// needs the simple-path search does.
+    #[test]
+    fn st_cursor_allocates_no_verification_sets() {
+        let mut g = example21_g();
+        let query = q("(x, y) <- x -[(a b)*]-> y, y -[c*]-> x", &mut g);
+        let mut catalog = RelationCatalog::new(&g);
+        let plans = catalog.plans(&query, &g);
+        let drain = |sem| {
+            let mut cursor = Cursor::new(sem);
+            let mut views = Views::default();
+            let mut tuples = 0;
+            while cursor.advance(&g, &catalog, &plans, &mut views).is_some() {
+                tuples += 1;
+            }
+            (cursor.scratch, tuples)
+        };
+        let (st, tuples) = drain(Semantics::Standard);
+        assert!(tuples > 0);
+        assert_eq!((st.used.capacity(), st.empty.capacity()), (0, 0));
+        assert!(st.depths.is_empty(), "st runs no simple-path search");
+        let (ainj, tuples) = drain(Semantics::AtomInjective);
+        assert!(tuples > 0);
+        assert_eq!(
+            ainj.empty.capacity(),
+            0,
+            "the empty blocked set is never sized"
+        );
+        assert_eq!(ainj.depths.len(), 1, "a-inj searches, on depth 0 only");
+        assert_eq!(ainj.used.capacity(), 0, "only q-inj places paths");
     }
 
     #[test]

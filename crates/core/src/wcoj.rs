@@ -248,7 +248,7 @@ impl Cursor {
                     self.next_variant();
                     continue;
                 }
-                self.scratch.begin_plan(g.num_nodes());
+                self.scratch.begin_plan();
                 match self.enter(g, catalog, plan, views, 0) {
                     Entry::Descend => {}
                     Entry::Skip => self.next_variant(),

@@ -9,8 +9,12 @@
 //! * **simple paths** (no repeated node) and **simple cycles** — the
 //!   building blocks of both injective semantics; NP-complete in data
 //!   complexity even for fixed small languages [Mendelzon & Wood 1995],
-//!   implemented as backtracking DFS over `(node, NFA state-set)` with a
-//!   visited set;
+//!   implemented as one backtracking DFS over `(node, NFA state-set)`,
+//!   [`search_simple`], with a visited set. What depends only on the
+//!   automaton ([`LiveStates`]) is computed once per automaton and the
+//!   buffers ([`SimplePathScratch`]) are pooled by the caller, so a search
+//!   costs what it scans; the path and cycle functions are one-off
+//!   wrappers over it;
 //! * **trails** (no repeated edge) — the edge-injective variant discussed in
 //!   the paper's outlook (§7), provided as an extension.
 //!
@@ -1966,7 +1970,9 @@ pub fn simple_path_exists<G: GraphView>(
 ///
 /// The same node sequence may be visited more than once if parallel edges
 /// with different labels both complete an accepting run. Returns `true` if
-/// enumeration ran to completion (no early break).
+/// enumeration ran to completion (no early break). A one-off call: it
+/// computes the automaton's [`LiveStates`] and fresh buffers, then runs
+/// [`search_simple`].
 pub fn for_each_simple_path<G, F>(
     g: &G,
     nfa: &Nfa,
@@ -1986,82 +1992,180 @@ where
         }
         return true;
     }
-    search_simple(g, nfa, src, dst, blocked, &mut visit)
+    let live = LiveStates::new(nfa);
+    let mut scratch = SimplePathScratch::default();
+    search_simple(g, nfa, &live, src, dst, blocked, &mut scratch, visit)
 }
 
-/// The non-empty simple paths from `src` to `dst` (a simple cycle when
-/// `src == dst`): sets up the live states, the initial state set, the
-/// visited set and the path, then runs [`dfs_simple`]. Returns `true` if
-/// enumeration ran to completion.
+/// The per-automaton data of the simple-path search, computed once per
+/// automaton ([`Self::new`]) and read by every [`search_simple`] call over
+/// it.
 ///
 /// A state is *live* when it is useful and has a transition into a useful
 /// state: from a live state some further step can still reach a final
-/// state. A path continues through a node other than `dst` only in a live
-/// state, so after the last letter of `a`, `c + d` or `d (a + b)` the
-/// search stops instead of scanning every neighbour's whole out-row. The
-/// check at `dst` reads the full image, so no accepted path is lost.
-fn search_simple<G, F>(
+/// state. A path continues through a node other than its target only in a
+/// live state, so after the last letter of `a`, `c + d` or `d (a + b)` the
+/// search stops instead of scanning every neighbour's out-row; the check
+/// at the target reads the full image, so no accepted path is lost.
+#[derive(Clone, Debug)]
+pub struct LiveStates {
+    /// The live states.
+    live: BitSet,
+    /// The live initial states: a search with none finds nothing.
+    initial: BitSet,
+    /// The symbols on the live states' transitions, by id: a search step
+    /// skips every out-edge with another label without a state image.
+    reads: BitSet,
+}
+
+impl LiveStates {
+    /// The live states of `nfa`, its live initial states and the labels
+    /// they read.
+    pub fn new(nfa: &Nfa) -> Self {
+        let useful = nfa.useful_states();
+        let mut live = BitSet::new(nfa.num_states());
+        for q in useful.iter() {
+            let row = nfa.transitions_from(q as StateId);
+            if row.iter().any(|&(_, t)| useful.contains(t as usize)) {
+                live.insert(q);
+            }
+        }
+        let mut initial = nfa.initials().clone();
+        initial.intersect_with(&live);
+        let symbols = || {
+            live.iter()
+                .flat_map(|q| nfa.transitions_from(q as StateId))
+                .map(|&(sym, _)| sym.index())
+        };
+        let mut reads = BitSet::new(symbols().max().map_or(0, |s| s + 1));
+        for sym in symbols() {
+            reads.insert(sym);
+        }
+        LiveStates {
+            live,
+            initial,
+            reads,
+        }
+    }
+}
+
+/// The reusable buffers of [`search_simple`]: the visited-node set, the
+/// path and one state-set image per DFS depth. Every search leaves the
+/// visited set empty, an early break included, so one scratch serves any
+/// sequence of searches over any graphs and automata; the buffers resize
+/// when the node or state count changes. Searches that nest (one run from
+/// inside another's `visit`) each need their own scratch.
+#[derive(Debug, Default)]
+pub struct SimplePathScratch {
+    /// The path's nodes; empty between searches.
+    visited: BitSet,
+    /// The node sequence of the path being extended.
+    path: Vec<NodeId>,
+    /// `images[k]`: the live state set after the path's `k`-th edge.
+    images: Vec<BitSet>,
+}
+
+/// The simple-path search every other one wraps: enumerates the non-empty
+/// simple paths from `src` to `dst` (simple cycles when `src == dst`) with
+/// label in `L(nfa)` whose internal nodes avoid `blocked`, invoking `visit`
+/// with each node sequence. Returns `true` if enumeration ran to
+/// completion.
+///
+/// `live` must be [`LiveStates::new`]`(nfa)`; callers that search the same
+/// automaton repeatedly compute it once. The search allocates nothing once
+/// `scratch` has served a search as deep over as many nodes, so a call
+/// costs what its DFS scans: per path node, one pass over the node's
+/// `(label, node)` out-edges, with one state image per run of edges whose
+/// label the live states read, written into the depth's pooled buffer.
+/// Paths are visited in that edge order. `blocked` may be smaller than
+/// the graph: nodes past its capacity are not blocked.
+pub fn search_simple<G, F>(
     g: &G,
     nfa: &Nfa,
+    live: &LiveStates,
     src: NodeId,
     dst: NodeId,
     blocked: &BitSet,
-    visit: &mut F,
+    scratch: &mut SimplePathScratch,
+    mut visit: F,
 ) -> bool
 where
     G: GraphView,
     F: FnMut(&[NodeId]) -> ControlFlow<()>,
 {
-    let useful = nfa.useful_states();
-    let mut live = BitSet::new(nfa.num_states());
-    for q in useful.iter() {
-        let row = nfa.transitions_from(q as StateId);
-        if row.iter().any(|&(_, t)| useful.contains(t as usize)) {
-            live.insert(q);
-        }
-    }
-    let mut initial = nfa.initials().clone();
-    initial.intersect_with(&live);
-    if initial.is_empty() {
+    debug_assert_eq!(
+        live.live.capacity(),
+        nfa.num_states(),
+        "live states of another automaton"
+    );
+    if live.initial.is_empty() {
         return true;
     }
-    let mut visited = g.node_set();
+    let SimplePathScratch {
+        visited,
+        path,
+        images,
+    } = scratch;
+    if visited.capacity() != g.num_nodes() {
+        // Empty between searches, so resizing loses nothing.
+        visited.reset(g.num_nodes());
+    }
+    if images.is_empty() {
+        images.push(BitSet::new(0));
+    }
+    images[0].copy_from(&live.initial);
+    path.clear();
+    path.push(src);
     visited.insert(src.index());
-    let mut path = vec![src];
-    dfs_simple(
-        g,
-        nfa,
-        dst,
-        blocked,
-        &live,
-        &mut visited,
-        &mut path,
-        initial,
-        visit,
-    )
-    .is_continue()
+    let flow = dfs_simple(
+        g, nfa, live, dst, blocked, visited, path, images, &mut visit,
+    );
+    visited.remove(src.index());
+    flow.is_continue()
 }
 
+/// Extends `path` (its last node at depth `path.len() - 1`, in the states
+/// `images[depth]`) by each out-edge, recursing through unvisited,
+/// unblocked nodes in a live state. Restores `visited` and `path` before
+/// it returns, a break included.
 fn dfs_simple<G, F>(
     g: &G,
     nfa: &Nfa,
+    live: &LiveStates,
     dst: NodeId,
     blocked: &BitSet,
-    live: &BitSet,
     visited: &mut BitSet,
     path: &mut Vec<NodeId>,
-    states: BitSet,
+    images: &mut Vec<BitSet>,
     visit: &mut F,
 ) -> ControlFlow<()>
 where
     G: GraphView,
     F: FnMut(&[NodeId]) -> ControlFlow<()>,
 {
-    let here = *path.last().unwrap(); // invariant: path starts seeded with the source
+    let depth = path.len() - 1;
+    let here = path[depth];
+    if images.len() == depth + 1 {
+        images.push(BitSet::new(0));
+    }
+    // The label of the current run of out-edges, whether its image has a
+    // final state and whether it has a live one.
+    let (mut run, mut accepts, mut go_on) = (None, false, false);
     for (sym, to) in g.out_edges_iter(here) {
+        if run != Some(sym) {
+            run = Some(sym);
+            (accepts, go_on) = (false, false);
+            if live.reads.contains(sym.index()) {
+                let (states, next) = images.split_at_mut(depth + 1);
+                let image = &mut next[0];
+                nfa.delta_into(&states[depth], sym, image);
+                accepts = image.intersects(nfa.finals());
+                image.intersect_with(&live.live);
+                go_on = !image.is_empty();
+            }
+        }
         if to == dst {
-            let image = nfa.delta_set(&states, sym);
-            if image.intersects(nfa.finals()) {
+            if accepts {
                 path.push(to);
                 let flow = visit(path);
                 path.pop();
@@ -2069,17 +2173,14 @@ where
             }
             continue;
         }
-        if visited.contains(to.index()) || blocked.contains(to.index()) {
-            continue;
-        }
-        let mut image = nfa.delta_set(&states, sym);
-        image.intersect_with(live);
-        if image.is_empty() {
+        if !go_on || visited.contains(to.index()) || blocked.contains(to.index()) {
             continue;
         }
         visited.insert(to.index());
         path.push(to);
-        let flow = dfs_simple(g, nfa, dst, blocked, live, visited, path, image, visit);
+        // The child writes `images[depth + 2..]` only, so this run's image
+        // survives for the next edge.
+        let flow = dfs_simple(g, nfa, live, dst, blocked, visited, path, images, visit);
         path.pop();
         visited.remove(to.index());
         flow?;
@@ -2101,7 +2202,8 @@ pub fn simple_cycle_exists<G: GraphView>(g: &G, nfa: &Nfa, at: NodeId, blocked: 
 
 /// Enumerates simple cycles at `at` with label in `L(nfa)`, visiting the node
 /// sequence `[at, …, at]` (the empty cycle yields `[at]`).
-/// Returns `true` if enumeration completed.
+/// Returns `true` if enumeration completed. A one-off call, like
+/// [`for_each_simple_path`].
 pub fn for_each_simple_cycle<G, F>(
     g: &G,
     nfa: &Nfa,
@@ -2116,7 +2218,9 @@ where
     if nfa.accepts_epsilon() && visit(&[at]).is_break() {
         return false;
     }
-    search_simple(g, nfa, at, at, blocked, &mut visit)
+    let live = LiveStates::new(nfa);
+    let mut scratch = SimplePathScratch::default();
+    search_simple(g, nfa, &live, at, at, blocked, &mut scratch, visit)
 }
 
 /// A labelled edge occurrence, the unit of trail (edge-injective) search.
@@ -3426,6 +3530,11 @@ mod tests {
     /// search visit exactly the node sequences that a brute-force
     /// enumeration finds: random graphs with parallel edges, self-loops
     /// and a random blocked set, over finite, star and NP-hard languages.
+    /// Besides the one-off wrappers, every (graph, NFA, s, d) runs through
+    /// one pooled [`SimplePathScratch`] shared by all seeds (1–7 nodes)
+    /// and languages (different state counts): an early-break existence
+    /// check, then a full enumeration, so a visited bit left behind by a
+    /// break or an image buffer sized for another automaton shows.
     #[test]
     fn simple_paths_and_cycles_match_brute_force() {
         use rand::rngs::StdRng;
@@ -3440,6 +3549,27 @@ mod tests {
             "a* b a*",
         ];
         let mut found = [0usize; EXPRS.len()];
+        let mut scratch = SimplePathScratch::default();
+        // The pooled search's non-empty paths from `s` to `d` (cycles when
+        // `s == d`), after an early-break existence check on the same
+        // scratch that must agree with them.
+        let mut pooled = |g: &GraphDb, nfa: &Nfa, live: &LiveStates, s, d, blocked: &BitSet| {
+            let exists = !search_simple(g, nfa, live, s, d, blocked, &mut scratch, |_| {
+                ControlFlow::Break(())
+            });
+            let mut got = BTreeSet::new();
+            let complete = search_simple(g, nfa, live, s, d, blocked, &mut scratch, |seq| {
+                got.insert(seq.to_vec());
+                ControlFlow::Continue(())
+            });
+            assert!(complete);
+            assert_eq!(
+                exists,
+                !got.is_empty(),
+                "{s:?} -> {d:?}: break and enumeration disagree"
+            );
+            got
+        };
         for seed in 0..40u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(1..=7usize);
@@ -3466,11 +3596,14 @@ mod tests {
             }
             for (e, expr) in EXPRS.into_iter().enumerate() {
                 let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
+                let live = LiveStates::new(&nfa);
                 let epsilon = nfa.accepts_epsilon();
                 for s in (0..n).map(|v| NodeId(v as u32)) {
                     let mut cycles = BTreeSet::new();
                     naive_extensions(&g, &mut vec![s], s, &blocked, &mut cycles);
                     cycles.retain(|seq| some_word_accepted(&g, &nfa, seq));
+                    let got = pooled(&g, &nfa, &live, s, s, &blocked);
+                    assert_eq!(got, cycles, "pooled cycles at {s:?}, {expr}, seed {seed}");
                     if epsilon {
                         cycles.insert(vec![s]);
                     }
@@ -3490,6 +3623,8 @@ mod tests {
                         } else {
                             naive_extensions(&g, &mut vec![s], d, &blocked, &mut paths);
                             paths.retain(|seq| some_word_accepted(&g, &nfa, seq));
+                            let got = pooled(&g, &nfa, &live, s, d, &blocked);
+                            assert_eq!(got, paths, "pooled {s:?} -> {d:?}, {expr}, seed {seed}");
                         }
                         let mut got = BTreeSet::new();
                         for_each_simple_path(&g, &nfa, s, d, &blocked, |seq| {

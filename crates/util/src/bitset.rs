@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-capacity set of small integers backed by a `Vec<u64>`.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -87,6 +87,15 @@ impl BitSet {
     /// Removes all elements.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
+    }
+
+    /// Empties the set and makes its capacity `capacity`, reusing the
+    /// word buffer: no allocation once the buffer has held that many
+    /// words, unlike `BitSet::new`.
+    pub fn reset(&mut self, capacity: usize) {
+        self.words.clear();
+        self.words.resize(capacity.div_ceil(64), 0);
+        self.capacity = capacity;
     }
 
     /// Number of elements — a popcount over every word, `O(capacity/64)`
@@ -306,6 +315,17 @@ mod tests {
         assert!(s.remove(64));
         assert!(!s.remove(64));
         assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn reset_empties_and_resizes() {
+        let mut s = BitSet::full(130);
+        s.reset(3);
+        assert_eq!((s.capacity(), s.len()), (3, 0));
+        assert_eq!(s, BitSet::new(3));
+        s.insert(2);
+        s.reset(200);
+        assert_eq!(s, BitSet::new(200), "growing leaves no stale bit");
     }
 
     #[test]
