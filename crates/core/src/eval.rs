@@ -149,8 +149,9 @@
 //!   check (free for deletion-closed languages, a simple-path or
 //!   simple-cycle search otherwise);
 //! * `q-inj` — assignments are generated injectively and atoms are *placed*
-//!   one by one, accumulating the set of used nodes so paths stay internally
-//!   disjoint (backtracking across atoms).
+//!   one by one, each atom's search nested in the previous atom's on one
+//!   set of used nodes, so paths stay internally disjoint (backtracking
+//!   across atoms).
 //!
 //! The [`crate::witness::eval_witness`] leaf returns one path per atom
 //! instead: a shortest path under `st`, a simple path or cycle under
@@ -207,11 +208,14 @@
 //! [`crpq_graph::rpq::search_simple`] through `CompiledAtom::for_each_path`.
 //! What it needs of the automaton (its live states, from which a final
 //! state is still reachable, and the labels they read) is computed once
-//! per atom in `compile_atoms`, so the memoised plans carry it; its
-//! buffers (visited set, path, state images) are pooled per placement
-//! depth in the [`VerifyScratch`] of the cursor or evaluator. A search
-//! then costs what its DFS scans, with no per-call setup. The enumeration
-//! oracle alone searches every atom.
+//! per atom in `compile_atoms`, so the memoised plans carry it. Its one
+//! visited set is `VerifyScratch::used`, and its buffers (path, state
+//! images) are pooled per placement depth in the [`VerifyScratch`] of the
+//! cursor or evaluator. The q-inj placement seeds `used` with the μ-images
+//! and runs each atom's search inside the previous atom's `visit`, so the
+//! set already holds every earlier path and nothing is copied per
+//! placement. A search then costs what its DFS scans, with no per-call
+//! setup. The enumeration oracle alone searches every atom.
 
 use crate::wcoj::{Cursor, Views};
 use crpq_automata::{Nfa, NfaKey};
@@ -499,8 +503,9 @@ pub(crate) struct CompiledAtom {
 impl CompiledAtom {
     /// The one engine-side simple-path search: enumerates the atom's
     /// non-empty simple paths from `s` to `d` whose internal nodes avoid
-    /// `blocked` — simple cycles at `s` for a self-loop atom — on the
-    /// pooled buffers `search`. A non-self-loop atom has no path from a
+    /// `visited` — simple cycles at `s` for a self-loop atom — on the
+    /// pooled buffers `search`, handing `visit` each path and the set (see
+    /// [`rpq::search_simple`]). A non-self-loop atom has no path from a
     /// node to itself: the only simple one is empty, and atoms are ε-free.
     /// Returns `true` if enumeration ran to completion.
     fn for_each_path<G: GraphView>(
@@ -508,14 +513,14 @@ impl CompiledAtom {
         g: &G,
         s: NodeId,
         d: NodeId,
-        blocked: &BitSet,
+        visited: &mut BitSet,
         search: &mut SimplePathScratch,
-        visit: impl FnMut(&[NodeId]) -> ControlFlow<()>,
+        visit: impl FnMut(&[NodeId], &mut BitSet) -> ControlFlow<()>,
     ) -> bool {
         if self.src != self.dst && s == d {
             return true;
         }
-        rpq::search_simple(g, &self.nfa, &self.live, s, d, blocked, search, visit)
+        rpq::search_simple(g, &self.nfa, &self.live, s, d, visited, search, visit)
     }
 }
 
@@ -1459,15 +1464,13 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
                 })
                 .collect(),
             Semantics::AtomInjective => {
-                let scratch = &mut self.scratch;
-                scratch.ensure_depths(1);
-                let search = &mut scratch.depths[0].search;
+                let (used, depths) = self.scratch.search_sets(self.g.num_nodes(), 1);
                 self.atoms
                     .iter()
                     .map(|atom| {
                         let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
                         let mut cap: Option<Vec<NodeId>> = None;
-                        atom.for_each_path(self.g, s, d, &scratch.empty, search, |p| {
+                        atom.for_each_path(self.g, s, d, used, &mut depths[0], |p, _| {
                             cap = Some(p.to_vec());
                             ControlFlow::Break(())
                         });
@@ -1488,29 +1491,27 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
 /// Reusable buffers for the injective verification path, owned by a join
 /// cursor or a membership evaluator for its whole life.
 ///
-/// Verification allocates nothing per join solution: the blocked
-/// accumulator, and per placement depth the blocked snapshot, the
-/// internal-node buffer and the simple-path search's buffers
-/// ([`SimplePathScratch`]: visited set, path, per-depth state images) live
-/// here and are reused across solutions, across variants and across
-/// resumes. Depth `i` serves atom `i` of a q-inj placement, whose search
-/// runs nested inside the searches of atoms `0..i`; the a-inj checks and
-/// the witness leaf search one atom at a time on depth 0. Every buffer is
-/// sized on first use, so a cursor that never verifies (`st`, or an
-/// injective query of free atoms) allocates no `|V|`-bit set.
+/// Verification allocates nothing per join solution: the one visited set
+/// of every simple-path search and, per placement depth, the search's
+/// buffers ([`SimplePathScratch`]: path, per-depth state images) live here
+/// and are reused across solutions, across variants and across resumes.
+/// Depth `k` serves the `k`-th searching atom of a q-inj placement, whose
+/// search runs nested inside the searches of the atoms before it, on the
+/// same visited set; the a-inj checks and the witness leaf search one atom
+/// at a time on depth 0. Every buffer is sized on first use, so a cursor
+/// that never searches (`st`, or an injective query of free atoms)
+/// allocates no `|V|`-bit set.
 pub(crate) struct VerifyScratch {
-    /// Blocked-node accumulator for the q-inj joint placement: empty
-    /// between placements, which remove the μ-images they seeded.
+    /// The visited set of every search, empty between searches. A q-inj
+    /// placement seeds it with the μ-images and removes them again; each
+    /// atom's search adds its path while it runs, so the next atom's
+    /// search, nested inside it, keeps off every earlier path.
     used: BitSet,
-    /// The buffers of each placement depth.
-    depths: Vec<PlacementDepth>,
+    /// The simple-path search buffers of each placement depth.
+    depths: Vec<SimplePathScratch>,
     /// One path buffer per atom, rewritten by every q-inj placement; the
     /// witness leaf clones it.
     paths: Vec<Vec<NodeId>>,
-    /// Always empty, with capacity 0 — the "nothing blocked" argument of
-    /// the a-inj searches (a node past a blocked set's capacity is not
-    /// blocked).
-    empty: BitSet,
     /// Memo of the search arms of [`atom_injective`]: `(atom index, src
     /// node, dst node) → simple-path/-cycle existence`. Keyed by atom
     /// *index*, so entries are only valid for one variant —
@@ -1519,24 +1520,12 @@ pub(crate) struct VerifyScratch {
     atom_memo: FxHashMap<(u32, u32, u32), bool>,
 }
 
-/// The pooled buffers of one placement depth.
-#[derive(Default)]
-struct PlacementDepth {
-    /// Snapshot of `used` that the depth's search reads as its blocked set.
-    blocked: BitSet,
-    /// Internal nodes of the depth's current path.
-    internals: Vec<NodeId>,
-    /// The depth's simple-path search buffers.
-    search: SimplePathScratch,
-}
-
 impl VerifyScratch {
     pub(crate) fn new() -> Self {
         VerifyScratch {
             used: BitSet::new(0),
             depths: Vec::new(),
             paths: Vec::new(),
-            empty: BitSet::new(0),
             atom_memo: FxHashMap::default(),
         }
     }
@@ -1548,11 +1537,21 @@ impl VerifyScratch {
         self.atom_memo.clear();
     }
 
-    /// Makes room for `depth` placement depths.
-    fn ensure_depths(&mut self, depth: usize) {
-        if self.depths.len() < depth {
-            self.depths.resize_with(depth, PlacementDepth::default);
+    /// The visited set, sized for a graph of `nodes` nodes, and the search
+    /// buffers of the first `depth` placement depths.
+    fn search_sets(
+        &mut self,
+        nodes: usize,
+        depth: usize,
+    ) -> (&mut BitSet, &mut [SimplePathScratch]) {
+        if self.used.capacity() != nodes {
+            // Empty between searches, so resizing loses nothing.
+            self.used.reset(nodes);
         }
+        if self.depths.len() < depth {
+            self.depths.resize_with(depth, SimplePathScratch::default);
+        }
+        (&mut self.used, &mut self.depths[..depth])
     }
 }
 
@@ -1601,11 +1600,10 @@ fn atom_injective<G: GraphView>(
     if let Some(&ok) = scratch.atom_memo.get(&key) {
         return ok;
     }
-    scratch.ensure_depths(1);
-    let search = &mut scratch.depths[0].search;
+    let (used, depths) = scratch.search_sets(g.num_nodes(), 1);
     // The search breaks at the first path, so it ran to completion iff
     // there is none.
-    let ok = !atom.for_each_path(g, s, d, &scratch.empty, search, |_| ControlFlow::Break(()));
+    let ok = !atom.for_each_path(g, s, d, used, &mut depths[0], |_, _| ControlFlow::Break(()));
     scratch.atom_memo.insert(key, ok);
     ok
 }
@@ -1614,7 +1612,7 @@ fn atom_injective<G: GraphView>(
 /// internally disjoint simple paths for all atoms, with every μ-image
 /// blocked as a path internal. All working sets come from `scratch`; when
 /// every atom is single-edge nothing is searched, so the `|V|`-bit
-/// blocked set is not touched. Otherwise it is seeded with the μ-images
+/// visited set is not touched. Otherwise it is seeded with the μ-images
 /// and emptied again by removing them, never by a `|V|`-bit clear.
 fn verify_query_injective<G: GraphView>(
     g: &G,
@@ -1622,125 +1620,71 @@ fn verify_query_injective<G: GraphView>(
     mu: &[NodeId],
     scratch: &mut VerifyScratch,
 ) -> bool {
-    let search = atoms.iter().any(|a| !a.single_edge);
-    if search {
-        if scratch.used.capacity() != g.num_nodes() {
-            scratch.used.reset(g.num_nodes());
-        }
-        scratch.ensure_depths(atoms.len());
-        for &n in mu {
-            scratch.used.insert(n.index());
-        }
-    }
     let mut paths = std::mem::take(&mut scratch.paths);
     paths.resize_with(atoms.len(), Vec::new);
-    let ok = place_atoms(g, atoms, mu, 0, scratch, &mut paths);
-    scratch.paths = paths;
-    if search {
-        // Every placement restores `used`, so only the μ-images are left.
+    let searching = atoms.iter().filter(|a| !a.single_edge).count();
+    let ok = if searching == 0 {
+        place_atoms(g, atoms, mu, &mut scratch.used, &mut [], &mut paths)
+    } else {
+        let (used, depths) = scratch.search_sets(g.num_nodes(), searching);
         for &n in mu {
-            scratch.used.remove(n.index());
+            used.insert(n.index());
         }
-    }
+        let ok = place_atoms(g, atoms, mu, used, depths, &mut paths);
+        // Every search restores `used`, so only the μ-images are left.
+        for &n in mu {
+            used.remove(n.index());
+        }
+        ok
+    };
+    scratch.paths = paths;
     ok
 }
 
-/// Recursively places atom paths so that no internal node is reused
-/// (query-injective joint search). On success, `paths[j]` holds the chosen
-/// node path of every atom `j ≥ i` (earlier entries untouched); `paths`
-/// has one entry per atom. Single-edge atoms have no internal node, so
-/// their path is `[s, d]` without a search. Unless every atom is
-/// single-edge, callers must have sized `scratch.used`, seeded it with the
-/// μ-images and made room for one placement depth per atom.
+/// Places the atoms' paths one by one so that no internal node is reused
+/// (query-injective joint search): each atom's search runs inside the
+/// previous atom's `visit`, on the one visited set `used`, which then
+/// holds the μ-images and every earlier atom's path. On success `paths[j]`
+/// holds the chosen node path of atom `j`; `paths` has one entry per atom.
+/// Single-edge atoms have no internal node, so their path is `[s, d]`
+/// without a search. Unless every atom is single-edge, callers must have
+/// sized `used`, seeded it with the μ-images and passed one search buffer
+/// per searching atom in `depths`.
 fn place_atoms<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
     mu: &[NodeId],
-    i: usize,
-    scratch: &mut VerifyScratch,
+    used: &mut BitSet,
+    depths: &mut [SimplePathScratch],
     paths: &mut [Vec<NodeId>],
 ) -> bool {
-    if i == atoms.len() {
+    let ([atom, atoms @ ..], [path, paths @ ..]) = (atoms, paths) else {
         return true;
-    }
-    let atom = &atoms[i];
+    };
     let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
     debug_assert!(atom.src == atom.dst || s != d, "q-inj μ must be injective");
     if atom.single_edge {
         // Standard reachability (the caller's precondition) guarantees the
         // edge, and μ is injective, so `[s, d]` blocks nothing.
-        paths[i].clear();
-        paths[i].extend([s, d]);
-        return place_atoms(g, atoms, mu, i + 1, scratch, paths);
+        path.clear();
+        path.extend([s, d]);
+        return place_atoms(g, atoms, mu, used, depths, paths);
     }
+    // invariant: the caller passes one search buffer per searching atom.
+    let (search, depths) = depths.split_first_mut().expect("a buffer per search");
     let mut placed = false;
-    // The depth's buffers are moved out so the closure can borrow
-    // `scratch`. The blocked snapshot stays accurate throughout: `try_rest`
-    // restores `used` to exactly this state before the search resumes.
-    let mut depth = std::mem::take(&mut scratch.depths[i]);
-    depth.blocked.copy_from(&scratch.used);
-    let PlacementDepth {
-        blocked,
-        internals,
-        search,
-    } = &mut depth;
-    let complete = atom.for_each_path(g, s, d, blocked, search, |path| {
-        try_rest(
-            g,
-            atoms,
-            mu,
-            i,
-            scratch,
-            internals,
-            path,
-            &mut placed,
-            paths,
-        )
+    let complete = atom.for_each_path(g, s, d, used, search, |p, used| {
+        path.clear();
+        path.extend_from_slice(p);
+        placed = place_atoms(g, atoms, mu, used, depths, paths);
+        if placed {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     });
-    scratch.depths[i] = depth;
     debug_assert!(complete || placed);
     placed
-}
-
-fn try_rest<G: GraphView>(
-    g: &G,
-    atoms: &[CompiledAtom],
-    mu: &[NodeId],
-    i: usize,
-    scratch: &mut VerifyScratch,
-    internals: &mut Vec<NodeId>,
-    path: &[NodeId],
-    placed: &mut bool,
-    paths: &mut [Vec<NodeId>],
-) -> ControlFlow<()> {
-    // Internal nodes of `path` (endpoints are μ-images, already in `used`).
-    internals.clear();
-    internals.extend(
-        path[1..path.len().saturating_sub(1)]
-            .iter()
-            .copied()
-            .filter(|n| !scratch.used.contains(n.index())),
-    );
-    debug_assert_eq!(
-        internals.len(),
-        path.len().saturating_sub(2),
-        "simple-path search must avoid used internals"
-    );
-    for n in internals.iter() {
-        scratch.used.insert(n.index());
-    }
-    paths[i].clear();
-    paths[i].extend_from_slice(path);
-    let ok = place_atoms(g, atoms, mu, i + 1, scratch, paths);
-    for n in internals.iter() {
-        scratch.used.remove(n.index());
-    }
-    if ok {
-        *placed = true;
-        ControlFlow::Break(())
-    } else {
-        ControlFlow::Continue(())
-    }
 }
 
 #[cfg(test)]
@@ -2129,17 +2073,21 @@ mod tests {
         };
         let (st, tuples) = drain(Semantics::Standard);
         assert!(tuples > 0);
-        assert_eq!((st.used.capacity(), st.empty.capacity()), (0, 0));
+        assert_eq!(st.used.capacity(), 0);
         assert!(st.depths.is_empty(), "st runs no simple-path search");
         let (ainj, tuples) = drain(Semantics::AtomInjective);
         assert!(tuples > 0);
         assert_eq!(
-            ainj.empty.capacity(),
-            0,
-            "the empty blocked set is never sized"
+            ainj.used.capacity(),
+            g.num_nodes(),
+            "a-inj searches on `used`"
         );
+        assert!(ainj.used.is_empty(), "every search restores `used`");
         assert_eq!(ainj.depths.len(), 1, "a-inj searches, on depth 0 only");
-        assert_eq!(ainj.used.capacity(), 0, "only q-inj places paths");
+        let (qinj, tuples) = drain(Semantics::QueryInjective);
+        assert!(tuples > 0);
+        assert!(qinj.used.is_empty(), "every placement restores `used`");
+        assert_eq!(qinj.depths.len(), 2, "one depth per searching atom");
     }
 
     #[test]

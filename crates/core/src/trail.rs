@@ -156,7 +156,9 @@ fn contains(
     .is_some()
 }
 
-/// Joint edge-disjoint placement for query-trail semantics.
+/// Joint edge-disjoint placement for query-trail semantics: each atom's
+/// search runs inside the previous atom's `visit`, on the one edge set
+/// `used`, which then holds every earlier atom's trail.
 fn place_trails(
     g: &GraphDb,
     atoms: &[CompiledAtom],
@@ -170,17 +172,9 @@ fn place_trails(
     let atom = &atoms[i];
     let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
     let mut placed = false;
-    let blocked = used.clone();
-    rpq::for_each_trail(g, &atom.nfa, s, d, &blocked, |edges| {
-        for e in edges {
-            used.insert(*e);
-        }
-        let ok = place_trails(g, atoms, mu, i + 1, used);
-        for e in edges {
-            used.remove(e);
-        }
-        if ok {
-            placed = true;
+    rpq::for_each_trail(g, &atom.nfa, s, d, used, |_, used| {
+        placed = place_trails(g, atoms, mu, i + 1, used);
+        if placed {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
@@ -417,9 +411,9 @@ mod tests {
         let Some(((s, d, nfa), rest)) = atoms.split_first() else {
             return true;
         };
-        let blocked: FxHashSet<Edge> = used.iter().copied().collect();
+        let mut blocked: FxHashSet<Edge> = used.iter().copied().collect();
         let mut ok = false;
-        rpq::for_each_trail(g, nfa, mu[*s], mu[*d], &blocked, |edges| {
+        rpq::for_each_trail(g, nfa, mu[*s], mu[*d], &mut blocked, |edges, _| {
             let before = used.len();
             used.extend_from_slice(edges);
             ok = disjoint_trails(g, rest, mu, used);

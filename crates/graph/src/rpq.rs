@@ -18,10 +18,16 @@
 //! * **trails** (no repeated edge) — the edge-injective variant discussed in
 //!   the paper's outlook (§7), provided as an extension.
 //!
-//! All searches take a `blocked` set: blocked nodes may not occur as
-//! *internal* nodes of the path (endpoints are exempt). This is exactly the
-//! hook the query-injective evaluator needs to keep paths of different atoms
-//! internally disjoint.
+//! Each search keeps one visited set, and the caller owns it:
+//! [`search_simple`] takes the set of nodes no path may pass through
+//! (endpoints are exempt) and [`for_each_trail`] the set of edges no trail
+//! may use. The search adds its path to the set while extending it, hands
+//! the set to `visit`, and restores it exactly before returning. A search
+//! run from inside `visit` on the same set therefore keeps off the outer
+//! path, which is all the query-injective (and query-trail) placement
+//! needs to keep the paths of different atoms internally node- (edge-)
+//! disjoint. The one-off path and cycle wrappers take a read-only
+//! `blocked` set and copy it once.
 //!
 //! # Graphs are read through [`GraphView`](crate::view::GraphView)
 //!
@@ -43,7 +49,7 @@
 //! Everything on the standard-semantics materialisation path is sized by
 //! what a sweep or relation actually **touches**, never by `|V|` alone:
 //!
-//! * [`ReachScratch`] visited sets are density-adaptive — a sparse
+//! * The [`ReachScratch`] visited set is density-adaptive — a sparse
 //!   epoch-stamped map until a sweep has visited `universe / 8` states,
 //!   the classic dense stamp array after (allocated at most once, shrunk
 //!   back by [`ReachScratch::shrink_to`]). A low-output sweep over a
@@ -106,7 +112,10 @@ pub const SCRATCH_RETAIN_STATES: usize = 1 << 20;
 /// cost, so `ReachScratch` keeps them alive across calls and resets the
 /// visited set in O(1) with an epoch counter: a product state is *visited*
 /// iff its stamp equals the current epoch, and bumping the epoch invalidates
-/// every stamp at once.
+/// every stamp at once. The product states are the scratch's only visited
+/// set: a collecting sweep ([`rpq_reach_collect`]) pushes a node on every
+/// fresh final-state visit and dedupes its sorted output in place, so it
+/// keeps no per-node stamps.
 ///
 /// # Density-adaptive visited set — the O(touched) sweep contract
 ///
@@ -119,39 +128,30 @@ pub const SCRATCH_RETAIN_STATES: usize = 1 << 20;
 /// after a one-off huge graph.
 ///
 /// Epoch wraparound (every 2³² sweeps) invalidates, not zeroes: the dense
-/// arrays are re-trusted lazily, clearing only the prefix the next sweep
-/// actually reads (`trusted_*` tracks the clean prefix) instead of the
-/// full high-water capacity.
+/// array is re-trusted lazily, clearing only the prefix the next sweep
+/// actually reads (`trusted_states` tracks the clean prefix) instead of
+/// the full high-water capacity.
 #[derive(Clone, Debug, Default)]
 pub struct ReachScratch {
     stamps: Vec<u32>,
-    /// Per-graph-node stamps for O(1) "already in the output?" checks
-    /// during collecting sweeps ([`rpq_reach_collect`]).
-    node_stamps: Vec<u32>,
-    /// Prefix of `stamps` / `node_stamps` holding no pre-wrap garbage
-    /// (entries are 0 or carry post-wrap epochs). Reset to 0 at wrap,
-    /// re-extended lazily to exactly the prefix a sweep reads.
+    /// Prefix of `stamps` holding no pre-wrap garbage (entries are 0 or
+    /// carry post-wrap epochs). Reset to 0 at wrap, re-extended lazily to
+    /// exactly the prefix a sweep reads.
     trusted_states: usize,
-    trusted_nodes: usize,
-    /// Sparse visited maps (`id → epoch`) for sweeps below the dense
+    /// Sparse visited map (`state → epoch`) for sweeps below the dense
     /// threshold. Entries persist across sweeps (stale epochs read as
     /// unvisited) and are purged once they dominate the live ones, so a
-    /// long run of small sweeps keeps the maps at O(per-sweep visits) —
-    /// the maps are dropped entirely on migration and at wrap.
+    /// long run of small sweeps keeps the map at O(per-sweep visits) — the
+    /// map is dropped entirely on migration and at wrap.
     sparse_states: FxHashMap<u32, u32>,
-    sparse_nodes: FxHashMap<u32, u32>,
-    /// States/nodes visited by the **current** sweep (the densification
-    /// trigger — stale map entries must not count toward it, or a long
-    /// run of tiny sweeps would eventually migrate to dense arrays it
-    /// never needed).
+    /// States visited by the **current** sweep (the densification trigger
+    /// — stale map entries must not count toward it, or a long run of tiny
+    /// sweeps would eventually migrate to a dense array it never needed).
     live_states: usize,
-    live_nodes: usize,
-    /// Universe sizes of the current sweep (set by `begin`).
+    /// Universe size of the current sweep (set by `begin`).
     state_universe: usize,
-    node_universe: usize,
-    /// Whether the current sweep reads the dense arrays.
+    /// Whether the current sweep reads the dense array.
     dense_states: bool,
-    dense_nodes: bool,
     epoch: u32,
     queue: VecDeque<(NodeId, StateId)>,
 }
@@ -162,23 +162,20 @@ impl ReachScratch {
         Self::default()
     }
 
-    /// Prepares for a sweep over `size` product states (and up to `nodes`
-    /// graph nodes): invalidates all previous stamps and picks the visited
-    /// representation (dense if the stamp arrays already cover the sweep —
-    /// their reset is O(1) — sparse otherwise).
-    fn begin(&mut self, size: usize, nodes: usize) {
+    /// Prepares for a sweep over `size` product states: invalidates all
+    /// previous stamps and picks the visited representation (dense if the
+    /// stamp array already covers the sweep — its reset is O(1) — sparse
+    /// otherwise).
+    fn begin(&mut self, size: usize) {
         self.state_universe = size;
-        self.node_universe = nodes;
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: stamps from 2³² sweeps ago could alias the fresh
-            // epoch. Invalidate the dense arrays lazily (only the prefix
-            // the next sweeps read is cleared, in `retrust_*`) and drop
-            // the sparse entries outright.
+            // epoch. Invalidate the dense array lazily (only the prefix
+            // the next sweeps read is cleared, in `retrust_states`) and
+            // drop the sparse entries outright.
             self.trusted_states = 0;
-            self.trusted_nodes = 0;
             self.sparse_states.clear();
-            self.sparse_nodes.clear();
             self.epoch = 1;
         }
         self.dense_states = self.stamps.len() >= size;
@@ -190,12 +187,7 @@ impl ReachScratch {
                 "product exceeds u32 sweep state ids — shard the graph"
             );
         }
-        self.dense_nodes = self.node_stamps.len() >= nodes;
-        if self.dense_nodes {
-            self.retrust_nodes(nodes);
-        }
         self.live_states = 0;
-        self.live_nodes = 0;
         self.queue.clear();
     }
 
@@ -204,14 +196,6 @@ impl ReachScratch {
         if self.trusted_states < upto {
             self.stamps[self.trusted_states..upto].fill(0);
             self.trusted_states = upto;
-        }
-    }
-
-    /// Zeroes the (post-wrap) untrusted gap of `node_stamps` up to `upto`.
-    fn retrust_nodes(&mut self, upto: usize) {
-        if self.trusted_nodes < upto {
-            self.node_stamps[self.trusted_nodes..upto].fill(0);
-            self.trusted_nodes = upto;
         }
     }
 
@@ -235,29 +219,6 @@ impl ReachScratch {
                     // the map tracks per-sweep visits, not their union.
                     let epoch = self.epoch;
                     self.sparse_states.retain(|_, e| *e == epoch);
-                }
-                true
-            }
-        }
-    }
-
-    /// Marks graph node `v` emitted; returns `true` on first emission.
-    #[inline]
-    fn visit_node(&mut self, v: usize) -> bool {
-        if self.dense_nodes {
-            let fresh = self.node_stamps[v] != self.epoch;
-            self.node_stamps[v] = self.epoch;
-            return fresh;
-        }
-        match self.sparse_nodes.insert(v as u32, self.epoch) {
-            Some(e) if e == self.epoch => false,
-            _ => {
-                self.live_nodes += 1;
-                if self.live_nodes * SPARSE_VISIT_FACTOR >= self.node_universe {
-                    self.densify_nodes();
-                } else if self.sparse_nodes.len() > 4 * self.live_nodes + 1024 {
-                    let epoch = self.epoch;
-                    self.sparse_nodes.retain(|_, e| *e == epoch);
                 }
                 true
             }
@@ -288,37 +249,17 @@ impl ReachScratch {
         self.dense_states = true;
     }
 
-    /// Node-stamp counterpart of [`Self::densify_states`].
-    #[cold]
-    fn densify_nodes(&mut self) {
-        let size = self.node_universe;
-        if self.node_stamps.len() < size {
-            self.node_stamps.resize(size, 0);
-        }
-        self.retrust_nodes(size);
-        let epoch = self.epoch;
-        for (&v, &e) in &self.sparse_nodes {
-            if e == epoch {
-                self.node_stamps[v as usize] = epoch;
-            }
-        }
-        self.sparse_nodes = FxHashMap::default();
-        self.dense_nodes = true;
-    }
-
-    /// Approximate heap bytes currently held (stamp arrays, sparse visited
-    /// maps, work queue) — the per-worker term the scale benchmarks record
+    /// Approximate heap bytes currently held (stamp array, sparse visited
+    /// map, work queue) — the per-worker term the scale benchmarks record
     /// as `scratch_bytes`.
     pub fn heap_bytes(&self) -> usize {
-        let map = |m: &FxHashMap<u32, u32>| m.capacity() * (std::mem::size_of::<(u32, u32)>() + 1);
-        4 * (self.stamps.capacity() + self.node_stamps.capacity())
-            + map(&self.sparse_states)
-            + map(&self.sparse_nodes)
+        4 * self.stamps.capacity()
+            + self.sparse_states.capacity() * (std::mem::size_of::<(u32, u32)>() + 1)
             + self.queue.capacity() * std::mem::size_of::<(NodeId, StateId)>()
     }
 
     /// Releases memory beyond `max_states` entries per buffer (stamp
-    /// arrays, sparse visited maps, work queue): the retention policy
+    /// array, sparse visited map, work queue): the retention policy
     /// that keeps a one-off huge graph from pinning worker memory
     /// forever. Buffers **within** budget are left untouched — this is
     /// called after every catalog materialisation, and trimming a warm
@@ -332,16 +273,8 @@ impl ReachScratch {
             self.stamps.shrink_to_fit();
             self.trusted_states = self.trusted_states.min(max_states);
         }
-        if self.node_stamps.len() > max_states {
-            self.node_stamps.truncate(max_states);
-            self.node_stamps.shrink_to_fit();
-            self.trusted_nodes = self.trusted_nodes.min(max_states);
-        }
         if self.sparse_states.capacity() > max_states {
             self.sparse_states = FxHashMap::default();
-        }
-        if self.sparse_nodes.capacity() > max_states {
-            self.sparse_nodes = FxHashMap::default();
         }
         if self.queue.capacity() > max_states {
             self.queue = VecDeque::new();
@@ -367,7 +300,7 @@ pub fn rpq_reach<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId) -> BitSet {
     let ns = nfa.num_states();
     let mut result = g.node_set();
     let mut scratch = ReachScratch::new();
-    scratch.begin(g.num_nodes() * ns, 0);
+    scratch.begin(g.num_nodes() * ns);
     for q in nfa.initials().iter() {
         if scratch.visit(src.index() * ns + q) {
             scratch.queue.push_back((src, q as StateId));
@@ -392,9 +325,10 @@ pub fn rpq_reach<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId) -> BitSet {
 }
 
 /// [`rpq_reach`] variant for bulk materialisation with a caller-provided,
-/// reusable `scratch`: reached nodes are collected (sorted, deduplicated) into `out` instead of a bitset, using
-/// per-node stamps for the dedup — so a sweep whose output is small never
-/// touches `O(|V|/64)` words of clear/scan. Returns the number of
+/// reusable `scratch`: reached nodes are collected (sorted, deduplicated)
+/// into `out` instead of a bitset — a node is pushed once per final state
+/// it is reached in, then the sorted run is deduped in place — so a sweep
+/// whose output is small never touches `O(|V|/64)` words of clear/scan. Returns the number of
 /// graph-edge scans the sweep performed, which the adaptive materialiser
 /// ([`rpq_relation_auto`]) uses as its observed per-source cost.
 pub fn rpq_reach_collect<G: GraphView>(
@@ -421,14 +355,14 @@ fn sweep_append<G: GraphView, const COUNT: bool>(
 ) -> usize {
     let ns = nfa.num_states();
     let start = out.len();
-    scratch.begin(g.num_nodes() * ns, g.num_nodes());
+    scratch.begin(g.num_nodes() * ns);
     let mut edge_scans = 0;
     for q in nfa.initials().iter() {
         if scratch.visit(src.index() * ns + q) {
             scratch.queue.push_back((src, q as StateId));
-        }
-        if nfa.is_final(q as StateId) && scratch.visit_node(src.index()) {
-            out.push(src.0);
+            if nfa.is_final(q as StateId) {
+                out.push(src.0);
+            }
         }
     }
     while let Some((v, q)) = scratch.queue.pop_front() {
@@ -438,7 +372,7 @@ fn sweep_append<G: GraphView, const COUNT: bool>(
                     edge_scans += 1;
                 }
                 if scratch.visit(to.index() * ns + q2 as usize) {
-                    if nfa.is_final(q2) && scratch.visit_node(to.index()) {
+                    if nfa.is_final(q2) {
                         out.push(to.0);
                     }
                     scratch.queue.push_back((to, q2));
@@ -446,7 +380,16 @@ fn sweep_append<G: GraphView, const COUNT: bool>(
             }
         }
     }
+    // A node reached in several final states was pushed once per state.
     out[start..].sort_unstable();
+    let mut kept = start;
+    for read in start..out.len() {
+        if kept == start || out[read] != out[kept - 1] {
+            out[kept] = out[read];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
     edge_scans
 }
 
@@ -462,7 +405,7 @@ pub fn rpq_reach_back<G: GraphView>(g: &G, nfa_rev: &Nfa, dst: NodeId) -> BitSet
     let ns = nfa_rev.num_states();
     let mut result = g.node_set();
     let mut scratch = ReachScratch::new();
-    scratch.begin(g.num_nodes() * ns, 0);
+    scratch.begin(g.num_nodes() * ns);
     for q in nfa_rev.initials().iter() {
         if scratch.visit(dst.index() * ns + q) {
             scratch.queue.push_back((dst, q as StateId));
@@ -1971,8 +1914,8 @@ pub fn simple_path_exists<G: GraphView>(
 /// The same node sequence may be visited more than once if parallel edges
 /// with different labels both complete an accepting run. Returns `true` if
 /// enumeration ran to completion (no early break). A one-off call: it
-/// computes the automaton's [`LiveStates`] and fresh buffers, then runs
-/// [`search_simple`].
+/// computes the automaton's [`LiveStates`], a visited set holding
+/// `blocked` and fresh buffers, then runs [`search_simple`].
 pub fn for_each_simple_path<G, F>(
     g: &G,
     nfa: &Nfa,
@@ -1993,8 +1936,10 @@ where
         return true;
     }
     let live = LiveStates::new(nfa);
+    let mut visited = BitSet::from_words(blocked.words().to_vec(), g.num_nodes());
     let mut scratch = SimplePathScratch::default();
-    search_simple(g, nfa, &live, src, dst, blocked, &mut scratch, visit)
+    let visit = move |path: &[NodeId], _: &mut BitSet| visit(path);
+    search_simple(g, nfa, &live, src, dst, &mut visited, &mut scratch, visit)
 }
 
 /// The per-automaton data of the simple-path search, computed once per
@@ -2049,16 +1994,13 @@ impl LiveStates {
     }
 }
 
-/// The reusable buffers of [`search_simple`]: the visited-node set, the
-/// path and one state-set image per DFS depth. Every search leaves the
-/// visited set empty, an early break included, so one scratch serves any
-/// sequence of searches over any graphs and automata; the buffers resize
-/// when the node or state count changes. Searches that nest (one run from
-/// inside another's `visit`) each need their own scratch.
+/// The reusable buffers of [`search_simple`]: the path and one state-set
+/// image per DFS depth. One scratch serves any sequence of searches over
+/// any graphs and automata; the image buffers resize when the state count
+/// changes. Searches that nest (one run from inside another's `visit`)
+/// share the caller's visited set but each need their own scratch.
 #[derive(Debug, Default)]
 pub struct SimplePathScratch {
-    /// The path's nodes; empty between searches.
-    visited: BitSet,
     /// The node sequence of the path being extended.
     path: Vec<NodeId>,
     /// `images[k]`: the live state set after the path's `k`-th edge.
@@ -2067,73 +2009,80 @@ pub struct SimplePathScratch {
 
 /// The simple-path search every other one wraps: enumerates the non-empty
 /// simple paths from `src` to `dst` (simple cycles when `src == dst`) with
-/// label in `L(nfa)` whose internal nodes avoid `blocked`, invoking `visit`
-/// with each node sequence. Returns `true` if enumeration ran to
-/// completion.
+/// label in `L(nfa)` whose internal nodes avoid `visited`, invoking `visit`
+/// with each node sequence and the set. Returns `true` if enumeration ran
+/// to completion.
+///
+/// `visited` is the search's one visited set, of capacity at least `|V|`:
+/// on entry, the nodes no internal node of a path may be (endpoints are
+/// exempt). The search adds each node to it as it extends the path — `src`
+/// first, unless already there — and removes exactly what it added before
+/// it returns, a break included. So while `visit` runs, the set holds its
+/// entry contents plus every node of the path, and a search nested in
+/// `visit` on the same set keeps its internal nodes off this path; `visit`
+/// must leave the set as it found it.
 ///
 /// `live` must be [`LiveStates::new`]`(nfa)`; callers that search the same
 /// automaton repeatedly compute it once. The search allocates nothing once
-/// `scratch` has served a search as deep over as many nodes, so a call
-/// costs what its DFS scans: per path node, one pass over the node's
-/// `(label, node)` out-edges, with one state image per run of edges whose
-/// label the live states read, written into the depth's pooled buffer.
-/// Paths are visited in that edge order. `blocked` may be smaller than
-/// the graph: nodes past its capacity are not blocked.
+/// `scratch` has served a search as deep, so a call costs what its DFS
+/// scans: per path node, one pass over the node's `(label, node)`
+/// out-edges, with one state image per run of edges whose label the live
+/// states read, written into the depth's pooled buffer. Paths are visited
+/// in that edge order.
+///
+/// # Panics
+///
+/// If `visited` holds fewer than `|V|` nodes.
 pub fn search_simple<G, F>(
     g: &G,
     nfa: &Nfa,
     live: &LiveStates,
     src: NodeId,
     dst: NodeId,
-    blocked: &BitSet,
+    visited: &mut BitSet,
     scratch: &mut SimplePathScratch,
     mut visit: F,
 ) -> bool
 where
     G: GraphView,
-    F: FnMut(&[NodeId]) -> ControlFlow<()>,
+    F: FnMut(&[NodeId], &mut BitSet) -> ControlFlow<()>,
 {
     debug_assert_eq!(
         live.live.capacity(),
         nfa.num_states(),
         "live states of another automaton"
     );
+    assert!(
+        visited.capacity() >= g.num_nodes(),
+        "visited set smaller than the graph"
+    );
     if live.initial.is_empty() {
         return true;
     }
-    let SimplePathScratch {
-        visited,
-        path,
-        images,
-    } = scratch;
-    if visited.capacity() != g.num_nodes() {
-        // Empty between searches, so resizing loses nothing.
-        visited.reset(g.num_nodes());
-    }
+    let SimplePathScratch { path, images } = scratch;
     if images.is_empty() {
         images.push(BitSet::new(0));
     }
     images[0].copy_from(&live.initial);
     path.clear();
     path.push(src);
-    visited.insert(src.index());
-    let flow = dfs_simple(
-        g, nfa, live, dst, blocked, visited, path, images, &mut visit,
-    );
-    visited.remove(src.index());
+    let added = visited.insert(src.index());
+    let flow = dfs_simple(g, nfa, live, dst, visited, path, images, &mut visit);
+    if added {
+        visited.remove(src.index());
+    }
     flow.is_continue()
 }
 
 /// Extends `path` (its last node at depth `path.len() - 1`, in the states
-/// `images[depth]`) by each out-edge, recursing through unvisited,
-/// unblocked nodes in a live state. Restores `visited` and `path` before
-/// it returns, a break included.
+/// `images[depth]`) by each out-edge, recursing through nodes not in
+/// `visited` in a live state. Restores `visited` and `path` before it
+/// returns, a break included.
 fn dfs_simple<G, F>(
     g: &G,
     nfa: &Nfa,
     live: &LiveStates,
     dst: NodeId,
-    blocked: &BitSet,
     visited: &mut BitSet,
     path: &mut Vec<NodeId>,
     images: &mut Vec<BitSet>,
@@ -2141,7 +2090,7 @@ fn dfs_simple<G, F>(
 ) -> ControlFlow<()>
 where
     G: GraphView,
-    F: FnMut(&[NodeId]) -> ControlFlow<()>,
+    F: FnMut(&[NodeId], &mut BitSet) -> ControlFlow<()>,
 {
     let depth = path.len() - 1;
     let here = path[depth];
@@ -2167,20 +2116,23 @@ where
         if to == dst {
             if accepts {
                 path.push(to);
-                let flow = visit(path);
+                let added = visited.insert(to.index());
+                let flow = visit(path, visited);
+                if added {
+                    visited.remove(to.index());
+                }
                 path.pop();
                 flow?;
             }
             continue;
         }
-        if !go_on || visited.contains(to.index()) || blocked.contains(to.index()) {
+        if !go_on || !visited.insert(to.index()) {
             continue;
         }
-        visited.insert(to.index());
         path.push(to);
         // The child writes `images[depth + 2..]` only, so this run's image
         // survives for the next edge.
-        let flow = dfs_simple(g, nfa, live, dst, blocked, visited, path, images, visit);
+        let flow = dfs_simple(g, nfa, live, dst, visited, path, images, visit);
         path.pop();
         visited.remove(to.index());
         flow?;
@@ -2219,8 +2171,10 @@ where
         return false;
     }
     let live = LiveStates::new(nfa);
+    let mut visited = BitSet::from_words(blocked.words().to_vec(), g.num_nodes());
     let mut scratch = SimplePathScratch::default();
-    search_simple(g, nfa, &live, at, at, blocked, &mut scratch, visit)
+    let visit = move |path: &[NodeId], _: &mut BitSet| visit(path);
+    search_simple(g, nfa, &live, at, at, &mut visited, &mut scratch, visit)
 }
 
 /// A labelled edge occurrence, the unit of trail (edge-injective) search.
@@ -2231,18 +2185,24 @@ pub type Edge = (NodeId, Symbol, NodeId);
 /// (paper §7 outlook).
 pub fn trail_exists<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId, dst: NodeId) -> bool {
     let mut found = false;
-    for_each_trail(g, nfa, src, dst, &FxHashSet::default(), |_| {
+    for_each_trail(g, nfa, src, dst, &mut FxHashSet::default(), |_, _| {
         found = true;
         ControlFlow::Break(())
     });
     found
 }
 
-/// Enumerates trails from `src` to `dst` with label in `L(nfa)`, avoiding
-/// the edges in `blocked`. `visit` receives the edge sequence (the empty
-/// trail — when `src == dst` and `ε ∈ L` — yields `[]`). A trail from a
-/// node to itself with `src == dst` is a *closed trail*. Returns `true`
-/// if enumeration ran to completion.
+/// Enumerates trails from `src` to `dst` with label in `L(nfa)` that avoid
+/// the edges in `used`. `visit` receives the edge sequence (the empty
+/// trail — when `src == dst` and `ε ∈ L` — yields `[]`) and `used`. A trail
+/// from a node to itself with `src == dst` is a *closed trail*. Returns
+/// `true` if enumeration ran to completion.
+///
+/// `used` is the search's one visited set: the search adds each edge as it
+/// extends the trail and removes it again before it returns, a break
+/// included. So while `visit` runs, `used` also holds the trail's edges,
+/// and a search nested in `visit` on the same set keeps off them; `visit`
+/// must leave the set as it found it.
 ///
 /// The same edge sequence is visited at most once; unlike simple paths,
 /// trails may revisit nodes, so the search space is bounded by `|E|!` in
@@ -2252,14 +2212,14 @@ pub fn for_each_trail<G, F>(
     nfa: &Nfa,
     src: NodeId,
     dst: NodeId,
-    blocked: &FxHashSet<Edge>,
+    used: &mut FxHashSet<Edge>,
     mut visit: F,
 ) -> bool
 where
     G: GraphView,
-    F: FnMut(&[Edge]) -> ControlFlow<()>,
+    F: FnMut(&[Edge], &mut FxHashSet<Edge>) -> ControlFlow<()>,
 {
-    if src == dst && nfa.accepts_epsilon() && visit(&[]).is_break() {
+    if src == dst && nfa.accepts_epsilon() && visit(&[], used).is_break() {
         return false;
     }
     let useful = nfa.useful_states();
@@ -2268,10 +2228,9 @@ where
     if initial.is_empty() {
         return true;
     }
-    let mut used: FxHashSet<Edge> = FxHashSet::default();
     let mut path: Vec<Edge> = Vec::new();
     dfs_trail(
-        g, nfa, src, dst, &useful, blocked, &mut used, &mut path, initial, &mut visit,
+        g, nfa, src, dst, &useful, used, &mut path, initial, &mut visit,
     )
     .is_continue()
 }
@@ -2282,7 +2241,6 @@ fn dfs_trail<G, F>(
     here: NodeId,
     dst: NodeId,
     useful: &BitSet,
-    blocked: &FxHashSet<Edge>,
     used: &mut FxHashSet<Edge>,
     path: &mut Vec<Edge>,
     states: BitSet,
@@ -2290,11 +2248,11 @@ fn dfs_trail<G, F>(
 ) -> ControlFlow<()>
 where
     G: GraphView,
-    F: FnMut(&[Edge]) -> ControlFlow<()>,
+    F: FnMut(&[Edge], &mut FxHashSet<Edge>) -> ControlFlow<()>,
 {
     for (sym, to) in g.out_edges_iter(here) {
         let edge = (here, sym, to);
-        if used.contains(&edge) || blocked.contains(&edge) {
+        if used.contains(&edge) {
             continue;
         }
         let mut image = nfa.delta_set(&states, sym);
@@ -2302,15 +2260,15 @@ where
         if image.is_empty() {
             continue;
         }
-        if to == dst && image.intersects(nfa.finals()) {
-            path.push(edge);
-            let flow = visit(path);
-            path.pop();
-            flow?;
-        }
         used.insert(edge);
         path.push(edge);
-        let flow = dfs_trail(g, nfa, to, dst, useful, blocked, used, path, image, visit);
+        let mut flow = ControlFlow::Continue(());
+        if to == dst && image.intersects(nfa.finals()) {
+            flow = visit(path, used);
+        }
+        if flow.is_continue() {
+            flow = dfs_trail(g, nfa, to, dst, useful, used, path, image, visit);
+        }
         path.pop();
         used.remove(&edge);
         flow?;
@@ -3027,6 +2985,65 @@ mod tests {
         }
     }
 
+    /// A collecting sweep pushes a node once per final state it reaches
+    /// the node in, then dedupes the sorted run. `a (a+b)*` reaches nodes
+    /// in two final states (`a a` and `a b` end in different ones): on
+    /// the hub graph in sweeps past the sparse→dense threshold, and on
+    /// `0 -a-> 1 -a,b-> 2` among 1 000 nodes in sweeps that stay on the
+    /// sparse visited map. Every output must equal `rpq_reach`'s.
+    #[test]
+    fn collecting_sweep_dedupes_nodes_reached_in_two_final_states() {
+        let mut b = GraphBuilder::anonymous(1000);
+        let (a, bl) = (b.label("a"), b.label("b"));
+        b.edge_ids(NodeId(0), a, NodeId(1));
+        b.edge_ids(NodeId(1), a, NodeId(2));
+        b.edge_ids(NodeId(1), bl, NodeId(2));
+        let (mut sparse, mut dense) = (0, 0);
+        for mut g in [builder_graph(200, 600, true, 7), b.finish()] {
+            let nfa = Nfa::from_regex(&parse_regex("a (a+b)*", g.alphabet_mut()).unwrap());
+            let (n, ns) = (g.num_nodes(), nfa.num_states());
+            let mut out = Vec::new();
+            for src in g.nodes() {
+                // The product states reached from `src`, by a plain search.
+                let mut seen = BitSet::new(n * ns);
+                let mut stack: Vec<(NodeId, StateId)> = Vec::new();
+                for q in nfa.initials().iter() {
+                    seen.insert(src.index() * ns + q);
+                    stack.push((src, q as StateId));
+                }
+                while let Some((v, q)) = stack.pop() {
+                    for &(sym, q2) in nfa.transitions_from(q) {
+                        for to in g.successors(v, sym) {
+                            if seen.insert(to.index() * ns + q2 as usize) {
+                                stack.push((to, q2));
+                            }
+                        }
+                    }
+                }
+                let finals_at = |v: usize| {
+                    nfa.finals()
+                        .iter()
+                        .filter(|&q| seen.contains(v * ns + q))
+                        .count()
+                };
+                let mut scratch = ReachScratch::new();
+                rpq_reach_collect(&g, &nfa, src, &mut scratch, &mut out);
+                let expected: Vec<u32> =
+                    rpq_reach(&g, &nfa, src).iter().map(|v| v as u32).collect();
+                assert_eq!(out, expected, "{n} nodes, source {src:?}");
+                match ((0..n).any(|v| finals_at(v) >= 2), scratch.dense_states) {
+                    (true, true) => dense += 1,
+                    (true, false) => sparse += 1,
+                    (false, _) => {}
+                }
+            }
+        }
+        assert!(
+            sparse > 0 && dense > 0,
+            "{sparse} sparse and {dense} dense sweeps reach a node twice"
+        );
+    }
+
     #[test]
     fn scratch_shrink_to_releases_and_stays_usable() {
         let mut g = crate::generators::labelled_cycle(2048, &["a"]);
@@ -3416,7 +3433,10 @@ mod tests {
         /// `rpq_relation`, `rpq_reach_all` over the sources in descending
         /// order, and the cost-adaptive entry point — equals the
         /// per-source `rpq_reach` oracle row for row in both directions,
-        /// with the same sets, length and heap bytes.
+        /// with the same sets, length and heap bytes. `a (a+b)*`, `(a b)*`
+        /// and `a*` each reach nodes in two final states, so a sweep that
+        /// kept a node once per final state would fail here (the builder
+        /// rejects a repeated id).
         #[test]
         fn relation_builder_matches_per_source_oracle(seed in 0u64..1_000_000, shape in 0usize..12) {
             const BLOCK: usize = 16;
@@ -3526,6 +3546,65 @@ mod tests {
         }
     }
 
+    /// The languages of the simple-path brute-force tests: finite, star
+    /// and NP-hard ones.
+    const SIMPLE_EXPRS: [&str; 7] = [
+        "a",
+        "a + b",
+        "d (a + b)",
+        "a b + b",
+        "a*",
+        "(a a)*",
+        "a* b a*",
+    ];
+
+    /// A random graph of 1–7 nodes over two or three of the labels `a`,
+    /// `b`, `d`, with parallel edges and self-loops, and a random blocked
+    /// set.
+    fn small_random_graph(seed: u64) -> (GraphDb, BitSet) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=7usize);
+        let labels = &["a", "b", "d"][..rng.gen_range(2..=3usize)];
+        let mut b = GraphBuilder::new();
+        let names: Vec<String> = (0..n).map(|v| format!("v{v}")).collect();
+        for name in &names {
+            b.node(name);
+        }
+        for _ in 0..rng.gen_range(0..=3 * n) {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            b.edge(&names[u], labels[rng.gen_range(0..labels.len())], &names[v]);
+            if rng.gen_bool(0.3) {
+                // A parallel edge, possibly under the same label.
+                b.edge(&names[u], labels[rng.gen_range(0..labels.len())], &names[v]);
+            }
+        }
+        let g = b.finish();
+        let mut blocked = g.node_set();
+        for v in 0..n {
+            if rng.gen_bool(0.2) {
+                blocked.insert(v);
+            }
+        }
+        (g, blocked)
+    }
+
+    /// The accepted non-empty simple paths from `s` to `d` (cycles when
+    /// `s == d`) whose internal nodes avoid `blocked`, by brute force.
+    fn brute_paths(
+        g: &GraphDb,
+        nfa: &Nfa,
+        s: NodeId,
+        d: NodeId,
+        blocked: &BitSet,
+    ) -> BTreeSet<Vec<NodeId>> {
+        let mut paths = BTreeSet::new();
+        naive_extensions(g, &mut vec![s], d, blocked, &mut paths);
+        paths.retain(|seq| some_word_accepted(g, nfa, seq));
+        paths
+    }
+
     /// The simple-path DFS (with its live-state cut) and the simple-cycle
     /// search visit exactly the node sequences that a brute-force
     /// enumeration finds: random graphs with parallel edges, self-loops
@@ -3533,36 +3612,49 @@ mod tests {
     /// Besides the one-off wrappers, every (graph, NFA, s, d) runs through
     /// one pooled [`SimplePathScratch`] shared by all seeds (1–7 nodes)
     /// and languages (different state counts): an early-break existence
-    /// check, then a full enumeration, so a visited bit left behind by a
-    /// break or an image buffer sized for another automaton shows.
+    /// check, then a full enumeration, so an image buffer sized for
+    /// another automaton shows. The visited set holds every path node
+    /// while `visit` runs and equals the blocked set again after every
+    /// search, a break included.
     #[test]
     fn simple_paths_and_cycles_match_brute_force() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        const EXPRS: [&str; 7] = [
-            "a",
-            "a + b",
-            "d (a + b)",
-            "a b + b",
-            "a*",
-            "(a a)*",
-            "a* b a*",
-        ];
-        let mut found = [0usize; EXPRS.len()];
+        let mut found = [0usize; SIMPLE_EXPRS.len()];
         let mut scratch = SimplePathScratch::default();
         // The pooled search's non-empty paths from `s` to `d` (cycles when
         // `s == d`), after an early-break existence check on the same
         // scratch that must agree with them.
         let mut pooled = |g: &GraphDb, nfa: &Nfa, live: &LiveStates, s, d, blocked: &BitSet| {
-            let exists = !search_simple(g, nfa, live, s, d, blocked, &mut scratch, |_| {
+            let mut visited = blocked.clone();
+            let exists = !search_simple(g, nfa, live, s, d, &mut visited, &mut scratch, |_, _| {
                 ControlFlow::Break(())
             });
+            assert_eq!(
+                &visited, blocked,
+                "{s:?} -> {d:?}: a break left the set changed"
+            );
             let mut got = BTreeSet::new();
-            let complete = search_simple(g, nfa, live, s, d, blocked, &mut scratch, |seq| {
-                got.insert(seq.to_vec());
-                ControlFlow::Continue(())
-            });
+            let complete = search_simple(
+                g,
+                nfa,
+                live,
+                s,
+                d,
+                &mut visited,
+                &mut scratch,
+                |seq, set| {
+                    assert!(
+                        seq.iter().all(|v| set.contains(v.index())),
+                        "path hidden from visit"
+                    );
+                    got.insert(seq.to_vec());
+                    ControlFlow::Continue(())
+                },
+            );
             assert!(complete);
+            assert_eq!(
+                &visited, blocked,
+                "{s:?} -> {d:?}: the search left the set changed"
+            );
             assert_eq!(
                 exists,
                 !got.is_empty(),
@@ -3571,37 +3663,14 @@ mod tests {
             got
         };
         for seed in 0..40u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.gen_range(1..=7usize);
-            let labels = &["a", "b", "d"][..rng.gen_range(2..=3usize)];
-            let mut b = GraphBuilder::new();
-            let names: Vec<String> = (0..n).map(|v| format!("v{v}")).collect();
-            for name in &names {
-                b.node(name);
-            }
-            for _ in 0..rng.gen_range(0..=3 * n) {
-                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                b.edge(&names[u], labels[rng.gen_range(0..labels.len())], &names[v]);
-                if rng.gen_bool(0.3) {
-                    // A parallel edge, possibly under the same label.
-                    b.edge(&names[u], labels[rng.gen_range(0..labels.len())], &names[v]);
-                }
-            }
-            let mut g = b.finish();
-            let mut blocked = g.node_set();
-            for v in 0..n {
-                if rng.gen_bool(0.2) {
-                    blocked.insert(v);
-                }
-            }
-            for (e, expr) in EXPRS.into_iter().enumerate() {
+            let (mut g, blocked) = small_random_graph(seed);
+            let n = g.num_nodes();
+            for (e, expr) in SIMPLE_EXPRS.into_iter().enumerate() {
                 let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
                 let live = LiveStates::new(&nfa);
                 let epsilon = nfa.accepts_epsilon();
                 for s in (0..n).map(|v| NodeId(v as u32)) {
-                    let mut cycles = BTreeSet::new();
-                    naive_extensions(&g, &mut vec![s], s, &blocked, &mut cycles);
-                    cycles.retain(|seq| some_word_accepted(&g, &nfa, seq));
+                    let mut cycles = brute_paths(&g, &nfa, s, s, &blocked);
                     let got = pooled(&g, &nfa, &live, s, s, &blocked);
                     assert_eq!(got, cycles, "pooled cycles at {s:?}, {expr}, seed {seed}");
                     if epsilon {
@@ -3621,8 +3690,7 @@ mod tests {
                                 paths.insert(vec![s]);
                             }
                         } else {
-                            naive_extensions(&g, &mut vec![s], d, &blocked, &mut paths);
-                            paths.retain(|seq| some_word_accepted(&g, &nfa, seq));
+                            paths = brute_paths(&g, &nfa, s, d, &blocked);
                             let got = pooled(&g, &nfa, &live, s, d, &blocked);
                             assert_eq!(got, paths, "pooled {s:?} -> {d:?}, {expr}, seed {seed}");
                         }
@@ -3640,6 +3708,135 @@ mod tests {
         assert!(
             found.iter().all(|&k| k > 0),
             "every language has paths or cycles somewhere: {found:?}"
+        );
+    }
+
+    /// A search run from inside another's `visit` on the same visited set
+    /// keeps its internal nodes off the outer path: with the set seeded
+    /// with the random blocked nodes and both pairs' endpoints, the
+    /// (outer, inner) path pairs are exactly the brute-force pairs whose
+    /// internal nodes avoid the seed and each other. Inside every outer
+    /// `visit`, an inner search that breaks at its first path runs before
+    /// the full one, and the set must equal what it was before each
+    /// search once the search returns: a search that drops a pre-seeded
+    /// `src`, leaks its path after returning or hides its path from
+    /// `visit` fails this.
+    #[test]
+    fn nested_searches_keep_off_the_outer_path() {
+        let (mut outer_scratch, mut inner_scratch) = Default::default();
+        let (mut pairs, mut breaks) = (0usize, 0usize);
+        for seed in 0..40u64 {
+            let (mut g, blocked) = small_random_graph(seed);
+            let n = g.num_nodes();
+            let k = SIMPLE_EXPRS.len();
+            let (e1, e2) = (
+                seed as usize % k,
+                (3 * seed as usize + seed as usize / k) % k,
+            );
+            let nfa1 = Nfa::from_regex(&parse_regex(SIMPLE_EXPRS[e1], g.alphabet_mut()).unwrap());
+            let nfa2 = Nfa::from_regex(&parse_regex(SIMPLE_EXPRS[e2], g.alphabet_mut()).unwrap());
+            let (live1, live2) = (LiveStates::new(&nfa1), LiveStates::new(&nfa2));
+            // Every accepted simple path or cycle per pair, blocking nothing.
+            let none = g.node_set();
+            let table = |nfa: &Nfa| -> Vec<Vec<BTreeSet<Vec<NodeId>>>> {
+                let nodes = || (0..n).map(|v| NodeId(v as u32));
+                nodes()
+                    .map(|s| nodes().map(|d| brute_paths(&g, nfa, s, d, &none)).collect())
+                    .collect()
+            };
+            let (all1, all2) = (table(&nfa1), table(&nfa2));
+            let internal = |path: &[NodeId], set: &BitSet| {
+                path[1..path.len() - 1]
+                    .iter()
+                    .any(|v| set.contains(v.index()))
+            };
+            for q in 0..n.pow(4) {
+                let [s1, d1, s2, d2] =
+                    [q % n, q / n % n, q / n / n % n, q / n.pow(3)].map(|v| NodeId(v as u32));
+                let mut seed_set = blocked.clone();
+                for v in [s1, d1, s2, d2] {
+                    seed_set.insert(v.index());
+                }
+                let mut expected = BTreeSet::new();
+                for outer in &all1[s1.index()][d1.index()] {
+                    if internal(outer, &seed_set) {
+                        continue;
+                    }
+                    let mut taken = seed_set.clone();
+                    for v in outer {
+                        taken.insert(v.index());
+                    }
+                    for inner in &all2[s2.index()][d2.index()] {
+                        if !internal(inner, &taken) {
+                            expected.insert((outer.clone(), inner.clone()));
+                        }
+                    }
+                }
+                let mut got = BTreeSet::new();
+                let mut visited = seed_set.clone();
+                let complete = search_simple(
+                    &g,
+                    &nfa1,
+                    &live1,
+                    s1,
+                    d1,
+                    &mut visited,
+                    &mut outer_scratch,
+                    |outer, set| {
+                        assert!(
+                            outer.iter().all(|v| set.contains(v.index())),
+                            "outer path hidden from visit"
+                        );
+                        let before = set.clone();
+                        let exists = !search_simple(
+                            &g,
+                            &nfa2,
+                            &live2,
+                            s2,
+                            d2,
+                            set,
+                            &mut inner_scratch,
+                            |_, _| ControlFlow::Break(()),
+                        );
+                        assert_eq!(*set, before, "an inner break left the set changed");
+                        let mut inner_paths = 0;
+                        search_simple(
+                            &g,
+                            &nfa2,
+                            &live2,
+                            s2,
+                            d2,
+                            set,
+                            &mut inner_scratch,
+                            |inner, _| {
+                                got.insert((outer.to_vec(), inner.to_vec()));
+                                inner_paths += 1;
+                                ControlFlow::Continue(())
+                            },
+                        );
+                        assert_eq!(*set, before, "an inner search left the set changed");
+                        assert_eq!(
+                            exists,
+                            inner_paths > 0,
+                            "inner break and enumeration disagree"
+                        );
+                        breaks += usize::from(exists);
+                        ControlFlow::Continue(())
+                    },
+                );
+                assert!(complete);
+                assert_eq!(visited, seed_set, "the outer search left the set changed");
+                assert_eq!(
+                    got, expected,
+                    "{s1:?} -> {d1:?} around {s2:?} -> {d2:?}, {} / {}, seed {seed}",
+                    SIMPLE_EXPRS[e1], SIMPLE_EXPRS[e2]
+                );
+                pairs += got.len();
+            }
+        }
+        assert!(
+            pairs > 0 && breaks > 0,
+            "{pairs} pairs, {breaks} inner breaks"
         );
     }
 }
