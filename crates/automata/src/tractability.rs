@@ -4,7 +4,7 @@
 //! NP-complete in data complexity even for very simple languages
 //! (Mendelzon & Wood, `(aa)*`), and that the tractable languages have been
 //! characterised by a trichotomy [Bagan, Bonifati, Groz; JCSS 2020 — the
-//! paper's reference [3]]: evaluation is either AC⁰ (finite languages),
+//! paper's reference \[3\]]: evaluation is either AC⁰ (finite languages),
 //! NL-complete, or NP-complete. This module implements two *decidable,
 //! sound* criteria in the spirit of that trichotomy — it is a conservative
 //! classifier, not a reproduction of the exact `C_tract` frontier:
@@ -57,7 +57,7 @@ use crpq_util::{FxHashSet, Symbol};
 use std::collections::VecDeque;
 
 /// Conservative classification of simple-path RPQ evaluation for a regular
-/// language, in the spirit of the trichotomy of [3].
+/// language, in the spirit of the trichotomy of \[3\].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimplePathClass {
     /// Finite language: witnesses have bounded length, evaluation is

@@ -62,13 +62,13 @@
 //! medians of 5), and the warm triangle join on the heavy-hitter
 //! [`cyclic::hub_triangle_graph`] at n = 5 000 and 80 000 under st, a-inj
 //! and q-inj. `--smoke` gates the AGM scaling on the hub rows: under each
-//! semantics the 16× larger input may cost at most [`HUB_SCALING_BOUND`]×
+//! semantics the 16× larger input may cost at most `HUB_SCALING_BOUND`×
 //! the time, where the `|R|^{3/2}` bound allows 64× and a pairwise plan,
 //! binding n² spoke pairs at the hub, pays 256×. At n = 80 000 q-inj may
-//! take at most [`INJECTIVE_RATIO_BOUND`]× the st time: every atom is one
+//! take at most `INJECTIVE_RATIO_BOUND`× the st time: every atom is one
 //! letter, so q-inj verification places nothing. The hub rows also carry
 //! the warm `ask_ms`, and `--smoke` gates its growth from n = 5 000 to
-//! 80 000 by [`HUB_ASK_SCALING_BOUND`]×: a warm ASK is one cursor step
+//! 80 000 by `HUB_ASK_SCALING_BOUND`×: a warm ASK is one cursor step
 //! over the catalog's memoised plans, with no `O(|V|)` planning.
 //!
 //! The **injective workload** (`injective_rows`) times the triangle on
@@ -77,10 +77,10 @@
 //! join search and injective verification is measured. `--smoke` asserts
 //! that a-inj and q-inj each take at most 3× the st median. Every triangle
 //! atom is one letter, so that row never reaches the simple-path search;
-//! the `injective_fin_chain` row times [`FIN_CHAIN_QUERY`] on the same
+//! the `injective_fin_chain` row times `FIN_CHAIN_QUERY` on the same
 //! graph, whose `a (b + c)` atom searches for every candidate pair, and
 //! `--smoke` bounds its a-inj/st and q-inj/st by
-//! [`FIN_CHAIN_RATIO_BOUND`]×.
+//! `FIN_CHAIN_RATIO_BOUND`×.
 //!
 //! The **streaming workloads** (`stream_rows`) time the early-exit
 //! enumeration API on the million-node family: warm-catalog
@@ -124,7 +124,7 @@
 //! configurations no longer measured keep their trajectory.
 
 use crpq_core::{eval_tuples_enumerate, Eval, RelationCatalog, Semantics};
-use crpq_graph::rpq::{effective_threads, NodeSet, RelationRow};
+use crpq_graph::rpq::{effective_threads, RelationRow};
 use crpq_graph::{DeltaGraph, DurableGraph, EdgeMutation, GraphDb, GraphView, NodeId, SyncPolicy};
 use crpq_query::{parse_crpq, Crpq};
 use crpq_util::{BitSet, Interner};
@@ -782,7 +782,7 @@ fn assert_relation_layout(catalog: &RelationCatalog) {
         let n = rel.num_nodes();
         let words = n.div_ceil(64);
         // `row(v)` = (dense, ids) of the row of touched id `v`.
-        let side = |set: &NodeSet, row: &dyn Fn(NodeId) -> (bool, usize)| {
+        let side = |set: RelationRow<'_>, row: &dyn Fn(NodeId) -> (bool, usize)| {
             let t = set.len();
             if t == 0 {
                 return 0;
@@ -1142,7 +1142,7 @@ const MILLION_BYTES_BUDGET: usize = 200_000_000;
 const TEN_MILLION_BYTES_BUDGET: usize = 2_400_000_000;
 
 /// The `--mutate-smoke` CI gate: the dynamic-graph churn workload at
-/// `|V| = 10⁵` (see [`measure_mutate`]), with the footprint-vs-evict-all
+/// `|V| = 10⁵` (see `measure_mutate`), with the footprint-vs-evict-all
 /// floor enforced. Writes `mutate_rows` into `path` (`BENCH_scale.json`)
 /// with `write_baseline`.
 pub fn run_mutate_smoke(path: &str, threads: usize) {
@@ -1352,15 +1352,15 @@ fn assert_search_scaling(small: &Row, large: &Row) {
 ///   contract: zero name bytes, index + names ≤ ~200 MB, and peak sweep
 ///   scratch far below one dense `|V|·|Q|` stamp array, assembly
 ///   transients no larger than the relations, and relation assembly at
-///   most [`ASSEMBLY_SWEEP_RATIO`] of the sweep time; its catalog always
-///   sweeps on [`ASSEMBLY_GATE_THREADS`] workers
-///   ([`assert_assembly_share`]);
+///   most `ASSEMBLY_SWEEP_RATIO` of the sweep time; its catalog always
+///   sweeps on `ASSEMBLY_GATE_THREADS` workers
+///   (`assert_assembly_share`);
 /// * `|V| = 10⁷` / `4·10⁷`-edge anonymous workload under the same
 ///   O(touched) contracts at its own index budget (~2.4 GB — the graph
 ///   index is linear in |V|; relations and scratch must not be), and
 ///   the scaling gate: its non-materialisation time (`eval_ms −
 ///   mat_ms`: semi-join pruning, search, output) is at most
-///   [`SEARCH_SCALING_FACTOR`]× that of the `10⁶` row (linear scaling
+///   `SEARCH_SCALING_FACTOR`× that of the `10⁶` row (linear scaling
 ///   reads 10×, a per-search-node `O(|V|)` term ~70×).
 ///
 /// Writes `scale_rows` into `path` (`BENCH_scale.json`)
@@ -1411,13 +1411,13 @@ pub fn run_scale_smoke(path: &str, threads: usize) {
 /// With `enforce_floor`, the headline numbers are hard assertions (the CI
 /// smoke gate): the ≥10× join-vs-legacy speedup at |V| = 10³, a catalog
 /// hit-rate > 0 on the multi-variant E9 workload, the warm hub-triangle
-/// join at n = 80 000 within [`HUB_SCALING_BOUND`]× its time at 5 000
-/// under each semantics and q-inj within [`INJECTIVE_RATIO_BOUND`]× st
+/// join at n = 80 000 within `HUB_SCALING_BOUND`× its time at 5 000
+/// under each semantics and q-inj within `INJECTIVE_RATIO_BOUND`× st
 /// there (medians of 5), the warm hub-triangle ASK at n = 80 000 within
-/// [`HUB_ASK_SCALING_BOUND`]× its time at 5 000 under each semantics
-/// (medians of 5 means of [`ASK_REPEATS`]), warm a-inj and q-inj each within
-/// [`INJECTIVE_RATIO_BOUND`]× st on the triangle and within
-/// [`FIN_CHAIN_RATIO_BOUND`]× st on the finite chain (medians of 5). Without it, shortfalls
+/// `HUB_ASK_SCALING_BOUND`× its time at 5 000 under each semantics
+/// (medians of 5 means of `ASK_REPEATS`), warm a-inj and q-inj each within
+/// `INJECTIVE_RATIO_BOUND`× st on the triangle and within
+/// `FIN_CHAIN_RATIO_BOUND`× st on the finite chain (medians of 5). Without it, shortfalls
 /// are only reported — the full experiment suite should finish with
 /// measurements either way.
 /// `threads = 0` keeps the documented fallback (one materialisation

@@ -1,6 +1,6 @@
 //! The **boundedness problem** (paper §7, outlook; decidable for standard
 //! semantics by Barceló–Figueira–Romero, ICALP 2019 — the paper's
-//! reference [5]).
+//! reference \[5\]).
 //!
 //! A CRPQ `Q` is *bounded* when it is equivalent, under standard semantics,
 //! to a finite union of CQs. The executable characterisation used here:
@@ -17,7 +17,7 @@
 //!   trivially bounded);
 //! * [`Boundedness::BoundedUpTo`] — `Q ≡st Q^{≤k}` held against every
 //!   candidate within the budget, but the language is infinite so the
-//!   search was not exhaustive (the [5] decision procedure is a full
+//!   search was not exhaustive (the \[5\] decision procedure is a full
 //!   research result of its own and is not reproduced here);
 //! * [`Boundedness::Refuted`] — every level up to the cap was refuted by an
 //!   explicit counter-example expansion (strong evidence of unboundedness,

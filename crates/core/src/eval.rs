@@ -11,7 +11,8 @@
 //! A request is generic over `G: `[`GraphView`] — the read-only
 //! trait from `crpq_graph` whose contract (ascending per-label iterators,
 //! node-major `(label, node)` order, post-build labels read as empty) is
-//! documented in `crpq_graph::view`. Frozen [`GraphDb`]s monomorphise to
+//! documented in `crpq_graph::view`. Frozen
+//! [`GraphDb`](crpq_graph::GraphDb)s monomorphise to
 //! the original adjacency-slice loops at zero cost; `DeltaGraph` overlays run
 //! the identical algorithms over the base+delta merge. An evaluation
 //! borrows `&G` for its whole run, so it always observes one consistent
@@ -39,7 +40,7 @@
 //! *verbatim* into every variant, so a k-variant query used to pay for the
 //! same relation k times. Evaluation is therefore split into two phases:
 //!
-//! * **Planning** ([`JoinPlan::build`]): each variant's atoms are compiled and
+//! * **Planning** (`JoinPlan::build`): each variant's atoms are compiled and
 //!   resolved against a [`RelationCatalog`] — a per-graph store of
 //!   materialised atom relations keyed by the *canonical structural key* of
 //!   the compiled NFA ([`crpq_automata::Nfa::canonical_key`]). The first
@@ -53,14 +54,14 @@
 //!   so one query's pruned domains and elimination order are the same
 //!   under `st`, `a-inj` and `q-inj`, and a warm request skips expansion,
 //!   compilation, the lookups and the semi-join fixpoint altogether.
-//! * **Execution** ([`JoinPlan`]): the per-variant join names catalog
+//! * **Execution** (`JoinPlan`): the per-variant join names catalog
 //!   entries by index instead of owning relations, prunes domains and is
 //!   searched by the one join cursor (see below).
 //!
 //! # Executor dispatch: one Generic Join for every shape
 //!
 //! Every variant and terminal runs the **worst-case-optimal
-//! join** of [`crate::wcoj`], a Generic-Join executor: it binds one
+//! join** of the `wcoj` module, a Generic-Join executor: it binds one
 //! variable at a time along a static elimination order and enumerates
 //! each variable's candidates by *leapfrog intersection* of sorted views
 //! (the pruned domain plus every incident relation row restricted by the
@@ -84,11 +85,13 @@
 //! Self-loop atoms (`x -L-> x`) are folded into the domains at plan-build
 //! time.
 //!
-//! Relations themselves use density-adaptive rows
+//! Every id set the join reads — a relation row, a relation's source or
+//! target set, a pruned domain — is one density-adaptive view
 //! ([`crpq_graph::rpq::RelationRow`]: sorted-`u32` sparse vs. bitset
-//! dense), and the catalog can run the per-source BFS sweeps on several
-//! threads, each claiming blocks of source ids
-//! ([`crpq_graph::rpq::rpq_relation_auto`]).
+//! dense; a domain is an owned [`NodeSet`] read through
+//! [`NodeSet::row`]), and the catalog can run the per-source BFS sweeps
+//! on several threads, each claiming blocks of source ids
+//! ([`crpq_graph::rpq::rpq_relation`]).
 //!
 //! # Two engines
 //!
@@ -104,11 +107,11 @@
 //! pipeline:
 //!
 //! 1. **Relation materialisation** — every *distinct* atom's full
-//!    standard-semantics RPQ relation is computed by
-//!    [`crpq_graph::rpq::rpq_relation_auto`]: one product BFS per source
-//!    over the graph's node-major adjacency, swept in blocks of source
-//!    ids, or the condensation closure when a sampled cost probe finds
-//!    the product too dense. The relation is indexed both ways
+//!    standard-semantics RPQ relation is computed by the one materialiser,
+//!    [`crpq_graph::rpq::rpq_relation`]: one product BFS per source over
+//!    the graph's node-major adjacency, swept in blocks of source ids, or
+//!    the condensation closure when a sampled cost probe finds the
+//!    product too dense. The relation is indexed both ways
 //!    (`forward(u)` / `backward(v)` rows) and cached in the request's
 //!    [`RelationCatalog`] — the caller's, or a fresh
 //!    [`RelationCatalog::with_threads`]`(g, threads)`. On a cold catalog
@@ -126,7 +129,7 @@
 //!    so a join solution is a result. For `a-inj`/`q-inj` they are a sound
 //!    over-approximation (every simple path is a path): each join solution
 //!    is verified by simple-path / simple-cycle search, or the jointly
-//!    disjoint placement of [`place_atoms`] under `q-inj`. A single-edge
+//!    disjoint placement of `place_atoms` under `q-inj`. A single-edge
 //!    atom (every word one letter) has no internal node, so the placement
 //!    records its edge `[s, d]` without a search; a CQ, whose atoms are
 //!    all single-edge, then costs under `q-inj` what the injective join
@@ -166,7 +169,7 @@
 //!
 //! # Streaming enumeration: the cursor contract
 //!
-//! The join search is a resumable cursor ([`crate::wcoj`]) over a
+//! The join search is a resumable cursor (the `wcoj` module) over a
 //! request's plans, and the cursor, not the plan, carries the semantics,
 //! so one memoised plan set serves all three. Each step
 //! returns the next verified projection that no earlier step returned —
@@ -185,7 +188,7 @@
 //! Under `a-inj`/`q-inj` the relations over-approximate, and verification
 //! used to run post-hoc on complete assignments only — rejected candidates
 //! are exactly what stalls a stream. The search now also prunes at **bind
-//! time** ([`JoinPlan::bind_allowed`]): binding a node immediately checks
+//! time** (`JoinPlan::bind_allowed`): binding a node immediately checks
 //! every incident atom whose other endpoint is already bound for per-atom
 //! simple-path/-cycle feasibility (`atom_injective`, the one per-atom
 //! check both engines share). Under `a-inj` the check is exact per atom;
@@ -203,14 +206,14 @@
 //! reachability is exact. A **single-edge** language (`a`, `a + b`) is
 //! free in the self-loop arm too, and its q-inj placement is its edge.
 //! Only the other languages (`(a a)*`, `a* b a*`, `d (a + b)`, …) search,
-//! memoised per plan in [`VerifyScratch`]. Every engine-side search — the
+//! memoised per plan in `VerifyScratch`. Every engine-side search — the
 //! a-inj check, the q-inj placement and the witness leaf — is one call of
 //! [`crpq_graph::rpq::search_simple`] through `CompiledAtom::for_each_path`.
 //! What it needs of the automaton (its live states, from which a final
 //! state is still reachable, and the labels they read) is computed once
 //! per atom in `compile_atoms`, so the memoised plans carry it. Its one
 //! visited set is `VerifyScratch::used`, and its buffers (path, state
-//! images) are pooled per placement depth in the [`VerifyScratch`] of the
+//! images) are pooled per placement depth in the `VerifyScratch` of the
 //! cursor or evaluator. The q-inj placement seeds `used` with the μ-images
 //! and runs each atom's search inside the previous atom's `visit`, so the
 //! set already holds every earlier path and nothing is copied per
@@ -219,7 +222,9 @@
 
 use crate::wcoj::{Cursor, Views};
 use crpq_automata::{Nfa, NfaKey};
-use crpq_graph::rpq::{LiveStates, NodeSet, ReachScratch, Relation, SimplePathScratch};
+use crpq_graph::rpq::{
+    LiveStates, NodeSet, ReachScratch, Relation, RelationRow, SimplePathScratch,
+};
 use crpq_graph::{rpq, GraphView, NodeId};
 use crpq_query::{Crpq, Var};
 use crpq_util::{BitSet, FxHashMap, FxHashSet, Symbol};
@@ -557,14 +562,14 @@ fn compile_atoms(variant: &Crpq) -> Vec<CompiledAtom> {
 /// whose variants repeat the same atom language materialises that
 /// relation **once** (one miss, k−1 hits) instead of k times, and a
 /// caller-owned catalog extends the sharing across queries and repeated
-/// evaluations on the same graph. A miss materialises cost-adaptively
-/// ([`rpq::rpq_relation_auto`]): per-source BFS sweeps by default, with a
-/// sampled cost probe that escalates to the condensation bitset closure
-/// ([`rpq::rpq_relation_closure_blocked`]) on dense products where per-source
-/// exploration would be quadratically wasteful (the closure is
-/// column-blocked, so its reach matrix stays within a fixed working-set
-/// budget at any product size). Both install their rows through the one
-/// relation builder of [`rpq`], which also builds the backward index. The
+/// evaluations on the same graph. A miss calls the one materialiser,
+/// [`rpq::rpq_relation`], which is cost-adaptive: per-source BFS sweeps by
+/// default, with a sampled cost probe that escalates to the condensation
+/// bitset closure on dense products where per-source exploration would
+/// be quadratically wasteful (the closure is column-blocked, so its reach
+/// matrix stays within a fixed working-set budget at any product size).
+/// Both algorithms install their rows through the one relation builder of
+/// [`rpq`], which also builds the backward index. The
 /// sweeps take blocks of source ids: on the calling thread with a pooled
 /// [`ReachScratch`] by default, and on that thread plus scoped workers
 /// when built via [`RelationCatalog::with_threads`]. Every
@@ -696,8 +701,7 @@ impl RelationCatalog {
         }
         self.misses += 1;
         let t0 = Instant::now();
-        let (rel, stats) =
-            rpq::rpq_relation_auto_with_stats(g, nfa, &mut self.scratch, self.threads);
+        let (rel, stats) = rpq::rpq_relation(g, nfa, &mut self.scratch, self.threads);
         self.peak_scratch_bytes = self.peak_scratch_bytes.max(stats.scratch_bytes);
         self.totals.add(&stats);
         // Retention policy: keep the scratch warm for the common case but
@@ -1062,10 +1066,10 @@ impl JoinPlan {
                     .filter(|&v| rel.contains(NodeId(v as u32), NodeId(v as u32)))
                     .map(|v| v as u32)
                     .collect();
-                domains[atom.src.index()].intersect_with_sorted(&diag);
+                domains[atom.src.index()].intersect_with(RelationRow::Sparse(&diag));
             } else {
-                domains[atom.src.index()].intersect_with_set(rel.source_set());
-                domains[atom.dst.index()].intersect_with_set(rel.target_set());
+                domains[atom.src.index()].intersect_with(rel.source_set());
+                domains[atom.dst.index()].intersect_with(rel.target_set());
             }
         }
 
@@ -1074,7 +1078,7 @@ impl JoinPlan {
         // rebuilds the shrinking side from its survivors — `O(candidates)`
         // work and memory, not `O(|V|)`. Sizes are counted once here and
         // then kept in step with every rebuild.
-        let mut sizes: Vec<usize> = domains.iter().map(NodeSet::len).collect();
+        let mut sizes: Vec<usize> = domains.iter().map(|d| d.row().len()).collect();
         let mut changed = true;
         while changed {
             changed = false;
@@ -1084,8 +1088,9 @@ impl JoinPlan {
                 }
                 let (s, d) = (atom.src.index(), atom.dst.index());
                 let kept: Vec<u32> = domains[s]
+                    .row()
                     .iter()
-                    .filter(|&u| domains[d].intersects_row(&rel.forward(NodeId(u as u32))))
+                    .filter(|&u| domains[d].row().intersects(&rel.forward(NodeId(u as u32))))
                     .map(|u| u as u32)
                     .collect();
                 if kept.len() != sizes[s] {
@@ -1094,8 +1099,9 @@ impl JoinPlan {
                     changed = true;
                 }
                 let kept: Vec<u32> = domains[d]
+                    .row()
                     .iter()
-                    .filter(|&v| domains[s].intersects_row(&rel.backward(NodeId(v as u32))))
+                    .filter(|&v| domains[s].row().intersects(&rel.backward(NodeId(v as u32))))
                     .map(|v| v as u32)
                     .collect();
                 if kept.len() != sizes[d] {
@@ -1765,9 +1771,7 @@ mod tests {
         // their sum.
         let bytes = |nfa: &Nfa| {
             let scratch = &mut ReachScratch::new();
-            rpq::rpq_relation_auto_with_stats(&g, nfa, scratch, 2)
-                .1
-                .assembly_bytes
+            rpq::rpq_relation(&g, nfa, scratch, 2).1.assembly_bytes
         };
         let (star_bytes, step_bytes) = (bytes(&star), bytes(&step));
         assert!(star_bytes > 0 && step_bytes > 0);
@@ -2144,14 +2148,14 @@ mod tests {
         let variants = query.epsilon_free_union();
         let mut catalog = RelationCatalog::new(&g);
         let plan = JoinPlan::build(&variants[0], &g, &mut catalog);
-        let sizes: Vec<usize> = plan.domains.iter().map(NodeSet::len).collect();
+        let sizes: Vec<usize> = plan.domains.iter().map(|d| d.row().len()).collect();
         let order = crate::wcoj::elimination_order(&plan.atoms, &sizes);
         assert_eq!(plan.order, order);
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, [2, 2, 2, 98, 98]);
-        assert!(plan.domains.iter().any(NodeSet::is_dense));
-        assert!(plan.domains.iter().any(|d| !d.is_dense()));
+        assert!(plan.domains.iter().any(|d| d.row().is_dense()));
+        assert!(plan.domains.iter().any(|d| !d.row().is_dense()));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`Eval::stream`] returns a [`TupleStream`] — an iterator over distinct
 //! answer tuples that yields each one as the join search finds it,
 //! instead of waiting for the full materialised set. The stream *is* the
-//! join cursor of [`crate::wcoj`]: it owns the graph (`Arc`), its catalog,
+//! join cursor of the `wcoj` module: it owns the graph (`Arc`), its catalog,
 //! the plans (which name relations by catalog index; the catalog's memo
 //! holds the same `Arc`) and the cursor (with the semantics and its
 //! verification scratch), and every `next()` re-borrows them for one

@@ -14,10 +14,12 @@
 //! 2. at each level, enumerate the variable's candidates by **leapfrog
 //!    intersection** of sorted views — every relation row incident to the
 //!    variable whose other endpoint is already bound, plus the semi-join
-//!    pruned domain. All views expose the same seek primitive
-//!    (`first_at_or_after`: binary search on sparse rows, word-scan on
-//!    dense bitsets), so a candidate costs `O(Σ seeks)` with the
-//!    **smallest view leading**, never a clone of the whole domain;
+//!    pruned domain. Every operand is one [`RelationRow`], the id-set
+//!    view of `crpq_graph::rpq` (a domain lends one through
+//!    [`NodeSet::row`](crpq_graph::rpq::NodeSet::row)), with one seek
+//!    primitive (`first_at_or_after`: binary search on sparse sets,
+//!    word-scan on dense bitsets), so a candidate costs `O(Σ seeks)` with
+//!    the **smallest view leading**, never a clone of the whole domain;
 //! 3. at a complete assignment, run the per-semantics verification
 //!    ([`JoinPlan::verify`] via [`VerifyScratch`]).
 //!
@@ -32,57 +34,40 @@
 //! verified projection and later resume exactly where it stopped, across
 //! the ε-free variants in order. The views borrow the catalog's relations
 //! and the plans' domains, so the cursor stores none of them: a
-//! [`Views`] buffer holds the active levels' views for as long as its
+//! `Views` buffer holds the active levels' views for as long as its
 //! caller keeps it, and a fresh buffer rebuilds each active level once
 //! from the assignment. Equivalence against the enumeration oracle is
 //! property-tested in `tests/wcoj_equivalence.rs`.
 
 use crate::eval::{CompiledAtom, JoinPlan, RelationCatalog, Semantics, VerifyScratch};
-use crpq_graph::rpq::{NodeSet, RelationRow};
+use crpq_graph::rpq::RelationRow;
 use crpq_graph::GraphView;
 use crpq_graph::NodeId;
 use crpq_query::Var;
 use crpq_util::FxHashSet;
 
-/// One sorted, seekable operand of the per-variable leapfrog intersection.
-enum View<'a> {
-    /// A relation row restricted by an already-bound neighbour.
-    Row(RelationRow<'a>),
-    /// The variable's semi-join pruned domain.
-    Domain(&'a NodeSet),
-}
-
-impl View<'_> {
-    /// The seek primitive: smallest id `≥ from` in the view.
-    #[inline]
-    fn first_at_or_after(&self, from: usize) -> Option<usize> {
-        match self {
-            View::Row(r) => r.first_at_or_after(from),
-            View::Domain(d) => d.first_at_or_after(from),
-        }
-    }
-
-    /// Ordering weight for the leapfrog lead: sparse views lead with their
-    /// exact length; dense views (O(|V|/64) to measure exactly) follow
-    /// behind all sparse ones. This keeps view selection O(1) per view —
-    /// popcounting a dense bitset at every search-tree node would cost as
-    /// much as the domain clones this executor exists to avoid.
-    fn lead_weight(&self) -> usize {
-        match self {
-            View::Row(RelationRow::Sparse(ids)) => ids.len(),
-            View::Domain(NodeSet::Sparse { ids, .. }) => ids.len(),
-            View::Row(RelationRow::Dense(_)) | View::Domain(NodeSet::Dense(_)) => usize::MAX,
-        }
+/// Ordering weight of a view for the leapfrog lead: sparse views lead
+/// with their exact length; dense views (O(|V|/64) to measure exactly)
+/// follow behind all sparse ones. This keeps view selection O(1) per view
+/// — popcounting a dense bitset at every search-tree node would cost as
+/// much as the domain clones this executor exists to avoid.
+fn lead_weight(view: &RelationRow<'_>) -> usize {
+    match view {
+        RelationRow::Sparse(ids) => ids.len(),
+        RelationRow::Dense(_) => usize::MAX,
     }
 }
 
 /// The views of the active levels `0..starts.len()`, stacked: level `l`
 /// owns `views[starts[l]..]` up to the next level's start, lead first.
-/// A level's views depend only on the nodes bound above it, so rebinding
-/// level `l` invalidates exactly the levels below it.
+/// Each view is one sorted, seekable operand of the level's leapfrog
+/// intersection: a relation row restricted by an already-bound
+/// neighbour, or the variable's semi-join pruned domain. A level's views
+/// depend only on the nodes bound above it, so rebinding level `l`
+/// invalidates exactly the levels below it.
 #[derive(Default)]
 pub(crate) struct Views<'a> {
-    views: Vec<View<'a>>,
+    views: Vec<RelationRow<'a>>,
     starts: Vec<usize>,
 }
 
@@ -96,7 +81,7 @@ impl<'a> Views<'a> {
     }
 
     /// The views of built level `level`.
-    fn level(&self, level: usize) -> &[View<'a>] {
+    fn level(&self, level: usize) -> &[RelationRow<'a>] {
         let end = self
             .starts
             .get(level + 1)
@@ -130,18 +115,18 @@ impl<'a> Views<'a> {
             let rel = catalog.relation(id);
             if atom.src == var {
                 if let Some(dst_node) = above(atom.dst) {
-                    self.views.push(View::Row(rel.backward(dst_node)));
+                    self.views.push(rel.backward(dst_node));
                 }
             }
             if atom.dst == var {
                 if let Some(src_node) = above(atom.src) {
-                    self.views.push(View::Row(rel.forward(src_node)));
+                    self.views.push(rel.forward(src_node));
                 }
             }
         }
-        self.views.push(View::Domain(&plan.domains[var.index()]));
+        self.views.push(plan.domains[var.index()].row());
         let lead = (start..self.views.len())
-            .min_by_key(|&i| self.views[i].lead_weight())
+            .min_by_key(|&i| lead_weight(&self.views[i]))
             .unwrap_or(start);
         self.views.swap(start, lead);
     }
@@ -149,7 +134,7 @@ impl<'a> Views<'a> {
 
 /// The smallest id `≥ from` in every view: a leapfrog round raises the
 /// candidate through each view until all agree. `views[0]` leads.
-fn leapfrog(views: &[View<'_>], from: usize) -> Option<usize> {
+fn leapfrog(views: &[RelationRow<'_>], from: usize) -> Option<usize> {
     let mut cand = views[0].first_at_or_after(from)?;
     loop {
         let mut stable = true;

@@ -125,7 +125,7 @@ fn synthetic_name(v: NodeId) -> String {
 /// assembling the whole rendering in memory first.
 ///
 /// Fails (before writing any edge) if a node or label name cannot be
-/// represented in the whitespace-delimited format ([`check_text_name`]).
+/// represented in the whitespace-delimited format (`check_text_name`).
 /// Anonymous graphs are written with synthetic `n{id}` names; parsing the
 /// text back yields a *named* graph carrying those names.
 pub fn write_graph_text<W: fmt::Write>(g: &GraphDb, out: &mut W) -> Result<(), FormatError> {
@@ -297,7 +297,7 @@ pub fn to_binary(g: &GraphDb) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a binary snapshot (version 1 or 2; see [`VERSION`]).
+/// Decodes a binary snapshot (version 1 or 2; see `VERSION`).
 ///
 /// Decode errors name the absolute byte offset of the failure, so a
 /// corrupted or truncated snapshot can be located with a hex dump.

@@ -29,10 +29,10 @@
 //! disjoint. The one-off path and cycle wrappers take a read-only
 //! `blocked` set and copy it once.
 //!
-//! # Graphs are read through [`GraphView`](crate::view::GraphView)
+//! # Graphs are read through [`GraphView`]
 //!
 //! Every sweep and materialiser here is generic over
-//! `G: `[`GraphView`](crate::view::GraphView) rather than taking a concrete
+//! `G: `[`GraphView`] rather than taking a concrete
 //! `&GraphDb`: the only operations used are the trait's per-label
 //! successor/predecessor iterators (strictly ascending node ids), degrees,
 //! and the node-major edge iterators — see the contract in
@@ -63,22 +63,34 @@
 //!   dense rows; an untouched node costs nothing, so [`Relation::empty`]
 //!   allocates nothing at any |V| and [`Relation::heap_bytes`] reports
 //!   exactly what the layout allocates.
-//! * Every materialiser installs its forward rows, in ascending source
-//!   order, through one `RelationBuilder`, whose `finish` builds the
-//!   backward CSR by one counting sort over the forward pairs, bucketed by
-//!   each target's rank in the target set, so a relation touching t of
-//!   10⁷ nodes never scans `0..|V|` ([`Relation::assembly_ops`] is the
-//!   pinned observable, [`MaterialiseStats::assembly_bytes`] the
-//!   transient).
-//! * The sweep materialiser's workers claim fixed-size blocks of source
-//!   ids, each swept into one flat buffer; blocks are installed in block
-//!   order, so forward rows arrive sorted by source.
-//!   [`rpq_relation_auto_with_stats`] reports the per-materialisation
-//!   [`MaterialiseStats`] the scale benchmarks persist.
+//! * Both materialisation algorithms install their forward rows, in
+//!   ascending source order, through one `RelationBuilder`, whose `finish`
+//!   builds the backward CSR by one counting sort over the forward pairs,
+//!   bucketed by each target's rank in the target set, so a relation
+//!   touching t of 10⁷ nodes never scans `0..|V|`
+//!   ([`Relation::assembly_ops`] is the pinned observable,
+//!   [`MaterialiseStats::assembly_bytes`] the transient).
+//! * [`rpq_relation`] is the one materialiser. A cost probe on a sample
+//!   of sources picks one of two algorithms: per-source sweeps, whose
+//!   workers claim fixed-size blocks of source ids, each swept into one
+//!   flat buffer and installed in block order so forward rows arrive
+//!   sorted by source; or the column-blocked condensation closure, when
+//!   the product is too dense for per-source exploration. It reports the
+//!   per-materialisation [`MaterialiseStats`] the scale benchmarks
+//!   persist.
 //!
 //! Node-name storage (the third `O(|V|)` wall at this scale) is handled in
 //! [`crate::db`]: arena-interned names or the fully name-free `Anonymous`
 //! mode for generated workloads.
+//!
+//! # One view of every id set
+//!
+//! A set of node ids is stored sorted-`u32` while sparse and as a bitset
+//! once `k·32 ≥ |V|`, and every such set is read through one borrowed
+//! view, [`RelationRow`]: relation rows, a relation's source and target
+//! sets, and the owned [`NodeSet`] (the join's semi-join domains, the
+//! CSRs' touched ids, the closure's row accumulators) through
+//! [`NodeSet::row`]. `NodeSet` itself only builds, intersects and grows.
 
 use crate::db::NodeId;
 use crate::view::GraphView;
@@ -121,23 +133,18 @@ pub const SCRATCH_RETAIN_STATES: usize = 1 << 20;
 ///
 /// A sweep starts on a sparse epoch-stamped hash map (`state → epoch`) and
 /// migrates to the dense `|V|·|Q|` stamp array only once it has visited
-/// more than a [`1/8`](SPARSE_VISIT_FACTOR) fraction of the product, so a
+/// more than 1/8 of the product (`SPARSE_VISIT_FACTOR`), so a
 /// low-output sweep costs memory proportional to the states it touches,
 /// on every worker. The dense array is allocated at most once per scratch
 /// and then serves any sweep it covers; [`Self::shrink_to`] releases it
 /// after a one-off huge graph.
 ///
-/// Epoch wraparound (every 2³² sweeps) invalidates, not zeroes: the dense
-/// array is re-trusted lazily, clearing only the prefix the next sweep
-/// actually reads (`trusted_states` tracks the clean prefix) instead of
-/// the full high-water capacity.
+/// At epoch wraparound (every 2³² sweeps) the stamp array is zeroed and
+/// the sparse map dropped, so no stamp from 2³² sweeps ago can alias the
+/// fresh epoch.
 #[derive(Clone, Debug, Default)]
 pub struct ReachScratch {
     stamps: Vec<u32>,
-    /// Prefix of `stamps` holding no pre-wrap garbage (entries are 0 or
-    /// carry post-wrap epochs). Reset to 0 at wrap, re-extended lazily to
-    /// exactly the prefix a sweep reads.
-    trusted_states: usize,
     /// Sparse visited map (`state → epoch`) for sweeps below the dense
     /// threshold. Entries persist across sweeps (stale epochs read as
     /// unvisited) and are purged once they dominate the live ones, so a
@@ -171,32 +178,18 @@ impl ReachScratch {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: stamps from 2³² sweeps ago could alias the fresh
-            // epoch. Invalidate the dense array lazily (only the prefix
-            // the next sweeps read is cleared, in `retrust_states`) and
-            // drop the sparse entries outright.
-            self.trusted_states = 0;
+            // epoch.
+            self.stamps.fill(0);
             self.sparse_states.clear();
             self.epoch = 1;
         }
         self.dense_states = self.stamps.len() >= size;
-        if self.dense_states {
-            self.retrust_states(size);
-        } else {
-            assert!(
-                size <= u32::MAX as usize,
-                "product exceeds u32 sweep state ids — shard the graph"
-            );
-        }
+        assert!(
+            self.dense_states || size <= u32::MAX as usize,
+            "product exceeds u32 sweep state ids — shard the graph"
+        );
         self.live_states = 0;
         self.queue.clear();
-    }
-
-    /// Zeroes the (post-wrap) untrusted gap of `stamps` up to `upto`.
-    fn retrust_states(&mut self, upto: usize) {
-        if self.trusted_states < upto {
-            self.stamps[self.trusted_states..upto].fill(0);
-            self.trusted_states = upto;
-        }
     }
 
     /// Marks `state` visited; returns `true` if it was not visited yet.
@@ -233,10 +226,7 @@ impl ReachScratch {
         let size = self.state_universe;
         if self.stamps.len() < size {
             self.stamps.resize(size, 0);
-            // The freshly appended entries are zero; only a post-wrap gap
-            // below the old length can be untrusted.
         }
-        self.retrust_states(size);
         let epoch = self.epoch;
         for (&s, &e) in &self.sparse_states {
             // Stale entries (older epochs, possibly from larger universes)
@@ -271,7 +261,6 @@ impl ReachScratch {
         if self.stamps.len() > max_states {
             self.stamps.truncate(max_states);
             self.stamps.shrink_to_fit();
-            self.trusted_states = self.trusted_states.min(max_states);
         }
         if self.sparse_states.capacity() > max_states {
             self.sparse_states = FxHashMap::default();
@@ -294,8 +283,9 @@ impl ReachScratch {
 /// The BFS iterates NFA transitions first and graph edges second: for each
 /// frontier state `(v, q)` and each transition `q -a-> q'`, the `a`-targets
 /// of `v` come from `v`'s adjacency row as one contiguous slice
-/// ([`GraphDb::successors_slice`]), so nodes with large mixed-label edge
-/// lists are never scanned label-by-label.
+/// ([`GraphDb::successors_slice`](crate::db::GraphDb::successors_slice)),
+/// so nodes with large mixed-label edge lists are never scanned
+/// label-by-label.
 pub fn rpq_reach<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId) -> BitSet {
     let ns = nfa.num_states();
     let mut result = g.node_set();
@@ -329,8 +319,8 @@ pub fn rpq_reach<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId) -> BitSet {
 /// into `out` instead of a bitset — a node is pushed once per final state
 /// it is reached in, then the sorted run is deduped in place — so a sweep
 /// whose output is small never touches `O(|V|/64)` words of clear/scan. Returns the number of
-/// graph-edge scans the sweep performed, which the adaptive materialiser
-/// ([`rpq_relation_auto`]) uses as its observed per-source cost.
+/// graph-edge scans the sweep performed, which the materialiser's cost
+/// probe ([`rpq_relation`]) uses as its observed per-source cost.
 pub fn rpq_reach_collect<G: GraphView>(
     g: &G,
     nfa: &Nfa,
@@ -399,8 +389,9 @@ fn sweep_append<G: GraphView, const COUNT: bool>(
 ///
 /// Equivalent to `rpq_reach(&g.reversed(), nfa_rev, dst)` but walks the
 /// incoming adjacency the graph already carries
-/// ([`GraphDb::predecessors_slice`]), so callers needing both directions
-/// (e.g. bidirectional candidate pruning) avoid a full graph clone.
+/// ([`GraphDb::predecessors_slice`](crate::db::GraphDb::predecessors_slice)),
+/// so callers needing both directions (e.g. bidirectional candidate
+/// pruning) avoid a full graph clone.
 pub fn rpq_reach_back<G: GraphView>(g: &G, nfa_rev: &Nfa, dst: NodeId) -> BitSet {
     let ns = nfa_rev.num_states();
     let mut result = g.node_set();
@@ -429,25 +420,30 @@ pub fn rpq_reach_back<G: GraphView>(g: &G, nfa_rev: &Nfa, dst: NodeId) -> BitSet
     result
 }
 
-/// Borrowed view of one row of a materialised [`Relation`]: the successor
-/// (or predecessor) set of a node, stored **adaptively** — a contiguous
-/// sorted-`u32` slice of the relation's flat CSR buffer while the row is
-/// sparse, a dense bitset once it crosses the density threshold. A dense
-/// row costs `n` bits, a sparse one `32·k` bits, so the switch point is
-/// `k·32 ≥ n`; on label-sparse graphs most rows stay far below it, which
-/// is what keeps full relation materialisation affordable past
-/// `|V| = 10⁴` (dense rows alone are `O(|V|²/64)` words per relation, and
-/// per-row heap allocations would dominate sparse materialisation).
+/// Borrowed, read-only view of one set of node ids, stored
+/// **adaptively** — a sorted-`u32` slice while sparse, a bitset over the
+/// whole universe once dense — and the one type every id set is read
+/// through: a row of a materialised [`Relation`] (`forward(u)` /
+/// `backward(v)`, a span of its flat CSR buffer or one of its dense
+/// rows), a relation's source and target sets, and a [`NodeSet`] domain
+/// ([`NodeSet::row`]). A dense set costs `n` bits, a sparse one `32·k`
+/// bits, so the switch point is `k·32 ≥ n`; on label-sparse graphs most
+/// rows stay far below it, which is what keeps full relation
+/// materialisation affordable past `|V| = 10⁴` (dense rows alone are
+/// `O(|V|²/64)` words per relation, and per-row heap allocations would
+/// dominate sparse materialisation).
 #[derive(Clone, Copy, Debug)]
 pub enum RelationRow<'a> {
-    /// Sorted node ids (strictly ascending), borrowed from the flat store.
+    /// Sorted node ids (strictly ascending).
     Sparse(&'a [u32]),
     /// Bitset over all `n` nodes.
     Dense(&'a BitSet),
 }
 
 impl<'a> RelationRow<'a> {
-    /// Number of ids in the row.
+    /// Number of ids — `O(1)` sparse, but `O(|V|/64)` dense
+    /// ([`BitSet::len`] popcounts the whole universe), so hot loops
+    /// should record it once.
     pub fn len(&self) -> usize {
         match self {
             RelationRow::Sparse(ids) => ids.len(),
@@ -455,7 +451,7 @@ impl<'a> RelationRow<'a> {
         }
     }
 
-    /// Whether the row is empty.
+    /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         match self {
             RelationRow::Sparse(ids) => ids.is_empty(),
@@ -463,7 +459,7 @@ impl<'a> RelationRow<'a> {
         }
     }
 
-    /// Whether the row uses the dense representation.
+    /// Whether the set uses the dense representation.
     pub fn is_dense(&self) -> bool {
         matches!(self, RelationRow::Dense(_))
     }
@@ -485,19 +481,29 @@ impl<'a> RelationRow<'a> {
         }
     }
 
-    /// Whether the row shares an id with `other`.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        match self {
-            RelationRow::Sparse(ids) => ids.iter().any(|&v| other.contains(v as usize)),
-            RelationRow::Dense(b) => b.intersects(other),
+    /// Whether the two sets share an id — the semi-join fixpoint test.
+    /// Two sparse sets walk the smaller and binary-search the larger, a
+    /// sparse set probes a dense one id by id, and two dense sets AND
+    /// their words; nothing allocates.
+    pub fn intersects(&self, other: &RelationRow<'_>) -> bool {
+        match (*self, *other) {
+            (RelationRow::Sparse(a), RelationRow::Sparse(b)) => {
+                let (probe, table) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+                probe.iter().any(|v| table.binary_search(v).is_ok())
+            }
+            (RelationRow::Sparse(ids), RelationRow::Dense(bits))
+            | (RelationRow::Dense(bits), RelationRow::Sparse(ids)) => {
+                ids.iter().any(|&v| bits.contains(v as usize))
+            }
+            (RelationRow::Dense(a), RelationRow::Dense(b)) => a.intersects(b),
         }
     }
 
-    /// The smallest id `≥ from`, if any — the sorted-view seek primitive
-    /// of the leapfrog intersection in `crpq-core`'s join search (the
-    /// `wcoj` module, the engine's one join executor). `O(log k)` on
-    /// sparse rows (binary search), `O(words to the hit)` on dense rows
-    /// (word scan).
+    /// The smallest id `≥ from`, if any — the seek primitive of the
+    /// leapfrog intersection in `crpq-core`'s join search (the `wcoj`
+    /// module, the engine's one join executor), whose operands are all
+    /// views. `O(log k)` on sparse sets (binary search), `O(words to the
+    /// hit)` on dense ones (word scan).
     #[inline]
     pub fn first_at_or_after(&self, from: usize) -> Option<usize> {
         match self {
@@ -539,13 +545,14 @@ fn dense_row(k: usize, n: usize) -> bool {
 
 /// An **owned**, density-adaptive set of node ids over a fixed universe
 /// `0..n`: a sorted `u32` list while sparse, a dense [`BitSet`] once
-/// `k·32 ≥ n` (the same memory-parity point as [`RelationRow`], see
-/// [`dense_row`] — a `u32` id costs 32 bits, a bitset slot one).
+/// `k·32 ≥ n` (the parity point of [`RelationRow`] — a `u32` id costs 32
+/// bits, a bitset slot one). It is read only through [`NodeSet::row`].
 ///
 /// This is the semi-join **domain** representation of the join engine: a
 /// per-variable candidate set starts at `V`, is cut down by atom
 /// source/target sets and relation rows, and then joins the leapfrog
-/// intersection as one seekable view ([`NodeSet::first_at_or_after`]).
+/// intersection as one more view. It is also the touched-id set of each
+/// [`Relation`] direction and the closure's per-source row accumulator.
 /// With dense `|V|`-bit sets every rebuild costs `O(|V|/64)` regardless
 /// of how few candidates survive; adaptively sparse sets make domain
 /// storage and pruning work `O(candidates)`, which is what keeps the join
@@ -582,60 +589,21 @@ impl NodeSet {
         s
     }
 
-    /// Number of ids in the set — `O(1)` sparse, but `O(|V|/64)` dense
-    /// ([`BitSet::len`] popcounts the whole universe), so hot loops
-    /// should record it once.
-    pub fn len(&self) -> usize {
+    /// The set's read view.
+    #[inline]
+    pub fn row(&self) -> RelationRow<'_> {
         match self {
-            NodeSet::Sparse { ids, .. } => ids.len(),
-            NodeSet::Dense(b) => b.len(),
+            NodeSet::Sparse { ids, .. } => RelationRow::Sparse(ids),
+            NodeSet::Dense(b) => RelationRow::Dense(b),
         }
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            NodeSet::Sparse { ids, .. } => ids.is_empty(),
-            NodeSet::Dense(b) => b.is_empty(),
-        }
-    }
-
-    /// Whether the set currently uses the dense representation.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, NodeSet::Dense(_))
-    }
-
-    /// Membership test — O(log k) sparse, O(1) dense.
-    pub fn contains(&self, v: usize) -> bool {
-        match self {
-            NodeSet::Sparse { ids, .. } => ids.binary_search(&(v as u32)).is_ok(),
-            NodeSet::Dense(b) => b.contains(v),
-        }
-    }
-
-    /// Iterates the ids in ascending order.
-    pub fn iter(&self) -> NodeSetIter<'_> {
-        match self {
-            NodeSet::Sparse { ids, .. } => NodeSetIter::Sparse(ids.iter()),
-            NodeSet::Dense(b) => NodeSetIter::Dense(b.iter()),
-        }
-    }
-
-    /// `self ∩= other` for a dense bitset operand (e.g. a cached relation
-    /// source/target set), then re-picks the representation.
-    pub fn intersect_with_bitset(&mut self, other: &BitSet) {
-        match self {
-            NodeSet::Sparse { ids, .. } => ids.retain(|&v| other.contains(v as usize)),
-            NodeSet::Dense(b) => b.intersect_with(other),
-        }
-        self.normalize();
-    }
-
-    /// `self ∩= sorted` for a sorted id-list operand, then re-picks the
-    /// representation.
-    pub fn intersect_with_sorted(&mut self, sorted: &[u32]) {
-        match self {
-            NodeSet::Sparse { ids, .. } => {
+    /// `self ∩= other` over the same universe, then re-picks the
+    /// representation: a sparse set keeps the ids `other` contains (a
+    /// merge walk against a sparse operand), a dense one masks its words.
+    pub fn intersect_with(&mut self, other: RelationRow<'_>) {
+        match (&mut *self, other) {
+            (NodeSet::Sparse { ids, .. }, RelationRow::Sparse(sorted)) => {
                 let mut j = 0;
                 ids.retain(|&v| {
                     while j < sorted.len() && sorted[j] < v {
@@ -644,54 +612,13 @@ impl NodeSet {
                     j < sorted.len() && sorted[j] == v
                 });
             }
-            NodeSet::Dense(b) => b.intersect_with_sorted(sorted),
+            (NodeSet::Sparse { ids, .. }, RelationRow::Dense(bits)) => {
+                ids.retain(|&v| bits.contains(v as usize));
+            }
+            (NodeSet::Dense(b), RelationRow::Sparse(sorted)) => b.intersect_with_sorted(sorted),
+            (NodeSet::Dense(b), RelationRow::Dense(bits)) => b.intersect_with(bits),
         }
         self.normalize();
-    }
-
-    /// `self ∩= other` for another [`NodeSet`] operand (e.g. a cached
-    /// relation source/target set), dispatching on the operand's
-    /// representation.
-    pub fn intersect_with_set(&mut self, other: &NodeSet) {
-        match other {
-            NodeSet::Sparse { ids, .. } => self.intersect_with_sorted(ids),
-            NodeSet::Dense(b) => self.intersect_with_bitset(b),
-        }
-    }
-
-    /// The smallest id `≥ from`, if any — the same sorted-view seek as
-    /// [`RelationRow::first_at_or_after`], so a pruned domain joins the
-    /// leapfrog intersection alongside relation rows at every level of
-    /// the join search.
-    #[inline]
-    pub fn first_at_or_after(&self, from: usize) -> Option<usize> {
-        match self {
-            NodeSet::Sparse { ids, .. } => {
-                let i = ids.partition_point(|&v| (v as usize) < from);
-                ids.get(i).map(|&v| v as usize)
-            }
-            NodeSet::Dense(b) => b.first_at_or_after(from),
-        }
-    }
-
-    /// Whether the set shares an id with `row` — the semi-join fixpoint
-    /// test. `O(min(k_self, k_row))`-ish on sparse pairs, no allocation.
-    pub fn intersects_row(&self, row: &RelationRow<'_>) -> bool {
-        match (self, row) {
-            (NodeSet::Sparse { ids, .. }, RelationRow::Sparse(row_ids)) => {
-                // Walk the smaller list, binary-search the larger.
-                let (probe, table): (&[u32], &[u32]) = if ids.len() <= row_ids.len() {
-                    (ids, row_ids)
-                } else {
-                    (row_ids, ids)
-                };
-                probe.iter().any(|v| table.binary_search(v).is_ok())
-            }
-            (NodeSet::Sparse { ids, .. }, RelationRow::Dense(b)) => {
-                ids.iter().any(|&v| b.contains(v as usize))
-            }
-            (NodeSet::Dense(bits), row) => row.intersects(bits),
-        }
     }
 
     /// Re-picks the representation at the `k·32 ≥ n` parity point.
@@ -716,23 +643,19 @@ impl NodeSet {
             }
         }
     }
-}
 
-/// Iterator over the ids of a [`NodeSet`].
-pub enum NodeSetIter<'a> {
-    /// Sparse side.
-    Sparse(std::slice::Iter<'a, u32>),
-    /// Dense side.
-    Dense(crpq_util::bitset::BitSetIter<'a>),
-}
-
-impl Iterator for NodeSetIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
+    /// Adds the ids of the bits set in `words`, whose first word holds
+    /// ids `64·first_word ..`, all past every id already in the set — the
+    /// closure's per-source accumulation, one column block at a time. A
+    /// sparse set turns dense once it reaches the parity point and never
+    /// turns back, since it only grows.
+    fn extend_with_words(&mut self, first_word: usize, words: &[u64]) {
         match self {
-            NodeSetIter::Sparse(it) => it.next().map(|&v| v as usize),
-            NodeSetIter::Dense(it) => it.next(),
+            NodeSet::Sparse { ids, .. } => {
+                extend_with_bits(ids, first_word, words);
+                self.normalize();
+            }
+            NodeSet::Dense(bits) => bits.or_words_at(first_word, words),
         }
     }
 }
@@ -824,6 +747,7 @@ impl Csr {
     /// order — O(touched), never a `0..n` scan.
     fn touched_rows(&self) -> impl Iterator<Item = (u32, RelationRow<'_>)> + '_ {
         self.rows
+            .row()
             .iter()
             .enumerate()
             .map(|(r, v)| (v as u32, self.row_at(r)))
@@ -941,14 +865,14 @@ impl Relation {
 
     /// The set of sources (`u` with at least one pair) — O(1): the
     /// touched rows of the forward CSR, density-adaptive.
-    pub fn source_set(&self) -> &NodeSet {
-        &self.fwd.rows
+    pub fn source_set(&self) -> RelationRow<'_> {
+        self.fwd.rows.row()
     }
 
     /// The set of targets (`v` with at least one pair) — O(1): the
     /// touched rows of the backward CSR, density-adaptive.
-    pub fn target_set(&self) -> &NodeSet {
-        &self.rev.rows
+    pub fn target_set(&self) -> RelationRow<'_> {
+        self.rev.rows.row()
     }
 
     /// Iterates all pairs in `(source, target)` order — O(touched + len),
@@ -979,8 +903,8 @@ impl Relation {
 /// Assembles a [`Relation`] from its forward rows — the one install path
 /// of every materialiser. Rows arrive in strictly ascending source order,
 /// at most one per source: the sweeps install their blocks in block order,
-/// the closure walks its sources ascending and [`rpq_reach_all`] sorts its
-/// sources. [`Self::finish`] builds the backward CSR.
+/// and the closure walks its sources ascending. [`Self::finish`] builds
+/// the backward CSR.
 #[derive(Default)]
 struct RelationBuilder {
     n: usize,
@@ -1105,7 +1029,7 @@ impl RelationBuilder {
             let bytes = seen.heap_bytes();
             let mut set = NodeSet::Dense(seen);
             set.normalize();
-            if !set.is_dense() {
+            if !set.row().is_dense() {
                 transient += bytes;
             }
             set
@@ -1118,7 +1042,7 @@ impl RelationBuilder {
             NodeSet::from_sorted_ids(t, n)
         };
         let mut rev = Csr::new(targets);
-        let t = rev.rows.len();
+        let t = rev.rows.row().len();
         if t > 0 {
             // Degree pass: bucket `r + 1` counts the column of rank `r`.
             // invariant: the target set holds every target of the pairs.
@@ -1213,31 +1137,6 @@ impl PathStarts {
     fn admits<G: GraphView>(&self, g: &G, v: NodeId) -> bool {
         self.any || self.symbols.iter().any(|&a| g.out_degree(v, a) > 0)
     }
-}
-
-/// Materialises the full RPQ relation `{(u, v) : some u→v path has its
-/// label in L(nfa)}` by a product BFS from every source in `sources` that
-/// can start a path, reusing `scratch` across sweeps (no per-source
-/// reallocation beyond the output rows themselves). Sources may come in
-/// any order and repeat; each is swept once.
-pub fn rpq_reach_all<G: GraphView>(
-    g: &G,
-    nfa: &Nfa,
-    sources: impl IntoIterator<Item = NodeId>,
-    scratch: &mut ReachScratch,
-) -> Relation {
-    let starts = PathStarts::new(nfa);
-    let mut sources: Vec<NodeId> = sources.into_iter().collect();
-    sources.sort_unstable();
-    sources.dedup();
-    let mut builder = RelationBuilder::new(g.num_nodes());
-    let mut buf: Vec<u32> = Vec::new();
-    for src in sources.into_iter().filter(|&v| starts.admits(g, v)) {
-        buf.clear();
-        sweep_append::<G, false>(g, nfa, src, scratch, &mut buf);
-        builder.push_ids(src.0, &buf);
-    }
-    builder.finish(&mut MaterialiseStats::default())
 }
 
 /// Source ids per block of the sweep materialiser, the unit a worker
@@ -1357,8 +1256,7 @@ pub enum MaterialisePath {
     /// Per-source product BFS sweeps over blocks of source ids.
     #[default]
     Sweeps,
-    /// The column-blocked condensation closure
-    /// ([`rpq_relation_closure_blocked`]).
+    /// The column-blocked condensation closure.
     Closure,
 }
 
@@ -1415,28 +1313,16 @@ pub fn effective_threads(threads: usize) -> usize {
     }
 }
 
-/// The atom's complete standard-semantics relation, swept from every node
-/// on the calling thread — the one-thread call of the sweep materialiser
-/// behind [`rpq_relation_auto`].
-pub fn rpq_relation<G: GraphView>(g: &G, nfa: &Nfa, scratch: &mut ReachScratch) -> Relation {
-    sweep_relation(
-        g,
-        nfa,
-        scratch,
-        1,
-        SWEEP_BLOCK,
-        &mut MaterialiseStats::default(),
-    )
-}
-
 /// Per-block budget for the blocked closure's reach matrix: 2³⁰ bits
 /// (128 MiB) — the working-set ceiling of one column block
-/// ([`rpq_relation_closure_blocked`]), not a cap on the product size.
-pub const CLOSURE_BLOCK_BUDGET_BITS: usize = 1 << 30;
+/// (`closure_relation`), not a cap on the product size.
+const CLOSURE_BLOCK_BUDGET_BITS: usize = 1 << 30;
 
-/// **Cost-adaptive** full-relation materialiser: probes the sweep cost on
-/// a sample of sources, then either sweeps every source or switches to
-/// the condensation bitset closure when the product graph is dense enough
+/// The atom's complete standard-semantics relation `{(u, v) : some u→v
+/// path has its label in L(nfa)}` — the one relation materialiser, with
+/// the [`MaterialiseStats`] of its run. It probes the sweep cost on a
+/// sample of sources, then either sweeps every source or switches to the
+/// condensation bitset closure when the product graph is dense enough
 /// that per-source exploration would be quadratically wasteful.
 ///
 /// Per-source total cost scales with `Σ_v (edges scanned from v's product
@@ -1447,20 +1333,11 @@ pub const CLOSURE_BLOCK_BUDGET_BITS: usize = 1 << 30;
 /// The sample's observed edge scans project the per-source total; when the
 /// projection exceeds a small multiple of the closure's traversal bound,
 /// the (column-blocked, so memory-bounded at any scale) closure runs.
-/// Otherwise the sweeps run over blocks of source ids, on `threads`
-/// workers when `threads > 1` (`0` = one per CPU, capped at 16).
-pub fn rpq_relation_auto<G: GraphView>(
-    g: &G,
-    nfa: &Nfa,
-    scratch: &mut ReachScratch,
-    threads: usize,
-) -> Relation {
-    rpq_relation_auto_with_stats(g, nfa, scratch, threads).0
-}
-
-/// [`rpq_relation_auto`] that additionally reports [`MaterialiseStats`]
-/// — the instrumented entry point of the relation catalog.
-pub fn rpq_relation_auto_with_stats<G: GraphView>(
+/// Otherwise the sweeps run over blocks of source ids on the pooled
+/// `scratch`, on `threads` workers when `threads > 1` (`0` = one per CPU,
+/// capped at 16). A source that cannot start a path costs one degree
+/// check.
+pub fn rpq_relation<G: GraphView>(
     g: &G,
     nfa: &Nfa,
     scratch: &mut ReachScratch,
@@ -1510,7 +1387,8 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
 /// Materialises the full RPQ relation by **bitset closure over the
 /// product-graph condensation** instead of one BFS per source, with the
 /// reach matrix capped per column block at `block_budget_bits`
-/// ([`CLOSURE_BLOCK_BUDGET_BITS`] from [`rpq_relation_auto`]).
+/// ([`CLOSURE_BLOCK_BUDGET_BITS`] from [`rpq_relation`]), adding its
+/// timings and working-set bytes to `stats`.
 ///
 /// The product graph `G × A` has a node `(v, q)` per graph node and
 /// automaton state and an edge `(v, q) → (w, q′)` per graph edge
@@ -1538,16 +1416,6 @@ pub fn rpq_relation_auto_with_stats<G: GraphView>(
 /// upgrading from sorted ids to dense bits at the usual `k·32 ≥ n` parity
 /// point, so accumulation memory tracks the final relation's instead of
 /// the worst-case `SCCs × |V|` bits.
-pub fn rpq_relation_closure_blocked<G: GraphView>(
-    g: &G,
-    nfa: &Nfa,
-    block_budget_bits: usize,
-) -> Relation {
-    closure_relation(g, nfa, block_budget_bits, &mut MaterialiseStats::default())
-}
-
-/// [`rpq_relation_closure_blocked`], adding its timings and working-set
-/// bytes to `stats`.
 fn closure_relation<G: GraphView>(
     g: &G,
     nfa: &Nfa,
@@ -1733,15 +1601,11 @@ fn closure_relation<G: GraphView>(
     let single_block = block_words >= words_total;
     let initials: Vec<usize> = nfa.initials().iter().collect();
 
-    /// Per-source row accumulator for the multi-block path.
-    enum Accum {
-        Ids(Vec<u32>),
-        Bits(BitSet),
-    }
-    let mut acc: Vec<Accum> = if single_block {
+    // Per-source row accumulators of the multi-block path.
+    let mut acc: Vec<NodeSet> = if single_block {
         Vec::new()
     } else {
-        (0..n).map(|_| Accum::Ids(Vec::new())).collect()
+        (0..n).map(|_| NodeSet::empty(n)).collect()
     };
     let mut matrix = vec![0u64; rows * block_words];
     // Sized whenever the single-initial fast path does not apply — that
@@ -1793,32 +1657,15 @@ fn closure_relation<G: GraphView>(
                 builder.push_words(v as u32, words, &mut idbuf);
                 continue;
             }
-            let add: usize = words.iter().map(|w| w.count_ones() as usize).sum();
-            if add == 0 {
-                continue;
-            }
-            let a = &mut acc[v];
-            if let Accum::Ids(ids) = a {
-                if dense_row(ids.len() + add, n) {
-                    let mut bits = BitSet::new(n);
-                    for &id in ids.iter() {
-                        bits.insert(id as usize);
-                    }
-                    *a = Accum::Bits(bits);
-                }
-            }
-            match a {
-                Accum::Ids(ids) => extend_with_bits(ids, wlo, words),
-                Accum::Bits(bits) => bits.or_words_at(wlo, words),
-            }
+            acc[v].extend_with_words(wlo, words);
         }
         wlo += bw;
     }
     if !single_block {
-        for (v, a) in acc.into_iter().enumerate() {
-            match a {
-                Accum::Ids(ids) => builder.push_ids(v as u32, &ids),
-                Accum::Bits(bits) => builder.push_bits(v as u32, bits),
+        for (v, set) in acc.into_iter().enumerate() {
+            match set {
+                NodeSet::Sparse { ids, .. } => builder.push_ids(v as u32, &ids),
+                NodeSet::Dense(bits) => builder.push_bits(v as u32, bits),
             }
         }
     }
@@ -2299,6 +2146,18 @@ mod tests {
         g.node_by_name(name).unwrap()
     }
 
+    /// The sweep algorithm on the calling thread, with no cost probe —
+    /// the reference the closure is compared against.
+    fn sweeps<G: GraphView>(g: &G, nfa: &Nfa) -> Relation {
+        let stats = &mut MaterialiseStats::default();
+        sweep_relation(g, nfa, &mut ReachScratch::new(), 1, SWEEP_BLOCK, stats)
+    }
+
+    /// The closure algorithm at `budget_bits` per column block.
+    fn closure<G: GraphView>(g: &G, nfa: &Nfa, budget_bits: usize) -> Relation {
+        closure_relation(g, nfa, budget_bits, &mut MaterialiseStats::default())
+    }
+
     #[test]
     fn standard_rpq_on_chain() {
         let (g, nfa) = setup(&[("u", "a", "v"), ("v", "a", "w")], "a a*");
@@ -2315,7 +2174,7 @@ mod tests {
     fn standard_rpq_epsilon() {
         let (g, nfa) = setup(&[("u", "a", "v")], "a*");
         assert!(rpq_exists(&g, &nfa, n(&g, "u"), n(&g, "u")), "ε path");
-        let rel = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+        let rel = sweeps(&g, &nfa);
         assert_eq!(rel.iter().count(), 3); // (u,u), (u,v), (v,v)
     }
 
@@ -2568,8 +2427,7 @@ mod tests {
             ],
             "(a+b)(a+b)*",
         );
-        let mut scratch = ReachScratch::new();
-        let rel = rpq_relation(&g, &nfa, &mut scratch);
+        let rel = sweeps(&g, &nfa);
         for src in g.nodes() {
             let direct = rpq_reach(&g, &nfa, src);
             for dst in g.nodes() {
@@ -2631,7 +2489,7 @@ mod tests {
     #[test]
     fn relation_source_and_target_sets() {
         let (g, nfa) = setup(&[("u", "a", "v"), ("w", "a", "v")], "a");
-        let rel = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+        let rel = sweeps(&g, &nfa);
         let (u, v, w) = (n(&g, "u"), n(&g, "v"), n(&g, "w"));
         assert_eq!(
             rel.source_set().iter().collect::<Vec<_>>(),
@@ -2649,12 +2507,12 @@ mod tests {
         let mut g = crate::generators::labelled_path(40, &["a"]);
         let regex = crpq_automata::parse_regex("a", g.alphabet_mut()).unwrap();
         let nfa = Nfa::from_regex(&regex);
-        let rel = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+        let rel = sweeps(&g, &nfa);
         assert!(rel.forward(NodeId(0)).iter().eq([1usize]));
         assert!((0..40).all(|u| !rel.forward(NodeId(u)).is_dense()));
         // a* on the same path: row of node 0 holds all 40 nodes → dense.
         let star = crpq_automata::parse_regex("a*", g.alphabet_mut()).unwrap();
-        let rel = rpq_relation(&g, &Nfa::from_regex(&star), &mut ReachScratch::new());
+        let rel = sweeps(&g, &Nfa::from_regex(&star));
         assert!(rel.forward(NodeId(0)).is_dense());
         assert_eq!(rel.forward(NodeId(0)).len(), 40);
         assert!(rel.contains(NodeId(0), NodeId(39)));
@@ -2674,10 +2532,10 @@ mod tests {
             let mut g = crate::generators::random_graph(23, 70, &["a", "b"], seed);
             let regex = crpq_automata::parse_regex(expr, g.alphabet_mut()).unwrap();
             let nfa = Nfa::from_regex(&regex);
-            let closure = rpq_relation_closure_blocked(&g, &nfa, CLOSURE_BLOCK_BUDGET_BITS);
-            let per_source = rpq_relation(&g, &nfa, &mut ReachScratch::new());
-            assert_eq!(closure, per_source, "seed {seed} expr {expr}");
-            let auto = rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 1);
+            let per_source = sweeps(&g, &nfa);
+            let closed = closure(&g, &nfa, CLOSURE_BLOCK_BUDGET_BITS);
+            assert_eq!(closed, per_source, "seed {seed} expr {expr}");
+            let auto = rpq_relation(&g, &nfa, &mut ReachScratch::new(), 1).0;
             assert_eq!(auto, per_source, "seed {seed} expr {expr}");
         }
     }
@@ -2690,7 +2548,7 @@ mod tests {
         let mut g = crate::generators::labelled_cycle(200, &["a"]);
         let star = Nfa::from_regex(&parse_regex("a*", g.alphabet_mut()).unwrap());
         let mut scratch = ReachScratch::new();
-        let (rel, stats) = rpq_relation_auto_with_stats(&g, &star, &mut scratch, 1);
+        let (rel, stats) = rpq_relation(&g, &star, &mut scratch, 1);
         assert_eq!(rel.len(), 200 * 200);
         assert_eq!(stats.path, MaterialisePath::Closure);
         assert!(stats.projected_scans > 4 * stats.closure_bound);
@@ -2703,7 +2561,7 @@ mod tests {
         );
         // One step per source stays on the sweeps, one per node.
         let step = Nfa::from_regex(&parse_regex("a", g.alphabet_mut()).unwrap());
-        let (rel, stats) = rpq_relation_auto_with_stats(&g, &step, &mut scratch, 2);
+        let (rel, stats) = rpq_relation(&g, &step, &mut scratch, 2);
         assert_eq!(rel.len(), 200);
         assert_eq!(stats.path, MaterialisePath::Sweeps);
         assert!(stats.projected_scans <= 4 * stats.closure_bound);
@@ -2728,7 +2586,7 @@ mod tests {
         let mut g = b.finish();
         let mut assemble = |expr: &str| {
             let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
-            let (rel, stats) = rpq_relation_auto_with_stats(&g, &nfa, &mut ReachScratch::new(), 2);
+            let (rel, stats) = rpq_relation(&g, &nfa, &mut ReachScratch::new(), 2);
             assert_eq!(rel.len(), n - 1, "{expr}");
             let bytes = stats.assembly_bytes;
             assert!(bytes <= 16 * (n - 1) + 8 + n / 8, "{expr}: {bytes} B");
@@ -2742,23 +2600,6 @@ mod tests {
         let col: Vec<usize> = fan_in.backward(NodeId(0)).iter().collect();
         assert_eq!(col, (1..n).collect::<Vec<_>>());
         assert!(fan_in.backward(NodeId(0)).is_dense());
-    }
-
-    #[test]
-    fn reach_all_sweeps_repeated_sources_once() {
-        // `rpq_reach_all` takes sources in any order, repeats included;
-        // each must be swept once, giving exactly the one-sweep relation.
-        let mut g = crate::generators::random_graph(50, 150, &["a", "b"], 3);
-        let nfa = Nfa::from_regex(&parse_regex("a b*", g.alphabet_mut()).unwrap());
-        let expect = rpq_relation(&g, &nfa, &mut ReachScratch::new());
-        let mut sources: Vec<NodeId> = g.nodes().chain(g.nodes()).collect();
-        let len = sources.len();
-        for i in 0..len {
-            sources.swap(i, (i * 37 + 11) % len);
-        }
-        let rel = rpq_reach_all(&g, &nfa, sources, &mut ReachScratch::new());
-        assert_eq!(rel.len(), expect.len());
-        assert_eq!(rel, expect);
     }
 
     #[test]
@@ -2780,12 +2621,8 @@ mod tests {
         for expr in ["a*", "b a*", "(b + a) a", "c a"] {
             let regex = crpq_automata::parse_regex(expr, g.alphabet_mut()).unwrap();
             let nfa = Nfa::from_regex(&regex);
-            let closure = rpq_relation_closure_blocked(&g, &nfa, CLOSURE_BLOCK_BUDGET_BITS);
-            assert_eq!(
-                rpq_relation(&g, &nfa, &mut ReachScratch::new()),
-                closure,
-                "{expr}"
-            );
+            let closed = closure(&g, &nfa, CLOSURE_BLOCK_BUDGET_BITS);
+            assert_eq!(sweeps(&g, &nfa), closed, "{expr}");
             let swept = sweep_relation(
                 &g,
                 &nfa,
@@ -2794,14 +2631,14 @@ mod tests {
                 16,
                 &mut MaterialiseStats::default(),
             );
-            assert_eq!(swept, closure, "{expr}");
+            assert_eq!(swept, closed, "{expr}");
             for threads in [1, 2] {
-                let auto = rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), threads);
-                assert_eq!(auto, closure, "{expr} threads {threads}");
+                let auto = rpq_relation(&g, &nfa, &mut ReachScratch::new(), threads).0;
+                assert_eq!(auto, closed, "{expr} threads {threads}");
             }
         }
         let nfa = Nfa::from_regex(&crpq_automata::parse_regex("a*", g.alphabet_mut()).unwrap());
-        let rel = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+        let rel = sweeps(&g, &nfa);
         assert!(
             rel.contains(NodeId(150), NodeId(150)),
             "ε keeps edgeless sources"
@@ -2828,14 +2665,11 @@ mod tests {
         it.intern("a");
         let nfa = Nfa::from_regex(&crpq_automata::parse_regex("a a*", &mut it).unwrap());
 
-        // Sweep only the touched region (plus untouched sources, which
-        // must cost nothing): ~200 sources of 10⁶ nodes.
-        let sources: Vec<NodeId> = (0..64)
-            .map(NodeId)
-            .chain((base..base + 129).map(NodeId))
-            .collect();
+        // Sweep every source: the ~200 that can start a path, while each
+        // of the other 10⁶ costs one degree check.
         let mut scratch = ReachScratch::new();
-        let rel = rpq_reach_all(&g, &nfa, sources.iter().copied(), &mut scratch);
+        let stats = &mut MaterialiseStats::default();
+        let rel = sweep_relation(&g, &nfa, &mut scratch, 1, SWEEP_BLOCK, stats);
         // Chain closure: (129·128)/2 pairs + the stray edge.
         assert_eq!(rel.len(), 129 * 128 / 2 + 1);
         let ops = rel.assembly_ops();
@@ -2894,12 +2728,9 @@ mod tests {
         let mut it = crpq_util::Interner::new();
         it.intern("a");
         let nfa = Nfa::from_regex(&crpq_automata::parse_regex("a a*", &mut it).unwrap());
-        let sources: Vec<NodeId> = (0..64)
-            .map(NodeId)
-            .chain((base..base + 129).map(NodeId))
-            .collect();
         let mut scratch = ReachScratch::new();
-        let rel = rpq_reach_all(&g, &nfa, sources.iter().copied(), &mut scratch);
+        let stats = &mut MaterialiseStats::default();
+        let rel = sweep_relation(&g, &nfa, &mut scratch, 1, SWEEP_BLOCK, stats);
         assert_eq!(rel.len(), 129 * 128 / 2 + 1);
         let ops = rel.assembly_ops();
         assert!(
@@ -3072,9 +2903,9 @@ mod tests {
 
     #[test]
     fn scratch_epoch_wrap_partial_clear_is_safe_across_sizes() {
-        // The wrap reset clears only the prefix the next sweep reads; a
-        // *larger* sweep afterwards (same post-wrap era) must extend the
-        // cleared prefix, not trust stale stamps beyond it.
+        // A wrap during a small sweep must leave no stale stamp for a
+        // *larger* sweep afterwards (same post-wrap era) to trust beyond
+        // the small sweep's prefix.
         let mut small = crate::generators::labelled_cycle(64, &["a"]);
         let star_small = crpq_automata::parse_regex("a*", small.alphabet_mut()).unwrap();
         let nfa_small = Nfa::from_regex(&star_small);
@@ -3086,12 +2917,11 @@ mod tests {
         // Grow dense stamps to the big size with real (pre-wrap) epochs.
         rpq_reach_collect(&big, &nfa_big, NodeId(0), &mut scratch, &mut out);
         assert_eq!(out.len(), 1024);
-        // Wrap: the next `begin` resets to epoch 1 having cleared only the
-        // small sweep's prefix.
+        // Wrap: the next `begin`, a small sweep's, resets to epoch 1.
         scratch.set_epoch_for_test(u32::MAX);
         rpq_reach_collect(&small, &nfa_small, NodeId(0), &mut scratch, &mut out);
         assert_eq!(out.len(), 64, "post-wrap small sweep");
-        // The big sweep now reads beyond the cleared prefix — stale
+        // The big sweep now reads beyond the small sweep's prefix —
         // stamps from the pre-wrap era must not read as visited.
         rpq_reach_collect(&big, &nfa_big, NodeId(0), &mut scratch, &mut out);
         assert_eq!(
@@ -3136,9 +2966,9 @@ mod tests {
             let mut g = crate::generators::random_graph(150, 400, &["a", "b"], seed);
             let regex = crpq_automata::parse_regex(expr, g.alphabet_mut()).unwrap();
             let nfa = Nfa::from_regex(&regex);
-            let per_source = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+            let per_source = sweeps(&g, &nfa);
             for budget_bits in [64, 4096, 1 << 20, usize::MAX] {
-                let blocked = rpq_relation_closure_blocked(&g, &nfa, budget_bits);
+                let blocked = closure(&g, &nfa, budget_bits);
                 assert_eq!(
                     blocked, per_source,
                     "seed {seed} expr {expr} budget {budget_bits}"
@@ -3181,7 +3011,7 @@ mod tests {
         // The NodeSet domain representation switches at the same point.
         for (k, expect_dense) in [(19usize, false), (20, true)] {
             let s = NodeSet::from_sorted_ids((0..k as u32).collect(), n);
-            assert_eq!(s.is_dense(), expect_dense, "NodeSet k = {k}");
+            assert_eq!(s.row().is_dense(), expect_dense, "NodeSet k = {k}");
         }
     }
 
@@ -3193,130 +3023,123 @@ mod tests {
         let mut it = crpq_util::Interner::new();
         it.intern("a");
         let nfa = Nfa::from_regex(&crpq_automata::parse_regex("a*", &mut it).unwrap());
-        let rel = rpq_relation_auto(&empty, &nfa, &mut ReachScratch::new(), 1);
+        let rel = rpq_relation(&empty, &nfa, &mut ReachScratch::new(), 1).0;
         assert!(rel.is_empty());
         for n in [1usize, 2, 3, 65] {
             let mut g = crate::generators::labelled_cycle(n, &["a"]);
             let star = crpq_automata::parse_regex("a*", g.alphabet_mut()).unwrap();
             let nfa = Nfa::from_regex(&star);
-            let auto = rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 1);
-            let reference = rpq_relation(&g, &nfa, &mut ReachScratch::new());
+            let auto = rpq_relation(&g, &nfa, &mut ReachScratch::new(), 1).0;
+            let reference = sweeps(&g, &nfa);
             assert_eq!(auto, reference, "n = {n}");
             assert_eq!(auto.len(), n * n, "cycle closure is complete, n = {n}");
         }
     }
 
+    /// The id-set view against a `BTreeSet` model, over seeded random
+    /// sets whose sizes fall on both sides of the `k·32 ≥ n` parity point
+    /// and whose universes do and do not fill their last word. Each set
+    /// is built both sparse and dense, and every pair of representations
+    /// is checked: every `RelationRow` read, `intersects`, and
+    /// `NodeSet::intersect_with` with its result's representation; then
+    /// `extend_with_words` from either representation, across the parity
+    /// point.
     #[test]
-    fn node_set_operations() {
-        let n = 256;
-        let mut s = NodeSet::full(n);
-        assert!(s.is_dense() && s.len() == n);
-        let keep: BitSet = [3usize, 70, 200].iter().copied().collect::<BitSet>();
-        let mut keep_sized = BitSet::new(n);
-        for v in keep.iter() {
-            keep_sized.insert(v);
-        }
-        s.intersect_with_bitset(&keep_sized);
-        assert!(!s.is_dense(), "3 of 256 ids must go sparse");
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 70, 200]);
-        assert!(s.contains(70) && !s.contains(71));
-
-        // Sparse set against sparse and dense rows.
-        let row_ids = [70u32, 199, 200];
-        assert!(s.intersects_row(&RelationRow::Sparse(&row_ids)));
-        assert!(!s.intersects_row(&RelationRow::Sparse(&[4u32, 71])));
-        let mut dense_bits = BitSet::new(n);
-        (0..n).step_by(2).for_each(|v| {
-            dense_bits.insert(v);
-        });
-        assert!(s.intersects_row(&RelationRow::Dense(&dense_bits)));
-
-        // Dense set ∩ sorted ids re-picks the representation.
-        let mut d = NodeSet::Dense(dense_bits.clone());
-        assert!(d.intersects_row(&RelationRow::Sparse(&row_ids)));
-        d.intersect_with_sorted(&row_ids);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![70, 200]);
-        assert!(!d.is_dense(), "intersection result re-picks representation");
-        assert_eq!(d.len(), 2);
-        let mut u = NodeSet::from_sorted_ids(vec![1, 5, 9, 200], n);
-        u.intersect_with_sorted(&[5, 200, 201]);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![5, 200]);
-        assert_eq!(NodeSet::empty(n).len(), 0);
-    }
-
-    #[test]
-    fn row_intersection_helpers() {
-        let ids = [1u32, 5, 70];
-        let sparse = RelationRow::Sparse(&ids);
-        assert!(!sparse.is_dense());
-        let mut probe = BitSet::new(4096);
-        probe.insert(5);
-        assert!(sparse.intersects(&probe));
-        probe.remove(5);
-        probe.insert(6);
-        assert!(!sparse.intersects(&probe));
-        assert!(sparse.contains(70) && !sparse.contains(71));
-
-        let evens: BitSet = {
-            let mut b = BitSet::new(256);
-            (0..200usize).step_by(2).for_each(|v| {
-                b.insert(v);
-            });
-            b
+    fn id_set_view_matches_btreeset_model() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |k: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % k.max(1) as u64) as usize
         };
-        let dense = RelationRow::Dense(&evens);
-        assert!(dense.is_dense());
-        assert_eq!(dense.len(), 100);
-        let mut probe = BitSet::new(256);
-        probe.insert(201);
-        assert!(!dense.intersects(&probe));
-        probe.insert(198);
-        assert!(dense.intersects(&probe));
-    }
-
-    #[test]
-    fn sorted_view_seek_agrees_across_representations() {
-        // RelationRow/NodeSet `first_at_or_after` (the WCOJ leapfrog seek)
-        // must agree between sparse and dense representations.
-        let ids: Vec<u32> = vec![1, 5, 64, 200];
-        let universe = 256;
-        let sparse_row = RelationRow::Sparse(&ids);
-        let bits = BitSet::from_words(
-            {
-                let mut w = vec![0u64; universe / 64];
-                for v in &ids {
-                    w[*v as usize / 64] |= 1 << (*v % 64);
+        // Ids of a random subset of `0..n`, sized around the parity point.
+        let draw = |n: usize, next: &mut dyn FnMut(usize) -> usize| {
+            let p = n.div_ceil(32);
+            let k = [0, 1, p.saturating_sub(1), p, p + 1, 3 * p, n / 2, n][next(8)].min(n);
+            let mut model = BTreeSet::new();
+            while model.len() < k {
+                model.insert(next(n));
+            }
+            model
+        };
+        let both = |model: &BTreeSet<usize>, n: usize| {
+            let ids: Vec<u32> = model.iter().map(|&v| v as u32).collect();
+            let mut bits = BitSet::new(n);
+            model.iter().for_each(|&v| {
+                bits.insert(v);
+            });
+            [NodeSet::Sparse { ids, universe: n }, NodeSet::Dense(bits)]
+        };
+        let (mut went_dense, mut went_sparse, mut crossed) = (0, 0, 0);
+        for _ in 0..400 {
+            let n = [1, 31, 64, 100, 640, 1000, 2049][next(7)];
+            let (ma, mb) = (draw(n, &mut next), draw(n, &mut next));
+            let (sa, sb) = (both(&ma, n), both(&mb, n));
+            let sets = sa
+                .iter()
+                .map(|s| (s, &ma))
+                .chain(sb.iter().map(|s| (s, &mb)));
+            for (set, model) in sets {
+                let row = set.row();
+                assert_eq!(row.len(), model.len());
+                assert_eq!(row.is_empty(), model.is_empty());
+                assert_eq!(row.is_dense(), matches!(set, NodeSet::Dense(_)));
+                assert!(row.iter().eq(model.iter().copied()), "{set:?}");
+                for v in 0..=n + 1 {
+                    assert_eq!(row.contains(v), model.contains(&v), "{v} in {set:?}");
+                    let seek = model.range(v..).next().copied();
+                    assert_eq!(row.first_at_or_after(v), seek, "seek {v} in {set:?}");
                 }
-                w
-            },
-            universe,
-        );
-        let dense_row = RelationRow::Dense(&bits);
-        let sparse_set = NodeSet::from_sorted_ids(ids.clone(), universe);
-        let dense_set = NodeSet::Dense(bits.clone());
-        for from in 0..universe + 2 {
-            let expect = ids.iter().map(|&v| v as usize).find(|&v| v >= from);
-            assert_eq!(
-                sparse_row.first_at_or_after(from),
-                expect,
-                "sparse row @{from}"
-            );
-            assert_eq!(
-                dense_row.first_at_or_after(from),
-                expect,
-                "dense row @{from}"
-            );
-            assert_eq!(
-                sparse_set.first_at_or_after(from),
-                expect,
-                "sparse set @{from}"
-            );
-            assert_eq!(
-                dense_set.first_at_or_after(from),
-                expect,
-                "dense set @{from}"
-            );
+            }
+            let meet: BTreeSet<usize> = ma.intersection(&mb).copied().collect();
+            for a in &sa {
+                for b in &sb {
+                    let expect = !meet.is_empty();
+                    assert_eq!(a.row().intersects(&b.row()), expect, "{a:?} ∩ {b:?}");
+                    assert_eq!(b.row().intersects(&a.row()), expect, "{b:?} ∩ {a:?}");
+                    let mut cut = a.clone();
+                    cut.intersect_with(b.row());
+                    assert!(cut.row().iter().eq(meet.iter().copied()), "{a:?} ∩= {b:?}");
+                    let dense = dense_row(meet.len(), n);
+                    assert_eq!(cut.row().is_dense(), dense, "{a:?} ∩= {b:?}");
+                    if dense {
+                        went_dense += 1;
+                    } else {
+                        went_sparse += 1;
+                    }
+                }
+            }
+            // Grow `a` by random words past its last id.
+            let first_word = ma.last().map_or(0, |&v| v / 64 + 1);
+            let words: Vec<u64> = (first_word..n.div_ceil(64))
+                .map(|w| {
+                    let fill = [0, 1u64 << next(64), next(usize::MAX) as u64, !0][next(4)];
+                    let live = n - 64 * w;
+                    if live < 64 {
+                        fill & ((1u64 << live) - 1)
+                    } else {
+                        fill
+                    }
+                })
+                .collect();
+            let mut grown = ma.clone();
+            for (i, &w) in words.iter().enumerate() {
+                (0..64).filter(|b| w >> b & 1 == 1).for_each(|b| {
+                    grown.insert(64 * (first_word + i) + b);
+                });
+            }
+            for start in sa {
+                let was_dense = matches!(start, NodeSet::Dense(_));
+                let mut set = start;
+                set.extend_with_words(first_word, &words);
+                assert!(set.row().iter().eq(grown.iter().copied()), "{set:?}");
+                let dense = was_dense || dense_row(grown.len(), n);
+                assert_eq!(set.row().is_dense(), dense, "grown {set:?}");
+                crossed += (!was_dense && !dense_row(ma.len(), n) && dense) as usize;
+            }
         }
+        assert!(went_dense > 0 && went_sparse > 0 && crossed > 0);
     }
 
     #[test]
@@ -3429,9 +3252,9 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
         /// Every way a relation is built — the block sweeps at a small
-        /// test block size on 1, 2 and 3 workers, the one-thread
-        /// `rpq_relation`, `rpq_reach_all` over the sources in descending
-        /// order, and the cost-adaptive entry point — equals the
+        /// test block size on 1, 2 and 3 workers and at the full block
+        /// size on one, the closure, and the materialiser `rpq_relation`
+        /// with its cost probe on 1 and 3 workers — equals the
         /// per-source `rpq_reach` oracle row for row in both directions,
         /// with the same sets, length and heap bytes. `a (a+b)*`, `(a b)*`
         /// and `a*` each reach nodes in two final states, so a sweep that
@@ -3485,15 +3308,35 @@ mod tests {
                 let seen = if dense_row(rel.len(), n) { 8 * n.div_ceil(64) } else { 0 };
                 proptest::prop_assert!(stats.assembly_bytes <= 16 * rel.len() + 8 + seen);
             }
-            let descending = (0..n as u32).rev().map(NodeId);
             let relations = [
-                rpq_relation(&g, &nfa, &mut ReachScratch::new()),
-                rpq_reach_all(&g, &nfa, descending, &mut ReachScratch::new()),
-                rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 1),
-                rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 3),
+                sweeps(&g, &nfa),
+                closure(&g, &nfa, CLOSURE_BLOCK_BUDGET_BITS),
+                rpq_relation(&g, &nfa, &mut ReachScratch::new(), 1).0,
+                rpq_relation(&g, &nfa, &mut ReachScratch::new(), 3).0,
             ];
             for rel in &relations {
                 check_against_oracle(rel, &oracle).map_err(|e| format!("{expr}, n {n}: {e}"))?;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The blocked closure returns the same relation as the
+        /// per-source sweeps whatever the block budget — from one word per
+        /// row up to a single block — on label-rich Zipf graphs.
+        #[test]
+        fn blocked_closure_matches_sweeps(seed in 0u64..100_000) {
+            let mut g = crate::generators::zipf_label_graph(60, 220, 8, 1.0, seed);
+            let nfa = Nfa::from_regex(&parse_regex("l0 (l1+l2)*", g.alphabet_mut()).unwrap());
+            let reference = sweeps(&g, &nfa);
+            for budget_bits in [64usize, 1 << 12, usize::MAX] {
+                proptest::prop_assert_eq!(
+                    &closure(&g, &nfa, budget_bits),
+                    &reference,
+                    "budget {} seed {}", budget_bits, seed
+                );
             }
         }
     }

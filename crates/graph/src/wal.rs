@@ -12,7 +12,7 @@
 //!
 //! Every frame on disk is `[payload_len: u32 LE][payload][crc32(payload):
 //! u32 LE]`. The CRC reuses the snapshot-v2 checksum
-//! ([`crate::format::crc32`]). Compaction folds the overlay into a new
+//! (`crate::format::crc32`). Compaction folds the overlay into a new
 //! base ([`DeltaGraph::compact_in_place`]), writes the new checkpoint
 //! atomically, and truncates the WAL back to a fresh header — the
 //! header *is* the compaction marker: a log whose header names a

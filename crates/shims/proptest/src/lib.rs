@@ -168,7 +168,7 @@ pub mod prop {
             VecStrategy { element, len }
         }
 
-        /// Strategy produced by [`vec`].
+        /// Strategy produced by [`vec()`].
         #[derive(Clone)]
         pub struct VecStrategy<S> {
             element: S,

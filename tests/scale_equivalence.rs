@@ -1,10 +1,12 @@
 //! Differential tests pinning the scale-path data structures against
 //! oracles: the per-label adjacency slices against a filter of the edge
-//! list (frozen, reversed and overlaid graphs), the column-blocked closure
-//! materialiser against per-source sweeps at every block size, and the
-//! full join engine (node-major adjacency with adaptive semi-join domains)
-//! against the legacy enumeration oracle on label-rich Zipf graphs under
-//! all three semantics.
+//! list (frozen, reversed and overlaid graphs), the materialiser's
+//! backward index against its forward rows transposed, and the full join
+//! engine (node-major adjacency with adaptive semi-join domains) against
+//! the legacy enumeration oracle on label-rich Zipf graphs under all three
+//! semantics. The closure-against-sweeps comparison at every block budget
+//! lives in `crpq_graph::rpq`'s own tests, next to the private algorithms
+//! it compares.
 
 use crpq::core::{eval_tuples_enumerate, Eval};
 use crpq::graph::rpq::{self, ReachScratch};
@@ -106,24 +108,6 @@ proptest! {
         assert_reads_match(&d, &edges)?;
     }
 
-    /// The blocked closure materialiser returns the same relation as the
-    /// per-source sweeps whatever the block budget — from one word per row
-    /// up to a single block.
-    #[test]
-    fn blocked_closure_matches_sweeps(seed in 0u64..100_000) {
-        let mut g = generators::zipf_label_graph(60, 220, 8, 1.0, seed);
-        let regex = crpq::automata::parse_regex("l0 (l1+l2)*", g.alphabet_mut()).unwrap();
-        let nfa = crpq::automata::Nfa::from_regex(&regex);
-        let reference = rpq::rpq_relation(&g, &nfa, &mut ReachScratch::new());
-        for budget_bits in [64usize, 1 << 12, usize::MAX] {
-            prop_assert_eq!(
-                &rpq::rpq_relation_closure_blocked(&g, &nfa, budget_bits),
-                &reference,
-                "budget {} seed {}", budget_bits, seed
-            );
-        }
-    }
-
     /// Join engine (adaptive domains over the node-major adjacency) ≡
     /// enumeration oracle on label-rich graphs, all three semantics.
     #[test]
@@ -156,17 +140,17 @@ proptest! {
     }
 
     /// Touched-set backward assembly ≡ the forward rows transposed, on
-    /// relations materialised through both public entry paths (one-thread
-    /// sweeps and the adaptive entry point) over anonymous graphs. A
-    /// 48-node graph is one sweep block, so no worker thread spawns here;
-    /// multi-worker sweeps are covered by the in-crate
+    /// relations materialised by the one public materialiser
+    /// (`rpq::rpq_relation`) on one and on two threads over anonymous
+    /// graphs. A 48-node graph is one sweep block, so no worker thread
+    /// spawns here; multi-worker sweeps are covered by the in-crate
     /// `relation_builder_matches_per_source_oracle`.
     #[test]
     fn reverse_index_matches_forward_transpose(seed in 0u64..100_000) {
         let mut g = generators::anonymous_random_graph(48, 150, 6, seed);
         let regex = crpq::automata::parse_regex("l0 (l1+l2)*", g.alphabet_mut()).unwrap();
         let nfa = crpq::automata::Nfa::from_regex(&regex);
-        let reference = rpq::rpq_relation(&g, &nfa, &mut ReachScratch::new());
+        let (reference, _) = rpq::rpq_relation(&g, &nfa, &mut ReachScratch::new(), 1);
         for v in g.nodes() {
             let back: Vec<usize> = reference.backward(v).iter().collect();
             let expect: Vec<usize> = g
@@ -176,7 +160,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(back, expect, "column {} seed {}", v.index(), seed);
         }
-        let auto = rpq::rpq_relation_auto(&g, &nfa, &mut ReachScratch::new(), 2);
-        prop_assert_eq!(&auto, &reference);
+        let (two, _) = rpq::rpq_relation(&g, &nfa, &mut ReachScratch::new(), 2);
+        prop_assert_eq!(&two, &reference);
     }
 }

@@ -26,8 +26,7 @@ fn sweep_workers_match_one_thread_past_one_block() {
     )
     .unwrap();
     for atom in &q.atoms {
-        let (_, stats) =
-            rpq::rpq_relation_auto_with_stats(&g, &atom.nfa(), &mut ReachScratch::new(), 4);
+        let (_, stats) = rpq::rpq_relation(&g, &atom.nfa(), &mut ReachScratch::new(), 4);
         assert_eq!(stats.path, MaterialisePath::Sweeps);
     }
     for sem in Semantics::ALL {
