@@ -133,9 +133,14 @@
 //!    atom (every word one letter) has no internal node, so the placement
 //!    records its edge `[s, d]` without a search; a CQ, whose atoms are
 //!    all single-edge, then costs under `q-inj` what the injective join
-//!    already paid for `μ`. Subtrees whose
-//!    free-variable projection is already in the result set are pruned —
-//!    only existential variables could still vary there.
+//!    already paid for `μ`. Where the search could reach one projection
+//!    twice (an existential variable ordered before the last free one, or
+//!    several ε-free variants), subtrees whose free-variable projection
+//!    was already returned are pruned — only existential variables could
+//!    still vary there.
+//! 5. **Output** — every returned projection is one row of the cursor's
+//!    arity-strided buffer; a drained request sorts the rows once and
+//!    copies each into its own `Vec`, the one allocation per answer.
 //!
 //! Boolean queries take the same path: their one possible answer is the
 //! empty projection.
@@ -181,7 +186,11 @@
 //! first `k` tuples of a stream are exactly `limit(k)`, a stopped request
 //! has done no work past its last tuple, and nothing runs between steps.
 //! The contract: a step never returns a tuple twice, and once it returns
-//! `None` every later step does too.
+//! `None` every later step does too. A single plan that binds its free
+//! variables before any existential one keeps it by its order alone: after
+//! each emission it moves on at the last free level, so no projection is
+//! reached twice. Every other request keeps a seen index of row numbers
+//! into the cursor's buffer of returned rows.
 //!
 //! # Inline injective verification
 //!
@@ -227,7 +236,7 @@ use crpq_graph::rpq::{
 };
 use crpq_graph::{rpq, GraphView, NodeId};
 use crpq_query::{Crpq, Var};
-use crpq_util::{BitSet, FxHashMap, FxHashSet, Symbol};
+use crpq_util::{BitSet, FxHashMap, Symbol};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -360,7 +369,9 @@ impl<'a, G: GraphView> Eval<'a, G> {
     }
 
     /// The full result set `Q(G)_sem`, sorted and deduplicated: the
-    /// cursor drained.
+    /// cursor drained. The cursor returns each tuple once (see the module
+    /// docs' cursor contract) as one row of a flat buffer; the rows are
+    /// sorted there and then copied out, one `Vec` per answer.
     pub fn tuples(self) -> Vec<Vec<NodeId>> {
         self.search(usize::MAX)
     }
@@ -407,7 +418,7 @@ impl<'a, G: GraphView> Eval<'a, G> {
     /// plans of every ε-free variant from the request's catalog (or a
     /// fresh one, materialising on `threads` workers), then advances one
     /// cursor under the request's semantics at most `k` times. Returns
-    /// the tuples found, sorted.
+    /// the rows the cursor returned, sorted.
     fn search(self, k: usize) -> Vec<Vec<NodeId>> {
         let Eval {
             q,
@@ -426,24 +437,14 @@ impl<'a, G: GraphView> Eval<'a, G> {
         };
         let plans = catalog.plans(q, g);
         let catalog = &*catalog;
-        let (mut cursor, mut views) = (Cursor::new(sem), Views::default());
+        let (mut cursor, mut views) = (Cursor::new(sem, &plans), Views::default());
         for _ in 0..k {
             if cursor.advance(g, catalog, &plans, &mut views).is_none() {
                 break;
             }
         }
-        sorted_tuples(cursor.seen)
+        cursor.into_tuples()
     }
-}
-
-/// Sorts a deduplicated tuple set into the engines' canonical output
-/// order. The join engine accumulates into a hash set (insert and
-/// projection-prune lookups are much cheaper than a `BTreeSet` of boxed
-/// tuples) and pays for ordering once at the end.
-fn sorted_tuples(out: FxHashSet<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
-    let mut tuples: Vec<Vec<NodeId>> = out.into_iter().collect();
-    tuples.sort_unstable();
-    tuples
 }
 
 /// The paper-faithful full-result oracle: `|V|^arity` candidate tuples,
@@ -500,9 +501,9 @@ pub(crate) struct CompiledAtom {
     /// search and a self-loop atom needs no cycle search.
     single_edge: bool,
     /// The automaton's live states, computed once here so that every
-    /// simple-path search of the atom, in every request its memoised plan
-    /// serves, starts without recomputing them.
-    live: LiveStates,
+    /// simple-path and trail search of the atom, in every request its
+    /// memoised plan serves, starts without recomputing them.
+    pub(crate) live: LiveStates,
 }
 
 impl CompiledAtom {
@@ -1146,9 +1147,24 @@ impl JoinPlan {
         self.domains.len()
     }
 
-    /// Writes the free-variable projection of `assignment` into `buf`.
+    /// Length of the variant's free tuple.
+    pub(crate) fn arity(&self) -> usize {
+        self.free.len()
+    }
+
+    /// Whether the search reaches each projection at most once: every
+    /// variable the order binds up to `proj_depth` is free, so the free
+    /// variables are its first levels, and after an emission the cursor
+    /// moves on at the last of them. Otherwise an existential variable
+    /// ordered before the last free one can lead to one projection twice.
+    pub(crate) fn emits_once(&self) -> bool {
+        self.order[..self.proj_depth]
+            .iter()
+            .all(|v| self.free.contains(v))
+    }
+
+    /// Appends the free-variable projection of `assignment` to `buf`.
     pub(crate) fn project_into(&self, assignment: &[Option<NodeId>], buf: &mut Vec<NodeId>) {
-        buf.clear();
         for v in &self.free {
             buf.push(assignment[v.index()].expect("free variables are bound")); // invariant: the cursor projects only then
         }
@@ -2045,16 +2061,17 @@ mod tests {
     /// left in the per-plan memos.
     fn ainj_join_with_memo(query: &Crpq, g: &GraphDb) -> (Vec<Vec<NodeId>>, usize) {
         let mut catalog = RelationCatalog::new(g);
-        let (mut out, mut searches) = (FxHashSet::default(), 0);
+        let (mut out, mut searches) = (BTreeSet::new(), 0);
         for variant in &query.epsilon_free_union() {
             let plans = [JoinPlan::build(variant, g, &mut catalog)];
-            let mut cursor = Cursor::new(Semantics::AtomInjective);
+            let mut cursor = Cursor::new(Semantics::AtomInjective, &plans);
             let mut views = Views::default();
-            while cursor.advance(g, &catalog, &plans, &mut views).is_some() {}
+            while let Some(tuple) = cursor.advance(g, &catalog, &plans, &mut views) {
+                out.insert(tuple.to_vec());
+            }
             searches += cursor.scratch.atom_memo.len();
-            out.extend(cursor.seen);
         }
-        (sorted_tuples(out), searches)
+        (out.into_iter().collect(), searches)
     }
 
     /// A cursor sizes its verification buffers on first use: an st drain
@@ -2067,7 +2084,7 @@ mod tests {
         let mut catalog = RelationCatalog::new(&g);
         let plans = catalog.plans(&query, &g);
         let drain = |sem| {
-            let mut cursor = Cursor::new(sem);
+            let mut cursor = Cursor::new(sem, &plans);
             let mut views = Views::default();
             let mut tuples = 0;
             while cursor.advance(&g, &catalog, &plans, &mut views).is_some() {

@@ -15,7 +15,11 @@
 //! [`Eval::limit`] takes its first `k` from; collecting and sorting a
 //! stream equals [`Eval::tuples`] under every semantics and thread count
 //! (pinned by the contract table in `tests/join_equivalence.rs` and the
-//! differential tests in `tests/stream_equivalence.rs`).
+//! differential tests in `tests/stream_equivalence.rs`). Distinctness is
+//! the cursor's: a single plan that binds its free variables first reaches
+//! each projection once, and the stream then keeps no row after handing
+//! it out; otherwise the cursor keeps every returned row, flat, under a
+//! seen index, and skips every subtree whose projection it holds.
 
 use crate::eval::{Eval, JoinPlan, RelationCatalog};
 use crate::wcoj::{Cursor, Views};
@@ -35,9 +39,12 @@ impl<G: GraphView> Iterator for TupleStream<G> {
     type Item = Vec<NodeId>;
 
     fn next(&mut self) -> Option<Vec<NodeId>> {
-        self.cursor
+        let tuple = self
+            .cursor
             .advance(&*self.g, &self.catalog, &self.plans, &mut Views::default())
-            .map(<[NodeId]>::to_vec)
+            .map(<[NodeId]>::to_vec);
+        self.cursor.release_rows();
+        tuple
     }
 }
 
@@ -60,11 +67,12 @@ impl<G: GraphView + Send> Eval<'_, Arc<G>> {
         let g = Arc::clone(self.g);
         let mut catalog = RelationCatalog::with_threads(&*g, self.threads);
         let plans = catalog.plans(self.q, &*g);
+        let cursor = Cursor::new(self.sem, &plans);
         TupleStream {
             g,
             catalog,
             plans,
-            cursor: Cursor::new(self.sem),
+            cursor,
         }
     }
 }

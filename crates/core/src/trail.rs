@@ -28,14 +28,17 @@
 //! (trail semantics put no injectivity on μ): it pins the free variables,
 //! backtracks over the rest with standard-reachability pruning (every trail
 //! is a path), and decides each complete assignment with a trail leaf —
-//! [`rpq::trail_exists`] per atom for a-trail, a jointly edge-disjoint
-//! placement over [`rpq::for_each_trail`] for q-trail.
+//! one [`rpq::for_each_trail`] per atom for a-trail, a jointly
+//! edge-disjoint placement over it for q-trail. Each search reads its
+//! atom's live states, computed once when the atom was compiled, and
+//! writes its state images into a `TrailBuffers` pool of one
+//! [`rpq::TrailScratch`] per atom, which a whole evaluation shares.
 //! [`eval_tuples_trail`] enumerates all `|V|^arity` candidate tuples and
 //! shares one search per variant across them, so its reachability caches
 //! amortise.
 
 use crate::eval::{enumerate_tuples, CompiledAtom, Semantics, VariantEval};
-use crpq_graph::rpq::{self, Edge};
+use crpq_graph::rpq::{self, Edge, TrailScratch};
 use crpq_graph::{GraphDb, NodeId};
 use crpq_query::Crpq;
 use crpq_util::FxHashSet;
@@ -92,12 +95,14 @@ pub fn eval_contains_trail(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: TrailSe
         tuple.len(),
         "tuple arity must match free tuple"
     );
+    let mut buffers = TrailBuffers::default();
     q.epsilon_free_union().iter().any(|v| {
         contains(
             &mut VariantEval::build(v, g, Semantics::Standard),
             g,
             tuple,
             sem,
+            &mut buffers,
         )
     })
 }
@@ -120,15 +125,27 @@ pub fn eval_tuples_trail(q: &Crpq, g: &GraphDb, sem: TrailSemantics) -> Vec<Vec<
         .iter()
         .map(|v| VariantEval::build(v, g, Semantics::Standard))
         .collect();
-    let mut out = Vec::new();
+    let (mut out, mut buffers) = (Vec::new(), TrailBuffers::default());
     let mut tuple = vec![NodeId(0); q.free.len()];
     enumerate_tuples(g, &mut tuple, 0, &mut |tuple: &[NodeId]| {
-        if evals.iter_mut().any(|e| contains(e, g, tuple, sem)) {
+        if evals
+            .iter_mut()
+            .any(|e| contains(e, g, tuple, sem, &mut buffers))
+        {
             out.push(tuple.to_vec());
         }
     });
     // Tuples are enumerated in lexicographic order, each once.
     out
+}
+
+/// The trail leaf's reusable buffers: the one edge set its searches run
+/// on (empty between searches) and one search scratch per atom, so the
+/// q-trail placement nests each atom's search in the previous one's.
+#[derive(Default)]
+struct TrailBuffers {
+    used: FxHashSet<Edge>,
+    depths: Vec<TrailScratch>,
 }
 
 /// Trail membership of `tuple` in the variant `eval` searches. `eval` runs
@@ -140,16 +157,23 @@ fn contains(
     g: &GraphDb,
     tuple: &[NodeId],
     sem: TrailSemantics,
+    buffers: &mut TrailBuffers,
 ) -> bool {
     eval.find(tuple, |e, mu| {
+        let atoms = e.atoms();
+        let TrailBuffers { used, depths } = &mut *buffers;
+        if depths.len() < atoms.len() {
+            depths.resize_with(atoms.len(), TrailScratch::default);
+        }
         let ok = match sem {
-            TrailSemantics::AtomTrail => e
-                .atoms()
-                .iter()
-                .all(|a| rpq::trail_exists(g, &a.nfa, mu[a.src.index()], mu[a.dst.index()])),
-            TrailSemantics::QueryTrail => {
-                place_trails(g, e.atoms(), mu, 0, &mut FxHashSet::default())
-            }
+            TrailSemantics::AtomTrail => atoms.iter().all(|a| {
+                let (s, d) = (mu[a.src.index()], mu[a.dst.index()]);
+                let scratch = &mut depths[0];
+                !rpq::for_each_trail(g, &a.nfa, &a.live, s, d, used, scratch, |_, _| {
+                    ControlFlow::Break(())
+                })
+            }),
+            TrailSemantics::QueryTrail => place_trails(g, atoms, mu, used, depths),
         };
         ok.then_some(())
     })
@@ -158,22 +182,24 @@ fn contains(
 
 /// Joint edge-disjoint placement for query-trail semantics: each atom's
 /// search runs inside the previous atom's `visit`, on the one edge set
-/// `used`, which then holds every earlier atom's trail.
+/// `used`, which then holds every earlier atom's trail. `depths` holds one
+/// scratch per atom.
 fn place_trails(
     g: &GraphDb,
     atoms: &[CompiledAtom],
     mu: &[NodeId],
-    i: usize,
     used: &mut FxHashSet<Edge>,
+    depths: &mut [TrailScratch],
 ) -> bool {
-    if i == atoms.len() {
+    let Some((atom, rest)) = atoms.split_first() else {
         return true;
-    }
-    let atom = &atoms[i];
+    };
+    // invariant: `contains` sizes `depths` to the atoms.
+    let (scratch, deeper) = depths.split_first_mut().expect("a scratch per atom");
     let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
     let mut placed = false;
-    rpq::for_each_trail(g, &atom.nfa, s, d, used, |_, used| {
-        placed = place_trails(g, atoms, mu, i + 1, used);
+    rpq::for_each_trail(g, &atom.nfa, &atom.live, s, d, used, scratch, |_, used| {
+        placed = place_trails(g, rest, mu, used, deeper);
         if placed {
             ControlFlow::Break(())
         } else {
@@ -412,18 +438,28 @@ mod tests {
             return true;
         };
         let mut blocked: FxHashSet<Edge> = used.iter().copied().collect();
+        let (live, mut scratch) = (rpq::LiveStates::new(nfa), TrailScratch::default());
         let mut ok = false;
-        rpq::for_each_trail(g, nfa, mu[*s], mu[*d], &mut blocked, |edges, _| {
-            let before = used.len();
-            used.extend_from_slice(edges);
-            ok = disjoint_trails(g, rest, mu, used);
-            used.truncate(before);
-            if ok {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
+        rpq::for_each_trail(
+            g,
+            nfa,
+            &live,
+            mu[*s],
+            mu[*d],
+            &mut blocked,
+            &mut scratch,
+            |edges, _| {
+                let before = used.len();
+                used.extend_from_slice(edges);
+                ok = disjoint_trails(g, rest, mu, used);
+                used.truncate(before);
+                if ok {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        );
         ok
     }
 

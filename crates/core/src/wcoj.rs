@@ -16,10 +16,12 @@
 //!    variable whose other endpoint is already bound, plus the semi-join
 //!    pruned domain. Every operand is one [`RelationRow`], the id-set
 //!    view of `crpq_graph::rpq` (a domain lends one through
-//!    [`NodeSet::row`](crpq_graph::rpq::NodeSet::row)), with one seek
-//!    primitive (`first_at_or_after`: binary search on sparse sets,
-//!    word-scan on dense bitsets), so a candidate costs `O(Σ seeks)` with
-//!    the **smallest view leading**, never a clone of the whole domain;
+//!    [`NodeSet::row`](crpq_graph::rpq::NodeSet::row)), with its own
+//!    position, and the one seek primitive is [`RelationRow::seek`]: a
+//!    sparse view gallops forward from its position, a dense one
+//!    word-scans from the target. A level's targets only grow until its
+//!    views are rebuilt, so a candidate costs `O(Σ log gap)` with the
+//!    **smallest view leading**, never a clone of the whole domain;
 //! 3. at a complete assignment, run the per-semantics verification
 //!    ([`JoinPlan::verify`] via [`VerifyScratch`]).
 //!
@@ -34,17 +36,28 @@
 //! verified projection and later resume exactly where it stopped, across
 //! the ε-free variants in order. The views borrow the catalog's relations
 //! and the plans' domains, so the cursor stores none of them: a
-//! `Views` buffer holds the active levels' views for as long as its
-//! caller keeps it, and a fresh buffer rebuilds each active level once
-//! from the assignment. Equivalence against the enumeration oracle is
-//! property-tested in `tests/wcoj_equivalence.rs`.
+//! `Views` buffer holds the active levels' views and their seek positions
+//! for as long as its caller keeps it, and a fresh buffer rebuilds each
+//! active level once from the assignment, its positions at 0.
+//!
+//! The projections a cursor returns are rows of one arity-strided buffer
+//! (`Returned`). A plan whose order binds its free variables first and
+//! resumes at the last free level after each emission reaches every
+//! projection once, so a single such plan needs nothing else to keep its
+//! output distinct. Otherwise (an existential variable ordered before the
+//! last free one, or more than one ε-free variant) the cursor keeps a
+//! `SeenIndex` of row numbers into the buffer, and the
+//! duplicate-projection prune looks each projection up there. Equivalence
+//! against the enumeration oracle is property-tested in
+//! `tests/wcoj_equivalence.rs`.
 
 use crate::eval::{CompiledAtom, JoinPlan, RelationCatalog, Semantics, VerifyScratch};
 use crpq_graph::rpq::RelationRow;
 use crpq_graph::GraphView;
 use crpq_graph::NodeId;
 use crpq_query::Var;
-use crpq_util::FxHashSet;
+use crpq_util::FxHasher;
+use std::hash::{Hash, Hasher};
 
 /// Ordering weight of a view for the leapfrog lead: sparse views lead
 /// with their exact length; dense views (O(|V|/64) to measure exactly)
@@ -58,16 +71,22 @@ fn lead_weight(view: &RelationRow<'_>) -> usize {
     }
 }
 
+/// One operand of a level's leapfrog: the view and its seek position
+/// ([`RelationRow::seek`]).
+type Operand<'a> = (RelationRow<'a>, usize);
+
 /// The views of the active levels `0..starts.len()`, stacked: level `l`
 /// owns `views[starts[l]..]` up to the next level's start, lead first.
 /// Each view is one sorted, seekable operand of the level's leapfrog
 /// intersection: a relation row restricted by an already-bound
 /// neighbour, or the variable's semi-join pruned domain. A level's views
 /// depend only on the nodes bound above it, so rebinding level `l`
-/// invalidates exactly the levels below it.
+/// invalidates exactly the levels below it. Each view keeps its seek
+/// position, which only grows while the level's views live: the level's
+/// leapfrog targets start at its `next` and rise.
 #[derive(Default)]
 pub(crate) struct Views<'a> {
-    views: Vec<RelationRow<'a>>,
+    views: Vec<Operand<'a>>,
     starts: Vec<usize>,
 }
 
@@ -80,21 +99,22 @@ impl<'a> Views<'a> {
         }
     }
 
-    /// The views of built level `level`.
-    fn level(&self, level: usize) -> &[RelationRow<'a>] {
+    /// The operands of built level `level`.
+    fn level(&mut self, level: usize) -> &mut [Operand<'a>] {
         let end = self
             .starts
             .get(level + 1)
             .copied()
             .unwrap_or(self.views.len());
-        &self.views[self.starts[level]..end]
+        &mut self.views[self.starts[level]..end]
     }
 
     /// Builds the views of the next level, `order[self.starts.len()]`:
     /// incident relation rows whose other endpoint is bound, plus the
     /// pruned domain (self-loop atoms were folded into the domain at plan
     /// time), with the (cheaply measurable) smallest view leading so
-    /// leapfrog's outer advance steps through the fewest candidates.
+    /// leapfrog's outer advance steps through the fewest candidates. Every
+    /// position starts at 0.
     fn push_level(
         &mut self,
         plan: &'a JoinPlan,
@@ -115,31 +135,34 @@ impl<'a> Views<'a> {
             let rel = catalog.relation(id);
             if atom.src == var {
                 if let Some(dst_node) = above(atom.dst) {
-                    self.views.push(rel.backward(dst_node));
+                    self.views.push((rel.backward(dst_node), 0));
                 }
             }
             if atom.dst == var {
                 if let Some(src_node) = above(atom.src) {
-                    self.views.push(rel.forward(src_node));
+                    self.views.push((rel.forward(src_node), 0));
                 }
             }
         }
-        self.views.push(plan.domains[var.index()].row());
+        self.views.push((plan.domains[var.index()].row(), 0));
         let lead = (start..self.views.len())
-            .min_by_key(|&i| lead_weight(&self.views[i]))
+            .min_by_key(|&i| lead_weight(&self.views[i].0))
             .unwrap_or(start);
         self.views.swap(start, lead);
     }
 }
 
 /// The smallest id `≥ from` in every view: a leapfrog round raises the
-/// candidate through each view until all agree. `views[0]` leads.
-fn leapfrog(views: &[RelationRow<'_>], from: usize) -> Option<usize> {
-    let mut cand = views[0].first_at_or_after(from)?;
+/// candidate through each view until all agree. `views[0]` leads. Every
+/// seek target is at least `from` and only rises, so each view resumes
+/// from its position.
+fn leapfrog(views: &mut [Operand<'_>], from: usize) -> Option<usize> {
+    let (lead, pos) = &mut views[0];
+    let mut cand = lead.seek(pos, from)?;
     loop {
         let mut stable = true;
-        for view in views {
-            let w = view.first_at_or_after(cand)?;
+        for (view, pos) in views.iter_mut() {
+            let w = view.seek(pos, cand)?;
             if w > cand {
                 cand = w;
                 stable = false;
@@ -157,15 +180,144 @@ enum Entry {
     Descend,
     /// Nothing below can yield a new projection: undo the last bind.
     Skip,
-    /// A verified, new projection is in `Cursor::tuple`.
+    /// A verified, new projection is the last row of `Cursor::out`.
     Emit,
 }
 
+/// The projections a cursor returned, one arity-strided row each, in
+/// search order, plus the row being built: the projection of the current
+/// assignment sits past the last returned row until its leaf verifies.
+struct Returned {
+    /// Length of every row (the query's free tuple).
+    arity: usize,
+    /// The rows, back to back.
+    rows: Vec<NodeId>,
+    /// Rows returned (an arity-0 row takes no space in `rows`).
+    len: usize,
+}
+
+impl Returned {
+    /// The returned row `i`.
+    fn row(&self, i: usize) -> &[NodeId] {
+        &self.rows[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The row being built (past the last returned row).
+    fn pending(&self) -> &[NodeId] {
+        &self.rows[self.len * self.arity..]
+    }
+
+    /// The returned rows, sorted and deduplicated, one `Vec` each: the
+    /// only allocation per answer of a drained request.
+    fn into_sorted(mut self) -> Vec<Vec<NodeId>> {
+        self.rows.truncate(self.len * self.arity);
+        match self.arity {
+            // Every arity-0 row is the empty tuple.
+            0 => vec![Vec::new(); self.len.min(1)],
+            1 => sorted_fixed::<1>(&self.rows),
+            2 => sorted_fixed::<2>(&self.rows),
+            3 => sorted_fixed::<3>(&self.rows),
+            arity => {
+                let mut sorted: Vec<&[NodeId]> = self.rows.chunks_exact(arity).collect();
+                sorted.sort_unstable();
+                sorted.dedup();
+                sorted.into_iter().map(<[NodeId]>::to_vec).collect()
+            }
+        }
+    }
+}
+
+/// [`Returned::into_sorted`] for rows of a small fixed width `N`, sorted
+/// by value in one buffer rather than through references.
+fn sorted_fixed<const N: usize>(rows: &[NodeId]) -> Vec<Vec<NodeId>> {
+    let mut fixed: Vec<[NodeId; N]> = rows
+        .chunks_exact(N)
+        .map(|row| std::array::from_fn(|i| row[i]))
+        .collect();
+    fixed.sort_unstable();
+    fixed.dedup();
+    fixed.iter().map(|row| row.to_vec()).collect()
+}
+
+/// The hash of a row, for [`SeenIndex`].
+fn row_hash(row: &[NodeId]) -> u64 {
+    let mut h = FxHasher::default();
+    row.iter().for_each(|v| v.hash(&mut h));
+    h.finish()
+}
+
+/// Row numbers of a cursor's returned rows, keyed by the row's hash: an
+/// open-addressing table (linear probing, at most half full) that stores
+/// no projection of its own and compares the rows it probes against the
+/// buffer. A slot is indexed by the hash's top bits, which depend on
+/// every id of the row.
+struct SeenIndex {
+    /// Row numbers, `EMPTY` where free; the length is a power of two.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`.
+    shift: u32,
+}
+
+impl SeenIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new() -> Self {
+        SeenIndex {
+            slots: vec![Self::EMPTY; 16],
+            shift: 64 - 4,
+        }
+    }
+
+    /// The slot holding a row equal to `row`, or the free slot where it
+    /// would go.
+    fn probe(&self, out: &Returned, row: &[NodeId]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (row_hash(row) >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => return Err(slot),
+                r if out.row(r as usize) == row => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Whether a returned row equals the pending row.
+    fn contains(&self, out: &Returned) -> bool {
+        self.probe(out, out.pending()).is_ok()
+    }
+
+    /// Records returned row `i` (not in the index yet), doubling the
+    /// table once it is half full.
+    fn insert(&mut self, out: &Returned, i: usize) {
+        // invariant: 2^32 - 1 rows would need a 32 GiB table first
+        let row = u32::try_from(i).expect("row number below u32::MAX");
+        if 2 * (i + 1) > self.slots.len() {
+            self.slots = vec![Self::EMPTY; 2 * self.slots.len()];
+            self.shift -= 1;
+            for r in 0..row {
+                if let Err(slot) = self.probe(out, out.row(r as usize)) {
+                    self.slots[slot] = r;
+                }
+            }
+        }
+        if let Err(slot) = self.probe(out, out.row(i)) {
+            self.slots[slot] = row;
+        }
+    }
+}
+
 /// The resumable state of one request's join search over its plans (one
-/// per ε-free variant, searched in order), with the request's semantics
-/// and its verification scratch. Owns no borrow: every [`Self::advance`]
-/// is handed the graph, the catalog and the plans, which hold no
-/// semantics, so one plan set serves a cursor under each.
+/// per ε-free variant, searched in order), with the request's semantics,
+/// its verification scratch and the rows it returned. Owns no borrow:
+/// every [`Self::advance`] is handed the graph, the catalog and the
+/// plans, which hold no semantics, so one plan set serves a cursor under
+/// each.
+///
+/// A cursor never returns a projection twice. A single plan that binds
+/// its free variables first ([`JoinPlan::emits_once`]) cannot reach one
+/// twice; otherwise the cursor keeps a `SeenIndex` over its returned rows
+/// and skips every subtree whose projection it holds.
 pub(crate) struct Cursor {
     /// The semantics every bind and leaf is verified under.
     sem: Semantics,
@@ -179,12 +331,10 @@ pub(crate) struct Cursor {
     next: Vec<usize>,
     /// The bound node of every variable (`None` below `depth`).
     assignment: Vec<Option<NodeId>>,
-    /// The projections returned so far, across plans: the
-    /// duplicate-projection prune skips every subtree whose free
-    /// variables already project onto one of them.
-    pub(crate) seen: FxHashSet<Vec<NodeId>>,
-    /// Projection buffer of the current assignment.
-    tuple: Vec<NodeId>,
+    /// The projections returned so far, and the one being built.
+    out: Returned,
+    /// Row numbers of `out`, when the plans can reach one projection twice.
+    seen: Option<SeenIndex>,
     /// Complete-assignment buffer handed to verification.
     mu: Vec<NodeId>,
     /// The verification buffers and the per-plan atom memo.
@@ -192,8 +342,15 @@ pub(crate) struct Cursor {
 }
 
 impl Cursor {
-    /// A cursor at the start of the first plan, searching under `sem`.
-    pub(crate) fn new(sem: Semantics) -> Self {
+    /// A cursor at the start of the first of `plans`, searching under
+    /// `sem`, with a seen index only if more than one plan can yield
+    /// answers or a plan does not emit each projection once.
+    pub(crate) fn new(sem: Semantics, plans: &[JoinPlan]) -> Self {
+        let seen = plans
+            .iter()
+            .filter(|p| !p.is_empty())
+            .enumerate()
+            .any(|(i, p)| i > 0 || !p.emits_once());
         Cursor {
             sem,
             variant: 0,
@@ -201,18 +358,39 @@ impl Cursor {
             depth: 0,
             next: Vec::new(),
             assignment: Vec::new(),
-            seen: FxHashSet::default(),
-            tuple: Vec::new(),
+            out: Returned {
+                arity: plans.first().map_or(0, JoinPlan::arity),
+                rows: Vec::new(),
+                len: 0,
+            },
+            seen: seen.then(SeenIndex::new),
             mu: Vec::new(),
             scratch: VerifyScratch::new(),
         }
     }
 
+    /// The rows returned so far, sorted and deduplicated: the result of a
+    /// request that stepped this cursor.
+    pub(crate) fn into_tuples(self) -> Vec<Vec<NodeId>> {
+        self.out.into_sorted()
+    }
+
+    /// Drops the returned rows unless the seen index refers to them: a
+    /// stream, which hands each row out as it goes, calls it after every
+    /// step, so it keeps only the rows its distinctness needs.
+    pub(crate) fn release_rows(&mut self) {
+        if self.seen.is_none() {
+            self.out.rows.clear();
+            self.out.len = 0;
+        }
+    }
+
     /// Runs the search to its next verified projection not returned
     /// before, and returns it; `None` once every plan is exhausted (and on
-    /// every later call). `views` caches the active levels' views while
-    /// the caller passes the same buffer; a fresh (default) buffer is
-    /// rebuilt from the assignment, at most once per active level.
+    /// every later call). `views` caches the active levels' views and
+    /// their seek positions while the caller passes the same buffer; a
+    /// fresh (default) buffer is rebuilt from the assignment, at most once
+    /// per active level.
     pub(crate) fn advance<'a, G: GraphView>(
         &mut self,
         g: &G,
@@ -237,7 +415,7 @@ impl Cursor {
                 match self.enter(g, catalog, plan, views, 0) {
                     Entry::Descend => {}
                     Entry::Skip => self.next_variant(),
-                    Entry::Emit => return Some(&self.tuple),
+                    Entry::Emit => return Some(self.out.row(self.out.len - 1)),
                 }
                 continue;
             }
@@ -268,7 +446,7 @@ impl Cursor {
             match self.enter(g, catalog, plan, views, level + 1) {
                 Entry::Descend => {}
                 Entry::Skip => self.assignment[var.index()] = None,
-                Entry::Emit => return Some(&self.tuple),
+                Entry::Emit => return Some(self.out.row(self.out.len - 1)),
             }
         }
         None
@@ -281,11 +459,12 @@ impl Cursor {
     }
 
     /// Enters `level` with `order[..level]` bound. At the level that binds
-    /// the last free variable the duplicate-projection prune runs; at the
-    /// leaf (every variable bound) the assignment is verified, and a new
-    /// projection is recorded and emitted. After an emission only
-    /// existential variables could still vary below the last free one, so
-    /// the cursor resumes at that variable's level.
+    /// the last free variable the projection is written as the pending row
+    /// and, with a seen index, the duplicate-projection prune runs; at the
+    /// leaf (every variable bound) the assignment is verified, and the
+    /// pending row is returned. After an emission only existential
+    /// variables could still vary below the last free one, so the cursor
+    /// resumes at that variable's level.
     fn enter<'a, G: GraphView>(
         &mut self,
         g: &G,
@@ -295,8 +474,10 @@ impl Cursor {
         level: usize,
     ) -> Entry {
         if level == plan.proj_depth {
-            plan.project_into(&self.assignment, &mut self.tuple);
-            if self.seen.contains(self.tuple.as_slice()) {
+            let out = &mut self.out;
+            out.rows.truncate(out.len * out.arity);
+            plan.project_into(&self.assignment, &mut out.rows);
+            if self.seen.as_ref().is_some_and(|seen| seen.contains(out)) {
                 return Entry::Skip;
             }
         }
@@ -315,8 +496,12 @@ impl Cursor {
         if !plan.verify(g, catalog, self.sem, &self.mu, &mut self.scratch) {
             return Entry::Skip;
         }
-        // `tuple` was projected when `proj_depth` (≤ `level`) was entered.
-        self.seen.insert(self.tuple.clone());
+        // The pending row was projected when `proj_depth` (≤ `level`) was
+        // entered.
+        if let Some(seen) = &mut self.seen {
+            seen.insert(&self.out, self.out.len);
+        }
+        self.out.len += 1;
         match plan.proj_depth.checked_sub(1) {
             None => self.next_variant(),
             Some(resume) => {
@@ -358,4 +543,78 @@ pub(crate) fn elimination_order(atoms: &[CompiledAtom], domain_sizes: &[usize]) 
         placed[next] = true;
     }
     order
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crpq_graph::{GraphBuilder, GraphDb};
+    use crpq_query::parse_crpq;
+
+    /// Drains a cursor over `text`'s memoised plans under st: whether it
+    /// kept a seen index, and the tuples in search order.
+    fn drain(edges: &[(&str, &str, &str)], text: &str) -> (bool, Vec<Vec<NodeId>>) {
+        let mut b = GraphBuilder::new();
+        for &(u, l, v) in edges {
+            b.edge(u, l, v);
+        }
+        let mut g: GraphDb = b.finish();
+        let q = parse_crpq(text, g.alphabet_mut()).unwrap();
+        let mut catalog = RelationCatalog::new(&g);
+        let plans = catalog.plans(&q, &g);
+        let mut cursor = Cursor::new(Semantics::Standard, &plans);
+        let mut views = Views::default();
+        let mut tuples = Vec::new();
+        while let Some(t) = cursor.advance(&g, &catalog, &plans, &mut views) {
+            tuples.push(t.to_vec());
+        }
+        (cursor.seen.is_some(), tuples)
+    }
+
+    /// The seen index exists only where the search can reach one
+    /// projection twice, and every drain returns distinct tuples.
+    #[test]
+    fn seen_index_only_where_a_projection_can_repeat() {
+        // x ∈ {u}, y ∈ {m}, z ∈ {w1, w2, w3}: the order is x, y, z, the
+        // free variables first.
+        let chain = [
+            ("u", "a", "m"),
+            ("m", "b", "w1"),
+            ("m", "b", "w2"),
+            ("m", "b", "w3"),
+        ];
+        let (seen, tuples) = drain(&chain, "(x, y) <- x -[a]-> y, y -[b]-> z");
+        assert!(!seen, "free variables first, one variant: no index");
+        assert_eq!(tuples.len(), 1);
+        // The `cq_path2` shape: y ∈ {m, m2} is ordered first, before the
+        // free x and z, and (x1, z1) is reached through both.
+        let path2 = [
+            ("x1", "d", "m"),
+            ("x2", "d", "m"),
+            ("x3", "d", "m"),
+            ("x1", "d", "m2"),
+            ("m", "a", "z1"),
+            ("m", "a", "z2"),
+            ("m", "a", "z3"),
+            ("m2", "a", "z1"),
+        ];
+        let (seen, tuples) = drain(&path2, "(x, z) <- x -[d]-> y, y -[a]-> z");
+        assert!(seen, "an existential variable before the last free one");
+        assert_eq!(tuples.len(), 9);
+        // `a*` has two ε-free variants, `x -[a a*]-> y` and x = y.
+        let (seen, tuples) = drain(&chain, "(x, y) <- x -[a*]-> y");
+        assert!(seen, "two variants that both yield answers");
+        assert_eq!(tuples.len(), 6, "(u, m) and the diagonal: {tuples:?}");
+        for (edges, text) in [
+            (&chain[..], "(x, y) <- x -[a]-> y, y -[b]-> z"),
+            (&path2[..], "(x, z) <- x -[d]-> y, y -[a]-> z"),
+            (&chain[..], "(x, y) <- x -[a*]-> y"),
+        ] {
+            let (_, mut tuples) = drain(edges, text);
+            let len = tuples.len();
+            tuples.sort();
+            tuples.dedup();
+            assert_eq!(tuples.len(), len, "{text} returned a tuple twice");
+        }
+    }
 }

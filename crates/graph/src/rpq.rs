@@ -16,7 +16,9 @@
 //!   costs what it scans; the path and cycle functions are one-off
 //!   wrappers over it;
 //! * **trails** (no repeated edge) — the edge-injective variant discussed in
-//!   the paper's outlook (§7), provided as an extension.
+//!   the paper's outlook (§7), provided as an extension: one DFS,
+//!   [`for_each_trail`], that reads the same [`LiveStates`] and pools its
+//!   buffers in a caller's [`TrailScratch`].
 //!
 //! Each search keeps one visited set, and the caller owns it:
 //! [`search_simple`] takes the set of nodes no path may pass through
@@ -499,11 +501,9 @@ impl<'a> RelationRow<'a> {
         }
     }
 
-    /// The smallest id `≥ from`, if any — the seek primitive of the
-    /// leapfrog intersection in `crpq-core`'s join search (the `wcoj`
-    /// module, the engine's one join executor), whose operands are all
-    /// views. `O(log k)` on sparse sets (binary search), `O(words to the
-    /// hit)` on dense ones (word scan).
+    /// The smallest id `≥ from`, if any: `O(log k)` on sparse sets (binary
+    /// search from the start), `O(words to the hit)` on dense ones (word
+    /// scan). The reference [`Self::seek`] is checked against.
     #[inline]
     pub fn first_at_or_after(&self, from: usize) -> Option<usize> {
         match self {
@@ -512,6 +512,48 @@ impl<'a> RelationRow<'a> {
                 ids.get(i).map(|&v| v as usize)
             }
             RelationRow::Dense(b) => b.first_at_or_after(from),
+        }
+    }
+
+    /// The smallest id `≥ target`, if any, resuming from `*pos` — the one
+    /// seek of the leapfrog intersection in `crpq-core`'s join search (the
+    /// `wcoj` module, the engine's one join executor), whose operands are
+    /// all views, each with its own position.
+    ///
+    /// A sparse set gallops forward from `*pos` (probes at `pos + 1`,
+    /// `+ 2`, `+ 4`, … until one reaches `target`, then a binary search of
+    /// the last gap) and leaves `*pos` at the index of the answer
+    /// (`k` when there is none). A run of non-decreasing targets through
+    /// one position therefore costs `O(log gap)` per seek rather than
+    /// `O(log k)`. A dense set word-scans from `target` and leaves `*pos`
+    /// alone.
+    ///
+    /// `*pos` must not be past the answer: start it at 0 and seek a row
+    /// through one position with non-decreasing targets only.
+    #[inline]
+    pub fn seek(&self, pos: &mut usize, target: usize) -> Option<usize> {
+        match self {
+            RelationRow::Sparse(ids) => {
+                let below = |i: usize| (ids[i] as usize) < target;
+                let mut at = *pos;
+                debug_assert!(at == 0 || below(at - 1), "sparse seek past its answer");
+                if at < ids.len() && below(at) {
+                    // `ids[at] < target`: double the step until a probe
+                    // reaches `target` or the end, then search the gap.
+                    let mut step = 1;
+                    let mut probe = at + 1;
+                    while probe < ids.len() && below(probe) {
+                        at = probe;
+                        step *= 2;
+                        probe = at + step;
+                    }
+                    let gap = &ids[at + 1..probe.min(ids.len())];
+                    at += 1 + gap.partition_point(|&v| (v as usize) < target);
+                }
+                *pos = at;
+                ids.get(at).map(|&v| v as usize)
+            }
+            RelationRow::Dense(b) => b.first_at_or_after(target),
         }
     }
 }
@@ -644,6 +686,14 @@ impl NodeSet {
         }
     }
 
+    /// Heap bytes of the ids or the bitset.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            NodeSet::Sparse { ids, .. } => 4 * ids.capacity(),
+            NodeSet::Dense(bits) => bits.heap_bytes(),
+        }
+    }
+
     /// Adds the ids of the bits set in `words`, whose first word holds
     /// ids `64·first_word ..`, all past every id already in the set — the
     /// closure's per-source accumulation, one column block at a time. A
@@ -766,10 +816,7 @@ impl Csr {
     /// Heap bytes allocated by the touched set, its rank table, the
     /// offsets, the ids and the dense rows.
     fn heap_bytes(&self) -> usize {
-        let rows = match &self.rows {
-            NodeSet::Sparse { ids, .. } => 4 * ids.capacity(),
-            NodeSet::Dense(bits) => bits.heap_bytes(),
-        };
+        let rows = self.rows.heap_bytes();
         let dense: usize = self.dense.iter().map(|(_, b)| b.heap_bytes()).sum();
         rows + dense
             + 4 * self.ranks.capacity()
@@ -1280,8 +1327,10 @@ pub struct MaterialiseStats {
     /// Milliseconds installing swept blocks and building both indexes.
     pub assembly_ms: f64,
     /// Peak working-set bytes: the pooled sweep scratch, plus every
-    /// worker's on the sweep path, or the product graph, Tarjan arrays
-    /// and reach matrix on the closure path.
+    /// worker's on the sweep path, or on the closure path the larger of
+    /// its product graph with the Tarjan arrays and of its SCC ids with
+    /// the reach matrix and the per-source row accumulators of a
+    /// multi-block run.
     pub scratch_bytes: usize,
     /// Backward-assembly loop iterations ([`Relation::assembly_ops`]).
     pub assembly_ops: usize,
@@ -1613,7 +1662,6 @@ fn closure_relation<G: GraphView>(
     // buffer is exactly the right row.
     let mut union_buf = vec![0u64; if initials.len() == 1 { 0 } else { block_words }];
     let mut idbuf: Vec<u32> = Vec::new();
-    stats.scratch_bytes += tarjan_bytes.max(4 * pn + 8 * matrix.len());
     let mut wlo = 0usize;
     while wlo < words_total {
         let bw = block_words.min(words_total - wlo);
@@ -1661,6 +1709,10 @@ fn closure_relation<G: GraphView>(
         }
         wlo += bw;
     }
+    // Phase 2 peaks here: SCC ids, the matrix and every accumulator, full.
+    let acc_bytes = std::mem::size_of::<NodeSet>() * acc.capacity()
+        + acc.iter().map(NodeSet::heap_bytes).sum::<usize>();
+    stats.scratch_bytes += tarjan_bytes.max(4 * pn + 8 * matrix.len() + acc_bytes);
     if !single_block {
         for (v, set) in acc.into_iter().enumerate() {
             match set {
@@ -2029,14 +2081,27 @@ pub type Edge = (NodeId, Symbol, NodeId);
 
 /// Whether a **trail** (no repeated edge) from `src` to `dst` has its label
 /// in `L(nfa)`. Edge-injective analogue of [`simple_path_exists`]
-/// (paper §7 outlook).
+/// (paper §7 outlook). A one-off call: it computes the automaton's live
+/// states and allocates its buffers.
 pub fn trail_exists<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId, dst: NodeId) -> bool {
-    let mut found = false;
-    for_each_trail(g, nfa, src, dst, &mut FxHashSet::default(), |_, _| {
-        found = true;
+    let live = LiveStates::new(nfa);
+    let (mut used, mut scratch) = (FxHashSet::default(), TrailScratch::default());
+    !for_each_trail(g, nfa, &live, src, dst, &mut used, &mut scratch, |_, _| {
         ControlFlow::Break(())
-    });
-    found
+    })
+}
+
+/// The reusable buffers of [`for_each_trail`]: the trail and one state-set
+/// image per trail length. One scratch serves any sequence of searches
+/// over any graphs and automata; searches that nest (one run from inside
+/// another's `visit`) share the caller's edge set but each need their own
+/// scratch.
+#[derive(Debug, Default)]
+pub struct TrailScratch {
+    /// The edge sequence of the trail being extended.
+    path: Vec<Edge>,
+    /// `images[k]`: the live state set after the trail's `k`-th edge.
+    images: Vec<BitSet>,
 }
 
 /// Enumerates trails from `src` to `dst` with label in `L(nfa)` that avoid
@@ -2051,70 +2116,101 @@ pub fn trail_exists<G: GraphView>(g: &G, nfa: &Nfa, src: NodeId, dst: NodeId) ->
 /// and a search nested in `visit` on the same set keeps off them; `visit`
 /// must leave the set as it found it.
 ///
-/// The same edge sequence is visited at most once; unlike simple paths,
-/// trails may revisit nodes, so the search space is bounded by `|E|!` in
-/// the worst case — callers should bound `g` accordingly.
+/// `live` must be [`LiveStates::new`]`(nfa)`, computed once per automaton
+/// as for [`search_simple`], and the search writes its state images into
+/// `scratch`'s per-length buffers (one image per run of same-label
+/// out-edges), so once `scratch` has served a trail as long a call
+/// allocates only what `used` grows by. A trail continues past an edge only
+/// in a live state. The same edge sequence is visited at most once; unlike
+/// simple paths, trails may revisit nodes, so the search space is bounded
+/// by `|E|!` in the worst case — callers should bound `g` accordingly.
 pub fn for_each_trail<G, F>(
     g: &G,
     nfa: &Nfa,
+    live: &LiveStates,
     src: NodeId,
     dst: NodeId,
     used: &mut FxHashSet<Edge>,
+    scratch: &mut TrailScratch,
     mut visit: F,
 ) -> bool
 where
     G: GraphView,
     F: FnMut(&[Edge], &mut FxHashSet<Edge>) -> ControlFlow<()>,
 {
+    debug_assert_eq!(
+        live.live.capacity(),
+        nfa.num_states(),
+        "live states of another automaton"
+    );
     if src == dst && nfa.accepts_epsilon() && visit(&[], used).is_break() {
         return false;
     }
-    let useful = nfa.useful_states();
-    let mut initial = nfa.initials().clone();
-    initial.intersect_with(&useful);
-    if initial.is_empty() {
+    if live.initial.is_empty() {
         return true;
     }
-    let mut path: Vec<Edge> = Vec::new();
-    dfs_trail(
-        g, nfa, src, dst, &useful, used, &mut path, initial, &mut visit,
-    )
-    .is_continue()
+    let TrailScratch { path, images } = scratch;
+    if images.is_empty() {
+        images.push(BitSet::new(0));
+    }
+    images[0].copy_from(&live.initial);
+    path.clear();
+    dfs_trail(g, nfa, live, src, dst, used, path, images, &mut visit).is_continue()
 }
 
+/// Extends the trail `path` (ending at `here`, in the states
+/// `images[path.len()]`) by each unused out-edge: visits it when it ends
+/// at `dst` in a final state, and recurses through it in a live state.
+/// Restores `used` and `path` before it returns, a break included.
 fn dfs_trail<G, F>(
     g: &G,
     nfa: &Nfa,
+    live: &LiveStates,
     here: NodeId,
     dst: NodeId,
-    useful: &BitSet,
     used: &mut FxHashSet<Edge>,
     path: &mut Vec<Edge>,
-    states: BitSet,
+    images: &mut Vec<BitSet>,
     visit: &mut F,
 ) -> ControlFlow<()>
 where
     G: GraphView,
     F: FnMut(&[Edge], &mut FxHashSet<Edge>) -> ControlFlow<()>,
 {
+    let depth = path.len();
+    if images.len() == depth + 1 {
+        images.push(BitSet::new(0));
+    }
+    // The label of the current run of out-edges, whether its image has a
+    // final state and whether it has a live one.
+    let (mut run, mut accepts, mut go_on) = (None, false, false);
     for (sym, to) in g.out_edges_iter(here) {
+        if run != Some(sym) {
+            run = Some(sym);
+            (accepts, go_on) = (false, false);
+            if live.reads.contains(sym.index()) {
+                let (states, next) = images.split_at_mut(depth + 1);
+                let image = &mut next[0];
+                nfa.delta_into(&states[depth], sym, image);
+                accepts = image.intersects(nfa.finals());
+                image.intersect_with(&live.live);
+                go_on = !image.is_empty();
+            }
+        }
+        let ends = accepts && to == dst;
         let edge = (here, sym, to);
-        if used.contains(&edge) {
+        if !(ends || go_on) || !used.insert(edge) {
             continue;
         }
-        let mut image = nfa.delta_set(&states, sym);
-        image.intersect_with(useful);
-        if image.is_empty() {
-            continue;
-        }
-        used.insert(edge);
         path.push(edge);
         let mut flow = ControlFlow::Continue(());
-        if to == dst && image.intersects(nfa.finals()) {
+        if ends {
             flow = visit(path, used);
         }
-        if flow.is_continue() {
-            flow = dfs_trail(g, nfa, to, dst, useful, used, path, image, visit);
+        if go_on && flow.is_continue() {
+            // The child writes `images[depth + 2..]` only, so this run's
+            // image survives for the next edge.
+            flow = dfs_trail(g, nfa, live, to, dst, used, path, images, visit);
         }
         path.pop();
         used.remove(&edge);
@@ -2968,11 +3064,21 @@ mod tests {
             let nfa = Nfa::from_regex(&regex);
             let per_source = sweeps(&g, &nfa);
             for budget_bits in [64, 4096, 1 << 20, usize::MAX] {
-                let blocked = closure(&g, &nfa, budget_bits);
+                let stats = &mut MaterialiseStats::default();
+                let blocked = closure_relation(&g, &nfa, budget_bits, stats);
                 assert_eq!(
                     blocked, per_source,
                     "seed {seed} expr {expr} budget {budget_bits}"
                 );
+                if budget_bits == 64 {
+                    // Many blocks: one accumulator per node is scratch.
+                    let accumulators = g.num_nodes() * std::mem::size_of::<NodeSet>();
+                    assert!(
+                        stats.scratch_bytes >= accumulators,
+                        "seed {seed} expr {expr}: {} B omits the accumulators",
+                        stats.scratch_bytes
+                    );
+                }
             }
         }
     }
@@ -3040,8 +3146,11 @@ mod tests {
     /// sets whose sizes fall on both sides of the `k·32 ≥ n` parity point
     /// and whose universes do and do not fill their last word. Each set
     /// is built both sparse and dense, and every pair of representations
-    /// is checked: every `RelationRow` read, `intersects`, and
-    /// `NodeSet::intersect_with` with its result's representation; then
+    /// is checked: every `RelationRow` read, `intersects`, a run of
+    /// non-decreasing targets through one `RelationRow::seek` position
+    /// against `first_at_or_after` (and, sparse, the position against the
+    /// answer's index), and `NodeSet::intersect_with` with its result's
+    /// representation; then
     /// `extend_with_words` from either representation, across the parity
     /// point.
     #[test]
@@ -3090,6 +3199,26 @@ mod tests {
                     assert_eq!(row.contains(v), model.contains(&v), "{v} in {set:?}");
                     let seek = model.range(v..).next().copied();
                     assert_eq!(row.first_at_or_after(v), seek, "seek {v} in {set:?}");
+                }
+                // A non-decreasing run of targets (repeats, short and long
+                // strides, past the end) through one position.
+                let (mut pos, mut target) = (0, next(4));
+                while target <= n + 2 {
+                    let before = pos;
+                    let got = row.seek(&mut pos, target);
+                    assert_eq!(
+                        got,
+                        row.first_at_or_after(target),
+                        "seek {target} in {set:?}"
+                    );
+                    let expect = match set {
+                        NodeSet::Sparse { ids, .. } => {
+                            ids.partition_point(|&v| (v as usize) < target)
+                        }
+                        NodeSet::Dense(_) => before,
+                    };
+                    assert_eq!(pos, expect, "position after seek {target} in {set:?}");
+                    target += [0, 1, 1, 2, 3, 5, 17, 64, n / 8 + 1][next(9)];
                 }
             }
             let meet: BTreeSet<usize> = ma.intersection(&mb).copied().collect();
@@ -3551,6 +3680,111 @@ mod tests {
         assert!(
             found.iter().all(|&k| k > 0),
             "every language has paths or cycles somewhere: {found:?}"
+        );
+    }
+
+    /// Every trail from `here` extending `trail` by edges outside `used`
+    /// that ends at `dst` with its word in `L(nfa)`, by brute force over
+    /// edge sequences, blind to the language until the end.
+    fn brute_trails(
+        g: &GraphDb,
+        nfa: &Nfa,
+        here: NodeId,
+        dst: NodeId,
+        used: &mut FxHashSet<Edge>,
+        trail: &mut Vec<Edge>,
+        out: &mut Vec<Vec<Edge>>,
+    ) {
+        for (sym, to) in g.out_edges_iter(here) {
+            let edge = (here, sym, to);
+            if !used.insert(edge) {
+                continue;
+            }
+            trail.push(edge);
+            if to == dst {
+                let mut states = nfa.initials().clone();
+                for &(_, sym, _) in trail.iter() {
+                    states = nfa.delta_set(&states, sym);
+                }
+                if states.intersects(nfa.finals()) {
+                    out.push(trail.clone());
+                }
+            }
+            brute_trails(g, nfa, to, dst, used, trail, out);
+            trail.pop();
+            used.remove(&edge);
+        }
+    }
+
+    /// The trail search visits exactly the trails a brute-force
+    /// enumeration finds, in the same order, on the small random graphs of
+    /// at most 12 edges with a random set of used edges, over the
+    /// simple-path languages. Every (graph, NFA, s, d) runs through one
+    /// [`TrailScratch`] shared by all seeds and languages (different state
+    /// counts): an early-break existence check, then a full enumeration
+    /// that must equal a fresh scratch's, so an image buffer left sized or
+    /// filled by another search shows. `used` holds the trail while
+    /// `visit` runs and is restored after every search, a break included.
+    #[test]
+    fn trails_match_brute_force_with_one_shared_scratch() {
+        let mut shared = TrailScratch::default();
+        let (mut graphs, mut found) = (0, [0usize; SIMPLE_EXPRS.len()]);
+        for seed in 0..60u64 {
+            let (mut g, _) = small_random_graph(seed);
+            let edges: Vec<Edge> = g
+                .nodes()
+                .flat_map(|u| g.out_edges_iter(u).map(move |(sym, v)| (u, sym, v)))
+                .collect();
+            if edges.len() > 12 {
+                continue;
+            }
+            graphs += 1;
+            let blocked: FxHashSet<Edge> = edges.iter().copied().step_by(5).collect();
+            let n = g.num_nodes();
+            for (e, expr) in SIMPLE_EXPRS.into_iter().enumerate() {
+                let nfa = Nfa::from_regex(&parse_regex(expr, g.alphabet_mut()).unwrap());
+                let live = LiveStates::new(&nfa);
+                for (s, d) in (0..n * n).map(|i| (NodeId((i / n) as u32), NodeId((i % n) as u32))) {
+                    let ctx = format!("{s:?} -> {d:?}, {expr}, seed {seed}");
+                    let mut expected = Vec::new();
+                    if s == d && nfa.accepts_epsilon() {
+                        expected.push(Vec::new());
+                    }
+                    let mut used = blocked.clone();
+                    brute_trails(&g, &nfa, s, d, &mut used, &mut Vec::new(), &mut expected);
+                    let search = |scratch: &mut TrailScratch, used: &mut FxHashSet<Edge>| {
+                        let mut got = Vec::new();
+                        let complete =
+                            for_each_trail(&g, &nfa, &live, s, d, used, scratch, |t, set| {
+                                assert!(t.iter().all(|e| set.contains(e)), "trail hidden: {ctx}");
+                                got.push(t.to_vec());
+                                ControlFlow::Continue(())
+                            });
+                        assert!(complete, "{ctx}");
+                        assert_eq!(*used, blocked, "the search left the set changed: {ctx}");
+                        got
+                    };
+                    let exists =
+                        !for_each_trail(&g, &nfa, &live, s, d, &mut used, &mut shared, |_, _| {
+                            ControlFlow::Break(())
+                        });
+                    assert_eq!(used, blocked, "a break left the set changed: {ctx}");
+                    assert_eq!(exists, !expected.is_empty(), "{ctx}");
+                    assert_eq!(
+                        search(&mut shared, &mut used),
+                        expected,
+                        "shared scratch: {ctx}"
+                    );
+                    let fresh = &mut TrailScratch::default();
+                    assert_eq!(search(fresh, &mut used), expected, "fresh scratch: {ctx}");
+                    found[e] += expected.len();
+                }
+            }
+        }
+        assert!(graphs >= 20, "only {graphs} graphs small enough");
+        assert!(
+            found.iter().all(|&k| k > 0),
+            "every language has trails: {found:?}"
         );
     }
 
