@@ -104,7 +104,8 @@
 //! **Join-based ([`Eval::tuples`], [`Eval::ask`], [`Eval::limit`] and the
 //! stream).** Every terminal that enumerates answers plans every ε-free
 //! variant and steps one join cursor over the plans, in a relation-first
-//! pipeline:
+//! pipeline (on a cold catalog, `ask`, `limit` and a stream's first tuple
+//! run the witness phase first; see "The request flow" below):
 //!
 //! 1. **Relation materialisation** — every *distinct* atom's full
 //!    standard-semantics RPQ relation is computed by the one materialiser,
@@ -114,9 +115,8 @@
 //!    product too dense. The relation is indexed both ways
 //!    (`forward(u)` / `backward(v)` rows) and cached in the request's
 //!    [`RelationCatalog`] — the caller's, or a fresh
-//!    [`RelationCatalog::with_threads`]`(g, threads)`. On a cold catalog
-//!    the first tuple waits for every full relation; on a warm one the
-//!    request starts at step 3 with the memoised plans.
+//!    [`RelationCatalog::with_threads`]`(g, threads)`. On a warm catalog
+//!    the request starts at step 3 with the memoised plans.
 //! 2. **Semi-join pruning** — per-variable candidate domains start at `V`
 //!    and are intersected with atom source/target sets, then shrunk to a
 //!    fixpoint: a node stays in `dom(x)` only while every atom incident to
@@ -147,7 +147,9 @@
 //!
 //! **Membership.** Pins the free variables to the tuple, backtracks over
 //! the other variables with (exact-for-standard, sound-for-injective) RPQ
-//! reachability pruning, and hands each complete, standard-reachable
+//! reachability pruning — each variable's candidates intersect the sorted
+//! swept rows (`SweptRows`, the witness phase's row form) of its bound
+//! neighbours — and hands each complete, standard-reachable
 //! assignment to the caller's leaf; the first leaf that succeeds ends the
 //! search. [`Eval::contains`] and the enumeration oracle verify per
 //! semantics:
@@ -192,6 +194,42 @@
 //! reached twice. Every other request keeps a seen index of row numbers
 //! into the cursor's buffer of returned rows.
 //!
+//! # The request flow and the witness phase
+//!
+//! `tuples()` asks the catalog's plan memo and, on a miss, plans (steps
+//! 1–2 above) before its cursor runs. `limit(k)`, `ask()` and a stream
+//! do the same on a memo hit. On a memo miss where at least one atom's
+//! relation is not cached, they first run the **witness phase**
+//! (`witness_phase`): an answer is one homomorphism from an expansion into
+//! the graph, so one answer needs only the rows its search touches. The
+//! phase runs the same cursor over plans that are not memoised
+//! (`JoinPlan::unpruned`):
+//!
+//! * an atom whose relation is cached reads its catalog rows, and its
+//!   source and target sets restrict its variables' domains;
+//! * every other atom reads rows swept on demand (`SweptRows`): forward
+//!   rows by [`rpq::rpq_reach_collect`], backward rows by
+//!   [`rpq::rpq_reach_collect_back`] over the mirror automaton, memoised
+//!   per (relation, direction, node) as `Arc`-owned operands, and only
+//!   the non-empty ones kept;
+//! * there is no semi-join pruning: the elimination order reads the known
+//!   domain sizes and counts every other domain as `|V|`, and each
+//!   self-loop atom is checked as its variable is bound;
+//! * every leapfrog candidate and every scanned edge costs one unit of a
+//!   fixed budget, `1/16` of `|V| + |E|` plus 4 096 units (the floor lets
+//!   a small graph be searched whole).
+//!
+//! The phase ends in one of three ways. At its first verified answer,
+//! which the request returns at once: `ask` and `limit(1)` stop there with
+//! nothing cached, and the next step plans as above (materialising on
+//! `threads` workers) and runs the planned cursor, which skips that one
+//! answer. When its search is exhausted: the result is empty and nothing
+//! is materialised. When the budget is spent: the request plans as if the
+//! phase had not run. Only the first answer is lazy, because a stream
+//! drained on swept rows would give up the bulk sweeps on several workers
+//! and the semi-join pruning; drained requests and warm ones run exactly
+//! the planned path.
+//!
 //! # Inline injective verification
 //!
 //! Under `a-inj`/`q-inj` the relations over-approximate, and verification
@@ -229,7 +267,7 @@
 //! placement. A search then costs what its DFS scans, with no per-call
 //! setup. The enumeration oracle alone searches every atom.
 
-use crate::wcoj::{Cursor, Views};
+use crate::wcoj::{Cursor, Operand, Row, RowSource, Views};
 use crpq_automata::{Nfa, NfaKey};
 use crpq_graph::rpq::{
     LiveStates, NodeSet, ReachScratch, Relation, RelationRow, SimplePathScratch,
@@ -373,12 +411,14 @@ impl<'a, G: GraphView> Eval<'a, G> {
     /// docs' cursor contract) as one row of a flat buffer; the rows are
     /// sorted there and then copied out, one `Vec` per answer.
     pub fn tuples(self) -> Vec<Vec<NodeId>> {
-        self.search(usize::MAX)
+        self.search(usize::MAX, false)
     }
 
     /// `ASK`: whether `Q(G)_sem ≠ ∅` — the cursor's first step, which
     /// stops the join search at the **first verified witness**. For a
-    /// Boolean query this is the query's truth value.
+    /// Boolean query this is the query's truth value. On a plan-memo miss
+    /// that step is the witness phase's (see the module docs), which
+    /// builds no relation when it answers.
     pub fn ask(self) -> bool {
         !self.limit(1).is_empty()
     }
@@ -387,12 +427,14 @@ impl<'a, G: GraphView> Eval<'a, G> {
     /// when the result has fewer), sorted among themselves. They are a
     /// subset of [`Self::tuples`]; *which* subset is unspecified — it
     /// depends on the search order, like any engine's unordered `LIMIT`.
-    /// [`Self::stream`] yields the same `k` tuples first.
+    /// [`Self::stream`] yields the same `k` tuples first. On a plan-memo
+    /// miss the first tuple comes from the witness phase (see the module
+    /// docs), and only a `k > 1` request then plans.
     pub fn limit(self, k: usize) -> Vec<Vec<NodeId>> {
         if k == 0 {
             return Vec::new();
         }
-        self.search(k)
+        self.search(k, true)
     }
 
     /// Whether `tuple ∈ Q(G)_sem`, decided per ε-free variant by the
@@ -414,12 +456,14 @@ impl<'a, G: GraphView> Eval<'a, G> {
             .any(|variant| VariantEval::build(variant, self.g, self.sem).contains(tuple))
     }
 
-    /// The join driver behind every terminal but `contains`: takes the
-    /// plans of every ε-free variant from the request's catalog (or a
-    /// fresh one, materialising on `threads` workers), then advances one
-    /// cursor under the request's semantics at most `k` times. Returns
-    /// the rows the cursor returned, sorted.
-    fn search(self, k: usize) -> Vec<Vec<NodeId>> {
+    /// The join driver behind every terminal but `contains`: at most `k`
+    /// steps of one cursor under the request's semantics, over the plans
+    /// of every ε-free variant from the request's catalog (or a fresh one,
+    /// materialising on `threads` workers). With `witness_first`, a memo
+    /// miss first runs the witness phase (see the module docs): its answer
+    /// is the first step, and the planned cursor then skips it. Returns the
+    /// rows returned, sorted.
+    fn search(self, k: usize, witness_first: bool) -> Vec<Vec<NodeId>> {
         let Eval {
             q,
             g,
@@ -435,11 +479,29 @@ impl<'a, G: GraphView> Eval<'a, G> {
                 &mut fresh
             }
         };
-        let plans = catalog.plans(q, g);
-        let catalog = &*catalog;
-        let (mut cursor, mut views) = (Cursor::new(sem, &plans), Views::default());
-        for _ in 0..k {
-            if cursor.advance(g, catalog, &plans, &mut views).is_none() {
+        let mut witness = None;
+        let plans = match catalog.memoised(q, g) {
+            Some(plans) => plans,
+            None => {
+                if witness_first {
+                    match witness_phase(q, g, sem, catalog) {
+                        Witnessed::Answer(row) if k == 1 => return vec![row],
+                        Witnessed::Answer(row) => witness = Some(row),
+                        Witnessed::NoAnswer => return Vec::new(),
+                        Witnessed::Fallback => {}
+                    }
+                }
+                catalog.plan(q, g)
+            }
+        };
+        let mut cursor = Cursor::new(sem, &plans);
+        if let Some(row) = &witness {
+            cursor.returned_before(row);
+        }
+        let steps = k - usize::from(witness.is_some());
+        let (rows, mut views) = (&mut &*catalog, Views::default());
+        for _ in 0..steps {
+            if cursor.advance(g, rows, &plans, &mut views).is_none() {
                 break;
             }
         }
@@ -616,6 +678,18 @@ fn compile_atoms(variant: &Crpq) -> Vec<CompiledAtom> {
 ///   `|V|/8` bytes each (a domain turns dense where a bitset is smaller),
 ///   so a cached query holds at most `num_vars · |V|/8` bytes of domains
 ///   per ε-free variant. Entries live until an invalidation drops them.
+///
+/// # Requests answered by the witness phase
+///
+/// A cold `limit`/`ask` (a plan-memo miss with some atom relation not
+/// cached) runs the witness phase first (see the module docs). When that
+/// phase answers (`ask`, `limit(1)`) or proves the result empty, the
+/// request caches nothing: it reads the cached relations without counting
+/// a hit, materialises nothing and memoises no plan, so [`Self::hits`],
+/// [`Self::misses`], [`Self::cached_entries`] and [`Self::cached_plans`]
+/// read as they did before it. A `limit(k)` with `k > 1` that gets an
+/// answer, and any request whose phase hits its budget, then plans,
+/// counting hits and misses as above.
 pub struct RelationCatalog {
     /// Node count of the graph this catalog is bound to (O(1) misuse
     /// guard on every lookup).
@@ -729,16 +803,29 @@ impl RelationCatalog {
     }
 
     /// The join plans of every ε-free variant of `q`, in order: the
-    /// memoised ones when `q` was planned before (counting one hit per
-    /// atom relation they name), otherwise planned now and stored — the
-    /// one way a request plans. Panics like [`Self::get_or_materialize`]
-    /// if `g` is not the bound graph.
+    /// memoised ones when `q` was planned before, otherwise planned now
+    /// and stored — the one way a request plans
+    /// ([`Self::memoised`], then [`Self::plan`]).
     pub(crate) fn plans<G: GraphView>(&mut self, q: &Crpq, g: &G) -> Arc<[JoinPlan]> {
-        self.check_graph(g);
-        if let Some(plans) = self.plans.get(q).cloned() {
-            self.hits += plans.iter().map(|p| p.rel_ids.len()).sum::<usize>();
-            return plans;
+        match self.memoised(q, g) {
+            Some(plans) => plans,
+            None => self.plan(q, g),
         }
+    }
+
+    /// The memoised plans of `q`, counting one hit per atom relation they
+    /// name, or `None` on a memo miss. Runs the misuse guard first: panics
+    /// like [`Self::get_or_materialize`] if `g` is not the bound graph.
+    pub(crate) fn memoised<G: GraphView>(&mut self, q: &Crpq, g: &G) -> Option<Arc<[JoinPlan]>> {
+        self.check_graph(g);
+        let plans = self.plans.get(q).cloned()?;
+        self.hits += plans.iter().map(|p| p.rel_ids.len()).sum::<usize>();
+        Some(plans)
+    }
+
+    /// Plans every ε-free variant of `q` (materialising the relations not
+    /// cached yet) and stores the plans: the memo miss of [`Self::plans`].
+    pub(crate) fn plan<G: GraphView>(&mut self, q: &Crpq, g: &G) -> Arc<[JoinPlan]> {
         let plans: Arc<[JoinPlan]> = q
             .epsilon_free_union()
             .iter()
@@ -746,6 +833,13 @@ impl RelationCatalog {
             .collect();
         self.plans.insert(q.clone(), Arc::clone(&plans));
         plans
+    }
+
+    /// The slot of the cached relation for `nfa`, if any, without
+    /// counting a lookup: the witness phase reads what is cached and
+    /// caches nothing.
+    fn cached_slot(&self, nfa: &Nfa) -> Option<usize> {
+        self.index.get(&nfa.canonical_key()).copied()
     }
 
     /// The misuse guard of every lookup: the node count is checked in
@@ -1009,17 +1103,18 @@ fn graph_fingerprint<G: GraphView>(g: &G) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// The compiled join pipeline for one ε-free variant: per-atom relations,
-/// named by their [`RelationCatalog`] index, semi-join-pruned per-variable
-/// domains and the elimination order. It holds no semantics (the cursor
-/// does), so the catalog's plan memo serves every semantics with one
-/// entry, and it borrows nothing, so a [`crate::TupleStream`] can own its
-/// plans next to the catalog they index.
+/// named by their [`RelationCatalog`] index (by their index in the
+/// witness phase's rows, for its unpruned plans), semi-join-pruned
+/// per-variable domains and the elimination order. It holds no semantics
+/// (the cursor does), so the catalog's plan memo serves every semantics
+/// with one entry, and it borrows nothing, so a [`crate::TupleStream`] can
+/// own its plans next to the catalog they index.
 pub(crate) struct JoinPlan {
     /// The variant's free tuple.
     free: Vec<Var>,
     pub(crate) atoms: Vec<CompiledAtom>,
-    /// `rel_ids[i]` = catalog index of atom `i`'s full standard-semantics
-    /// relation.
+    /// `rel_ids[i]` = index of atom `i`'s full standard-semantics relation
+    /// in the plan's row source (the catalog, or the witness phase's rows).
     pub(crate) rel_ids: Vec<usize>,
     /// Per-variable candidate domains after semi-join fixpoint —
     /// density-adaptive ([`NodeSet`]: sorted-`u32` sparse / bitset dense),
@@ -1035,6 +1130,10 @@ pub(crate) struct JoinPlan {
     /// Levels of `order` that bind every free variable: the level whose
     /// entry runs the duplicate-projection prune.
     pub(crate) proj_depth: usize,
+    /// Self-loop atoms not folded into their variable's domain, checked as
+    /// the variable is bound ([`Self::loops_hold`]): none in a memoised
+    /// plan, every self-loop atom in the witness phase's.
+    loops: Vec<usize>,
     /// Some domain is empty — the variant contributes nothing.
     empty: bool,
 }
@@ -1113,8 +1212,50 @@ impl JoinPlan {
             }
         }
 
+        Self::ordered(variant, atoms, rel_ids, domains, &sizes, Vec::new())
+    }
+
+    /// The witness phase's plan of a variant (see the module docs) over
+    /// its compiled atoms, whose relations `rel_ids` name by index in
+    /// `rows`: no semi-join pruning and no materialisation. A cached
+    /// relation restricts its variables' domains to its source and target
+    /// sets, and any other domain stays `V`, so the order counts it as
+    /// `|V|`. Every self-loop atom is checked at bind time.
+    fn unpruned<G: GraphView>(
+        variant: &Crpq,
+        atoms: Vec<CompiledAtom>,
+        rel_ids: Vec<usize>,
+        rows: &WitnessRows<'_, G>,
+    ) -> Self {
+        let mut domains = vec![NodeSet::full(rows.g.num_nodes()); variant.num_vars];
+        let mut loops = Vec::new();
+        for (i, (atom, &id)) in atoms.iter().zip(&rel_ids).enumerate() {
+            let cached = rows.cached(id);
+            if let Some(rel) = cached {
+                domains[atom.src.index()].intersect_with(rel.source_set());
+            }
+            if atom.src == atom.dst {
+                loops.push(i);
+            } else if let Some(rel) = cached {
+                domains[atom.dst.index()].intersect_with(rel.target_set());
+            }
+        }
+        let sizes: Vec<usize> = domains.iter().map(|d| d.row().len()).collect();
+        Self::ordered(variant, atoms, rel_ids, domains, &sizes, loops)
+    }
+
+    /// The plan over its domains, with the elimination order their sizes
+    /// give.
+    fn ordered(
+        variant: &Crpq,
+        atoms: Vec<CompiledAtom>,
+        rel_ids: Vec<usize>,
+        domains: Vec<NodeSet>,
+        sizes: &[usize],
+        loops: Vec<usize>,
+    ) -> Self {
         let empty = sizes.contains(&0) && variant.num_vars > 0;
-        let order = crate::wcoj::elimination_order(&atoms, &sizes);
+        let order = crate::wcoj::elimination_order(&atoms, sizes);
         let mut level_of = vec![0; order.len()];
         for (level, v) in order.iter().enumerate() {
             level_of[v.index()] = level;
@@ -1133,6 +1274,7 @@ impl JoinPlan {
             order,
             level_of,
             proj_depth,
+            loops,
             empty,
         }
     }
@@ -1161,6 +1303,25 @@ impl JoinPlan {
         self.order[..self.proj_depth]
             .iter()
             .all(|v| self.free.contains(v))
+    }
+
+    /// Whether binding `node` to `var` satisfies every self-loop atom of
+    /// `var` left to bind time (`loops`): `node` must be in its own
+    /// forward row.
+    #[inline]
+    pub(crate) fn loops_hold<'a>(
+        &self,
+        rows: &mut impl RowSource<'a>,
+        var: Var,
+        node: NodeId,
+    ) -> bool {
+        self.loops.iter().all(|&i| {
+            self.atoms[i].src != var
+                || rows
+                    .forward(self.rel_ids[i], node)
+                    .view()
+                    .contains(node.index())
+        })
     }
 
     /// Appends the free-variable projection of `assignment` to `buf`.
@@ -1225,16 +1386,10 @@ impl JoinPlan {
     pub(crate) fn verify<G: GraphView>(
         &self,
         g: &G,
-        catalog: &RelationCatalog,
         sem: Semantics,
         mu: &[NodeId],
         scratch: &mut VerifyScratch,
     ) -> bool {
-        debug_assert!(self.atoms.iter().zip(&self.rel_ids).all(|(atom, &id)| {
-            catalog
-                .relation(id)
-                .contains(mu[atom.src.index()], mu[atom.dst.index()])
-        }));
         match sem {
             Semantics::Standard => true,
             // Every atom was already checked when its second endpoint was
@@ -1249,6 +1404,265 @@ impl JoinPlan {
 }
 
 // ---------------------------------------------------------------------------
+// Rows swept on demand, and the witness phase
+// ---------------------------------------------------------------------------
+
+/// Swept rows keyed by (relation, node).
+type RowMemo = FxHashMap<(u32, u32), Arc<[u32]>>;
+
+/// Relation rows swept on demand: per relation (an automaton and its
+/// mirror), the forward rows of the collecting sweep
+/// ([`rpq::rpq_reach_collect`]) and the backward rows of its twin
+/// ([`rpq::rpq_reach_collect_back`]), memoised per (relation, direction,
+/// node) and swept on one pooled [`ReachScratch`]. Only non-empty rows are
+/// kept: an empty row costs no memory and is swept again when asked for
+/// again. Each row is an `Arc<[u32]>`, so the cursor's views own the rows
+/// they read while the memo grows. The row form of the witness phase and
+/// of the membership engine.
+pub(crate) struct SweptRows {
+    /// Per relation: the automaton and its mirror.
+    nfas: Vec<(Nfa, Nfa)>,
+    /// The memoised non-empty rows: forward, then backward.
+    rows: [RowMemo; 2],
+    scratch: ReachScratch,
+    /// The sweep's output buffer.
+    buf: Vec<u32>,
+    /// The one empty row every empty sweep returns.
+    empty: Arc<[u32]>,
+    /// Graph edges scanned by every sweep so far.
+    scans: usize,
+}
+
+impl SweptRows {
+    fn new() -> Self {
+        SweptRows {
+            nfas: Vec::new(),
+            rows: Default::default(),
+            scratch: ReachScratch::new(),
+            buf: Vec::new(),
+            empty: Arc::from([]),
+            scans: 0,
+        }
+    }
+
+    /// Adds the relation of `nfa`; returns its index.
+    fn push(&mut self, nfa: &Nfa) -> usize {
+        self.nfas.push((nfa.clone(), nfa.reverse()));
+        self.nfas.len() - 1
+    }
+
+    /// The row of relation `rel` from `node`: the nodes it reaches, or
+    /// with `back` the nodes reaching it. Sorted, strictly ascending.
+    fn row<G: GraphView>(&mut self, g: &G, rel: usize, back: bool, node: NodeId) -> Arc<[u32]> {
+        let key = (rel as u32, node.0);
+        if let Some(row) = self.rows[usize::from(back)].get(&key) {
+            return Arc::clone(row);
+        }
+        let (nfa, rev) = &self.nfas[rel];
+        let (scratch, buf) = (&mut self.scratch, &mut self.buf);
+        self.scans += if back {
+            rpq::rpq_reach_collect_back(g, rev, node, scratch, buf)
+        } else {
+            rpq::rpq_reach_collect(g, nfa, node, scratch, buf)
+        };
+        if buf.is_empty() {
+            return Arc::clone(&self.empty);
+        }
+        let row: Arc<[u32]> = Arc::from(&buf[..]);
+        self.rows[usize::from(back)].insert(key, Arc::clone(&row));
+        row
+    }
+
+    /// The memoised row of relation `rel` from `node`, if swept and
+    /// non-empty.
+    fn known(&self, rel: usize, back: bool, node: NodeId) -> Option<&[u32]> {
+        self.rows[usize::from(back)]
+            .get(&(rel as u32, node.0))
+            .map(|row| &row[..])
+    }
+}
+
+/// The witness phase's work budget, in units of one leapfrog candidate or
+/// one scanned edge: `1/WITNESS_SHARE` of `|V| + |E|`, plus
+/// `WITNESS_FLOOR` so that a small graph is searched whole. A miss then
+/// costs a fixed fraction of one sweep over the graph, which is what
+/// materialising even one relation costs at least.
+const WITNESS_SHARE: usize = 16;
+
+/// See [`WITNESS_SHARE`].
+const WITNESS_FLOOR: usize = 4096;
+
+/// Where the witness phase reads one relation.
+#[derive(Clone, Copy)]
+enum WitnessRel {
+    /// The catalog holds it, in this slot.
+    Cached(usize),
+    /// Its rows are swept on demand: this relation of [`SweptRows`].
+    Swept(usize),
+}
+
+/// The witness phase's [`RowSource`]: catalog rows for the relations the
+/// catalog holds, rows swept on demand for the rest, and the phase's work
+/// budget. Its relations are deduplicated by canonical key, like the
+/// catalog's, so atoms sharing a language share their swept rows.
+pub(crate) struct WitnessRows<'a, G: GraphView> {
+    g: &'a G,
+    catalog: &'a RelationCatalog,
+    /// The relations the witness plans name, by index.
+    rels: Vec<WitnessRel>,
+    /// The index of each relation's canonical key in `rels`.
+    keys: FxHashMap<NfaKey, usize>,
+    swept: SweptRows,
+    /// Leapfrog candidates charged so far.
+    candidates: usize,
+    /// The budget of candidates plus scanned edges.
+    budget: usize,
+}
+
+impl<'a, G: GraphView> WitnessRows<'a, G> {
+    fn new(g: &'a G, catalog: &'a RelationCatalog) -> Self {
+        WitnessRows {
+            g,
+            catalog,
+            rels: Vec::new(),
+            keys: FxHashMap::default(),
+            swept: SweptRows::new(),
+            candidates: 0,
+            budget: (g.num_nodes() + g.num_edges()) / WITNESS_SHARE + WITNESS_FLOOR,
+        }
+    }
+
+    /// The index of the relation of `nfa`, added on first sight.
+    fn resolve(&mut self, nfa: &Nfa) -> usize {
+        let key = nfa.canonical_key();
+        if let Some(&id) = self.keys.get(&key) {
+            return id;
+        }
+        let rel = match self.catalog.cached_slot(nfa) {
+            Some(slot) => WitnessRel::Cached(slot),
+            None => WitnessRel::Swept(self.swept.push(nfa)),
+        };
+        self.rels.push(rel);
+        self.keys.insert(key, self.rels.len() - 1);
+        self.rels.len() - 1
+    }
+
+    /// The relation `id` if the catalog holds it.
+    fn cached(&self, id: usize) -> Option<&'a Relation> {
+        match self.rels[id] {
+            WitnessRel::Cached(slot) => Some(self.catalog.relation(slot)),
+            WitnessRel::Swept(_) => None,
+        }
+    }
+
+    /// Whether the budget is spent.
+    fn spent(&self) -> bool {
+        self.candidates + self.swept.scans > self.budget
+    }
+
+    fn row(&mut self, id: usize, back: bool, node: NodeId) -> Row<'a> {
+        match self.rels[id] {
+            WitnessRel::Cached(slot) => {
+                let rel = self.catalog.relation(slot);
+                Row::Borrowed(if back {
+                    rel.backward(node)
+                } else {
+                    rel.forward(node)
+                })
+            }
+            WitnessRel::Swept(k) => Row::Swept(self.swept.row(self.g, k, back, node)),
+        }
+    }
+}
+
+impl<'a, 'r: 'a, G: GraphView> RowSource<'a> for WitnessRows<'r, G> {
+    type Row = Row<'a>;
+
+    fn forward(&mut self, id: usize, u: NodeId) -> Row<'a> {
+        self.row(id, false, u)
+    }
+
+    fn backward(&mut self, id: usize, v: NodeId) -> Row<'a> {
+        self.row(id, true, v)
+    }
+
+    fn charge(&mut self) -> bool {
+        self.candidates += 1;
+        !self.spent()
+    }
+
+    fn debug_holds(&self, id: usize, s: NodeId, d: NodeId) -> bool {
+        match self.rels[id] {
+            WitnessRel::Cached(slot) => self.catalog.relation(slot).contains(s, d),
+            WitnessRel::Swept(k) => {
+                let forward = self.swept.known(k, false, s);
+                let backward = self.swept.known(k, true, d);
+                forward.is_none_or(|row| row.binary_search(&d.0).is_ok())
+                    && backward.is_none_or(|row| row.binary_search(&s.0).is_ok())
+            }
+        }
+    }
+}
+
+/// How the witness phase of a request ended.
+pub(crate) enum Witnessed {
+    /// At its first verified answer.
+    Answer(Vec<NodeId>),
+    /// Its search was exhausted: the query has no answer.
+    NoAnswer,
+    /// It hit its budget, or did not run because every relation it would
+    /// read is cached: the planned path answers.
+    Fallback,
+}
+
+/// The witness phase of a request for `q` on `g` under `sem` (see the
+/// module docs): one cursor over the unpruned plans of `q`'s ε-free
+/// variants ([`JoinPlan::unpruned`]), reading the relations `catalog`
+/// holds and sweeping the others' rows on demand, up to the first
+/// verified answer, the end of the search or the budget. It changes
+/// nothing in the catalog.
+pub(crate) fn witness_phase<G: GraphView>(
+    q: &Crpq,
+    g: &G,
+    sem: Semantics,
+    catalog: &RelationCatalog,
+) -> Witnessed {
+    witness_search(q, sem, &mut WitnessRows::new(g, catalog))
+}
+
+/// The search of [`witness_phase`] on `rows`.
+fn witness_search<G: GraphView>(
+    q: &Crpq,
+    sem: Semantics,
+    rows: &mut WitnessRows<'_, G>,
+) -> Witnessed {
+    let variants = q.epsilon_free_union();
+    let compiled: Vec<(Vec<CompiledAtom>, Vec<usize>)> = variants
+        .iter()
+        .map(|variant| {
+            let atoms = compile_atoms(variant);
+            let rel_ids = atoms.iter().map(|a| rows.resolve(&a.nfa)).collect();
+            (atoms, rel_ids)
+        })
+        .collect();
+    if !rows.rels.iter().any(|r| matches!(r, WitnessRel::Swept(_))) {
+        return Witnessed::Fallback;
+    }
+    let plans: Vec<JoinPlan> = variants
+        .iter()
+        .zip(compiled)
+        .map(|(variant, (atoms, rel_ids))| JoinPlan::unpruned(variant, atoms, rel_ids, rows))
+        .collect();
+    let g = rows.g;
+    let mut cursor = Cursor::new(sem, &plans);
+    match cursor.advance(g, rows, &plans, &mut Views::default()) {
+        Some(row) => Witnessed::Answer(row.to_vec()),
+        None if rows.spent() => Witnessed::Fallback,
+        None => Witnessed::NoAnswer,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Membership engine (per-tuple backtracking)
 // ---------------------------------------------------------------------------
 
@@ -1257,11 +1671,10 @@ pub(crate) struct VariantEval<'a, G: GraphView> {
     g: &'a G,
     q: &'a Crpq,
     atoms: Vec<CompiledAtom>,
-    /// The reversed NFA of each atom, read only by [`Self::reach_back`].
-    nfa_rev: Vec<Nfa>,
     sem: Semantics,
-    reach_fwd: FxHashMap<(usize, NodeId), BitSet>,
-    reach_back: FxHashMap<(usize, NodeId), BitSet>,
+    /// Each atom's relation rows (relation `i` is atom `i`'s), swept as
+    /// the search asks for them.
+    rows: SweptRows,
     scratch: VerifyScratch,
 }
 
@@ -1269,14 +1682,16 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
     /// The evaluator of one ε-free variant.
     pub(crate) fn build(variant: &'a Crpq, g: &'a G, sem: Semantics) -> Self {
         let atoms = compile_atoms(variant);
+        let mut rows = SweptRows::new();
+        for atom in &atoms {
+            rows.push(&atom.nfa);
+        }
         VariantEval {
             g,
             q: variant,
-            nfa_rev: atoms.iter().map(|a| a.nfa.reverse()).collect(),
             atoms,
             sem,
-            reach_fwd: FxHashMap::default(),
-            reach_back: FxHashMap::default(),
+            rows,
             scratch: VerifyScratch::new(),
         }
     }
@@ -1327,7 +1742,10 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
             // (cheap thanks to the cache).
             let reachable = (0..this.atoms.len()).all(|i| {
                 let (s, d) = (mu[this.atoms[i].src.index()], mu[this.atoms[i].dst.index()]);
-                this.reach_fwd(i, s).contains(d.index())
+                this.rows
+                    .row(this.g, i, false, s)
+                    .binary_search(&d.0)
+                    .is_ok()
             });
             found = if reachable { leaf(this, mu) } else { None };
             if found.is_some() {
@@ -1398,57 +1816,45 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
         ControlFlow::Continue(())
     }
 
-    fn reach_fwd(&mut self, atom: usize, from: NodeId) -> &BitSet {
-        if !self.reach_fwd.contains_key(&(atom, from)) {
-            let set = rpq::rpq_reach(self.g, &self.atoms[atom].nfa, from);
-            self.reach_fwd.insert((atom, from), set);
-        }
-        &self.reach_fwd[&(atom, from)]
-    }
-
-    fn reach_back(&mut self, atom: usize, to: NodeId) -> &BitSet {
-        if !self.reach_back.contains_key(&(atom, to)) {
-            let set = rpq::rpq_reach_back(self.g, &self.nfa_rev[atom], to);
-            self.reach_back.insert((atom, to), set);
-        }
-        &self.reach_back[&(atom, to)]
-    }
-
+    /// The candidates of `var`: the intersection of the sorted rows of
+    /// every atom whose other endpoint is bound (every node when there is
+    /// none), kept only where each self-loop atom of `var` holds and,
+    /// under q-inj, where no other variable holds the node.
     fn candidates(&mut self, var: Var, assignment: &[Option<NodeId>]) -> Vec<NodeId> {
-        let mut domain: Option<BitSet> = None;
-        let restrict = |domain: &mut Option<BitSet>, set: &BitSet| match domain {
-            None => *domain = Some(set.clone()),
-            Some(d) => d.intersect_with(set),
-        };
-
-        for i in 0..self.atoms.len() {
-            let (src, dst) = (self.atoms[i].src, self.atoms[i].dst);
-            if src == var && dst == var {
+        let g = self.g;
+        let mut rows: Vec<Arc<[u32]>> = Vec::new();
+        for (i, atom) in self.atoms.iter().enumerate() {
+            if atom.src == var && atom.dst == var {
                 continue; // self-loop atoms handled per candidate below
             }
-            if src == var {
-                if let Some(dst_node) = assignment[dst.index()] {
-                    let set = self.reach_back(i, dst_node).clone();
-                    restrict(&mut domain, &set);
+            if atom.src == var {
+                if let Some(dst_node) = assignment[atom.dst.index()] {
+                    rows.push(self.rows.row(g, i, true, dst_node));
                 }
             }
-            if dst == var {
-                if let Some(src_node) = assignment[src.index()] {
-                    let set = self.reach_fwd(i, src_node).clone();
-                    restrict(&mut domain, &set);
+            if atom.dst == var {
+                if let Some(src_node) = assignment[atom.src.index()] {
+                    rows.push(self.rows.row(g, i, false, src_node));
                 }
             }
         }
 
-        let mut cands: Vec<NodeId> = match domain {
-            Some(d) => d.iter().map(|i| NodeId(i as u32)).collect(),
-            None => (0..self.g.num_nodes()).map(|v| NodeId(v as u32)).collect(),
+        // The shortest row leads; every other row is probed per id.
+        let lead = (0..rows.len()).min_by_key(|&r| rows[r].len());
+        let mut cands: Vec<NodeId> = match lead {
+            Some(lead) => rows[lead]
+                .iter()
+                .filter(|v| rows.iter().all(|row| row.binary_search(v).is_ok()))
+                .map(|&v| NodeId(v))
+                .collect(),
+            None => (0..g.num_nodes()).map(|v| NodeId(v as u32)).collect(),
         };
 
         // Self-loop atoms: reachability from the node back to itself.
-        for i in 0..self.atoms.len() {
-            if self.atoms[i].src == var && self.atoms[i].dst == var {
-                cands.retain(|&n| self.reach_fwd(i, n).contains(n.index()));
+        for (i, atom) in self.atoms.iter().enumerate() {
+            if atom.src == var && atom.dst == var {
+                let rows = &mut self.rows;
+                cands.retain(|&n| rows.row(g, i, false, n).binary_search(&n.0).is_ok());
             }
         }
 
@@ -2066,7 +2472,7 @@ mod tests {
             let plans = [JoinPlan::build(variant, g, &mut catalog)];
             let mut cursor = Cursor::new(Semantics::AtomInjective, &plans);
             let mut views = Views::default();
-            while let Some(tuple) = cursor.advance(g, &catalog, &plans, &mut views) {
+            while let Some(tuple) = cursor.advance(g, &mut &catalog, &plans, &mut views) {
                 out.insert(tuple.to_vec());
             }
             searches += cursor.scratch.atom_memo.len();
@@ -2087,7 +2493,10 @@ mod tests {
             let mut cursor = Cursor::new(sem, &plans);
             let mut views = Views::default();
             let mut tuples = 0;
-            while cursor.advance(&g, &catalog, &plans, &mut views).is_some() {
+            while cursor
+                .advance(&g, &mut &catalog, &plans, &mut views)
+                .is_some()
+            {
                 tuples += 1;
             }
             (cursor.scratch, tuples)
@@ -2359,9 +2768,41 @@ mod tests {
         let misses = catalog.misses();
         Eval::new(&c, &g).catalog(&mut catalog).ask();
         assert_eq!(catalog.misses(), misses);
-        Eval::new(&ab, &g).catalog(&mut catalog).ask();
+        // A cold `ask` is answered by the witness phase, which caches
+        // nothing; the full evaluation materialises and plans again.
+        assert!(Eval::new(&ab, &g).catalog(&mut catalog).ask());
+        assert_eq!((catalog.misses(), catalog.cached_plans()), (misses, 1));
+        Eval::new(&ab, &g).catalog(&mut catalog).tuples();
         assert_eq!(catalog.misses(), misses + 1);
         assert_eq!(catalog.cached_plans(), 2);
+    }
+
+    /// The witness phase reads a cached relation from the catalog and
+    /// sweeps the other atoms' rows; here the cached `b c*` atom gives the
+    /// middle variable the smallest domain, so `y` is bound first and the
+    /// `a` atom is read backward from it, by swept rows only.
+    #[test]
+    fn witness_phase_sweeps_backward_rows() {
+        let mut g = graph(&[
+            ("u", "a", "m"),
+            ("v", "a", "m"),
+            ("m", "b", "w"),
+            ("w", "c", "t"),
+        ]);
+        let query = q("(x, z) <- x -[a]-> y, y -[b c*]-> z", &mut g);
+        let warm = q("(y, z) <- y -[b c*]-> z", &mut g);
+        let mut catalog = RelationCatalog::new(&g);
+        Eval::new(&warm, &g).catalog(&mut catalog).tuples();
+        let mut rows = WitnessRows::new(&g, &catalog);
+        let Witnessed::Answer(row) = witness_search(&query, Semantics::Standard, &mut rows) else {
+            panic!("the query has answers");
+        };
+        assert!(Eval::new(&query, &g).tuples().contains(&row), "{row:?}");
+        let [forward, backward] = &rows.swept.rows;
+        assert!(forward.is_empty(), "the order binds y before x");
+        assert_eq!(backward.len(), 1, "one backward row, from the middle node");
+        assert!(!rows.spent());
+        assert_eq!(catalog.cached_entries(), 1);
     }
 
     #[test]

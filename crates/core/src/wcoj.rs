@@ -34,11 +34,22 @@
 //! bound node (in the assignment) and the leapfrog position (the smallest
 //! candidate id not yet tried), so [`Cursor::advance`] can return one
 //! verified projection and later resume exactly where it stopped, across
-//! the ε-free variants in order. The views borrow the catalog's relations
-//! and the plans' domains, so the cursor stores none of them: a
+//! the ε-free variants in order. The views borrow the plans' domains and
+//! the rows of a [`RowSource`], so the cursor stores none of them: a
 //! `Views` buffer holds the active levels' views and their seek positions
 //! for as long as its caller keeps it, and a fresh buffer rebuilds each
 //! active level once from the assignment, its positions at 0.
+//!
+//! A plan names its relations by index into its row source, and the
+//! source fixes the operand type ([`RowSource::Row`]). The memoised plans
+//! read the [`RelationCatalog`], whose rows the views borrow as plain
+//! [`RelationRow`]s. The witness phase (see the `eval` module docs) reads
+//! the same catalog for the atoms it already holds and rows swept on
+//! demand for the others; those rows are `Arc`-owned operands
+//! ([`Row::Swept`]), so no view borrows the memo that keeps growing under
+//! it. Its source also charges one unit per leapfrog candidate and per
+//! scanned edge against a fixed budget ([`RowSource::charge`]), and the
+//! cursor stops when it is spent.
 //!
 //! The projections a cursor returns are rows of one arity-strided buffer
 //! (`Returned`). A plan whose order binds its free variables first and
@@ -58,6 +69,95 @@ use crpq_graph::NodeId;
 use crpq_query::Var;
 use crpq_util::FxHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// A leapfrog operand's id set, read as one [`RelationRow`]; a domain
+/// enters as a borrowed view.
+pub(crate) trait Operand<'a>: From<RelationRow<'a>> {
+    /// The id-set view of the operand.
+    fn view(&self) -> RelationRow<'_>;
+}
+
+/// The memoised plans' operands: views borrowed from the catalog and the
+/// plans, with no drop glue and no indirection.
+impl<'a> Operand<'a> for RelationRow<'a> {
+    #[inline]
+    fn view(&self) -> RelationRow<'_> {
+        *self
+    }
+}
+
+/// The witness phase's operand: a view borrowed from the catalog or a
+/// plan's domain, or a row it swept, owned through its `Arc`.
+pub(crate) enum Row<'a> {
+    /// A catalog relation row or a domain.
+    Borrowed(RelationRow<'a>),
+    /// A swept row: sorted, strictly ascending ids.
+    Swept(Arc<[u32]>),
+}
+
+impl<'a> From<RelationRow<'a>> for Row<'a> {
+    fn from(row: RelationRow<'a>) -> Self {
+        Row::Borrowed(row)
+    }
+}
+
+impl<'a> Operand<'a> for Row<'a> {
+    #[inline]
+    fn view(&self) -> RelationRow<'_> {
+        match self {
+            Row::Borrowed(row) => *row,
+            Row::Swept(ids) => RelationRow::Sparse(ids),
+        }
+    }
+}
+
+/// Where a cursor reads the relation rows of its plans' atoms, which a
+/// plan names by index (`JoinPlan::rel_ids`): the catalog for the
+/// memoised plans, the witness phase's rows for its unpruned ones.
+pub(crate) trait RowSource<'a> {
+    /// The operand type the rows come as.
+    type Row: Operand<'a>;
+
+    /// The row of relation `id` forward from `u`: the nodes `u` reaches.
+    fn forward(&mut self, id: usize, u: NodeId) -> Self::Row;
+
+    /// The row of relation `id` backward from `v`: the nodes reaching `v`.
+    fn backward(&mut self, id: usize, v: NodeId) -> Self::Row;
+
+    /// Charges one leapfrog candidate; `false` once the source's work
+    /// budget is spent, which stops the cursor.
+    fn charge(&mut self) -> bool;
+
+    /// Whether relation `id` holds `(s, d)`, as far as the source knows
+    /// without new work: the leaf's debug check.
+    fn debug_holds(&self, id: usize, s: NodeId, d: NodeId) -> bool;
+}
+
+/// The memoised plans' source: every relation is a catalog slot, and the
+/// search has no budget.
+impl<'a, 'c: 'a> RowSource<'a> for &'c RelationCatalog {
+    type Row = RelationRow<'a>;
+
+    #[inline]
+    fn forward(&mut self, id: usize, u: NodeId) -> RelationRow<'a> {
+        self.relation(id).forward(u)
+    }
+
+    #[inline]
+    fn backward(&mut self, id: usize, v: NodeId) -> RelationRow<'a> {
+        self.relation(id).backward(v)
+    }
+
+    #[inline]
+    fn charge(&mut self) -> bool {
+        true
+    }
+
+    fn debug_holds(&self, id: usize, s: NodeId, d: NodeId) -> bool {
+        self.relation(id).contains(s, d)
+    }
+}
 
 /// Ordering weight of a view for the leapfrog lead: sparse views lead
 /// with their exact length; dense views (O(|V|/64) to measure exactly)
@@ -71,10 +171,6 @@ fn lead_weight(view: &RelationRow<'_>) -> usize {
     }
 }
 
-/// One operand of a level's leapfrog: the view and its seek position
-/// ([`RelationRow::seek`]).
-type Operand<'a> = (RelationRow<'a>, usize);
-
 /// The views of the active levels `0..starts.len()`, stacked: level `l`
 /// owns `views[starts[l]..]` up to the next level's start, lead first.
 /// Each view is one sorted, seekable operand of the level's leapfrog
@@ -84,13 +180,22 @@ type Operand<'a> = (RelationRow<'a>, usize);
 /// invalidates exactly the levels below it. Each view keeps its seek
 /// position, which only grows while the level's views live: the level's
 /// leapfrog targets start at its `next` and rise.
-#[derive(Default)]
-pub(crate) struct Views<'a> {
-    views: Vec<Operand<'a>>,
+pub(crate) struct Views<R> {
+    /// Each operand with its seek position ([`RelationRow::seek`]).
+    views: Vec<(R, usize)>,
     starts: Vec<usize>,
 }
 
-impl<'a> Views<'a> {
+impl<R> Default for Views<R> {
+    fn default() -> Self {
+        Views {
+            views: Vec::new(),
+            starts: Vec::new(),
+        }
+    }
+}
+
+impl<R> Views<R> {
     /// Keeps the views of the first `levels` levels only.
     fn truncate(&mut self, levels: usize) {
         if let Some(&start) = self.starts.get(levels) {
@@ -100,7 +205,7 @@ impl<'a> Views<'a> {
     }
 
     /// The operands of built level `level`.
-    fn level(&mut self, level: usize) -> &mut [Operand<'a>] {
+    fn level(&mut self, level: usize) -> &mut [(R, usize)] {
         let end = self
             .starts
             .get(level + 1)
@@ -110,17 +215,19 @@ impl<'a> Views<'a> {
     }
 
     /// Builds the views of the next level, `order[self.starts.len()]`:
-    /// incident relation rows whose other endpoint is bound, plus the
-    /// pruned domain (self-loop atoms were folded into the domain at plan
-    /// time), with the (cheaply measurable) smallest view leading so
-    /// leapfrog's outer advance steps through the fewest candidates. Every
-    /// position starts at 0.
-    fn push_level(
+    /// incident relation rows whose other endpoint is bound, read from
+    /// `rows`, plus the domain (self-loop atoms were folded into the domain
+    /// at plan time or are checked at bind time), with the (cheaply
+    /// measurable) smallest view leading so leapfrog's outer advance steps
+    /// through the fewest candidates. Every position starts at 0.
+    fn push_level<'a>(
         &mut self,
         plan: &'a JoinPlan,
-        catalog: &'a RelationCatalog,
+        rows: &mut impl RowSource<'a, Row = R>,
         assignment: &[Option<NodeId>],
-    ) {
+    ) where
+        R: Operand<'a>,
+    {
         let level = self.starts.len();
         let var = plan.order[level];
         // Only the levels above count: on a resume, deeper levels are
@@ -132,21 +239,21 @@ impl<'a> Views<'a> {
             if atom.src == atom.dst {
                 continue;
             }
-            let rel = catalog.relation(id);
             if atom.src == var {
                 if let Some(dst_node) = above(atom.dst) {
-                    self.views.push((rel.backward(dst_node), 0));
+                    self.views.push((rows.backward(id, dst_node), 0));
                 }
             }
             if atom.dst == var {
                 if let Some(src_node) = above(atom.src) {
-                    self.views.push((rel.forward(src_node), 0));
+                    self.views.push((rows.forward(id, src_node), 0));
                 }
             }
         }
-        self.views.push((plan.domains[var.index()].row(), 0));
+        let domain = plan.domains[var.index()].row();
+        self.views.push((domain.into(), 0));
         let lead = (start..self.views.len())
-            .min_by_key(|&i| lead_weight(&self.views[i].0))
+            .min_by_key(|&i| lead_weight(&self.views[i].0.view()))
             .unwrap_or(start);
         self.views.swap(start, lead);
     }
@@ -156,13 +263,13 @@ impl<'a> Views<'a> {
 /// candidate through each view until all agree. `views[0]` leads. Every
 /// seek target is at least `from` and only rises, so each view resumes
 /// from its position.
-fn leapfrog(views: &mut [Operand<'_>], from: usize) -> Option<usize> {
+fn leapfrog<'a, R: Operand<'a>>(views: &mut [(R, usize)], from: usize) -> Option<usize> {
     let (lead, pos) = &mut views[0];
-    let mut cand = lead.seek(pos, from)?;
+    let mut cand = lead.view().seek(pos, from)?;
     loop {
         let mut stable = true;
-        for (view, pos) in views.iter_mut() {
-            let w = view.seek(pos, cand)?;
+        for (row, pos) in views.iter_mut() {
+            let w = row.view().seek(pos, cand)?;
             if w > cand {
                 cand = w;
                 stable = false;
@@ -335,6 +442,10 @@ pub(crate) struct Cursor {
     out: Returned,
     /// Row numbers of `out`, when the plans can reach one projection twice.
     seen: Option<SeenIndex>,
+    /// A projection returned before the first step
+    /// ([`Self::returned_before`]) that no seen index holds: the search
+    /// skips every subtree projecting to it.
+    skip: Option<Vec<NodeId>>,
     /// Complete-assignment buffer handed to verification.
     mu: Vec<NodeId>,
     /// The verification buffers and the per-plan atom memo.
@@ -364,9 +475,25 @@ impl Cursor {
                 len: 0,
             },
             seen: seen.then(SeenIndex::new),
+            skip: None,
             mu: Vec::new(),
             scratch: VerifyScratch::new(),
         }
+    }
+
+    /// Counts `row` as returned before the first step: it is part of the
+    /// result, and the search skips every subtree whose projection equals
+    /// it, so no step returns it. The witness phase's answer enters the
+    /// planned cursor this way.
+    pub(crate) fn returned_before(&mut self, row: &[NodeId]) {
+        debug_assert_eq!(row.len(), self.out.arity);
+        debug_assert_eq!(self.out.len, 0, "before the first step");
+        self.out.rows.extend_from_slice(row);
+        match &mut self.seen {
+            Some(seen) => seen.insert(&self.out, 0),
+            None => self.skip = Some(row.to_vec()),
+        }
+        self.out.len = 1;
     }
 
     /// The rows returned so far, sorted and deduplicated: the result of a
@@ -387,16 +514,17 @@ impl Cursor {
 
     /// Runs the search to its next verified projection not returned
     /// before, and returns it; `None` once every plan is exhausted (and on
-    /// every later call). `views` caches the active levels' views and
-    /// their seek positions while the caller passes the same buffer; a
-    /// fresh (default) buffer is rebuilt from the assignment, at most once
-    /// per active level.
-    pub(crate) fn advance<'a, G: GraphView>(
+    /// every later call), or once `rows` refuses a charge (the witness
+    /// phase's budget; the caller asks its source which it was). `views`
+    /// caches the active levels' views and their seek positions while the
+    /// caller passes the same buffer; a fresh (default) buffer is rebuilt
+    /// from the assignment, at most once per active level.
+    pub(crate) fn advance<'a, G: GraphView, S: RowSource<'a>>(
         &mut self,
         g: &G,
-        catalog: &'a RelationCatalog,
+        rows: &mut S,
         plans: &'a [JoinPlan],
-        views: &mut Views<'a>,
+        views: &mut Views<S::Row>,
     ) -> Option<&[NodeId]> {
         while let Some(plan) = plans.get(self.variant) {
             if !self.entered {
@@ -412,7 +540,7 @@ impl Cursor {
                     continue;
                 }
                 self.scratch.begin_plan();
-                match self.enter(g, catalog, plan, views, 0) {
+                match self.enter(g, rows, plan, views, 0) {
                     Entry::Descend => {}
                     Entry::Skip => self.next_variant(),
                     Entry::Emit => return Some(self.out.row(self.out.len - 1)),
@@ -421,7 +549,7 @@ impl Cursor {
             }
             let level = self.depth;
             while views.starts.len() <= level {
-                views.push_level(plan, catalog, &self.assignment);
+                views.push_level(plan, rows, &self.assignment);
             }
             let Some(cand) = leapfrog(views.level(level), self.next[level]) else {
                 // Level exhausted: backtrack to the one above.
@@ -434,16 +562,22 @@ impl Cursor {
                 }
                 continue;
             };
+            if !rows.charge() {
+                return None;
+            }
             self.next[level] = cand + 1;
             let (var, node) = (plan.order[level], NodeId(cand as u32));
             if self.sem == Semantics::QueryInjective && self.assignment.contains(&Some(node)) {
                 continue; // μ must be injective under q-inj
             }
+            if !plan.loops_hold(rows, var, node) {
+                continue;
+            }
             if !plan.bind_allowed(g, self.sem, var, node, &self.assignment, &mut self.scratch) {
                 continue;
             }
             self.assignment[var.index()] = Some(node);
-            match self.enter(g, catalog, plan, views, level + 1) {
+            match self.enter(g, rows, plan, views, level + 1) {
                 Entry::Descend => {}
                 Entry::Skip => self.assignment[var.index()] = None,
                 Entry::Emit => return Some(self.out.row(self.out.len - 1)),
@@ -460,24 +594,27 @@ impl Cursor {
 
     /// Enters `level` with `order[..level]` bound. At the level that binds
     /// the last free variable the projection is written as the pending row
-    /// and, with a seen index, the duplicate-projection prune runs; at the
-    /// leaf (every variable bound) the assignment is verified, and the
-    /// pending row is returned. After an emission only existential
-    /// variables could still vary below the last free one, so the cursor
-    /// resumes at that variable's level.
-    fn enter<'a, G: GraphView>(
+    /// and the duplicate-projection prune runs (against the seen index, or
+    /// the one row returned before the first step); at the leaf (every
+    /// variable bound) the assignment is verified, and the pending row is
+    /// returned. After an emission only existential variables could still
+    /// vary below the last free one, so the cursor resumes at that
+    /// variable's level.
+    fn enter<'a, G: GraphView, S: RowSource<'a>>(
         &mut self,
         g: &G,
-        catalog: &'a RelationCatalog,
+        rows: &mut S,
         plan: &'a JoinPlan,
-        views: &mut Views<'a>,
+        views: &mut Views<S::Row>,
         level: usize,
     ) -> Entry {
         if level == plan.proj_depth {
             let out = &mut self.out;
             out.rows.truncate(out.len * out.arity);
             plan.project_into(&self.assignment, &mut out.rows);
-            if self.seen.as_ref().is_some_and(|seen| seen.contains(out)) {
+            if self.seen.as_ref().is_some_and(|seen| seen.contains(out))
+                || self.skip.as_deref() == Some(out.pending())
+            {
                 return Entry::Skip;
             }
         }
@@ -493,7 +630,11 @@ impl Cursor {
         for a in &self.assignment {
             self.mu.push(a.expect("leaf variables are bound")); // invariant: a leaf binds every variable
         }
-        if !plan.verify(g, catalog, self.sem, &self.mu, &mut self.scratch) {
+        debug_assert!(plan.atoms.iter().zip(&plan.rel_ids).all(|(atom, &id)| {
+            let (s, d) = (self.mu[atom.src.index()], self.mu[atom.dst.index()]);
+            rows.debug_holds(id, s, d)
+        }));
+        if !plan.verify(g, self.sem, &self.mu, &mut self.scratch) {
             return Entry::Skip;
         }
         // The pending row was projected when `proj_depth` (≤ `level`) was
@@ -565,7 +706,7 @@ mod tests {
         let mut cursor = Cursor::new(Semantics::Standard, &plans);
         let mut views = Views::default();
         let mut tuples = Vec::new();
-        while let Some(t) = cursor.advance(&g, &catalog, &plans, &mut views) {
+        while let Some(t) = cursor.advance(&g, &mut &catalog, &plans, &mut views) {
             tuples.push(t.to_vec());
         }
         (cursor.seen.is_some(), tuples)

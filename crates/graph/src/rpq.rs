@@ -331,14 +331,35 @@ pub fn rpq_reach_collect<G: GraphView>(
     out: &mut Vec<u32>,
 ) -> usize {
     out.clear();
-    sweep_append::<G, true>(g, nfa, src, scratch, out)
+    sweep_append::<G, true, false>(g, nfa, src, scratch, out)
 }
 
-/// The collecting sweep behind [`rpq_reach_collect`]: appends the nodes
-/// reached from `src` to `out` (sorted and deduplicated among themselves)
-/// and returns the graph-edge scans when `COUNT`, 0 otherwise — only the
-/// cost probe reads the count, so the bulk sweeps skip it.
-fn sweep_append<G: GraphView, const COUNT: bool>(
+/// The backward twin of [`rpq_reach_collect`]: collects into `out`
+/// (sorted, deduplicated) the nodes `u` such that some `u → dst` path has
+/// its label in `L(nfa)`, where `nfa_rev` recognises the *mirror*
+/// language ([`Nfa::reverse`]), and returns the graph-edge scans.
+///
+/// Equivalent to collecting `rpq_reach(&g.reversed(), nfa_rev, dst)`, but
+/// it walks the incoming adjacency the graph already carries
+/// ([`GraphView::predecessors`]), so no reversed graph is built and
+/// nothing is sized by `|V|` below the sweep's dense threshold.
+pub fn rpq_reach_collect_back<G: GraphView>(
+    g: &G,
+    nfa_rev: &Nfa,
+    dst: NodeId,
+    scratch: &mut ReachScratch,
+    out: &mut Vec<u32>,
+) -> usize {
+    out.clear();
+    sweep_append::<G, true, true>(g, nfa_rev, dst, scratch, out)
+}
+
+/// The collecting sweep behind [`rpq_reach_collect`] and
+/// [`rpq_reach_collect_back`]: appends the nodes reached from `src` — over
+/// out-edges, or over in-edges when `BACK` — to `out` (sorted and
+/// deduplicated among themselves) and returns the graph-edge scans when
+/// `COUNT`, 0 otherwise; the bulk sweeps skip the count.
+fn sweep_append<G: GraphView, const COUNT: bool, const BACK: bool>(
     g: &G,
     nfa: &Nfa,
     src: NodeId,
@@ -359,7 +380,12 @@ fn sweep_append<G: GraphView, const COUNT: bool>(
     }
     while let Some((v, q)) = scratch.queue.pop_front() {
         for &(sym, q2) in nfa.transitions_from(q) {
-            for to in g.successors(v, sym) {
+            let next = if BACK {
+                g.predecessors(v, sym)
+            } else {
+                g.successors(v, sym)
+            };
+            for to in next {
                 if COUNT {
                     edge_scans += 1;
                 }
@@ -383,43 +409,6 @@ fn sweep_append<G: GraphView, const COUNT: bool>(
     }
     out.truncate(kept);
     edge_scans
-}
-
-/// Backward reachability without materialising a reversed graph: the nodes
-/// `u` such that some `u → dst` path has its label in `L(nfa)`, where
-/// `nfa_rev` recognises the *mirror* language ([`Nfa::reverse`]).
-///
-/// Equivalent to `rpq_reach(&g.reversed(), nfa_rev, dst)` but walks the
-/// incoming adjacency the graph already carries
-/// ([`GraphDb::predecessors_slice`](crate::db::GraphDb::predecessors_slice)),
-/// so callers needing both directions (e.g. bidirectional candidate
-/// pruning) avoid a full graph clone.
-pub fn rpq_reach_back<G: GraphView>(g: &G, nfa_rev: &Nfa, dst: NodeId) -> BitSet {
-    let ns = nfa_rev.num_states();
-    let mut result = g.node_set();
-    let mut scratch = ReachScratch::new();
-    scratch.begin(g.num_nodes() * ns);
-    for q in nfa_rev.initials().iter() {
-        if scratch.visit(dst.index() * ns + q) {
-            scratch.queue.push_back((dst, q as StateId));
-        }
-        if nfa_rev.is_final(q as StateId) {
-            result.insert(dst.index());
-        }
-    }
-    while let Some((v, q)) = scratch.queue.pop_front() {
-        for &(sym, q2) in nfa_rev.transitions_from(q) {
-            for from in g.predecessors(v, sym) {
-                if scratch.visit(from.index() * ns + q2 as usize) {
-                    if nfa_rev.is_final(q2) {
-                        result.insert(from.index());
-                    }
-                    scratch.queue.push_back((from, q2));
-                }
-            }
-        }
-    }
-    result
 }
 
 /// Borrowed, read-only view of one set of node ids, stored
@@ -1230,7 +1219,7 @@ fn sweep_blocks<G: GraphView>(
                 continue;
             }
             out.swept += 1;
-            sweep_append::<G, false>(g, nfa, src, scratch, &mut out.targets);
+            sweep_append::<G, false, false>(g, nfa, src, scratch, &mut out.targets);
             if out.targets.len() > out.rows.last().map_or(0, |&(_, end)| end) {
                 out.rows.push((src.0, out.targets.len()));
             }
@@ -1410,7 +1399,7 @@ pub fn rpq_relation<G: GraphView>(
             let v = NodeId((i * n / SAMPLE) as u32);
             if starts.admits(g, v) {
                 buf.clear();
-                scans += sweep_append::<G, true>(g, nfa, v, scratch, &mut buf);
+                scans += sweep_append::<G, true, false>(g, nfa, v, scratch, &mut buf);
             }
         }
         stats.projected_scans = scans.saturating_mul(n) / SAMPLE;
@@ -2560,9 +2549,14 @@ mod tests {
         }
     }
 
+    /// The backward collecting sweep equals the forward reference
+    /// `rpq_reach` run on the reversed graph with the mirror automaton,
+    /// on a cyclic graph and on an automaton with two initial states: its
+    /// mirror has two final states, and a node reached backward in both is
+    /// still collected once.
     #[test]
     fn backward_reach_matches_reversed_graph() {
-        let (g, nfa) = setup(
+        let (mut g, nfa) = setup(
             &[
                 ("u", "a", "v"),
                 ("v", "b", "w"),
@@ -2571,15 +2565,30 @@ mod tests {
             ],
             "a (a+b)*",
         );
+        // Two initial states reading `a` into one final state: every
+        // `a`-predecessor of a node is reached backward in both.
+        let a = g.alphabet_mut().intern("a");
+        let two_initials = Nfa::from_parts(vec![vec![(a, 2)], vec![(a, 2)], vec![]], [0, 1], [2]);
         let g_rev = g.reversed();
-        let nfa_rev = nfa.reverse();
-        for dst in g.nodes() {
-            assert_eq!(
-                rpq_reach_back(&g, &nfa_rev, dst),
-                rpq_reach(&g_rev, &nfa_rev, dst),
-                "backward reach mismatch at {dst:?}"
-            );
+        let mut scratch = ReachScratch::new();
+        let mut out = Vec::new();
+        for nfa in [nfa, two_initials] {
+            let nfa_rev = nfa.reverse();
+            for dst in g.nodes() {
+                rpq_reach_collect_back(&g, &nfa_rev, dst, &mut scratch, &mut out);
+                let expected: Vec<u32> = rpq_reach(&g_rev, &nfa_rev, dst)
+                    .iter()
+                    .map(|v| v as u32)
+                    .collect();
+                assert_eq!(out, expected, "backward reach mismatch at {dst:?}");
+            }
         }
+        let (u, v) = (n(&g, "u"), n(&g, "v"));
+        let nfa_rev =
+            Nfa::from_parts(vec![vec![(a, 2)], vec![(a, 2)], vec![]], [0, 1], [2]).reverse();
+        assert_eq!(nfa_rev.finals().len(), 2);
+        rpq_reach_collect_back(&g, &nfa_rev, v, &mut scratch, &mut out);
+        assert_eq!(out, vec![u.0.min(v.0), u.0.max(v.0)], "u and v once each");
     }
 
     #[test]

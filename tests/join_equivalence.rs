@@ -194,3 +194,37 @@ fn output_path_matches_oracle_on_seen_index_shapes() {
         "every shape has answers: {answers:?}"
     );
 }
+
+/// A stream's first tuple comes from the witness phase, and the planned
+/// cursor behind the rest skips it. Under every semantics, on the
+/// multi-variant `a*` shape and on the middle-node shapes (with the head
+/// `(z, x)` a fresh stream binds `z` first and reads both atoms backward
+/// by swept rows), the drained stream holds each answer once, starts with
+/// `limit(1)`'s answer and, sorted, is the oracle.
+#[test]
+fn stream_never_repeats_the_witness() {
+    let shapes = [
+        "(x, y) <- x -[a*]-> y, y -[b]-> z",
+        "(x, z) <- x -[a]-> y, y -[b c*]-> z",
+        "(z, x) <- x -[a]-> y, y -[b c*]-> z",
+    ];
+    for seed in 0..16 {
+        for text in shapes {
+            let mut g = middle_graph(seed);
+            let q = parse_crpq(text, g.alphabet_mut()).unwrap();
+            let g = Arc::new(g);
+            for sem in Semantics::ALL {
+                let ctx = format!("{text} seed {seed} {sem}");
+                let streamed: Vec<Vec<NodeId>> =
+                    Eval::new(&q, &g).semantics(sem).stream().collect();
+                let mut sorted = streamed.clone();
+                sorted.sort();
+                sorted.dedup();
+                assert_eq!(sorted.len(), streamed.len(), "a repeated tuple: {ctx}");
+                assert_eq!(sorted, eval_tuples_enumerate(&q, &*g, sem), "{ctx}");
+                let first = Eval::new(&q, &g).semantics(sem).limit(1);
+                assert_eq!(streamed.first(), first.first(), "{ctx}");
+            }
+        }
+    }
+}
