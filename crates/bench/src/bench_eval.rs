@@ -69,7 +69,9 @@
 //! letter, so q-inj verification places nothing. The hub rows also carry
 //! the warm `ask_ms`, and `--smoke` gates its growth from n = 5 000 to
 //! 80 000 by `HUB_ASK_SCALING_BOUND`×: a warm ASK is one cursor step
-//! over the catalog's memoised plans, with no `O(|V|)` planning.
+//! over the catalog's memoised plans, with no `O(|V|)` planning. Their
+//! `mat_ms` is the cold materialisation of the three atom relations, read
+//! from the catalog after the warming `tuples()` (no gate).
 //!
 //! The **injective workload** (`injective_rows`) times the triangle on
 //! `cyclic_graph(2 000, 11)` under st, a-inj and q-inj over one warm
@@ -309,10 +311,13 @@ fn file_rows<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
 }
 
 /// The rows of array `name` in `prior` (a baseline file's text), then
-/// `fresh`, keeping only the last row per [`row_key`].
+/// `fresh`, keeping only the last row per [`row_key`]. A prior row without
+/// `threads` is dropped: no row written now has that key, so nothing
+/// could ever replace it.
 fn merge_rows(prior: &str, name: &str, fresh: &[Row]) -> Vec<String> {
     let rows: Vec<String> = file_rows(prior, name)
         .into_iter()
+        .filter(|row| row_key(row)[4].is_some())
         .map(str::to_owned)
         .chain(fresh.iter().map(Row::json))
         .collect();
@@ -550,9 +555,10 @@ fn measure_cyclic(workload: &str, q: &Crpq, g: &GraphDb) -> Row {
 /// the free injective checks of the one-letter atoms) is timed. Each row
 /// also carries `ask_ms`, the median over rounds of the mean of
 /// [`ASK_REPEATS`] warm `ask()`s: the gate on its growth catches a warm
-/// request that pays planning again. Each round times every size and
-/// semantics back to back, so a slow phase of the machine lands on both
-/// sides of every ratio.
+/// request that pays planning again, and `mat_ms`, the catalog's
+/// materialisation wall clock from the warming `tuples()`. Each round
+/// times every size and semantics back to back, so a slow phase of the
+/// machine lands on both sides of every ratio.
 fn measure_hub_scaling() -> Vec<Row> {
     let graphs: Vec<(GraphDb, Crpq)> = HUB_SIZES
         .iter()
@@ -595,7 +601,8 @@ fn measure_hub_scaling() -> Vec<Row> {
             let ask_ms = median(std::mem::take(&mut ask_samples[k][i]));
             rows.push(
                 cyclic_row("hub_triangle_warm", sem, g, tuples[k][i], join_ms)
-                    .with("ask_ms", ask_ms),
+                    .with("ask_ms", ask_ms)
+                    .with("mat_ms", catalogs[i].materialise_ms()),
             );
         }
     }
@@ -1791,25 +1798,37 @@ mod tests {
     fn prior_rows_dedupe_replaces_remeasured_and_keeps_last_duplicate() {
         let zipf1 = r#"{"workload": "zipf", "nodes": 100000, "threads": 4, "eval_ms": 1.0}"#;
         let zipf2 = r#"{"workload": "zipf", "nodes": 100000, "threads": 4, "eval_ms": 2.0}"#;
-        let million = r#"{"workload": "million", "nodes": 1000000, "eval_ms": 3.0}"#;
-        let inj1 = r#"{"workload": "inj", "graph": "cyclic(2000, 11)", "ms": [1.0, 1.5]}"#;
-        let inj2 = r#"{"workload": "inj", "graph": "cyclic(2000, 11)", "ms": [2.0, 2.5]}"#;
-        let st = r#"{"workload": "e2", "graph": "G", "nodes": 3, "semantics": "st"}"#;
-        let ainj = r#"{"workload": "e2", "graph": "G", "nodes": 3, "semantics": "a-inj"}"#;
-        let gprime = r#"{"workload": "e2", "graph": "Gprime", "nodes": 3, "semantics": "st"}"#;
+        let million = r#"{"workload": "million", "nodes": 1000000, "threads": 1, "eval_ms": 3.0}"#;
+        // A row written before rows carried `threads`.
+        let stale = r#"{"workload": "million", "nodes": 10000000, "eval_ms": 4.0}"#;
+        let inj1 =
+            r#"{"workload": "inj", "graph": "cyclic(2000, 11)", "threads": 1, "ms": [1.0, 1.5]}"#;
+        let inj2 =
+            r#"{"workload": "inj", "graph": "cyclic(2000, 11)", "threads": 1, "ms": [2.0, 2.5]}"#;
+        let st = r#"{"workload": "e2", "graph": "G", "nodes": 3, "semantics": "st", "threads": 1}"#;
+        let ainj =
+            r#"{"workload": "e2", "graph": "G", "nodes": 3, "semantics": "a-inj", "threads": 1}"#;
+        let gprime =
+            r#"{"workload": "e2", "graph": "Gprime", "nodes": 3, "semantics": "st", "threads": 1}"#;
         let text = format!(
             "{{\n  \"rows\": [\n    {st},\n    {ainj},\n    {gprime}\n  ],\n  \
-             \"scale_rows\": [\n    {zipf1},\n    {zipf2},\n    {million}\n  ],\n  \
+             \"scale_rows\": [\n    {zipf1},\n    {zipf2},\n    {stale},\n    {million}\n  ],\n  \
              \"injective_rows\": [\n    {inj1},\n    {inj2}\n  ]\n}}\n"
         );
-        assert_eq!(file_rows(&text, "scale_rows"), [zipf1, zipf2, million]);
+        assert_eq!(
+            file_rows(&text, "scale_rows"),
+            [zipf1, zipf2, stale, million]
+        );
 
         // Re-measuring `million` replaces its prior row; the duplicated
-        // `zipf` row keeps only its last (most recent) occurrence.
+        // `zipf` row keeps only its last (most recent) occurrence, and
+        // the row without `threads` is dropped.
         let fresh = [Row::new("million")
             .with("nodes", 1_000_000usize)
+            .with("threads", 1usize)
             .with("eval_ms", 9.0)];
-        let remeasured = r#"{"workload": "million", "nodes": 1000000, "eval_ms": 9.0000}"#;
+        let remeasured =
+            r#"{"workload": "million", "nodes": 1000000, "threads": 1, "eval_ms": 9.0000}"#;
         assert_eq!(merge_rows(&text, "scale_rows", &fresh), [zipf2, remeasured]);
         // Nothing re-measured: both distinct keys survive, still deduped.
         assert_eq!(merge_rows(&text, "scale_rows", &[]), [zipf2, million]);
@@ -1828,14 +1847,17 @@ mod tests {
         let path = path.to_str().unwrap();
         let _ = std::fs::remove_file(path);
         let arrays = ["a_rows", "b_rows"];
-        let x = r#"{"workload": "x", "nodes": 1, "mode": "--test"}"#;
+        let x = r#"{"workload": "x", "nodes": 1, "threads": 1, "mode": "--test"}"#;
 
         // A missing file is a fresh start; an unmeasured array is empty.
         write_baseline(
             path,
             "--test",
             &arrays,
-            vec![("a_rows", vec![Row::new("x").with("nodes", 1usize)])],
+            vec![(
+                "a_rows",
+                vec![Row::new("x").with("nodes", 1usize).with("threads", 1usize)],
+            )],
         );
         let first = std::fs::read_to_string(path).unwrap();
         assert!(first.starts_with(
@@ -1849,6 +1871,7 @@ mod tests {
         let y = |ms: f64| {
             Row::new("y")
                 .with("graph", "cyclic(2000, 11)")
+                .with("threads", 1usize)
                 .with("ms", ms)
         };
         write_baseline(
@@ -1861,7 +1884,9 @@ mod tests {
         assert_eq!(file_rows(&second, "a_rows"), [x]);
         assert_eq!(
             file_rows(&second, "b_rows"),
-            [r#"{"workload": "y", "graph": "cyclic(2000, 11)", "ms": 2.0000, "mode": "--test"}"#]
+            [
+                r#"{"workload": "y", "graph": "cyclic(2000, 11)", "threads": 1, "ms": 2.0000, "mode": "--test"}"#
+            ]
         );
         // `mode` is no part of the key: a row re-measured by another mode
         // replaces its twin.
@@ -1869,7 +1894,9 @@ mod tests {
         let third = std::fs::read_to_string(path).unwrap();
         assert_eq!(
             file_rows(&third, "b_rows"),
-            [r#"{"workload": "y", "graph": "cyclic(2000, 11)", "ms": 3.0000, "mode": "--other"}"#]
+            [
+                r#"{"workload": "y", "graph": "cyclic(2000, 11)", "threads": 1, "ms": 3.0000, "mode": "--other"}"#
+            ]
         );
         std::fs::remove_file(path).unwrap();
     }

@@ -110,9 +110,8 @@
 //! 1. **Relation materialisation** — every *distinct* atom's full
 //!    standard-semantics RPQ relation is computed by the one materialiser,
 //!    [`crpq_graph::rpq::rpq_relation`]: one product BFS per source over
-//!    the graph's node-major adjacency, swept in blocks of source ids, or
-//!    the condensation closure when a sampled cost probe finds the
-//!    product too dense. The relation is indexed both ways
+//!    the graph's node-major adjacency, swept in blocks of source ids.
+//!    The relation is indexed both ways
 //!    (`forward(u)` / `backward(v)` rows) and cached in the request's
 //!    [`RelationCatalog`] — the caller's, or a fresh
 //!    [`RelationCatalog::with_threads`]`(g, threads)`. On a warm catalog
@@ -626,14 +625,10 @@ fn compile_atoms(variant: &Crpq) -> Vec<CompiledAtom> {
 /// relation **once** (one miss, k−1 hits) instead of k times, and a
 /// caller-owned catalog extends the sharing across queries and repeated
 /// evaluations on the same graph. A miss calls the one materialiser,
-/// [`rpq::rpq_relation`], which is cost-adaptive: per-source BFS sweeps by
-/// default, with a sampled cost probe that escalates to the condensation
-/// bitset closure on dense products where per-source exploration would
-/// be quadratically wasteful (the closure is column-blocked, so its reach
-/// matrix stays within a fixed working-set budget at any product size).
-/// Both algorithms install their rows through the one relation builder of
-/// [`rpq`], which also builds the backward index. The
-/// sweeps take blocks of source ids: on the calling thread with a pooled
+/// [`rpq::rpq_relation`]: one product BFS per source that can start a
+/// path, installed through the one relation builder of [`rpq`], which
+/// also builds the backward index. The sweeps take blocks of source ids:
+/// on the calling thread with a pooled
 /// [`ReachScratch`] by default, and on that thread plus scoped workers
 /// when built via [`RelationCatalog::with_threads`]. Every
 /// materialisation's [`rpq::MaterialiseStats`] are summed into
@@ -737,8 +732,7 @@ impl RelationCatalog {
     /// An empty catalog for `g` whose per-source BFS sweeps run on
     /// `threads` workers — the calling thread plus `threads − 1` scoped
     /// threads (`0` = one per available CPU, capped at 16; larger counts
-    /// are clamped to [`rpq::MAX_THREADS`], 256); the sampled closure
-    /// escalation is unaffected.
+    /// are clamped to [`rpq::MAX_THREADS`], 256).
     pub fn with_threads<G: GraphView>(g: &G, threads: usize) -> Self {
         RelationCatalog {
             num_nodes: g.num_nodes(),
@@ -1024,8 +1018,8 @@ impl RelationCatalog {
     }
 
     /// The summed [`rpq::MaterialiseStats`] of every materialisation so
-    /// far: which materialiser ran how often, sources swept, and the
-    /// sweep and assembly milliseconds inside [`Self::materialise_ms`].
+    /// far: sources swept, and the sweep and assembly milliseconds inside
+    /// [`Self::materialise_ms`].
     pub fn materialise_totals(&self) -> MaterialiseTotals {
         self.totals
     }
@@ -1047,11 +1041,7 @@ impl RelationCatalog {
 /// Sums of the [`rpq::MaterialiseStats`] of a catalog's materialisations.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MaterialiseTotals {
-    /// Relations built by per-source sweeps.
-    pub sweeps: usize,
-    /// Relations built by the blocked closure.
-    pub closures: usize,
-    /// Sources swept, summed over the sweep materialisations.
+    /// Sources swept, summed over the materialisations.
     pub sources_swept: usize,
     /// Milliseconds producing forward rows ([`rpq::MaterialiseStats::sweep_ms`]).
     pub sweep_ms: f64,
@@ -1065,10 +1055,6 @@ pub struct MaterialiseTotals {
 
 impl MaterialiseTotals {
     fn add(&mut self, stats: &rpq::MaterialiseStats) {
-        match stats.path {
-            rpq::MaterialisePath::Sweeps => self.sweeps += 1,
-            rpq::MaterialisePath::Closure => self.closures += 1,
-        }
         self.sources_swept += stats.sources_swept;
         self.sweep_ms += stats.sweep_ms;
         self.assembly_ms += stats.assembly_ms;
@@ -2176,8 +2162,7 @@ mod tests {
     #[test]
     fn catalog_sums_materialise_stats() {
         // `a*` around a 200-cycle sweeps the whole cycle from every
-        // source, so the probe escalates to the closure; single `a` steps
-        // are swept, one source per node.
+        // source, and single `a` steps one edge; both sweep every node.
         let mut g = crpq_graph::generators::labelled_cycle(200, &["a"]);
         let star = Nfa::from_regex(&crpq_automata::parse_regex("a*", g.alphabet_mut()).unwrap());
         let step = Nfa::from_regex(&crpq_automata::parse_regex("a", g.alphabet_mut()).unwrap());
@@ -2186,8 +2171,7 @@ mod tests {
         catalog.get_or_materialize(&g, &step);
         catalog.get_or_materialize(&g, &step);
         let totals = catalog.materialise_totals();
-        assert_eq!((totals.closures, totals.sweeps), (1, 1));
-        assert_eq!(totals.sources_swept, 200);
+        assert_eq!(totals.sources_swept, 2 * 200);
         assert!(totals.sweep_ms + totals.assembly_ms <= catalog.materialise_ms());
         // The peak is the larger of the two assemblies' transients, not
         // their sum.

@@ -154,27 +154,6 @@ impl BitSet {
         }
     }
 
-    /// ORs `words` into the backing storage starting at word index
-    /// `word_offset` (bit `i` of `words[w]` is value
-    /// `(word_offset + w)·64 + i`), masking anything beyond the capacity.
-    /// The column-blocked closure materialiser assembles rows block by
-    /// block through this.
-    pub fn or_words_at(&mut self, word_offset: usize, words: &[u64]) {
-        for (w, &bits) in words.iter().enumerate() {
-            let idx = word_offset + w;
-            if idx >= self.words.len() {
-                break;
-            }
-            self.words[idx] |= bits;
-        }
-        let tail = self.capacity % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-    }
-
     /// Makes `self` an exact copy of `other`, reusing the existing word
     /// buffer (no allocation when capacities match — unlike the derived
     /// `clone`, which always allocates a fresh `Vec`).
@@ -359,17 +338,6 @@ mod tests {
         let s: BitSet = [5usize, 1, 200, 64].into_iter().collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 5, 64, 200]);
         assert_eq!(s.first(), Some(1));
-    }
-
-    #[test]
-    fn or_words_at_blocks_and_masks_tail() {
-        let mut s = BitSet::new(130);
-        s.or_words_at(0, &[0b101]);
-        s.or_words_at(1, &[1u64 << 5]);
-        s.or_words_at(2, &[u64::MAX]); // beyond-capacity bits must be masked
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 2, 69, 128, 129]);
-        s.or_words_at(7, &[u64::MAX]); // out-of-range offset is a no-op
-        assert_eq!(s.len(), 5);
     }
 
     #[test]

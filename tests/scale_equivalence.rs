@@ -4,9 +4,9 @@
 //! backward index against its forward rows transposed, and the full join
 //! engine (node-major adjacency with adaptive semi-join domains) against
 //! the legacy enumeration oracle on label-rich Zipf graphs under all three
-//! semantics. The closure-against-sweeps comparison at every block budget
-//! lives in `crpq_graph::rpq`'s own tests, next to the private algorithms
-//! it compares.
+//! semantics. The sweeps at a small block size on several workers are
+//! compared with the per-source oracle in `crpq_graph::rpq`'s own tests,
+//! next to the private sweep they call.
 
 use crpq::core::{eval_tuples_enumerate, Eval};
 use crpq::graph::rpq::{self, ReachScratch};

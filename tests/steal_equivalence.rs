@@ -9,14 +9,14 @@
 //! spawns the sweep's scoped workers.
 
 use crpq::core::{eval_tuples_enumerate, Eval};
-use crpq::graph::rpq::{self, MaterialisePath, ReachScratch};
+use crpq::graph::rpq::{self, ReachScratch};
 use crpq::prelude::*;
 use proptest::prelude::*;
 
 /// On more nodes than one sweep block, `.threads(4)` sweeps on
 /// `min(4, ⌈20 000 / 8 192⌉) = 3` workers, two of them spawned: every
-/// atom's relation takes the sweep path, and the request returns the
-/// one-thread answers under all three semantics.
+/// atom's relation equals its one-thread relation, and the request
+/// returns the one-thread answers under all three semantics.
 #[test]
 fn sweep_workers_match_one_thread_past_one_block() {
     let mut g = generators::random_graph(20_000, 40_000, &["a", "b", "c"], 7);
@@ -26,8 +26,11 @@ fn sweep_workers_match_one_thread_past_one_block() {
     )
     .unwrap();
     for atom in &q.atoms {
-        let (_, stats) = rpq::rpq_relation(&g, &atom.nfa(), &mut ReachScratch::new(), 4);
-        assert_eq!(stats.path, MaterialisePath::Sweeps);
+        let nfa = atom.nfa();
+        let (four, stats) = rpq::rpq_relation(&g, &nfa, &mut ReachScratch::new(), 4);
+        let (one, _) = rpq::rpq_relation(&g, &nfa, &mut ReachScratch::new(), 1);
+        assert!(stats.sources_swept > 0);
+        assert_eq!(four, one);
     }
     for sem in Semantics::ALL {
         let one = Eval::new(&q, &g).semantics(sem).tuples();
